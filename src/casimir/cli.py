@@ -11,8 +11,9 @@ Subcommands map onto the library:
 
 Exit codes: 0 success, 2 configuration error, 3 convergence/compute error.
 Output files embed the constants version and model parameters, contain no
-timestamps, and are byte-identical for identical configurations
-regardless of --threads.
+timestamps, and are byte-identical for identical configurations.  Rows run
+serially; --threads is still accepted and validated, and the output is
+identical for any value.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,7 +75,6 @@ class RunConfig:
     quad: QuadratureSettings
     fmt: str = "csv"
     out: str | None = None
-    threads: int = 1
     radius_m: float | None = None
     zeta_range: tuple[float, float, int] = (0.0, 0.5, 26)
     q_fixed: float = 1e17
@@ -243,7 +242,7 @@ def _config_from_args(args) -> RunConfig:
         raise ConfigError(f"q-fixed: must be > 0 rad/s, got {q_fixed}")
     return RunConfig(command=args.command, model=model, model_desc=desc,
                      gaps_m=gaps, temps=temps, quad=quad, fmt=args.format,
-                     out=args.out, threads=args.threads, radius_m=radius_m,
+                     out=args.out, radius_m=radius_m,
                      zeta_range=zeta_range, q_fixed=q_fixed)
 
 
@@ -259,16 +258,16 @@ def _base_meta(cfg: RunConfig) -> dict:
     }
 
 
-def _map_rows(fn, items, threads: int) -> list:
-    """Order-preserving map; rows stay deterministic for any thread count."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _row_context(a_m: float):
-    return f"at a = {a_m / MICRON:g} um"
+def _gap_rows(fn, gaps_m) -> list:
+    """fn(a) for every gap in order; a convergence failure names its gap."""
+    rows = []
+    for a_m in gaps_m:
+        try:
+            rows.append(fn(a_m))
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"at a = {a_m / MICRON:g} um: {exc}",
+                                   estimate=exc.estimate) from None
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +281,12 @@ def cmd_pressure(cfg: RunConfig) -> SweepOutput:
         columns = ["a_um"] + [f"pressure_Pa_T{t:g}K" for t in cfg.temps]
 
     def one(a_m):
-        try:
-            vals = [abs(total_pressure(ThermalGapConfig(T=t, a=a_m),
-                                       cfg.model, cfg.quad).total)
-                    for t in cfg.temps]
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"{_row_context(a_m)}: {exc}",
-                                   estimate=exc.estimate) from None
+        vals = [abs(total_pressure(ThermalGapConfig(T=t, a=a_m),
+                                   cfg.model, cfg.quad).total)
+                for t in cfg.temps]
         return (a_m / MICRON, *vals)
 
-    rows = _map_rows(one, cfg.gaps_m, cfg.threads)
+    rows = _gap_rows(one, cfg.gaps_m)
     return SweepOutput(meta=_base_meta(cfg), columns=columns, rows=rows)
 
 
@@ -301,15 +296,11 @@ def cmd_diff(cfg: RunConfig) -> SweepOutput:
     columns = ["a_um", "delta_F_mPa", "delta_free_energy_J_m2"]
 
     def one(a_m):
-        try:
-            dp = pressure_difference(a_m, cfg.model, T1, T2, cfg.quad).delta
-            df = free_energy_difference(a_m, cfg.model, T1, T2, cfg.quad).delta
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"{_row_context(a_m)}: {exc}",
-                                   estimate=exc.estimate) from None
+        dp = pressure_difference(a_m, cfg.model, T1, T2, cfg.quad).delta
+        df = free_energy_difference(a_m, cfg.model, T1, T2, cfg.quad).delta
         return (a_m / MICRON, dp * 1e3, df)
 
-    rows = _map_rows(one, cfg.gaps_m, cfg.threads)
+    rows = _gap_rows(one, cfg.gaps_m)
     return SweepOutput(meta=_base_meta(cfg), columns=columns, rows=rows)
 
 
@@ -319,15 +310,11 @@ def cmd_modes(cfg: RunConfig) -> SweepOutput:
     columns = ["a_um"] + [f"frac_m{m}_pct" for m in range(8)]
 
     def one(a_m):
-        try:
-            result = total_pressure(ThermalGapConfig(T=T, a=a_m),
-                                    cfg.model, cfg.quad)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"{_row_context(a_m)}: {exc}",
-                                   estimate=exc.estimate) from None
+        result = total_pressure(ThermalGapConfig(T=T, a=a_m),
+                                cfg.model, cfg.quad)
         return (a_m / MICRON, *[result.fraction(m) for m in range(8)])
 
-    rows = _map_rows(one, cfg.gaps_m, cfg.threads)
+    rows = _gap_rows(one, cfg.gaps_m)
     return SweepOutput(meta=_base_meta(cfg), columns=columns, rows=rows)
 
 
@@ -343,18 +330,14 @@ def cmd_sphere_plate(cfg: RunConfig) -> SweepOutput:
 
     def one(a_m):
         sp = SpherePlateConfig(R=probe_R, a=a_m)
-        try:
-            delta = pfa_force_difference(sp, cfg.model, T1, T2, cfg.quad)
-            row = [a_m / MICRON, delta]
-            if cfg.radius_m is not None:
-                row.append(pfa_force(sp, T1, cfg.model, cfg.quad))
-                row.append(pfa_force(sp, T2, cfg.model, cfg.quad))
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"{_row_context(a_m)}: {exc}",
-                                   estimate=exc.estimate) from None
+        delta = pfa_force_difference(sp, cfg.model, T1, T2, cfg.quad)
+        row = [a_m / MICRON, delta]
+        if cfg.radius_m is not None:
+            row.append(pfa_force(sp, T1, cfg.model, cfg.quad))
+            row.append(pfa_force(sp, T2, cfg.model, cfg.quad))
         return tuple(row)
 
-    rows = _map_rows(one, cfg.gaps_m, cfg.threads)
+    rows = _gap_rows(one, cfg.gaps_m)
     return SweepOutput(meta=meta, columns=columns, rows=rows)
 
 
@@ -364,12 +347,8 @@ def cmd_lowtemp(cfg: RunConfig) -> SweepOutput:
     lo, hi, n = cfg.zeta_range
     x_grid = np.linspace(lo, hi, n)
 
-    def one(x):
-        zeta = x * C / a_m
-        f = te_mode_function(zeta, a_m, cfg.model, quad=cfg.quad)
-        return (float(x), f)
-
-    rows = _map_rows(one, list(x_grid), cfg.threads)
+    rows = [(float(x), te_mode_function(x * C / a_m, a_m, cfg.model, quad=cfg.quad))
+            for x in x_grid]
     meta = _base_meta(cfg)
     meta["fit_gap_um"] = f"{a_m / MICRON:g}"
     try:
@@ -462,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--rel-tol", type=float, default=1e-10,
                    help="relative tolerance for quadrature and mode sums")
     o.add_argument("--threads", type=int, default=1,
-                   help="worker threads for sweep rows (output is identical "
-                        "for any value)")
+                   help="accepted for compatibility (must be >= 1); rows run "
+                        "serially, so output is identical for any value")
     o.add_argument("--format", choices=["csv", "json"], default="csv",
                    help="output format (default: csv)")
     o.add_argument("--out", metavar="PATH",

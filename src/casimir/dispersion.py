@@ -1,9 +1,18 @@
 """Permittivity models on the imaginary frequency axis.
 
 Every model answers eps(zeta, T) for zeta > 0 with a result > 1, except
-the ideal reflector, which is handled upstream as a reflection-coefficient
-override rather than a finite permittivity.  Frequencies are rad/s,
-temperatures K; model parameters are quoted in eV.
+the ideal reflector, which has no finite permittivity.  Frequencies are
+rad/s, temperatures K; model parameters are quoted in eV.
+
+Each model also owns its reflection rules, the only thing the Lifshitz
+engine asks of it:
+
+  zero_frequency_reflection(y, cfg)  the analytic m = 0 coefficients
+  matsubara_reflection(zeta, T)      (A, B) as a function of p at zeta > 0
+
+The m = 0 rule is where the models differ physically: a lossy metal keeps
+its TM zero mode (A = 1) but loses the TE one (B = 0), while the plasma
+model and the ideal reflector retain both.
 
 The Drude form is
 
@@ -24,7 +33,7 @@ from typing import Union
 import numpy as np
 from scipy.integrate import quad
 
-from .constants import ev_to_rad_s
+from .constants import C, ev_to_rad_s
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -34,13 +43,60 @@ from .errors import (
 )
 
 __all__ = [
-    "ConstantRelaxation", "BlochGruneisen", "RelaxationModel",
+    "ReflectionPair", "ConstantRelaxation", "BlochGruneisen", "RelaxationModel",
     "Drude", "Plasma", "Ideal", "PermittivityTable", "Tabulated",
     "MaterialModel", "gold_drude",
     "eps_drude", "eps_plasma", "eps_tabulated", "nu_bloch_gruneisen",
     "drude_spectral_function", "sum_rule_check", "zero_mode_product",
     "load_permittivity_table",
 ]
+
+
+# ---------------------------------------------------------------------------
+# reflection coefficients
+
+@dataclass(frozen=True)
+class ReflectionPair:
+    """Squared reflection coefficients (TM, TE), each in [0, 1]."""
+
+    A: float
+    B: float
+
+    def __post_init__(self):
+        if np.any(np.asarray(self.A) < 0) or np.any(np.asarray(self.A) > 1):
+            raise DomainError("squared TM coefficient must lie in [0, 1]")
+        if np.any(np.asarray(self.B) < 0) or np.any(np.asarray(self.B) > 1):
+            raise DomainError("squared TE coefficient must lie in [0, 1]")
+
+
+def _reflection_sq(eps, p):
+    """Squared TM/TE coefficients, in cancellation-free form.
+
+    Uses (eps p - s)/(eps p + s) = (eps-1)(p^2(eps+1) - 1)/(eps p + s)^2
+    and (s - p)/(s + p) = (eps-1)/(s + p)^2, which stay accurate when
+    eps -> 1 and the direct differences would lose all digits.
+    """
+    em1 = eps - 1.0
+    s = np.sqrt(em1 + p * p)
+    A = (em1 * (p * p * (eps + 1.0) - 1.0) / (eps * p + s) ** 2) ** 2
+    B = (em1 / (s + p) ** 2) ** 2
+    return A, B
+
+
+def _plasma_zero_mode(y, omega_p_rad_s: float, a: float) -> ReflectionPair:
+    """m = 0 pair of a plasma-like metal: A = 1 and a finite TE square."""
+    yhat_p = omega_p_rad_s * a / C
+    r = np.sqrt(y * y + yhat_p * yhat_p)
+    return ReflectionPair(1.0, ((r - y) / (r + y)) ** 2)
+
+
+class _Dielectric:
+    """Shared m >= 1 rule of the models with a finite eps(i zeta) > 1."""
+
+    def matsubara_reflection(self, zeta, T):
+        """(A, B) as a function of p at frequency zeta; eps is evaluated once."""
+        eps = self.eps(zeta, T)
+        return lambda p: _reflection_sq(eps, p)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +173,7 @@ def nu_bloch_gruneisen(T: float, model: RelaxationModel) -> float:
 # material models
 
 @dataclass(frozen=True)
-class Drude:
+class Drude(_Dielectric):
     """Drude metal: eps = 1 + omega_p^2 / (zeta (zeta + nu(T)))."""
 
     omega_p_ev: float = 9.0
@@ -139,9 +195,13 @@ class Drude:
     def eps(self, zeta, T: float = 300.0):
         return eps_drude(zeta, self, T)
 
+    def zero_frequency_reflection(self, y, cfg) -> ReflectionPair:
+        """Lossy metal: the TM zero mode survives, the TE one vanishes."""
+        return ReflectionPair(1.0, 0.0)
+
 
 @dataclass(frozen=True)
-class Plasma:
+class Plasma(_Dielectric):
     """Dissipationless plasma: eps = 1 + omega_p^2 / zeta^2."""
 
     omega_p_ev: float = 9.0
@@ -157,6 +217,10 @@ class Plasma:
     def eps(self, zeta, T: float | None = None):
         return eps_plasma(zeta, self.omega_p_ev)
 
+    def zero_frequency_reflection(self, y, cfg) -> ReflectionPair:
+        """Both zero modes survive; B follows from omega_p a / c."""
+        return _plasma_zero_mode(y, self.omega_p_rad_s, cfg.a)
+
 
 @dataclass(frozen=True)
 class Ideal:
@@ -166,6 +230,14 @@ class Ideal:
         raise UnsupportedModelError(
             "the ideal reflector has no finite permittivity; it is handled "
             "through its reflection coefficients")
+
+    def zero_frequency_reflection(self, y, cfg) -> ReflectionPair:
+        """Both zero modes survive with unit reflection."""
+        return ReflectionPair(1.0, 1.0)
+
+    def matsubara_reflection(self, zeta, T):
+        """Scalar unit coefficients keep the integrands' exact X = 1 forms."""
+        return lambda p: (1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -203,7 +275,7 @@ class PermittivityTable:
 
 
 @dataclass(frozen=True)
-class Tabulated:
+class Tabulated(_Dielectric):
     """Tabulated permittivity with a declared zero-frequency class.
 
     The transverse-electric zero mode cannot be inferred from finite-zeta
@@ -229,6 +301,12 @@ class Tabulated:
         """Effective plasma frequency zeta_min*sqrt(eps-1) from the lowest node."""
         return self.table.zeta_min * float(
             np.sqrt(self.table.eps_values[0] - 1.0))
+
+    def zero_frequency_reflection(self, y, cfg) -> ReflectionPair:
+        """The declared class decides; plasma-like uses omega_p_eff_rad_s."""
+        if self.zero_mode_class == "drude_like":
+            return ReflectionPair(1.0, 0.0)
+        return _plasma_zero_mode(y, self.omega_p_eff_rad_s, cfg.a)
 
 
 MaterialModel = Union[Drude, Plasma, Ideal, Tabulated]

@@ -19,23 +19,25 @@ squared reflection coefficients for the TM and TE polarizations are
 with the Lifshitz variables p = y/(m gamma) and s = sqrt(eps - 1 + p^2),
 eps evaluated at the Matsubara frequency zeta_m = 2 pi m k_B T / hbar.
 
-The m = 0 term is handled analytically per material model, never as a
-small-zeta numerical limit: a lossy metal keeps its TM zero mode (A = 1)
-but loses the TE one (B = 0), while the dissipationless plasma model and
-the ideal reflector retain both.  That difference is exactly what makes
-the temperature dependence model-sensitive.
+The m = 0 term is handled analytically, never as a small-zeta numerical
+limit, by each material model's zero_frequency_reflection rule (see
+dispersion): a lossy metal keeps its TM zero mode (A = 1) but loses the
+TE one (B = 0), while the dissipationless plasma model and the ideal
+reflector retain both.  That difference is exactly what makes the
+temperature dependence model-sensitive.  For m >= 1 the engine asks the
+model for its matsubara_reflection rule at zeta_m.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C, HBAR, K_B
-from .dispersion import Drude, Ideal, MaterialModel, Plasma, Tabulated
+from .dispersion import MaterialModel, ReflectionPair, _reflection_sq
 from .errors import ConvergenceError, DomainError, UnsupportedModelError
-from .quadrature import NeumaierAccumulator, adaptive_quad
+from .quadrature import adaptive_quad, neumaier_sum
 
 __all__ = [
     "ThermalGapConfig", "QuadratureSettings", "ReflectionPair",
@@ -98,20 +100,6 @@ DEFAULT_QUAD = QuadratureSettings()
 
 
 @dataclass(frozen=True)
-class ReflectionPair:
-    """Squared reflection coefficients (TM, TE), each in [0, 1]."""
-
-    A: float
-    B: float
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.A) < 0) or np.any(np.asarray(self.A) > 1):
-            raise DomainError("squared TM coefficient must lie in [0, 1]")
-        if np.any(np.asarray(self.B) < 0) or np.any(np.asarray(self.B) > 1):
-            raise DomainError("squared TE coefficient must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class PressureResult:
     """Total pressure with the per-mode decomposition.
 
@@ -151,20 +139,6 @@ def lifshitz_variables(y, m: int, cfg: ThermalGapConfig, eps):
     return p, s
 
 
-def _reflection_sq(eps, p):
-    """Squared TM/TE coefficients, in cancellation-free form.
-
-    Uses (eps p - s)/(eps p + s) = (eps-1)(p^2(eps+1) - 1)/(eps p + s)^2
-    and (s - p)/(s + p) = (eps-1)/(s + p)^2, which stay accurate when
-    eps -> 1 and the direct differences would lose all digits.
-    """
-    em1 = eps - 1.0
-    s = np.sqrt(em1 + p * p)
-    A = (em1 * (p * p * (eps + 1.0) - 1.0) / (eps * p + s) ** 2) ** 2
-    B = (em1 / (s + p) ** 2) ** 2
-    return A, B
-
-
 def reflection_pair(y, m: int, cfg: ThermalGapConfig, eps) -> ReflectionPair:
     """Squared reflection coefficients A (TM) and B (TE) for mode m >= 1."""
     p, _ = lifshitz_variables(y, m, cfg, eps)
@@ -174,14 +148,8 @@ def reflection_pair(y, m: int, cfg: ThermalGapConfig, eps) -> ReflectionPair:
     return ReflectionPair(A, B)
 
 
-def _plasma_zero_mode_te(y, yhat_p: float):
-    """TE zero-mode square for a plasma-like metal, yhat_p = omega_p a / c."""
-    r = np.sqrt(y * y + yhat_p * yhat_p)
-    return ((r - y) / (r + y)) ** 2
-
-
 def zero_frequency_reflection(model: MaterialModel, y, cfg: ThermalGapConfig) -> ReflectionPair:
-    """Analytic m = 0 reflection coefficients for each material model.
+    """Analytic m = 0 reflection coefficients, from the model's own rule.
 
     Constant coefficients are returned as plain scalars; keeping A = 1.0
     scalar lets the integrands use their exact expm1/log forms at y -> 0.
@@ -189,39 +157,12 @@ def zero_frequency_reflection(model: MaterialModel, y, cfg: ThermalGapConfig) ->
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise DomainError("y must be >= 0")
-    if isinstance(model, Ideal):
-        A, B = 1.0, 1.0
-    elif isinstance(model, Drude):
-        A, B = 1.0, 0.0
-    elif isinstance(model, Plasma):
-        A = 1.0
-        B = _plasma_zero_mode_te(y, model.omega_p_rad_s * cfg.a / C)
-    elif isinstance(model, Tabulated):
-        A = 1.0
-        if model.zero_mode_class == "drude_like":
-            B = 0.0
-        else:
-            B = _plasma_zero_mode_te(y, model.omega_p_eff_rad_s * cfg.a / C)
-    elif hasattr(model, "zero_frequency_reflection"):
-        return model.zero_frequency_reflection(y, cfg)
-    else:
+    try:
+        rule = model.zero_frequency_reflection
+    except AttributeError:
         raise UnsupportedModelError(
-            f"no zero-frequency reflection rule for {type(model).__name__}")
-    if isinstance(B, np.ndarray) and B.ndim == 0:
-        B = float(B)
-    return ReflectionPair(A, B)
-
-
-def _mode_reflection(model: MaterialModel, m: int, cfg: ThermalGapConfig, y):
-    """(A, B) arrays for mode m at dimensionless wave numbers y."""
-    if m == 0:
-        pair = zero_frequency_reflection(model, y, cfg)
-        return pair.A, pair.B
-    if isinstance(model, Ideal):
-        return 1.0, 1.0
-    eps = model.eps(cfg.matsubara(m), cfg.T)
-    p = y / (m * cfg.gamma)
-    return _reflection_sq(eps, p)
+            f"no zero-frequency reflection rule for {type(model).__name__}") from None
+    return rule(y, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +195,43 @@ def _log_term(X, y):
     return np.log1p(-X * np.exp(-2.0 * y))
 
 
-def _mode_integral(m, cfg, model, quad, integrand_kind):
-    mg = m * cfg.gamma
-    if integrand_kind == "pressure":
+def _pressure_kernel(A, B, y):
+    return y * y * (_occupancy(A, y) + _occupancy(B, y))
+
+
+def _free_energy_kernel(A, B, y):
+    return y * (_log_term(A, y) + _log_term(B, y))
+
+
+def _integrate(model, cfg, zeta, y_lo, kernel, quad):
+    """int kernel(A, B, y) dy over [y_lo, y_lo + y_tail], y_lo = a zeta / c.
+
+    The model's reflection rule is bound once per integral: the analytic
+    m = 0 rule at zeta = 0, otherwise its rule in p = y / y_lo at zeta.
+    """
+    if zeta == 0.0:
         def f(y):
-            A, B = _mode_reflection(model, m, cfg, y)
-            return y * y * (_occupancy(A, y) + _occupancy(B, y))
+            pair = zero_frequency_reflection(model, y, cfg)
+            return kernel(pair.A, pair.B, y)
     else:
+        at_p = model.matsubara_reflection(zeta, cfg.T)
+
         def f(y):
-            A, B = _mode_reflection(model, m, cfg, y)
-            return y * (_log_term(A, y) + _log_term(B, y))
+            A, B = at_p(y / y_lo)
+            return kernel(A, B, y)
     value, _ = adaptive_quad(
-        f, mg, mg + quad.y_tail,
+        f, y_lo, y_lo + quad.y_tail,
         rel_tol=quad.rel_tol, max_subdivisions=quad.max_subdivisions)
     return value
+
+
+def _mode_value(m, cfg, model, quad, kernel, prefactor):
+    """prefactor * weight * mode integral; m = 0 carries the half weight."""
+    if m < 0:
+        raise DomainError(f"mode index must be >= 0, got {m}")
+    mg = m * cfg.gamma
+    weight = 0.5 if m == 0 else 1.0
+    return prefactor * weight * _integrate(model, cfg, cfg.matsubara(m), mg, kernel, quad)
 
 
 def mode_pressure(m: int, cfg: ThermalGapConfig, model: MaterialModel,
@@ -277,48 +241,42 @@ def mode_pressure(m: int, cfg: ThermalGapConfig, model: MaterialModel,
     The m = 0 term carries the half weight of the primed sum and uses the
     analytic zero-frequency reflection coefficients.
     """
-    if m < 0:
-        raise DomainError(f"mode index must be >= 0, got {m}")
-    weight = 0.5 if m == 0 else 1.0
-    integral = _mode_integral(m, cfg, model, quad, "pressure")
-    return -(K_B * cfg.T / (np.pi * cfg.a ** 3)) * weight * integral
+    return _mode_value(m, cfg, model, quad, _pressure_kernel,
+                       -(K_B * cfg.T / (np.pi * cfg.a ** 3)))
 
 
 def mode_free_energy(m: int, cfg: ThermalGapConfig, model: MaterialModel,
                      quad: QuadratureSettings = DEFAULT_QUAD) -> float:
     """Free-energy contribution of mode m, in J/m^2 (negative)."""
-    if m < 0:
-        raise DomainError(f"mode index must be >= 0, got {m}")
-    weight = 0.5 if m == 0 else 1.0
-    integral = _mode_integral(m, cfg, model, quad, "free_energy")
-    return (K_B * cfg.T / (2.0 * np.pi * cfg.a ** 2)) * weight * integral
+    return _mode_value(m, cfg, model, quad, _free_energy_kernel,
+                       K_B * cfg.T / (2.0 * np.pi * cfg.a ** 2))
 
 
-def _sum_modes(cfg, model, quad, mode_value):
-    """Primed Matsubara sum with compensated, ascending-m accumulation.
+def _sum_modes(cfg, quad, mode_value):
+    """Primed Matsubara sum in ascending m, correctly rounded at the end.
 
     Stops after two consecutive modes contribute less than rel_tol of the
-    accumulated total, never before m = 5.
+    running total, never before m = 5.
     """
-    acc = NeumaierAccumulator()
     contributions = []
+    running = 0.0
     small_run = 0
     m = 0
     while True:
         c = mode_value(m)
-        acc.add(c)
         contributions.append(c)
+        running += c
         if m >= 1:
-            if abs(c) <= quad.rel_tol * abs(acc.value):
+            if abs(c) <= quad.rel_tol * abs(running):
                 small_run += 1
             else:
                 small_run = 0
             if small_run >= 2 and m >= 5:
-                return acc.value, contributions
+                return neumaier_sum(contributions), contributions
         if m >= MODE_CAP:
             raise ConvergenceError(
                 f"Matsubara sum not converged after {MODE_CAP} modes "
-                f"(gamma = {cfg.gamma:g})", estimate=acc.value)
+                f"(gamma = {cfg.gamma:g})", estimate=neumaier_sum(contributions))
         m += 1
 
 
@@ -326,7 +284,7 @@ def total_pressure(cfg: ThermalGapConfig, model: MaterialModel,
                    quad: QuadratureSettings = DEFAULT_QUAD) -> PressureResult:
     """Total Casimir pressure with per-mode contributions and fractions."""
     total, contributions = _sum_modes(
-        cfg, model, quad, lambda m: mode_pressure(m, cfg, model, quad))
+        cfg, quad, lambda m: mode_pressure(m, cfg, model, quad))
     per_mode = tuple(
         (m, c, 100.0 * c / total if total != 0.0 else 0.0)
         for m, c in enumerate(contributions))
@@ -338,7 +296,7 @@ def free_energy(cfg: ThermalGapConfig, model: MaterialModel,
                 quad: QuadratureSettings = DEFAULT_QUAD) -> float:
     """Free energy per unit area in J/m^2 (negative; P = -dF/da)."""
     total, _ = _sum_modes(
-        cfg, model, quad, lambda m: mode_free_energy(m, cfg, model, quad))
+        cfg, quad, lambda m: mode_free_energy(m, cfg, model, quad))
     return total
 
 
@@ -358,29 +316,8 @@ def te_mode_function(zeta: float, a: float, model: MaterialModel,
     """
     if zeta < 0:
         raise DomainError(f"zeta must be >= 0, got {zeta}")
-    cfg = ThermalGapConfig(T=T, a=a)
-    if zeta == 0.0:
-        def f(y):
-            B = zero_frequency_reflection(model, y, cfg).B
-            return y * _log_term(B, y)
-        y_lo = 0.0
-    else:
-        if isinstance(model, Ideal):
-            eps = None
-        else:
-            eps = model.eps(zeta, T)
-        y_lo = a * zeta / C
-
-        def f(y):
-            if eps is None:
-                B = 1.0
-            else:
-                _, B = _reflection_sq(eps, y / y_lo)
-            return y * _log_term(B, y)
-    value, _ = adaptive_quad(
-        f, y_lo, y_lo + quad.y_tail,
-        rel_tol=quad.rel_tol, max_subdivisions=quad.max_subdivisions)
-    return value
+    return _integrate(model, ThermalGapConfig(T=T, a=a), zeta, a * zeta / C,
+                      lambda A, B, y: y * _log_term(B, y), quad)
 
 
 # ---------------------------------------------------------------------------

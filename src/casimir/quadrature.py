@@ -3,9 +3,9 @@
 The (G7, K15) embedded pair is applied to a worklist of panels; every
 refinement round bisects the panels carrying the largest error estimates,
 so the integrand is always evaluated on one flat array per round.  Panel
-results are accumulated left-to-right with compensated (Neumaier)
-summation, which makes the returned value independent of refinement
-history and bit-reproducible.
+results are summed with math.fsum, which is correctly rounded and
+independent of summation order, so the returned value does not depend on
+the refinement history and is bit-reproducible.
 
 Error estimation follows the QUADPACK recipe: the raw |K15 - G7|
 difference is rescaled by the panel's total variation measure so that
@@ -14,6 +14,7 @@ near-singular panels are not trusted optimistically.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -56,39 +57,22 @@ _WG_FULL = np.concatenate((_WG[:-1], _WG[::-1]))  # weights for nodes 1,3,...,13
 
 
 def neumaier_sum(values) -> float:
-    """Compensated sum of a 1-D sequence of floats."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        v = float(v)
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
+    """Correctly rounded sum of a 1-D sequence of floats (math.fsum)."""
+    return math.fsum(values)
 
 
 class NeumaierAccumulator:
-    """Running compensated sum, for mode-by-mode reductions."""
+    """Running sum of the values added, correctly rounded by math.fsum."""
 
     def __init__(self):
-        self._sum = 0.0
-        self._comp = 0.0
+        self._values = []
 
     def add(self, value: float) -> None:
-        value = float(value)
-        t = self._sum + value
-        if abs(self._sum) >= abs(value):
-            self._comp += (self._sum - t) + value
-        else:
-            self._comp += (value - t) + self._sum
-        self._sum = t
+        self._values.append(float(value))
 
     @property
     def value(self) -> float:
-        return self._sum + self._comp
+        return math.fsum(self._values)
 
 
 def _gk15_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
@@ -142,7 +126,7 @@ def adaptive_quad(
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk15_panels(f, lo, hi)
 
-    total = neumaier_sum(vals)
+    total = neumaier_sum(vals.tolist())
     for _ in range(max_subdivisions):
         err_total = float(errs.sum())
         if err_total <= max(rel_tol * abs(total), abs_tol):
@@ -162,7 +146,7 @@ def adaptive_quad(
         order = np.argsort(new_lo, kind="stable")
         lo, hi = new_lo[order], new_hi[order]
         vals, errs = vals[order], errs[order]
-        total = neumaier_sum(vals)
+        total = neumaier_sum(vals.tolist())
 
     raise ConvergenceError(
         f"quadrature did not reach rel_tol={rel_tol:g} on [{a:g}, {b:g}] "

@@ -80,28 +80,28 @@ class QuadraticFit:
                 coeff=self.coeff, residual=self.residual)
 
 
+def _difference(a: float, T1: float, T2: float, observable) -> DifferenceResult:
+    """|observable(T2)| - |observable(T1)| at gap a; observable takes a config."""
+    if not a > 0:
+        raise DomainError(f"gap width must be > 0, got {a}")
+    v1 = observable(ThermalGapConfig(T=T1, a=a))
+    v2 = observable(ThermalGapConfig(T=T2, a=a))
+    return DifferenceResult(a=a, T_low=T2, T_high=T1,
+                            delta=abs(v2) - abs(v1), raw_low=v2, raw_high=v1)
+
+
 def pressure_difference(a: float, model: MaterialModel,
                         T1: float = 350.0, T2: float = 300.0,
                         quad: QuadratureSettings = DEFAULT_QUAD) -> DifferenceResult:
     """Casimir pressure magnitude difference |P(T2)| - |P(T1)| in Pa."""
-    if not a > 0:
-        raise DomainError(f"gap width must be > 0, got {a}")
-    p1 = total_pressure(ThermalGapConfig(T=T1, a=a), model, quad).total
-    p2 = total_pressure(ThermalGapConfig(T=T2, a=a), model, quad).total
-    return DifferenceResult(a=a, T_low=T2, T_high=T1,
-                            delta=abs(p2) - abs(p1), raw_low=p2, raw_high=p1)
+    return _difference(a, T1, T2, lambda cfg: total_pressure(cfg, model, quad).total)
 
 
 def free_energy_difference(a: float, model: MaterialModel,
                            T1: float = 350.0, T2: float = 300.0,
                            quad: QuadratureSettings = DEFAULT_QUAD) -> DifferenceResult:
     """Free-energy magnitude difference |F(T2)| - |F(T1)| in J/m^2."""
-    if not a > 0:
-        raise DomainError(f"gap width must be > 0, got {a}")
-    f1 = free_energy(ThermalGapConfig(T=T1, a=a), model, quad)
-    f2 = free_energy(ThermalGapConfig(T=T2, a=a), model, quad)
-    return DifferenceResult(a=a, T_low=T2, T_high=T1,
-                            delta=abs(f2) - abs(f1), raw_low=f2, raw_high=f1)
+    return _difference(a, T1, T2, lambda cfg: free_energy(cfg, model, quad))
 
 
 def sign_change_gap(model: MaterialModel, T1: float = 350.0, T2: float = 300.0,

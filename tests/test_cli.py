@@ -77,8 +77,13 @@ class TestPressureCommand:
     def test_bad_rel_tol_rejected(self):
         assert run_cli("pressure", "--gap", "1.0", "--rel-tol", "0.5") == 2
 
-    def test_unreachable_tolerance_exits_three(self, capsys):
-        assert run_cli("pressure", "--gap", "1.0", "--rel-tol", "1e-30") == 3
+    def test_zero_threads_rejected(self, capsys):
+        assert run_cli("pressure", "--gap", "1.0", "--threads", "0") == 2
+        assert "threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pressure", "diff", "modes", "sphere-plate"])
+    def test_unreachable_tolerance_exits_three(self, capsys, command):
+        assert run_cli(command, "--gap", "1.0", "--rel-tol", "1e-30") == 3
         assert "a = 1 um" in capsys.readouterr().err  # row context
 
 

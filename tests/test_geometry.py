@@ -11,14 +11,6 @@ from casimir.errors import ApplicabilityWarning, DomainError
 MICRON = 1e-6
 
 
-class _Vacuum:
-    def eps(self, zeta, T=None):
-        return 1.0
-
-    def zero_frequency_reflection(self, y, cfg):
-        return cs.ReflectionPair(0.0, 0.0)
-
-
 def test_wiring_identity_against_free_energy(gold):
     sp = cs.SpherePlateConfig(R=100e-6, a=1e-6)
     F = cs.free_energy(cs.ThermalGapConfig(T=300.0, a=1e-6), gold)
@@ -33,9 +25,9 @@ def test_linear_in_radius(gold):
     assert f2 == pytest.approx(2.0 * f1, rel=1e-14)
 
 
-def test_vacuum_gives_zero():
+def test_vacuum_gives_zero(vacuum):
     sp = cs.SpherePlateConfig(R=100e-6, a=1e-6)
-    assert cs.pfa_force(sp, 300.0, _Vacuum()) == 0.0
+    assert cs.pfa_force(sp, 300.0, vacuum) == 0.0
 
 
 def test_difference_independent_of_radius(gold):

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import zeta
 
 import casimir as cs
-from casimir.errors import DomainError, UnsupportedModelError
+from casimir.errors import DomainError, TableRangeError, UnsupportedModelError
 from casimir.lifshitz import _reflection_sq
 
 ZETA3 = float(zeta(3))
@@ -15,16 +15,6 @@ def cfg_gamma(gamma, a=1e-6):
     """Config whose dimensionless Matsubara spacing is exactly the given gamma."""
     T = gamma * cs.HBAR * cs.C / (2.0 * np.pi * a * cs.K_B)
     return cs.ThermalGapConfig(T=T, a=a)
-
-
-class _Vacuum:
-    """eps = 1 test double; both mirrors transparent."""
-
-    def eps(self, zeta, T=None):
-        return 1.0
-
-    def zero_frequency_reflection(self, y, cfg):
-        return cs.ReflectionPair(0.0, 0.0)
 
 
 class TestThermalGapConfig:
@@ -172,10 +162,10 @@ class TestModePressure:
         p_ideal = cs.mode_pressure(0, cfg, cs.Ideal())
         assert p_ideal == pytest.approx(2.0 * p_drude, rel=1e-12)
 
-    def test_vacuum_gives_zero(self):
+    def test_vacuum_gives_zero(self, vacuum):
         cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
-        assert cs.mode_pressure(0, cfg, _Vacuum()) == 0.0
-        assert cs.mode_pressure(3, cfg, _Vacuum()) == 0.0
+        assert cs.mode_pressure(0, cfg, vacuum) == 0.0
+        assert cs.mode_pressure(3, cfg, vacuum) == 0.0
 
     def test_every_mode_attractive(self, gold):
         cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
@@ -210,8 +200,8 @@ class TestTotalPressure:
                 for a in gaps]
         assert all(m1 > m2 for m1, m2 in zip(mags, mags[1:]))
 
-    def test_vacuum_total_is_zero(self):
-        res = cs.total_pressure(cs.ThermalGapConfig(T=300.0, a=1e-6), _Vacuum())
+    def test_vacuum_total_is_zero(self, vacuum):
+        res = cs.total_pressure(cs.ThermalGapConfig(T=300.0, a=1e-6), vacuum)
         assert res.total == 0.0
         assert res.fraction(0) == 0.0
 
@@ -227,6 +217,13 @@ class TestTotalPressure:
         for model in (gold, cs.Plasma(), cs.Ideal()):
             assert cs.total_pressure(cfg, model).total < 0.0
 
+    def test_table_above_first_matsubara_frequency_rejected(self, gold):
+        # zeta_1 = 2.47e14 rad/s at 300 K lies below the first table node
+        zs = np.geomspace(1e15, 1e18, 50)
+        model = cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold)))
+        with pytest.raises(TableRangeError):
+            cs.total_pressure(cs.ThermalGapConfig(T=300.0, a=1e-6), model)
+
 
 class TestFreeEnergy:
     def test_drude_zero_mode_closed_form(self, gold):
@@ -235,8 +232,8 @@ class TestFreeEnergy:
         oracle = -ZETA3 * cs.K_B * 300.0 / (16.0 * np.pi * a**2)
         assert cs.mode_free_energy(0, cfg, gold) == pytest.approx(oracle, rel=1e-8)
 
-    def test_vacuum_is_zero(self):
-        assert cs.free_energy(cs.ThermalGapConfig(T=300.0, a=1e-6), _Vacuum()) == 0.0
+    def test_vacuum_is_zero(self, vacuum):
+        assert cs.free_energy(cs.ThermalGapConfig(T=300.0, a=1e-6), vacuum) == 0.0
 
     def test_negative_for_supported_models(self, gold):
         cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
