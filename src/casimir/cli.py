@@ -9,6 +9,10 @@ Subcommands map onto the library:
   lowtemp          TE mode function f(zeta) plus the quadratic low-T fit
   impedance-check  permittivity vs. surface-impedance TE reflection on a grid
 
+A sphere-plate row makes one free-energy sum per temperature; --radius adds
+the forces and one warning per row with R < 100 a.  lowtemp takes one gap,
+impedance-check no gap and one temperature.
+
 Exit codes: 0 success, 2 configuration error, 3 convergence/compute error.
 Output files embed the constants version and model parameters, contain no
 timestamps, and are byte-identical for identical configurations.  Rows run
@@ -45,7 +49,7 @@ from .errors import (
     DomainError,
     FitError,
 )
-from .geometry import SpherePlateConfig, pfa_force, pfa_force_difference
+from .geometry import _pfa_row
 from .lifshitz import (
     QuadratureSettings,
     ThermalGapConfig,
@@ -167,8 +171,8 @@ def _resolve_temps(args) -> list[float]:
     if need_two and len(temps) != 2:
         raise ConfigError(f"temp: {args.command} needs exactly two "
                           f"temperatures (T1 T2), got {len(temps)}")
-    if args.command == "modes" and len(temps) != 1:
-        raise ConfigError("temp: modes takes exactly one temperature")
+    if args.command in ("modes", "impedance-check") and len(temps) != 1:
+        raise ConfigError(f"temp: {args.command} takes exactly one temperature")
     if args.command == "lowtemp" and len(temps) < 5:
         raise ConfigError("temp: lowtemp needs at least 5 fit temperatures")
     return temps
@@ -220,11 +224,15 @@ def _config_from_args(args) -> RunConfig:
         raise ConfigError(f"rel-tol: {exc}") from None
     temps = _resolve_temps(args)
     if args.command == "impedance-check":
-        gaps = [1.0 * MICRON]
-        if isinstance(model, Ideal):
+        if args.gap is not None or args.gap_range is not None:
+            raise ConfigError("gap: impedance-check takes no --gap or --gap-range")
+        gaps = []
+        if args.model == "ideal":
             raise ConfigError("model: impedance-check needs a dispersive model")
     else:
         gaps = _resolve_gaps(args)
+    if args.command == "lowtemp" and len(gaps) > 1:
+        raise ConfigError(f"gap-range: lowtemp takes one gap, got {len(gaps)}")
     radius_m = None
     if getattr(args, "radius", None) is not None:
         if not args.radius > 0:
@@ -326,16 +334,10 @@ def cmd_sphere_plate(cfg: RunConfig) -> SweepOutput:
     if cfg.radius_m is not None:
         columns += [f"force_T{T1:g}K_N", f"force_T{T2:g}K_N"]
         meta["radius_um"] = f"{cfg.radius_m / MICRON:g}"
-    probe_R = cfg.radius_m if cfg.radius_m is not None else 100e-6
 
     def one(a_m):
-        sp = SpherePlateConfig(R=probe_R, a=a_m)
-        delta = pfa_force_difference(sp, cfg.model, T1, T2, cfg.quad)
-        row = [a_m / MICRON, delta]
-        if cfg.radius_m is not None:
-            row.append(pfa_force(sp, T1, cfg.model, cfg.quad))
-            row.append(pfa_force(sp, T2, cfg.model, cfg.quad))
-        return tuple(row)
+        return (a_m / MICRON,
+                *_pfa_row(a_m, cfg.model, cfg.temps, cfg.quad, cfg.radius_m))
 
     rows = _gap_rows(one, cfg.gaps_m)
     return SweepOutput(meta=meta, columns=columns, rows=rows)
@@ -435,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="logarithmic spacing for --gap-range")
     s.add_argument("--temp", type=float, action="append", metavar="K",
                    help="temperature in K (repeatable; defaults per command)")
-    s.add_argument("--radius", type=float, metavar="UM",
-                   help="sphere radius in micrometers (sphere-plate)")
     o = common.add_argument_group("numerics and output")
     o.add_argument("--rel-tol", type=float, default=1e-10,
                    help="relative tolerance for quadrature and mode sums")
@@ -461,8 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pressure / free-energy differences between two temperatures")
     sub.add_parser("modes", parents=[common],
                    help="per-mode percentage contributions (m = 0..7)")
-    sub.add_parser("sphere-plate", parents=[common],
-                   help="sphere-plate force difference via the proximity theorem")
+    p_sp = sub.add_parser("sphere-plate", parents=[common],
+                          help="sphere-plate force difference via the proximity theorem")
+    p_sp.add_argument("--radius", type=float, metavar="UM",
+                      help="sphere radius in micrometers (adds force columns)")
     p_low = sub.add_parser("lowtemp", parents=[common],
                            help="TE mode function and quadratic low-T fit")
     p_low.add_argument("--zeta-range", metavar="LO:HI:N",

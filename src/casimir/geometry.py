@@ -39,20 +39,28 @@ class SpherePlateConfig:
         return self.R < 100.0 * self.a
 
 
-def _warn_if_marginal(sp: SpherePlateConfig) -> None:
-    if sp.pfa_marginal:
+def _pfa_row(a, model, temps, quad, R=None) -> list[float]:
+    """Sphere-plate values at gap a from one free-energy sum per T in temps.
+
+    First 2 pi [F(a, temps[0]) - F(a, temps[-1])], free of R; given R, then
+    2 pi R F(a, T) for each T, after one warning if R < 100 a.
+    """
+    if R is not None and SpherePlateConfig(R=R, a=a).pfa_marginal:
         warnings.warn(
-            f"R/a = {sp.R / sp.a:.1f} < 100; the proximity force "
+            f"R/a = {R / a:.1f} < 100; the proximity force "
             f"approximation may be inaccurate", ApplicabilityWarning,
             stacklevel=3)
+    F = [free_energy(ThermalGapConfig(T=T, a=a), model, quad) for T in temps]
+    row = [2.0 * np.pi * (F[0] - F[-1])]
+    if R is not None:
+        row += [2.0 * np.pi * R * f for f in F]
+    return row
 
 
 def pfa_force(sp: SpherePlateConfig, T: float, model: MaterialModel,
               quad: QuadratureSettings = DEFAULT_QUAD) -> float:
     """Sphere-plate force 2 pi R F(a) in N (negative = attraction)."""
-    _warn_if_marginal(sp)
-    F = free_energy(ThermalGapConfig(T=T, a=sp.a), model, quad)
-    return 2.0 * np.pi * sp.R * F
+    return _pfa_row(sp.a, model, (T,), quad, sp.R)[1]
 
 
 def pfa_force_difference(sp: SpherePlateConfig, model: MaterialModel,
@@ -62,7 +70,4 @@ def pfa_force_difference(sp: SpherePlateConfig, model: MaterialModel,
 
     Equal to 2 pi [F(a, T1) - F(a, T2)]; R cancels exactly.
     """
-    _warn_if_marginal(sp)
-    f1 = free_energy(ThermalGapConfig(T=T1, a=sp.a), model, quad)
-    f2 = free_energy(ThermalGapConfig(T=T2, a=sp.a), model, quad)
-    return 2.0 * np.pi * (f1 - f2)
+    return _pfa_row(sp.a, model, (T1, T2), quad, sp.R)[0]

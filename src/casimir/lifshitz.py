@@ -109,7 +109,6 @@ class PressureResult:
     total: float
     per_mode: tuple
     m_used: int
-    converged: bool
 
     def fraction(self, m: int) -> float:
         """Percentage contribution of mode m (0 if beyond the modes used)."""
@@ -289,7 +288,7 @@ def total_pressure(cfg: ThermalGapConfig, model: MaterialModel,
         (m, c, 100.0 * c / total if total != 0.0 else 0.0)
         for m, c in enumerate(contributions))
     return PressureResult(total=total, per_mode=per_mode,
-                          m_used=len(contributions), converged=True)
+                          m_used=len(contributions))
 
 
 def free_energy(cfg: ThermalGapConfig, model: MaterialModel,

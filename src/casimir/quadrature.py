@@ -55,6 +55,9 @@ _NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))
 _WK = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _WG_FULL = np.concatenate((_WG[:-1], _WG[::-1]))  # weights for nodes 1,3,...,13
 
+_INITIAL_PANELS = 8
+_MAX_PANELS = 4096
+
 
 def neumaier_sum(values) -> float:
     """Correctly rounded sum of a 1-D sequence of floats (math.fsum)."""
@@ -106,46 +109,39 @@ def adaptive_quad(
     b: float,
     *,
     rel_tol: float = 1e-10,
-    abs_tol: float = 0.0,
     max_subdivisions: int = 48,
-    max_panels: int = 4096,
-    initial_panels: int = 8,
 ) -> tuple[float, float]:
     """Integrate a vectorized callable f over [a, b].
 
-    Stops once the summed panel error estimates drop below
-    max(rel_tol * |integral|, abs_tol).  Each refinement round bisects the
-    panels whose error is within a factor 4 of the current worst, so
-    progress is guaranteed.  Raises ConvergenceError (carrying the best
-    estimate) after ``max_subdivisions`` rounds or ``max_panels`` panels.
+    Starts from 8 equal panels and stops once the summed panel error
+    estimates drop below rel_tol * |integral|.  Each refinement round
+    bisects the panels whose error is within a factor 4 of the current
+    worst, so progress is guaranteed.  Raises ConvergenceError (carrying
+    the best estimate) after ``max_subdivisions`` rounds or 4096 panels.
     """
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
-    n0 = max(1, int(initial_panels))
-    edges = np.linspace(a, b, n0 + 1)
+    edges = np.linspace(a, b, _INITIAL_PANELS + 1)
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk15_panels(f, lo, hi)
 
     total = neumaier_sum(vals.tolist())
     for _ in range(max_subdivisions):
         err_total = float(errs.sum())
-        if err_total <= max(rel_tol * abs(total), abs_tol):
+        if err_total <= rel_tol * abs(total):
             return total, err_total
-        if 2 * len(lo) > max_panels:
+        if 2 * len(lo) > _MAX_PANELS:
             break
-        cut = 0.25 * float(errs.max())
-        split = errs >= cut
+        split = errs >= 0.25 * float(errs.max())
         keep = ~split
         mids = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate((lo[keep], lo[split], mids))
-        new_hi = np.concatenate((hi[keep], mids, hi[split]))
-        new_vals, new_errs = _gk15_panels(f, np.concatenate((lo[split], mids)),
-                                          np.concatenate((mids, hi[split])))
+        new_lo = np.concatenate((lo[split], mids))
+        new_hi = np.concatenate((mids, hi[split]))
+        new_vals, new_errs = _gk15_panels(f, new_lo, new_hi)
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
         vals = np.concatenate((vals[keep], new_vals))
         errs = np.concatenate((errs[keep], new_errs))
-        order = np.argsort(new_lo, kind="stable")
-        lo, hi = new_lo[order], new_hi[order]
-        vals, errs = vals[order], errs[order]
         total = neumaier_sum(vals.tolist())
 
     raise ConvergenceError(

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import casimir as cs
+from casimir import geometry
 from casimir.cli import main
+from casimir.errors import ApplicabilityWarning
 
 MICRON = 1e-6
 
@@ -153,6 +156,7 @@ class TestSpherePlateCommand:
         sp = cs.SpherePlateConfig(R=200e-6, a=1e-6)
         assert rows[0][1] == cs.pfa_force_difference(sp, gold)
         assert rows[0][2] == cs.pfa_force(sp, 350.0, gold)
+        assert rows[0][3] == cs.pfa_force(sp, 300.0, gold)
         assert meta["radius_um"] == "200"
 
     def test_radius_optional(self, tmp_path):
@@ -161,6 +165,40 @@ class TestSpherePlateCommand:
         _, columns, rows = read_csv(out)
         assert columns == ["a_um", "delta_force_per_radius_N_m"]
         assert rows[0][1] > 0.0
+
+    @pytest.mark.parametrize("radius, ratios", [
+        ((), []),  # without a radius nothing is marginal
+        (("--radius", "200"), ["72.3", "50.0"]),  # R < 100 a at 2.77 and 4 um
+    ], ids=["no-radius", "radius-200"])
+    def test_one_warning_per_marginal_row(self, tmp_path, radius, ratios):
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("sphere-plate", "--gap-range", "0.3:4:4", *radius,
+                           "--out", str(out)) == 0
+        messages = [str(w.message) for w in caught
+                    if issubclass(w.category, ApplicabilityWarning)]
+        assert [m.split()[2] for m in messages] == ratios
+
+    def test_row_sums_each_free_energy_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = geometry.free_energy
+
+        def counting(cfg, *args, **kwargs):
+            calls.append(cfg.T)
+            return real(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(geometry, "free_energy", counting)
+        out = tmp_path / "s.csv"
+        assert run_cli("sphere-plate", "--gap", "1.0", "--radius", "200",
+                       "--out", str(out)) == 0
+        assert calls == [350.0, 300.0]
+
+    def test_radius_rejected_elsewhere(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("pressure", "--gap", "1.0", "--radius", "200")
+        assert exc.value.code == 2
+        assert "--radius" in capsys.readouterr().err
 
 
 class TestLowTempCommand:
@@ -177,6 +215,10 @@ class TestLowTempCommand:
         # default 50..150 K grid sits in the linear crossover: fit rejected
         assert meta["fit_status"].startswith("rejected")
 
+    def test_gap_sweep_rejected(self, capsys):
+        assert run_cli("lowtemp", "--gap-range", "0.5:1:2") == 2
+        assert "gap-range" in capsys.readouterr().err
+
 
 class TestImpedanceCheckCommand:
     def test_equivalence_and_limits(self, tmp_path):
@@ -190,6 +232,12 @@ class TestImpedanceCheckCommand:
 
     def test_ideal_model_rejected(self):
         assert run_cli("impedance-check", "--model", "ideal") == 2
+
+    @pytest.mark.parametrize("extra", [("--gap", "1.0"), ("--gap-range", "0.5:1:2"),
+                                       ("--temp", "300", "--temp", "350")])
+    def test_ignored_input_rejected(self, capsys, extra):
+        assert run_cli("impedance-check", *extra) == 2
+        assert extra[0].lstrip("-") in capsys.readouterr().err
 
 
 class TestTableModel:

