@@ -11,7 +11,8 @@ Subcommands map onto the library:
 
 A sphere-plate row makes one free-energy sum per temperature; --radius adds
 the forces and one warning per row with R < 100 a.  lowtemp takes one gap,
-impedance-check no gap and one temperature.
+impedance-check no gap and one temperature.  A model or spacing flag that
+the run would ignore is a configuration error.
 
 Exit codes: 0 success, 2 configuration error, 3 convergence/compute error.
 Output files embed the constants version and model parameters, contain no
@@ -178,7 +179,27 @@ def _resolve_temps(args) -> list[float]:
     return temps
 
 
+# model flags each model reads; --theta-d further needs --nu-model bg
+_MODEL_FLAGS = {
+    "drude": ("omega_p", "nu", "nu_model", "theta_d"),
+    "plasma": ("omega_p",),
+    "ideal": (),
+    "table": ("table", "zero_mode_class"),
+}
+
+
+def _check_model_flags(args) -> None:
+    """Reject a model flag that the chosen model would ignore."""
+    for name in ("omega_p", "nu", "nu_model", "theta_d", "table", "zero_mode_class"):
+        flag = name.replace("_", "-")
+        if getattr(args, name) is not None and name not in _MODEL_FLAGS[args.model]:
+            raise ConfigError(f"{flag}: --{flag} does not apply to --model {args.model}")
+    if args.theta_d is not None and args.nu_model != "bg":
+        raise ConfigError("theta-d: --theta-d applies only with --nu-model bg")
+
+
 def _build_model(args) -> tuple[MaterialModel, str]:
+    _check_model_flags(args)
     if args.model == "ideal":
         return Ideal(), "ideal"
     if args.model == "plasma":
@@ -190,7 +211,7 @@ def _build_model(args) -> tuple[MaterialModel, str]:
         if not args.table:
             raise ConfigError("table: --table <path> is required with --model table")
         table = load_permittivity_table(args.table)
-        zmc = {"drude": "drude_like", "plasma": "plasma_like"}[args.zero_mode_class]
+        zmc = {"drude": "drude_like", "plasma": "plasma_like"}[args.zero_mode_class or "drude"]
         model = Tabulated(table=table, zero_mode_class=zmc)
         return model, (f"table({Path(args.table).name}, {len(table.zeta)} pts, "
                        f"zero_mode={zmc})")
@@ -202,11 +223,12 @@ def _build_model(args) -> tuple[MaterialModel, str]:
         nu_ref = args.nu if args.nu is not None else 0.0356
         if not nu_ref > 0:
             raise ConfigError(f"nu: must be > 0 eV, got {nu_ref}")
-        if not args.theta_d > 0:
-            raise ConfigError(f"theta-d: must be > 0 K, got {args.theta_d}")
-        relax = BlochGruneisen(theta_d=args.theta_d, nu_ref_ev=nu_ref, t_ref=300.0)
+        theta_d = args.theta_d if args.theta_d is not None else 170.0
+        if not theta_d > 0:
+            raise ConfigError(f"theta-d: must be > 0 K, got {theta_d}")
+        relax = BlochGruneisen(theta_d=theta_d, nu_ref_ev=nu_ref, t_ref=300.0)
         desc = (f"drude(omega_p={omega_p:g} eV, nu_bg(ref={nu_ref:g} eV @300K, "
-                f"theta_d={args.theta_d:g} K))")
+                f"theta_d={theta_d:g} K))")
     else:
         nu_ref = args.nu if args.nu is not None else 0.035
         if not nu_ref > 0:
@@ -223,6 +245,8 @@ def _config_from_args(args) -> RunConfig:
     except DomainError as exc:
         raise ConfigError(f"rel-tol: {exc}") from None
     temps = _resolve_temps(args)
+    if args.log_spacing and args.gap_range is None:
+        raise ConfigError("log-spacing: --log-spacing applies only to --gap-range")
     if args.command == "impedance-check":
         if args.gap is not None or args.gap_range is not None:
             raise ConfigError("gap: impedance-check takes no --gap or --gap-range")
@@ -419,15 +443,15 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--nu", type=float, default=None, metavar="EV",
                    help="relaxation frequency in eV (default: 0.035 constant, "
                         "0.0356 Bloch-Grueneisen reference)")
-    g.add_argument("--nu-model", choices=["constant", "bg"], default="constant",
+    g.add_argument("--nu-model", choices=["constant", "bg"],
                    help="temperature dependence of nu (default: constant)")
-    g.add_argument("--theta-d", type=float, default=170.0, metavar="K",
+    g.add_argument("--theta-d", type=float, metavar="K",
                    help="Debye temperature for --nu-model bg (default: 170)")
     g.add_argument("--table", metavar="PATH",
                    help="CSV permittivity table for --model table")
     g.add_argument("--zero-mode-class", choices=["drude", "plasma"],
-                   default="drude",
-                   help="declared TE zero-mode class for tabulated data")
+                   help="declared TE zero-mode class for tabulated data "
+                        "(default: drude)")
     s = common.add_argument_group("sweep")
     s.add_argument("--gap", type=float, metavar="UM",
                    help="single gap width in micrometers")

@@ -5,7 +5,7 @@ the ideal reflector, which has no finite permittivity.  Frequencies are
 rad/s, temperatures K; model parameters are quoted in eV.
 
 Each model also owns its reflection rules, the only thing the Lifshitz
-engine asks of it:
+engine asks of it.  Both give the squared TM/TE coefficients as plain (A, B):
 
   zero_frequency_reflection(y, cfg)  the analytic m = 0 coefficients
   matsubara_reflection(zeta, T)      (A, B) as a function of p at zeta > 0
@@ -27,7 +27,7 @@ power-law behaviour a metal shows at low zeta.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -43,7 +43,7 @@ from .errors import (
 )
 
 __all__ = [
-    "ReflectionPair", "ConstantRelaxation", "BlochGruneisen", "RelaxationModel",
+    "ConstantRelaxation", "BlochGruneisen", "RelaxationModel",
     "Drude", "Plasma", "Ideal", "PermittivityTable", "Tabulated",
     "MaterialModel", "gold_drude",
     "eps_drude", "eps_plasma", "eps_tabulated", "nu_bloch_gruneisen",
@@ -54,20 +54,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # reflection coefficients
-
-@dataclass(frozen=True)
-class ReflectionPair:
-    """Squared reflection coefficients (TM, TE), each in [0, 1]."""
-
-    A: float
-    B: float
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.A) < 0) or np.any(np.asarray(self.A) > 1):
-            raise DomainError("squared TM coefficient must lie in [0, 1]")
-        if np.any(np.asarray(self.B) < 0) or np.any(np.asarray(self.B) > 1):
-            raise DomainError("squared TE coefficient must lie in [0, 1]")
-
 
 def _reflection_sq(eps, p):
     """Squared TM/TE coefficients, in cancellation-free form.
@@ -83,11 +69,11 @@ def _reflection_sq(eps, p):
     return A, B
 
 
-def _plasma_zero_mode(y, omega_p_rad_s: float, a: float) -> ReflectionPair:
-    """m = 0 pair of a plasma-like metal: A = 1 and a finite TE square."""
+def _plasma_zero_mode(y, omega_p_rad_s: float, a: float):
+    """m = 0 (A, B) of a plasma-like metal: A = 1 and a finite TE square."""
     yhat_p = omega_p_rad_s * a / C
     r = np.sqrt(y * y + yhat_p * yhat_p)
-    return ReflectionPair(1.0, ((r - y) / (r + y)) ** 2)
+    return 1.0, ((r - y) / (r + y)) ** 2
 
 
 class _Dielectric:
@@ -153,12 +139,14 @@ class BlochGruneisen:
             raise DomainError(f"reference temperature must be > 0, got {self.t_ref}")
         if not self.nu_ref_ev > 0:
             raise DomainError(f"nu_ref must be > 0, got {self.nu_ref_ev}")
+        # C = nu_ref / shape_ref; dividing last keeps nu(T_ref) == nu_ref exact
+        object.__setattr__(self, "_shape_ref", _bg_shape(self.t_ref, self.theta_d))
 
     def nu(self, T: float) -> float:
         """Relaxation frequency in eV at temperature T (K)."""
         if not T > 0:
             raise DomainError(f"temperature must be > 0, got {T}")
-        return self.nu_ref_ev * _bg_shape(T, self.theta_d) / _bg_shape(self.t_ref, self.theta_d)
+        return self.nu_ref_ev * _bg_shape(T, self.theta_d) / self._shape_ref
 
 
 RelaxationModel = Union[ConstantRelaxation, BlochGruneisen]
@@ -195,9 +183,9 @@ class Drude(_Dielectric):
     def eps(self, zeta, T: float = 300.0):
         return eps_drude(zeta, self, T)
 
-    def zero_frequency_reflection(self, y, cfg) -> ReflectionPair:
+    def zero_frequency_reflection(self, y, cfg):
         """Lossy metal: the TM zero mode survives, the TE one vanishes."""
-        return ReflectionPair(1.0, 0.0)
+        return 1.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -217,7 +205,7 @@ class Plasma(_Dielectric):
     def eps(self, zeta, T: float | None = None):
         return eps_plasma(zeta, self.omega_p_ev)
 
-    def zero_frequency_reflection(self, y, cfg) -> ReflectionPair:
+    def zero_frequency_reflection(self, y, cfg):
         """Both zero modes survive; B follows from omega_p a / c."""
         return _plasma_zero_mode(y, self.omega_p_rad_s, cfg.a)
 
@@ -231,9 +219,9 @@ class Ideal:
             "the ideal reflector has no finite permittivity; it is handled "
             "through its reflection coefficients")
 
-    def zero_frequency_reflection(self, y, cfg) -> ReflectionPair:
+    def zero_frequency_reflection(self, y, cfg):
         """Both zero modes survive with unit reflection."""
-        return ReflectionPair(1.0, 1.0)
+        return 1.0, 1.0
 
     def matsubara_reflection(self, zeta, T):
         """Scalar unit coefficients keep the integrands' exact X = 1 forms."""
@@ -302,10 +290,10 @@ class Tabulated(_Dielectric):
         return self.table.zeta_min * float(
             np.sqrt(self.table.eps_values[0] - 1.0))
 
-    def zero_frequency_reflection(self, y, cfg) -> ReflectionPair:
+    def zero_frequency_reflection(self, y, cfg):
         """The declared class decides; plasma-like uses omega_p_eff_rad_s."""
         if self.zero_mode_class == "drude_like":
-            return ReflectionPair(1.0, 0.0)
+            return 1.0, 0.0
         return _plasma_zero_mode(y, self.omega_p_eff_rad_s, cfg.a)
 
 

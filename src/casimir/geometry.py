@@ -47,8 +47,8 @@ def _pfa_row(a, model, temps, quad, R=None) -> list[float]:
     """
     if R is not None and SpherePlateConfig(R=R, a=a).pfa_marginal:
         warnings.warn(
-            f"R/a = {R / a:.1f} < 100; the proximity force "
-            f"approximation may be inaccurate", ApplicabilityWarning,
+            f"R/a = {R / a:.1f} < 100 at a = {a / 1e-6:.3g} um; the proximity "
+            f"force approximation may be inaccurate", ApplicabilityWarning,
             stacklevel=3)
     F = [free_energy(ThermalGapConfig(T=T, a=a), model, quad) for T in temps]
     row = [2.0 * np.pi * (F[0] - F[-1])]

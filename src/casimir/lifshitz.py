@@ -26,6 +26,9 @@ TE one (B = 0), while the dissipationless plasma model and the ideal
 reflector retain both.  That difference is exactly what makes the
 temperature dependence model-sensitive.  For m >= 1 the engine asks the
 model for its matsubara_reflection rule at zeta_m.
+
+Both rules return plain (A, B) and are bound once per mode integral; only
+the public reflection_pair and zero_frequency_reflection validate them.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C, HBAR, K_B
-from .dispersion import MaterialModel, ReflectionPair, _reflection_sq
+from .dispersion import MaterialModel, _reflection_sq
 from .errors import ConvergenceError, DomainError, UnsupportedModelError
 from .quadrature import adaptive_quad, neumaier_sum
 
@@ -49,6 +52,7 @@ __all__ = [
 ]
 
 MODE_CAP = 100_000
+_Y_TAIL = 30.0  # width of every y-integral; e^{-2 y} past it is below 1e-26
 
 
 @dataclass(frozen=True)
@@ -81,19 +85,13 @@ class ThermalGapConfig:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Controls for the y-integrals and the Matsubara truncation."""
+    """Relative tolerance of the y-integrals and the Matsubara truncation."""
 
     rel_tol: float = 1e-10
-    y_tail: float = 30.0
-    max_subdivisions: int = 48
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol <= 1e-4:
             raise DomainError(f"rel_tol must be in (0, 1e-4], got {self.rel_tol}")
-        if not self.y_tail >= 10.0:
-            raise DomainError(f"y_tail must be >= 10, got {self.y_tail}")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
 
 
 DEFAULT_QUAD = QuadratureSettings()
@@ -119,6 +117,20 @@ class PressureResult:
 
 # ---------------------------------------------------------------------------
 # reflection coefficients
+
+@dataclass(frozen=True)
+class ReflectionPair:
+    """Squared reflection coefficients (TM, TE), each in [0, 1]."""
+
+    A: float
+    B: float
+
+    def __post_init__(self):
+        if np.any(np.asarray(self.A) < 0) or np.any(np.asarray(self.A) > 1):
+            raise DomainError("squared TM coefficient must lie in [0, 1]")
+        if np.any(np.asarray(self.B) < 0) or np.any(np.asarray(self.B) > 1):
+            raise DomainError("squared TE coefficient must lie in [0, 1]")
+
 
 def lifshitz_variables(y, m: int, cfg: ThermalGapConfig, eps):
     """The variables p = y/(m gamma) and s = sqrt(eps - 1 + p^2)."""
@@ -147,6 +159,16 @@ def reflection_pair(y, m: int, cfg: ThermalGapConfig, eps) -> ReflectionPair:
     return ReflectionPair(A, B)
 
 
+def _zero_rule(model, cfg):
+    """The model's analytic m = 0 rule bound to cfg: y -> (A, B)."""
+    try:
+        rule = model.zero_frequency_reflection
+    except AttributeError:
+        raise UnsupportedModelError(
+            f"no zero-frequency reflection rule for {type(model).__name__}") from None
+    return lambda y: rule(y, cfg)
+
+
 def zero_frequency_reflection(model: MaterialModel, y, cfg: ThermalGapConfig) -> ReflectionPair:
     """Analytic m = 0 reflection coefficients, from the model's own rule.
 
@@ -156,12 +178,7 @@ def zero_frequency_reflection(model: MaterialModel, y, cfg: ThermalGapConfig) ->
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise DomainError("y must be >= 0")
-    try:
-        rule = model.zero_frequency_reflection
-    except AttributeError:
-        raise UnsupportedModelError(
-            f"no zero-frequency reflection rule for {type(model).__name__}") from None
-    return rule(y, cfg)
+    return ReflectionPair(*_zero_rule(model, cfg)(y))
 
 
 # ---------------------------------------------------------------------------
@@ -203,24 +220,20 @@ def _free_energy_kernel(A, B, y):
 
 
 def _integrate(model, cfg, zeta, y_lo, kernel, quad):
-    """int kernel(A, B, y) dy over [y_lo, y_lo + y_tail], y_lo = a zeta / c.
+    """int kernel(A, B, y) dy over [y_lo, y_lo + _Y_TAIL], y_lo = a zeta / c.
 
     The model's reflection rule is bound once per integral: the analytic
     m = 0 rule at zeta = 0, otherwise its rule in p = y / y_lo at zeta.
     """
     if zeta == 0.0:
-        def f(y):
-            pair = zero_frequency_reflection(model, y, cfg)
-            return kernel(pair.A, pair.B, y)
+        rule = _zero_rule(model, cfg)
     else:
         at_p = model.matsubara_reflection(zeta, cfg.T)
 
-        def f(y):
-            A, B = at_p(y / y_lo)
-            return kernel(A, B, y)
-    value, _ = adaptive_quad(
-        f, y_lo, y_lo + quad.y_tail,
-        rel_tol=quad.rel_tol, max_subdivisions=quad.max_subdivisions)
+        def rule(y):
+            return at_p(y / y_lo)
+    value, _ = adaptive_quad(lambda y: kernel(*rule(y), y), y_lo, y_lo + _Y_TAIL,
+                             rel_tol=quad.rel_tol)
     return value
 
 
@@ -351,8 +364,8 @@ def rte_from_impedance(zeta: float, q: float, eps: float) -> float:
 def rte_zero_frequency_comparison(model, q_fixed: float, zeta_sequence):
     """Contrast the zeta -> 0 TE reflection under two impedance models.
 
-    Walks a decreasing sequence of frequencies and returns the final
-    squared reflection coefficients using
+    Takes a decreasing sequence of frequencies and returns the squared
+    reflection coefficients at its last, smallest one, using
 
       (i)  the momentum-dependent impedance Z(zeta, q), and
       (ii) the frequency-only impedance Z(zeta) = -1/sqrt(eps(i zeta))
@@ -373,13 +386,10 @@ def rte_zero_frequency_comparison(model, q_fixed: float, zeta_sequence):
         raise DomainError("zeta_sequence must be strictly decreasing")
     if not q_fixed >= zs[0]:
         raise DomainError("q_fixed must be >= every zeta in the sequence")
-    momentum_sq = freq_only_sq = None
-    for zeta in zs:
-        eps = model.eps(zeta)
-        r_momentum = rte_from_impedance(zeta, q_fixed, eps)
-        p = q_fixed / zeta
-        Z_freq = -1.0 / np.sqrt(eps)
-        r_freq = -(1.0 + Z_freq * p) / (1.0 - Z_freq * p)
-        momentum_sq = r_momentum * r_momentum
-        freq_only_sq = r_freq * r_freq
-    return momentum_sq, freq_only_sq
+    zeta = zs[-1]
+    eps = model.eps(zeta)
+    r_momentum = rte_from_impedance(zeta, q_fixed, eps)
+    p = q_fixed / zeta
+    Z_freq = -1.0 / np.sqrt(eps)
+    r_freq = -(1.0 + Z_freq * p) / (1.0 - Z_freq * p)
+    return r_momentum * r_momentum, r_freq * r_freq

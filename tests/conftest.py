@@ -10,7 +10,7 @@ class _Vacuum:
         return 1.0
 
     def zero_frequency_reflection(self, y, cfg):
-        return cs.ReflectionPair(0.0, 0.0)
+        return 0.0, 0.0
 
     def matsubara_reflection(self, zeta, T):
         return lambda p: (0.0, 0.0)

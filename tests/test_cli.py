@@ -166,11 +166,11 @@ class TestSpherePlateCommand:
         assert columns == ["a_um", "delta_force_per_radius_N_m"]
         assert rows[0][1] > 0.0
 
-    @pytest.mark.parametrize("radius, ratios", [
+    @pytest.mark.parametrize("radius, marginal", [
         ((), []),  # without a radius nothing is marginal
-        (("--radius", "200"), ["72.3", "50.0"]),  # R < 100 a at 2.77 and 4 um
+        (("--radius", "200"), [("72.3", "2.77"), ("50.0", "4")]),  # R < 100 a
     ], ids=["no-radius", "radius-200"])
-    def test_one_warning_per_marginal_row(self, tmp_path, radius, ratios):
+    def test_one_warning_per_marginal_row(self, tmp_path, radius, marginal):
         out = tmp_path / "s.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -178,7 +178,8 @@ class TestSpherePlateCommand:
                            "--out", str(out)) == 0
         messages = [str(w.message) for w in caught
                     if issubclass(w.category, ApplicabilityWarning)]
-        assert [m.split()[2] for m in messages] == ratios
+        # "R/a = <ratio> < 100 at a = <gap> um; ..."
+        assert [(m.split()[2], m.split()[8]) for m in messages] == marginal
 
     def test_row_sums_each_free_energy_once(self, tmp_path, monkeypatch):
         calls = []
@@ -238,6 +239,26 @@ class TestImpedanceCheckCommand:
     def test_ignored_input_rejected(self, capsys, extra):
         assert run_cli("impedance-check", *extra) == 2
         assert extra[0].lstrip("-") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("pressure", "--gap", "1.0", "--log-spacing"), "log-spacing"),
+    (("impedance-check", "--log-spacing"), "log-spacing"),
+    (("pressure", "--gap", "1.0", "--theta-d", "200"), "theta-d"),
+    (("pressure", "--gap", "1.0", "--nu-model", "constant", "--theta-d", "200"),
+     "theta-d"),
+    (("pressure", "--gap", "1.0", "--model", "plasma", "--nu", "0.04"), "nu"),
+    (("pressure", "--gap", "1.0", "--model", "ideal", "--nu-model", "bg"), "nu-model"),
+    (("pressure", "--gap", "1.0", "--model", "ideal", "--omega-p", "8"), "omega-p"),
+    (("pressure", "--gap", "1.0", "--model", "table", "--table", "t.csv",
+      "--omega-p", "8"), "omega-p"),
+    (("pressure", "--gap", "1.0", "--table", "t.csv"), "table"),
+    (("pressure", "--gap", "1.0", "--model", "plasma", "--zero-mode-class", "plasma"),
+     "zero-mode-class"),
+])
+def test_ignored_flag_rejected(capsys, argv, flag):
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"casimir: configuration error: {flag}:")
 
 
 class TestTableModel:

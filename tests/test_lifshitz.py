@@ -148,6 +148,28 @@ class TestZeroFrequencyReflection:
         with pytest.raises(UnsupportedModelError):
             cs.zero_frequency_reflection(object(), 1.0, cfg)
 
+    @pytest.mark.parametrize("observable", [cs.total_pressure, cs.free_energy])
+    def test_unknown_model_rejected_by_sums(self, observable):
+        with pytest.raises(UnsupportedModelError):
+            observable(cs.ThermalGapConfig(T=300.0, a=1e-6), object())
+
+    def test_rule_out_of_range_rejected(self):
+        class Overreflecting:
+            def zero_frequency_reflection(self, y, cfg):
+                return 1.5, 0.0
+
+        cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
+        with pytest.raises(DomainError):
+            cs.zero_frequency_reflection(Overreflecting(), 1.0, cfg)
+
+    def test_sums_build_no_reflection_pair(self, gold, monkeypatch):
+        # validation belongs to the public wrappers, not the engine's inner loop
+        built = []
+        monkeypatch.setattr(cs.ReflectionPair, "__post_init__",
+                            lambda pair: built.append(pair))
+        cs.total_pressure(cs.ThermalGapConfig(T=300.0, a=1e-6), gold)
+        assert built == []
+
 
 class TestModePressure:
     @pytest.mark.parametrize("a", [1e-6, 3e-6])
