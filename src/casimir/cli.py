@@ -11,8 +11,8 @@ Subcommands map onto the library:
 
 A sphere-plate row makes one free-energy sum per temperature; --radius adds
 the forces and one warning per row with R < 100 a.  lowtemp takes one gap,
-impedance-check no gap and one temperature.  A model or spacing flag that
-the run would ignore is a configuration error.
+impedance-check no gap, one temperature and no --rel-tol.  A model or
+spacing flag that the run would ignore is a configuration error.
 
 Exit codes: 0 success, 2 configuration error, 3 convergence/compute error.
 Output files embed the constants version and model parameters, contain no
@@ -240,8 +240,9 @@ def _build_model(args) -> tuple[MaterialModel, str]:
 
 def _config_from_args(args) -> RunConfig:
     model, desc = _build_model(args)
+    rel_tol = args.rel_tol if args.rel_tol is not None else 1e-10
     try:
-        quad = QuadratureSettings(rel_tol=args.rel_tol)
+        quad = QuadratureSettings(rel_tol=rel_tol)
     except DomainError as exc:
         raise ConfigError(f"rel-tol: {exc}") from None
     temps = _resolve_temps(args)
@@ -250,6 +251,8 @@ def _config_from_args(args) -> RunConfig:
     if args.command == "impedance-check":
         if args.gap is not None or args.gap_range is not None:
             raise ConfigError("gap: impedance-check takes no --gap or --gap-range")
+        if args.rel_tol is not None:
+            raise ConfigError("rel-tol: impedance-check runs no quadrature")
         gaps = []
         if args.model == "ideal":
             raise ConfigError("model: impedance-check needs a dispersive model")
@@ -462,8 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--temp", type=float, action="append", metavar="K",
                    help="temperature in K (repeatable; defaults per command)")
     o = common.add_argument_group("numerics and output")
-    o.add_argument("--rel-tol", type=float, default=1e-10,
-                   help="relative tolerance for quadrature and mode sums")
+    o.add_argument("--rel-tol", type=float,
+                   help="relative tolerance for quadrature and mode sums "
+                        "(default: 1e-10)")
     o.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility (must be >= 1); rows run "
                         "serially, so output is identical for any value")

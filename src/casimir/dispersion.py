@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import C, ev_to_rad_s
 from .errors import (
@@ -41,6 +40,7 @@ from .errors import (
     TableRangeError,
     UnsupportedModelError,
 )
+from .quadrature import adaptive_quad
 
 __all__ = [
     "ConstantRelaxation", "BlochGruneisen", "RelaxationModel",
@@ -106,17 +106,16 @@ class ConstantRelaxation:
 
 
 def _bg_integral(u: float) -> float:
-    """Bloch-Grueneisen integral of x^5 e^x/(e^x-1)^2 over [0, u]."""
-    # identical integrand written via sinh to stay finite for large x;
-    # contributions beyond x = 80 are below double precision
-    upper = min(u, 80.0)
-    val, _ = quad(lambda x: x**5 / (4.0 * np.sinh(0.5 * x) ** 2),
-                  0.0, upper, limit=200)
+    """Bloch-Grueneisen integral of x^5 e^x/(e^x-1)^2 over [0, u].
+
+    The same adaptive GK15 as the mode integrals, at rel_tol 1e-13.  The
+    integrand is written via sinh to stay finite for large x; past x = 80
+    it is below double precision of the total, so the upper limit is
+    min(u, 80).  The Kronrod nodes never touch x = 0, where the form is 0/0.
+    """
+    val, _ = adaptive_quad(lambda x: x**5 / (4.0 * np.sinh(0.5 * x) ** 2),
+                           0.0, min(u, 80.0), rel_tol=1e-13)
     return val
-
-
-def _bg_shape(T: float, theta_d: float) -> float:
-    return (T / theta_d) ** 5 * _bg_integral(theta_d / T)
 
 
 @dataclass(frozen=True)
@@ -126,6 +125,7 @@ class BlochGruneisen:
     nu(T) = C * (T/theta_D)^5 * int_0^{theta_D/T} x^5 e^x/(e^x-1)^2 dx,
     with C fixed so that nu(T_ref) = nu_ref exactly.  The default Debye
     temperature of 170 K is the conventional literature value for gold.
+    Each instance integrates the shape at most once per temperature.
     """
 
     theta_d: float = 170.0   # K
@@ -139,14 +139,23 @@ class BlochGruneisen:
             raise DomainError(f"reference temperature must be > 0, got {self.t_ref}")
         if not self.nu_ref_ev > 0:
             raise DomainError(f"nu_ref must be > 0, got {self.nu_ref_ev}")
+        # shapes by temperature: not a field, so eq, hash and repr ignore it
+        object.__setattr__(self, "_shapes", {})
         # C = nu_ref / shape_ref; dividing last keeps nu(T_ref) == nu_ref exact
-        object.__setattr__(self, "_shape_ref", _bg_shape(self.t_ref, self.theta_d))
+        object.__setattr__(self, "_shape_ref", self._shape(self.t_ref))
+
+    def _shape(self, T: float) -> float:
+        shape = self._shapes.get(T)
+        if shape is None:
+            shape = self._shapes[T] = (
+                (T / self.theta_d) ** 5 * _bg_integral(self.theta_d / T))
+        return shape
 
     def nu(self, T: float) -> float:
         """Relaxation frequency in eV at temperature T (K)."""
         if not T > 0:
             raise DomainError(f"temperature must be > 0, got {T}")
-        return self.nu_ref_ev * _bg_shape(T, self.theta_d) / self._shape_ref
+        return self.nu_ref_ev * self._shape(T) / self._shape_ref
 
 
 RelaxationModel = Union[ConstantRelaxation, BlochGruneisen]
@@ -362,15 +371,15 @@ def drude_spectral_function(omega, gamma: float):
 def sum_rule_check(gamma_spectral: float) -> float:
     """Numerically integrate the Drude spectral function over [0, inf).
 
-    The integral over [0, 100*gamma] is done by quadrature and the tail is
-    added in closed form, so the result probes the numerics rather than
-    the arctan identity.  Should equal 1 for any gamma > 0.
+    The integral over [0, 100*gamma] is done by the package's adaptive
+    GK15 at its default rel_tol and the tail is added in closed form, so
+    the result probes the numerics rather than the arctan identity.
+    Should equal 1 for any gamma > 0.
     """
     if not gamma_spectral > 0:
         raise DomainError(f"gamma must be > 0, got {gamma_spectral}")
     g = float(gamma_spectral)
-    cutoff = 100.0 * g
-    val, _ = quad(drude_spectral_function, 0.0, cutoff, args=(g,), limit=200)
+    val, _ = adaptive_quad(lambda w: drude_spectral_function(w, g), 0.0, 100.0 * g)
     tail = (2.0 / np.pi) * (0.5 * np.pi - np.arctan(100.0))
     return val + tail
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .constants import C, HBAR, K_B
 from .dispersion import MaterialModel, _reflection_sq
-from .errors import ConvergenceError, DomainError, UnsupportedModelError
+from .errors import ConvergenceError, DomainError, TableRangeError, UnsupportedModelError
 from .quadrature import adaptive_quad, neumaier_sum
 
 __all__ = [
@@ -243,7 +243,12 @@ def _mode_value(m, cfg, model, quad, kernel, prefactor):
         raise DomainError(f"mode index must be >= 0, got {m}")
     mg = m * cfg.gamma
     weight = 0.5 if m == 0 else 1.0
-    return prefactor * weight * _integrate(model, cfg, cfg.matsubara(m), mg, kernel, quad)
+    zeta = cfg.matsubara(m)
+    try:
+        return prefactor * weight * _integrate(model, cfg, zeta, mg, kernel, quad)
+    except TableRangeError as exc:
+        raise TableRangeError(f"Matsubara mode m = {m} at T = {cfg.T:g} K has "
+                              f"zeta_m = {zeta:.4g} rad/s: {exc}") from None
 
 
 def mode_pressure(m: int, cfg: ThermalGapConfig, model: MaterialModel,

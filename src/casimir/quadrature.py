@@ -64,20 +64,6 @@ def neumaier_sum(values) -> float:
     return math.fsum(values)
 
 
-class NeumaierAccumulator:
-    """Running sum of the values added, correctly rounded by math.fsum."""
-
-    def __init__(self):
-        self._values = []
-
-    def add(self, value: float) -> None:
-        self._values.append(float(value))
-
-    @property
-    def value(self) -> float:
-        return math.fsum(self._values)
-
-
 def _gk15_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
     """Evaluate the (G7, K15) pair on each panel [lo_i, hi_i].
 

@@ -255,6 +255,7 @@ class TestImpedanceCheckCommand:
     (("pressure", "--gap", "1.0", "--table", "t.csv"), "table"),
     (("pressure", "--gap", "1.0", "--model", "plasma", "--zero-mode-class", "plasma"),
      "zero-mode-class"),
+    (("impedance-check", "--rel-tol", "1e-5"), "rel-tol"),
 ])
 def test_ignored_flag_rejected(capsys, argv, flag):
     assert run_cli(*argv) == 2

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
+from scipy.special import zeta
 
 import casimir as cs
+from casimir import dispersion
 from casimir.constants import EV_TO_RAD_S
-from casimir.dispersion import drude_spectral_function
+from casimir.dispersion import _bg_integral, drude_spectral_function
 from casimir.errors import (
     ConvergenceError,
     DomainError,
@@ -205,6 +207,36 @@ class TestBlochGruneisen:
         bg = cs.BlochGruneisen()
         with pytest.raises(DomainError):
             cs.nu_bloch_gruneisen(0.0, bg)
+
+    @pytest.mark.parametrize("T", [1.0, 3.0, 10.0, 30.0, 77.0, 170.0, 300.0, 1000.0])
+    def test_integral_matches_quadpack(self, T):
+        u = 170.0 / T
+        ref, _ = scipy_quad(lambda x: x**5 / (4.0 * np.sinh(0.5 * x) ** 2),
+                            0.0, min(u, 80.0), epsabs=0.0, epsrel=1e-13, limit=200)
+        assert _bg_integral(u) == pytest.approx(ref, rel=1e-15)
+
+    def test_integral_large_u_closed_form(self):
+        # int_0^inf x^5 e^x/(e^x-1)^2 dx = 5! zeta(5)
+        assert _bg_integral(1e3) == pytest.approx(120.0 * zeta(5), rel=1e-15)
+
+    def test_shape_integrated_once_per_temperature(self, monkeypatch):
+        model = cs.Drude(relaxation=cs.BlochGruneisen())
+        calls = []
+        real = dispersion._bg_integral
+
+        def counting(u):
+            calls.append(u)
+            return real(u)
+
+        monkeypatch.setattr(dispersion, "_bg_integral", counting)
+        cs.total_pressure(cs.ThermalGapConfig(T=300.0, a=1e-6), model)
+        assert len(calls) <= 1
+
+    def test_shape_cache_leaves_eq_hash_repr(self):
+        bg = cs.BlochGruneisen()
+        bg.nu(77.0)
+        fresh = cs.BlochGruneisen()
+        assert bg == fresh and hash(bg) == hash(fresh) and repr(bg) == repr(fresh)
 
 
 class TestSumRule:

@@ -245,6 +245,17 @@ class TestTotalPressure:
         with pytest.raises(TableRangeError):
             cs.total_pressure(cs.ThermalGapConfig(T=300.0, a=1e-6), model)
 
+    def test_table_range_error_names_the_mode(self, gold):
+        # at 10 K zeta_1 = 8.226e12 rad/s lies below a table starting at 1e13
+        zs = np.geomspace(1e13, 1e18, 60)
+        model = cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold)))
+        with pytest.raises(TableRangeError) as exc:
+            cs.total_pressure(cs.ThermalGapConfig(T=10.0, a=1e-6), model)
+        message = str(exc.value)
+        assert "m = 1" in message
+        assert "8.226e+12" in message
+        assert "[1e+13, 1e+18]" in message
+
 
 class TestFreeEnergy:
     def test_drude_zero_mode_closed_form(self, gold):
