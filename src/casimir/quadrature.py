@@ -57,6 +57,7 @@ _WG_FULL = np.concatenate((_WG[:-1], _WG[::-1]))  # weights for nodes 1,3,...,13
 
 _INITIAL_PANELS = 8
 _MAX_PANELS = 4096
+_TINY = np.finfo(float).tiny  # error estimates below it count as converged
 
 
 def neumaier_sum(values) -> float:
@@ -100,11 +101,17 @@ def adaptive_quad(
     """Integrate a vectorized callable f over [a, b].
 
     Starts from 8 equal panels and stops once the summed panel error
-    estimates drop below rel_tol * |integral|.  Each refinement round
-    bisects the panels whose error is within a factor 4 of the current
+    estimates drop below rel_tol * |integral|, or below the smallest normal
+    float, where rel_tol * |integral| may have underflowed.  Each refinement
+    round bisects the panels whose error is within a factor 4 of the current
     worst, so progress is guaranteed.  Raises ConvergenceError (carrying
     the best estimate) after ``max_subdivisions`` rounds or 4096 panels.
     """
+    return _adaptive_rule(f, a, b, rel_tol, max_subdivisions)[:2]
+
+
+def _adaptive_rule(f, a, b, rel_tol, max_subdivisions=48):
+    """adaptive_quad plus the Kronrod nodes x and weights w of its final panels."""
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
     edges = np.linspace(a, b, _INITIAL_PANELS + 1)
@@ -114,8 +121,10 @@ def adaptive_quad(
     total = neumaier_sum(vals.tolist())
     for _ in range(max_subdivisions):
         err_total = float(errs.sum())
-        if err_total <= rel_tol * abs(total):
-            return total, err_total
+        if err_total <= rel_tol * abs(total) or err_total < _TINY:
+            half = 0.5 * (hi - lo)[:, None]
+            x = 0.5 * (lo + hi)[:, None] + half * _NODES
+            return total, err_total, x.ravel(), (half * _WK).ravel()
         if 2 * len(lo) > _MAX_PANELS:
             break
         split = errs >= 0.25 * float(errs.max())

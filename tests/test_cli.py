@@ -89,6 +89,11 @@ class TestPressureCommand:
         assert run_cli(command, "--gap", "1.0", "--rel-tol", "1e-30") == 3
         assert "a = 1 um" in capsys.readouterr().err  # row context
 
+    def test_hopeless_sum_exits_three(self, capsys):
+        # 1 mK at 10 nm would need about 8e8 Matsubara modes
+        assert run_cli("pressure", "--gap", "0.01", "--temp", "0.001") == 3
+        assert "modes at T = 0.001 K" in capsys.readouterr().err
+
 
 class TestDiffCommand:
     def test_sign_change_appears_once(self, tmp_path):

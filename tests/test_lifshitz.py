@@ -1,14 +1,37 @@
 """Core engine: reflection coefficients, mode integrals, Matsubara sums."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import zeta
 
 import casimir as cs
-from casimir.errors import DomainError, TableRangeError, UnsupportedModelError
+from casimir import lifshitz
+from casimir.errors import (ConvergenceError, DomainError, TableRangeError,
+                            UnsupportedModelError)
 from casimir.lifshitz import _reflection_sq
 
 ZETA3 = float(zeta(3))
+
+
+def fsum_modes(mode_fn, cfg, model, quad=cs.DEFAULT_QUAD, start=0, stop=1e-17):
+    """math.fsum of mode_fn(m) for m >= start, up to the first term below
+    stop times the running sum (past the peak every term is smaller)."""
+    terms, running, m = [], 0.0, start
+    while True:
+        terms.append(mode_fn(m, cfg, model, quad))
+        running += terms[-1]
+        if m > start + 1 and abs(terms[-1]) <= stop * abs(running):
+            return math.fsum(terms)
+        m += 1
+
+
+def drude_table(gold, zero_mode_class):
+    zs = np.geomspace(1e11, 1e17, 400)
+    return cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold)),
+                        zero_mode_class)
 
 
 def cfg_gamma(gamma, a=1e-6):
@@ -198,6 +221,12 @@ class TestModePressure:
         with pytest.raises(DomainError):
             cs.mode_pressure(-1, cs.ThermalGapConfig(T=300.0, a=1e-6), gold)
 
+    def test_subnormal_mode_converges(self, gold):
+        # past y ~ 355 the integrand is subnormal and rel_tol * |I| underflows
+        # below any error estimate; m = 430 already gives -1.0e-310
+        cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
+        assert -3e-311 < cs.mode_pressure(431, cfg, gold) < -1e-311
+
 
 class TestTotalPressure:
     def test_fractions_sum_to_hundred(self, gold):
@@ -255,6 +284,85 @@ class TestTotalPressure:
         assert "m = 1" in message
         assert "8.226e+12" in message
         assert "[1e+13, 1e+18]" in message
+
+    def test_table_range_error_names_the_upper_mode(self, gold):
+        # the sum needs m = 1..18 at 300 K / 1 um; zeta_9 is the first above 2e15
+        zs = np.geomspace(1e13, 2e15, 60)
+        model = cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold)))
+        cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
+        assert cfg.matsubara(8) < 2e15 < cfg.matsubara(9)
+        with pytest.raises(TableRangeError) as exc:
+            cs.total_pressure(cfg, model)
+        message = str(exc.value)
+        assert "m = 9 " in message
+        assert f"zeta_m = {cfg.matsubara(9):.4g} rad/s" in message
+
+    @pytest.mark.parametrize("observable", [cs.total_pressure, cs.free_energy])
+    def test_hopeless_sum_fails_before_allocating(self, gold, observable):
+        # 1 mK at 10 nm needs about 8e8 modes
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError) as exc:
+                observable(cs.ThermalGapConfig(T=1e-3, a=1e-8), gold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        message = str(exc.value)
+        for part in ("M = 8", "T = 0.001 K", "a = 1e-08 m", "gamma = 2.74e-08"):
+            assert part in message
+
+    def test_row_convergence_error_names_the_modes(self):
+        class Rippled:
+            """Drude-like m = 0 rule; an m >= 1 rule no panel count resolves."""
+
+            def zero_frequency_reflection(self, y, cfg):
+                return 1.0, 0.0
+
+            def matsubara_reflection(self, zeta, T):
+                return lambda p: (0.5 + 0.5 * np.sin(1e6 * p), 0.0)
+
+        with pytest.raises(ConvergenceError) as exc:
+            cs.total_pressure(cs.ThermalGapConfig(T=300.0, a=1e-6), Rippled())
+        message = str(exc.value)
+        assert message.startswith("Matsubara modes m = 1..")
+        assert "T = 300 K" in message
+
+
+class TestMatsubaraTruncation:
+    """The truncated sum against explicit sums of the public mode functions."""
+
+    MODELS = ["drude", "plasma", "drude_like", "plasma_like"]
+
+    @staticmethod
+    def model(name, gold):
+        if name in ("drude_like", "plasma_like"):
+            return drude_table(gold, name)
+        return gold if name == "drude" else cs.Plasma()
+
+    @pytest.mark.parametrize("T", [2.0, 300.0])
+    @pytest.mark.parametrize("name", MODELS)
+    def test_tail_bound_exceeds_explicit_tail(self, gold, name, T):
+        cfg = cs.ThermalGapConfig(T=T, a=1e-6)
+        model = self.model(name, gold)
+        M = cs.total_pressure(cfg, model).m_used
+        for mode_fn, (kernel, prefactor, coeffs) in (
+                (cs.mode_pressure, lifshitz._PRESSURE),
+                (cs.mode_free_energy, lifshitz._FREE_ENERGY)):
+            tail = fsum_modes(mode_fn, cfg, model, start=M, stop=1e-4)
+            bound = abs(prefactor(cfg)) * lifshitz._tail_bound(M, cfg.gamma, coeffs)
+            assert 0.0 < abs(tail) <= bound
+
+    @pytest.mark.parametrize("T, a", [(300.0, 1e-6), (300.0, 0.2e-6), (20.0, 1e-6)])
+    @pytest.mark.parametrize("name", ["drude", "plasma", "drude_like"])
+    def test_sum_matches_fsum_of_modes(self, gold, name, T, a):
+        cfg = cs.ThermalGapConfig(T=T, a=a)
+        model = self.model(name, gold)
+        fine = cs.QuadratureSettings(rel_tol=1e-13)
+        P = fsum_modes(cs.mode_pressure, cfg, model, fine)
+        F = fsum_modes(cs.mode_free_energy, cfg, model, fine)
+        assert cs.total_pressure(cfg, model).total == pytest.approx(P, rel=1e-10)
+        assert cs.free_energy(cfg, model) == pytest.approx(F, rel=1e-10)
 
 
 class TestFreeEnergy:
