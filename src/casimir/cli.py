@@ -9,10 +9,14 @@ Subcommands map onto the library:
   lowtemp          TE mode function f(zeta) plus the quadratic low-T fit
   impedance-check  permittivity vs. surface-impedance TE reflection on a grid
 
-A sphere-plate row makes one free-energy sum per temperature; --radius adds
-the forces and one warning per row with R < 100 a.  lowtemp takes one gap,
-impedance-check no gap, one temperature and no --rel-tol.  A model or
-spacing flag that the run would ignore is a configuration error.
+Each command's input rules sit in its COMMANDS entry beside its runner:
+default temperatures, how many it takes, whether it takes a gap sweep, one
+gap or none, and whether --rel-tol applies.  Every number given on the
+command line must be finite and > 0 (a --zeta-range may start at 0); model
+defaults are the library's own.  A sphere-plate row makes one free-energy
+sum per temperature; --radius adds the forces and one warning per row with
+R < 100 a.  A model or spacing flag that the run would ignore is a
+configuration error.
 
 Exit codes: 0 success, 2 configuration error, 3 convergence/compute error.
 Output files embed the constants version and model parameters, contain no
@@ -25,45 +29,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .constants import C, CONSTANTS_VERSION
-from .dispersion import (
-    BlochGruneisen,
-    ConstantRelaxation,
-    Drude,
-    Ideal,
-    MaterialModel,
-    Plasma,
-    Tabulated,
-    load_permittivity_table,
-)
-from .errors import (
-    CasimirError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    FitError,
-)
+from .dispersion import (BlochGruneisen, Drude, Ideal, MaterialModel, Plasma,
+                         Tabulated, load_permittivity_table)
+from .errors import CasimirError, ConfigError, ConvergenceError, DomainError, FitError
 from .geometry import _pfa_row
-from .lifshitz import (
-    QuadratureSettings,
-    ThermalGapConfig,
-    rte_from_impedance,
-    rte_zero_frequency_comparison,
-    te_mode_function,
-    total_pressure,
-)
-from .thermal import (
-    free_energy_difference,
-    lowT_quadratic_fit,
-    pressure_difference,
-)
+from .lifshitz import (QuadratureSettings, ThermalGapConfig, rte_from_impedance,
+                       rte_zero_frequency_comparison, te_mode_function, total_pressure)
+from .thermal import free_energy_difference, lowT_quadratic_fit, pressure_difference
 
 MICRON = 1e-6
 
@@ -81,8 +63,8 @@ class RunConfig:
     fmt: str = "csv"
     out: str | None = None
     radius_m: float | None = None
-    zeta_range: tuple[float, float, int] = (0.0, 0.5, 26)
-    q_fixed: float = 1e17
+    zeta_range: tuple[float, float, int] | None = None
+    q_fixed: float | None = None
 
 
 @dataclass
@@ -117,8 +99,39 @@ class SweepOutput:
         return self.to_csv() if fmt == "csv" else self.to_json()
 
 
+@dataclass(frozen=True)
+class Command:
+    """A subcommand's runner, help line and input rules."""
+
+    run: Callable[[RunConfig], SweepOutput]
+    help: str
+    temps: tuple[float, ...]             # default temperatures in K
+    temp_count: tuple[int, int | None]   # least and most temperatures (None: any)
+    gaps: str = "sweep"                  # "sweep", "one" gap or "none"
+    rel_tol: bool = True                 # whether --rel-tol applies
+
+
 # ---------------------------------------------------------------------------
 # configuration
+
+# number flags that must be finite and > 0, with their units
+_POSITIVE = {"gap": "um", "temp": "K", "omega_p": "eV", "nu": "eV",
+             "theta_d": "K", "radius": "um", "q_fixed": "rad/s"}
+
+
+def _positive(flag: str, value: float, unit: str) -> None:
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{flag}: must be finite and > 0 {unit}, got {value}")
+
+
+def _check_numbers(args) -> None:
+    """Reject any given number flag that is not finite and > 0."""
+    for name, unit in _POSITIVE.items():
+        values = getattr(args, name, None)
+        for value in values if isinstance(values, list) else [values]:
+            if value is not None:
+                _positive(name.replace("_", "-"), value, unit)
+
 
 def _parse_range(text: str, name: str) -> tuple[float, float, int]:
     parts = text.split(":")
@@ -128,6 +141,8 @@ def _parse_range(text: str, name: str) -> tuple[float, float, int]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"{name}: non-numeric field in {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{name}: ends must be finite, got {text!r}")
     if n < 1:
         raise ConfigError(f"{name}: point count must be >= 1, got {n}")
     if n > 1 and not hi > lo:
@@ -135,18 +150,22 @@ def _parse_range(text: str, name: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
-def _resolve_gaps(args) -> list[float]:
+def _resolve_gaps(args, arity: str) -> list[float]:
+    """Gap widths in m for a command whose gap arity is "sweep", "one" or "none"."""
     if args.gap is not None and args.gap_range is not None:
         raise ConfigError("gap: give either --gap or --gap-range, not both")
+    if arity == "none":
+        if args.gap is not None or args.gap_range is not None:
+            raise ConfigError(f"gap: {args.command} takes no --gap or --gap-range")
+        return []
     if args.gap is not None:
-        if not args.gap > 0:
-            raise ConfigError(f"gap: must be > 0 um, got {args.gap}")
         return [args.gap * MICRON]
     if args.gap_range is None:
         raise ConfigError("gap: one of --gap or --gap-range is required")
     lo, hi, n = _parse_range(args.gap_range, "gap-range")
-    if not lo > 0:
-        raise ConfigError(f"gap-range: gaps must be > 0 um, got lo={lo}")
+    _positive("gap-range", lo, "um")
+    if arity == "one" and n > 1:
+        raise ConfigError(f"gap-range: {args.command} takes one gap, got {n}")
     if n == 1:
         values = np.array([lo])
     elif args.log_spacing:
@@ -156,26 +175,13 @@ def _resolve_gaps(args) -> list[float]:
     return [float(v) * MICRON for v in values]
 
 
-def _resolve_temps(args) -> list[float]:
-    defaults = {
-        "pressure": [300.0],
-        "diff": [350.0, 300.0],
-        "modes": [300.0],
-        "sphere-plate": [350.0, 300.0],
-        "lowtemp": [float(t) for t in range(50, 151, 10)],
-        "impedance-check": [300.0],
-    }
-    temps = args.temp if args.temp else defaults[args.command]
-    if any(t <= 0 for t in temps):
-        raise ConfigError(f"temp: temperatures must be > 0 K, got {temps}")
-    need_two = args.command in ("diff", "sphere-plate")
-    if need_two and len(temps) != 2:
-        raise ConfigError(f"temp: {args.command} needs exactly two "
-                          f"temperatures (T1 T2), got {len(temps)}")
-    if args.command in ("modes", "impedance-check") and len(temps) != 1:
-        raise ConfigError(f"temp: {args.command} takes exactly one temperature")
-    if args.command == "lowtemp" and len(temps) < 5:
-        raise ConfigError("temp: lowtemp needs at least 5 fit temperatures")
+def _resolve_temps(args, cmd: Command) -> list[float]:
+    temps = args.temp or list(cmd.temps)
+    least, most = cmd.temp_count
+    if len(temps) < least or (most is not None and len(temps) > most):
+        count = f"exactly {least}" if least == most else f"at least {least}"
+        raise ConfigError(f"temp: {args.command} takes {count} temperature(s), "
+                          f"got {len(temps)}")
     return temps
 
 
@@ -198,87 +204,67 @@ def _check_model_flags(args) -> None:
         raise ConfigError("theta-d: --theta-d applies only with --nu-model bg")
 
 
+def _given(args, **fields) -> dict:
+    """field=value for each flag given; the library supplies the other defaults."""
+    return {field: getattr(args, name) for field, name in fields.items()
+            if getattr(args, name) is not None}
+
+
 def _build_model(args) -> tuple[MaterialModel, str]:
-    _check_model_flags(args)
     if args.model == "ideal":
         return Ideal(), "ideal"
-    if args.model == "plasma":
-        omega_p = args.omega_p if args.omega_p is not None else 9.0
-        if not omega_p > 0:
-            raise ConfigError(f"omega-p: must be > 0 eV, got {omega_p}")
-        return Plasma(omega_p_ev=omega_p), f"plasma(omega_p={omega_p:g} eV)"
     if args.model == "table":
         if not args.table:
             raise ConfigError("table: --table <path> is required with --model table")
-        table = load_permittivity_table(args.table)
+        try:
+            table = load_permittivity_table(args.table)
+        except (CasimirError, OSError) as exc:
+            raise ConfigError(f"table: {exc}") from None
         zmc = {"drude": "drude_like", "plasma": "plasma_like"}[args.zero_mode_class or "drude"]
         model = Tabulated(table=table, zero_mode_class=zmc)
         return model, (f"table({Path(args.table).name}, {len(table.zeta)} pts, "
                        f"zero_mode={zmc})")
-    # drude
-    omega_p = args.omega_p if args.omega_p is not None else 9.0
-    if not omega_p > 0:
-        raise ConfigError(f"omega-p: must be > 0 eV, got {omega_p}")
+    omega_p = _given(args, omega_p_ev="omega_p")
+    if args.model == "plasma":
+        model = Plasma(**omega_p)
+        return model, f"plasma(omega_p={model.omega_p_ev:g} eV)"
     if args.nu_model == "bg":
-        nu_ref = args.nu if args.nu is not None else 0.0356
-        if not nu_ref > 0:
-            raise ConfigError(f"nu: must be > 0 eV, got {nu_ref}")
-        theta_d = args.theta_d if args.theta_d is not None else 170.0
-        if not theta_d > 0:
-            raise ConfigError(f"theta-d: must be > 0 K, got {theta_d}")
-        relax = BlochGruneisen(theta_d=theta_d, nu_ref_ev=nu_ref, t_ref=300.0)
-        desc = (f"drude(omega_p={omega_p:g} eV, nu_bg(ref={nu_ref:g} eV @300K, "
-                f"theta_d={theta_d:g} K))")
-    else:
-        nu_ref = args.nu if args.nu is not None else 0.035
-        if not nu_ref > 0:
-            raise ConfigError(f"nu: must be > 0 eV, got {nu_ref}")
-        relax = ConstantRelaxation(nu_ref)
-        desc = f"drude(omega_p={omega_p:g} eV, nu={nu_ref:g} eV)"
-    return Drude(omega_p_ev=omega_p, nu_ref_ev=nu_ref, relaxation=relax), desc
+        relax = BlochGruneisen(**_given(args, theta_d="theta_d", nu_ref_ev="nu"))
+        model = Drude(**omega_p, nu_ref_ev=relax.nu_ref_ev, relaxation=relax)
+        return model, (f"drude(omega_p={model.omega_p_ev:g} eV, nu_bg(ref="
+                       f"{relax.nu_ref_ev:g} eV @{relax.t_ref:g}K, "
+                       f"theta_d={relax.theta_d:g} K))")
+    model = Drude(**omega_p, **_given(args, nu_ref_ev="nu"))
+    return model, f"drude(omega_p={model.omega_p_ev:g} eV, nu={model.nu_ref_ev:g} eV)"
 
 
 def _config_from_args(args) -> RunConfig:
+    cmd = COMMANDS[args.command]
+    _check_model_flags(args)
+    _check_numbers(args)
     model, desc = _build_model(args)
-    rel_tol = args.rel_tol if args.rel_tol is not None else 1e-10
+    if args.rel_tol is not None and not cmd.rel_tol:
+        raise ConfigError(f"rel-tol: {args.command} runs no quadrature")
     try:
-        quad = QuadratureSettings(rel_tol=rel_tol)
+        quad = QuadratureSettings(**_given(args, rel_tol="rel_tol"))
     except DomainError as exc:
         raise ConfigError(f"rel-tol: {exc}") from None
-    temps = _resolve_temps(args)
+    temps = _resolve_temps(args, cmd)
     if args.log_spacing and args.gap_range is None:
         raise ConfigError("log-spacing: --log-spacing applies only to --gap-range")
-    if args.command == "impedance-check":
-        if args.gap is not None or args.gap_range is not None:
-            raise ConfigError("gap: impedance-check takes no --gap or --gap-range")
-        if args.rel_tol is not None:
-            raise ConfigError("rel-tol: impedance-check runs no quadrature")
-        gaps = []
-        if args.model == "ideal":
-            raise ConfigError("model: impedance-check needs a dispersive model")
-    else:
-        gaps = _resolve_gaps(args)
-    if args.command == "lowtemp" and len(gaps) > 1:
-        raise ConfigError(f"gap-range: lowtemp takes one gap, got {len(gaps)}")
-    radius_m = None
-    if getattr(args, "radius", None) is not None:
-        if not args.radius > 0:
-            raise ConfigError(f"radius: must be > 0 um, got {args.radius}")
-        radius_m = args.radius * MICRON
+    gaps = _resolve_gaps(args, cmd.gaps)
     if args.threads < 1:
         raise ConfigError(f"threads: must be >= 1, got {args.threads}")
-    zeta_range = (0.0, 0.5, 26)
-    if getattr(args, "zeta_range", None):
+    zeta_range = None
+    if hasattr(args, "zeta_range"):
         zeta_range = _parse_range(args.zeta_range, "zeta-range")
         if zeta_range[0] < 0:
             raise ConfigError("zeta-range: must start at >= 0")
-    q_fixed = getattr(args, "q_fixed", 1e17)
-    if not q_fixed > 0:
-        raise ConfigError(f"q-fixed: must be > 0 rad/s, got {q_fixed}")
+    radius = getattr(args, "radius", None)
     return RunConfig(command=args.command, model=model, model_desc=desc,
                      gaps_m=gaps, temps=temps, quad=quad, fmt=args.format,
-                     out=args.out, radius_m=radius_m,
-                     zeta_range=zeta_range, q_fixed=q_fixed)
+                     out=args.out, radius_m=None if radius is None else radius * MICRON,
+                     zeta_range=zeta_range, q_fixed=getattr(args, "q_fixed", None))
 
 
 def _base_meta(cfg: RunConfig) -> dict:
@@ -293,16 +279,17 @@ def _base_meta(cfg: RunConfig) -> dict:
     }
 
 
-def _gap_rows(fn, gaps_m) -> list:
-    """fn(a) for every gap in order; a convergence failure names its gap."""
+def _sweep(cfg: RunConfig, columns: list[str], row, **meta) -> SweepOutput:
+    """One row (a in um, *row(a)) per gap; a convergence failure names its gap."""
     rows = []
-    for a_m in gaps_m:
+    for a_m in cfg.gaps_m:
         try:
-            rows.append(fn(a_m))
+            rows.append((a_m / MICRON, *row(a_m)))
         except ConvergenceError as exc:
             raise ConvergenceError(f"at a = {a_m / MICRON:g} um: {exc}",
                                    estimate=exc.estimate) from None
-    return rows
+    return SweepOutput(meta={**_base_meta(cfg), **meta}, columns=["a_um", *columns],
+                       rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -310,64 +297,39 @@ def _gap_rows(fn, gaps_m) -> list:
 
 def cmd_pressure(cfg: RunConfig) -> SweepOutput:
     """|P(a)| in Pa for every gap and temperature."""
-    if len(cfg.temps) == 1:
-        columns = ["a_um", "pressure_Pa"]
-    else:
-        columns = ["a_um"] + [f"pressure_Pa_T{t:g}K" for t in cfg.temps]
-
-    def one(a_m):
-        vals = [abs(total_pressure(ThermalGapConfig(T=t, a=a_m),
-                                   cfg.model, cfg.quad).total)
-                for t in cfg.temps]
-        return (a_m / MICRON, *vals)
-
-    rows = _gap_rows(one, cfg.gaps_m)
-    return SweepOutput(meta=_base_meta(cfg), columns=columns, rows=rows)
+    columns = (["pressure_Pa"] if len(cfg.temps) == 1
+               else [f"pressure_Pa_T{t:g}K" for t in cfg.temps])
+    return _sweep(cfg, columns, lambda a_m: [
+        abs(total_pressure(ThermalGapConfig(T=t, a=a_m), cfg.model, cfg.quad).total)
+        for t in cfg.temps])
 
 
 def cmd_diff(cfg: RunConfig) -> SweepOutput:
     """Pressure difference (mPa) and free-energy difference (J/m^2)."""
     T1, T2 = cfg.temps
-    columns = ["a_um", "delta_F_mPa", "delta_free_energy_J_m2"]
-
-    def one(a_m):
-        dp = pressure_difference(a_m, cfg.model, T1, T2, cfg.quad).delta
-        df = free_energy_difference(a_m, cfg.model, T1, T2, cfg.quad).delta
-        return (a_m / MICRON, dp * 1e3, df)
-
-    rows = _gap_rows(one, cfg.gaps_m)
-    return SweepOutput(meta=_base_meta(cfg), columns=columns, rows=rows)
+    return _sweep(cfg, ["delta_F_mPa", "delta_free_energy_J_m2"], lambda a_m: (
+        pressure_difference(a_m, cfg.model, T1, T2, cfg.quad).delta * 1e3,
+        free_energy_difference(a_m, cfg.model, T1, T2, cfg.quad).delta))
 
 
 def cmd_modes(cfg: RunConfig) -> SweepOutput:
     """Percentage contribution of modes m = 0..7, Table-style."""
-    T = cfg.temps[0]
-    columns = ["a_um"] + [f"frac_m{m}_pct" for m in range(8)]
-
-    def one(a_m):
-        result = total_pressure(ThermalGapConfig(T=T, a=a_m),
+    def row(a_m):
+        result = total_pressure(ThermalGapConfig(T=cfg.temps[0], a=a_m),
                                 cfg.model, cfg.quad)
-        return (a_m / MICRON, *[result.fraction(m) for m in range(8)])
+        return [result.fraction(m) for m in range(8)]
 
-    rows = _gap_rows(one, cfg.gaps_m)
-    return SweepOutput(meta=_base_meta(cfg), columns=columns, rows=rows)
+    return _sweep(cfg, [f"frac_m{m}_pct" for m in range(8)], row)
 
 
 def cmd_sphere_plate(cfg: RunConfig) -> SweepOutput:
     """Radius-normalized sphere-plate force difference versus gap."""
-    T1, T2 = cfg.temps
-    columns = ["a_um", "delta_force_per_radius_N_m"]
-    meta = _base_meta(cfg)
+    columns, meta = ["delta_force_per_radius_N_m"], {}
     if cfg.radius_m is not None:
-        columns += [f"force_T{T1:g}K_N", f"force_T{T2:g}K_N"]
+        columns += [f"force_T{t:g}K_N" for t in cfg.temps]
         meta["radius_um"] = f"{cfg.radius_m / MICRON:g}"
-
-    def one(a_m):
-        return (a_m / MICRON,
-                *_pfa_row(a_m, cfg.model, cfg.temps, cfg.quad, cfg.radius_m))
-
-    rows = _gap_rows(one, cfg.gaps_m)
-    return SweepOutput(meta=meta, columns=columns, rows=rows)
+    return _sweep(cfg, columns, lambda a_m: _pfa_row(a_m, cfg.model, cfg.temps,
+                                                     cfg.quad, cfg.radius_m), **meta)
 
 
 def cmd_lowtemp(cfg: RunConfig) -> SweepOutput:
@@ -397,6 +359,8 @@ def cmd_impedance_check(cfg: RunConfig) -> SweepOutput:
     """Squared TE reflection: impedance form vs. permittivity form."""
     from .lifshitz import _reflection_sq  # same algebra the engine uses
 
+    if isinstance(cfg.model, Ideal):
+        raise ConfigError("model: impedance-check needs a dispersive model")
     zetas = np.geomspace(1e12, 1e16, 20)
     p_values = np.geomspace(1.0, 100.0, 20)
     rows = []
@@ -424,12 +388,21 @@ def cmd_impedance_check(cfg: RunConfig) -> SweepOutput:
 
 
 COMMANDS = {
-    "pressure": cmd_pressure,
-    "diff": cmd_diff,
-    "modes": cmd_modes,
-    "sphere-plate": cmd_sphere_plate,
-    "lowtemp": cmd_lowtemp,
-    "impedance-check": cmd_impedance_check,
+    "pressure": Command(cmd_pressure, "pressure magnitude sweep |P(a)|",
+                        (300.0,), (1, None)),
+    "diff": Command(cmd_diff, "pressure / free-energy differences between two "
+                              "temperatures", (350.0, 300.0), (2, 2)),
+    "modes": Command(cmd_modes, "per-mode percentage contributions (m = 0..7)",
+                     (300.0,), (1, 1)),
+    "sphere-plate": Command(cmd_sphere_plate, "sphere-plate force difference via "
+                                              "the proximity theorem",
+                            (350.0, 300.0), (2, 2)),
+    "lowtemp": Command(cmd_lowtemp, "TE mode function and quadratic low-T fit",
+                       tuple(float(t) for t in range(50, 151, 10)), (5, None),
+                       gaps="one"),
+    "impedance-check": Command(cmd_impedance_check, "impedance vs. permittivity "
+                                                    "TE reflection grid",
+                               (300.0,), (1, 1), gaps="none", rel_tol=False),
 }
 
 
@@ -442,14 +415,16 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--model", choices=["drude", "plasma", "ideal", "table"],
                    default="drude", help="dispersion model (default: drude)")
     g.add_argument("--omega-p", type=float, default=None, metavar="EV",
-                   help="plasma frequency in eV (default: 9.0)")
+                   help=f"plasma frequency in eV (default: {Drude.omega_p_ev:g})")
     g.add_argument("--nu", type=float, default=None, metavar="EV",
-                   help="relaxation frequency in eV (default: 0.035 constant, "
-                        "0.0356 Bloch-Grueneisen reference)")
+                   help=f"relaxation frequency in eV (default: {Drude.nu_ref_ev:g} "
+                        f"constant, {BlochGruneisen.nu_ref_ev:g} Bloch-Grueneisen "
+                        f"reference)")
     g.add_argument("--nu-model", choices=["constant", "bg"],
                    help="temperature dependence of nu (default: constant)")
     g.add_argument("--theta-d", type=float, metavar="K",
-                   help="Debye temperature for --nu-model bg (default: 170)")
+                   help=f"Debye temperature for --nu-model bg "
+                        f"(default: {BlochGruneisen.theta_d:g})")
     g.add_argument("--table", metavar="PATH",
                    help="CSV permittivity table for --model table")
     g.add_argument("--zero-mode-class", choices=["drude", "plasma"],
@@ -467,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = common.add_argument_group("numerics and output")
     o.add_argument("--rel-tol", type=float,
                    help="relative tolerance for quadrature and mode sums "
-                        "(default: 1e-10)")
+                        f"(default: {QuadratureSettings.rel_tol:g})")
     o.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility (must be >= 1); rows run "
                         "serially, so output is identical for any value")
@@ -483,44 +458,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("pressure", parents=[common],
-                   help="pressure magnitude sweep |P(a)|")
-    sub.add_parser("diff", parents=[common],
-                   help="pressure / free-energy differences between two temperatures")
-    sub.add_parser("modes", parents=[common],
-                   help="per-mode percentage contributions (m = 0..7)")
-    p_sp = sub.add_parser("sphere-plate", parents=[common],
-                          help="sphere-plate force difference via the proximity theorem")
-    p_sp.add_argument("--radius", type=float, metavar="UM",
-                      help="sphere radius in micrometers (adds force columns)")
-    p_low = sub.add_parser("lowtemp", parents=[common],
-                           help="TE mode function and quadratic low-T fit")
-    p_low.add_argument("--zeta-range", metavar="LO:HI:N",
-                       help="dimensionless zeta*a/c grid (default 0:0.5:26)")
-    p_imp = sub.add_parser("impedance-check", parents=[common],
-                           help="impedance vs. permittivity TE reflection grid")
-    p_imp.add_argument("--q-fixed", type=float, default=1e17, metavar="RAD_S",
-                       help="fixed wave number for the zero-frequency limits")
+    parsers = {name: sub.add_parser(name, parents=[common], help=cmd.help)
+               for name, cmd in COMMANDS.items()}
+    parsers["sphere-plate"].add_argument(
+        "--radius", type=float, metavar="UM",
+        help="sphere radius in micrometers (adds force columns)")
+    parsers["lowtemp"].add_argument(
+        "--zeta-range", default="0:0.5:26", metavar="LO:HI:N",
+        help="dimensionless zeta*a/c grid (default: %(default)s)")
+    parsers["impedance-check"].add_argument(
+        "--q-fixed", type=float, default=1e17, metavar="RAD_S",
+        help="fixed wave number for the zero-frequency limits (default: %(default)g)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-    except (ConfigError, DomainError) as exc:
-        print(f"casimir: configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        output = COMMANDS[cfg.command](cfg)
+        text = COMMANDS[cfg.command].run(cfg).render(cfg.fmt)
     except ConfigError as exc:
         print(f"casimir: configuration error: {exc}", file=sys.stderr)
         return 2
     except CasimirError as exc:
         print(f"casimir: computation failed: {exc}", file=sys.stderr)
         return 3
-    text = output.render(cfg.fmt)
     if cfg.out:
         try:
             Path(cfg.out).write_text(text, encoding="utf-8")

@@ -133,8 +133,9 @@ class BlochGruneisen:
     t_ref: float = 300.0     # K
 
     def __post_init__(self):
-        if not self.theta_d > 0:
-            raise DomainError(f"Debye temperature must be > 0, got {self.theta_d}")
+        if not 0 < self.theta_d < np.inf:
+            raise DomainError(f"Debye temperature must be finite and > 0, "
+                              f"got {self.theta_d}")
         if not self.t_ref > 0:
             raise DomainError(f"reference temperature must be > 0, got {self.t_ref}")
         if not self.nu_ref_ev > 0:

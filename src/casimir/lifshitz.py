@@ -68,10 +68,10 @@ class ThermalGapConfig:
     a: float
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise DomainError(f"temperature must be > 0, got {self.T}")
-        if not self.a > 0:
-            raise DomainError(f"gap width must be > 0, got {self.a}")
+        if not 0 < self.T < math.inf:
+            raise DomainError(f"temperature must be finite and > 0, got {self.T}")
+        if not 0 < self.a < math.inf:
+            raise DomainError(f"gap width must be finite and > 0, got {self.a}")
 
     @property
     def aT(self) -> float:
@@ -326,10 +326,14 @@ def _sum_modes(cfg, model, quad, observable, by_row=False):
     tail bound is rel_tol of that term holds rel_tol on the whole sum.
     """
     kernel, prefactor, tail = observable
-    zero = 0.5 * _integrate(model, cfg, [0.0], kernel, quad.rel_tol)
+    where = f"at T = {cfg.T:g} K, a = {cfg.a:g} m (gamma = {cfg.gamma:.3g})"
+    try:
+        zero = 0.5 * _integrate(model, cfg, [0.0], kernel, quad.rel_tol)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"Matsubara mode m = 0 {where}: {exc}",
+                               estimate=exc.estimate) from None
     M = _smallest(lambda n: _tail_bound(n, cfg.gamma, tail) <= quad.rel_tol * abs(zero),
                   1, 2)
-    where = f"at T = {cfg.T:g} K, a = {cfg.a:g} m (gamma = {cfg.gamma:.3g})"
     if M > _ROW_CAP:
         raise ConvergenceError(f"Matsubara sum needs M = {M} modes {where}, "
                                f"more than {_ROW_CAP}")

@@ -110,12 +110,16 @@ def sign_change_gap(model: MaterialModel, T1: float = 350.0, T2: float = 300.0,
                     xtol: float = 1e-9) -> float:
     """Gap width (m) where the pressure difference changes sign.
 
-    Bisection to ``xtol`` (default 1e-3 um); raises BracketError when the
-    difference has the same sign at both bracket ends.
+    Bisection to ``xtol`` (default 1e-3 um), or until the midpoint is a
+    bracket end, so an xtol below the float spacing still terminates;
+    raises BracketError when the difference has the same sign at both
+    bracket ends.
     """
     a_lo, a_hi = bracket
     if not 0 < a_lo < a_hi:
         raise DomainError(f"bracket must satisfy 0 < a_lo < a_hi, got {bracket}")
+    if not xtol > 0:
+        raise DomainError(f"xtol must be > 0, got {xtol}")
 
     def delta(a):
         return pressure_difference(a, model, T1, T2, quad).delta
@@ -132,6 +136,8 @@ def sign_change_gap(model: MaterialModel, T1: float = 350.0, T2: float = 300.0,
             f"at both ends of [{a_lo:g}, {a_hi:g}] m")
     while a_hi - a_lo > xtol:
         a_mid = 0.5 * (a_lo + a_hi)
+        if a_mid in (a_lo, a_hi):
+            break
         d_mid = delta(a_mid)
         if d_mid == 0.0:
             return a_mid

@@ -89,6 +89,11 @@ class TestPressureCommand:
         assert run_cli(command, "--gap", "1.0", "--rel-tol", "1e-30") == 3
         assert "a = 1 um" in capsys.readouterr().err  # row context
 
+    def test_zero_mode_failure_names_mode_and_temperature(self, capsys):
+        assert run_cli("pressure", "--gap", "1.0", "--rel-tol", "1e-30") == 3
+        err = capsys.readouterr().err
+        assert "m = 0" in err and "T = 300 K" in err
+
     def test_hopeless_sum_exits_three(self, capsys):
         # 1 mK at 10 nm would need about 8e8 Matsubara modes
         assert run_cli("pressure", "--gap", "0.01", "--temp", "0.001") == 3
@@ -263,6 +268,21 @@ class TestImpedanceCheckCommand:
     (("impedance-check", "--rel-tol", "1e-5"), "rel-tol"),
 ])
 def test_ignored_flag_rejected(capsys, argv, flag):
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"casimir: configuration error: {flag}:")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("pressure", "--gap", "1.0", "--temp", "inf"), "temp"),
+    (("pressure", "--gap", "1.0", "--temp", "nan"), "temp"),
+    (("pressure", "--gap", "inf"), "gap"),
+    (("pressure", "--gap-range", "0.5:inf:3"), "gap-range"),
+    (("pressure", "--gap", "1.0", "--omega-p", "inf"), "omega-p"),
+    (("pressure", "--gap", "1.0", "--nu-model", "bg", "--theta-d", "inf"), "theta-d"),
+    (("sphere-plate", "--gap", "1.0", "--radius", "inf"), "radius"),
+    (("impedance-check", "--q-fixed", "inf"), "q-fixed"),
+])
+def test_non_finite_input_rejected(capsys, argv, flag):
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err.startswith(f"casimir: configuration error: {flag}:")
 

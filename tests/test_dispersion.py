@@ -204,6 +204,9 @@ class TestBlochGruneisen:
             cs.BlochGruneisen(theta_d=-170.0)
         with pytest.raises(DomainError):
             cs.BlochGruneisen(t_ref=0.0)
+        for theta_d in (np.inf, np.nan):  # inf would divide by zero in nu(T)
+            with pytest.raises(DomainError, match="Debye"):
+                cs.BlochGruneisen(theta_d=theta_d)
         bg = cs.BlochGruneisen()
         with pytest.raises(DomainError):
             cs.nu_bloch_gruneisen(0.0, bg)

@@ -57,6 +57,13 @@ class TestThermalGapConfig:
         with pytest.raises(DomainError):
             cs.ThermalGapConfig(T=300.0, a=-1e-6)
 
+    @pytest.mark.parametrize("T, a", [(math.inf, 1e-6), (math.nan, 1e-6),
+                                      (300.0, math.inf), (300.0, math.nan)])
+    def test_non_finite_rejected(self, gold, T, a):
+        # T = inf used to overflow in the mode-count search of the sum
+        with pytest.raises(DomainError, match="finite"):
+            cs.total_pressure(cs.ThermalGapConfig(T=T, a=a), gold)
+
 
 class TestLifshitzVariables:
     def test_vacuum_s_equals_p(self):

@@ -1,9 +1,12 @@
 """Temperature-difference observables and low-temperature behaviour."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import casimir as cs
+from casimir import thermal
 from casimir.errors import (
     ApplicabilityWarning,
     BracketError,
@@ -92,6 +95,25 @@ class TestSignChangeGap:
         a1 = cs.sign_change_gap(gold, bracket=(2.0e-6, 3.5e-6), xtol=1e-9)
         a2 = cs.sign_change_gap(gold, bracket=(2.2e-6, 3.3e-6), xtol=1e-9)
         assert abs(a1 - a2) < 2e-9
+
+    @pytest.mark.parametrize("xtol", [1e-30, 0.0, -1.0, float("nan")])
+    def test_terminates_for_any_xtol(self, monkeypatch, xtol):
+        # a difference that is never exactly 0 and changes sign at 2.7 um;
+        # about 52 halvings separate 1.5 um from the float spacing there
+        calls = []
+
+        def stub(a, model, T1, T2, quad):
+            calls.append(a)
+            assert len(calls) < 100, "bisection does not terminate"
+            return SimpleNamespace(delta=1.0 if a < 2.7e-6 else -1.0)
+
+        monkeypatch.setattr(thermal, "pressure_difference", stub)
+        if xtol > 0:
+            assert abs(cs.sign_change_gap(None, xtol=xtol) - 2.7e-6) < 1e-21
+        else:
+            with pytest.raises(DomainError, match="xtol"):
+                cs.sign_change_gap(None, xtol=xtol)
+        assert len(calls) < 100
 
 
 class TestLowTQuadraticFit:
