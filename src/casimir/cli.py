@@ -117,6 +117,8 @@ class Command:
 # number flags that must be finite and > 0, with their units
 _POSITIVE = {"gap": "um", "temp": "K", "omega_p": "eV", "nu": "eV",
              "theta_d": "K", "radius": "um", "q_fixed": "rad/s"}
+# impedance-check takes its zero-frequency limits down this sequence (rad/s)
+_ZETA_SEQ = np.geomspace(1e12, 1e8, 5)
 
 
 def _positive(flag: str, value: float, unit: str) -> None:
@@ -125,12 +127,15 @@ def _positive(flag: str, value: float, unit: str) -> None:
 
 
 def _check_numbers(args) -> None:
-    """Reject any given number flag that is not finite and > 0."""
+    """Reject a number flag that is not finite and > 0, or --q-fixed below _ZETA_SEQ."""
     for name, unit in _POSITIVE.items():
         values = getattr(args, name, None)
         for value in values if isinstance(values, list) else [values]:
             if value is not None:
                 _positive(name.replace("_", "-"), value, unit)
+    if getattr(args, "q_fixed", math.inf) < _ZETA_SEQ[0]:
+        raise ConfigError(f"q-fixed: must be >= {_ZETA_SEQ[0]:g} rad/s, where the "
+                          f"zero-frequency sequence starts, got {args.q_fixed:g}")
 
 
 def _parse_range(text: str, name: str) -> tuple[float, float, int]:
@@ -374,12 +379,11 @@ def cmd_impedance_check(cfg: RunConfig) -> SweepOutput:
             dev = float(abs(r * r - B))
             max_dev = max(max_dev, dev)
             rows.append((float(zeta), float(q), float(B), float(r * r), float(dev)))
-    seq = np.geomspace(1e12, 1e8, 5)
-    lim_momentum, lim_freq = rte_zero_frequency_comparison(cfg.model, cfg.q_fixed, seq)
+    lim_momentum, lim_freq = rte_zero_frequency_comparison(cfg.model, cfg.q_fixed, _ZETA_SEQ)
     meta = _base_meta(cfg)
     meta["max_abs_deviation"] = repr(max_dev)
     meta["zero_freq_q_rad_s"] = f"{cfg.q_fixed:g}"
-    meta["zero_freq_final_zeta_rad_s"] = f"{seq[-1]:g}"
+    meta["zero_freq_final_zeta_rad_s"] = f"{_ZETA_SEQ[-1]:g}"
     meta["zero_freq_limit_momentum_dependent"] = repr(float(lim_momentum))
     meta["zero_freq_limit_frequency_only"] = repr(float(lim_freq))
     columns = ["zeta_rad_s", "q_rad_s", "b_permittivity",

@@ -2,7 +2,8 @@
 
 Every model answers eps(zeta, T) for zeta > 0 with a result > 1, except
 the ideal reflector, which has no finite permittivity.  Frequencies are
-rad/s, temperatures K; model parameters are quoted in eV.
+rad/s, temperatures K; model parameters, quoted in eV, must be finite and
+> 0 (a DomainError names any that is not); table nodes keep _bad_node's rule.
 
 Each model also owns its reflection rules, the only thing the Lifshitz
 engine asks of it.  Both give the squared TM/TE coefficients as plain (A, B):
@@ -39,6 +40,7 @@ from .errors import (
     TableFormatError,
     TableRangeError,
     UnsupportedModelError,
+    check_positive,
 )
 from .quadrature import adaptive_quad
 
@@ -95,13 +97,11 @@ class ConstantRelaxation:
     nu_ev: float = 0.035
 
     def __post_init__(self):
-        if not self.nu_ev > 0:
-            raise DomainError(f"relaxation frequency must be > 0, got {self.nu_ev}")
+        check_positive("relaxation frequency", self.nu_ev)
 
     def nu(self, T: float) -> float:
         """Relaxation frequency in eV at temperature T (K)."""
-        if not T > 0:
-            raise DomainError(f"temperature must be > 0, got {T}")
+        check_positive("temperature", T)
         return self.nu_ev
 
 
@@ -133,13 +133,9 @@ class BlochGruneisen:
     t_ref: float = 300.0     # K
 
     def __post_init__(self):
-        if not 0 < self.theta_d < np.inf:
-            raise DomainError(f"Debye temperature must be finite and > 0, "
-                              f"got {self.theta_d}")
-        if not self.t_ref > 0:
-            raise DomainError(f"reference temperature must be > 0, got {self.t_ref}")
-        if not self.nu_ref_ev > 0:
-            raise DomainError(f"nu_ref must be > 0, got {self.nu_ref_ev}")
+        check_positive("Debye temperature", self.theta_d)
+        check_positive("reference temperature", self.t_ref)
+        check_positive("nu_ref", self.nu_ref_ev)
         # shapes by temperature: not a field, so eq, hash and repr ignore it
         object.__setattr__(self, "_shapes", {})
         # C = nu_ref / shape_ref; dividing last keeps nu(T_ref) == nu_ref exact
@@ -154,8 +150,7 @@ class BlochGruneisen:
 
     def nu(self, T: float) -> float:
         """Relaxation frequency in eV at temperature T (K)."""
-        if not T > 0:
-            raise DomainError(f"temperature must be > 0, got {T}")
+        check_positive("temperature", T)
         return self.nu_ref_ev * self._shape(T) / self._shape_ref
 
 
@@ -179,10 +174,8 @@ class Drude(_Dielectric):
     relaxation: RelaxationModel | None = None
 
     def __post_init__(self):
-        if not self.omega_p_ev > 0:
-            raise DomainError(f"plasma frequency must be > 0, got {self.omega_p_ev}")
-        if not self.nu_ref_ev > 0:
-            raise DomainError(f"relaxation frequency must be > 0, got {self.nu_ref_ev}")
+        check_positive("plasma frequency", self.omega_p_ev)
+        check_positive("relaxation frequency", self.nu_ref_ev)
         if self.relaxation is None:
             object.__setattr__(self, "relaxation", ConstantRelaxation(self.nu_ref_ev))
 
@@ -205,8 +198,7 @@ class Plasma(_Dielectric):
     omega_p_ev: float = 9.0
 
     def __post_init__(self):
-        if not self.omega_p_ev > 0:
-            raise DomainError(f"plasma frequency must be > 0, got {self.omega_p_ev}")
+        check_positive("plasma frequency", self.omega_p_ev)
 
     @property
     def omega_p_rad_s(self) -> float:
@@ -238,9 +230,25 @@ class Ideal:
         return lambda p: (1.0, 1.0)
 
 
+def _bad_node(zeta, eps) -> tuple[int, str] | None:
+    """(index, reason) of the first node that breaks the table rule, else None.
+
+    The rule: zeta finite, > 0 and strictly increasing; eps finite and > 1.
+    """
+    for i, (z, e) in enumerate(zip(zeta, eps)):
+        if not 0 < z < np.inf:
+            return i, f"zeta must be finite and > 0, got {z!r}"
+        if i and not z > zeta[i - 1]:
+            return i, (f"zeta values must be strictly increasing "
+                       f"({z!r} after {zeta[i - 1]!r})")
+        if not 1 < e < np.inf:
+            return i, f"epsilon must be finite and > 1, got {e!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class PermittivityTable:
-    """Empirical eps(i zeta) samples, strictly ascending in zeta, eps > 1."""
+    """Empirical eps(i zeta) samples; every node keeps the rule of _bad_node."""
 
     zeta: np.ndarray      # rad/s
     eps_values: np.ndarray
@@ -252,12 +260,9 @@ class PermittivityTable:
             raise DomainError("table needs matching 1-D zeta and eps arrays")
         if len(z) < 2:
             raise DomainError("table needs at least 2 points")
-        if not np.all(z > 0):
-            raise DomainError("table frequencies must be > 0")
-        if not np.all(np.diff(z) > 0):
-            raise DomainError("table frequencies must be strictly increasing")
-        if not np.all(e > 1.0):
-            raise DomainError("table permittivities must be > 1")
+        bad = _bad_node(z.tolist(), e.tolist())
+        if bad:
+            raise DomainError(f"table node {bad[0]}: {bad[1]}")
         object.__setattr__(self, "zeta", z)
         object.__setattr__(self, "eps_values", e)
         object.__setattr__(self, "_log_z", np.log(z))
@@ -377,8 +382,7 @@ def sum_rule_check(gamma_spectral: float) -> float:
     the result probes the numerics rather than the arctan identity.
     Should equal 1 for any gamma > 0.
     """
-    if not gamma_spectral > 0:
-        raise DomainError(f"gamma must be > 0, got {gamma_spectral}")
+    check_positive("gamma", gamma_spectral)
     g = float(gamma_spectral)
     val, _ = adaptive_quad(lambda w: drude_spectral_function(w, g), 0.0, 100.0 * g)
     tail = (2.0 / np.pi) * (0.5 * np.pi - np.arctan(100.0))
@@ -426,11 +430,11 @@ def load_permittivity_table(path) -> PermittivityTable:
     """Read a CSV permittivity table.
 
     Expected format: header ``zeta_rad_per_s,epsilon`` followed by rows
-    ascending in zeta with eps > 1.  Violations are reported with the
-    offending line number.
+    that keep the table node rule (finite zeta > 0, strictly ascending,
+    finite eps > 1).  Violations are reported with the offending line
+    number.
     """
-    zetas: list[float] = []
-    eps: list[float] = []
+    rows: list[tuple[int, float, float]] = []  # (line number, zeta, eps)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -448,24 +452,15 @@ def load_permittivity_table(path) -> PermittivityTable:
                 raise TableFormatError(
                     f"{path}, line {lineno}: expected 2 columns, got {len(row)}")
             try:
-                z = float(row[0])
-                e = float(row[1])
+                rows.append((lineno, float(row[0]), float(row[1])))
             except ValueError:
                 raise TableFormatError(
                     f"{path}, line {lineno}: non-numeric value in "
                     f"'{','.join(row)}'") from None
-            if z <= 0:
-                raise TableFormatError(
-                    f"{path}, line {lineno}: zeta must be > 0, got {z!r}")
-            if zetas and z <= zetas[-1]:
-                raise TableFormatError(
-                    f"{path}, line {lineno}: zeta values must be strictly "
-                    f"increasing ({z!r} after {zetas[-1]!r})")
-            if e <= 1.0:
-                raise TableFormatError(
-                    f"{path}, line {lineno}: epsilon must be > 1, got {e!r}")
-            zetas.append(z)
-            eps.append(e)
-    if len(zetas) < 2:
+    if len(rows) < 2:
         raise TableFormatError(f"{path}: table needs at least 2 data rows")
+    lines, zetas, eps = zip(*rows)
+    bad = _bad_node(zetas, eps)
+    if bad:
+        raise TableFormatError(f"{path}, line {lines[bad[0]]}: {bad[1]}")
     return PermittivityTable(np.array(zetas), np.array(eps))

@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its one positivity check."""
 
 from __future__ import annotations
+
+import math
 
 
 class CasimirError(Exception):
@@ -9,6 +11,12 @@ class CasimirError(Exception):
 
 class DomainError(CasimirError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
+
+
+def check_positive(what: str, value: float) -> None:
+    """Raise DomainError naming what unless value is finite and > 0."""
+    if not 0 < value < math.inf:
+        raise DomainError(f"{what} must be finite and > 0, got {value}")
 
 
 class TableRangeError(DomainError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import MaterialModel
-from .errors import ApplicabilityWarning, DomainError
+from .errors import ApplicabilityWarning, check_positive
 from .lifshitz import DEFAULT_QUAD, QuadratureSettings, ThermalGapConfig, free_energy
 
 __all__ = ["SpherePlateConfig", "pfa_force", "pfa_force_difference"]
@@ -28,10 +28,8 @@ class SpherePlateConfig:
     a: float
 
     def __post_init__(self):
-        if not self.R > 0:
-            raise DomainError(f"sphere radius must be > 0, got {self.R}")
-        if not self.a > 0:
-            raise DomainError(f"distance must be > 0, got {self.a}")
+        check_positive("sphere radius", self.R)
+        check_positive("distance", self.a)
 
     @property
     def pfa_marginal(self) -> bool:

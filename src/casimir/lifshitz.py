@@ -43,7 +43,8 @@ import numpy as np
 
 from .constants import C, HBAR, K_B
 from .dispersion import MaterialModel, _reflection_sq
-from .errors import ConvergenceError, DomainError, TableRangeError, UnsupportedModelError
+from .errors import (ConvergenceError, DomainError, TableRangeError,
+                     UnsupportedModelError, check_positive)
 from .quadrature import _adaptive_rule, adaptive_quad
 
 __all__ = [
@@ -68,10 +69,8 @@ class ThermalGapConfig:
     a: float
 
     def __post_init__(self):
-        if not 0 < self.T < math.inf:
-            raise DomainError(f"temperature must be finite and > 0, got {self.T}")
-        if not 0 < self.a < math.inf:
-            raise DomainError(f"gap width must be finite and > 0, got {self.a}")
+        check_positive("temperature", self.T)
+        check_positive("gap width", self.a)
 
     @property
     def aT(self) -> float:
@@ -132,10 +131,9 @@ class ReflectionPair:
     B: float
 
     def __post_init__(self):
-        if np.any(np.asarray(self.A) < 0) or np.any(np.asarray(self.A) > 1):
-            raise DomainError("squared TM coefficient must lie in [0, 1]")
-        if np.any(np.asarray(self.B) < 0) or np.any(np.asarray(self.B) > 1):
-            raise DomainError("squared TE coefficient must lie in [0, 1]")
+        for name, X in (("TM", self.A), ("TE", self.B)):
+            if np.any(np.asarray(X) < 0) or np.any(np.asarray(X) > 1):
+                raise DomainError(f"squared {name} coefficient must lie in [0, 1]")
 
 
 def lifshitz_variables(y, m: int, cfg: ThermalGapConfig, eps):
@@ -384,8 +382,8 @@ def te_mode_function(zeta: float, a: float, model: MaterialModel,
     ideal reflector gives -zeta(3)/4.  T only enters through a possible
     temperature dependence of the relaxation frequency.
     """
-    if zeta < 0:
-        raise DomainError(f"zeta must be >= 0, got {zeta}")
+    if not 0 <= zeta < math.inf:
+        raise DomainError(f"zeta must be finite and >= 0, got {zeta}")
     return _integrate(model, ThermalGapConfig(T=T, a=a), [zeta],
                       lambda A, B, y: y * _log_term(B, y), quad.rel_tol)
 
@@ -399,8 +397,7 @@ def surface_impedance(zeta: float, q: float, eps: float) -> float:
     q is the full imaginary-axis wave number times c (so q >= zeta, with
     q^2 = (c k_perp)^2 + zeta^2), in rad/s.
     """
-    if not zeta > 0:
-        raise DomainError(f"zeta must be > 0, got {zeta}")
+    check_positive("zeta", zeta)
     if q < zeta:
         raise DomainError(f"q must be >= zeta (q^2 = c^2 k_perp^2 + zeta^2), "
                           f"got q = {q:g} < zeta = {zeta:g}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .constants import C, HBAR, K_B, free_energy_si_to_ev3, temperature_to_ev
 from .dispersion import MaterialModel
-from .errors import ApplicabilityWarning, BracketError, DomainError, FitError
+from .errors import ApplicabilityWarning, BracketError, DomainError, FitError, check_positive
 from .lifshitz import (
     DEFAULT_QUAD,
     QuadratureSettings,
@@ -82,8 +82,6 @@ class QuadraticFit:
 
 def _difference(a: float, T1: float, T2: float, observable) -> DifferenceResult:
     """|observable(T2)| - |observable(T1)| at gap a; observable takes a config."""
-    if not a > 0:
-        raise DomainError(f"gap width must be > 0, got {a}")
     v1 = observable(ThermalGapConfig(T=T1, a=a))
     v2 = observable(ThermalGapConfig(T=T2, a=a))
     return DifferenceResult(a=a, T_low=T2, T_high=T1,
@@ -118,8 +116,7 @@ def sign_change_gap(model: MaterialModel, T1: float = 350.0, T2: float = 300.0,
     a_lo, a_hi = bracket
     if not 0 < a_lo < a_hi:
         raise DomainError(f"bracket must satisfy 0 < a_lo < a_hi, got {bracket}")
-    if not xtol > 0:
-        raise DomainError(f"xtol must be > 0, got {xtol}")
+    check_positive("xtol", xtol)
 
     def delta(a):
         return pressure_difference(a, model, T1, T2, quad).delta
@@ -160,12 +157,10 @@ def lowT_quadratic_fit(a: float, model: MaterialModel, T_grid,
     temps = np.asarray(T_grid, dtype=float)
     if temps.ndim != 1 or len(temps) < 5:
         raise DomainError("T_grid must contain at least 5 temperatures")
-    if not np.all(temps > 0):
-        raise DomainError("temperatures must be > 0")
+    configs = [ThermalGapConfig(T=t, a=a) for t in temps]  # all checked before any sum
 
-    f_nat = np.array([
-        free_energy_si_to_ev3(free_energy(ThermalGapConfig(T=t, a=a), model, quad))
-        for t in temps])
+    f_nat = np.array([free_energy_si_to_ev3(free_energy(cfg, model, quad))
+                      for cfg in configs])
     x = np.array([temperature_to_ev(t) ** 2 for t in temps])  # eV^2
 
     design = np.column_stack([np.ones_like(x), x])
@@ -187,10 +182,9 @@ def ideal_pressure_lowT(a: float, T: float) -> float:
     dimensionless a k_B T/(hbar c); valid for aT << 1.  Warns when
     aT >= 0.2.
     """
-    if not a > 0:
-        raise DomainError(f"gap width must be > 0, got {a}")
-    if T < 0:
-        raise DomainError(f"temperature must be >= 0, got {T}")
+    check_positive("gap width", a)
+    if not 0 <= T < np.inf:
+        raise DomainError(f"temperature must be finite and >= 0, got {T}")
     aT = a * K_B * T / (HBAR * C)
     if aT >= 0.2:
         warnings.warn(
@@ -205,7 +199,4 @@ def dominant_mode(a: float, T: float) -> int:
     The integrand peaks near y ~ 1, which for modest transverse momentum
     picks out m ~ 1/(2 pi aT); below 1/2 the m = 0 term dominates.
     """
-    if not a > 0 or not T > 0:
-        raise DomainError("a and T must be > 0")
-    aT = a * K_B * T / (HBAR * C)
-    return int(round(1.0 / (2.0 * np.pi * aT)))
+    return int(round(1.0 / ThermalGapConfig(T=T, a=a).gamma))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import casimir as cs
-from casimir import geometry
+from casimir import cli, geometry
 from casimir.cli import main
 from casimir.errors import ApplicabilityWarning
 
@@ -243,6 +243,17 @@ class TestImpedanceCheckCommand:
 
     def test_ideal_model_rejected(self):
         assert run_cli("impedance-check", "--model", "ideal") == 2
+
+    def test_q_fixed_below_sequence_rejected_before_computing(self, capsys, monkeypatch):
+        # used to exit 3 after the whole 20 x 20 grid
+        def no_grid(*args):
+            raise AssertionError("impedance grid computed")
+
+        monkeypatch.setattr(cli, "rte_from_impedance", no_grid)
+        assert run_cli("impedance-check", "--q-fixed", "1e11") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("casimir: configuration error: q-fixed:")
+        assert "1e+12 rad/s" in err
 
     @pytest.mark.parametrize("extra", [("--gap", "1.0"), ("--gap-range", "0.5:1:2"),
                                        ("--temp", "300", "--temp", "350")])

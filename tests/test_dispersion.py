@@ -65,6 +65,12 @@ class TestDrude:
             cs.Drude(omega_p_ev=-9.0)
         with pytest.raises(DomainError):
             cs.Drude(nu_ref_ev=0.0)
+        # omega_p = inf used to fail only in the sum, as a NaN ConvergenceError
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DomainError, match="plasma frequency must be finite"):
+                cs.Drude(omega_p_ev=bad)
+            with pytest.raises(DomainError, match="relaxation frequency must be finite"):
+                cs.Drude(nu_ref_ev=bad)
 
 
 class TestPlasma:
@@ -83,6 +89,9 @@ class TestPlasma:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             cs.eps_plasma(0.0, 9.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DomainError, match="plasma frequency must be finite"):
+                cs.Plasma(omega_p_ev=bad)
 
 
 class TestTabulated:
@@ -126,6 +135,11 @@ class TestTabulated:
             cs.PermittivityTable(np.array([1e14, 1e13]), np.array([5.0, 4.0]))
         with pytest.raises(DomainError):
             cs.PermittivityTable(np.array([1e13, 1e14]), np.array([5.0, 0.9]))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DomainError, match="node 1: zeta must be finite"):
+                cs.PermittivityTable(np.array([1e13, bad]), np.array([5.0, 4.0]))
+            with pytest.raises(DomainError, match="node 0: epsilon must be finite"):
+                cs.PermittivityTable(np.array([1e13, 1e14]), np.array([bad, 4.0]))
         with pytest.raises(DomainError):
             cs.Tabulated(cs.PermittivityTable(np.array([1e13, 1e14]),
                                               np.array([5.0, 4.0])),
@@ -160,6 +174,14 @@ class TestTableFile:
         path = self._write(tmp_path,
                            "zeta_rad_per_s,epsilon\n1e13,900\n1e14,0.5\n")
         with pytest.raises(TableFormatError, match="line 3"):
+            cs.load_permittivity_table(path)
+
+    @pytest.mark.parametrize("row, reason", [("1e13,inf", "epsilon must be finite"),
+                                             ("nan,5", "zeta must be finite")])
+    def test_non_finite_reports_line(self, tmp_path, row, reason):
+        # both rows used to pass the per-line checks
+        path = self._write(tmp_path, f"zeta_rad_per_s,epsilon\n1e12,900\n{row}\n")
+        with pytest.raises(TableFormatError, match=f"line 3: {reason}"):
             cs.load_permittivity_table(path)
 
     def test_non_numeric_reports_line(self, tmp_path):
@@ -198,6 +220,11 @@ class TestBlochGruneisen:
         assert cs.nu_bloch_gruneisen(77.0, const) == 0.035
         with pytest.raises(DomainError):
             cs.nu_bloch_gruneisen(-1.0, const)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DomainError, match="relaxation frequency must be finite"):
+                cs.ConstantRelaxation(bad)
+            with pytest.raises(DomainError, match="temperature must be finite"):
+                const.nu(bad)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -210,6 +237,13 @@ class TestBlochGruneisen:
         bg = cs.BlochGruneisen()
         with pytest.raises(DomainError):
             cs.nu_bloch_gruneisen(0.0, bg)
+        for bad in (np.inf, np.nan):  # t_ref = inf used to raise a bare ValueError
+            with pytest.raises(DomainError, match="reference temperature must be finite"):
+                cs.BlochGruneisen(t_ref=bad)
+            with pytest.raises(DomainError, match="nu_ref must be finite"):
+                cs.BlochGruneisen(nu_ref_ev=bad)
+            with pytest.raises(DomainError, match="temperature must be finite"):
+                bg.nu(bad)
 
     @pytest.mark.parametrize("T", [1.0, 3.0, 10.0, 30.0, 77.0, 170.0, 300.0, 1000.0])
     def test_integral_matches_quadpack(self, T):
@@ -256,6 +290,9 @@ class TestSumRule:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             cs.sum_rule_check(0.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DomainError, match="gamma must be finite"):
+                cs.sum_rule_check(bad)
 
 
 class TestZeroModeProduct:

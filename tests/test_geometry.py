@@ -73,3 +73,8 @@ def test_validation():
         cs.SpherePlateConfig(R=0.0, a=1e-6)
     with pytest.raises(DomainError):
         cs.SpherePlateConfig(R=1e-4, a=-1e-6)
+    for bad in (np.inf, np.nan):  # R = inf used to give a force of -inf
+        with pytest.raises(DomainError, match="sphere radius must be finite"):
+            cs.SpherePlateConfig(R=bad, a=1e-6)
+        with pytest.raises(DomainError, match="distance must be finite"):
+            cs.SpherePlateConfig(R=1e-4, a=bad)

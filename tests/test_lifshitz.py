@@ -418,6 +418,12 @@ class TestTeModeFunction:
         with pytest.raises(DomainError):
             cs.te_mode_function(-1.0, 1e-6, gold)
 
+    @pytest.mark.parametrize("zeta", [math.inf, math.nan])
+    def test_rejects_non_finite_zeta(self, gold, zeta):
+        # zeta = inf used to end in a ConvergenceError with a NaN estimate
+        with pytest.raises(DomainError, match="zeta must be finite and >= 0"):
+            cs.te_mode_function(zeta, 1e-6, gold)
+
 
 class TestSurfaceImpedance:
     def test_vacuum(self):
@@ -442,6 +448,9 @@ class TestSurfaceImpedance:
             cs.surface_impedance(1e14, 0.5e14, 100.0)
         with pytest.raises(DomainError):
             cs.surface_impedance(0.0, 1e14, 100.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="zeta must be finite"):
+                cs.surface_impedance(bad, 1e14, 100.0)
 
 
 class TestRteFromImpedance:

@@ -96,7 +96,7 @@ class TestSignChangeGap:
         a2 = cs.sign_change_gap(gold, bracket=(2.2e-6, 3.3e-6), xtol=1e-9)
         assert abs(a1 - a2) < 2e-9
 
-    @pytest.mark.parametrize("xtol", [1e-30, 0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("xtol", [1e-30, 0.0, -1.0, float("nan"), float("inf")])
     def test_terminates_for_any_xtol(self, monkeypatch, xtol):
         # a difference that is never exactly 0 and changes sign at 2.7 um;
         # about 52 halvings separate 1.5 um from the float spacing there
@@ -108,7 +108,7 @@ class TestSignChangeGap:
             return SimpleNamespace(delta=1.0 if a < 2.7e-6 else -1.0)
 
         monkeypatch.setattr(thermal, "pressure_difference", stub)
-        if xtol > 0:
+        if 0 < xtol < np.inf:
             assert abs(cs.sign_change_gap(None, xtol=xtol) - 2.7e-6) < 1e-21
         else:
             with pytest.raises(DomainError, match="xtol"):
@@ -124,6 +124,14 @@ class TestLowTQuadraticFit:
             cs.lowT_quadratic_fit(1e-6, gold, [50.0, 100.0, 150.0])
         with pytest.raises(DomainError):
             cs.lowT_quadratic_fit(1e-6, gold, [50.0, 75.0, 100.0, 125.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_bad_temperature_rejected_before_any_sum(self, gold, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr(thermal, "free_energy", lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match="temperature must be finite"):
+            cs.lowT_quadratic_fit(1e-6, gold, [50.0, 75.0, 100.0, 125.0, bad])
+        assert calls == []
 
     def test_ideal_metal_is_not_quadratic(self):
         # leading low-T corrections for unit reflectivity are cubic/quartic
@@ -179,6 +187,12 @@ class TestIdealPressureLowT:
         with pytest.warns(ApplicabilityWarning):
             cs.ideal_pressure_lowT(1e-6, 500.0)  # aT = 0.218
 
+    @pytest.mark.parametrize("T", [np.inf, np.nan])
+    def test_rejects_non_finite_temperature(self, T):
+        # T = inf used to return -inf, and nan nan
+        with pytest.raises(DomainError, match="temperature must be finite and >= 0"):
+            cs.ideal_pressure_lowT(1e-6, T)
+
     def test_silent_inside_regime(self):
         import warnings
         with warnings.catch_warnings():
@@ -201,6 +215,11 @@ class TestDominantMode:
     def test_validation(self):
         with pytest.raises(DomainError):
             cs.dominant_mode(-1e-6, 300.0)
+        for bad in (np.inf, np.nan):  # a = inf used to give mode 0
+            with pytest.raises(DomainError, match="gap width must be finite"):
+                cs.dominant_mode(bad, 300.0)
+            with pytest.raises(DomainError, match="temperature must be finite"):
+                cs.dominant_mode(1e-6, bad)
 
 
 class TestTemperatureStructure:
