@@ -29,9 +29,13 @@ model for its matsubara_reflection rule at zeta_m.
 
 Both rules return plain (A, B); only the public reflection_pair and
 zero_frequency_reflection validate them.  With y = m gamma + t every m >= 1
-mode lives on the same t-interval, so a sum is two adaptive integrals: the
-m = 0 term, and the summed integrand of modes 1..M-1, with M set by an
-ideal-reflector bound on the dropped tail.
+mode lives on the same t-interval, so a sum is one adaptive integral over
+the summed integrand of modes 1..M-1, with M set by an ideal-reflector
+bound on the dropped tail, plus the m = 0 term.  When the m = 0 rule gives
+constant A and B, each 0 or 1 (a lossy metal, the ideal reflector), that
+term is (A + B) zeta(3)/4 in closed form, with the sign of the kernel;
+otherwise (plasma) it is a second integral.  Every t-integral starts from
+the same initial panels, graded toward t = 0, where the kernels vary fastest.
 """
 
 from __future__ import annotations
@@ -56,7 +60,12 @@ __all__ = [
     "rte_zero_frequency_comparison",
 ]
 
-_Y_TAIL = 30.0  # width of every y-integral; e^{-2 y} past it is below 1e-26
+# Initial panel edges of every t-integral, graded toward t = 0 where the
+# kernels vary fastest (the plasma m = 0 free energy has a y ln y singularity
+# there, and at low aT so do the first rows); chosen by counting rounds and
+# points over the benchmark's sums.  The last edge is the width of every
+# y-integral: e^{-2 y} past 30 is below 1e-26.
+_T_MESH = np.array([0.0, 1 / 256, 1 / 32, 3 / 16, 0.75, 2.0, 4.5, 9.0, 15.0, 30.0])
 _ROW_BLOCK = 128  # rows evaluated together: bounds the integrand's memory
 _ROW_CAP = 250_000  # most modes one sum may take (1.5 K at 50 nm takes 88k)
 
@@ -132,7 +141,8 @@ class ReflectionPair:
 
     def __post_init__(self):
         for name, X in (("TM", self.A), ("TE", self.B)):
-            if np.any(np.asarray(X) < 0) or np.any(np.asarray(X) > 1):
+            X = np.asarray(X)
+            if not np.all((X >= 0) & (X <= 1)):  # NaN fails too
                 raise DomainError(f"squared {name} coefficient must lie in [0, 1]")
 
 
@@ -142,10 +152,10 @@ def lifshitz_variables(y, m: int, cfg: ThermalGapConfig, eps):
         raise DomainError("lifshitz_variables needs a mode index m >= 1")
     y = np.asarray(y, dtype=float)
     mg = m * cfg.gamma
-    if np.any(y < mg):
+    if not np.all(y >= mg):
         raise DomainError(f"y must be >= m*gamma = {mg:g}")
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps < 1.0):
+    if not np.all(eps >= 1.0):
         raise DomainError("eps must be >= 1 on the imaginary axis")
     p = y / mg
     s = np.sqrt(eps - 1.0 + p * p)
@@ -177,10 +187,11 @@ def zero_frequency_reflection(model: MaterialModel, y, cfg: ThermalGapConfig) ->
     """Analytic m = 0 reflection coefficients, from the model's own rule.
 
     Constant coefficients are returned as plain scalars; keeping A = 1.0
-    scalar lets the integrands use their exact expm1/log forms at y -> 0.
+    scalar lets the integrands use their exact expm1/log forms at y -> 0,
+    and scalar 0s and 1s give the m = 0 term in closed form.
     """
     y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
+    if not np.all(y >= 0):
         raise DomainError("y must be >= 0")
     return ReflectionPair(*_zero_rule(model, cfg)(y))
 
@@ -223,21 +234,31 @@ def _free_energy_kernel(A, B, y):
     return y * (_log_term(A, y) + _log_term(B, y))
 
 
-# An observable: its kernel, its prefactor, and the coefficients of c^2, c, 1
-# in p(c) and q(c) of its ideal-reflector tail bound (see _tail_bound).
+def _te_kernel(A, B, y):
+    return y * _log_term(B, y)
+
+
+# zeta(3)/4 = int_0^inf y^2 e^{-2y}/(1 - e^{-2y}) dy = -int_0^inf y ln(1 - e^{-2y}) dy
+_ZETA3_4 = 0.3005142257898985713
+
+
+# An observable: its kernel, its prefactor, the coefficients of c^2, c, 1 in
+# p(c) and q(c) of its ideal-reflector tail bound (see _tail_bound), and its
+# m = 0 integral per unit TM and per unit TE coefficient.
 _PRESSURE = (_pressure_kernel, lambda cfg: -K_B * cfg.T / (np.pi * cfg.a ** 3),
-             ((0.5, 0.5, 0.25), (0.25, 0.5, 0.375)))
+             ((0.5, 0.5, 0.25), (0.25, 0.5, 0.375)), (_ZETA3_4, _ZETA3_4))
 _FREE_ENERGY = (_free_energy_kernel, lambda cfg: K_B * cfg.T / (2.0 * np.pi * cfg.a ** 2),
-                ((0.0, 0.5, 0.25), (0.0, 0.25, 0.25)))
+                ((0.0, 0.5, 0.25), (0.0, 0.25, 0.25)), (-_ZETA3_4, -_ZETA3_4))
 
 
 def _integrate(model, cfg, zeta, kernel, rel_tol, by_row=False):
-    """Row-summed int kernel(A, B, y) dt over t in [0, _Y_TAIL], y = a zeta / c + t.
+    """Row-summed int kernel(A, B, y) dt over t in [0, 30], y = a zeta / c + t.
 
-    Rows share t, so one adaptive integral holds rel_tol on their sum.  The
-    row zeta = [0] takes the model's m = 0 rule; rows at zeta > 0 bind its
-    m >= 1 rule in p = y c / (a zeta) once per block of _ROW_BLOCK rows.
-    by_row adds each row's integral on the final panels.
+    Rows share t, so one adaptive integral holds rel_tol on their sum; it
+    starts from the panels of _T_MESH.  The row zeta = [0] takes the model's
+    m = 0 rule; rows at zeta > 0 bind its m >= 1 rule in p = y c / (a zeta)
+    once per block of _ROW_BLOCK rows.  by_row adds each row's integral on
+    the final panels.
     """
     zeta = np.asarray(zeta, dtype=float)[:, None]
     zero = zeta[0, 0] == 0.0
@@ -254,19 +275,36 @@ def _integrate(model, cfg, zeta, kernel, rel_tol, by_row=False):
         return sum(k.sum(axis=0) for k in rows(t))
 
     if not by_row:  # the public entry point, where perfbench's tracer hooks in
-        return adaptive_quad(integrand, 0.0, _Y_TAIL, rel_tol=rel_tol)[0]
-    value, _, t, w = _adaptive_rule(integrand, 0.0, _Y_TAIL, rel_tol)
+        return adaptive_quad(integrand, _T_MESH[0], _T_MESH[-1], rel_tol=rel_tol,
+                             points=_T_MESH[1:-1])[0]
+    value, _, t, w = _adaptive_rule(integrand, _T_MESH, rel_tol)
     return value, np.concatenate([k @ w for k in rows(t)])
+
+
+def _mode_integral(model, cfg, zeta, kernel, zero, rel_tol):
+    """int kernel dy of the one row at zeta, without weight or prefactor.
+
+    At zeta = 0, a model whose rule gives constant A and B, each 0 or 1 (a
+    lossy metal, the ideal reflector), has the closed form A unit_A + B unit_B,
+    with zero = (unit_A, unit_B) the kernel's integrals at unit coefficients;
+    any other zero mode (plasma, a coefficient between 0 and 1) is integrated.
+    """
+    if zeta == 0.0:
+        A, B = _zero_rule(model, cfg)(np.zeros(1))
+        if all(np.ndim(X) == 0 and X in (0.0, 1.0) for X in (A, B)):
+            unit_A, unit_B = zero
+            return unit_A * A + unit_B * B
+    return _integrate(model, cfg, [zeta], kernel, rel_tol)
 
 
 def _mode_value(m, cfg, model, quad, observable):
     """prefactor * weight * mode integral; m = 0 carries the half weight."""
-    kernel, prefactor, _ = observable
+    kernel, prefactor, _, zero = observable
     if m < 0:
         raise DomainError(f"mode index must be >= 0, got {m}")
     weight = 0.5 if m == 0 else 1.0
-    return prefactor(cfg) * weight * _integrate(model, cfg, [cfg.matsubara(m)],
-                                                kernel, quad.rel_tol)
+    return prefactor(cfg) * weight * _mode_integral(
+        model, cfg, cfg.matsubara(m), kernel, zero, quad.rel_tol)
 
 
 def mode_pressure(m: int, cfg: ThermalGapConfig, model: MaterialModel,
@@ -323,10 +361,10 @@ def _sum_modes(cfg, model, quad, observable, by_row=False):
     Every term has the sign of the m = 0 term, so stopping at the M whose
     tail bound is rel_tol of that term holds rel_tol on the whole sum.
     """
-    kernel, prefactor, tail = observable
+    kernel, prefactor, tail, zero_unit = observable
     where = f"at T = {cfg.T:g} K, a = {cfg.a:g} m (gamma = {cfg.gamma:.3g})"
     try:
-        zero = 0.5 * _integrate(model, cfg, [0.0], kernel, quad.rel_tol)
+        zero = 0.5 * _mode_integral(model, cfg, 0.0, kernel, zero_unit, quad.rel_tol)
     except ConvergenceError as exc:
         raise ConvergenceError(f"Matsubara mode m = 0 {where}: {exc}",
                                estimate=exc.estimate) from None
@@ -378,14 +416,15 @@ def te_mode_function(zeta: float, a: float, model: MaterialModel,
 
     Evaluated at a continuous imaginary frequency (not only the Matsubara
     nodes), with the lower limit y = a zeta / c.  f(0) uses the analytic
-    zero-frequency coefficient, so a lossy metal gives exactly 0 while an
-    ideal reflector gives -zeta(3)/4.  T only enters through a possible
-    temperature dependence of the relaxation frequency.
+    zero-frequency coefficient and the m = 0 closed form of the sums, so a
+    lossy metal gives exactly 0 and an ideal reflector -zeta(3)/4.  T only
+    enters through a possible temperature dependence of the relaxation
+    frequency.
     """
     if not 0 <= zeta < math.inf:
         raise DomainError(f"zeta must be finite and >= 0, got {zeta}")
-    return _integrate(model, ThermalGapConfig(T=T, a=a), [zeta],
-                      lambda A, B, y: y * _log_term(B, y), quad.rel_tol)
+    return _mode_integral(model, ThermalGapConfig(T=T, a=a), zeta,
+                          _te_kernel, (0.0, -_ZETA3_4), quad.rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +437,9 @@ def surface_impedance(zeta: float, q: float, eps: float) -> float:
     q^2 = (c k_perp)^2 + zeta^2), in rad/s.
     """
     check_positive("zeta", zeta)
-    if q < zeta:
+    if not q >= zeta:
         raise DomainError(f"q must be >= zeta (q^2 = c^2 k_perp^2 + zeta^2), "
-                          f"got q = {q:g} < zeta = {zeta:g}")
+                          f"got q = {q:g} with zeta = {zeta:g}")
     return -zeta / np.sqrt(zeta * zeta * (eps - 1.0) + q * q)
 
 

@@ -2,10 +2,13 @@
 
 The (G7, K15) embedded pair is applied to a worklist of panels; every
 refinement round bisects the panels carrying the largest error estimates,
-so the integrand is always evaluated on one flat array per round.  Panel
-results are summed with math.fsum, which is correctly rounded and
-independent of summation order, so the returned value does not depend on
-the refinement history and is bit-reproducible.
+so the integrand is always evaluated on one flat array per round.  The
+worklist starts from 8 equal panels, or from caller-given breakpoints
+(QUADPACK's ``points``) placed where the integrand varies fastest, so no
+rounds are spent bisecting towards them.  Panel results are summed with
+math.fsum, which is correctly rounded and independent of summation order,
+so the returned value does not depend on the refinement history and is
+bit-reproducible.
 
 Error estimation follows the QUADPACK recipe: the raw |K15 - G7|
 difference is rescaled by the panel's total variation measure so that
@@ -15,7 +18,7 @@ near-singular panels are not trusted optimistically.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -97,24 +100,30 @@ def adaptive_quad(
     *,
     rel_tol: float = 1e-10,
     max_subdivisions: int = 48,
+    points: Sequence[float] | None = None,
 ) -> tuple[float, float]:
     """Integrate a vectorized callable f over [a, b].
 
-    Starts from 8 equal panels and stops once the summed panel error
-    estimates drop below rel_tol * |integral|, or below the smallest normal
-    float, where rel_tol * |integral| may have underflowed.  Each refinement
-    round bisects the panels whose error is within a factor 4 of the current
-    worst, so progress is guaranteed.  Raises ConvergenceError (carrying
-    the best estimate) after ``max_subdivisions`` rounds or 4096 panels.
+    Starts from 8 equal panels, or from the panels between a, the
+    increasing interior breakpoints ``points`` and b, and stops once the
+    summed panel error estimates drop below rel_tol * |integral|, or below
+    the smallest normal float, where rel_tol * |integral| may have
+    underflowed.  Each refinement round bisects the panels whose error is
+    within a factor 4 of the current worst, so progress is guaranteed.
+    Raises ConvergenceError (carrying the best estimate) after
+    ``max_subdivisions`` rounds or 4096 panels.
     """
-    return _adaptive_rule(f, a, b, rel_tol, max_subdivisions)[:2]
+    edges = (np.linspace(a, b, _INITIAL_PANELS + 1) if points is None
+             else np.concatenate(([a], points, [b])))
+    return _adaptive_rule(f, edges, rel_tol, max_subdivisions)[:2]
 
 
-def _adaptive_rule(f, a, b, rel_tol, max_subdivisions=48):
-    """adaptive_quad plus the Kronrod nodes x and weights w of its final panels."""
-    if not b > a:
-        raise ValueError(f"empty integration interval [{a}, {b}]")
-    edges = np.linspace(a, b, _INITIAL_PANELS + 1)
+def _adaptive_rule(f, edges, rel_tol, max_subdivisions=48):
+    """adaptive_quad from the increasing initial panel edges, plus the
+    Kronrod nodes x and weights w of its final panels."""
+    edges = np.asarray(edges, dtype=float)
+    if not np.all(edges[1:] > edges[:-1]):
+        raise ValueError(f"integration edges must increase, got {edges.tolist()}")
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk15_panels(f, lo, hi)
 
@@ -140,7 +149,8 @@ def _adaptive_rule(f, a, b, rel_tol, max_subdivisions=48):
         total = neumaier_sum(vals.tolist())
 
     raise ConvergenceError(
-        f"quadrature did not reach rel_tol={rel_tol:g} on [{a:g}, {b:g}] "
+        f"quadrature did not reach rel_tol={rel_tol:g} "
+        f"on [{edges[0]:g}, {edges[-1]:g}] "
         f"(estimated error {float(errs.sum()):.3e} with {len(lo)} panels)",
         estimate=total,
     )

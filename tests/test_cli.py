@@ -90,9 +90,16 @@ class TestPressureCommand:
         assert "a = 1 um" in capsys.readouterr().err  # row context
 
     def test_zero_mode_failure_names_mode_and_temperature(self, capsys):
-        assert run_cli("pressure", "--gap", "1.0", "--rel-tol", "1e-30") == 3
+        # the plasma zero mode is integrated; a lossy metal's has a closed form
+        assert run_cli("pressure", "--gap", "1.0", "--rel-tol", "1e-30",
+                       "--model", "plasma") == 3
         err = capsys.readouterr().err
         assert "m = 0" in err and "T = 300 K" in err
+
+    def test_row_failure_names_modes_and_temperature(self, capsys):
+        assert run_cli("pressure", "--gap", "1.0", "--rel-tol", "1e-30") == 3
+        err = capsys.readouterr().err
+        assert "m = 1.." in err and "m = 0" not in err and "T = 300 K" in err
 
     def test_hopeless_sum_exits_three(self, capsys):
         # 1 mK at 10 nm would need about 8e8 Matsubara modes
@@ -221,7 +228,10 @@ class TestLowTempCommand:
         assert columns == ["zeta_a_over_c", "f_te"]
         assert len(rows) == 6
         assert rows[0][0] == 0.0 and rows[0][1] == 0.0  # Drude f(0) = 0
-        spot = cs.te_mode_function(0.3 * cs.C / 1e-6, 1e-6, gold)
+        # pin the grid from outside the CLI: linspace's 0.30000000000000004
+        x = np.linspace(0.0, 0.5, 6)[3]
+        assert rows[3][0] == x
+        spot = cs.te_mode_function(x * cs.C / 1e-6, 1e-6, gold)
         assert rows[3][1] == spot
         # default 50..150 K grid sits in the linear crossover: fit rejected
         assert meta["fit_status"].startswith("rejected")

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import zeta
 
 import casimir as cs
-from casimir import lifshitz
+from casimir import lifshitz, quadrature
 from casimir.errors import (ConvergenceError, DomainError, TableRangeError,
                             UnsupportedModelError)
 from casimir.lifshitz import _reflection_sq
@@ -94,6 +94,16 @@ class TestLifshitzVariables:
         with pytest.raises(DomainError):
             cs.lifshitz_variables(2.0, 0, cfg, 2526.0)
 
+    def test_nan_rejected(self):
+        # every comparison with NaN is false, so a "< bound" test lets it through
+        cfg = cfg_gamma(0.825)
+        with pytest.raises(DomainError, match="eps must be >= 1"):
+            cs.lifshitz_variables(2.0, 1, cfg, math.nan)
+        with pytest.raises(DomainError, match="eps must be >= 1"):
+            cs.lifshitz_variables([2.0, 3.0], 1, cfg, [2526.0, math.nan])
+        with pytest.raises(DomainError, match="y must be >="):
+            cs.lifshitz_variables([2.0, math.nan], 1, cfg, 2526.0)
+
 
 class TestReflectionPair:
     def test_vacuum_reflects_nothing(self):
@@ -120,6 +130,14 @@ class TestReflectionPair:
         assert np.all((A >= 0.0) & (A <= 1.0))
         assert np.all((B >= 0.0) & (B <= 1.0))
         assert np.all(B <= A + 1e-12)
+
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError, match="eps must be >= 1"):
+            cs.reflection_pair(2.0, 1, cs.ThermalGapConfig(T=300, a=1e-6), math.nan)
+        with pytest.raises(DomainError, match="TM coefficient"):
+            cs.ReflectionPair(math.nan, 0.5)
+        with pytest.raises(DomainError, match="TE coefficient"):
+            cs.ReflectionPair(0.5, np.array([0.5, math.nan]))
 
     def test_stable_when_eps_near_one(self):
         # the naive (s - p) difference would lose every digit here
@@ -191,6 +209,11 @@ class TestZeroFrequencyReflection:
         cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
         with pytest.raises(DomainError):
             cs.zero_frequency_reflection(Overreflecting(), 1.0, cfg)
+
+    def test_nan_y_rejected(self, gold):
+        cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
+        with pytest.raises(DomainError, match="y must be >= 0"):
+            cs.zero_frequency_reflection(gold, [1.0, math.nan], cfg)
 
     def test_sums_build_no_reflection_pair(self, gold, monkeypatch):
         # validation belongs to the public wrappers, not the engine's inner loop
@@ -353,7 +376,7 @@ class TestMatsubaraTruncation:
         cfg = cs.ThermalGapConfig(T=T, a=1e-6)
         model = self.model(name, gold)
         M = cs.total_pressure(cfg, model).m_used
-        for mode_fn, (kernel, prefactor, coeffs) in (
+        for mode_fn, (kernel, prefactor, coeffs, zero) in (
                 (cs.mode_pressure, lifshitz._PRESSURE),
                 (cs.mode_free_energy, lifshitz._FREE_ENERGY)):
             tail = fsum_modes(mode_fn, cfg, model, start=M, stop=1e-4)
@@ -370,6 +393,48 @@ class TestMatsubaraTruncation:
         F = fsum_modes(cs.mode_free_energy, cfg, model, fine)
         assert cs.total_pressure(cfg, model).total == pytest.approx(P, rel=1e-10)
         assert cs.free_energy(cfg, model) == pytest.approx(F, rel=1e-10)
+
+
+class TestWorkCount:
+    """GK15 panel evaluations of whole sums, pinned at their measured values:
+    an integrated constant zero mode or a coarser initial mesh fails here."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Lists of the first frequency of each integral and of the panels
+        evaluated per refinement round, filled as sums run."""
+        integrals, panels = [], []
+        integrate, gk15 = lifshitz._integrate, quadrature._gk15_panels
+
+        def counting_integrate(model, cfg, zeta, *args, **kwargs):
+            integrals.append(float(zeta[0]))
+            return integrate(model, cfg, zeta, *args, **kwargs)
+
+        def counting_gk15(f, lo, hi):
+            panels.append(len(lo))
+            return gk15(f, lo, hi)
+
+        monkeypatch.setattr(lifshitz, "_integrate", counting_integrate)
+        monkeypatch.setattr(quadrature, "_gk15_panels", counting_gk15)
+        return integrals, panels
+
+    def test_room_temperature_sum_is_one_round_of_one_integral(self, gold, monkeypatch):
+        integrals, panels = self.record(monkeypatch)
+        cs.free_energy(cs.ThermalGapConfig(T=300.0, a=1e-6), gold)
+        assert len(integrals) == 1 and integrals[0] > 0.0  # no m = 0 integral
+        assert panels == [9]  # the graded mesh converges without refinement
+
+    def test_plasma_zero_mode_is_integrated(self, monkeypatch):
+        integrals, _ = self.record(monkeypatch)
+        cs.free_energy(cs.ThermalGapConfig(T=300.0, a=1e-6), cs.Plasma())
+        assert len(integrals) == 2 and integrals[0] == 0.0
+
+    def test_cryogenic_rows_take_135_points_each(self, gold, monkeypatch):
+        # 88k rows share the t-points; the first rows vary fastest near t = 0
+        integrals, panels = self.record(monkeypatch)
+        cs.free_energy(cs.ThermalGapConfig(T=1.5, a=50e-9), gold)
+        assert len(integrals) == 1
+        assert 15 * sum(panels) == 135 <= 200
 
 
 class TestFreeEnergy:
@@ -451,6 +516,12 @@ class TestSurfaceImpedance:
         for bad in (math.inf, math.nan):
             with pytest.raises(DomainError, match="zeta must be finite"):
                 cs.surface_impedance(bad, 1e14, 100.0)
+
+    def test_nan_q_rejected(self):
+        with pytest.raises(DomainError, match="q must be >= zeta"):
+            cs.surface_impedance(1e14, math.nan, 5.0)
+        with pytest.raises(DomainError, match="q must be >= zeta"):
+            cs.rte_from_impedance(1e14, math.nan, 5.0)
 
 
 class TestRteFromImpedance:

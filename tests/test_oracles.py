@@ -3,12 +3,14 @@
 The classical zeta(3) limits are tested in test_lifshitz.py; these oracles
 cover what no closed form does: the squared reflection coefficients where
 eps -> 1 or p -> 1 make the textbook form cancel, and complete Matsubara mode
-integrals of gold and of the plasma zero mode.
+integrals of gold and of the plasma zero mode, and the closed form that
+replaces the zero-mode integral when both coefficients are constant 0 or 1.
 """
 
 import itertools
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import casimir as cs
@@ -84,3 +86,26 @@ def test_mode_integral_against_mp_quad(gold, observable, name, m, T):
     mode_fn = cs.mode_pressure if observable == "pressure" else cs.mode_free_energy
     assert mode_fn(m, cfg, model, FINE) == pytest.approx(
         mode_mp(m, cfg, model, observable), rel=1e-12)
+
+
+def zero_mode_models(gold):
+    zs = np.geomspace(1e11, 1e17, 100)
+    table = cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold)), "drude_like")
+    return {"drude": gold, "ideal": cs.Ideal(), "drude_like": table}
+
+
+@pytest.mark.parametrize("a", [0.3e-6, 1e-6])
+@pytest.mark.parametrize("name", ["drude", "ideal", "drude_like"])
+def test_constant_zero_mode_is_zeta3_closed_form(gold, name, a):
+    # (A + B) zeta(3)/4 per mode integral with the half weight of m = 0
+    cfg = cs.ThermalGapConfig(T=300.0, a=a)
+    model = zero_mode_models(gold)[name]
+    pair = cs.zero_frequency_reflection(model, 1.0, cfg)
+    with mp.workdps(30):
+        kT, a_mp = mp.mpf(cs.K_B) * mp.mpf(cfg.T), mp.mpf(a)
+        zero = (mp.mpf(pair.A) + mp.mpf(pair.B)) * mp.zeta(3) / 8
+        pressure = -kT / (mp.pi * a_mp ** 3) * zero
+        free_energy = -kT / (2 * mp.pi * a_mp ** 2) * zero
+        for value, ref in ((cs.mode_pressure(0, cfg, model), pressure),
+                           (cs.mode_free_energy(0, cfg, model), free_energy)):
+            assert abs((value - ref) / ref) <= 1e-15

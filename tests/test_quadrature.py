@@ -1,5 +1,6 @@
 """The adaptive Gauss-Kronrod integrator against closed-form oracles."""
 
+import math
 import os
 import subprocess
 import sys
@@ -39,6 +40,28 @@ def test_log_endpoint_singularity():
 
     val, _ = adaptive_quad(f, 0.0, 30.0)
     assert val == pytest.approx(-ZETA3 / 4.0, rel=1e-9)
+
+
+def test_breakpoints_at_the_singularity_save_rounds():
+    # the y ln y end of -zeta(3)/4, the m = 0 free energy of one polarization
+    rounds = []
+
+    def f(y):
+        rounds.append(len(y))
+        return y * np.log(-np.expm1(-2.0 * y))
+
+    val, _ = adaptive_quad(f, 0.0, 30.0, points=[1 / 64, 1 / 16, 1 / 4, 1, 3, 8])
+    assert val == pytest.approx(-ZETA3 / 4.0, rel=1e-9)
+    graded = len(rounds)
+    rounds.clear()
+    adaptive_quad(f, 0.0, 30.0)
+    assert graded < len(rounds)
+
+
+def test_breakpoints_must_increase_inside_the_interval():
+    for points in ([2.0, 1.0], [0.0], [5.0], [math.nan]):
+        with pytest.raises(ValueError):
+            adaptive_quad(lambda x: x, 0.0, 5.0, points=points)
 
 
 def test_agrees_with_scipy_quadpack():
