@@ -40,8 +40,9 @@ import numpy as np
 from . import __version__
 from .constants import C, CONSTANTS_VERSION
 from .dispersion import (BlochGruneisen, Drude, Ideal, MaterialModel, Plasma,
-                         Tabulated, load_permittivity_table)
-from .errors import CasimirError, ConfigError, ConvergenceError, DomainError, FitError
+                         Tabulated, _reflection_sq, load_permittivity_table)
+from .errors import (CasimirError, ConfigError, ConvergenceError, DomainError, FitError,
+                     TableRangeError, UnsupportedModelError)
 from .geometry import _pfa_row
 from .lifshitz import (QuadratureSettings, ThermalGapConfig, rte_from_impedance,
                        rte_zero_frequency_comparison, te_mode_function, total_pressure)
@@ -362,24 +363,26 @@ def cmd_lowtemp(cfg: RunConfig) -> SweepOutput:
 
 def cmd_impedance_check(cfg: RunConfig) -> SweepOutput:
     """Squared TE reflection: impedance form vs. permittivity form."""
-    from .lifshitz import _reflection_sq  # same algebra the engine uses
-
-    if isinstance(cfg.model, Ideal):
-        raise ConfigError("model: impedance-check needs a dispersive model")
+    T = cfg.temps[0]
     zetas = np.geomspace(1e12, 1e16, 20)
+    try:  # every eps the command uses, before any of it is used
+        eps_grid = cfg.model.eps(np.concatenate((_ZETA_SEQ, zetas)), T)[len(_ZETA_SEQ):]
+    except (UnsupportedModelError, TableRangeError) as exc:
+        raise ConfigError(f"model: impedance-check evaluates eps from {_ZETA_SEQ[-1]:g} "
+                          f"to {zetas[-1]:g} rad/s: {exc}") from None
     p_values = np.geomspace(1.0, 100.0, 20)
     rows = []
     max_dev = 0.0
-    for zeta in zetas:
-        eps = cfg.model.eps(zeta, cfg.temps[0])
+    for zeta, eps in zip(zetas, eps_grid):
         for p in p_values:
             q = p * zeta
             r = rte_from_impedance(zeta, q, eps)
-            _, B = _reflection_sq(eps, p)
+            _, B = _reflection_sq(eps, p)  # same algebra the engine uses
             dev = float(abs(r * r - B))
             max_dev = max(max_dev, dev)
             rows.append((float(zeta), float(q), float(B), float(r * r), float(dev)))
-    lim_momentum, lim_freq = rte_zero_frequency_comparison(cfg.model, cfg.q_fixed, _ZETA_SEQ)
+    lim_momentum, lim_freq = rte_zero_frequency_comparison(cfg.model, cfg.q_fixed,
+                                                           _ZETA_SEQ, T)
     meta = _base_meta(cfg)
     meta["max_abs_deviation"] = repr(max_dev)
     meta["zero_freq_q_rad_s"] = f"{cfg.q_fixed:g}"

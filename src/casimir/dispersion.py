@@ -113,9 +113,8 @@ def _bg_integral(u: float) -> float:
     it is below double precision of the total, so the upper limit is
     min(u, 80).  The Kronrod nodes never touch x = 0, where the form is 0/0.
     """
-    val, _ = adaptive_quad(lambda x: x**5 / (4.0 * np.sinh(0.5 * x) ** 2),
-                           0.0, min(u, 80.0), rel_tol=1e-13)
-    return val
+    return adaptive_quad(lambda x: x**5 / (4.0 * np.sinh(0.5 * x) ** 2),
+                         0.0, min(u, 80.0), rel_tol=1e-13)[0]
 
 
 @dataclass(frozen=True)
@@ -351,9 +350,11 @@ def eps_plasma(zeta, omega_p_ev: float):
 def eps_tabulated(zeta, table: PermittivityTable):
     """Log-log interpolation of tabulated eps(i zeta); exact at the nodes."""
     zeta_arr = np.asarray(zeta, dtype=float)
-    if np.any(zeta_arr < table.zeta_min) or np.any(zeta_arr > table.zeta_max):
+    outside = (zeta_arr < table.zeta_min) | (zeta_arr > table.zeta_max)
+    if np.any(outside):
         raise TableRangeError(
-            f"zeta outside table range [{table.zeta_min:g}, {table.zeta_max:g}]")
+            f"zeta outside table range [{table.zeta_min:g}, {table.zeta_max:g}]",
+            zeta=float(zeta_arr[outside].min()))
     log_em1 = np.interp(np.log(zeta_arr), table._log_z, table._log_em1)
     out = 1.0 + np.exp(log_em1)
     # guarantee bit-exact reproduction of the nodes
@@ -384,7 +385,7 @@ def sum_rule_check(gamma_spectral: float) -> float:
     """
     check_positive("gamma", gamma_spectral)
     g = float(gamma_spectral)
-    val, _ = adaptive_quad(lambda w: drude_spectral_function(w, g), 0.0, 100.0 * g)
+    val = adaptive_quad(lambda w: drude_spectral_function(w, g), 0.0, 100.0 * g)[0]
     tail = (2.0 / np.pi) * (0.5 * np.pi - np.arctan(100.0))
     return val + tail
 

@@ -20,7 +20,14 @@ def check_positive(what: str, value: float) -> None:
 
 
 class TableRangeError(DomainError):
-    """A frequency falls outside a permittivity table (no extrapolation)."""
+    """A frequency falls outside a permittivity table (no extrapolation).
+
+    Carries the lowest out-of-range frequency (rad/s) in ``zeta`` when known.
+    """
+
+    def __init__(self, message: str, zeta: float | None = None):
+        super().__init__(message)
+        self.zeta = zeta
 
 
 class UnsupportedModelError(CasimirError, TypeError):

@@ -49,7 +49,7 @@ from .constants import C, HBAR, K_B
 from .dispersion import MaterialModel, _reflection_sq
 from .errors import (ConvergenceError, DomainError, TableRangeError,
                      UnsupportedModelError, check_positive)
-from .quadrature import _adaptive_rule, adaptive_quad
+from .quadrature import adaptive_quad
 
 __all__ = [
     "ThermalGapConfig", "QuadratureSettings", "ReflectionPair",
@@ -254,11 +254,11 @@ _FREE_ENERGY = (_free_energy_kernel, lambda cfg: K_B * cfg.T / (2.0 * np.pi * cf
 def _integrate(model, cfg, zeta, kernel, rel_tol, by_row=False):
     """Row-summed int kernel(A, B, y) dt over t in [0, 30], y = a zeta / c + t.
 
-    Rows share t, so one adaptive integral holds rel_tol on their sum; it
+    Rows share t, so one adaptive_quad call holds rel_tol on their sum; it
     starts from the panels of _T_MESH.  The row zeta = [0] takes the model's
     m = 0 rule; rows at zeta > 0 bind its m >= 1 rule in p = y c / (a zeta)
     once per block of _ROW_BLOCK rows.  by_row adds each row's integral on
-    the final panels.
+    the final panel rule that adaptive_quad returns.
     """
     zeta = np.asarray(zeta, dtype=float)[:, None]
     zero = zeta[0, 0] == 0.0
@@ -274,10 +274,10 @@ def _integrate(model, cfg, zeta, kernel, rel_tol, by_row=False):
     def integrand(t):
         return sum(k.sum(axis=0) for k in rows(t))
 
-    if not by_row:  # the public entry point, where perfbench's tracer hooks in
-        return adaptive_quad(integrand, _T_MESH[0], _T_MESH[-1], rel_tol=rel_tol,
-                             points=_T_MESH[1:-1])[0]
-    value, _, t, w = _adaptive_rule(integrand, _T_MESH, rel_tol)
+    value, _, t, w = adaptive_quad(integrand, _T_MESH[0], _T_MESH[-1],
+                                   rel_tol=rel_tol, points=_T_MESH[1:-1])
+    if not by_row:
+        return value
     return value, np.concatenate([k @ w for k in rows(t)])
 
 
@@ -346,15 +346,6 @@ def _smallest(ok, lo, hi):
     return hi
 
 
-def _rejects(model, zeta, T):
-    """Whether the model's m >= 1 rule rejects the frequencies (a short table)."""
-    try:
-        model.matsubara_reflection(zeta[:, None], T)
-    except TableRangeError:
-        return True
-    return False
-
-
 def _sum_modes(cfg, model, quad, observable, by_row=False):
     """Primed Matsubara sum: prefactor, m = 0 term and the rows m = 1..M-1.
 
@@ -378,9 +369,10 @@ def _sum_modes(cfg, model, quad, observable, by_row=False):
         return prefactor(cfg), zero, _integrate(model, cfg, zeta, kernel,
                                                 quad.rel_tol, by_row)
     except TableRangeError as exc:
-        if not _rejects(model, zeta, cfg.T):  # raised by the rule, not its binding
+        if exc.zeta is None:  # not a table lookup: nothing names the mode
             raise
-        m = _smallest(lambda n: _rejects(model, zeta[:n], cfg.T), 0, len(zeta))
+        # rows ascend and bind in order, so exc.zeta is the first failing row
+        m = int(np.searchsorted(zeta, exc.zeta)) + 1
         raise TableRangeError(f"Matsubara mode m = {m} at T = {cfg.T:g} K has "
                               f"zeta_m = {zeta[m - 1]:.4g} rad/s: {exc}") from None
     except ConvergenceError as exc:
@@ -455,7 +447,7 @@ def rte_from_impedance(zeta: float, q: float, eps: float) -> float:
     return -(1.0 + Z * p) / (1.0 - Z * p)
 
 
-def rte_zero_frequency_comparison(model, q_fixed: float, zeta_sequence):
+def rte_zero_frequency_comparison(model, q_fixed: float, zeta_sequence, T: float = 300.0):
     """Contrast the zeta -> 0 TE reflection under two impedance models.
 
     Takes a decreasing sequence of frequencies and returns the squared
@@ -469,7 +461,7 @@ def rte_zero_frequency_comparison(model, q_fixed: float, zeta_sequence):
     both inserted at the true p = q/zeta.  For a lossy metal the limits
     differ qualitatively: (i) -> 0 while (ii) -> 1, which is why a
     frequency-only impedance cannot be used at finite temperature.  For
-    the plasma model both agree and stay finite.
+    the plasma model both agree and stay finite.  eps is taken at T (K).
     """
     zs = np.asarray(zeta_sequence, dtype=float)
     if zs.ndim != 1 or len(zs) == 0:
@@ -481,7 +473,7 @@ def rte_zero_frequency_comparison(model, q_fixed: float, zeta_sequence):
     if not q_fixed >= zs[0]:
         raise DomainError("q_fixed must be >= every zeta in the sequence")
     zeta = zs[-1]
-    eps = model.eps(zeta)
+    eps = model.eps(zeta, T)
     r_momentum = rte_from_impedance(zeta, q_fixed, eps)
     p = q_fixed / zeta
     Z_freq = -1.0 / np.sqrt(eps)

@@ -8,7 +8,9 @@ worklist starts from 8 equal panels, or from caller-given breakpoints
 rounds are spent bisecting towards them.  Panel results are summed with
 math.fsum, which is correctly rounded and independent of summation order,
 so the returned value does not depend on the refinement history and is
-bit-reproducible.
+bit-reproducible.  adaptive_quad, the one entry point, also returns the
+Kronrod nodes and weights of its final panels, so a caller can integrate
+related functions (the Lifshitz per-mode rows) on the converged rule.
 
 Error estimation follows the QUADPACK recipe: the raw |K15 - G7|
 difference is rescaled by the panel's total variation measure so that
@@ -59,6 +61,7 @@ _WK = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _WG_FULL = np.concatenate((_WG[:-1], _WG[::-1]))  # weights for nodes 1,3,...,13
 
 _INITIAL_PANELS = 8
+_MAX_ROUNDS = 48
 _MAX_PANELS = 4096
 _TINY = np.finfo(float).tiny  # error estimates below it count as converged
 
@@ -99,9 +102,8 @@ def adaptive_quad(
     b: float,
     *,
     rel_tol: float = 1e-10,
-    max_subdivisions: int = 48,
     points: Sequence[float] | None = None,
-) -> tuple[float, float]:
+) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Integrate a vectorized callable f over [a, b].
 
     Starts from 8 equal panels, or from the panels between a, the
@@ -110,25 +112,20 @@ def adaptive_quad(
     the smallest normal float, where rel_tol * |integral| may have
     underflowed.  Each refinement round bisects the panels whose error is
     within a factor 4 of the current worst, so progress is guaranteed.
-    Raises ConvergenceError (carrying the best estimate) after
-    ``max_subdivisions`` rounds or 4096 panels.
+    Returns (value, error estimate, x, w), where x and w are the Kronrod
+    nodes and weights of the final panels: w @ g(x) applies the converged
+    rule to another integrand g.  Raises ConvergenceError (carrying the
+    best estimate) after 48 rounds or 4096 panels.
     """
     edges = (np.linspace(a, b, _INITIAL_PANELS + 1) if points is None
              else np.concatenate(([a], points, [b])))
-    return _adaptive_rule(f, edges, rel_tol, max_subdivisions)[:2]
-
-
-def _adaptive_rule(f, edges, rel_tol, max_subdivisions=48):
-    """adaptive_quad from the increasing initial panel edges, plus the
-    Kronrod nodes x and weights w of its final panels."""
-    edges = np.asarray(edges, dtype=float)
     if not np.all(edges[1:] > edges[:-1]):
         raise ValueError(f"integration edges must increase, got {edges.tolist()}")
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk15_panels(f, lo, hi)
 
     total = neumaier_sum(vals.tolist())
-    for _ in range(max_subdivisions):
+    for _ in range(_MAX_ROUNDS):
         err_total = float(errs.sum())
         if err_total <= rel_tol * abs(total) or err_total < _TINY:
             half = 0.5 * (hi - lo)[:, None]

@@ -126,6 +126,18 @@ class TestDiffCommand:
         f = cs.free_energy_difference(0.4e-6, gold)
         assert rows[0][2] == f.delta
 
+    def test_bloch_gruneisen_model_matches_library(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run_cli("diff", "--nu-model", "bg", "--theta-d", "200", "--nu", "0.04",
+                       "--gap", "1.0", "--out", str(out)) == 0
+        meta, _, rows = read_csv(out)
+        assert meta["model"] == ("drude(omega_p=9 eV, nu_bg(ref=0.04 eV @300K, "
+                                 "theta_d=200 K))")
+        model = cs.Drude(nu_ref_ev=0.04,
+                         relaxation=cs.BlochGruneisen(theta_d=200.0, nu_ref_ev=0.04))
+        assert rows[0][1] == cs.pressure_difference(1e-6, model).delta * 1e3
+        assert rows[0][2] == cs.free_energy_difference(1e-6, model).delta
+
     def test_wrong_temperature_count_rejected(self):
         assert run_cli("diff", "--gap", "1.0", "--temp", "300") == 2
 
@@ -236,6 +248,20 @@ class TestLowTempCommand:
         # default 50..150 K grid sits in the linear crossover: fit rejected
         assert meta["fit_status"].startswith("rejected")
 
+    def test_accepted_fit_matches_library(self, tmp_path):
+        # a weak plasma frequency at 0.1 um and 5..15 K is quadratic in T
+        temps = [5.0, 7.0, 9.0, 11.0, 13.0, 15.0]
+        out = tmp_path / "lt.csv"
+        assert run_cli("lowtemp", "--omega-p", "0.2", "--gap", "0.1",
+                       *(arg for t in temps for arg in ("--temp", f"{t:g}")),
+                       "--out", str(out)) == 0
+        meta, _, _ = read_csv(out)
+        assert meta["fit_status"] == "ok"
+        fit = cs.lowT_quadratic_fit(0.1e-6, cs.Drude(omega_p_ev=0.2), temps)
+        assert meta["fit_F0_J_m2"] == repr(fit.F0)
+        assert meta["fit_coeff_eV"] == repr(fit.coeff)
+        assert meta["fit_residual"] == repr(fit.residual)
+
     def test_gap_sweep_rejected(self, capsys):
         assert run_cli("lowtemp", "--gap-range", "0.5:1:2") == 2
         assert "gap-range" in capsys.readouterr().err
@@ -250,6 +276,18 @@ class TestImpedanceCheckCommand:
         assert float(meta["max_abs_deviation"]) < 1e-12
         assert float(meta["zero_freq_limit_momentum_dependent"]) < 1e-3
         assert float(meta["zero_freq_limit_frequency_only"]) > 1.0 - 1e-3
+
+    def test_zero_frequency_limits_at_given_temperature(self, tmp_path, gold_bg):
+        # the Bloch-Grueneisen eps(i 1e8 rad/s) is 1.2e11 at 100 K, 3.5e10 at 300 K
+        out = tmp_path / "imp.csv"
+        assert run_cli("impedance-check", "--nu-model", "bg", "--temp", "100",
+                       "--out", str(out)) == 0
+        meta, _, _ = read_csv(out)
+        limits = cs.rte_zero_frequency_comparison(gold_bg, 1e17, cli._ZETA_SEQ, T=100.0)
+        assert meta["zero_freq_limit_momentum_dependent"] == repr(float(limits[0]))
+        assert meta["zero_freq_limit_frequency_only"] == repr(float(limits[1]))
+        at_300 = cs.rte_zero_frequency_comparison(gold_bg, 1e17, cli._ZETA_SEQ)
+        assert limits[1] != at_300[1]
 
     def test_ideal_model_rejected(self):
         assert run_cli("impedance-check", "--model", "ideal") == 2
@@ -328,6 +366,18 @@ class TestTableModel:
         _, _, rows_t = read_csv(out_t)
         _, _, rows_d = read_csv(out_d)
         assert rows_t[0][1] == pytest.approx(rows_d[0][1], rel=1e-3)
+
+    def test_impedance_check_rejects_short_table_before_computing(
+            self, tmp_path, gold, capsys, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("impedance grid computed")
+
+        monkeypatch.setattr(cli, "rte_from_impedance", no_grid)
+        table = self.make_table(tmp_path, gold)  # starts at 1e12 rad/s
+        assert run_cli("impedance-check", "--model", "table", "--table", str(table)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("casimir: configuration error: model:")
+        assert "1e+08" in err
 
     def test_missing_table_flag_rejected(self):
         assert run_cli("pressure", "--gap", "1.0", "--model", "table") == 2

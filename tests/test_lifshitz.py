@@ -429,6 +429,21 @@ class TestWorkCount:
         cs.free_energy(cs.ThermalGapConfig(T=300.0, a=1e-6), cs.Plasma())
         assert len(integrals) == 2 and integrals[0] == 0.0
 
+    @pytest.mark.parametrize("model, calls", [(cs.gold_drude(), 1), (cs.Plasma(), 2)],
+                             ids=["drude", "plasma"])
+    def test_every_integral_goes_through_adaptive_quad(self, monkeypatch, model, calls):
+        # the per-mode pressure rows come from the rule adaptive_quad returns
+        seen = []
+        quad = lifshitz.adaptive_quad
+
+        def counting_quad(*args, **kwargs):
+            seen.append(args)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(lifshitz, "adaptive_quad", counting_quad)
+        cs.total_pressure(cs.ThermalGapConfig(T=300.0, a=1e-6), model)
+        assert len(seen) == calls
+
     def test_cryogenic_rows_take_135_points_each(self, gold, monkeypatch):
         # 88k rows share the t-points; the first rows vary fastest near t = 0
         integrals, panels = self.record(monkeypatch)
