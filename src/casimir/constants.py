@@ -4,17 +4,9 @@ All internal computations use SI: lengths in meters, temperatures in K,
 (imaginary) frequencies in rad/s, pressures in Pa, free energies in J/m^2.
 Material parameters (plasma and relaxation frequencies) are quoted in eV
 and converted via hbar.
-
-For testing only, the environment variable ``CASIMIR_CONSTANTS`` may point
-to a JSON file overriding the values below, e.g.
-``{"version": "test", "hbar_J_s": 1.0e-34}``.  The file is read once at
-import time.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 CONSTANTS_VERSION = "CODATA-2018"
 
@@ -22,17 +14,6 @@ HBAR = 1.054571817e-34  # J s
 C = 2.99792458e8        # m / s
 K_B = 1.380649e-23      # J / K
 EV = 1.602176634e-19    # J
-
-_override = os.environ.get("CASIMIR_CONSTANTS")
-if _override:
-    with open(_override, encoding="utf-8") as _fh:
-        _values = json.load(_fh)
-    CONSTANTS_VERSION = str(_values.get("version", "custom"))
-    HBAR = float(_values.get("hbar_J_s", HBAR))
-    C = float(_values.get("c_m_s", C))
-    K_B = float(_values.get("k_B_J_K", K_B))
-    EV = float(_values.get("eV_J", EV))
-    del _values, _fh
 
 # 1 eV on the imaginary frequency axis, in rad/s (~1.519e15 rad/s per eV)
 EV_TO_RAD_S = EV / HBAR

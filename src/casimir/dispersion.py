@@ -350,7 +350,7 @@ def eps_plasma(zeta, omega_p_ev: float):
 def eps_tabulated(zeta, table: PermittivityTable):
     """Log-log interpolation of tabulated eps(i zeta); exact at the nodes."""
     zeta_arr = np.asarray(zeta, dtype=float)
-    outside = (zeta_arr < table.zeta_min) | (zeta_arr > table.zeta_max)
+    outside = ~((zeta_arr >= table.zeta_min) & (zeta_arr <= table.zeta_max))  # NaN too
     if np.any(outside):
         raise TableRangeError(
             f"zeta outside table range [{table.zeta_min:g}, {table.zeta_max:g}]",

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package, and its one positivity check."""
+"""Exception hierarchy shared across the package, and the input checks that raise it."""
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 class CasimirError(Exception):
@@ -17,6 +19,14 @@ def check_positive(what: str, value: float) -> None:
     """Raise DomainError naming what unless value is finite and > 0."""
     if not 0 < value < math.inf:
         raise DomainError(f"{what} must be finite and > 0, got {value}")
+
+
+def check_eps(eps):
+    """eps(i zeta) as a float array; DomainError unless every value is >= 1."""
+    eps = np.asarray(eps, dtype=float)
+    if not np.all(eps >= 1.0):  # NaN fails too
+        raise DomainError("eps must be >= 1 on the imaginary axis")
+    return eps
 
 
 class TableRangeError(DomainError):

@@ -41,14 +41,15 @@ the same initial panels, graded toward t = 0, where the kernels vary fastest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .constants import C, HBAR, K_B
 from .dispersion import MaterialModel, _reflection_sq
 from .errors import (ConvergenceError, DomainError, TableRangeError,
-                     UnsupportedModelError, check_positive)
+                     UnsupportedModelError, check_eps, check_positive)
 from .quadrature import adaptive_quad
 
 __all__ = [
@@ -67,7 +68,7 @@ __all__ = [
 # y-integral: e^{-2 y} past 30 is below 1e-26.
 _T_MESH = np.array([0.0, 1 / 256, 1 / 32, 3 / 16, 0.75, 2.0, 4.5, 9.0, 15.0, 30.0])
 _ROW_BLOCK = 128  # rows evaluated together: bounds the integrand's memory
-_ROW_CAP = 250_000  # most modes one sum may take (1.5 K at 50 nm takes 88k)
+_ROW_CAP = 250_000  # most modes one sum may take (1.5 K at 50 nm takes 94,141)
 
 
 @dataclass(frozen=True)
@@ -119,14 +120,23 @@ class PressureResult:
     """
 
     total: float
-    per_mode: tuple
     m_used: int
+    _contributions: object = field(repr=False, compare=False)  # () -> the M terms
+
+    @cached_property  # evaluated on the sum's final panel rule when first read
+    def per_mode(self) -> tuple:
+        c = self._contributions()
+        shares = 100.0 * c / self.total if self.total != 0.0 else 0.0 * c
+        return tuple(zip(range(self.m_used), c.tolist(), shares.tolist()))
 
     def fraction(self, m: int) -> float:
         """Percentage contribution of mode m (0 if beyond the modes used)."""
-        if m < len(self.per_mode):
+        if m < self.m_used:
             return self.per_mode[m][2]
         return 0.0
+
+    def __getstate__(self):  # pickles and copies hold the table, not the callable
+        return dict(vars(self), per_mode=self.per_mode, _contributions=None)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +164,7 @@ def lifshitz_variables(y, m: int, cfg: ThermalGapConfig, eps):
     mg = m * cfg.gamma
     if not np.all(y >= mg):
         raise DomainError(f"y must be >= m*gamma = {mg:g}")
-    eps = np.asarray(eps, dtype=float)
-    if not np.all(eps >= 1.0):
-        raise DomainError("eps must be >= 1 on the imaginary axis")
+    eps = check_eps(eps)
     p = y / mg
     s = np.sqrt(eps - 1.0 + p * p)
     if p.ndim == 0:
@@ -251,14 +259,14 @@ _FREE_ENERGY = (_free_energy_kernel, lambda cfg: K_B * cfg.T / (2.0 * np.pi * cf
                 ((0.0, 0.5, 0.25), (0.0, 0.25, 0.25)), (-_ZETA3_4, -_ZETA3_4))
 
 
-def _integrate(model, cfg, zeta, kernel, rel_tol, by_row=False):
+def _integrate(model, cfg, zeta, kernel, rel_tol):
     """Row-summed int kernel(A, B, y) dt over t in [0, 30], y = a zeta / c + t.
 
     Rows share t, so one adaptive_quad call holds rel_tol on their sum; it
     starts from the panels of _T_MESH.  The row zeta = [0] takes the model's
     m = 0 rule; rows at zeta > 0 bind its m >= 1 rule in p = y c / (a zeta)
-    once per block of _ROW_BLOCK rows.  by_row adds each row's integral on
-    the final panel rule that adaptive_quad returns.
+    once per block of _ROW_BLOCK rows.  Returns the sum and a callable that
+    evaluates each row's integral on the final panel rule of adaptive_quad.
     """
     zeta = np.asarray(zeta, dtype=float)[:, None]
     zero = zeta[0, 0] == 0.0
@@ -276,9 +284,7 @@ def _integrate(model, cfg, zeta, kernel, rel_tol, by_row=False):
 
     value, _, t, w = adaptive_quad(integrand, _T_MESH[0], _T_MESH[-1],
                                    rel_tol=rel_tol, points=_T_MESH[1:-1])
-    if not by_row:
-        return value
-    return value, np.concatenate([k @ w for k in rows(t)])
+    return value, lambda: np.concatenate([k @ w for k in rows(t)])
 
 
 def _mode_integral(model, cfg, zeta, kernel, zero, rel_tol):
@@ -294,7 +300,7 @@ def _mode_integral(model, cfg, zeta, kernel, zero, rel_tol):
         if all(np.ndim(X) == 0 and X in (0.0, 1.0) for X in (A, B)):
             unit_A, unit_B = zero
             return unit_A * A + unit_B * B
-    return _integrate(model, cfg, [zeta], kernel, rel_tol)
+    return _integrate(model, cfg, [zeta], kernel, rel_tol)[0]
 
 
 def _mode_value(m, cfg, model, quad, observable):
@@ -346,8 +352,8 @@ def _smallest(ok, lo, hi):
     return hi
 
 
-def _sum_modes(cfg, model, quad, observable, by_row=False):
-    """Primed Matsubara sum: prefactor, m = 0 term and the rows m = 1..M-1.
+def _sum_modes(cfg, model, quad, observable):
+    """Primed Matsubara sum, its M and a callable giving the M terms.
 
     Every term has the sign of the m = 0 term, so stopping at the M whose
     tail bound is rel_tol of that term holds rel_tol on the whole sum.
@@ -366,8 +372,7 @@ def _sum_modes(cfg, model, quad, observable, by_row=False):
                                f"more than {_ROW_CAP}")
     zeta = cfg.matsubara(np.arange(1, M))
     try:
-        return prefactor(cfg), zero, _integrate(model, cfg, zeta, kernel,
-                                                quad.rel_tol, by_row)
+        rows, per_row = _integrate(model, cfg, zeta, kernel, quad.rel_tol)
     except TableRangeError as exc:
         if exc.zeta is None:  # not a table lookup: nothing names the mode
             raise
@@ -378,24 +383,20 @@ def _sum_modes(cfg, model, quad, observable, by_row=False):
     except ConvergenceError as exc:
         raise ConvergenceError(f"Matsubara modes m = 1..{M - 1} {where}: {exc}",
                                estimate=exc.estimate) from None
+    p = prefactor(cfg)
+    return p * (zero + rows), M, lambda: p * np.concatenate(([zero], per_row()))
 
 
 def total_pressure(cfg: ThermalGapConfig, model: MaterialModel,
                    quad: QuadratureSettings = DEFAULT_QUAD) -> PressureResult:
     """Total Casimir pressure with per-mode contributions and fractions."""
-    prefactor, zero, (rows, per_row) = _sum_modes(cfg, model, quad, _PRESSURE, True)
-    total = prefactor * (zero + rows)
-    c = prefactor * np.concatenate(([zero], per_row))
-    shares = 100.0 * c / total if total != 0.0 else 0.0 * c
-    return PressureResult(total=total, m_used=len(c),
-                          per_mode=tuple(zip(range(len(c)), c.tolist(), shares.tolist())))
+    return PressureResult(*_sum_modes(cfg, model, quad, _PRESSURE))
 
 
 def free_energy(cfg: ThermalGapConfig, model: MaterialModel,
                 quad: QuadratureSettings = DEFAULT_QUAD) -> float:
     """Free energy per unit area in J/m^2 (negative; P = -dF/da)."""
-    prefactor, zero, rows = _sum_modes(cfg, model, quad, _FREE_ENERGY)
-    return prefactor * (zero + rows)
+    return _sum_modes(cfg, model, quad, _FREE_ENERGY)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +433,7 @@ def surface_impedance(zeta: float, q: float, eps: float) -> float:
     if not q >= zeta:
         raise DomainError(f"q must be >= zeta (q^2 = c^2 k_perp^2 + zeta^2), "
                           f"got q = {q:g} with zeta = {zeta:g}")
+    check_eps(eps)
     return -zeta / np.sqrt(zeta * zeta * (eps - 1.0) + q * q)
 
 

@@ -1,9 +1,6 @@
 """CLI: configuration validation, serialization, determinism, exit codes."""
 
 import json
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -411,23 +408,3 @@ class TestDeterminism:
         assert outs[0] == outs[1]
         doc = json.loads(outs[0])
         assert set(doc) == {"meta", "columns", "rows"}
-
-
-class TestConstantsOverride:
-    def test_env_file_changes_constants(self, tmp_path):
-        override = tmp_path / "constants.json"
-        override.write_text(json.dumps(
-            {"version": "test-override", "c_m_s": 5.99584916e8}),
-            encoding="utf-8")
-        out_default = tmp_path / "default.csv"
-        out_custom = tmp_path / "custom.csv"
-        base_cmd = [sys.executable, "-m", "casimir", "pressure", "--gap", "1.0"]
-        env = dict(os.environ)
-        subprocess.run(base_cmd + ["--out", str(out_default)], check=True, env=env)
-        env["CASIMIR_CONSTANTS"] = str(override)
-        subprocess.run(base_cmd + ["--out", str(out_custom)], check=True, env=env)
-        meta_d, _, rows_d = read_csv(out_default)
-        meta_c, _, rows_c = read_csv(out_custom)
-        assert meta_d["constants_version"] == "CODATA-2018"
-        assert meta_c["constants_version"] == "test-override"
-        assert rows_c[0][1] != rows_d[0][1]

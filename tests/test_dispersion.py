@@ -116,6 +116,16 @@ class TestTabulated:
         with pytest.raises(TableRangeError):
             cs.eps_tabulated(2e16, table)
 
+    def test_nan_frequency_is_outside_the_table(self):
+        # a NaN used to interpolate to eps = nan instead of raising
+        model = cs.Tabulated(cs.PermittivityTable(np.array([1e14, 1e16]),
+                                                  np.array([101.0, 2.0])))
+        for zeta in (np.nan, np.array([1e15, np.nan])):
+            with pytest.raises(TableRangeError):
+                cs.eps_tabulated(zeta, model.table)
+            with pytest.raises(TableRangeError):
+                model.eps(zeta)
+
     def test_monotone_between_monotone_nodes(self, gold):
         table = self._drude_table(gold, n=60)
         zs = np.geomspace(table.zeta_min, table.zeta_max, 997)

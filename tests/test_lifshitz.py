@@ -1,6 +1,8 @@
 """Core engine: reflection coefficients, mode integrals, Matsubara sums."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from scipy.special import zeta
 
 import casimir as cs
-from casimir import lifshitz, quadrature
+from casimir import dispersion, lifshitz, quadrature
 from casimir.errors import (ConvergenceError, DomainError, TableRangeError,
                             UnsupportedModelError)
 from casimir.lifshitz import _reflection_sq
@@ -280,6 +282,16 @@ class TestTotalPressure:
                 for a in gaps]
         assert all(m1 > m2 for m1, m2 in zip(mags, mags[1:]))
 
+    @pytest.mark.parametrize("roundtrip", [lambda r: pickle.loads(pickle.dumps(r)),
+                                           copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_unread_result_roundtrips(self, gold, roundtrip):
+        cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
+        res = cs.total_pressure(cfg, gold)
+        copied = roundtrip(res)  # before anything reads per_mode
+        fresh = cs.total_pressure(cfg, gold)
+        assert (copied.total, copied.m_used) == (fresh.total, fresh.m_used)
+        assert copied.per_mode == fresh.per_mode and copied == fresh
+
     def test_vacuum_total_is_zero(self, vacuum):
         res = cs.total_pressure(cs.ThermalGapConfig(T=300.0, a=1e-6), vacuum)
         assert res.total == 0.0
@@ -445,11 +457,38 @@ class TestWorkCount:
         assert len(seen) == calls
 
     def test_cryogenic_rows_take_135_points_each(self, gold, monkeypatch):
-        # 88k rows share the t-points; the first rows vary fastest near t = 0
+        # 86,623 modes share the t-points; the first rows vary fastest near t = 0
         integrals, panels = self.record(monkeypatch)
         cs.free_energy(cs.ThermalGapConfig(T=1.5, a=50e-9), gold)
         assert len(integrals) == 1
         assert 15 * sum(panels) == 135 <= 200
+
+    @staticmethod
+    def count_reflections(monkeypatch):
+        """List that gains one entry per _reflection_sq call of the engine."""
+        calls, reflection_sq = [], dispersion._reflection_sq
+
+        def counting(eps, p):
+            calls.append(1)
+            return reflection_sq(eps, p)
+
+        monkeypatch.setattr(dispersion, "_reflection_sq", counting)
+        return calls
+
+    def test_each_row_is_evaluated_once_per_round(self, gold, monkeypatch):
+        # the per-mode table is evaluated on its first read, and only then
+        calls = self.count_reflections(monkeypatch)
+        res = cs.total_pressure(cs.ThermalGapConfig(T=300.0, a=1e-6), gold)
+        assert len(calls) == 1
+        res.per_mode
+        assert len(calls) == 2
+        res.per_mode, res.fraction(1), res.fraction(res.m_used)
+        assert len(calls) == 2
+
+    def test_sign_change_gap_reads_no_per_mode_table(self, gold, monkeypatch):
+        calls = self.count_reflections(monkeypatch)
+        cs.sign_change_gap(gold)
+        assert len(calls) == 26  # 26 pressure sums, one round each
 
 
 class TestFreeEnergy:
@@ -537,6 +576,13 @@ class TestSurfaceImpedance:
             cs.surface_impedance(1e14, math.nan, 5.0)
         with pytest.raises(DomainError, match="q must be >= zeta"):
             cs.rte_from_impedance(1e14, math.nan, 5.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, 0.5])
+    def test_eps_below_one_or_nan_rejected(self, eps):
+        # the rule of lifshitz_variables; both used to return nan or a value
+        for fn in (cs.surface_impedance, cs.rte_from_impedance):
+            with pytest.raises(DomainError, match="eps must be >= 1"):
+                fn(1e14, 2e14, eps)
 
 
 class TestRteFromImpedance:
