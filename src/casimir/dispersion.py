@@ -225,7 +225,7 @@ class Ideal:
         return 1.0, 1.0
 
     def matsubara_reflection(self, zeta, T):
-        """Scalar unit coefficients keep the integrands' exact X = 1 forms."""
+        """Unit reflection at every Matsubara frequency."""
         return lambda p: (1.0, 1.0)
 
 
@@ -396,14 +396,16 @@ def zero_mode_product(model: MaterialModel, T: float = 300.0) -> float:
     Evaluated on a decreasing geometric sequence of zeta.  Returns 0 once
     the product falls below 1e-12 * omega_p^2 (Drude-like decay) or the
     stabilized value when two consecutive evaluations agree to 1e-9
-    (plasma-like plateau).  Only Drude and Plasma models are supported;
-    tabulated data carry a declared class instead of a computed one.
+    (plasma-like plateau).  Only models with a plasma frequency
+    omega_p_rad_s (Drude, Plasma) are supported; tabulated data carry a
+    declared class instead of a computed one.
     """
-    if not isinstance(model, (Drude, Plasma)):
+    try:
+        wp2 = model.omega_p_rad_s ** 2
+    except AttributeError:
         raise UnsupportedModelError(
-            "zero_mode_product is only defined for Drude and Plasma models; "
-            "tabulated materials declare their zero-mode class")
-    wp2 = model.omega_p_rad_s ** 2
+            f"zero_mode_product needs a plasma frequency omega_p_rad_s, "
+            f"which {type(model).__name__} does not have") from None
     prev = None
     val = None
     for exponent in range(12, -9, -1):

@@ -21,6 +21,12 @@ def check_positive(what: str, value: float) -> None:
         raise DomainError(f"{what} must be finite and > 0, got {value}")
 
 
+def check_index(m, lo: int) -> None:
+    """Raise DomainError unless the mode index m is an integer (not a bool) >= lo."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < lo:
+        raise DomainError(f"mode index m must be an integer >= {lo}, got {m!r}")
+
+
 def check_eps(eps):
     """eps(i zeta) as a float array; DomainError unless every value is >= 1."""
     eps = np.asarray(eps, dtype=float)

@@ -49,7 +49,7 @@ import numpy as np
 from .constants import C, HBAR, K_B
 from .dispersion import MaterialModel, _reflection_sq
 from .errors import (ConvergenceError, DomainError, TableRangeError,
-                     UnsupportedModelError, check_eps, check_positive)
+                     UnsupportedModelError, check_eps, check_index, check_positive)
 from .quadrature import adaptive_quad
 
 __all__ = [
@@ -130,7 +130,11 @@ class PressureResult:
         return tuple(zip(range(self.m_used), c.tolist(), shares.tolist()))
 
     def fraction(self, m: int) -> float:
-        """Percentage contribution of mode m (0 if beyond the modes used)."""
+        """Percentage contribution of mode m >= 0 (0 if beyond the modes used).
+
+        m must be an integer; DomainError otherwise.
+        """
+        check_index(m, 0)
         if m < self.m_used:
             return self.per_mode[m][2]
         return 0.0
@@ -157,13 +161,15 @@ class ReflectionPair:
 
 
 def lifshitz_variables(y, m: int, cfg: ThermalGapConfig, eps):
-    """The variables p = y/(m gamma) and s = sqrt(eps - 1 + p^2)."""
-    if m < 1:
-        raise DomainError("lifshitz_variables needs a mode index m >= 1")
+    """The variables p = y/(m gamma) and s = sqrt(eps - 1 + p^2).
+
+    m is an integer >= 1 and y finite and >= m gamma; DomainError otherwise.
+    """
+    check_index(m, 1)
     y = np.asarray(y, dtype=float)
     mg = m * cfg.gamma
-    if not np.all(y >= mg):
-        raise DomainError(f"y must be >= m*gamma = {mg:g}")
+    if not np.all((y >= mg) & (y < math.inf)):  # NaN fails too
+        raise DomainError(f"y must be >= m*gamma = {mg:g} and finite")
     eps = check_eps(eps)
     p = y / mg
     s = np.sqrt(eps - 1.0 + p * p)
@@ -194,56 +200,33 @@ def _zero_rule(model, cfg):
 def zero_frequency_reflection(model: MaterialModel, y, cfg: ThermalGapConfig) -> ReflectionPair:
     """Analytic m = 0 reflection coefficients, from the model's own rule.
 
-    Constant coefficients are returned as plain scalars; keeping A = 1.0
-    scalar lets the integrands use their exact expm1/log forms at y -> 0,
-    and scalar 0s and 1s give the m = 0 term in closed form.
+    y must be finite and >= 0.  Constant coefficients are returned as plain
+    scalars.  That is the one place where a scalar matters: scalar 0s and
+    1s (Drude, Ideal, a drude_like table) mark a constant zero mode, whose
+    term the sums give in closed form; the kernels treat scalars and arrays
+    alike.
     """
     y = np.asarray(y, dtype=float)
-    if not np.all(y >= 0):
-        raise DomainError("y must be >= 0")
+    if not np.all((y >= 0) & (y < math.inf)):  # NaN fails too
+        raise DomainError("y must be >= 0 and finite")
     return ReflectionPair(*_zero_rule(model, cfg)(y))
 
 
 # ---------------------------------------------------------------------------
 # mode integrals
 
-def _occupancy(X, y):
-    """X e^{-2y} / (1 - X e^{-2y}), exact for the X = 1 zero-mode case."""
-    u = X * np.exp(-2.0 * y)
-    if np.ndim(X) == 0 and float(X) == 1.0:
-        denom = -np.expm1(-2.0 * y)
-    else:
-        denom = 1.0 - u
-    return u / denom
-
-
-def _log_term(X, y):
-    """ln(1 - X e^{-2y}) at full relative precision.
-
-    For X = 1 the two loss modes are split: near y = 0 the difference
-    1 - e^{-2y} needs expm1, while for large y the argument of a plain
-    log would sit within a few ulp of 1 and log1p(-exp(-2y)) is exact.
-    """
-    if np.ndim(X) == 0 and float(X) == 1.0:
-        y = np.asarray(y, dtype=float)
-        out = np.empty_like(y)
-        small = y < 0.3466  # e^{-2y} > 1/2
-        out[small] = np.log(-np.expm1(-2.0 * y[small]))
-        out[~small] = np.log1p(-np.exp(-2.0 * y[~small]))
-        return out
-    return np.log1p(-X * np.exp(-2.0 * y))
-
-
 def _pressure_kernel(A, B, y):
-    return y * y * (_occupancy(A, y) + _occupancy(B, y))
+    u = np.exp(-2.0 * y)
+    return y * y * (A * u / (1.0 - A * u) + B * u / (1.0 - B * u))
 
 
 def _free_energy_kernel(A, B, y):
-    return y * (_log_term(A, y) + _log_term(B, y))
+    u = np.exp(-2.0 * y)
+    return y * (np.log1p(-A * u) + np.log1p(-B * u))
 
 
 def _te_kernel(A, B, y):
-    return y * _log_term(B, y)
+    return y * np.log1p(-B * np.exp(-2.0 * y))
 
 
 # zeta(3)/4 = int_0^inf y^2 e^{-2y}/(1 - e^{-2y}) dy = -int_0^inf y ln(1 - e^{-2y}) dy
@@ -306,8 +289,7 @@ def _mode_integral(model, cfg, zeta, kernel, zero, rel_tol):
 def _mode_value(m, cfg, model, quad, observable):
     """prefactor * weight * mode integral; m = 0 carries the half weight."""
     kernel, prefactor, _, zero = observable
-    if m < 0:
-        raise DomainError(f"mode index must be >= 0, got {m}")
+    check_index(m, 0)
     weight = 0.5 if m == 0 else 1.0
     return prefactor(cfg) * weight * _mode_integral(
         model, cfg, cfg.matsubara(m), kernel, zero, quad.rel_tol)
@@ -317,15 +299,19 @@ def mode_pressure(m: int, cfg: ThermalGapConfig, model: MaterialModel,
                   quad: QuadratureSettings = DEFAULT_QUAD) -> float:
     """Pressure contribution of Matsubara mode m, in Pa (negative).
 
-    The m = 0 term carries the half weight of the primed sum and uses the
-    analytic zero-frequency reflection coefficients.
+    m is an integer >= 0 (DomainError otherwise).  The m = 0 term carries
+    the half weight of the primed sum and uses the analytic zero-frequency
+    reflection coefficients.
     """
     return _mode_value(m, cfg, model, quad, _PRESSURE)
 
 
 def mode_free_energy(m: int, cfg: ThermalGapConfig, model: MaterialModel,
                      quad: QuadratureSettings = DEFAULT_QUAD) -> float:
-    """Free-energy contribution of mode m, in J/m^2 (negative)."""
+    """Free-energy contribution of mode m, in J/m^2 (negative).
+
+    m is an integer >= 0 (DomainError otherwise); m = 0 carries the half weight.
+    """
     return _mode_value(m, cfg, model, quad, _FREE_ENERGY)
 
 

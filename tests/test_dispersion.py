@@ -319,10 +319,12 @@ class TestZeroModeProduct:
         assert cs.zero_mode_product(model) == 0.0
 
     def test_unsupported_models(self):
-        with pytest.raises(UnsupportedModelError):
+        # the message names the model's type and what it lacks, not tables' rules
+        with pytest.raises(UnsupportedModelError,
+                           match="plasma frequency omega_p_rad_s, which Ideal does not"):
             cs.zero_mode_product(cs.Ideal())
         table = cs.PermittivityTable(np.array([1e13, 1e14]), np.array([5.0, 4.0]))
-        with pytest.raises(UnsupportedModelError):
+        with pytest.raises(UnsupportedModelError, match="which Tabulated does not"):
             cs.zero_mode_product(cs.Tabulated(table))
 
     def test_pathological_relaxation_raises(self):

@@ -141,6 +141,14 @@ class TestReflectionPair:
         with pytest.raises(DomainError, match="TE coefficient"):
             cs.ReflectionPair(0.5, np.array([0.5, math.nan]))
 
+    @pytest.mark.parametrize("y", [math.inf, [2.0, math.inf]], ids=["scalar", "array"])
+    def test_infinite_y_rejected(self, y):
+        # y = inf passed the y >= m gamma test and returned nan with a RuntimeWarning
+        cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
+        for fn in (cs.lifshitz_variables, cs.reflection_pair):
+            with pytest.raises(DomainError, match="y must be >= m.gamma = .* and finite"):
+                fn(y, 1, cfg, 100.0)
+
     def test_stable_when_eps_near_one(self):
         # the naive (s - p) difference would lose every digit here
         A, B = _reflection_sq(1.0 + 1e-12, 2.0)
@@ -217,6 +225,14 @@ class TestZeroFrequencyReflection:
         with pytest.raises(DomainError, match="y must be >= 0"):
             cs.zero_frequency_reflection(gold, [1.0, math.nan], cfg)
 
+    @pytest.mark.parametrize("y", [math.inf, [1.0, math.inf]], ids=["scalar", "array"])
+    @pytest.mark.parametrize("name", ["gold", "plasma", "ideal"])
+    def test_infinite_y_rejected(self, gold, name, y):
+        # the plasma rule used to return nan with a RuntimeWarning at y = inf
+        model = {"gold": gold, "plasma": cs.Plasma(), "ideal": cs.Ideal()}[name]
+        with pytest.raises(DomainError, match="y must be >= 0 and finite"):
+            cs.zero_frequency_reflection(model, y, cs.ThermalGapConfig(T=300.0, a=1e-6))
+
     def test_sums_build_no_reflection_pair(self, gold, monkeypatch):
         # validation belongs to the public wrappers, not the engine's inner loop
         built = []
@@ -258,6 +274,42 @@ class TestModePressure:
         # below any error estimate; m = 430 already gives -1.0e-310
         cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
         assert -3e-311 < cs.mode_pressure(431, cfg, gold) < -1e-311
+
+
+BAD_INDICES = [1.5, 0.5, True, math.nan, np.float64(1.0), "1"]
+
+
+class TestModeIndex:
+    """One rule for every mode index: an integer (not a bool) at or above a bound."""
+
+    @pytest.mark.parametrize("m", BAD_INDICES, ids=repr)
+    @pytest.mark.parametrize("mode_fn", [cs.mode_pressure, cs.mode_free_energy])
+    def test_mode_functions_reject(self, gold, mode_fn, m):
+        # 1.5 used to integrate at 1.5 zeta_1, True to count as mode 1
+        with pytest.raises(DomainError, match="mode index m must be an integer >= 0"):
+            mode_fn(m, cs.ThermalGapConfig(T=300.0, a=1e-6), gold)
+
+    @pytest.mark.parametrize("m", BAD_INDICES, ids=repr)
+    def test_lifshitz_variables_reject(self, m):
+        for fn in (cs.lifshitz_variables, cs.reflection_pair):
+            with pytest.raises(DomainError, match="mode index m must be an integer >= 1"):
+                fn(2.0, m, cfg_gamma(0.825), 2526.0)
+
+    @pytest.mark.parametrize("m", BAD_INDICES + [-1], ids=repr)
+    def test_fraction_rejects(self, gold, m):
+        # -1 used to return the last mode's share through negative indexing
+        res = cs.total_pressure(cs.ThermalGapConfig(T=300.0, a=1e-6), gold)
+        with pytest.raises(DomainError, match="mode index m must be an integer >= 0"):
+            res.fraction(m)
+
+    def test_numpy_integers_accepted(self, gold):
+        cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
+        res = cs.total_pressure(cfg, gold)
+        assert res.fraction(np.int64(1)) == res.fraction(1)
+        assert res.fraction(np.int32(res.m_used)) == 0.0
+        assert cs.mode_pressure(np.int64(2), cfg, gold) == cs.mode_pressure(2, cfg, gold)
+        assert cs.lifshitz_variables(2.0, np.int64(1), cfg, 2526.0) == \
+            cs.lifshitz_variables(2.0, 1, cfg, 2526.0)
 
 
 class TestTotalPressure:
@@ -405,6 +457,26 @@ class TestMatsubaraTruncation:
         F = fsum_modes(cs.mode_free_energy, cfg, model, fine)
         assert cs.total_pressure(cfg, model).total == pytest.approx(P, rel=1e-10)
         assert cs.free_energy(cfg, model) == pytest.approx(F, rel=1e-10)
+
+
+@pytest.mark.parametrize("ones", ["scalar", "array"])
+@pytest.mark.parametrize("kernel, constant, exact", [
+    (lifshitz._pressure_kernel, sum(lifshitz._PRESSURE[3]), ZETA3 / 2.0),
+    (lifshitz._free_energy_kernel, sum(lifshitz._FREE_ENERGY[3]), -ZETA3 / 2.0),
+    (lifshitz._te_kernel, cs.te_mode_function(0.0, 1e-6, cs.Ideal()), -ZETA3 / 4.0),
+], ids=["pressure", "free_energy", "te"])
+def test_unit_coefficient_kernels_give_closed_form_constants(kernel, constant, exact, ones):
+    # the m = 0 closed forms (A + B) zeta(3)/4 are the kernels' integrals at
+    # A = B = 1; integrating from t = 0 also probes their precision at y -> 0
+    def f(t):
+        X = 1.0 if ones == "scalar" else np.ones_like(t)
+        return kernel(X, X, t)
+
+    mesh = lifshitz._T_MESH
+    value = quadrature.adaptive_quad(f, mesh[0], mesh[-1], rel_tol=1e-13,
+                                     points=mesh[1:-1])[0]
+    assert constant == exact
+    assert abs(value - exact) <= 4.4e-16 * abs(exact)
 
 
 class TestWorkCount:
