@@ -12,28 +12,26 @@ metal does not have.  For the plasma model both routes agree.
 import numpy as np
 
 import casimir as cs
-from casimir.lifshitz import _reflection_sq
+from casimir.lifshitz import _reflection_sq, _rte
 
 gold = cs.gold_drude()
 
-worst = 0.0
-for zeta in np.geomspace(1e12, 1e16, 20):
-    eps = gold.eps(zeta)
-    for p in np.geomspace(1.0, 100.0, 20):
-        r = cs.rte_from_impedance(zeta, p * zeta, eps)
-        _, B = _reflection_sq(eps, p)
-        worst = max(worst, abs(r * r - B))
-print(f"max |r^2 - B| over a 20x20 (zeta, q) grid: {worst:.3e}")
+# one array call over the 20 x 20 grid: zeta down the rows, p = q/zeta across
+zeta = np.geomspace(1e12, 1e16, 20)[:, None]
+p = np.geomspace(1.0, 100.0, 20)
+eps = gold.eps(zeta)
+r = cs.rte_from_impedance(zeta, p * zeta, eps)
+_, B = _reflection_sq(eps, p)
+print(f"max |r^2 - B| over a 20x20 (zeta, q) grid: {np.abs(r * r - B).max():.3e}")
 
 print("\nzeta -> 0 at fixed q = 1e14 rad/s (Drude gold):")
 print(f"{'zeta [rad/s]':>14} {'|r|^2 momentum-dep.':>21} {'|r|^2 freq.-only':>18}")
-for zeta in np.geomspace(1e12, 1e2, 6):
-    eps = gold.eps(zeta)
-    r_full = cs.rte_from_impedance(zeta, 1e14, eps)
-    p = 1e14 / zeta
-    z_freq = -1.0 / np.sqrt(eps)
-    r_freq = -(1.0 + z_freq * p) / (1.0 - z_freq * p)
-    print(f"{zeta:14.1e} {r_full**2:21.6e} {r_freq**2:18.9f}")
+zeta = np.geomspace(1e12, 1e2, 6)
+eps = gold.eps(zeta)
+r_full = cs.rte_from_impedance(zeta, 1e14, eps)
+r_freq = _rte(-1.0 / np.sqrt(eps), 1e14 / zeta)  # Z = -1/sqrt(eps): no q in Z
+for z, full, freq in zip(zeta, r_full**2, r_freq**2):
+    print(f"{z:14.1e} {full:21.6e} {freq:18.9f}")
 
 lim_m, lim_f = cs.rte_zero_frequency_comparison(gold, 1e14,
                                                 np.geomspace(1e12, 1e2, 11))

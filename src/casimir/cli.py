@@ -81,7 +81,7 @@ class SweepOutput:
             if len(row) != len(self.columns):
                 raise ConfigError(f"row {i} has {len(row)} values for "
                                   f"{len(self.columns)} columns")
-            if not all(np.isfinite(v) for v in row):
+            if not all(map(math.isfinite, row)):
                 raise ConvergenceError(f"row {i} contains non-finite values")
 
     def to_csv(self) -> str:
@@ -364,33 +364,28 @@ def cmd_lowtemp(cfg: RunConfig) -> SweepOutput:
 def cmd_impedance_check(cfg: RunConfig) -> SweepOutput:
     """Squared TE reflection: impedance form vs. permittivity form."""
     T = cfg.temps[0]
-    zetas = np.geomspace(1e12, 1e16, 20)
+    zeta = np.geomspace(1e12, 1e16, 20)
     try:  # every eps the command uses, before any of it is used
-        eps_grid = cfg.model.eps(np.concatenate((_ZETA_SEQ, zetas)), T)[len(_ZETA_SEQ):]
+        eps = cfg.model.eps(np.concatenate((_ZETA_SEQ, zeta)), T)[len(_ZETA_SEQ):]
     except (UnsupportedModelError, TableRangeError) as exc:
         raise ConfigError(f"model: impedance-check evaluates eps from {_ZETA_SEQ[-1]:g} "
-                          f"to {zetas[-1]:g} rad/s: {exc}") from None
-    p_values = np.geomspace(1.0, 100.0, 20)
-    rows = []
-    max_dev = 0.0
-    for zeta, eps in zip(zetas, eps_grid):
-        for p in p_values:
-            q = p * zeta
-            r = rte_from_impedance(zeta, q, eps)
-            _, B = _reflection_sq(eps, p)  # same algebra the engine uses
-            dev = float(abs(r * r - B))
-            max_dev = max(max_dev, dev)
-            rows.append((float(zeta), float(q), float(B), float(r * r), float(dev)))
+                          f"to {zeta[-1]:g} rad/s: {exc}") from None
+    # the 20 x 20 grid: zeta down the rows, p = q/zeta across the columns
+    zeta, eps, p = zeta[:, None], eps[:, None], np.geomspace(1.0, 100.0, 20)
+    q = p * zeta
+    r_sq = rte_from_impedance(zeta, q, eps) ** 2
+    _, B = _reflection_sq(eps, p)  # same algebra the engine uses
+    dev = np.abs(r_sq - B)
+    grid = np.broadcast_arrays(zeta, q, B, r_sq, dev)
+    rows = list(zip(*(x.ravel().tolist() for x in grid)))
     lim_momentum, lim_freq = rte_zero_frequency_comparison(cfg.model, cfg.q_fixed,
                                                            _ZETA_SEQ, T)
-    meta = _base_meta(cfg)
-    meta["max_abs_deviation"] = repr(max_dev)
-    meta["zero_freq_q_rad_s"] = f"{cfg.q_fixed:g}"
-    meta["zero_freq_final_zeta_rad_s"] = f"{_ZETA_SEQ[-1]:g}"
-    meta["zero_freq_limit_momentum_dependent"] = repr(float(lim_momentum))
-    meta["zero_freq_limit_frequency_only"] = repr(float(lim_freq))
-    columns = ["zeta_rad_s", "q_rad_s", "b_permittivity",
-               "rte_impedance_sq", "abs_dev"]
+    meta = {**_base_meta(cfg), "max_abs_deviation": repr(float(dev.max())),
+            "zero_freq_q_rad_s": f"{cfg.q_fixed:g}",
+            "zero_freq_final_zeta_rad_s": f"{_ZETA_SEQ[-1]:g}",
+            "zero_freq_limit_momentum_dependent": repr(float(lim_momentum)),
+            "zero_freq_limit_frequency_only": repr(float(lim_freq))}
+    columns = ["zeta_rad_s", "q_rad_s", "b_permittivity", "rte_impedance_sq", "abs_dev"]
     return SweepOutput(meta=meta, columns=columns, rows=rows)
 
 

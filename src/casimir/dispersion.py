@@ -1,6 +1,6 @@
 """Permittivity models on the imaginary frequency axis.
 
-Every model answers eps(zeta, T) for zeta > 0 with a result > 1, except
+Every model answers eps(zeta, T) for finite zeta > 0 with a result > 1, except
 the ideal reflector, which has no finite permittivity.  Frequencies are
 rad/s, temperatures K; model parameters, quoted in eV, must be finite and
 > 0 (a DomainError names any that is not); table nodes keep _bad_node's rule.
@@ -329,8 +329,7 @@ def gold_drude(nu_model: str = "constant") -> Drude:
 def eps_drude(zeta, params: Drude, T: float = 300.0):
     """Drude permittivity at imaginary frequency zeta (rad/s)."""
     zeta = np.asarray(zeta, dtype=float)
-    if not np.all(zeta > 0):
-        raise DomainError("zeta must be > 0 for the Drude permittivity")
+    check_positive("zeta of the Drude permittivity", zeta)
     nu = ev_to_rad_s(params.relaxation.nu(T))
     wp = params.omega_p_rad_s
     out = 1.0 + wp * wp / (zeta * (zeta + nu))
@@ -340,8 +339,7 @@ def eps_drude(zeta, params: Drude, T: float = 300.0):
 def eps_plasma(zeta, omega_p_ev: float):
     """Plasma permittivity 1 + omega_p^2/zeta^2 at zeta (rad/s)."""
     zeta = np.asarray(zeta, dtype=float)
-    if not np.all(zeta > 0):
-        raise DomainError("zeta must be > 0 for the plasma permittivity")
+    check_positive("zeta of the plasma permittivity", zeta)
     wp = ev_to_rad_s(omega_p_ev)
     out = 1.0 + (wp / zeta) ** 2
     return float(out) if out.ndim == 0 else out
@@ -358,8 +356,7 @@ def eps_tabulated(zeta, table: PermittivityTable):
     log_em1 = np.interp(np.log(zeta_arr), table._log_z, table._log_em1)
     out = 1.0 + np.exp(log_em1)
     # guarantee bit-exact reproduction of the nodes
-    idx = np.searchsorted(table.zeta, zeta_arr)
-    idx = np.clip(idx, 0, len(table.zeta) - 1)
+    idx = np.clip(np.searchsorted(table.zeta, zeta_arr), 0, len(table.zeta) - 1)
     exact = table.zeta[idx] == zeta_arr
     out = np.where(exact, table.eps_values[idx], out)
     return float(out) if out.ndim == 0 else out
@@ -406,8 +403,7 @@ def zero_mode_product(model: MaterialModel, T: float = 300.0) -> float:
         raise UnsupportedModelError(
             f"zero_mode_product needs a plasma frequency omega_p_rad_s, "
             f"which {type(model).__name__} does not have") from None
-    prev = None
-    val = None
+    prev = val = None
     for exponent in range(12, -9, -1):
         zeta = 10.0 ** exponent
         prev = val

@@ -15,8 +15,14 @@ class DomainError(CasimirError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-def check_positive(what: str, value: float) -> None:
-    """Raise DomainError naming what unless value is finite and > 0."""
+def check_positive(what: str, value) -> None:
+    """DomainError naming what and its first bad value unless all are finite and > 0."""
+    v = np.asarray(value)
+    if v.ndim:  # arrays only: on a scalar the test below is many times faster
+        ok = (v > 0) & (v < math.inf)  # NaN fails too
+        if ok.all():
+            return
+        value = v[~ok][0]
     if not 0 < value < math.inf:
         raise DomainError(f"{what} must be finite and > 0, got {value}")
 
@@ -28,10 +34,10 @@ def check_index(m, lo: int) -> None:
 
 
 def check_eps(eps):
-    """eps(i zeta) as a float array; DomainError unless every value is >= 1."""
+    """eps(i zeta) as a float array; DomainError unless every value is finite and >= 1."""
     eps = np.asarray(eps, dtype=float)
-    if not np.all(eps >= 1.0):  # NaN fails too
-        raise DomainError("eps must be >= 1 on the imaginary axis")
+    if not np.all((eps >= 1.0) & (eps < math.inf)):  # NaN fails too
+        raise DomainError("eps must be >= 1 and finite on the imaginary axis")
     return eps
 
 

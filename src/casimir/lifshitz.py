@@ -135,9 +135,7 @@ class PressureResult:
         m must be an integer; DomainError otherwise.
         """
         check_index(m, 0)
-        if m < self.m_used:
-            return self.per_mode[m][2]
-        return 0.0
+        return self.per_mode[m][2] if m < self.m_used else 0.0
 
     def __getstate__(self):  # pickles and copies hold the table, not the callable
         return dict(vars(self), per_mode=self.per_mode, _contributions=None)
@@ -173,9 +171,7 @@ def lifshitz_variables(y, m: int, cfg: ThermalGapConfig, eps):
     eps = check_eps(eps)
     p = y / mg
     s = np.sqrt(eps - 1.0 + p * p)
-    if p.ndim == 0:
-        return float(p), float(s)
-    return p, s
+    return (float(p), float(s)) if p.ndim == 0 else (p, s)
 
 
 def reflection_pair(y, m: int, cfg: ThermalGapConfig, eps) -> ReflectionPair:
@@ -409,30 +405,39 @@ def te_mode_function(zeta: float, a: float, model: MaterialModel,
 # ---------------------------------------------------------------------------
 # surface impedance formulation
 
-def surface_impedance(zeta: float, q: float, eps: float) -> float:
+def surface_impedance(zeta, q, eps):
     """Momentum-dependent surface impedance Z = -zeta/sqrt(zeta^2(eps-1)+q^2).
 
     q is the full imaginary-axis wave number times c (so q >= zeta, with
-    q^2 = (c k_perp)^2 + zeta^2), in rad/s.
+    q^2 = (c k_perp)^2 + zeta^2), in rad/s.  Arrays broadcast; scalars give a
+    scalar.  Every element needs finite zeta > 0, q >= zeta and eps >= 1; a
+    DomainError names the first that does not.
     """
     check_positive("zeta", zeta)
-    if not q >= zeta:
-        raise DomainError(f"q must be >= zeta (q^2 = c^2 k_perp^2 + zeta^2), "
-                          f"got q = {q:g} with zeta = {zeta:g}")
-    check_eps(eps)
+    zeta, q = np.asarray(zeta, dtype=float), np.asarray(q, dtype=float)
+    ok = (q >= zeta) & (q < math.inf)  # NaN fails too
+    if not ok.all():
+        q, zeta = (np.broadcast_to(x, ok.shape)[~ok][0] for x in (q, zeta))
+        raise DomainError(f"q must be >= zeta and finite (q^2 = c^2 k_perp^2 + "
+                          f"zeta^2), got q = {q:g} with zeta = {zeta:g}")
+    eps = check_eps(eps)
     return -zeta / np.sqrt(zeta * zeta * (eps - 1.0) + q * q)
 
 
-def rte_from_impedance(zeta: float, q: float, eps: float) -> float:
+def _rte(Z, p):
+    """TE reflection coefficient -(1 + Z p)/(1 - Z p) of the surface impedance Z."""
+    return -(1.0 + Z * p) / (1.0 - Z * p)
+
+
+def rte_from_impedance(zeta, q, eps):
     """TE reflection coefficient -(1 + Z p)/(1 - Z p) with p = q/zeta.
 
+    Takes the arguments and rules of surface_impedance, arrays included.
     Its square equals the TE coefficient B from the permittivity form;
     only the square enters the Lifshitz sum, so the overall sign is pure
     convention.
     """
-    Z = surface_impedance(zeta, q, eps)
-    p = q / zeta
-    return -(1.0 + Z * p) / (1.0 - Z * p)
+    return _rte(surface_impedance(zeta, q, eps), np.divide(q, zeta))
 
 
 def rte_zero_frequency_comparison(model, q_fixed: float, zeta_sequence, T: float = 300.0):
@@ -450,20 +455,18 @@ def rte_zero_frequency_comparison(model, q_fixed: float, zeta_sequence, T: float
     differ qualitatively: (i) -> 0 while (ii) -> 1, which is why a
     frequency-only impedance cannot be used at finite temperature.  For
     the plasma model both agree and stay finite.  eps is taken at T (K).
+    DomainError unless the sequence is finite, > 0 and strictly decreasing
+    and q_fixed finite and >= its first zeta.
     """
     zs = np.asarray(zeta_sequence, dtype=float)
-    if zs.ndim != 1 or len(zs) == 0:
-        raise DomainError("zeta_sequence must be a non-empty 1-D sequence")
-    if not np.all(zs > 0):
-        raise DomainError("zeta_sequence must be positive")
-    if len(zs) > 1 and not np.all(np.diff(zs) < 0):
-        raise DomainError("zeta_sequence must be strictly decreasing")
+    if zs.ndim != 1 or len(zs) == 0 or not np.all(np.diff(zs) < 0):
+        raise DomainError("zeta_sequence must be non-empty, 1-D and strictly decreasing")
+    check_positive("zeta_sequence", zs)
     if not q_fixed >= zs[0]:
-        raise DomainError("q_fixed must be >= every zeta in the sequence")
+        raise DomainError(f"q must be >= zeta at every zeta of the sequence, "
+                          f"got q_fixed = {q_fixed:g} with zeta = {zs[0]:g}")
     zeta = zs[-1]
     eps = model.eps(zeta, T)
     r_momentum = rte_from_impedance(zeta, q_fixed, eps)
-    p = q_fixed / zeta
-    Z_freq = -1.0 / np.sqrt(eps)
-    r_freq = -(1.0 + Z_freq * p) / (1.0 - Z_freq * p)
+    r_freq = _rte(-1.0 / np.sqrt(eps), q_fixed / zeta)
     return r_momentum * r_momentum, r_freq * r_freq

@@ -13,7 +13,7 @@ For a lossy metal the free energy follows a quadratic low-temperature law
 
     F(T) = F_0 + T^2 * omega_p^2 (2 ln 2 - 1) / (48 nu)
 
-(T in energy units, coefficient ~19 eV for gold), independent of the
+(T in energy units, coefficient 18.6 eV for gold), independent of the
 plate separation.  A quadratic rather than linear law is what keeps the
 entropy vanishing at T = 0.
 """
@@ -121,8 +121,7 @@ def sign_change_gap(model: MaterialModel, T1: float = 350.0, T2: float = 300.0,
     def delta(a):
         return pressure_difference(a, model, T1, T2, quad).delta
 
-    d_lo = delta(a_lo)
-    d_hi = delta(a_hi)
+    d_lo, d_hi = delta(a_lo), delta(a_hi)
     if d_lo == 0.0:
         return a_lo
     if d_hi == 0.0:

@@ -1,7 +1,12 @@
 """CLI: configuration validation, serialization, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ import pytest
 import casimir as cs
 from casimir import cli, geometry
 from casimir.cli import main
-from casimir.errors import ApplicabilityWarning
+from casimir.errors import ApplicabilityWarning, ConvergenceError
 
 MICRON = 1e-6
 
@@ -289,6 +294,19 @@ class TestImpedanceCheckCommand:
     def test_ideal_model_rejected(self):
         assert run_cli("impedance-check", "--model", "ideal") == 2
 
+    def test_grid_is_one_array_call(self, monkeypatch, capsys):
+        # one call per grid point used to make 400 of each
+        calls = {"rte_from_impedance": 0, "_reflection_sq": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(cli, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cli, name, counting)
+        assert run_cli("impedance-check") == 0
+        assert calls == {"rte_from_impedance": 1, "_reflection_sq": 1}
+        assert len(capsys.readouterr().out.splitlines()) == 413  # 12 meta + header + 400
+
     def test_q_fixed_below_sequence_rejected_before_computing(self, capsys, monkeypatch):
         # used to exit 3 after the whole 20 x 20 grid
         def no_grid(*args):
@@ -341,6 +359,36 @@ def test_ignored_flag_rejected(capsys, argv, flag):
 def test_non_finite_input_rejected(capsys, argv, flag):
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err.startswith(f"casimir: configuration error: {flag}:")
+
+
+class TestSweepOutput:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64(-np.inf)])
+    def test_non_finite_row_rejected(self, bad):
+        with pytest.raises(ConvergenceError, match="row 1 contains non-finite values"):
+            cli.SweepOutput(meta={}, columns=["a", "b"], rows=[(1.0, 2.0), (3.0, bad)])
+
+    def test_non_finite_pressure_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "total_pressure",
+                            lambda *args: SimpleNamespace(total=float("nan")))
+        assert run_cli("pressure", "--gap", "1.0") == 3
+        assert "row 0 contains non-finite values" in capsys.readouterr().err
+
+
+def test_module_entry_point_needs_only_numpy(capsys):
+    # python -m casimir with the test-only packages made unimportable
+    assert run_cli("modes", "--gap", "1.0") == 0
+    expected = capsys.readouterr().out
+    code = ("import runpy, sys\n"
+            "for name in ('scipy', 'mpmath', 'hypothesis'):\n"
+            "    sys.modules[name] = None\n"
+            "sys.argv = ['casimir', 'modes', '--gap', '1.0']\n"
+            "runpy.run_module('casimir', run_name='__main__', alter_sys=True)\n")
+    src = str(Path(cs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
 
 
 class TestTableModel:

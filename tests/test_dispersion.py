@@ -94,6 +94,18 @@ class TestPlasma:
                 cs.Plasma(omega_p_ev=bad)
 
 
+@pytest.mark.parametrize("eps", [
+    lambda z: cs.eps_drude(z, cs.gold_drude()), lambda z: cs.gold_drude().eps(z),
+    lambda z: cs.eps_plasma(z, 9.0), lambda z: cs.Plasma().eps(z),
+], ids=["eps_drude", "Drude.eps", "eps_plasma", "Plasma.eps"])
+@pytest.mark.parametrize("zeta", [np.inf, np.nan, [1e14, np.inf], [np.nan, 1e14]],
+                         ids=["inf", "nan", "array-inf", "array-nan"])
+def test_non_finite_zeta_rejected(eps, zeta):
+    # an infinite zeta used to give eps = 1.0 exactly
+    with pytest.raises(DomainError, match="permittivity must be finite and > 0"):
+        eps(zeta)
+
+
 class TestTabulated:
     def _drude_table(self, gold, n=240):
         zs = np.geomspace(1e12, 1e18, n)

@@ -103,6 +103,10 @@ class TestLifshitzVariables:
             cs.lifshitz_variables(2.0, 1, cfg, math.nan)
         with pytest.raises(DomainError, match="eps must be >= 1"):
             cs.lifshitz_variables([2.0, 3.0], 1, cfg, [2526.0, math.nan])
+        # eps = inf used to give s = inf
+        for eps in (math.inf, [2526.0, math.inf]):
+            with pytest.raises(DomainError, match="eps must be >= 1"):
+                cs.lifshitz_variables([2.0, 3.0], 1, cfg, eps)
         with pytest.raises(DomainError, match="y must be >="):
             cs.lifshitz_variables([2.0, math.nan], 1, cfg, 2526.0)
 
@@ -134,8 +138,10 @@ class TestReflectionPair:
         assert np.all(B <= A + 1e-12)
 
     def test_nan_rejected(self):
-        with pytest.raises(DomainError, match="eps must be >= 1"):
-            cs.reflection_pair(2.0, 1, cs.ThermalGapConfig(T=300, a=1e-6), math.nan)
+        # eps = inf used to warn in _reflection_sq and blame the TM coefficient
+        for eps in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="eps must be >= 1"):
+                cs.reflection_pair(2.0, 1, cs.ThermalGapConfig(T=300, a=1e-6), eps)
         with pytest.raises(DomainError, match="TM coefficient"):
             cs.ReflectionPair(math.nan, 0.5)
         with pytest.raises(DomainError, match="TE coefficient"):
@@ -643,18 +649,49 @@ class TestSurfaceImpedance:
             with pytest.raises(DomainError, match="zeta must be finite"):
                 cs.surface_impedance(bad, 1e14, 100.0)
 
-    def test_nan_q_rejected(self):
-        with pytest.raises(DomainError, match="q must be >= zeta"):
-            cs.surface_impedance(1e14, math.nan, 5.0)
-        with pytest.raises(DomainError, match="q must be >= zeta"):
-            cs.rte_from_impedance(1e14, math.nan, 5.0)
+    def test_nan_q_rejected(self, gold):
+        # q = inf used to give Z = -0.0, or nan with a RuntimeWarning
+        seq = np.geomspace(1e12, 1e8, 5)
+        for q in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="q must be >= zeta"):
+                cs.surface_impedance(1e14, q, 5.0)
+            with pytest.raises(DomainError, match="q must be >= zeta"):
+                cs.rte_from_impedance(1e14, q, 5.0)
+            with pytest.raises(DomainError, match="q must be >= zeta"):
+                cs.rte_zero_frequency_comparison(gold, q, seq)
 
-    @pytest.mark.parametrize("eps", [math.nan, 0.5])
+    @pytest.mark.parametrize("eps", [math.nan, 0.5, math.inf])
     def test_eps_below_one_or_nan_rejected(self, eps):
-        # the rule of lifshitz_variables; both used to return nan or a value
+        # the rule of lifshitz_variables; each used to return nan or a value
         for fn in (cs.surface_impedance, cs.rte_from_impedance):
             with pytest.raises(DomainError, match="eps must be >= 1"):
                 fn(1e14, 2e14, eps)
+
+    def test_arrays_match_scalar_calls_bitwise(self, gold):
+        # the 20 x 20 grid of impedance-check: zeta down the rows, p across
+        zeta = np.geomspace(1e12, 1e16, 20)[:, None]
+        p = np.geomspace(1.0, 100.0, 20)
+        eps = gold.eps(zeta)
+        q = p * zeta
+        for fn in (cs.surface_impedance, cs.rte_from_impedance):
+            grid = fn(zeta, q, eps)
+            assert grid.shape == (20, 20)
+            scalars = [[fn(zeta[i, 0], q[i, j], eps[i, 0]) for j in range(20)]
+                       for i in range(20)]
+            assert np.array_equal(grid, scalars)
+            assert np.ndim(scalars[0][0]) == 0
+
+    @pytest.mark.parametrize("zeta, q, eps, match", [
+        ([1e14, 2e14, 0.0], 3e14, 5.0, "zeta must be finite and > 0, got 0.0"),
+        (1e14, [2e14, 5e13, math.nan], 5.0, "got q = 5e[+]13 with zeta = 1e[+]14"),
+        ([1e14, 2e14], [[2e14, 3e14], [3e14, 1e14]], 5.0,
+         "got q = 1e[+]14 with zeta = 2e[+]14"),
+        (1e14, 2e14, [5.0, math.inf], "eps must be >= 1 and finite"),
+    ], ids=["zeta", "q", "q-broadcast", "eps"])
+    def test_array_messages_name_first_bad_value(self, zeta, q, eps, match):
+        for fn in (cs.surface_impedance, cs.rte_from_impedance):
+            with pytest.raises(DomainError, match=match):
+                fn(zeta, q, eps)
 
 
 class TestRteFromImpedance:
