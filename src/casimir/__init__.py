@@ -8,63 +8,10 @@ and surface-impedance consistency checks.
 
 __version__ = "0.1.0"
 
+# the public API: the four constants and each module's __all__
 from .constants import C, EV, HBAR, K_B
-from .dispersion import (
-    BlochGruneisen,
-    ConstantRelaxation,
-    Drude,
-    Ideal,
-    MaterialModel,
-    PermittivityTable,
-    Plasma,
-    Tabulated,
-    eps_drude,
-    eps_plasma,
-    eps_tabulated,
-    gold_drude,
-    load_permittivity_table,
-    nu_bloch_gruneisen,
-    sum_rule_check,
-    zero_mode_product,
-)
-from .errors import (
-    ApplicabilityWarning,
-    BracketError,
-    CasimirError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    FitError,
-    TableFormatError,
-    TableRangeError,
-    UnsupportedModelError,
-)
-from .geometry import SpherePlateConfig, pfa_force, pfa_force_difference
-from .lifshitz import (
-    DEFAULT_QUAD,
-    PressureResult,
-    QuadratureSettings,
-    ReflectionPair,
-    ThermalGapConfig,
-    free_energy,
-    lifshitz_variables,
-    mode_free_energy,
-    mode_pressure,
-    reflection_pair,
-    rte_from_impedance,
-    rte_zero_frequency_comparison,
-    surface_impedance,
-    te_mode_function,
-    total_pressure,
-    zero_frequency_reflection,
-)
-from .thermal import (
-    DifferenceResult,
-    QuadraticFit,
-    dominant_mode,
-    free_energy_difference,
-    ideal_pressure_lowT,
-    lowT_quadratic_fit,
-    pressure_difference,
-    sign_change_gap,
-)
+from .dispersion import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .lifshitz import *  # noqa: F403
+from .thermal import *  # noqa: F403

@@ -202,7 +202,7 @@ _MODEL_FLAGS = {
 
 def _check_model_flags(args) -> None:
     """Reject a model flag that the chosen model would ignore."""
-    for name in ("omega_p", "nu", "nu_model", "theta_d", "table", "zero_mode_class"):
+    for name in dict.fromkeys(n for names in _MODEL_FLAGS.values() for n in names):
         flag = name.replace("_", "-")
         if getattr(args, name) is not None and name not in _MODEL_FLAGS[args.model]:
             raise ConfigError(f"{flag}: --{flag} does not apply to --model {args.model}")

@@ -45,11 +45,11 @@ from .errors import (
 from .quadrature import adaptive_quad
 
 __all__ = [
-    "ConstantRelaxation", "BlochGruneisen", "RelaxationModel",
+    "ConstantRelaxation", "BlochGruneisen",
     "Drude", "Plasma", "Ideal", "PermittivityTable", "Tabulated",
     "MaterialModel", "gold_drude",
     "eps_drude", "eps_plasma", "eps_tabulated", "nu_bloch_gruneisen",
-    "drude_spectral_function", "sum_rule_check", "zero_mode_product",
+    "sum_rule_check", "zero_mode_product",
     "load_permittivity_table",
 ]
 
@@ -62,20 +62,24 @@ def _reflection_sq(eps, p):
 
     Uses (eps p - s)/(eps p + s) = (eps-1)(p^2(eps+1) - 1)/(eps p + s)^2
     and (s - p)/(s + p) = (eps-1)/(s + p)^2, which stay accurate when
-    eps -> 1 and the direct differences would lose all digits.
+    eps -> 1 and the direct differences would lose all digits.  Squares are
+    products, so scalars match arrays: NumPy sends a scalar ``** 2`` to C pow.
     """
     em1 = eps - 1.0
     s = np.sqrt(em1 + p * p)
-    A = (em1 * (p * p * (eps + 1.0) - 1.0) / (eps * p + s) ** 2) ** 2
-    B = (em1 / (s + p) ** 2) ** 2
-    return A, B
+    tm_den = eps * p + s
+    te_den = s + p
+    r_tm = em1 * (p * p * (eps + 1.0) - 1.0) / (tm_den * tm_den)
+    r_te = em1 / (te_den * te_den)
+    return r_tm * r_tm, r_te * r_te
 
 
 def _plasma_zero_mode(y, omega_p_rad_s: float, a: float):
     """m = 0 (A, B) of a plasma-like metal: A = 1 and a finite TE square."""
     yhat_p = omega_p_rad_s * a / C
     r = np.sqrt(y * y + yhat_p * yhat_p)
-    return 1.0, ((r - y) / (r + y)) ** 2
+    r_te = (r - y) / (r + y)
+    return 1.0, r_te * r_te
 
 
 class _Dielectric:
@@ -319,7 +323,7 @@ def gold_drude(nu_model: str = "constant") -> Drude:
     if nu_model == "constant":
         return Drude()
     if nu_model == "bg":
-        return Drude(relaxation=BlochGruneisen())
+        return Drude(nu_ref_ev=BlochGruneisen.nu_ref_ev, relaxation=BlochGruneisen())
     raise DomainError(f"unknown relaxation model {nu_model!r}")
 
 
@@ -341,7 +345,8 @@ def eps_plasma(zeta, omega_p_ev: float):
     zeta = np.asarray(zeta, dtype=float)
     check_positive("zeta of the plasma permittivity", zeta)
     wp = ev_to_rad_s(omega_p_ev)
-    out = 1.0 + (wp / zeta) ** 2
+    ratio = wp / zeta
+    out = 1.0 + ratio * ratio
     return float(out) if out.ndim == 0 else out
 
 
@@ -434,7 +439,7 @@ def load_permittivity_table(path) -> PermittivityTable:
     number.
     """
     rows: list[tuple[int, float, float]] = []  # (line number, zeta, eps)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -6,6 +6,12 @@ import math
 
 import numpy as np
 
+__all__ = [
+    "CasimirError", "DomainError", "TableRangeError", "UnsupportedModelError",
+    "ConvergenceError", "BracketError", "FitError", "ConfigError",
+    "TableFormatError", "ApplicabilityWarning",
+]
+
 
 class CasimirError(Exception):
     """Base class for all errors raised by this package."""

@@ -106,6 +106,31 @@ def test_non_finite_zeta_rejected(eps, zeta):
         eps(zeta)
 
 
+class TestScalarMatchesArray:
+    """A scalar call gives the bits of the array value the engine integrates."""
+
+    CFG = cs.ThermalGapConfig(300.0, 1e-6)
+
+    def _assert_bitwise(self, f, xs):
+        arr = f(xs)
+        assert all(f(float(x)) == v for x, v in zip(xs, arr))
+
+    def test_reflection_pair(self):
+        # with ``** 2``, 4 of these 2,001 y gave a scalar 1 ulp off the array
+        ys = np.linspace(self.CFG.gamma, 20.0, 2001)
+        self._assert_bitwise(lambda y: cs.reflection_pair(y, 1, self.CFG, 2526.0).A, ys)
+        self._assert_bitwise(lambda y: cs.reflection_pair(y, 1, self.CFG, 2526.0).B, ys)
+
+    def test_plasma_zero_mode(self):
+        ys = np.linspace(0.0, 20.0, 2001)
+        self._assert_bitwise(
+            lambda y: cs.zero_frequency_reflection(cs.Plasma(), y, self.CFG).B, ys)
+
+    def test_eps_plasma(self):
+        # with ``** 2``, 1 of these 2,001 zeta gave a scalar 1 ulp off the array
+        self._assert_bitwise(lambda z: cs.eps_plasma(z, 9.0), np.geomspace(1e8, 1e17, 2001))
+
+
 class TestTabulated:
     def _drude_table(self, gold, n=240):
         zs = np.geomspace(1e12, 1e18, n)
@@ -181,6 +206,16 @@ class TestTableFile:
         assert len(table.zeta) == 3
         assert cs.eps_tabulated(1e14, table) == 101.0
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # a spreadsheet export starts with U+FEFF, which used to fail the header check
+        text = "zeta_rad_per_s,epsilon\n1e13,900.0\n1e14,101.0\n"
+        plain = cs.load_permittivity_table(self._write(tmp_path, text))
+        bom = tmp_path / "bom.csv"
+        bom.write_text(text, encoding="utf-8-sig")
+        table = cs.load_permittivity_table(bom)
+        assert np.array_equal(table.zeta, plain.zeta)
+        assert np.array_equal(table.eps_values, plain.eps_values)
+
     def test_bad_header(self, tmp_path):
         path = self._write(tmp_path, "zeta,eps\n1e13,900\n1e14,101\n")
         with pytest.raises(TableFormatError, match="line 1"):
@@ -236,6 +271,10 @@ class TestBlochGruneisen:
         for T in (3 * 170.0, 5 * 170.0):
             ratio = cs.nu_bloch_gruneisen(2 * T, bg) / cs.nu_bloch_gruneisen(T, bg)
             assert ratio == pytest.approx(2.0, rel=0.05)
+
+    def test_gold_drude_reports_the_nu_it_uses(self, gold_bg):
+        # nu_ref_ev used to keep the constant-model default of 0.035 eV
+        assert gold_bg.nu_ref_ev == gold_bg.relaxation.nu(300.0)
 
     def test_constant_model(self):
         const = cs.ConstantRelaxation(0.035)
