@@ -39,8 +39,8 @@ import numpy as np
 
 from . import __version__
 from .constants import C, CONSTANTS_VERSION
-from .dispersion import (BlochGruneisen, Drude, Ideal, MaterialModel, Plasma,
-                         Tabulated, _reflection_sq, load_permittivity_table)
+from .dispersion import (BlochGruneisen, ConstantRelaxation, Drude, Ideal, MaterialModel,
+                         Plasma, Tabulated, _reflection_sq, load_permittivity_table)
 from .errors import (CasimirError, ConfigError, ConvergenceError, DomainError, FitError,
                      TableRangeError, UnsupportedModelError)
 from .geometry import _pfa_row
@@ -236,7 +236,7 @@ def _build_model(args) -> tuple[MaterialModel, str]:
         return model, f"plasma(omega_p={model.omega_p_ev:g} eV)"
     if args.nu_model == "bg":
         relax = BlochGruneisen(**_given(args, theta_d="theta_d", nu_ref_ev="nu"))
-        model = Drude(**omega_p, nu_ref_ev=relax.nu_ref_ev, relaxation=relax)
+        model = Drude(**omega_p, relaxation=relax)
         return model, (f"drude(omega_p={model.omega_p_ev:g} eV, nu_bg(ref="
                        f"{relax.nu_ref_ev:g} eV @{relax.t_ref:g}K, "
                        f"theta_d={relax.theta_d:g} K))")
@@ -419,9 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--omega-p", type=float, default=None, metavar="EV",
                    help=f"plasma frequency in eV (default: {Drude.omega_p_ev:g})")
     g.add_argument("--nu", type=float, default=None, metavar="EV",
-                   help=f"relaxation frequency in eV (default: {Drude.nu_ref_ev:g} "
-                        f"constant, {BlochGruneisen.nu_ref_ev:g} Bloch-Grueneisen "
-                        f"reference)")
+                   help=f"relaxation frequency in eV (default: "
+                        f"{ConstantRelaxation.nu_ev:g} constant, "
+                        f"{BlochGruneisen.nu_ref_ev:g} Bloch-Grueneisen reference)")
     g.add_argument("--nu-model", choices=["constant", "bg"],
                    help="temperature dependence of nu (default: constant)")
     g.add_argument("--theta-d", type=float, metavar="K",

@@ -28,7 +28,9 @@ power-law behaviour a metal shows at low zeta.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -141,7 +143,7 @@ class BlochGruneisen:
         check_positive("nu_ref", self.nu_ref_ev)
         # shapes by temperature: not a field, so eq, hash and repr ignore it
         object.__setattr__(self, "_shapes", {})
-        # C = nu_ref / shape_ref; dividing last keeps nu(T_ref) == nu_ref exact
+        # C = nu_ref / shape_ref
         object.__setattr__(self, "_shape_ref", self._shape(self.t_ref))
 
     def _shape(self, T: float) -> float:
@@ -154,6 +156,8 @@ class BlochGruneisen:
     def nu(self, T: float) -> float:
         """Relaxation frequency in eV at temperature T (K)."""
         check_positive("temperature", T)
+        if T == self.t_ref:  # nu_ref * s / s can miss nu_ref by an ulp
+            return self.nu_ref_ev
         return self.nu_ref_ev * self._shape(T) / self._shape_ref
 
 
@@ -170,17 +174,30 @@ def nu_bloch_gruneisen(T: float, model: RelaxationModel) -> float:
 
 @dataclass(frozen=True)
 class Drude(_Dielectric):
-    """Drude metal: eps = 1 + omega_p^2 / (zeta (zeta + nu(T)))."""
+    """Drude metal: eps = 1 + omega_p^2 / (zeta (zeta + nu(T))).
+
+    nu(T) is kept only in ``relaxation``; after construction ``nu_ref_ev``
+    holds relaxation.nu(300.0), at the default T of eps.  Given alone,
+    nu_ref_ev builds a ConstantRelaxation (0.035 eV when both are omitted);
+    given beside a relaxation model, it must equal that model's nu(300.0),
+    or a DomainError names both values.
+    """
 
     omega_p_ev: float = 9.0
-    nu_ref_ev: float = 0.035
+    nu_ref_ev: float | None = None
     relaxation: RelaxationModel | None = None
 
     def __post_init__(self):
         check_positive("plasma frequency", self.omega_p_ev)
-        check_positive("relaxation frequency", self.nu_ref_ev)
         if self.relaxation is None:
-            object.__setattr__(self, "relaxation", ConstantRelaxation(self.nu_ref_ev))
+            object.__setattr__(self, "relaxation", ConstantRelaxation(
+                ConstantRelaxation.nu_ev if self.nu_ref_ev is None else self.nu_ref_ev))
+        nu = self.relaxation.nu(300.0)
+        if self.nu_ref_ev is not None and self.nu_ref_ev != nu:
+            raise DomainError(
+                f"nu_ref_ev {self.nu_ref_ev} differs from the {nu} eV that the "
+                f"relaxation model gives at 300 K")
+        object.__setattr__(self, "nu_ref_ev", nu)
 
     @property
     def omega_p_rad_s(self) -> float:
@@ -323,7 +340,7 @@ def gold_drude(nu_model: str = "constant") -> Drude:
     if nu_model == "constant":
         return Drude()
     if nu_model == "bg":
-        return Drude(nu_ref_ev=BlochGruneisen.nu_ref_ev, relaxation=BlochGruneisen())
+        return Drude(relaxation=BlochGruneisen())
     raise DomainError(f"unknown relaxation model {nu_model!r}")
 
 
@@ -433,34 +450,40 @@ TABLE_HEADER = ("zeta_rad_per_s", "epsilon")
 def load_permittivity_table(path) -> PermittivityTable:
     """Read a CSV permittivity table.
 
-    Expected format: header ``zeta_rad_per_s,epsilon`` followed by rows
-    that keep the table node rule (finite zeta > 0, strictly ascending,
-    finite eps > 1).  Violations are reported with the offending line
-    number.
+    Expected format: UTF-8 text (a leading byte-order mark is skipped), the
+    header ``zeta_rad_per_s,epsilon``, then rows that keep the table node
+    rule (finite zeta > 0, strictly ascending, finite eps > 1).  Violations
+    are reported with the offending line number.
     """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise TableFormatError(f"{path}, line {lineno}: not UTF-8 text "
+                               f"(byte 0x{raw[exc.start]:02x})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TableFormatError(f"{path}: empty table file") from None
+    if [h.strip() for h in header] != list(TABLE_HEADER):
+        raise TableFormatError(
+            f"{path}, line 1: expected header "
+            f"'{','.join(TABLE_HEADER)}', got '{','.join(header)}'")
     rows: list[tuple[int, float, float]] = []  # (line number, zeta, eps)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TableFormatError(f"{path}: empty table file") from None
-        if [h.strip() for h in header] != list(TABLE_HEADER):
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
             raise TableFormatError(
-                f"{path}, line 1: expected header "
-                f"'{','.join(TABLE_HEADER)}', got '{','.join(header)}'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise TableFormatError(
-                    f"{path}, line {lineno}: expected 2 columns, got {len(row)}")
-            try:
-                rows.append((lineno, float(row[0]), float(row[1])))
-            except ValueError:
-                raise TableFormatError(
-                    f"{path}, line {lineno}: non-numeric value in "
-                    f"'{','.join(row)}'") from None
+                f"{path}, line {lineno}: expected 2 columns, got {len(row)}")
+        try:
+            rows.append((lineno, float(row[0]), float(row[1])))
+        except ValueError:
+            raise TableFormatError(
+                f"{path}, line {lineno}: non-numeric value in "
+                f"'{','.join(row)}'") from None
     if len(rows) < 2:
         raise TableFormatError(f"{path}: table needs at least 2 data rows")
     lines, zetas, eps = zip(*rows)

@@ -396,6 +396,8 @@ def te_mode_function(zeta: float, a: float, model: MaterialModel,
     enters through a possible temperature dependence of the relaxation
     frequency.
     """
+    if np.ndim(zeta):
+        raise DomainError(f"zeta must be a scalar, got an array of shape {np.shape(zeta)}")
     if not 0 <= zeta < math.inf:
         raise DomainError(f"zeta must be finite and >= 0, got {zeta}")
     return _mode_integral(model, ThermalGapConfig(T=T, a=a), zeta,

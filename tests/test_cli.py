@@ -434,6 +434,16 @@ class TestTableModel:
                        "--table", str(path)) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_table_not_utf8_rejected(self, tmp_path, capsys):
+        # used to end in a UnicodeDecodeError traceback and exit 1
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"zeta_rad_per_s,epsilon\n1e13,900\n1e14,101 \xe9\n")
+        assert run_cli("modes", "--model", "table", "--table", str(path),
+                       "--gap", "1.0") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("casimir: configuration error: table:")
+        assert "not UTF-8 text" in err
+
 
 class TestDeterminism:
     def test_byte_identical_across_thread_counts(self, tmp_path):

@@ -72,6 +72,25 @@ class TestDrude:
             with pytest.raises(DomainError, match="relaxation frequency must be finite"):
                 cs.Drude(nu_ref_ev=bad)
 
+    def test_default_nu(self):
+        assert cs.Drude().nu_ref_ev == 0.035
+
+    def test_nu_ref_must_agree_with_relaxation(self):
+        # used to report 0.05 eV while eps computed with 0.035 eV
+        with pytest.raises(DomainError, match="0.05.*0.035"):
+            cs.Drude(nu_ref_ev=0.05, relaxation=cs.ConstantRelaxation(0.035))
+
+    def test_nu_ref_read_from_relaxation(self):
+        # used to report the constant-model default of 0.035 eV
+        assert cs.Drude(relaxation=cs.BlochGruneisen()).nu_ref_ev == 0.0356
+
+    def test_bg_model_equals_gold_drude_bg(self):
+        assert cs.Drude(relaxation=cs.BlochGruneisen()) == cs.gold_drude("bg")
+
+    def test_consistent_pair_accepted(self):
+        bg = cs.BlochGruneisen(theta_d=150.0, nu_ref_ev=0.0356)
+        assert cs.Drude(nu_ref_ev=0.0356, relaxation=bg).relaxation is bg
+
 
 class TestPlasma:
     def test_eps_two_at_plasma_frequency(self):
@@ -241,6 +260,14 @@ class TestTableFile:
         with pytest.raises(TableFormatError, match=f"line 3: {reason}"):
             cs.load_permittivity_table(path)
 
+    def test_not_utf8_reports_line(self, tmp_path):
+        # a Latin-1 export used to raise a bare UnicodeDecodeError
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"zeta_rad_per_s,epsilon\n1e13,900\n1e14,101 \xe9\n")
+        with pytest.raises(TableFormatError,
+                           match=r"latin1\.csv, line 3: not UTF-8 text \(byte 0xe9\)"):
+            cs.load_permittivity_table(path)
+
     def test_non_numeric_reports_line(self, tmp_path):
         path = self._write(tmp_path,
                            "zeta_rad_per_s,epsilon\n1e13,900\nhuge,101\n")
@@ -252,6 +279,14 @@ class TestBlochGruneisen:
     def test_reference_point_exact(self):
         bg = cs.BlochGruneisen()  # theta_D = 170 K, 35.6 meV at 300 K
         assert cs.nu_bloch_gruneisen(300.0, bg) == 0.0356
+
+    @pytest.mark.parametrize("theta_d, nu_ref, t_ref", [
+        (150.0, 0.0356, 300.0), (100.0, 0.03, 300.0), (100.0, 0.123, 300.0),
+        (100.0, 0.03, 77.0), (170.0, 0.123, 77.0)])
+    def test_reference_point_exact_for_any_parameters(self, theta_d, nu_ref, t_ref):
+        # nu_ref * shape / shape used to miss nu_ref by 1 ulp for these
+        bg = cs.BlochGruneisen(theta_d=theta_d, nu_ref_ev=nu_ref, t_ref=t_ref)
+        assert bg.nu(t_ref) == nu_ref
 
     def test_350K_matches_published_value(self):
         bg = cs.BlochGruneisen()

@@ -621,6 +621,16 @@ class TestTeModeFunction:
         with pytest.raises(DomainError, match="zeta must be finite and >= 0"):
             cs.te_mode_function(zeta, 1e-6, gold)
 
+    def test_rejects_array_zeta(self, gold):
+        # used to fail with NumPy's "truth value of an array is ambiguous"
+        with pytest.raises(DomainError, match=r"zeta must be a scalar.*\(2,\)"):
+            cs.te_mode_function(np.array([1e13, 2e13]), 1e-6, gold)
+
+    def test_accepts_numpy_scalars(self, gold):
+        f = cs.te_mode_function(1e14, 1e-6, gold)
+        assert cs.te_mode_function(np.float64(1e14), 1e-6, gold) == f
+        assert cs.te_mode_function(np.array(1e14), 1e-6, gold) == f
+
 
 class TestSurfaceImpedance:
     def test_vacuum(self):
