@@ -20,7 +20,8 @@ configuration error.
 
 Exit codes: 0 success, 2 configuration error, 3 convergence/compute error.
 Output files embed the constants version and model parameters, contain no
-timestamps, and are byte-identical for identical configurations.  Rows run
+timestamps, and are byte-identical for identical configurations on one NumPy
+build and CPU dispatch (NumPy picks SIMD kernels at run time).  Rows run
 serially; --threads is still accepted and validated, and the output is
 identical for any value.
 """

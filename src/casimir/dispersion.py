@@ -5,11 +5,15 @@ the ideal reflector, which has no finite permittivity.  Frequencies are
 rad/s, temperatures K; model parameters, quoted in eV, must be finite and
 > 0 (a DomainError names any that is not); table nodes keep _bad_node's rule.
 
-Each model also owns its reflection rules, the only thing the Lifshitz
+Each model also owns its reflection rules, which is what the Lifshitz
 engine asks of it.  Both give the squared TM/TE coefficients as plain (A, B):
 
   zero_frequency_reflection(y, cfg)  the analytic m = 0 coefficients
   matsubara_reflection(zeta, T)      (A, B) as a function of p at zeta > 0
+
+A model whose eps bends at some frequencies also names them as its kinks
+(a table: its nodes), since the engine's rule in m must not integrate
+across a bend.
 
 The m = 0 rule is where the models differ physically: a lossy metal keeps
 its TM zero mode (A = 1) but loses the TE one (B = 0), while the plasma
@@ -318,6 +322,12 @@ class Tabulated(_Dielectric):
 
     def eps(self, zeta, T: float | None = None):
         return eps_tabulated(zeta, self.table)
+
+    @property
+    def kinks(self) -> np.ndarray:
+        """Frequencies (rad/s) where eps bends: the nodes, between which the
+        log-log interpolation is smooth."""
+        return self.table.zeta
 
     @property
     def omega_p_eff_rad_s(self) -> float:

@@ -31,11 +31,15 @@ Both rules return plain (A, B); only the public reflection_pair and
 zero_frequency_reflection validate them.  With y = m gamma + t every m >= 1
 mode lives on the same t-interval, so a sum is one adaptive integral over
 the summed integrand of modes 1..M-1, with M set by an ideal-reflector
-bound on the dropped tail, plus the m = 0 term.  When the m = 0 rule gives
-constant A and B, each 0 or 1 (a lossy metal, the ideal reflector), that
-term is (A + B) zeta(3)/4 in closed form, with the sign of the kernel;
-otherwise (plasma) it is a second integral.  Every t-integral starts from
-the same initial panels, graded toward t = 0, where the kernels vary fastest.
+bound on the dropped tail, plus the m = 0 term.  M grows like 1/(aT), so
+where M > 8 K the modes m >= K enter as the weighted rows of a rule in m
+(Euler-Maclaurin in Gregory's form, see _tail_rule), whose cost grows
+like log M; K and the rule come from its error estimate.  When the m = 0
+rule gives constant A and B, each 0 or 1 (a lossy metal, the ideal
+reflector), that term is (A + B) zeta(3)/4 in closed form, with the sign
+of the kernel; otherwise (plasma) it is a second integral.  Every
+t-integral starts from the same initial panels, graded toward t = 0,
+where the kernels vary fastest.
 """
 
 from __future__ import annotations
@@ -48,9 +52,9 @@ import numpy as np
 
 from .constants import C, HBAR, K_B
 from .dispersion import MaterialModel, _reflection_sq
-from .errors import (ConvergenceError, DomainError, TableRangeError,
+from .errors import (CasimirError, ConvergenceError, DomainError, TableRangeError,
                      UnsupportedModelError, check_eps, check_index, check_positive)
-from .quadrature import adaptive_quad
+from .quadrature import adaptive_quad, bisect_worst, gk15_rule
 
 __all__ = [
     "ThermalGapConfig", "QuadratureSettings", "ReflectionPair",
@@ -67,8 +71,23 @@ __all__ = [
 # points over the benchmark's sums.  The last edge is the width of every
 # y-integral: e^{-2 y} past 30 is below 1e-26.
 _T_MESH = np.array([0.0, 1 / 256, 1 / 32, 3 / 16, 0.75, 2.0, 4.5, 9.0, 15.0, 30.0])
+_T_NODES, _T_WEIGHTS = (x.ravel() for x in gk15_rule(_T_MESH[:-1], _T_MESH[1:])[:2])
 _ROW_BLOCK = 128  # rows evaluated together: bounds the integrand's memory
-_ROW_CAP = 250_000  # most modes one sum may take (1.5 K at 50 nm takes 94,141)
+_RULE_BLOCK = 64  # the same in sums by the rule in m: < 1 MB at 135 t-points
+_ROW_CAP = 250_000  # most rows a sum or a per_mode table evaluates one by one
+# The rule in m (_tail_rule) keeps at least _K_MIN explicit rows and runs
+# only where M > _RULE_RATIO K.  It sums smooth stretches of at least
+# _SEGMENT_MIN rows and bisects its panels up to _M_PANELS of them.
+_K_MIN = 256
+_RULE_RATIO = 8
+_SEGMENT_MIN = 64
+_M_PANELS = 256
+# Gregory's end terms g(K)/2 - g'(K)/12 + g'''(K)/720 as weights on the rows
+# K..K+4: g' and g''' come from one-sided differences with errors g^(5)/5 and
+# 7 g^(5)/4, and _D3 @ rows / 720 is the last term, the end's error estimate.
+_D3 = np.array([-5.0, 18.0, -24.0, 14.0, -3.0]) / 2.0
+_GREGORY = (np.array([0.5, 0.0, 0.0, 0.0, 0.0])
+            - np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 144.0 + _D3 / 720.0)
 
 
 @dataclass(frozen=True)
@@ -117,14 +136,20 @@ class PressureResult:
 
     per_mode holds (m, contribution in Pa, share of the total in percent)
     for m = 0..m_used-1; each contribution is accurate to rel_tol of the total.
+    Past m_used = 250,000 the table is not built: per_mode, and so pickling
+    and copying, raise CasimirError, while fraction(m) evaluates the one
+    mode it is asked for.
     """
 
     total: float
     m_used: int
-    _contributions: object = field(repr=False, compare=False)  # () -> the M terms
+    _contributions: object = field(repr=False, compare=False)  # m -> term m; () -> all
 
     @cached_property  # evaluated on the sum's final panel rule when first read
     def per_mode(self) -> tuple:
+        if self.m_used > _ROW_CAP:
+            raise CasimirError(f"per_mode would list m_used = {self.m_used} modes, "
+                               f"more than {_ROW_CAP}")
         c = self._contributions()
         shares = 100.0 * c / self.total if self.total != 0.0 else 0.0 * c
         return tuple(zip(range(self.m_used), c.tolist(), shares.tolist()))
@@ -135,7 +160,11 @@ class PressureResult:
         m must be an integer; DomainError otherwise.
         """
         check_index(m, 0)
-        return self.per_mode[m][2] if m < self.m_used else 0.0
+        if m >= self.m_used or self.total == 0.0:
+            return 0.0
+        if self.m_used <= _ROW_CAP:
+            return self.per_mode[m][2]
+        return 100.0 * self._contributions(m) / self.total
 
     def __getstate__(self):  # pickles and copies hold the table, not the callable
         return dict(vars(self), per_mode=self.per_mode, _contributions=None)
@@ -238,32 +267,63 @@ _FREE_ENERGY = (_free_energy_kernel, lambda cfg: K_B * cfg.T / (2.0 * np.pi * cf
                 ((0.0, 0.5, 0.25), (0.0, 0.25, 0.25)), (-_ZETA3_4, -_ZETA3_4))
 
 
-def _integrate(model, cfg, zeta, kernel, rel_tol):
-    """Row-summed int kernel(A, B, y) dt over t in [0, 30], y = a zeta / c + t.
+def _blocks(x, size):
+    """x split into consecutive blocks of size rows."""
+    return np.split(x, range(size, len(x), size))
 
-    Rows share t, so one adaptive_quad call holds rel_tol on their sum; it
-    starts from the panels of _T_MESH.  The row zeta = [0] takes the model's
-    m = 0 rule; rows at zeta > 0 bind its m >= 1 rule in p = y c / (a zeta)
-    once per block of _ROW_BLOCK rows.  Returns the sum and a callable that
-    evaluates each row's integral on the final panel rule of adaptive_quad.
+
+def _in_p(rule, y_lo):
+    """A block's m >= 1 rule, (A, B) as a function of p, as one of y."""
+    return y_lo, lambda y: rule(y / y_lo)
+
+
+def _bind(model, cfg, zeta, size=_ROW_BLOCK):
+    """The rows at frequencies zeta as blocks of (y_lo, y -> (A, B)).
+
+    The row zeta = [0] takes the model's m = 0 rule; rows at zeta > 0 bind
+    its m >= 1 rule in p = y c / (a zeta) once per block of size rows.
     """
     zeta = np.asarray(zeta, dtype=float)[:, None]
-    zero = zeta[0, 0] == 0.0
-    blocks = [(zeta, _zero_rule(model, cfg))] if zero else [
-        (cfg.a * z / C, model.matsubara_reflection(z, cfg.T))
-        for z in np.split(zeta, range(_ROW_BLOCK, len(zeta), _ROW_BLOCK))]
+    if zeta[0, 0] == 0.0:
+        return [(zeta, _zero_rule(model, cfg))]
+    return [_in_p(model.matsubara_reflection(z, cfg.T), cfg.a * z / C)
+            for z in _blocks(zeta, size)]
 
-    def rows(t):
-        for y_lo, rule in blocks:
-            y = y_lo + t
-            yield kernel(*rule(y if zero else y / y_lo), y)
 
-    def integrand(t):
-        return sum(k.sum(axis=0) for k in rows(t))
+def _kernel_rows(blocks, kernel, t):
+    """kernel(A, B, y) at y = y_lo + t, one array of rows per block."""
+    for y_lo, rule in blocks:
+        y = y_lo + t
+        yield kernel(*rule(y), y)
+
+
+def _integrate(model, cfg, zeta, kernel, rel_tol, weight=None):
+    """Row-summed int kernel(A, B, y) dt over t in [0, 30], y = a zeta / c + t.
+
+    Rows share t, so one adaptive_quad call holds rel_tol on their sum, or
+    on their weighted sum when each row has a weight; it starts from the
+    panels of _T_MESH.  Returns the sum and a callable that evaluates each
+    row's integral on the final panel rule of adaptive_quad: the rows at
+    the frequencies it is given, or by default this integral's own.
+    """
+    size = _ROW_BLOCK if weight is None else _RULE_BLOCK
+    blocks = _bind(model, cfg, zeta, size)
+    if weight is None:
+        def integrand(t):
+            return sum(k.sum(axis=0) for k in _kernel_rows(blocks, kernel, t))
+    else:
+        weights = _blocks(weight, size)
+
+        def integrand(t):
+            return sum(w @ k for w, k in zip(weights, _kernel_rows(blocks, kernel, t)))
 
     value, _, t, w = adaptive_quad(integrand, _T_MESH[0], _T_MESH[-1],
                                    rel_tol=rel_tol, points=_T_MESH[1:-1])
-    return value, lambda: np.concatenate([k @ w for k in rows(t)])
+
+    def per_row(zeta=None):
+        rows = blocks if zeta is None else _bind(model, cfg, zeta, size)
+        return np.concatenate([k @ w for k in _kernel_rows(rows, kernel, t)])
+    return value, per_row
 
 
 def _mode_integral(model, cfg, zeta, kernel, zero, rel_tol):
@@ -334,11 +394,101 @@ def _smallest(ok, lo, hi):
     return hi
 
 
+def _tail_rule(model, cfg, kernel, K, M, rel_tol, zero):
+    """Rows (frequencies in units of zeta_1) and weights whose weighted sum
+    is sum_{m=K}^{M-1} g(m), g(m) the row integral at m zeta_1; None when
+    the rule misses its error budget.
+
+    The model's kinks, frequencies where eps bends, cut [K, M-1] where g is
+    not smooth.  A smooth stretch [a, b] of at least _SEGMENT_MIN rows is
+    summed by Gregory's rule: int_a^b g dm plus, at a and mirrored at b,
+    the end terms of _GREGORY.  A shorter stretch keeps its rows.  The
+    integral takes GK15 panels graded geometrically from a, none wider than
+    4/gamma, over which g falls by at most e^8.  The rule is placed by g on
+    the first t-panels, _T_NODES, which also gives its error estimate: the
+    last end terms (_D3) plus |Kronrod - Gauss| on the panels, each held to
+    half of rel_tol |zero + the rule's sum| (the explicit rows only add to
+    that sum).  The panels with the largest |Kronrod - Gauss| are bisected,
+    up to _M_PANELS of them.  The estimate cannot see a bend of eps that
+    the model does not name among its kinks.
+    """
+    def g(m):
+        blocks = _bind(model, cfg, cfg.matsubara(m), _RULE_BLOCK)
+        return np.concatenate([k @ _T_WEIGHTS for k in _kernel_rows(blocks, kernel, _T_NODES)])
+
+    kinks = np.asarray(getattr(model, "kinks", ()), dtype=float) / cfg.matsubara(1)
+    explicit, ends, lo, hi = [np.zeros(0)], [], [], []
+    start = K
+    for end in [c // 1 for c in kinks if K < c < M - 1] + [M - 1]:
+        if end - start >= _SEGMENT_MIN:
+            ends += [start + np.arange(5.0), end - np.arange(5.0)]
+            edges = [start]
+            while edges[-1] < end:
+                edges.append(min(2.0 * edges[-1], edges[-1] + 4.0 / cfg.gamma, end))
+            lo += edges[:-1]
+            hi += edges[1:]
+        else:
+            explicit.append(np.arange(start, end + 1.0))
+        start = end + 1
+    if not lo:  # every stretch is short
+        m = np.concatenate(explicit)
+        return m, np.ones(len(m))
+    ends = np.concatenate(ends)
+    end_w = np.resize(_GREGORY, len(ends))
+    g_ends = g(ends)
+    end_err = np.abs(g_ends.reshape(-1, 5) @ _D3).sum() / 720.0
+
+    def panels(lo, hi):
+        x, wk, wkg = gk15_rule(lo, hi)
+        gx = g(x.ravel()).reshape(x.shape)
+        return x, wk, (gx * wk).sum(axis=1), np.abs((gx * wkg).sum(axis=1))
+
+    lo, hi = np.array(lo), np.array(hi)
+    x, wk, vals, errs = panels(lo, hi)
+    while True:
+        budget = 0.5 * rel_tol * abs(zero + math.fsum(vals) + g_ends @ end_w)
+        if end_err > budget:
+            return None
+        if errs.sum() <= budget:
+            m = np.concatenate(explicit + [ends, x.ravel()])
+            return m, np.concatenate((np.ones(len(m) - len(ends) - x.size),
+                                      end_w, wk.ravel()))
+        if len(lo) >= _M_PANELS:
+            return None
+        keep, new_lo, new_hi = bisect_worst(lo, hi, errs)
+        lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
+        x, wk, vals, errs = (np.concatenate((old[keep], new))
+                             for old, new in zip((x, wk, vals, errs), panels(new_lo, new_hi)))
+
+
+def _rows(model, cfg, kernel, M, rel_tol, zero):
+    """Frequencies (in units of zeta_1) and weights of the rows that sum
+    modes 1..M-1; weights None when every row is a mode of its own.
+
+    That is so unless M > _RULE_RATIO K: then _tail_rule sums the modes
+    m >= K, with K doubled from _K_MIN until the rule meets its budget.
+    ConvergenceError if it has not by K = _ROW_CAP / (2 _RULE_RATIO).
+    """
+    K = _K_MIN
+    while M > _RULE_RATIO * K:
+        rule = _tail_rule(model, cfg, kernel, K, M, rel_tol, zero)
+        if rule is not None:
+            return (np.concatenate((np.arange(1.0, K), rule[0])),
+                    np.concatenate((np.ones(K - 1), rule[1])))
+        if 2 * _RULE_RATIO * K > _ROW_CAP:
+            raise ConvergenceError(f"the rule in m misses its error budget for "
+                                   f"every K from {_K_MIN} to {K}")
+        K *= 2
+    return np.arange(1, M), None
+
+
 def _sum_modes(cfg, model, quad, observable):
-    """Primed Matsubara sum, its M and a callable giving the M terms.
+    """Primed Matsubara sum, its M and a callable giving its terms.
 
     Every term has the sign of the m = 0 term, so stopping at the M whose
-    tail bound is rel_tol of that term holds rel_tol on the whole sum.
+    tail bound is rel_tol of that term holds rel_tol on the whole sum.  The
+    modes 1..M-1 are the weighted rows of _rows.  The callable gives term m,
+    by default all M terms, on the sum's final t-rule.
     """
     kernel, prefactor, tail, zero_unit = observable
     where = f"at T = {cfg.T:g} K, a = {cfg.a:g} m (gamma = {cfg.gamma:.3g})"
@@ -349,24 +499,34 @@ def _sum_modes(cfg, model, quad, observable):
                                estimate=exc.estimate) from None
     M = _smallest(lambda n: _tail_bound(n, cfg.gamma, tail) <= quad.rel_tol * abs(zero),
                   1, 2)
-    if M > _ROW_CAP:
-        raise ConvergenceError(f"Matsubara sum needs M = {M} modes {where}, "
-                               f"more than {_ROW_CAP}")
-    zeta = cfg.matsubara(np.arange(1, M))
     try:
-        rows, per_row = _integrate(model, cfg, zeta, kernel, quad.rel_tol)
+        m, weight = _rows(model, cfg, kernel, M, quad.rel_tol, zero)
+        rows, per_row = _integrate(model, cfg, cfg.matsubara(m), kernel,
+                                   quad.rel_tol, weight)
     except TableRangeError as exc:
         if exc.zeta is None:  # not a table lookup: nothing names the mode
             raise
-        # rows ascend and bind in order, so exc.zeta is the first failing row
-        m = int(np.searchsorted(zeta, exc.zeta)) + 1
-        raise TableRangeError(f"Matsubara mode m = {m} at T = {cfg.T:g} K has "
-                              f"zeta_m = {zeta[m - 1]:.4g} rad/s: {exc}") from None
+
+        def out_of_range(n):
+            try:
+                model.matsubara_reflection(cfg.matsubara(n), cfg.T)
+            except TableRangeError:
+                return True
+            return False
+        n = _smallest(out_of_range, 0, 1)  # a table fails m = 1, or every m past one
+        raise TableRangeError(f"Matsubara mode m = {n} at T = {cfg.T:g} K has "
+                              f"zeta_m = {cfg.matsubara(n):.4g} rad/s: {exc}") from None
     except ConvergenceError as exc:
         raise ConvergenceError(f"Matsubara modes m = 1..{M - 1} {where}: {exc}",
                                estimate=exc.estimate) from None
     p = prefactor(cfg)
-    return p * (zero + rows), M, lambda: p * np.concatenate(([zero], per_row()))
+
+    def terms(n=None):
+        if n is None:
+            own = per_row() if weight is None else per_row(cfg.matsubara(np.arange(1, M)))
+            return p * np.concatenate(([zero], own))
+        return p * (zero if n == 0 else per_row(cfg.matsubara(np.array([n])))[0])
+    return p * (zero + rows), M, terms
 
 
 def total_pressure(cfg: ThermalGapConfig, model: MaterialModel,

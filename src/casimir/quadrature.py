@@ -59,6 +59,8 @@ _WG = np.array([
 _NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))
 _WK = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _WG_FULL = np.concatenate((_WG[:-1], _WG[::-1]))  # weights for nodes 1,3,...,13
+_WKG = _WK.copy()  # Kronrod minus Gauss weights: the G7 error of the K15 rule
+_WKG[1::2] -= _WG_FULL
 
 _INITIAL_PANELS = 8
 _MAX_ROUNDS = 48
@@ -69,6 +71,23 @@ _TINY = np.finfo(float).tiny  # error estimates below it count as converged
 def neumaier_sum(values) -> float:
     """Correctly rounded sum of a 1-D sequence of floats (math.fsum)."""
     return math.fsum(values)
+
+
+def gk15_rule(lo: np.ndarray, hi: np.ndarray):
+    """Nodes, Kronrod weights and Kronrod-minus-Gauss weights of the panels
+    [lo_i, hi_i], one row of 15 per panel."""
+    half = 0.5 * (hi - lo)[:, None]
+    return 0.5 * (lo + hi)[:, None] + half * _NODES, half * _WK, half * _WKG
+
+
+def bisect_worst(lo: np.ndarray, hi: np.ndarray, errs: np.ndarray):
+    """Bisect the panels whose error is within a factor 4 of the worst.
+
+    Returns the mask of the panels kept whole and the new panels' lo, hi.
+    """
+    split = errs >= 0.25 * float(errs.max())
+    mids = 0.5 * (lo[split] + hi[split])
+    return ~split, np.concatenate((lo[split], mids)), np.concatenate((mids, hi[split]))
 
 
 def _gk15_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
@@ -133,11 +152,7 @@ def adaptive_quad(
             return total, err_total, x.ravel(), (half * _WK).ravel()
         if 2 * len(lo) > _MAX_PANELS:
             break
-        split = errs >= 0.25 * float(errs.max())
-        keep = ~split
-        mids = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate((lo[split], mids))
-        new_hi = np.concatenate((mids, hi[split]))
+        keep, new_lo, new_hi = bisect_worst(lo, hi, errs)
         new_vals, new_errs = _gk15_panels(f, new_lo, new_hi)
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))

@@ -103,10 +103,13 @@ class TestPressureCommand:
         err = capsys.readouterr().err
         assert "m = 1.." in err and "m = 0" not in err and "T = 300 K" in err
 
-    def test_hopeless_sum_exits_three(self, capsys):
-        # 1 mK at 10 nm would need about 8e8 Matsubara modes
-        assert run_cli("pressure", "--gap", "0.01", "--temp", "0.001") == 3
-        assert "modes at T = 0.001 K" in capsys.readouterr().err
+    def test_millikelvin_sum_exits_zero(self, tmp_path, gold):
+        # 1 mK at 10 nm needs about 8.8e8 Matsubara modes; the rule in m sums them
+        out = tmp_path / "p.csv"
+        assert run_cli("pressure", "--gap", "0.01", "--temp", "0.001", "--out", str(out)) == 0
+        _, _, rows = read_csv(out)
+        assert rows[0][1] == abs(cs.total_pressure(
+            cs.ThermalGapConfig(T=1e-3, a=1e-8), gold).total)
 
 
 class TestDiffCommand:

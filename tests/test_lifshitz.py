@@ -11,7 +11,7 @@ from scipy.special import zeta
 
 import casimir as cs
 from casimir import dispersion, lifshitz, quadrature
-from casimir.errors import (ConvergenceError, DomainError, TableRangeError,
+from casimir.errors import (CasimirError, ConvergenceError, DomainError, TableRangeError,
                             UnsupportedModelError)
 from casimir.lifshitz import _reflection_sq
 
@@ -398,19 +398,61 @@ class TestTotalPressure:
         assert f"zeta_m = {cfg.matsubara(9):.4g} rad/s" in message
 
     @pytest.mark.parametrize("observable", [cs.total_pressure, cs.free_energy])
-    def test_hopeless_sum_fails_before_allocating(self, gold, observable):
-        # 1 mK at 10 nm needs about 8e8 modes
+    def test_millikelvin_sum_is_the_zero_temperature_limit(self, gold, zero_temperature,
+                                                           observable):
+        # 1 mK at 10 nm needs about 8.8e8 modes, and the thermal part there
+        # is 1.2e-14 of F: the sum must give the T = 0 value, in little memory
         tracemalloc.start()
         try:
-            with pytest.raises(ConvergenceError) as exc:
-                observable(cs.ThermalGapConfig(T=1e-3, a=1e-8), gold)
+            result = observable(cs.ThermalGapConfig(T=1e-3, a=1e-8), gold)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+        if observable is cs.total_pressure:
+            assert result.m_used > 8e8
+            result, name = result.total, "pressure"
+        else:
+            name = "free_energy"
+        assert result == pytest.approx(zero_temperature(gold, 1e-8, name), rel=1e-10, abs=0.0)
+
+    def test_huge_result_gives_fractions_but_no_table(self, gold):
+        cfg = cs.ThermalGapConfig(T=1e-3, a=1e-8)
+        res = cs.total_pressure(cfg, gold)
+        assert res.m_used > lifshitz._ROW_CAP
+        for m in (0, 1, 7, lifshitz._K_MIN + 3, 10**6):
+            assert res.fraction(m) == pytest.approx(
+                100.0 * cs.mode_pressure(m, cfg, gold) / res.total, rel=1e-9, abs=0.0)
+        assert res.fraction(res.m_used) == 0.0
+        for read in (lambda: res.per_mode, lambda: pickle.dumps(res), lambda: copy.copy(res)):
+            with pytest.raises(CasimirError, match=f"m_used = {res.m_used} modes"):
+                read()
+
+    def test_rule_sum_lists_every_mode(self, gold):
+        # at 2 K / 1 um the rule in m sums the modes past _K_MIN; per_mode
+        # still lists each one, evaluated on the sum's final t-rule
+        cfg = cs.ThermalGapConfig(T=2.0, a=1e-6)
+        res = cs.total_pressure(cfg, gold)
+        terms = [c for _, c, _ in res.per_mode]
+        assert len(terms) == res.m_used > lifshitz._RULE_RATIO * lifshitz._K_MIN
+        assert math.fsum(terms) == pytest.approx(res.total, rel=1e-10, abs=0.0)
+        for m in (0, 1, lifshitz._K_MIN - 1, lifshitz._K_MIN, 1000, res.m_used - 1):
+            assert terms[m] == pytest.approx(cs.mode_pressure(m, cfg, gold), rel=1e-9, abs=0.0)
+            assert res.fraction(m) == 100.0 * terms[m] / res.total
+
+    def test_table_range_error_names_the_first_mode_the_rule_needs(self, gold):
+        # at 2 K / 1 um the rule in m takes the modes past 256; the table
+        # ends inside its range, and the message names the first integer m
+        zs = np.geomspace(1e11, 2e15, 60)
+        model = cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold)))
+        cfg = cs.ThermalGapConfig(T=2.0, a=1e-6)
+        n = math.ceil(2e15 / cfg.matsubara(1))
+        assert cfg.matsubara(n - 1) < 2e15 < cfg.matsubara(n) and n > lifshitz._K_MIN
+        with pytest.raises(TableRangeError) as exc:
+            cs.total_pressure(cfg, model)
         message = str(exc.value)
-        for part in ("M = 8", "T = 0.001 K", "a = 1e-08 m", "gamma = 2.74e-08"):
-            assert part in message
+        assert f"m = {n} " in message
+        assert f"zeta_m = {cfg.matsubara(n):.4g} rad/s" in message
 
     def test_row_convergence_error_names_the_modes(self):
         class Rippled:
@@ -427,6 +469,24 @@ class TestTotalPressure:
         message = str(exc.value)
         assert message.startswith("Matsubara modes m = 1..")
         assert "T = 300 K" in message
+
+    def test_rule_in_m_failure_names_the_modes(self):
+        class Wavy:
+            """Drude-like m = 0 rule; m >= 1 coefficients that oscillate
+            every few modes at 1 mK, which no rule in m resolves."""
+
+            def zero_frequency_reflection(self, y, cfg):
+                return 1.0, 0.0
+
+            def matsubara_reflection(self, zeta, T):
+                A = 0.5 + 0.4 * np.sin(zeta / 1e9)
+                return lambda p: (A, 0.0)
+
+        with pytest.raises(ConvergenceError) as exc:
+            cs.free_energy(cs.ThermalGapConfig(T=1e-3, a=1e-8), Wavy())
+        message = str(exc.value)
+        assert message.startswith("Matsubara modes m = 1..8")
+        assert "T = 0.001 K" in message and "rule in m" in message
 
 
 class TestMatsubaraTruncation:
@@ -463,6 +523,31 @@ class TestMatsubaraTruncation:
         F = fsum_modes(cs.mode_free_energy, cfg, model, fine)
         assert cs.total_pressure(cfg, model).total == pytest.approx(P, rel=1e-10)
         assert cs.free_energy(cfg, model) == pytest.approx(F, rel=1e-10)
+
+    @pytest.mark.parametrize("name", ["drude", "sparse_table"])
+    def test_rule_in_m_matches_fsum_of_modes(self, gold, name, monkeypatch):
+        # at 2 K / 1 um the modes past _K_MIN go to the rule in m; the
+        # sparse table bends at 5 nodes inside its range, where the rule cuts
+        cfg = cs.ThermalGapConfig(T=2.0, a=1e-6)
+        zs = np.geomspace(1e11, 1e18, 36)
+        model = gold if name == "drude" else cs.Tabulated(
+            cs.PermittivityTable(zs, cs.eps_drude(zs, gold)))
+        rows, integrate = [], lifshitz._integrate
+
+        def counting_integrate(model, cfg, zeta, *args):
+            rows.append(len(zeta))
+            return integrate(model, cfg, zeta, *args)
+
+        monkeypatch.setattr(lifshitz, "_integrate", counting_integrate)
+        for total, mode_fn in ((lambda: cs.total_pressure(cfg, model).total, cs.mode_pressure),
+                               (lambda: cs.free_energy(cfg, model), cs.mode_free_energy)):
+            value = total()
+            assert rows[-1] < 600  # of about 3,000 modes
+            # measured within 4e-14; without the g'''/720 end term, 7e-13
+            assert value == pytest.approx(fsum_modes(mode_fn, cfg, model), rel=2e-13, abs=0.0)
+        if name == "sparse_table":
+            nodes = zs / cfg.matsubara(1)
+            assert np.sum((nodes > lifshitz._K_MIN) & (nodes < 2900)) == 5
 
 
 @pytest.mark.parametrize("ones", ["scalar", "array"])
@@ -535,7 +620,8 @@ class TestWorkCount:
         assert len(seen) == calls
 
     def test_cryogenic_rows_take_135_points_each(self, gold, monkeypatch):
-        # 86,623 modes share the t-points; the first rows vary fastest near t = 0
+        # 86,623 modes, explicit rows and rule-in-m nodes, share the t-points;
+        # the first rows vary fastest near t = 0
         integrals, panels = self.record(monkeypatch)
         cs.free_energy(cs.ThermalGapConfig(T=1.5, a=50e-9), gold)
         assert len(integrals) == 1

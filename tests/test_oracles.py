@@ -5,6 +5,8 @@ cover what no closed form does: the squared reflection coefficients where
 eps -> 1 or p -> 1 make the textbook form cancel, and complete Matsubara mode
 integrals of gold and of the plasma zero mode, and the closed form that
 replaces the zero-mode integral when both coefficients are constant 0 or 1.
+The zero-temperature limit of the sums (the zero_temperature fixture) is
+checked against the ideal closed forms and against P = -dF/da.
 """
 
 import itertools
@@ -109,3 +111,24 @@ def test_constant_zero_mode_is_zeta3_closed_form(gold, name, a):
         for value, ref in ((cs.mode_pressure(0, cfg, model), pressure),
                            (cs.mode_free_energy(0, cfg, model), free_energy)):
             assert abs((value - ref) / ref) <= 1e-15
+
+
+# The zero-temperature oracle (the zero_temperature fixture of conftest.py)
+# checked on its own: the ideal closed forms, and P = -dF/da for gold.
+
+@pytest.mark.parametrize("observable, denominator, power",
+                         [("free_energy", 720.0, 3), ("pressure", 240.0, 4)])
+def test_zero_temperature_ideal_reflector_closed_forms(zero_temperature, observable,
+                                                       denominator, power):
+    a = 1e-6
+    exact = -np.pi ** 2 * cs.HBAR * cs.C / (denominator * a ** power)
+    assert zero_temperature(cs.Ideal(), a, observable) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+def test_zero_temperature_gold_pressure_is_minus_dF_da(zero_temperature, gold):
+    # central difference: truncation about 20 (h/a)^2 / 6 = 3e-8 at h = 1e-4 a
+    a = 1e-8
+    h = 1e-4 * a
+    dF = (zero_temperature(gold, a + h, "free_energy")
+          - zero_temperature(gold, a - h, "free_energy")) / (2.0 * h)
+    assert -dF == pytest.approx(zero_temperature(gold, a, "pressure"), rel=1e-7, abs=0.0)
