@@ -137,8 +137,9 @@ class PressureResult:
     per_mode holds (m, contribution in Pa, share of the total in percent)
     for m = 0..m_used-1; each contribution is accurate to rel_tol of the total.
     Past m_used = 250,000 the table is not built: per_mode, and so pickling
-    and copying, raise CasimirError, while fraction(m) evaluates the one
-    mode it is asked for.
+    and copying, raise CasimirError.  fraction(m) reads the table of a sum
+    of at most _RULE_RATIO * _K_MIN modes, which is always summed row by
+    row, and of a copy; otherwise it evaluates the one mode it is asked for.
     """
 
     total: float
@@ -162,7 +163,7 @@ class PressureResult:
         check_index(m, 0)
         if m >= self.m_used or self.total == 0.0:
             return 0.0
-        if self.m_used <= _ROW_CAP:
+        if self.m_used <= _RULE_RATIO * _K_MIN or self._contributions is None:
             return self.per_mode[m][2]
         return 100.0 * self._contributions(m) / self.total
 

@@ -429,16 +429,20 @@ class TestTotalPressure:
                 read()
 
     def test_rule_sum_lists_every_mode(self, gold):
-        # at 2 K / 1 um the rule in m sums the modes past _K_MIN; per_mode
-        # still lists each one, evaluated on the sum's final t-rule
+        # at 2 K / 1 um the rule in m sums the modes past _K_MIN; fraction(m)
+        # evaluates mode m alone on the sum's final t-rule, without the table,
+        # and per_mode still lists every mode, evaluated on the same rule
         cfg = cs.ThermalGapConfig(T=2.0, a=1e-6)
         res = cs.total_pressure(cfg, gold)
+        ms = (0, 1, lifshitz._K_MIN - 1, lifshitz._K_MIN, 1000, res.m_used - 1)
+        fractions = [res.fraction(m) for m in ms]
+        assert "per_mode" not in vars(res)
         terms = [c for _, c, _ in res.per_mode]
         assert len(terms) == res.m_used > lifshitz._RULE_RATIO * lifshitz._K_MIN
         assert math.fsum(terms) == pytest.approx(res.total, rel=1e-10, abs=0.0)
-        for m in (0, 1, lifshitz._K_MIN - 1, lifshitz._K_MIN, 1000, res.m_used - 1):
+        for m, fraction in zip(ms, fractions):
             assert terms[m] == pytest.approx(cs.mode_pressure(m, cfg, gold), rel=1e-9, abs=0.0)
-            assert res.fraction(m) == 100.0 * terms[m] / res.total
+            assert fraction == pytest.approx(100.0 * terms[m] / res.total, rel=1e-13, abs=0.0)
 
     def test_table_range_error_names_the_first_mode_the_rule_needs(self, gold):
         # at 2 K / 1 um the rule in m takes the modes past 256; the table
