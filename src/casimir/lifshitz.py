@@ -396,9 +396,9 @@ def _smallest(ok, lo, hi):
 
 
 def _tail_rule(model, cfg, kernel, K, M, rel_tol, zero):
-    """Rows (frequencies in units of zeta_1) and weights whose weighted sum
-    is sum_{m=K}^{M-1} g(m), g(m) the row integral at m zeta_1; None when
-    the rule misses its error budget.
+    """Rows (mode numbers m, not all integers) and weights whose weighted
+    sum is sum_{m=K}^{M-1} g(m), g(m) the row integral at m zeta_1; None
+    when the rule misses its error budget.
 
     The model's kinks, frequencies where eps bends, cut [K, M-1] where g is
     not smooth.  A smooth stretch [a, b] of at least _SEGMENT_MIN rows is
@@ -463,8 +463,8 @@ def _tail_rule(model, cfg, kernel, K, M, rel_tol, zero):
 
 
 def _rows(model, cfg, kernel, M, rel_tol, zero):
-    """Frequencies (in units of zeta_1) and weights of the rows that sum
-    modes 1..M-1; weights None when every row is a mode of its own.
+    """Mode numbers m and weights of the rows that sum modes 1..M-1; the
+    weights are None when every row is a mode of its own.
 
     That is so unless M > _RULE_RATIO K: then _tail_rule sums the modes
     m >= K, with K doubled from _K_MIN until the rule meets its budget.
@@ -526,7 +526,7 @@ def _sum_modes(cfg, model, quad, observable):
         if n is None:
             own = per_row() if weight is None else per_row(cfg.matsubara(np.arange(1, M)))
             return p * np.concatenate(([zero], own))
-        return p * (zero if n == 0 else per_row(cfg.matsubara(np.array([n])))[0])
+        return float(p * (zero if n == 0 else per_row(cfg.matsubara(np.array([n])))[0]))
     return p * (zero + rows), M, terms
 
 
