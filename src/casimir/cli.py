@@ -47,7 +47,7 @@ from .errors import (CasimirError, ConfigError, ConvergenceError, DomainError, F
 from .geometry import _pfa_row
 from .lifshitz import (QuadratureSettings, ThermalGapConfig, rte_from_impedance,
                        rte_zero_frequency_comparison, te_mode_function, total_pressure)
-from .thermal import free_energy_difference, lowT_quadratic_fit, pressure_difference
+from .thermal import _differences, lowT_quadratic_fit
 
 MICRON = 1e-6
 
@@ -314,9 +314,11 @@ def cmd_pressure(cfg: RunConfig) -> SweepOutput:
 def cmd_diff(cfg: RunConfig) -> SweepOutput:
     """Pressure difference (mPa) and free-energy difference (J/m^2)."""
     T1, T2 = cfg.temps
-    return _sweep(cfg, ["delta_F_mPa", "delta_free_energy_J_m2"], lambda a_m: (
-        pressure_difference(a_m, cfg.model, T1, T2, cfg.quad).delta * 1e3,
-        free_energy_difference(a_m, cfg.model, T1, T2, cfg.quad).delta))
+
+    def row(a_m):
+        dP, dF = _differences(a_m, cfg.model, T1, T2, cfg.quad)
+        return dP.delta * 1e3, dF.delta
+    return _sweep(cfg, ["delta_F_mPa", "delta_free_energy_J_m2"], row)
 
 
 def cmd_modes(cfg: RunConfig) -> SweepOutput:

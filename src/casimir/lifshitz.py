@@ -40,6 +40,13 @@ reflector), that term is (A + B) zeta(3)/4 in closed form, with the sign
 of the kernel; otherwise (plasma) it is a second integral.  Every
 t-integral starts from the same initial panels, graded toward t = 0,
 where the kernels vary fastest.
+
+P and F at one (a, T) share their rows: a sum of both (the CLI's diff)
+binds eps and evaluates A and B once per row for both kernels.
+Each keeps its own m = 0 term, M and prefactor, sums its own first M - 1
+rows, and holds rel_tol on its own total in the one t-integral (and in
+the one rule in m, placed to the larger M).  total_pressure and
+free_energy are the sums of one observable.
 """
 
 from __future__ import annotations
@@ -270,7 +277,7 @@ _FREE_ENERGY = (_free_energy_kernel, lambda cfg: K_B * cfg.T / (2.0 * np.pi * cf
 
 def _blocks(x, size):
     """x split into consecutive blocks of size rows."""
-    return np.split(x, range(size, len(x), size))
+    return [x[i:i + size] for i in range(0, len(x), size)]
 
 
 def _in_p(rule, y_lo):
@@ -291,56 +298,80 @@ def _bind(model, cfg, zeta, size=_ROW_BLOCK):
             for z in _blocks(zeta, size)]
 
 
-def _kernel_rows(blocks, kernel, t):
-    """kernel(A, B, y) at y = y_lo + t, one array of rows per block."""
-    for y_lo, rule in blocks:
-        y = y_lo + t
-        yield kernel(*rule(y), y)
+def _kernels_at(rule, y, kernels):
+    """Each kernel(A, B, y) at the rows y of one block, (A, B) = rule(y).
+
+    A function of its own, so that only the kernels' rows outlive a block.
+    """
+    A, B = rule(y)
+    return [kernel(A, B, y) for kernel in kernels]
 
 
-def _integrate(model, cfg, zeta, kernel, rel_tol, weight=None):
-    """Row-summed int kernel(A, B, y) dt over t in [0, 30], y = a zeta / c + t.
+def _kernel_rows(blocks, kernels, t):
+    """Each kernel at y = y_lo + t, a list of arrays of rows per block."""
+    return (_kernels_at(rule, y_lo + t, kernels) for y_lo, rule in blocks)
 
-    Rows share t, so one adaptive_quad call holds rel_tol on their sum, or
-    on their weighted sum when each row has a weight; it starts from the
-    panels of _T_MESH.  Returns the sum and a callable that evaluates each
-    row's integral on the final panel rule of adaptive_quad: the rows at
-    the frequencies it is given, or by default this integral's own.
+
+def _integrate(model, cfg, zeta, kernels, rel_tol, weight=None, counts=None):
+    """Row-summed int kernel(A, B, y) dt over t in [0, 30], y = a zeta / c + t,
+    for each kernel of a stack.
+
+    Rows share t and every kernel shares their (A, B), so one adaptive_quad
+    call holds rel_tol on each kernel's sum: of its first counts[c] rows
+    (by default all), or of all rows weighted when each row has a weight.
+    It starts from the panels of _T_MESH.  Returns the array of sums and a
+    callable per_row(c, zeta=None) that evaluates kernel c's row integrals
+    on the final panel rule of adaptive_quad: the rows at the frequencies
+    it is given, or by default this integral's own.
     """
     size = _ROW_BLOCK if weight is None else _RULE_BLOCK
     blocks = _bind(model, cfg, zeta, size)
     if weight is None:
+        # block b holds rows b size.. and gives kernel c its first counts[c] - b size
+        cuts = [[n - b * size for n in counts or [len(zeta)] * len(kernels)]
+                for b in range(len(blocks))]
+
         def integrand(t):
-            return sum(k.sum(axis=0) for k in _kernel_rows(blocks, kernel, t))
+            out = np.zeros((len(kernels), len(t)))
+            for rows, cut in zip(_kernel_rows(blocks, kernels, t), cuts):
+                for s, k, n in zip(out, rows, cut):
+                    if n > 0:
+                        s += k[:n].sum(axis=0)
+            return out
     else:
         weights = _blocks(weight, size)
 
         def integrand(t):
-            return sum(w @ k for w, k in zip(weights, _kernel_rows(blocks, kernel, t)))
+            out = np.zeros((len(kernels), len(t)))
+            for w, rows in zip(weights, _kernel_rows(blocks, kernels, t)):
+                for s, k in zip(out, rows):
+                    s += w @ k
+            return out
 
-    value, _, t, w = adaptive_quad(integrand, _T_MESH[0], _T_MESH[-1],
-                                   rel_tol=rel_tol, points=_T_MESH[1:-1])
+    values, _, t, w = adaptive_quad(integrand, _T_MESH[0], _T_MESH[-1],
+                                    rel_tol=rel_tol, points=_T_MESH[1:-1])
 
-    def per_row(zeta=None):
+    def per_row(c, zeta=None):
         rows = blocks if zeta is None else _bind(model, cfg, zeta, size)
-        return np.concatenate([k @ w for k in _kernel_rows(rows, kernel, t)])
-    return value, per_row
+        return np.concatenate([k @ w for k, in _kernel_rows(rows, kernels[c:c + 1], t)])
+    return values, per_row
 
 
-def _mode_integral(model, cfg, zeta, kernel, zero, rel_tol):
-    """int kernel dy of the one row at zeta, without weight or prefactor.
+def _mode_integrals(model, cfg, zeta, kernels, zeros, rel_tol):
+    """int kernel dy of the one row at zeta for each kernel, without weight
+    or prefactor, as a list.
 
     At zeta = 0, a model whose rule gives constant A and B, each 0 or 1 (a
-    lossy metal, the ideal reflector), has the closed form A unit_A + B unit_B,
-    with zero = (unit_A, unit_B) the kernel's integrals at unit coefficients;
-    any other zero mode (plasma, a coefficient between 0 and 1) is integrated.
+    lossy metal, the ideal reflector), has the closed forms A unit_A + B unit_B,
+    with zeros[c] = (unit_A, unit_B) kernel c's integrals at unit coefficients;
+    any other zero mode (plasma, a coefficient between 0 and 1) is one
+    stacked integral.
     """
     if zeta == 0.0:
         A, B = _zero_rule(model, cfg)(np.zeros(1))
         if all(np.ndim(X) == 0 and X in (0.0, 1.0) for X in (A, B)):
-            unit_A, unit_B = zero
-            return unit_A * A + unit_B * B
-    return _integrate(model, cfg, [zeta], kernel, rel_tol)[0]
+            return [unit_A * A + unit_B * B for unit_A, unit_B in zeros]
+    return _integrate(model, cfg, [zeta], kernels, rel_tol)[0].tolist()
 
 
 def _mode_value(m, cfg, model, quad, observable):
@@ -348,8 +379,8 @@ def _mode_value(m, cfg, model, quad, observable):
     kernel, prefactor, _, zero = observable
     check_index(m, 0)
     weight = 0.5 if m == 0 else 1.0
-    return prefactor(cfg) * weight * _mode_integral(
-        model, cfg, cfg.matsubara(m), kernel, zero, quad.rel_tol)
+    return prefactor(cfg) * weight * float(_mode_integrals(
+        model, cfg, cfg.matsubara(m), (kernel,), (zero,), quad.rel_tol)[0])
 
 
 def mode_pressure(m: int, cfg: ThermalGapConfig, model: MaterialModel,
@@ -395,27 +426,62 @@ def _smallest(ok, lo, hi):
     return hi
 
 
-def _tail_rule(model, cfg, kernel, K, M, rel_tol, zero):
+def _modes_needed(gamma, coeffs, target):
+    """Smallest M >= 2 with _tail_bound(M, gamma, coeffs) <= target.
+
+    With c = M gamma and p, q of _tail_bound, the bound is target where
+    h(c) = 2 c + ln((1 - e^{-2c}) target / (2 (p(c) + q(c)/gamma))) = 0,
+    and h increases.  Newton's method from c = ln(1/target)/2 finds that
+    root to a tenth of a mode in two to four steps.  Two checks confirm
+    the M it gives; _smallest searches when they do not, and when target
+    is 0.
+    """
+    def ok(n):
+        return _tail_bound(n, gamma, coeffs) <= target
+
+    c = 2.0 * gamma
+    if target > 0.0:
+        c = max(c, -0.5 * math.log(target))
+        for _ in range(8):
+            (p, dp), (q, dq) = (((k2 * c + k1) * c + k0, 2.0 * k2 * c + k1)
+                                for k2, k1, k0 in coeffs)
+            s = p + q / gamma
+            e = -math.expm1(-2.0 * c)
+            h = 2.0 * c + math.log(e * target / (2.0 * s))
+            c, last = max(2.0 * gamma, c - h / (2.0 + 2.0 * (1.0 - e) / e
+                                                  - (dp + dq / gamma) / s)), c
+            if abs(c - last) < 0.1 * gamma:
+                break
+    n = math.ceil(c / gamma)
+    if not ok(n):
+        return _smallest(ok, n, 2 * n)
+    return n if n == 2 or not ok(n - 1) else _smallest(ok, 1, n - 1)
+
+
+def _tail_rule(model, cfg, kernels, K, M, rel_tol, zeros):
     """Rows (mode numbers m, not all integers) and weights whose weighted
-    sum is sum_{m=K}^{M-1} g(m), g(m) the row integral at m zeta_1; None
-    when the rule misses its error budget.
+    sum is sum_{m=K}^{M-1} g(m) for each kernel of a stack, g(m) the row
+    integral at m zeta_1; None when the rule misses its error budget.
 
     The model's kinks, frequencies where eps bends, cut [K, M-1] where g is
     not smooth.  A smooth stretch [a, b] of at least _SEGMENT_MIN rows is
     summed by Gregory's rule: int_a^b g dm plus, at a and mirrored at b,
     the end terms of _GREGORY.  A shorter stretch keeps its rows.  The
     integral takes GK15 panels graded geometrically from a, none wider than
-    4/gamma, over which g falls by at most e^8.  The rule is placed by g on
-    the first t-panels, _T_NODES, which also gives its error estimate: the
-    last end terms (_D3) plus |Kronrod - Gauss| on the panels, each held to
-    half of rel_tol |zero + the rule's sum| (the explicit rows only add to
-    that sum).  The panels with the largest |Kronrod - Gauss| are bisected,
-    up to _M_PANELS of them.  The estimate cannot see a bend of eps that
-    the model does not name among its kinks.
+    4/gamma, over which g falls by at most e^8.  The rule is placed by the
+    kernels' g on the first t-panels, _T_NODES, which also gives its error
+    estimate per kernel: the last end terms (_D3) plus |Kronrod - Gauss| on
+    the panels, each held to half of rel_tol |zeros[c] + the rule's sum|
+    (the explicit rows only add to that sum).  The panels with the largest
+    |Kronrod - Gauss| relative to that budget are bisected, up to
+    _M_PANELS of them.  The estimate cannot see a bend of eps that the
+    model does not name among its kinks.
     """
-    def g(m):
+    def g(m):  # shape (kernels, rows)
         blocks = _bind(model, cfg, cfg.matsubara(m), _RULE_BLOCK)
-        return np.concatenate([k @ _T_WEIGHTS for k in _kernel_rows(blocks, kernel, _T_NODES)])
+        per_block = [[k @ _T_WEIGHTS for k in rows]
+                     for rows in _kernel_rows(blocks, kernels, _T_NODES)]
+        return np.array([np.concatenate(g_c) for g_c in zip(*per_block)])
 
     kinks = np.asarray(getattr(model, "kinks", ()), dtype=float) / cfg.matsubara(1)
     explicit, ends, lo, hi = [np.zeros(0)], [], [], []
@@ -437,34 +503,37 @@ def _tail_rule(model, cfg, kernel, K, M, rel_tol, zero):
     ends = np.concatenate(ends)
     end_w = np.resize(_GREGORY, len(ends))
     g_ends = g(ends)
-    end_err = np.abs(g_ends.reshape(-1, 5) @ _D3).sum() / 720.0
+    end_err = np.abs(g_ends.reshape(len(kernels), -1, 5) @ _D3).sum(axis=1) / 720.0
+    end_sums = np.array([ge @ end_w for ge in g_ends])
 
     def panels(lo, hi):
         x, wk, wkg = gk15_rule(lo, hi)
-        gx = g(x.ravel()).reshape(x.shape)
-        return x, wk, (gx * wk).sum(axis=1), np.abs((gx * wkg).sum(axis=1))
+        gx = g(x.ravel()).reshape(len(kernels), *x.shape)
+        return x, wk, (gx * wk).sum(axis=2), np.abs((gx * wkg).sum(axis=2))
 
     lo, hi = np.array(lo), np.array(hi)
     x, wk, vals, errs = panels(lo, hi)
     while True:
-        budget = 0.5 * rel_tol * abs(zero + math.fsum(vals) + g_ends @ end_w)
-        if end_err > budget:
+        budget = 0.5 * rel_tol * np.abs(np.add(zeros, [math.fsum(v) for v in vals]) + end_sums)
+        if (end_err > budget).any():
             return None
-        if errs.sum() <= budget:
+        if (errs.sum(axis=1) <= budget).all():
             m = np.concatenate(explicit + [ends, x.ravel()])
             return m, np.concatenate((np.ones(len(m) - len(ends) - x.size),
                                       end_w, wk.ravel()))
         if len(lo) >= _M_PANELS:
             return None
-        keep, new_lo, new_hi = bisect_worst(lo, hi, errs)
+        keep, new_lo, new_hi = bisect_worst(lo, hi, errs, budget)
         lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
-        x, wk, vals, errs = (np.concatenate((old[keep], new))
-                             for old, new in zip((x, wk, vals, errs), panels(new_lo, new_hi)))
+        new = panels(new_lo, new_hi)
+        x, wk = (np.concatenate((old[keep], n)) for old, n in zip((x, wk), new[:2]))
+        vals, errs = (np.concatenate((old[:, keep], n), axis=1)
+                      for old, n in zip((vals, errs), new[2:]))
 
 
-def _rows(model, cfg, kernel, M, rel_tol, zero):
-    """Mode numbers m and weights of the rows that sum modes 1..M-1; the
-    weights are None when every row is a mode of its own.
+def _rows(model, cfg, kernels, M, rel_tol, zeros):
+    """Mode numbers m and weights of the rows that sum modes 1..M-1 for each
+    kernel; the weights are None when every row is a mode of its own.
 
     That is so unless M > _RULE_RATIO K: then _tail_rule sums the modes
     m >= K, with K doubled from _K_MIN until the rule meets its budget.
@@ -472,7 +541,7 @@ def _rows(model, cfg, kernel, M, rel_tol, zero):
     """
     K = _K_MIN
     while M > _RULE_RATIO * K:
-        rule = _tail_rule(model, cfg, kernel, K, M, rel_tol, zero)
+        rule = _tail_rule(model, cfg, kernels, K, M, rel_tol, zeros)
         if rule is not None:
             return (np.concatenate((np.arange(1.0, K), rule[0])),
                     np.concatenate((np.ones(K - 1), rule[1])))
@@ -483,27 +552,38 @@ def _rows(model, cfg, kernel, M, rel_tol, zero):
     return np.arange(1, M), None
 
 
-def _sum_modes(cfg, model, quad, observable):
-    """Primed Matsubara sum, its M and a callable giving its terms.
+def _sum_modes(cfg, model, quad, observables):
+    """Primed Matsubara sums of a stack of observables at one (a, T): for
+    each, its value, its M and a callable giving its terms.
 
     Every term has the sign of the m = 0 term, so stopping at the M whose
-    tail bound is rel_tol of that term holds rel_tol on the whole sum.  The
-    modes 1..M-1 are the weighted rows of _rows.  The callable gives term m,
-    by default all M terms, on the sum's final t-rule.
+    tail bound is rel_tol of that term holds rel_tol on the whole sum; each
+    observable has its own m = 0 term and M.  The modes 1..M-1 of the
+    largest M are the weighted rows of _rows; they bind eps once for every
+    observable, and an observable summed row by row takes its first M - 1.
+    The callable gives term m, by default all M terms, on the sum's final
+    t-rule.
     """
-    kernel, prefactor, tail, zero_unit = observable
-    where = f"at T = {cfg.T:g} K, a = {cfg.a:g} m (gamma = {cfg.gamma:.3g})"
+    kernels = [kernel for kernel, *_ in observables]
+
+    def failed(modes, exc):  # estimate: an integral's, one per observable of a stack
+        estimate = exc.estimate
+        if estimate is not None and len(observables) == 1:
+            estimate = float(estimate[0])
+        return ConvergenceError(f"Matsubara {modes} at T = {cfg.T:g} K, a = {cfg.a:g} m "
+                                f"(gamma = {cfg.gamma:.3g}): {exc}", estimate=estimate)
     try:
-        zero = 0.5 * _mode_integral(model, cfg, 0.0, kernel, zero_unit, quad.rel_tol)
+        zeros = [0.5 * v for v in _mode_integrals(
+            model, cfg, 0.0, kernels, [zero for *_, zero in observables], quad.rel_tol)]
     except ConvergenceError as exc:
-        raise ConvergenceError(f"Matsubara mode m = 0 {where}: {exc}",
-                               estimate=exc.estimate) from None
-    M = _smallest(lambda n: _tail_bound(n, cfg.gamma, tail) <= quad.rel_tol * abs(zero),
-                  1, 2)
+        raise failed("mode m = 0", exc) from None
+    Ms = [_modes_needed(cfg.gamma, tail, quad.rel_tol * abs(zero))
+          for (_, _, tail, _), zero in zip(observables, zeros)]
+    M = max(Ms)
     try:
-        m, weight = _rows(model, cfg, kernel, M, quad.rel_tol, zero)
-        rows, per_row = _integrate(model, cfg, cfg.matsubara(m), kernel,
-                                   quad.rel_tol, weight)
+        m, weight = _rows(model, cfg, kernels, M, quad.rel_tol, zeros)
+        rows, per_row = _integrate(model, cfg, cfg.matsubara(m), kernels,
+                                   quad.rel_tol, weight, [n - 1 for n in Ms])
     except TableRangeError as exc:
         if exc.zeta is None:  # not a table lookup: nothing names the mode
             raise
@@ -518,28 +598,31 @@ def _sum_modes(cfg, model, quad, observable):
         raise TableRangeError(f"Matsubara mode m = {n} at T = {cfg.T:g} K has "
                               f"zeta_m = {cfg.matsubara(n):.4g} rad/s: {exc}") from None
     except ConvergenceError as exc:
-        raise ConvergenceError(f"Matsubara modes m = 1..{M - 1} {where}: {exc}",
-                               estimate=exc.estimate) from None
-    p = prefactor(cfg)
+        raise failed(f"modes m = 1..{M - 1}", exc) from None
 
-    def terms(n=None):
-        if n is None:
-            own = per_row() if weight is None else per_row(cfg.matsubara(np.arange(1, M)))
-            return p * np.concatenate(([zero], own))
-        return float(p * (zero if n == 0 else per_row(cfg.matsubara(np.array([n])))[0]))
-    return p * (zero + rows), M, terms
+    def result(c, prefactor, zero, M):
+        p = prefactor(cfg)
+
+        def terms(n=None):
+            if n is None:
+                own = per_row(c, None if weight is None else cfg.matsubara(np.arange(1, M)))
+                return p * np.concatenate(([zero], own[:M - 1]))
+            return float(p * (zero if n == 0 else per_row(c, cfg.matsubara(np.array([n])))[0]))
+        return float(p * (zero + rows[c])), M, terms
+    return [result(c, obs[1], zero, n)
+            for c, (obs, zero, n) in enumerate(zip(observables, zeros, Ms))]
 
 
 def total_pressure(cfg: ThermalGapConfig, model: MaterialModel,
                    quad: QuadratureSettings = DEFAULT_QUAD) -> PressureResult:
     """Total Casimir pressure with per-mode contributions and fractions."""
-    return PressureResult(*_sum_modes(cfg, model, quad, _PRESSURE))
+    return PressureResult(*_sum_modes(cfg, model, quad, (_PRESSURE,))[0])
 
 
 def free_energy(cfg: ThermalGapConfig, model: MaterialModel,
                 quad: QuadratureSettings = DEFAULT_QUAD) -> float:
     """Free energy per unit area in J/m^2 (negative; P = -dF/da)."""
-    return _sum_modes(cfg, model, quad, _FREE_ENERGY)[0]
+    return _sum_modes(cfg, model, quad, (_FREE_ENERGY,))[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +644,8 @@ def te_mode_function(zeta: float, a: float, model: MaterialModel,
         raise DomainError(f"zeta must be a scalar, got an array of shape {np.shape(zeta)}")
     if not 0 <= zeta < math.inf:
         raise DomainError(f"zeta must be finite and >= 0, got {zeta}")
-    return _mode_integral(model, ThermalGapConfig(T=T, a=a), zeta,
-                          _te_kernel, (0.0, -_ZETA3_4), quad.rel_tol)
+    return float(_mode_integrals(model, ThermalGapConfig(T=T, a=a), zeta,
+                                 (_te_kernel,), ((0.0, -_ZETA3_4),), quad.rel_tol)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,11 @@ math.fsum, which is correctly rounded and independent of summation order,
 so the returned value does not depend on the refinement history and is
 bit-reproducible.  adaptive_quad, the one entry point, also returns the
 Kronrod nodes and weights of its final panels, so a caller can integrate
-related functions (the Lifshitz per-mode rows) on the converged rule.
+related functions (the Lifshitz per-mode rows) on the converged rule.  An
+integrand may return a stack of C functions on the same points (the
+Lifshitz pressure and free energy); each component then holds rel_tol on
+its own total, and the panels are bisected where the largest error
+relative to its component's budget sits.
 
 Error estimation follows the QUADPACK recipe: the raw |K15 - G7|
 difference is rescaled by the panel's total variation measure so that
@@ -80,11 +84,15 @@ def gk15_rule(lo: np.ndarray, hi: np.ndarray):
     return 0.5 * (lo + hi)[:, None] + half * _NODES, half * _WK, half * _WKG
 
 
-def bisect_worst(lo: np.ndarray, hi: np.ndarray, errs: np.ndarray):
+def bisect_worst(lo: np.ndarray, hi: np.ndarray, errs: np.ndarray, budget: np.ndarray):
     """Bisect the panels whose error is within a factor 4 of the worst.
 
+    errs has shape (C, panels) for C integrals on the same panels.  A
+    panel's error is the largest errs[c] / budget[c] (a budget below the
+    smallest normal float counts as that float); with C = 1 it is errs[0].
     Returns the mask of the panels kept whole and the new panels' lo, hi.
     """
+    errs = errs[0] if len(errs) == 1 else (errs / np.maximum(budget, _TINY)[:, None]).max(axis=0)
     split = errs >= 0.25 * float(errs.max())
     mids = 0.5 * (lo[split] + hi[split])
     return ~split, np.concatenate((lo[split], mids)), np.concatenate((mids, hi[split]))
@@ -93,26 +101,28 @@ def bisect_worst(lo: np.ndarray, hi: np.ndarray, errs: np.ndarray):
 def _gk15_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
     """Evaluate the (G7, K15) pair on each panel [lo_i, hi_i].
 
-    Returns (kronrod values, scaled error estimates), one entry per panel.
+    Returns (kronrod values, scaled error estimates), one entry per panel,
+    with a leading axis of C components when f returns shape (C, points).
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _NODES
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    fx = np.asarray(f(x.ravel()), dtype=float)
+    fx = fx.reshape(fx.shape[:-1] + x.shape)
+    if fx.ndim > 2:  # (1, panels) times (1, panels) takes NumPy's fast loop
+        half = half[None]
 
-    sk = fx @ _WK                 # Kronrod sum on the unit interval
-    sg = fx[:, 1::2] @ _WG_FULL   # embedded Gauss sum
+    sk = fx @ _WK                   # Kronrod sum on the unit interval
+    sg = fx[..., 1::2] @ _WG_FULL   # embedded Gauss sum
     resk = sk * half
     err = np.abs(sk - sg) * half
 
     # QUADPACK rescaling: compare against the deviation-from-mean measure.
     mean = 0.5 * sk
-    resasc = (np.abs(fx - mean[:, None]) @ _WK) * half
+    resasc = (np.abs(fx - mean[..., None]) @ _WK) * half
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = (resasc > 0.0) & (err > 0.0)
-        err[scale] = resasc[scale] * np.minimum(
-            1.0, (200.0 * err[scale] / resasc[scale]) ** 1.5)
-    return resk, err
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    return resk, np.where((resasc > 0.0) & (err > 0.0), scaled, err)
 
 
 def adaptive_quad(
@@ -135,34 +145,45 @@ def adaptive_quad(
     nodes and weights of the final panels: w @ g(x) applies the converged
     rule to another integrand g.  Raises ConvergenceError (carrying the
     best estimate) after 48 rounds or 4096 panels.
+
+    When f returns a stack of shape (C, len(x)), value and error estimate
+    are arrays of C, every component meets rel_tol of its own value, and a
+    round bisects by each panel's largest error over its component's
+    budget rel_tol * |value|.
     """
     edges = (np.linspace(a, b, _INITIAL_PANELS + 1) if points is None
              else np.concatenate(([a], points, [b])))
-    if not np.all(edges[1:] > edges[:-1]):
+    if not (edges[1:] > edges[:-1]).all():
         raise ValueError(f"integration edges must increase, got {edges.tolist()}")
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk15_panels(f, lo, hi)
+    stacked = vals.ndim > 1
+    if not stacked:  # a stack of one, as the loop takes it
+        vals, errs = vals[None], errs[None]
 
-    total = neumaier_sum(vals.tolist())
+    totals = [neumaier_sum(v) for v in vals.tolist()]
     for _ in range(_MAX_ROUNDS):
-        err_total = float(errs.sum())
-        if err_total <= rel_tol * abs(total) or err_total < _TINY:
+        err_totals = errs.sum(axis=1).tolist()
+        if all(err <= rel_tol * abs(total) or err < _TINY
+               for err, total in zip(err_totals, totals)):
             half = 0.5 * (hi - lo)[:, None]
             x = 0.5 * (lo + hi)[:, None] + half * _NODES
-            return total, err_total, x.ravel(), (half * _WK).ravel()
+            if stacked:
+                return np.array(totals), np.array(err_totals), x.ravel(), (half * _WK).ravel()
+            return totals[0], err_totals[0], x.ravel(), (half * _WK).ravel()
         if 2 * len(lo) > _MAX_PANELS:
             break
-        keep, new_lo, new_hi = bisect_worst(lo, hi, errs)
+        keep, new_lo, new_hi = bisect_worst(lo, hi, errs, rel_tol * np.abs(totals))
         new_vals, new_errs = _gk15_panels(f, new_lo, new_hi)
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
-        vals = np.concatenate((vals[keep], new_vals))
-        errs = np.concatenate((errs[keep], new_errs))
-        total = neumaier_sum(vals.tolist())
+        vals = np.concatenate((vals[:, keep], new_vals.reshape(len(vals), -1)), axis=1)
+        errs = np.concatenate((errs[:, keep], new_errs.reshape(len(errs), -1)), axis=1)
+        totals = [neumaier_sum(v) for v in vals.tolist()]
 
     raise ConvergenceError(
         f"quadrature did not reach rel_tol={rel_tol:g} "
         f"on [{edges[0]:g}, {edges[-1]:g}] "
-        f"(estimated error {float(errs.sum()):.3e} with {len(lo)} panels)",
-        estimate=total,
+        f"(estimated error {max(err_totals):.3e} with {len(lo)} panels)",
+        estimate=np.array(totals) if stacked else totals[0],
     )

@@ -7,7 +7,9 @@ pressure magnitudes at two laboratory temperatures,
 
 and the analogous free-energy difference.  The permittivity is
 re-evaluated on each temperature's own Matsubara grid; nothing is cached
-across temperatures.
+across temperatures.  Where both differences are asked for (the CLI's
+diff), P and F at one (a, T) are one stacked sum that evaluates eps and
+the reflection coefficients once for both.
 
 For a lossy metal the free energy follows a quadratic low-temperature law
 
@@ -29,9 +31,12 @@ from .constants import C, HBAR, K_B, free_energy_si_to_ev3, temperature_to_ev
 from .dispersion import MaterialModel
 from .errors import ApplicabilityWarning, BracketError, DomainError, FitError, check_positive
 from .lifshitz import (
+    _FREE_ENERGY,
+    _PRESSURE,
     DEFAULT_QUAD,
     QuadratureSettings,
     ThermalGapConfig,
+    _sum_modes,
     free_energy,
     total_pressure,
 )
@@ -80,10 +85,8 @@ class QuadraticFit:
                 coeff=self.coeff, residual=self.residual)
 
 
-def _difference(a: float, T1: float, T2: float, observable) -> DifferenceResult:
-    """|observable(T2)| - |observable(T1)| at gap a; observable takes a config."""
-    v1 = observable(ThermalGapConfig(T=T1, a=a))
-    v2 = observable(ThermalGapConfig(T=T2, a=a))
+def _difference(a: float, T1: float, T2: float, v1: float, v2: float) -> DifferenceResult:
+    """|v2| - |v1| at gap a, for the values v1, v2 of one observable at T1, T2."""
     return DifferenceResult(a=a, T_low=T2, T_high=T1,
                             delta=abs(v2) - abs(v1), raw_low=v2, raw_high=v1)
 
@@ -92,14 +95,25 @@ def pressure_difference(a: float, model: MaterialModel,
                         T1: float = 350.0, T2: float = 300.0,
                         quad: QuadratureSettings = DEFAULT_QUAD) -> DifferenceResult:
     """Casimir pressure magnitude difference |P(T2)| - |P(T1)| in Pa."""
-    return _difference(a, T1, T2, lambda cfg: total_pressure(cfg, model, quad).total)
+    return _difference(a, T1, T2, *(total_pressure(ThermalGapConfig(T=T, a=a), model,
+                                                   quad).total for T in (T1, T2)))
 
 
 def free_energy_difference(a: float, model: MaterialModel,
                            T1: float = 350.0, T2: float = 300.0,
                            quad: QuadratureSettings = DEFAULT_QUAD) -> DifferenceResult:
     """Free-energy magnitude difference |F(T2)| - |F(T1)| in J/m^2."""
-    return _difference(a, T1, T2, lambda cfg: free_energy(cfg, model, quad))
+    return _difference(a, T1, T2, *(free_energy(ThermalGapConfig(T=T, a=a), model, quad)
+                                    for T in (T1, T2)))
+
+
+def _differences(a: float, model: MaterialModel, T1: float, T2: float,
+                 quad: QuadratureSettings) -> tuple[DifferenceResult, DifferenceResult]:
+    """pressure_difference and free_energy_difference at gap a, from one
+    stacked sum of P and F per temperature, which shares its rows."""
+    (p1, f1), (p2, f2) = ([value for value, _, _ in _sum_modes(
+        ThermalGapConfig(T=T, a=a), model, quad, (_PRESSURE, _FREE_ENERGY))] for T in (T1, T2))
+    return _difference(a, T1, T2, p1, p2), _difference(a, T1, T2, f1, f2)
 
 
 def sign_change_gap(model: MaterialModel, T1: float = 350.0, T2: float = 300.0,

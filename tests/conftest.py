@@ -60,7 +60,7 @@ def zero_temperature():
         cfg = cs.ThermalGapConfig(T=300.0, a=a)
 
         def row(x):
-            return lifshitz._mode_integral(model, cfg, x * cs.C / a, kernel, zero, 1e-13)
+            return lifshitz._mode_integrals(model, cfg, x * cs.C / a, (kernel,), (zero,), 1e-13)[0]
         edges = [0.0, 0.01, 0.25, 2.0, 30.0]  # e^{-2x} past x = 30 is below 1e-26
         value = math.fsum(integrate.quad(row, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
                           for lo, hi in zip(edges, edges[1:]))

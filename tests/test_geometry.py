@@ -15,14 +15,14 @@ def test_wiring_identity_against_free_energy(gold):
     sp = cs.SpherePlateConfig(R=100e-6, a=1e-6)
     F = cs.free_energy(cs.ThermalGapConfig(T=300.0, a=1e-6), gold)
     assert cs.pfa_force(sp, 300.0, gold) == pytest.approx(
-        2.0 * np.pi * sp.R * F, rel=1e-14)
+        2.0 * np.pi * sp.R * F, rel=1e-14, abs=0.0)
     assert cs.pfa_force(sp, 300.0, gold) < 0.0
 
 
 def test_linear_in_radius(gold):
     f1 = cs.pfa_force(cs.SpherePlateConfig(R=100e-6, a=1e-6), 300.0, gold)
     f2 = cs.pfa_force(cs.SpherePlateConfig(R=200e-6, a=1e-6), 300.0, gold)
-    assert f2 == pytest.approx(2.0 * f1, rel=1e-14)
+    assert f2 == pytest.approx(2.0 * f1, rel=1e-14, abs=0.0)
 
 
 def test_vacuum_gives_zero(vacuum):
@@ -53,7 +53,7 @@ def test_tracks_free_energy_difference(gold):
         sp = cs.SpherePlateConfig(R=500e-6, a=a_um * MICRON)
         delta = cs.free_energy_difference(a_um * MICRON, gold).delta
         assert cs.pfa_force_difference(sp, gold) == pytest.approx(
-            2.0 * np.pi * delta, rel=1e-12)
+            2.0 * np.pi * delta, rel=1e-12, abs=0.0)
 
 
 def test_marginal_geometry_warns(gold):

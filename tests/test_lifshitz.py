@@ -156,9 +156,10 @@ class TestReflectionPair:
                 fn(y, 1, cfg, 100.0)
 
     def test_stable_when_eps_near_one(self):
-        # the naive (s - p) difference would lose every digit here
+        # the naive (s - p) difference would lose every digit here; B is
+        # ((eps - 1)/16)^2 to first order, with eps - 1 of the float 1 + 1e-12
         A, B = _reflection_sq(1.0 + 1e-12, 2.0)
-        assert B == pytest.approx((1e-12 / 16.0) ** 2, rel=1e-6)
+        assert B == pytest.approx(((1.0 + 1e-12 - 1.0) / 16.0) ** 2, rel=1e-6, abs=0.0)
         assert A > 0.0
 
 
@@ -525,8 +526,8 @@ class TestMatsubaraTruncation:
         fine = cs.QuadratureSettings(rel_tol=1e-13)
         P = fsum_modes(cs.mode_pressure, cfg, model, fine)
         F = fsum_modes(cs.mode_free_energy, cfg, model, fine)
-        assert cs.total_pressure(cfg, model).total == pytest.approx(P, rel=1e-10)
-        assert cs.free_energy(cfg, model) == pytest.approx(F, rel=1e-10)
+        assert cs.total_pressure(cfg, model).total == pytest.approx(P, rel=1e-10, abs=0.0)
+        assert cs.free_energy(cfg, model) == pytest.approx(F, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("name", ["drude", "sparse_table"])
     def test_rule_in_m_matches_fsum_of_modes(self, gold, name, monkeypatch):
@@ -552,6 +553,80 @@ class TestMatsubaraTruncation:
         if name == "sparse_table":
             nodes = zs / cfg.matsubara(1)
             assert np.sum((nodes > lifshitz._K_MIN) & (nodes < 2900)) == 5
+
+
+class TestStackedSums:
+    """P and F of one (a, T) as one stacked sum, against the separate sums."""
+
+    OBSERVABLES = (lifshitz._PRESSURE, lifshitz._FREE_ENERGY)
+
+    @staticmethod
+    def model(name, gold, gold_bg):
+        return {"drude": gold, "bg": gold_bg, "plasma": cs.Plasma(), "ideal": cs.Ideal(),
+                "drude_like": drude_table(gold, "drude_like"),
+                "plasma_like": drude_table(gold, "plasma_like")}[name]
+
+    @pytest.mark.parametrize("T, a", [(300.0, 1e-6), (350.0, 0.3e-6), (20.0, 1e-6)])
+    @pytest.mark.parametrize("name", ["drude", "bg", "drude_like", "plasma_like",
+                                      "plasma", "ideal"])
+    def test_explicit_sums_equal_separate_sums_bit_for_bit(self, gold, gold_bg, name, T, a):
+        # each observable keeps its own M, so the stack sums a different
+        # number of rows for each; per_mode comes from the same final rule
+        cfg = cs.ThermalGapConfig(T=T, a=a)
+        model = self.model(name, gold, gold_bg)
+        (P, M_P, terms), (F, M_F, _) = lifshitz._sum_modes(cfg, model, cs.DEFAULT_QUAD,
+                                                           self.OBSERVABLES)
+        res = cs.total_pressure(cfg, model)
+        assert (P, M_P) == (res.total, res.m_used)
+        assert F == cs.free_energy(cfg, model)
+        assert np.array_equal(terms(), [c for _, c, _ in res.per_mode])
+        assert M_P <= 2048 and M_P != M_F
+
+    @pytest.mark.parametrize("a", [1e-6, 50e-9])
+    @pytest.mark.parametrize("T", [2.0, 1.5])
+    def test_rule_sums_agree_with_separate_sums(self, gold, T, a):
+        # one rule in m, placed from both kernels, up to the larger M
+        cfg = cs.ThermalGapConfig(T=T, a=a)
+        (P, M_P, _), (F, M_F, _) = lifshitz._sum_modes(cfg, gold, cs.DEFAULT_QUAD,
+                                                       self.OBSERVABLES)
+        assert M_P > M_F > 2048
+        assert P == pytest.approx(cs.total_pressure(cfg, gold).total, rel=1e-10, abs=0.0)
+        assert F == pytest.approx(cs.free_energy(cfg, gold), rel=1e-10, abs=0.0)
+
+    def test_rows_are_evaluated_once_for_both(self, gold, monkeypatch):
+        calls, reflection_sq = [], dispersion._reflection_sq
+
+        def counting(eps, p):
+            calls.append(p.shape)
+            return reflection_sq(eps, p)
+
+        monkeypatch.setattr(dispersion, "_reflection_sq", counting)
+        cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
+        (_, M_P, _), (_, M_F, _) = lifshitz._sum_modes(cfg, gold, cs.DEFAULT_QUAD,
+                                                       self.OBSERVABLES)
+        assert calls == [(max(M_P, M_F) - 1, 135)]
+
+
+@pytest.mark.parametrize("observable", ["pressure", "free_energy"])
+def test_modes_needed_equals_the_search(observable, monkeypatch):
+    # Newton's estimate and its two checks give the M of the plain search at
+    # every gamma, rel_tol and m = 0 term, and the search runs at a target
+    # of 0 (vacuum); the search took about 6 bounds per sum
+    coeffs = {"pressure": lifshitz._PRESSURE, "free_energy": lifshitz._FREE_ENERGY}[observable][2]
+    bound, calls = lifshitz._tail_bound, []
+
+    def counting(*args):
+        calls.append(1)
+        return bound(*args)
+
+    monkeypatch.setattr(lifshitz, "_tail_bound", counting)
+    for gamma in np.geomspace(1e-6, 30.0, 80):
+        for target in [0.0] + [rel * zero for rel in (1e-4, 1e-10, 1e-14)
+                               for zero in (1e-3, 0.15, 30.0)]:
+            calls.clear()
+            M = lifshitz._modes_needed(gamma, coeffs, target)
+            assert len(calls) <= 2 or target == 0.0
+            assert M == lifshitz._smallest(lambda n: bound(n, gamma, coeffs) <= target, 1, 2)
 
 
 @pytest.mark.parametrize("ones", ["scalar", "array"])

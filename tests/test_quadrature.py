@@ -68,6 +68,51 @@ def test_returned_rule_integrates_another_function():
     assert w @ (x * np.exp(-2.0 * x)) == pytest.approx(0.25, rel=1e-12)
 
 
+def test_stack_of_one_takes_the_arithmetic_of_a_plain_integrand():
+    # the value and error estimate are pinned at their bits before stacked
+    # integrands existed; a (1, N) stack returns them, and the same rule
+    def f(y):
+        return y * np.log(-np.expm1(-2.0 * y))
+
+    points = [1 / 64, 1 / 16, 1 / 4, 1, 3, 8]
+    val, err, x, w = adaptive_quad(f, 0.0, 30.0, points=points)
+    assert (val.hex(), err.hex(), len(x)) == (
+        "-0x1.33ba004f0067cp-2", "0x1.af82588cc5f4ap-38", 315)
+    vals, errs, xs, ws = adaptive_quad(lambda y: f(y)[None], 0.0, 30.0, points=points)
+    assert vals.shape == errs.shape == (1,)
+    assert (vals[0], errs[0]) == (val, err)
+    assert np.array_equal(xs, x) and np.array_equal(ws, w)
+
+
+def test_stack_holds_rel_tol_on_each_component():
+    # 1e6 x^2 is exact on the first panels; sqrt(x) needs bisections toward
+    # x = 0, and would stop far short of rel_tol on the sum of the two
+    def f(x):
+        return np.stack((1e6 * x * x, np.sqrt(x)))
+
+    exact = np.array([1e6 / 3.0, 2.0 / 3.0])
+    for rel_tol in (1e-8, 1e-12):
+        vals, errs, _, _ = adaptive_quad(f, 0.0, 1.0, rel_tol=rel_tol)
+        assert np.all(np.abs(vals - exact) <= rel_tol * exact)
+        assert np.all(errs <= rel_tol * np.abs(vals))
+        alone = adaptive_quad(np.sqrt, 0.0, 1.0, rel_tol=rel_tol)[0]
+        assert vals[1] == pytest.approx(alone, rel=rel_tol, abs=0.0)
+
+
+def test_stack_bisects_by_each_components_own_budget():
+    # the smooth component's panel errors are far larger in absolute terms,
+    # but it has converged: every round must refine toward sqrt's end at 0
+    rounds = []
+
+    def f(x):
+        rounds.append(x.min())
+        return np.stack((1e12 * np.exp(x), np.sqrt(x)))
+
+    adaptive_quad(f, 0.0, 1.0, rel_tol=1e-10)
+    assert len(rounds) > 2
+    assert all(lo < 1e-3 for lo in rounds[1:])
+
+
 def test_breakpoints_must_increase_inside_the_interval():
     for points in ([2.0, 1.0], [0.0], [5.0], [math.nan]):
         with pytest.raises(ValueError):

@@ -73,7 +73,19 @@ class TestFreeEnergyDifference:
         dF = (cs.free_energy_difference(a + h, gold).delta
               - cs.free_energy_difference(a - h, gold).delta) / (2.0 * h)
         dP = cs.pressure_difference(a, gold).delta
-        assert dF == pytest.approx(-dP, rel=1e-3)
+        assert dF == pytest.approx(-dP, rel=1e-3, abs=0.0)
+
+
+class TestBothDifferences:
+    """The CLI's diff: P and F of each temperature as one stacked sum."""
+
+    @pytest.mark.parametrize("a_um", [0.3, 1.0, 5.0])
+    @pytest.mark.parametrize("bg", [False, True], ids=["constant_nu", "bg"])
+    def test_equal_to_the_public_differences(self, gold, gold_bg, a_um, bg):
+        model = gold_bg if bg else gold
+        a = a_um * MICRON
+        assert thermal._differences(a, model, 350.0, 300.0, cs.DEFAULT_QUAD) == (
+            cs.pressure_difference(a, model), cs.free_energy_difference(a, model))
 
 
 class TestSignChangeGap:
