@@ -1,6 +1,7 @@
 """Core engine: reflection coefficients, mode integrals, Matsubara sums."""
 
 import copy
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -475,6 +476,17 @@ class TestTotalPressure:
         assert message.startswith("Matsubara modes m = 1..")
         assert "T = 300 K" in message
 
+    def test_zero_mode_convergence_error_carries_the_whole_term(self):
+        # the estimate is the m = 0 integral with its closed part, not the
+        # smooth remainder alone
+        cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
+        with pytest.raises(ConvergenceError) as exc:
+            cs.free_energy(cfg, cs.Plasma(), cs.QuadratureSettings(rel_tol=1e-300))
+        assert str(exc.value).startswith("Matsubara mode m = 0")
+        kernel, _, _, zero = lifshitz._FREE_ENERGY
+        converged, = lifshitz._mode_integrals(cs.Plasma(), cfg, 0.0, (kernel,), (zero,), 1e-13)
+        assert exc.value.estimate == pytest.approx(converged, rel=1e-10, abs=0.0)
+
     def test_rule_in_m_failure_names_the_modes(self):
         class Wavy:
             """Drude-like m = 0 rule; m >= 1 coefficients that oscillate
@@ -682,6 +694,23 @@ class TestWorkCount:
         integrals, _ = self.record(monkeypatch)
         cs.free_energy(cs.ThermalGapConfig(T=300.0, a=1e-6), cs.Plasma())
         assert len(integrals) == 2 and integrals[0] == 0.0
+
+    @pytest.mark.parametrize("observables", [(lifshitz._FREE_ENERGY,),
+                                             (lifshitz._PRESSURE, lifshitz._FREE_ENERGY)],
+                             ids=["alone", "stacked"])
+    @pytest.mark.parametrize("name", ["plasma", "plasma_like"])
+    def test_plasma_zero_mode_takes_one_round(self, gold, monkeypatch, name, observables):
+        # the closed form of the y -> 0 coefficients leaves a remainder that
+        # is smooth at t = 0, where the free energy's kernel goes like y ln y
+        model = cs.Plasma() if name == "plasma" else drude_table(gold, "plasma_like")
+        _, panels = self.record(monkeypatch)
+        kernels = [kernel for kernel, *_ in observables]
+        zeros = [zero for *_, zero in observables]
+        for T, a in itertools.product((300.0, 350.0), (0.3e-6, 1e-6, 5e-6)):
+            panels.clear()
+            lifshitz._mode_integrals(model, cs.ThermalGapConfig(T=T, a=a), 0.0,
+                                     kernels, zeros, cs.DEFAULT_QUAD.rel_tol)
+            assert panels == [9], (T, a)
 
     @pytest.mark.parametrize("model, calls", [(cs.gold_drude(), 1), (cs.Plasma(), 2)],
                              ids=["drude", "plasma"])
