@@ -13,17 +13,20 @@ Each command's input rules sit in its COMMANDS entry beside its runner:
 default temperatures, how many it takes, whether it takes a gap sweep, one
 gap or none, and whether --rel-tol applies.  Every number given on the
 command line must be finite and > 0 (a --zeta-range may start at 0); model
-defaults are the library's own.  A sphere-plate row makes one free-energy
-sum per temperature; --radius adds the forces and one warning per row with
-R < 100 a.  A model or spacing flag that the run would ignore is a
-configuration error.
+defaults are the library's own.  A sweep computes all its rows at once:
+every Matsubara sum it needs, over its gaps and temperatures, is one
+stacked sum, and lowtemp's f_te column one stacked integral.  A
+sphere-plate row needs one free energy per temperature; --radius adds the
+forces and one warning per row with R < 100 a.  A model or spacing flag
+that the run would ignore is a configuration error.
 
 Exit codes: 0 success, 2 configuration error, 3 convergence/compute error.
 Output files embed the constants version and model parameters, contain no
 timestamps, and are byte-identical for identical configurations on one NumPy
-build and CPU dispatch (NumPy picks SIMD kernels at run time).  Rows run
-serially; --threads is still accepted and validated, and the output is
-identical for any value.
+build and CPU dispatch (NumPy picks SIMD kernels at run time).  A sweep
+runs in one thread; --threads is still accepted and validated, and the
+output is identical for any value.  A failing sweep names the first gap
+whose row fails alone.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -44,9 +48,10 @@ from .dispersion import (BlochGruneisen, ConstantRelaxation, Drude, Ideal, Mater
                          Plasma, Tabulated, _reflection_sq, load_permittivity_table)
 from .errors import (CasimirError, ConfigError, ConvergenceError, DomainError, FitError,
                      TableRangeError, UnsupportedModelError)
-from .geometry import _pfa_row
-from .lifshitz import (QuadratureSettings, ThermalGapConfig, rte_from_impedance,
-                       rte_zero_frequency_comparison, te_mode_function, total_pressure)
+from .geometry import _pfa_rows
+from .lifshitz import (_PRESSURE, PressureResult, QuadratureSettings, ThermalGapConfig,
+                       _sum_modes, _te_mode_functions, rte_from_impedance,
+                       rte_zero_frequency_comparison)
 from .thermal import _differences, lowT_quadratic_fit
 
 MICRON = 1e-6
@@ -286,17 +291,33 @@ def _base_meta(cfg: RunConfig) -> dict:
     }
 
 
-def _sweep(cfg: RunConfig, columns: list[str], row, **meta) -> SweepOutput:
-    """One row (a in um, *row(a)) per gap; a convergence failure names its gap."""
-    rows = []
-    for a_m in cfg.gaps_m:
-        try:
-            rows.append((a_m / MICRON, *row(a_m)))
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"at a = {a_m / MICRON:g} um: {exc}",
-                                   estimate=exc.estimate) from None
+def _sweep(cfg: RunConfig, columns: list[str], rows, **meta) -> SweepOutput:
+    """One row (a in um, *values) per gap, from rows(gaps), which computes
+    the values of every gap at once.  A convergence or table-range failure
+    names the first gap whose row fails alone, as a loop over gaps would."""
+    try:
+        values = rows(cfg.gaps_m)
+    except (ConvergenceError, TableRangeError):
+        with warnings.catch_warnings():  # the sweep has warned once already
+            warnings.simplefilter("ignore")
+            for a_m in cfg.gaps_m:
+                try:
+                    rows([a_m])
+                except (ConvergenceError, TableRangeError) as exc:
+                    exc.args = (f"at a = {a_m / MICRON:g} um: {exc}",)
+                    raise exc from None
+        raise
     return SweepOutput(meta={**_base_meta(cfg), **meta}, columns=["a_um", *columns],
-                       rows=rows)
+                       rows=[(a_m / MICRON, *v) for a_m, v in zip(cfg.gaps_m, values)])
+
+
+def _sums(cfg: RunConfig, gaps, observable) -> list:
+    """One stacked sum of the observable over every (a, T) of gaps and
+    cfg.temps: per gap, per temperature, its (value, M, terms)."""
+    sums = _sum_modes([ThermalGapConfig(T=t, a=a_m) for a_m in gaps for t in cfg.temps],
+                      cfg.model, cfg.quad, (observable,))
+    n = len(cfg.temps)
+    return [[s for s, in sums[i:i + n]] for i in range(0, len(sums), n)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,29 +327,22 @@ def cmd_pressure(cfg: RunConfig) -> SweepOutput:
     """|P(a)| in Pa for every gap and temperature."""
     columns = (["pressure_Pa"] if len(cfg.temps) == 1
                else [f"pressure_Pa_T{t:g}K" for t in cfg.temps])
-    return _sweep(cfg, columns, lambda a_m: [
-        abs(total_pressure(ThermalGapConfig(T=t, a=a_m), cfg.model, cfg.quad).total)
-        for t in cfg.temps])
+    return _sweep(cfg, columns, lambda gaps: [
+        [abs(value) for value, _, _ in row] for row in _sums(cfg, gaps, _PRESSURE)])
 
 
 def cmd_diff(cfg: RunConfig) -> SweepOutput:
     """Pressure difference (mPa) and free-energy difference (J/m^2)."""
     T1, T2 = cfg.temps
-
-    def row(a_m):
-        dP, dF = _differences(a_m, cfg.model, T1, T2, cfg.quad)
-        return dP.delta * 1e3, dF.delta
-    return _sweep(cfg, ["delta_F_mPa", "delta_free_energy_J_m2"], row)
+    return _sweep(cfg, ["delta_F_mPa", "delta_free_energy_J_m2"], lambda gaps: [
+        (dP.delta * 1e3, dF.delta) for dP, dF in _differences(gaps, cfg.model, T1, T2, cfg.quad)])
 
 
 def cmd_modes(cfg: RunConfig) -> SweepOutput:
     """Percentage contribution of modes m = 0..7, Table-style."""
-    def row(a_m):
-        result = total_pressure(ThermalGapConfig(T=cfg.temps[0], a=a_m),
-                                cfg.model, cfg.quad)
-        return [result.fraction(m) for m in range(8)]
-
-    return _sweep(cfg, [f"frac_m{m}_pct" for m in range(8)], row)
+    return _sweep(cfg, [f"frac_m{m}_pct" for m in range(8)], lambda gaps: [
+        [result.fraction(m) for m in range(8)]
+        for result in (PressureResult(*s) for s, in _sums(cfg, gaps, _PRESSURE))])
 
 
 def cmd_sphere_plate(cfg: RunConfig) -> SweepOutput:
@@ -337,8 +351,8 @@ def cmd_sphere_plate(cfg: RunConfig) -> SweepOutput:
     if cfg.radius_m is not None:
         columns += [f"force_T{t:g}K_N" for t in cfg.temps]
         meta["radius_um"] = f"{cfg.radius_m / MICRON:g}"
-    return _sweep(cfg, columns, lambda a_m: _pfa_row(a_m, cfg.model, cfg.temps,
-                                                     cfg.quad, cfg.radius_m), **meta)
+    return _sweep(cfg, columns, lambda gaps: _pfa_rows(gaps, cfg.model, cfg.temps,
+                                                       cfg.quad, cfg.radius_m), **meta)
 
 
 def cmd_lowtemp(cfg: RunConfig) -> SweepOutput:
@@ -347,8 +361,8 @@ def cmd_lowtemp(cfg: RunConfig) -> SweepOutput:
     lo, hi, n = cfg.zeta_range
     x_grid = np.linspace(lo, hi, n)
 
-    rows = [(float(x), te_mode_function(x * C / a_m, a_m, cfg.model, quad=cfg.quad))
-            for x in x_grid]
+    rows = list(zip(x_grid.tolist(), _te_mode_functions(x_grid * C / a_m, a_m, cfg.model,
+                                                         300.0, cfg.quad)))
     meta = _base_meta(cfg)
     meta["fit_gap_um"] = f"{a_m / MICRON:g}"
     try:

@@ -3,7 +3,9 @@
 For a sphere of radius R at minimum distance a above a plane, and R large
 compared to a, the force is 2 pi R times the parallel-plate free energy
 per unit area at gap a.  Validity is advisory: a warning is issued for
-R < 100 a rather than refusing, since experimental geometries vary.
+R < 100 a rather than refusing, since experimental geometries vary.  A
+sweep of gaps (the CLI's sphere-plate) sums every free energy it needs,
+at each gap and temperature, as one stacked sum.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 
 from .dispersion import MaterialModel
 from .errors import ApplicabilityWarning, check_positive
-from .lifshitz import DEFAULT_QUAD, QuadratureSettings, ThermalGapConfig, free_energy
+from .lifshitz import (_FREE_ENERGY, DEFAULT_QUAD, QuadratureSettings, ThermalGapConfig,
+                       _sum_modes)
 
 __all__ = ["SpherePlateConfig", "pfa_force", "pfa_force_difference"]
 
@@ -37,28 +40,31 @@ class SpherePlateConfig:
         return self.R < 100.0 * self.a
 
 
-def _pfa_row(a, model, temps, quad, R=None) -> list[float]:
-    """Sphere-plate values at gap a from one free-energy sum per T in temps.
+def _pfa_rows(gaps, model, temps, quad, R=None) -> list[list[float]]:
+    """Sphere-plate values at each gap a of gaps, from one stacked
+    free-energy sum over every (a, T) with T in temps.
 
-    First 2 pi [F(a, temps[0]) - F(a, temps[-1])], free of R; given R, then
-    2 pi R F(a, T) for each T, after one warning if R < 100 a.
+    Each row is first 2 pi [F(a, temps[0]) - F(a, temps[-1])], free of R;
+    given R, then 2 pi R F(a, T) for each T.  One warning per gap with
+    R < 100 a comes first.
     """
-    if R is not None and SpherePlateConfig(R=R, a=a).pfa_marginal:
-        warnings.warn(
-            f"R/a = {R / a:.1f} < 100 at a = {a / 1e-6:.3g} um; the proximity "
-            f"force approximation may be inaccurate", ApplicabilityWarning,
-            stacklevel=3)
-    F = [free_energy(ThermalGapConfig(T=T, a=a), model, quad) for T in temps]
-    row = [2.0 * np.pi * (F[0] - F[-1])]
-    if R is not None:
-        row += [2.0 * np.pi * R * f for f in F]
-    return row
+    for a in gaps:
+        if R is not None and SpherePlateConfig(R=R, a=a).pfa_marginal:
+            warnings.warn(
+                f"R/a = {R / a:.1f} < 100 at a = {a / 1e-6:.3g} um; the proximity "
+                f"force approximation may be inaccurate", ApplicabilityWarning,
+                stacklevel=3)
+    F = [value for (value, _, _), in _sum_modes(
+        [ThermalGapConfig(T=T, a=a) for a in gaps for T in temps], model, quad, (_FREE_ENERGY,))]
+    rows = [F[i:i + len(temps)] for i in range(0, len(F), len(temps))]
+    return [[2.0 * np.pi * (f[0] - f[-1])] + [2.0 * np.pi * R * x for x in f if R is not None]
+            for f in rows]
 
 
 def pfa_force(sp: SpherePlateConfig, T: float, model: MaterialModel,
               quad: QuadratureSettings = DEFAULT_QUAD) -> float:
     """Sphere-plate force 2 pi R F(a) in N (negative = attraction)."""
-    return _pfa_row(sp.a, model, (T,), quad, sp.R)[1]
+    return _pfa_rows([sp.a], model, (T,), quad, sp.R)[0][1]
 
 
 def pfa_force_difference(sp: SpherePlateConfig, model: MaterialModel,
@@ -68,4 +74,4 @@ def pfa_force_difference(sp: SpherePlateConfig, model: MaterialModel,
 
     Equal to 2 pi [F(a, T1) - F(a, T2)]; R cancels exactly.
     """
-    return _pfa_row(sp.a, model, (T1, T2), quad, sp.R)[0]
+    return _pfa_rows([sp.a], model, (T1, T2), quad, sp.R)[0][0]

@@ -43,12 +43,14 @@ for plasma it is a second integral, smooth at y = 0 where the free
 energy's kernel alone goes like y ln y.  Every t-integral starts from the
 same initial panels, graded toward t = 0, where the kernels vary fastest.
 
-P and F at one (a, T) share their rows: a sum of both (the CLI's diff)
-binds eps and evaluates A and B once per row for both kernels.
-Each keeps its own m = 0 term, M and prefactor, sums its own first M - 1
-rows, and holds rel_tol on its own total in the one t-integral (and in
-the one rule in m, placed to the larger M).  total_pressure and
-free_energy are the sums of one observable.
+One sum covers a stack of observables at a sequence of (a, T), a whole
+sweep, as one t-integral: P and F share every row's A and B, and the rows
+of one temperature share blocks across gaps, each binding eps once.  Each
+(a, T) and observable keeps its own m = 0 term, M and prefactor, sums its
+own first M - 1 rows (or a rule in m, placed once per (a, T) to its larger
+M), and holds rel_tol on its own total.  total_pressure and free_energy
+are the sums of one observable at one (a, T); the CLI's sweeps and
+thermal.lowT_quadratic_fit sum all their points at once.
 """
 
 from __future__ import annotations
@@ -81,8 +83,7 @@ __all__ = [
 # edge is the width of every y-integral: e^{-2 y} past 30 is below 1e-26.
 _T_MESH = np.array([0.0, 1 / 256, 1 / 32, 3 / 16, 0.75, 2.0, 4.5, 9.0, 15.0, 30.0])
 _T_NODES, _T_WEIGHTS = (x.ravel() for x in gk15_rule(_T_MESH[:-1], _T_MESH[1:])[:2])
-_ROW_BLOCK = 128  # rows evaluated together: bounds the integrand's memory
-_RULE_BLOCK = 64  # the same in sums by the rule in m: < 1 MB at 135 t-points
+_ROW_BLOCK = 64  # rows evaluated together: 64 x 135 floats, below the 128 KiB mmap threshold
 _ROW_CAP = 250_000  # most rows a sum or a per_mode table evaluates one by one
 # The rule in m (_tail_rule) keeps at least _K_MIN explicit rows and runs
 # only where M > _RULE_RATIO K.  It sums smooth stretches of at least
@@ -277,27 +278,43 @@ _FREE_ENERGY = (_free_energy_kernel, lambda cfg: K_B * cfg.T / (2.0 * np.pi * cf
                 ((0.0, 0.5, 0.25), (0.0, 0.25, 0.25)), (-_ZETA3_4, -_ZETA3_4))
 
 
-def _blocks(x, size):
-    """x split into consecutive blocks of size rows."""
-    return [x[i:i + size] for i in range(0, len(x), size)]
-
-
 def _in_p(rule, y_lo):
     """A block's m >= 1 rule, (A, B) as a function of p, as one of y."""
-    return y_lo, lambda y: rule(y / y_lo)
+    return lambda y: rule(y / y_lo)
 
 
-def _bind(model, cfg, zeta, size=_ROW_BLOCK):
-    """The rows at frequencies zeta as blocks of (y_lo, y -> (A, B)).
+def _bind(model, sums):
+    """The rows of sums, (cfg, zeta) pairs, as blocks (runs, y_lo, y -> (A, B)).
 
-    The row zeta = [0] takes the model's m = 0 rule; rows at zeta > 0 bind
-    its m >= 1 rule in p = y c / (a zeta) once per block of size rows.
+    y_lo = a zeta / c is a column, and each run (i, first, lo, hi) says that
+    the block's rows lo..hi-1 are the rows first.. of sums[i].  The rows of
+    one temperature, in the order given, share blocks of at most _ROW_BLOCK
+    rows across gaps: each block binds the model's m >= 1 rule in
+    p = y c / (a zeta) once, as eps depends on zeta and T only.  A lone sum
+    at zeta = [0] takes the model's m = 0 rule of its cfg.
     """
-    zeta = np.asarray(zeta, dtype=float)[:, None]
-    if zeta[0, 0] == 0.0:
-        return [(zeta, _zero_rule(model, cfg))]
-    return [_in_p(model.matsubara_reflection(z, cfg.T), cfg.a * z / C)
-            for z in _blocks(zeta, size)]
+    if sums[0][1][0] == 0.0:
+        cfg, zeta = sums[0]
+        return [([(0, 0, 0, 1)], zeta[:, None], _zero_rule(model, cfg))]
+    blocks = []
+    for T in dict.fromkeys(cfg.T for cfg, _ in sums):
+        members = [i for i, (cfg, _) in enumerate(sums) if cfg.T == T]
+        zeta = np.concatenate([sums[i][1] for i in members])[:, None]
+        y_lo = np.concatenate([sums[i][0].a * sums[i][1] for i in members])[:, None] / C
+        runs, lo = [[]], 0
+        for i in members:
+            n, first = len(sums[i][1]), 0
+            while first < n:
+                hi = min(_ROW_BLOCK, lo + n - first)
+                runs[-1].append((i, first, lo, hi))
+                first, lo = first + hi - lo, hi % _ROW_BLOCK
+                if lo == 0:
+                    runs.append([])
+        blocks += [(r, y_lo[b:b + _ROW_BLOCK],
+                    _in_p(model.matsubara_reflection(zeta[b:b + _ROW_BLOCK], T),
+                          y_lo[b:b + _ROW_BLOCK]))
+                   for b, r in zip(range(0, len(zeta), _ROW_BLOCK), runs)]
+    return blocks
 
 
 def _kernels_at(rule, y, kernels):
@@ -309,54 +326,51 @@ def _kernels_at(rule, y, kernels):
     return [kernel(A, B, y) for kernel in kernels]
 
 
-def _kernel_rows(blocks, kernels, t):
-    """Each kernel at y = y_lo + t, a list of arrays of rows per block."""
-    return (_kernels_at(rule, y_lo + t, kernels) for y_lo, rule in blocks)
+def _integrate(model, sums, kernels, rel_tol):
+    """Row sums of int kernel(A, B, y) dt over t in [0, 30], y = a zeta / c + t,
+    for each sum (cfg, zeta, counts, weight) of sums and each kernel of a
+    stack: kernel c sums the first counts[c] rows, each weighted by weight
+    (None: by 1).
 
-
-def _integrate(model, cfg, zeta, kernels, rel_tol, weight=None, counts=None):
-    """Row-summed int kernel(A, B, y) dt over t in [0, 30], y = a zeta / c + t,
-    for each kernel of a stack.
-
-    Rows share t and every kernel shares their (A, B), so one adaptive_quad
-    call holds rel_tol on each kernel's sum: of its first counts[c] rows
-    (by default all), or of all rows weighted when each row has a weight.
-    It starts from the panels of _T_MESH.  Returns the array of sums and a
-    callable per_row(c, zeta=None) that evaluates kernel c's row integrals
-    on the final panel rule of adaptive_quad: the rows at the frequencies
-    it is given, or by default this integral's own.
+    Rows share t and every kernel shares their (A, B) (see _bind), so one
+    adaptive_quad call holds rel_tol on each (sum, kernel) component.  A
+    component adds its rows of each block in order, so its value does not
+    depend on the other sums or kernels of the stack.  It starts from the
+    panels of _T_MESH.  Returns the values, an array of shape (sums,
+    kernels), and the final panel rule (t, w) of adaptive_quad, on which
+    _row_integrals evaluates rows.
     """
-    size = _ROW_BLOCK if weight is None else _RULE_BLOCK
-    blocks = _bind(model, cfg, zeta, size)
-    if weight is None:
-        # block b holds rows b size.. and gives kernel c its first counts[c] - b size
-        cuts = [[n - b * size for n in counts or [len(zeta)] * len(kernels)]
-                for b in range(len(blocks))]
+    parts = []  # per block: y_lo, rule and each kernel's (sum, lo, hi, weights)
+    for runs, y_lo, rule in _bind(model, [(cfg, zeta) for cfg, zeta, *_ in sums]):
+        segments = [[] for _ in kernels]
+        for i, first, lo, hi in runs:
+            _, _, counts, weight = sums[i]
+            for seg, n in zip(segments, counts):
+                end = min(hi, lo + n - first)
+                if end > lo:
+                    seg.append((i, lo, end, None if weight is None
+                                else weight[first:first + end - lo]))
+        parts.append((y_lo, rule, segments))
 
-        def integrand(t):
-            out = np.zeros((len(kernels), len(t)))
-            for rows, cut in zip(_kernel_rows(blocks, kernels, t), cuts):
-                for s, k, n in zip(out, rows, cut):
-                    if n > 0:
-                        s += k[:n].sum(axis=0)
-            return out
-    else:
-        weights = _blocks(weight, size)
-
-        def integrand(t):
-            out = np.zeros((len(kernels), len(t)))
-            for w, rows in zip(weights, _kernel_rows(blocks, kernels, t)):
-                for s, k in zip(out, rows):
-                    s += w @ k
-            return out
+    def integrand(t):
+        out = np.zeros((len(sums), len(kernels), len(t)))
+        for y_lo, rule, segments in parts:
+            for c, (k, seg) in enumerate(zip(_kernels_at(rule, y_lo + t, kernels), segments)):
+                for i, lo, hi, w in seg:
+                    out[i, c] += k[lo:hi].sum(axis=0) if w is None else w @ k[lo:hi]
+        return out.reshape(-1, len(t))
 
     values, _, t, w = adaptive_quad(integrand, _T_MESH[0], _T_MESH[-1],
                                     rel_tol=rel_tol, points=_T_MESH[1:-1])
+    return values.reshape(len(sums), len(kernels)), (t, w)
 
-    def per_row(c, zeta=None):
-        rows = blocks if zeta is None else _bind(model, cfg, zeta, size)
-        return np.concatenate([k @ w for k, in _kernel_rows(rows, kernels[c:c + 1], t)])
-    return values, per_row
+
+def _row_integrals(model, cfg, zeta, kernels, t, w):
+    """int kernel(A, B, y) dt of each row at the frequencies zeta on the rule
+    (t, w), for each kernel: an array of shape (kernels, rows)."""
+    per_block = [[k @ w for k in _kernels_at(rule, y_lo + t, kernels)]
+                 for _, y_lo, rule in _bind(model, [(cfg, zeta)])]
+    return np.array([np.concatenate(rows) for rows in zip(*per_block)])
 
 
 def _mode_integrals(model, cfg, zeta, kernels, zeros, rel_tol):
@@ -385,7 +399,8 @@ def _mode_integrals(model, cfg, zeta, kernels, zeros, rel_tol):
             return closed
         kernels = [lambda A, B, y, k=k, c=c: k(A, B, y) - k(A0, B0, y) + c / _T_MESH[-1]
                    for k, c in zip(kernels, closed)]
-    return _integrate(model, cfg, [zeta], kernels, rel_tol)[0].tolist()
+    return _integrate(model, [(cfg, np.array([zeta]), [1] * len(kernels), None)],
+                      kernels, rel_tol)[0][0].tolist()
 
 
 def _mode_value(m, cfg, model, quad, observable):
@@ -492,10 +507,7 @@ def _tail_rule(model, cfg, kernels, K, M, rel_tol, zeros):
     model does not name among its kinks.
     """
     def g(m):  # shape (kernels, rows)
-        blocks = _bind(model, cfg, cfg.matsubara(m), _RULE_BLOCK)
-        per_block = [[k @ _T_WEIGHTS for k in rows]
-                     for rows in _kernel_rows(blocks, kernels, _T_NODES)]
-        return np.array([np.concatenate(g_c) for g_c in zip(*per_block)])
+        return _row_integrals(model, cfg, cfg.matsubara(m), kernels, _T_NODES, _T_WEIGHTS)
 
     kinks = np.asarray(getattr(model, "kinks", ()), dtype=float) / cfg.matsubara(1)
     explicit, ends, lo, hi = [np.zeros(0)], [], [], []
@@ -566,42 +578,11 @@ def _rows(model, cfg, kernels, M, rel_tol, zeros):
     return np.arange(1, M), None
 
 
-def _sum_modes(cfg, model, quad, observables):
-    """Primed Matsubara sums of a stack of observables at one (a, T): for
-    each, its value, its M and a callable giving its terms.
-
-    Every term has the sign of the m = 0 term, so stopping at the M whose
-    tail bound is rel_tol of that term holds rel_tol on the whole sum; each
-    observable has its own m = 0 term and M.  The modes 1..M-1 of the
-    largest M are the weighted rows of _rows; they bind eps once for every
-    observable, and an observable summed row by row takes its first M - 1.
-    The callable gives term m, by default all M terms, on the sum's final
-    t-rule.
-    """
-    kernels = [kernel for kernel, *_ in observables]
-
-    def failed(modes, exc):  # estimate: an integral's, one per observable of a stack
-        estimate = exc.estimate
-        if estimate is not None and len(observables) == 1:
-            estimate = float(estimate[0])
-        return ConvergenceError(f"Matsubara {modes} at T = {cfg.T:g} K, a = {cfg.a:g} m "
-                                f"(gamma = {cfg.gamma:.3g}): {exc}", estimate=estimate)
-    try:
-        zeros = [0.5 * v for v in _mode_integrals(
-            model, cfg, 0.0, kernels, [zero for *_, zero in observables], quad.rel_tol)]
-    except ConvergenceError as exc:
-        raise failed("mode m = 0", exc) from None
-    Ms = [_modes_needed(cfg.gamma, tail, quad.rel_tol * abs(zero))
-          for (_, _, tail, _), zero in zip(observables, zeros)]
-    M = max(Ms)
-    try:
-        m, weight = _rows(model, cfg, kernels, M, quad.rel_tol, zeros)
-        rows, per_row = _integrate(model, cfg, cfg.matsubara(m), kernels,
-                                   quad.rel_tol, weight, [n - 1 for n in Ms])
-    except TableRangeError as exc:
-        if exc.zeta is None:  # not a table lookup: nothing names the mode
-            raise
-
+def _named(exc, model, cfg, modes, observables):
+    """exc, raised while summing the Matsubara modes of cfg that the text
+    modes names, with that context in its message.  A lookup past a table
+    names the first mode past it instead; other errors pass unchanged."""
+    if isinstance(exc, TableRangeError) and exc.zeta is not None:
         def out_of_range(n):
             try:
                 model.matsubara_reflection(cfg.matsubara(n), cfg.T)
@@ -609,34 +590,94 @@ def _sum_modes(cfg, model, quad, observables):
                 return True
             return False
         n = _smallest(out_of_range, 0, 1)  # a table fails m = 1, or every m past one
-        raise TableRangeError(f"Matsubara mode m = {n} at T = {cfg.T:g} K has "
-                              f"zeta_m = {cfg.matsubara(n):.4g} rad/s: {exc}") from None
-    except ConvergenceError as exc:
-        raise failed(f"modes m = 1..{M - 1}", exc) from None
+        return TableRangeError(f"Matsubara mode m = {n} at T = {cfg.T:g} K has "
+                               f"zeta_m = {cfg.matsubara(n):.4g} rad/s: {exc}")
+    if not isinstance(exc, ConvergenceError):
+        return exc
+    estimate = exc.estimate  # an integral's, one per observable of a stack
+    if estimate is not None and len(observables) == 1:
+        estimate = float(estimate[0])
+    return ConvergenceError(f"Matsubara {modes} at T = {cfg.T:g} K, a = {cfg.a:g} m "
+                            f"(gamma = {cfg.gamma:.3g}): {exc}", estimate=estimate)
 
-    def result(c, prefactor, zero, M):
+
+def _plan(cfg, model, rel_tol, observables):
+    """The m = 0 terms, the M of each observable, and the rows (frequencies,
+    counts and weights, as _integrate takes them) of one config's sums."""
+    kernels = [kernel for kernel, *_ in observables]
+    try:
+        zeros = [0.5 * v for v in _mode_integrals(
+            model, cfg, 0.0, kernels, [zero for *_, zero in observables], rel_tol)]
+    except ConvergenceError as exc:
+        raise _named(exc, model, cfg, "mode m = 0", observables) from None
+    Ms = [_modes_needed(cfg.gamma, tail, rel_tol * abs(zero))
+          for (_, _, tail, _), zero in zip(observables, zeros)]
+    try:
+        m, weight = _rows(model, cfg, kernels, max(Ms), rel_tol, zeros)
+    except (ConvergenceError, TableRangeError) as exc:
+        raise _named(exc, model, cfg, f"modes m = 1..{max(Ms) - 1}", observables) from None
+    # an explicit sum gives each observable its first M - 1 rows, a rule all rows
+    counts = [n - 1 for n in Ms] if weight is None else [len(m)] * len(Ms)
+    return zeros, Ms, (cfg.matsubara(m), counts, weight)
+
+
+def _sum_modes(configs, model, quad, observables):
+    """Primed Matsubara sums of a stack of observables at each (a, T) of
+    configs: per config, for each observable its value, its M and a
+    callable giving its terms.
+
+    Every term has the sign of the m = 0 term, so stopping at the M whose
+    tail bound is rel_tol of that term holds rel_tol on the whole sum; each
+    observable has its own m = 0 term and M.  The modes 1..M-1 of a
+    config's largest M are the weighted rows of _rows.  The rows of every
+    config enter one t-integral, in which each (config, observable) holds
+    rel_tol on its own sum; rows of one temperature bind eps once per block
+    for every gap and observable.  A failure is that of the first config
+    that fails alone, as a loop over configs would raise it.  The callable
+    gives term m, by default all M terms, on the integral's final t-rule.
+    """
+    kernels = [kernel for kernel, *_ in observables]
+    plans = []
+    try:
+        for cfg in configs:
+            plans.append(_plan(cfg, model, quad.rel_tol, observables))
+        values, (t, w) = _integrate(model, [(cfg, *rows) for cfg, (_, _, rows)
+                                            in zip(configs, plans)], kernels, quad.rel_tol)
+    except CasimirError as exc:
+        if len(configs) > 1:
+            for cfg in configs:
+                _sum_modes([cfg], model, quad, observables)
+            raise
+        if len(plans) < len(configs):  # named by _plan
+            raise
+        raise _named(exc, model, configs[0], f"modes m = 1..{max(plans[0][1]) - 1}",
+                     observables) from None
+
+    def result(cfg, c, prefactor, zero, M, value):
         p = prefactor(cfg)
 
         def terms(n=None):
-            if n is None:
-                own = per_row(c, None if weight is None else cfg.matsubara(np.arange(1, M)))
-                return p * np.concatenate(([zero], own[:M - 1]))
-            return float(p * (zero if n == 0 else per_row(c, cfg.matsubara(np.array([n])))[0]))
-        return float(p * (zero + rows[c])), M, terms
-    return [result(c, obs[1], zero, n)
-            for c, (obs, zero, n) in enumerate(zip(observables, zeros, Ms))]
+            if n == 0:
+                return float(p * zero)
+            modes = np.arange(1, M) if n is None else np.array([n])
+            rows = _row_integrals(model, cfg, cfg.matsubara(modes), kernels[c:c + 1], t, w)[0]
+            return p * np.concatenate(([zero], rows)) if n is None else float(p * rows[0])
+        return float(p * (zero + value)), M, terms
+    return [[result(cfg, c, obs[1], zero, M, value)
+             for c, (obs, zero, M, value) in enumerate(zip(observables, zeros, Ms, row))]
+            for cfg, (zeros, Ms, _), row in zip(configs, plans, values)]
 
 
 def total_pressure(cfg: ThermalGapConfig, model: MaterialModel,
                    quad: QuadratureSettings = DEFAULT_QUAD) -> PressureResult:
     """Total Casimir pressure with per-mode contributions and fractions."""
-    return PressureResult(*_sum_modes(cfg, model, quad, (_PRESSURE,))[0])
+    return PressureResult(*_sum_modes([cfg], model, quad, (_PRESSURE,))[0][0])
 
 
 def free_energy(cfg: ThermalGapConfig, model: MaterialModel,
                 quad: QuadratureSettings = DEFAULT_QUAD) -> float:
     """Free energy per unit area in J/m^2 (negative; P = -dF/da)."""
-    return _sum_modes(cfg, model, quad, (_FREE_ENERGY,))[0][0]
+    return _sum_modes([cfg], model, quad, (_FREE_ENERGY,))[0][0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +699,21 @@ def te_mode_function(zeta: float, a: float, model: MaterialModel,
         raise DomainError(f"zeta must be a scalar, got an array of shape {np.shape(zeta)}")
     if not 0 <= zeta < math.inf:
         raise DomainError(f"zeta must be finite and >= 0, got {zeta}")
-    return float(_mode_integrals(model, ThermalGapConfig(T=T, a=a), zeta,
-                                 (_te_kernel,), ((0.0, -_ZETA3_4),), quad.rel_tol)[0])
+    return _te_mode_functions([zeta], a, model, T, quad)[0]
+
+
+def _te_mode_functions(zetas, a, model, T, quad):
+    """te_mode_function at each frequency of zetas, each finite and >= 0.
+
+    The rows at zeta > 0 are one t-integral with a component of its own per
+    frequency; zeta = 0 takes the m = 0 rule of _mode_integrals.
+    """
+    cfg = ThermalGapConfig(T=T, a=a)
+    rows = [(cfg, np.array([z]), [1], None) for z in zetas if z > 0.0]
+    values = iter(_integrate(model, rows, (_te_kernel,), quad.rel_tol)[0][:, 0].tolist()
+                  if rows else ())
+    return [next(values) if z > 0.0 else _mode_integrals(
+        model, cfg, 0.0, (_te_kernel,), ((0.0, -_ZETA3_4),), quad.rel_tol)[0] for z in zetas]
 
 
 # ---------------------------------------------------------------------------

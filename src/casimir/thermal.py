@@ -7,9 +7,11 @@ pressure magnitudes at two laboratory temperatures,
 
 and the analogous free-energy difference.  The permittivity is
 re-evaluated on each temperature's own Matsubara grid; nothing is cached
-across temperatures.  Where both differences are asked for (the CLI's
-diff), P and F at one (a, T) are one stacked sum that evaluates eps and
-the reflection coefficients once for both.
+across temperatures.  Where both differences are asked for over a sweep
+of gaps (the CLI's diff), P and F at every (a, T) are one stacked sum that
+evaluates eps once per row block of each temperature and the reflection
+coefficients once per row for both; lowT_quadratic_fit sums its whole
+temperature grid as one stack too.
 
 For a lossy metal the free energy follows a quadratic low-temperature law
 
@@ -107,13 +109,15 @@ def free_energy_difference(a: float, model: MaterialModel,
                                     for T in (T1, T2)))
 
 
-def _differences(a: float, model: MaterialModel, T1: float, T2: float,
-                 quad: QuadratureSettings) -> tuple[DifferenceResult, DifferenceResult]:
-    """pressure_difference and free_energy_difference at gap a, from one
-    stacked sum of P and F per temperature, which shares its rows."""
-    (p1, f1), (p2, f2) = ([value for value, _, _ in _sum_modes(
-        ThermalGapConfig(T=T, a=a), model, quad, (_PRESSURE, _FREE_ENERGY))] for T in (T1, T2))
-    return _difference(a, T1, T2, p1, p2), _difference(a, T1, T2, f1, f2)
+def _differences(gaps, model: MaterialModel, T1: float, T2: float,
+                 quad: QuadratureSettings) -> list[tuple[DifferenceResult, DifferenceResult]]:
+    """pressure_difference and free_energy_difference at each gap a of gaps,
+    from one stacked sum of P and F over every (a, T), which shares its rows."""
+    values = [[value for value, _, _ in s] for s in _sum_modes(
+        [ThermalGapConfig(T=T, a=a) for a in gaps for T in (T1, T2)],
+        model, quad, (_PRESSURE, _FREE_ENERGY))]
+    return [(_difference(a, T1, T2, p1, p2), _difference(a, T1, T2, f1, f2))
+            for a, (p1, f1), (p2, f2) in zip(gaps, values[::2], values[1::2])]
 
 
 def sign_change_gap(model: MaterialModel, T1: float = 350.0, T2: float = 300.0,
@@ -172,8 +176,8 @@ def lowT_quadratic_fit(a: float, model: MaterialModel, T_grid,
         raise DomainError("T_grid must contain at least 5 temperatures")
     configs = [ThermalGapConfig(T=t, a=a) for t in temps]  # all checked before any sum
 
-    f_nat = np.array([free_energy_si_to_ev3(free_energy(cfg, model, quad))
-                      for cfg in configs])
+    f_nat = np.array([free_energy_si_to_ev3(F) for (F, _, _), in
+                      _sum_modes(configs, model, quad, (_FREE_ENERGY,))])
     x = np.array([temperature_to_ev(t) ** 2 for t in temps])  # eV^2
 
     design = np.column_stack([np.ones_like(x), x])

@@ -6,13 +6,12 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import casimir as cs
-from casimir import cli, geometry
+from casimir import cli, geometry, lifshitz
 from casimir.cli import main
 from casimir.errors import ApplicabilityWarning, ConvergenceError
 
@@ -90,6 +89,13 @@ class TestPressureCommand:
     def test_unreachable_tolerance_exits_three(self, capsys, command):
         assert run_cli(command, "--gap", "1.0", "--rel-tol", "1e-30") == 3
         assert "a = 1 um" in capsys.readouterr().err  # row context
+
+    def test_sweep_failure_names_the_first_gap(self, capsys):
+        # every (a, T) of the sweep is one stacked sum; its failure still
+        # names the first gap that fails alone, as the row loop did
+        assert run_cli("pressure", "--gap-range", "0.5:1:3", "--rel-tol", "1e-30") == 3
+        err = capsys.readouterr().err
+        assert "at a = 0.5 um: Matsubara modes m = 1.." in err and "T = 300 K" in err
 
     def test_zero_mode_failure_names_mode_and_temperature(self, capsys):
         # the plasma zero mode is integrated; a lossy metal's has a closed form
@@ -217,17 +223,17 @@ class TestSpherePlateCommand:
 
     def test_row_sums_each_free_energy_once(self, tmp_path, monkeypatch):
         calls = []
-        real = geometry.free_energy
+        real = geometry._sum_modes
 
-        def counting(cfg, *args, **kwargs):
-            calls.append(cfg.T)
-            return real(cfg, *args, **kwargs)
+        def counting(configs, model, quad, observables):
+            calls.append(([cfg.T for cfg in configs], observables))
+            return real(configs, model, quad, observables)
 
-        monkeypatch.setattr(geometry, "free_energy", counting)
+        monkeypatch.setattr(geometry, "_sum_modes", counting)
         out = tmp_path / "s.csv"
         assert run_cli("sphere-plate", "--gap", "1.0", "--radius", "200",
                        "--out", str(out)) == 0
-        assert calls == [350.0, 300.0]
+        assert calls == [([350.0, 300.0], (lifshitz._FREE_ENERGY,))]
 
     def test_radius_rejected_elsewhere(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -371,8 +377,8 @@ class TestSweepOutput:
             cli.SweepOutput(meta={}, columns=["a", "b"], rows=[(1.0, 2.0), (3.0, bad)])
 
     def test_non_finite_pressure_exits_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "total_pressure",
-                            lambda *args: SimpleNamespace(total=float("nan")))
+        monkeypatch.setattr(cli, "_sum_modes", lambda configs, *args: [
+            [(float("nan"), 2, None)] for _ in configs])
         assert run_cli("pressure", "--gap", "1.0") == 3
         assert "row 0 contains non-finite values" in capsys.readouterr().err
 
@@ -414,6 +420,22 @@ class TestTableModel:
         _, _, rows_t = read_csv(out_t)
         _, _, rows_d = read_csv(out_d)
         assert rows_t[0][1] == pytest.approx(rows_d[0][1], rel=1e-3)
+
+    def test_sweep_past_the_table_names_the_gap_and_mode(self, tmp_path, gold, capsys):
+        # the table ends at 5e15 rad/s: only 0.5 um needs a mode past it
+        # (m = 21 at 300 K); 1.75 and 3 um stay inside, and run alone
+        zs = np.geomspace(1e12, 5e15, 200)
+        path = tmp_path / "short.csv"
+        path.write_text("zeta_rad_per_s,epsilon\n" + "".join(
+            f"{float(z)!r},{float(e)!r}\n" for z, e in zip(zs, cs.eps_drude(zs, gold))),
+            encoding="utf-8")
+        table = ("--model", "table", "--table", str(path))
+        assert run_cli("pressure", "--gap-range", "0.5:3:3", *table) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("casimir: computation failed: at a = 0.5 um: "
+                              "Matsubara mode m = 21 at T = 300 K")
+        assert run_cli("pressure", "--gap-range", "1.75:3:2", *table,
+                       "--out", str(tmp_path / "p.csv")) == 0
 
     def test_impedance_check_rejects_short_table_before_computing(
             self, tmp_path, gold, capsys, monkeypatch):

@@ -551,9 +551,9 @@ class TestMatsubaraTruncation:
             cs.PermittivityTable(zs, cs.eps_drude(zs, gold)))
         rows, integrate = [], lifshitz._integrate
 
-        def counting_integrate(model, cfg, zeta, *args):
-            rows.append(len(zeta))
-            return integrate(model, cfg, zeta, *args)
+        def counting_integrate(model, sums, *args):
+            rows.append(sum(len(zeta) for _, zeta, *_ in sums))
+            return integrate(model, sums, *args)
 
         monkeypatch.setattr(lifshitz, "_integrate", counting_integrate)
         for total, mode_fn in ((lambda: cs.total_pressure(cfg, model).total, cs.mode_pressure),
@@ -586,8 +586,8 @@ class TestStackedSums:
         # number of rows for each; per_mode comes from the same final rule
         cfg = cs.ThermalGapConfig(T=T, a=a)
         model = self.model(name, gold, gold_bg)
-        (P, M_P, terms), (F, M_F, _) = lifshitz._sum_modes(cfg, model, cs.DEFAULT_QUAD,
-                                                           self.OBSERVABLES)
+        (P, M_P, terms), (F, M_F, _) = lifshitz._sum_modes([cfg], model, cs.DEFAULT_QUAD,
+                                                           self.OBSERVABLES)[0]
         res = cs.total_pressure(cfg, model)
         assert (P, M_P) == (res.total, res.m_used)
         assert F == cs.free_energy(cfg, model)
@@ -599,8 +599,8 @@ class TestStackedSums:
     def test_rule_sums_agree_with_separate_sums(self, gold, T, a):
         # one rule in m, placed from both kernels, up to the larger M
         cfg = cs.ThermalGapConfig(T=T, a=a)
-        (P, M_P, _), (F, M_F, _) = lifshitz._sum_modes(cfg, gold, cs.DEFAULT_QUAD,
-                                                       self.OBSERVABLES)
+        (P, M_P, _), (F, M_F, _) = lifshitz._sum_modes([cfg], gold, cs.DEFAULT_QUAD,
+                                                       self.OBSERVABLES)[0]
         assert M_P > M_F > 2048
         assert P == pytest.approx(cs.total_pressure(cfg, gold).total, rel=1e-10, abs=0.0)
         assert F == pytest.approx(cs.free_energy(cfg, gold), rel=1e-10, abs=0.0)
@@ -614,9 +614,101 @@ class TestStackedSums:
 
         monkeypatch.setattr(dispersion, "_reflection_sq", counting)
         cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
-        (_, M_P, _), (_, M_F, _) = lifshitz._sum_modes(cfg, gold, cs.DEFAULT_QUAD,
-                                                       self.OBSERVABLES)
+        (_, M_P, _), (_, M_F, _) = lifshitz._sum_modes([cfg], gold, cs.DEFAULT_QUAD,
+                                                       self.OBSERVABLES)[0]
         assert calls == [(max(M_P, M_F) - 1, 135)]
+
+
+class TestSweeps:
+    """Every (a, T) of a sweep as one stacked sum, against the one-config sums."""
+
+    GRID = [cs.ThermalGapConfig(T=T, a=a) for a in (0.3e-6, 1e-6, 5e-6) for T in (350.0, 300.0)]
+    # explicit and rule sums at two temperatures, with rows of both in shared blocks
+    MIXED = [cs.ThermalGapConfig(T=T, a=a) for T, a in
+             ((300.0, 1e-6), (1.5, 50e-9), (300.0, 0.3e-6), (1.5, 1e-6))]
+
+    @staticmethod
+    def assert_sums_equal_lone_sums(configs, model, observables):
+        sweep = lifshitz._sum_modes(configs, model, cs.DEFAULT_QUAD, observables)
+        assert len(sweep) == len(configs)
+        for cfg, sums in zip(configs, sweep):
+            lone = lifshitz._sum_modes([cfg], model, cs.DEFAULT_QUAD, observables)[0]
+            for (value, M, _), (lone_value, lone_M, _) in zip(sums, lone, strict=True):
+                assert M == lone_M
+                assert value == pytest.approx(lone_value, rel=cs.DEFAULT_QUAD.rel_tol, abs=0.0)
+
+    @pytest.mark.parametrize("observables", [(lifshitz._PRESSURE,), (lifshitz._FREE_ENERGY,),
+                                             (lifshitz._PRESSURE, lifshitz._FREE_ENERGY)],
+                             ids=["P", "F", "PF"])
+    @pytest.mark.parametrize("name", ["drude", "bg", "drude_like", "plasma_like",
+                                      "plasma", "ideal"])
+    def test_sweep_equals_one_config_sums(self, gold, gold_bg, name, observables):
+        model = TestStackedSums.model(name, gold, gold_bg)
+        self.assert_sums_equal_lone_sums(self.GRID, model, observables)
+
+    def test_mixed_stack_equals_one_config_sums(self, gold):
+        M = [M for (_, M, _), in lifshitz._sum_modes(self.MIXED, gold, cs.DEFAULT_QUAD,
+                                                     (lifshitz._PRESSURE,))]
+        assert M[0] < 2048 < M[1] and M[3] > 2048  # explicit and rule sums
+        self.assert_sums_equal_lone_sums(self.MIXED, gold,
+                                         (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
+
+    @pytest.mark.parametrize("configs", [GRID, MIXED], ids=["grid", "mixed"])
+    def test_sweep_makes_one_adaptive_quad_call(self, gold, monkeypatch, configs):
+        calls, quad = [], lifshitz.adaptive_quad
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(lifshitz, "adaptive_quad", counting)
+        lifshitz._sum_modes(configs, gold, cs.DEFAULT_QUAD,
+                            (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
+        assert len(calls) == 1  # a lossy metal's m = 0 terms take no integral
+
+    def test_blocks_are_shared_across_gaps(self, gold, monkeypatch):
+        # 40 gaps at two temperatures: eps is bound once per block of one
+        # temperature, never once per (a, T)
+        binds, reflection = [], cs.Drude.matsubara_reflection
+
+        def counting(self, zeta, T):
+            binds.append((len(zeta), T))
+            return reflection(self, zeta, T)
+
+        monkeypatch.setattr(cs.Drude, "matsubara_reflection", counting)
+        configs = [cs.ThermalGapConfig(T=T, a=a) for a in np.linspace(0.3e-6, 5e-6, 40)
+                   for T in (350.0, 300.0)]
+        sweep = lifshitz._sum_modes(configs, gold, cs.DEFAULT_QUAD, (lifshitz._PRESSURE,))
+        for T in (350.0, 300.0):
+            rows = sum(M - 1 for cfg, ((_, M, _),) in zip(configs, sweep) if cfg.T == T)
+            full, rest = divmod(rows, lifshitz._ROW_BLOCK)
+            assert [n for n, t in binds if t == T] == [lifshitz._ROW_BLOCK] * full + [rest]
+
+    def test_failure_names_the_first_failing_config(self, gold):
+        # the table ends at 5e15 rad/s; 3 um stays inside it, and the second
+        # config is the first in sweep order to need a mode past it
+        zs = np.geomspace(1e12, 5e15, 200)
+        table = cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold)))
+        configs = [cs.ThermalGapConfig(T=T, a=a) for T, a in
+                   ((300.0, 3e-6), (350.0, 0.4e-6), (300.0, 0.5e-6))]
+        with pytest.raises(TableRangeError) as exc:
+            lifshitz._sum_modes(configs, table, cs.DEFAULT_QUAD, (lifshitz._PRESSURE,))
+        n = next(m for m in itertools.count(1) if configs[1].matsubara(m) > zs[-1])
+        assert str(exc.value).startswith(f"Matsubara mode m = {n} at T = 350 K")
+        with pytest.raises(ConvergenceError) as exc:
+            lifshitz._sum_modes(configs, gold, cs.QuadratureSettings(rel_tol=1e-30),
+                                (lifshitz._PRESSURE,))
+        assert "T = 300 K, a = 3e-06 m" in str(exc.value)
+        assert isinstance(exc.value.estimate, float)  # one observable's
+
+    def test_members_give_the_lone_per_mode_and_fractions(self, gold):
+        sweep = lifshitz._sum_modes(self.MIXED, gold, cs.DEFAULT_QUAD, (lifshitz._PRESSURE,))
+        for cfg, (terms,) in zip(self.MIXED, sweep):
+            member, lone = cs.PressureResult(*terms), cs.total_pressure(cfg, gold)
+            if lone.m_used <= 2048:
+                assert member.per_mode == lone.per_mode
+            for m in (0, 1, 7, lifshitz._K_MIN + 3, lone.m_used - 1, lone.m_used):
+                assert member.fraction(m) == lone.fraction(m)
 
 
 @pytest.mark.parametrize("observable", ["pressure", "free_energy"])
@@ -672,9 +764,9 @@ class TestWorkCount:
         integrals, panels = [], []
         integrate, gk15 = lifshitz._integrate, quadrature._gk15_panels
 
-        def counting_integrate(model, cfg, zeta, *args, **kwargs):
-            integrals.append(float(zeta[0]))
-            return integrate(model, cfg, zeta, *args, **kwargs)
+        def counting_integrate(model, sums, *args, **kwargs):
+            integrals.append(float(sums[0][1][0]))
+            return integrate(model, sums, *args, **kwargs)
 
         def counting_gk15(f, lo, hi):
             panels.append(len(lo))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import casimir as cs
-from casimir import thermal
+from casimir import lifshitz, thermal
 from casimir.errors import (
     ApplicabilityWarning,
     BracketError,
@@ -84,8 +84,8 @@ class TestBothDifferences:
     def test_equal_to_the_public_differences(self, gold, gold_bg, a_um, bg):
         model = gold_bg if bg else gold
         a = a_um * MICRON
-        assert thermal._differences(a, model, 350.0, 300.0, cs.DEFAULT_QUAD) == (
-            cs.pressure_difference(a, model), cs.free_energy_difference(a, model))
+        assert thermal._differences([a], model, 350.0, 300.0, cs.DEFAULT_QUAD) == [(
+            cs.pressure_difference(a, model), cs.free_energy_difference(a, model))]
 
 
 class TestSignChangeGap:
@@ -169,11 +169,12 @@ class TestLowTQuadraticFit:
         coeff_ev = 18.6249
         f0_nat = -1.0532e-4
 
-        def fake_free_energy(cfg, model, quad):
-            f_nat = f0_nat + coeff_ev * temperature_to_ev(cfg.T) ** 2
-            return f_nat / free_energy_si_to_ev3(1.0)
+        def fake_sums(configs, model, quad, observables):
+            assert observables == (lifshitz._FREE_ENERGY,)
+            return [[((f0_nat + coeff_ev * temperature_to_ev(cfg.T) ** 2)
+                      / free_energy_si_to_ev3(1.0), 2, None)] for cfg in configs]
 
-        monkeypatch.setattr(thermal, "free_energy", fake_free_energy)
+        monkeypatch.setattr(thermal, "_sum_modes", fake_sums)
         fit = thermal.lowT_quadratic_fit(1e-6, gold, self.GRID)
         assert fit.coeff == pytest.approx(coeff_ev, rel=1e-10)
         assert fit.residual < 1e-10
