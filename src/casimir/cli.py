@@ -25,8 +25,9 @@ Output files embed the constants version and model parameters, contain no
 timestamps, and are byte-identical for identical configurations on one NumPy
 build and CPU dispatch (NumPy picks SIMD kernels at run time).  A sweep
 runs in one thread; --threads is still accepted and validated, and the
-output is identical for any value.  A failing sweep names the first gap
-whose row fails alone.
+output is identical for any value.  A failing sweep names the gap of the
+first (a, T) that fails alone, which the library's sweep finds and hands
+over with its error.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -49,8 +49,8 @@ from .dispersion import (BlochGruneisen, ConstantRelaxation, Drude, Ideal, Mater
 from .errors import (CasimirError, ConfigError, ConvergenceError, DomainError, FitError,
                      TableRangeError, UnsupportedModelError)
 from .geometry import _pfa_rows
-from .lifshitz import (_PRESSURE, PressureResult, QuadratureSettings, ThermalGapConfig,
-                       _sum_modes, _te_mode_functions, rte_from_impedance,
+from .lifshitz import (_FREE_ENERGY, _PRESSURE, PressureResult, QuadratureSettings,
+                       _grid_sums, _te_mode_functions, rte_from_impedance,
                        rte_zero_frequency_comparison)
 from .thermal import _differences, lowT_quadratic_fit
 
@@ -294,30 +294,16 @@ def _base_meta(cfg: RunConfig) -> dict:
 def _sweep(cfg: RunConfig, columns: list[str], rows, **meta) -> SweepOutput:
     """One row (a in um, *values) per gap, from rows(gaps), which computes
     the values of every gap at once.  A convergence or table-range failure
-    names the first gap whose row fails alone, as a loop over gaps would."""
+    is that of the first (a, T) that fails alone, which the library finds
+    (see lifshitz._grid_sums); its message gains that gap."""
     try:
         values = rows(cfg.gaps_m)
-    except (ConvergenceError, TableRangeError):
-        with warnings.catch_warnings():  # the sweep has warned once already
-            warnings.simplefilter("ignore")
-            for a_m in cfg.gaps_m:
-                try:
-                    rows([a_m])
-                except (ConvergenceError, TableRangeError) as exc:
-                    exc.args = (f"at a = {a_m / MICRON:g} um: {exc}",)
-                    raise exc from None
+    except (ConvergenceError, TableRangeError) as exc:
+        if exc.config is not None:
+            exc.args = (f"at a = {exc.config.a / MICRON:g} um: {exc}",)
         raise
     return SweepOutput(meta={**_base_meta(cfg), **meta}, columns=["a_um", *columns],
                        rows=[(a_m / MICRON, *v) for a_m, v in zip(cfg.gaps_m, values)])
-
-
-def _sums(cfg: RunConfig, gaps, observable) -> list:
-    """One stacked sum of the observable over every (a, T) of gaps and
-    cfg.temps: per gap, per temperature, its (value, M, terms)."""
-    sums = _sum_modes([ThermalGapConfig(T=t, a=a_m) for a_m in gaps for t in cfg.temps],
-                      cfg.model, cfg.quad, (observable,))
-    n = len(cfg.temps)
-    return [[s for s, in sums[i:i + n]] for i in range(0, len(sums), n)]
 
 
 # ---------------------------------------------------------------------------
@@ -328,21 +314,24 @@ def cmd_pressure(cfg: RunConfig) -> SweepOutput:
     columns = (["pressure_Pa"] if len(cfg.temps) == 1
                else [f"pressure_Pa_T{t:g}K" for t in cfg.temps])
     return _sweep(cfg, columns, lambda gaps: [
-        [abs(value) for value, _, _ in row] for row in _sums(cfg, gaps, _PRESSURE)])
+        [abs(value) for (value, _, _), in row]
+        for row in _grid_sums(gaps, cfg.temps, cfg.model, cfg.quad, (_PRESSURE,))])
 
 
 def cmd_diff(cfg: RunConfig) -> SweepOutput:
     """Pressure difference (mPa) and free-energy difference (J/m^2)."""
     T1, T2 = cfg.temps
     return _sweep(cfg, ["delta_F_mPa", "delta_free_energy_J_m2"], lambda gaps: [
-        (dP.delta * 1e3, dF.delta) for dP, dF in _differences(gaps, cfg.model, T1, T2, cfg.quad)])
+        (dP.delta * 1e3, dF.delta) for dP, dF in _differences(
+            gaps, cfg.model, T1, T2, cfg.quad, (_PRESSURE, _FREE_ENERGY))])
 
 
 def cmd_modes(cfg: RunConfig) -> SweepOutput:
     """Percentage contribution of modes m = 0..7, Table-style."""
     return _sweep(cfg, [f"frac_m{m}_pct" for m in range(8)], lambda gaps: [
         [result.fraction(m) for m in range(8)]
-        for result in (PressureResult(*s) for s, in _sums(cfg, gaps, _PRESSURE))])
+        for result in (PressureResult(*s) for (s,), in _grid_sums(
+            gaps, cfg.temps, cfg.model, cfg.quad, (_PRESSURE,)))])
 
 
 def cmd_sphere_plate(cfg: RunConfig) -> SweepOutput:

@@ -5,7 +5,7 @@ compared to a, the force is 2 pi R times the parallel-plate free energy
 per unit area at gap a.  Validity is advisory: a warning is issued for
 R < 100 a rather than refusing, since experimental geometries vary.  A
 sweep of gaps (the CLI's sphere-plate) sums every free energy it needs,
-at each gap and temperature, as one stacked sum.
+at each gap and temperature, as one stacked sum (lifshitz._grid_sums).
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import numpy as np
 
 from .dispersion import MaterialModel
 from .errors import ApplicabilityWarning, check_positive
-from .lifshitz import (_FREE_ENERGY, DEFAULT_QUAD, QuadratureSettings, ThermalGapConfig,
-                       _sum_modes)
+from .lifshitz import _FREE_ENERGY, DEFAULT_QUAD, QuadratureSettings, _grid_sums
 
 __all__ = ["SpherePlateConfig", "pfa_force", "pfa_force_difference"]
 
@@ -54,9 +53,8 @@ def _pfa_rows(gaps, model, temps, quad, R=None) -> list[list[float]]:
                 f"R/a = {R / a:.1f} < 100 at a = {a / 1e-6:.3g} um; the proximity "
                 f"force approximation may be inaccurate", ApplicabilityWarning,
                 stacklevel=3)
-    F = [value for (value, _, _), in _sum_modes(
-        [ThermalGapConfig(T=T, a=a) for a in gaps for T in temps], model, quad, (_FREE_ENERGY,))]
-    rows = [F[i:i + len(temps)] for i in range(0, len(F), len(temps))]
+    rows = [[value for (value, _, _), in row]
+            for row in _grid_sums(gaps, temps, model, quad, (_FREE_ENERGY,))]
     return [[2.0 * np.pi * (f[0] - f[-1])] + [2.0 * np.pi * R * x for x in f if R is not None]
             for f in rows]
 

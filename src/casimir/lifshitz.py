@@ -49,8 +49,9 @@ of one temperature share blocks across gaps, each binding eps once.  Each
 (a, T) and observable keeps its own m = 0 term, M and prefactor, sums its
 own first M - 1 rows (or a rule in m, placed once per (a, T) to its larger
 M), and holds rel_tol on its own total.  total_pressure and free_energy
-are the sums of one observable at one (a, T); the CLI's sweeps and
-thermal.lowT_quadratic_fit sum all their points at once.
+are the sums of one observable at one (a, T); _grid_sums, the one layout
+of a sweep, sums every (a, T) of some gaps and temperatures at once.  A
+failing sum names the first (a, T) that fails alone, found here once.
 """
 
 from __future__ import annotations
@@ -581,17 +582,20 @@ def _rows(model, cfg, kernels, M, rel_tol, zeros):
 def _named(exc, model, cfg, modes, observables):
     """exc, raised while summing the Matsubara modes of cfg that the text
     modes names, with that context in its message.  A lookup past a table
-    names the first mode past it instead; other errors pass unchanged."""
+    names the first mode past it instead, with zeta_m to the fewest digits
+    (at least 4) that still lie past the table; other errors pass unchanged."""
     if isinstance(exc, TableRangeError) and exc.zeta is not None:
-        def out_of_range(n):
+        def outside(zeta):
             try:
-                model.matsubara_reflection(cfg.matsubara(n), cfg.T)
+                model.matsubara_reflection(zeta, cfg.T)
             except TableRangeError:
                 return True
             return False
-        n = _smallest(out_of_range, 0, 1)  # a table fails m = 1, or every m past one
+        n = _smallest(lambda n: outside(cfg.matsubara(n)), 0, 1)  # m = 1, or all past n
+        shown = next(text for text in (f"{cfg.matsubara(n):.{d}g}" for d in range(4, 18))
+                     if outside(float(text)))
         return TableRangeError(f"Matsubara mode m = {n} at T = {cfg.T:g} K has "
-                               f"zeta_m = {cfg.matsubara(n):.4g} rad/s: {exc}")
+                               f"zeta_m = {shown} rad/s: {exc}")
     if not isinstance(exc, ConvergenceError):
         return exc
     estimate = exc.estimate  # an integral's, one per observable of a stack
@@ -632,9 +636,14 @@ def _sum_modes(configs, model, quad, observables):
     config's largest M are the weighted rows of _rows.  The rows of every
     config enter one t-integral, in which each (config, observable) holds
     rel_tol on its own sum; rows of one temperature bind eps once per block
-    for every gap and observable.  A failure is that of the first config
-    that fails alone, as a loop over configs would raise it.  The callable
-    gives term m, by default all M terms, on the integral's final t-rule.
+    for every gap and observable.  The callable gives term m, by default
+    all M terms, on the integral's final t-rule.
+
+    A failure is that of the first config that fails alone, as a loop over
+    configs would raise it: the configs planned before it failed are
+    integrated again one at a time, on their plans, up to the first that
+    fails.  The error carries that config in its attribute config (None
+    when the stack fails and no config fails alone).
     """
     kernels = [kernel for kernel, *_ in observables]
     plans = []
@@ -644,14 +653,19 @@ def _sum_modes(configs, model, quad, observables):
         values, (t, w) = _integrate(model, [(cfg, *rows) for cfg, (_, _, rows)
                                             in zip(configs, plans)], kernels, quad.rel_tol)
     except CasimirError as exc:
-        if len(configs) > 1:
-            for cfg in configs:
-                _sum_modes([cfg], model, quad, observables)
-            raise
-        if len(plans) < len(configs):  # named by _plan
-            raise
-        raise _named(exc, model, configs[0], f"modes m = 1..{max(plans[0][1]) - 1}",
-                     observables) from None
+        error, failed = exc, (configs[len(plans)] if len(plans) < len(configs) else None)
+        for cfg, (_, Ms, rows) in zip(configs, plans):
+            if len(configs) > 1:
+                try:
+                    _integrate(model, [(cfg, *rows)], kernels, quad.rel_tol)
+                    continue
+                except CasimirError as lone:
+                    error = lone
+            error = _named(error, model, cfg, f"modes m = 1..{max(Ms) - 1}", observables)
+            failed = cfg
+            break
+        error.config = failed
+        raise error from None
 
     def result(cfg, c, prefactor, zero, M, value):
         p = prefactor(cfg)
@@ -666,6 +680,15 @@ def _sum_modes(configs, model, quad, observables):
     return [[result(cfg, c, obs[1], zero, M, value)
              for c, (obs, zero, M, value) in enumerate(zip(observables, zeros, Ms, row))]
             for cfg, (zeros, Ms, _), row in zip(configs, plans, values)]
+
+
+def _grid_sums(gaps, temps, model, quad, observables):
+    """_sum_modes over every (a, T) with a in gaps and T in temps, each
+    checked before any sum, as one stack: per gap, per temperature, for
+    each observable its (value, M, terms).  The one layout of a sweep."""
+    sums = _sum_modes([ThermalGapConfig(T=T, a=a) for a in gaps for T in temps],
+                      model, quad, observables)
+    return [sums[i:i + len(temps)] for i in range(0, len(sums), len(temps))]
 
 
 def total_pressure(cfg: ThermalGapConfig, model: MaterialModel,

@@ -7,10 +7,10 @@ pressure magnitudes at two laboratory temperatures,
 
 and the analogous free-energy difference.  The permittivity is
 re-evaluated on each temperature's own Matsubara grid; nothing is cached
-across temperatures.  Where both differences are asked for over a sweep
-of gaps (the CLI's diff), P and F at every (a, T) are one stacked sum that
-evaluates eps once per row block of each temperature and the reflection
-coefficients once per row for both; lowT_quadratic_fit sums its whole
+across temperatures.  A difference is one stacked sum over its (a, T)
+(lifshitz._grid_sums), which evaluates eps once per row block of each
+temperature; the CLI's diff stacks P and F at all its gaps, and they share
+each row's reflection coefficients.  lowT_quadratic_fit sums its whole
 temperature grid as one stack too.
 
 For a lossy metal the free energy follows a quadratic low-temperature law
@@ -38,9 +38,7 @@ from .lifshitz import (
     DEFAULT_QUAD,
     QuadratureSettings,
     ThermalGapConfig,
-    _sum_modes,
-    free_energy,
-    total_pressure,
+    _grid_sums,
 )
 
 __all__ = [
@@ -87,37 +85,29 @@ class QuadraticFit:
                 coeff=self.coeff, residual=self.residual)
 
 
-def _difference(a: float, T1: float, T2: float, v1: float, v2: float) -> DifferenceResult:
-    """|v2| - |v1| at gap a, for the values v1, v2 of one observable at T1, T2."""
-    return DifferenceResult(a=a, T_low=T2, T_high=T1,
-                            delta=abs(v2) - abs(v1), raw_low=v2, raw_high=v1)
+def _differences(gaps, model: MaterialModel, T1: float, T2: float,
+                 quad: QuadratureSettings, observables) -> list[list[DifferenceResult]]:
+    """|value(T2)| - |value(T1)| of each observable at each gap a of gaps,
+    from one stacked sum over every (a, T), which shares its rows: per gap,
+    one DifferenceResult per observable."""
+    return [[DifferenceResult(a=a, T_low=T2, T_high=T1, delta=abs(v2) - abs(v1),
+                              raw_low=v2, raw_high=v1)
+             for (v1, _, _), (v2, _, _) in zip(*row)]
+            for a, row in zip(gaps, _grid_sums(gaps, (T1, T2), model, quad, observables))]
 
 
 def pressure_difference(a: float, model: MaterialModel,
                         T1: float = 350.0, T2: float = 300.0,
                         quad: QuadratureSettings = DEFAULT_QUAD) -> DifferenceResult:
     """Casimir pressure magnitude difference |P(T2)| - |P(T1)| in Pa."""
-    return _difference(a, T1, T2, *(total_pressure(ThermalGapConfig(T=T, a=a), model,
-                                                   quad).total for T in (T1, T2)))
+    return _differences([a], model, T1, T2, quad, (_PRESSURE,))[0][0]
 
 
 def free_energy_difference(a: float, model: MaterialModel,
                            T1: float = 350.0, T2: float = 300.0,
                            quad: QuadratureSettings = DEFAULT_QUAD) -> DifferenceResult:
     """Free-energy magnitude difference |F(T2)| - |F(T1)| in J/m^2."""
-    return _difference(a, T1, T2, *(free_energy(ThermalGapConfig(T=T, a=a), model, quad)
-                                    for T in (T1, T2)))
-
-
-def _differences(gaps, model: MaterialModel, T1: float, T2: float,
-                 quad: QuadratureSettings) -> list[tuple[DifferenceResult, DifferenceResult]]:
-    """pressure_difference and free_energy_difference at each gap a of gaps,
-    from one stacked sum of P and F over every (a, T), which shares its rows."""
-    values = [[value for value, _, _ in s] for s in _sum_modes(
-        [ThermalGapConfig(T=T, a=a) for a in gaps for T in (T1, T2)],
-        model, quad, (_PRESSURE, _FREE_ENERGY))]
-    return [(_difference(a, T1, T2, p1, p2), _difference(a, T1, T2, f1, f2))
-            for a, (p1, f1), (p2, f2) in zip(gaps, values[::2], values[1::2])]
+    return _differences([a], model, T1, T2, quad, (_FREE_ENERGY,))[0][0]
 
 
 def sign_change_gap(model: MaterialModel, T1: float = 350.0, T2: float = 300.0,
@@ -174,10 +164,8 @@ def lowT_quadratic_fit(a: float, model: MaterialModel, T_grid,
     temps = np.asarray(T_grid, dtype=float)
     if temps.ndim != 1 or len(temps) < 5:
         raise DomainError("T_grid must contain at least 5 temperatures")
-    configs = [ThermalGapConfig(T=t, a=a) for t in temps]  # all checked before any sum
-
     f_nat = np.array([free_energy_si_to_ev3(F) for (F, _, _), in
-                      _sum_modes(configs, model, quad, (_FREE_ENERGY,))])
+                      _grid_sums([a], temps, model, quad, (_FREE_ENERGY,))[0]])
     x = np.array([temperature_to_ev(t) ** 2 for t in temps])  # eV^2
 
     design = np.column_stack([np.ones_like(x), x])

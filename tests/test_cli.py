@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import casimir as cs
-from casimir import cli, geometry, lifshitz
+from casimir import cli, geometry, lifshitz, thermal
 from casimir.cli import main
 from casimir.errors import ApplicabilityWarning, ConvergenceError
 
@@ -223,13 +223,13 @@ class TestSpherePlateCommand:
 
     def test_row_sums_each_free_energy_once(self, tmp_path, monkeypatch):
         calls = []
-        real = geometry._sum_modes
+        real = geometry._grid_sums
 
-        def counting(configs, model, quad, observables):
-            calls.append(([cfg.T for cfg in configs], observables))
-            return real(configs, model, quad, observables)
+        def counting(gaps, temps, model, quad, observables):
+            calls.append((list(temps), observables))
+            return real(gaps, temps, model, quad, observables)
 
-        monkeypatch.setattr(geometry, "_sum_modes", counting)
+        monkeypatch.setattr(geometry, "_grid_sums", counting)
         out = tmp_path / "s.csv"
         assert run_cli("sphere-plate", "--gap", "1.0", "--radius", "200",
                        "--out", str(out)) == 0
@@ -377,8 +377,8 @@ class TestSweepOutput:
             cli.SweepOutput(meta={}, columns=["a", "b"], rows=[(1.0, 2.0), (3.0, bad)])
 
     def test_non_finite_pressure_exits_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_sum_modes", lambda configs, *args: [
-            [(float("nan"), 2, None)] for _ in configs])
+        monkeypatch.setattr(cli, "_grid_sums", lambda gaps, temps, *args: [
+            [[(float("nan"), 2, None)] for _ in temps] for _ in gaps])
         assert run_cli("pressure", "--gap", "1.0") == 3
         assert "row 0 contains non-finite values" in capsys.readouterr().err
 
@@ -468,6 +468,60 @@ class TestTableModel:
         err = capsys.readouterr().err
         assert err.startswith("casimir: configuration error: table:")
         assert "not UTF-8 text" in err
+
+
+class TestFailureWork:
+    """A failing run computes its failing sum at most twice: the stack, then
+    its (a, T) alone up to the first that fails; the CLI only names the gap."""
+
+    @staticmethod
+    def count(monkeypatch, fn):
+        # every module's name for fn, so that no path to it goes uncounted
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        for module in (cli, geometry, thermal, lifshitz):
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("argv, integrals, gap, T", [
+        (("pressure", "--gap", "0.5"), 1, "0.5", 300),
+        (("diff", "--gap-range", "0.5:1:3"), 2, "0.5", 350),
+        (("sphere-plate", "--gap-range", "0.5:3:2", "--radius", "200"), 2, "0.5", 350),
+    ], ids=["pressure", "diff", "sphere-plate"])
+    def test_unreachable_tolerance(self, capsys, monkeypatch, argv, integrals, gap, T):
+        calls = self.count(monkeypatch, lifshitz.adaptive_quad)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv, "--rel-tol", "1e-30") == 3
+        assert len(calls) == integrals
+        assert capsys.readouterr().err.startswith(
+            f"casimir: computation failed: at a = {gap} um: Matsubara modes m = 1..")
+        # sphere-plate's 3 um is marginal at R = 200 um: it warns once
+        assert len(caught) == (1 if "--radius" in argv else 0)
+
+    def test_past_the_table_top_node(self, tmp_path, gold, capsys, monkeypatch):
+        # the table ends at 1e18 rad/s; zeta_4053 at 300 K is 1.000195e18,
+        # which 4 digits would print as the node itself
+        zs = np.geomspace(1e13, 1e18, 200)
+        path = tmp_path / "gold.csv"
+        path.write_text("zeta_rad_per_s,epsilon\n" + "".join(
+            f"{float(z)!r},{float(e)!r}\n" for z, e in zip(zs, cs.eps_drude(zs, gold))),
+            encoding="utf-8")
+        calls = self.count(monkeypatch, lifshitz._sum_modes)
+        assert run_cli("pressure", "--model", "table", "--table", str(path),
+                       "--gap-range", "0.005:1:3") == 3
+        assert len(calls) == 1
+        err = capsys.readouterr().err
+        assert err == ("casimir: computation failed: at a = 0.005 um: Matsubara mode "
+                       "m = 4053 at T = 300 K has zeta_m = 1.0002e+18 rad/s: "
+                       "zeta outside table range [1e+13, 1e+18]\n")
+        assert float(err.split("zeta_m = ")[1].split()[0]) > zs[-1]  # past the node, as zeta_m
 
 
 class TestDeterminism:

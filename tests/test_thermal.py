@@ -84,8 +84,49 @@ class TestBothDifferences:
     def test_equal_to_the_public_differences(self, gold, gold_bg, a_um, bg):
         model = gold_bg if bg else gold
         a = a_um * MICRON
-        assert thermal._differences([a], model, 350.0, 300.0, cs.DEFAULT_QUAD) == [(
-            cs.pressure_difference(a, model), cs.free_energy_difference(a, model))]
+        assert thermal._differences([a], model, 350.0, 300.0, cs.DEFAULT_QUAD, (
+            lifshitz._PRESSURE, lifshitz._FREE_ENERGY)) == [[
+                cs.pressure_difference(a, model), cs.free_energy_difference(a, model)]]
+
+
+class TestOneDifferencePath:
+    """pressure_difference and free_energy_difference: one stacked sum over
+    (T1, T2), equal to the two separate sums bit for bit."""
+
+    @staticmethod
+    def count_integrals(monkeypatch):
+        calls, quad = [], lifshitz.adaptive_quad
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(lifshitz, "adaptive_quad", counting)
+        return calls
+
+    @pytest.mark.parametrize("pair", [(350.0, 300.0), (300.0, 1.5), (10.0, 2.0)])
+    @pytest.mark.parametrize("name", ["gold", "bg", "plasma", "ideal"])
+    def test_one_stacked_sum_equals_the_separate_sums(self, gold, gold_bg, monkeypatch,
+                                                      name, pair):
+        model = {"gold": gold, "bg": gold_bg, "plasma": cs.Plasma(), "ideal": cs.Ideal()}[name]
+        T1, T2 = pair
+        calls = self.count_integrals(monkeypatch)
+        for a in (0.05e-6, 0.5e-6, 5e-6):
+            for difference, value in (
+                    (cs.pressure_difference, lambda cfg: cs.total_pressure(cfg, model).total),
+                    (cs.free_energy_difference, lambda cfg: cs.free_energy(cfg, model))):
+                calls.clear()
+                result = difference(a, model, T1, T2)
+                # plasma's m = 0 term adds its remainder integral at each T
+                assert len(calls) == (3 if name == "plasma" else 1)
+                v1, v2 = (value(cs.ThermalGapConfig(T=T, a=a)) for T in pair)
+                assert result == thermal.DifferenceResult(
+                    a=a, T_low=T2, T_high=T1, delta=abs(v2) - abs(v1), raw_low=v2, raw_high=v1)
+
+    def test_sign_change_gap_makes_one_stacked_sum_per_gap(self, gold, monkeypatch):
+        calls = self.count_integrals(monkeypatch)
+        assert cs.sign_change_gap(gold) == 2.7994384765625e-06
+        assert len(calls) == 13  # 2 bracket ends and 11 bisection steps
 
 
 class TestSignChangeGap:
@@ -140,7 +181,7 @@ class TestLowTQuadraticFit:
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_bad_temperature_rejected_before_any_sum(self, gold, monkeypatch, bad):
         calls = []
-        monkeypatch.setattr(thermal, "free_energy", lambda *args: calls.append(args))
+        monkeypatch.setattr(lifshitz, "_sum_modes", lambda *args: calls.append(args))
         with pytest.raises(DomainError, match="temperature must be finite"):
             cs.lowT_quadratic_fit(1e-6, gold, [50.0, 75.0, 100.0, 125.0, bad])
         assert calls == []
@@ -169,12 +210,12 @@ class TestLowTQuadraticFit:
         coeff_ev = 18.6249
         f0_nat = -1.0532e-4
 
-        def fake_sums(configs, model, quad, observables):
+        def fake_sums(gaps, temps, model, quad, observables):
             assert observables == (lifshitz._FREE_ENERGY,)
-            return [[((f0_nat + coeff_ev * temperature_to_ev(cfg.T) ** 2)
-                      / free_energy_si_to_ev3(1.0), 2, None)] for cfg in configs]
+            return [[[((f0_nat + coeff_ev * temperature_to_ev(T) ** 2)
+                       / free_energy_si_to_ev3(1.0), 2, None)] for T in temps] for _ in gaps]
 
-        monkeypatch.setattr(thermal, "_sum_modes", fake_sums)
+        monkeypatch.setattr(thermal, "_grid_sums", fake_sums)
         fit = thermal.lowT_quadratic_fit(1e-6, gold, self.GRID)
         assert fit.coeff == pytest.approx(coeff_ev, rel=1e-10)
         assert fit.residual < 1e-10
