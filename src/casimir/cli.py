@@ -15,10 +15,10 @@ gap or none, and whether --rel-tol applies.  Every number given on the
 command line must be finite and > 0 (a --zeta-range may start at 0); model
 defaults are the library's own.  A sweep computes all its rows at once:
 every Matsubara sum it needs, over its gaps and temperatures, is one
-stacked sum, and lowtemp's f_te column one stacked integral.  A
-sphere-plate row needs one free energy per temperature; --radius adds the
-forces and one warning per row with R < 100 a.  A model or spacing flag
-that the run would ignore is a configuration error.
+stacked sum, and lowtemp's f_te column (f(0) too) one stacked integral.
+A sphere-plate row needs one free energy per temperature; --radius adds
+the forces and one warning per row with R < 100 a.  A model or spacing
+flag that the run would ignore is a configuration error.
 
 Exit codes: 0 success, 2 configuration error, 3 convergence/compute error.
 Output files embed the constants version and model parameters, contain no
@@ -26,13 +26,14 @@ timestamps, and are byte-identical for identical configurations on one NumPy
 build and CPU dispatch (NumPy picks SIMD kernels at run time).  A sweep
 runs in one thread; --threads is still accepted and validated, and the
 output is identical for any value.  A failing sweep names the gap of the
-first (a, T) that fails alone, which the library's sweep finds and hands
-over with its error.
+first (a, T) that fails alone, and a failing f_te column its first zeta
+a/c that fails alone, which the library finds and hands over with its error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -347,11 +348,15 @@ def cmd_sphere_plate(cfg: RunConfig) -> SweepOutput:
 def cmd_lowtemp(cfg: RunConfig) -> SweepOutput:
     """TE mode function f(zeta a/c) plus the quadratic low-T free-energy fit."""
     a_m = cfg.gaps_m[0]
-    lo, hi, n = cfg.zeta_range
-    x_grid = np.linspace(lo, hi, n)
+    x_grid = np.linspace(*cfg.zeta_range)
 
-    rows = list(zip(x_grid.tolist(), _te_mode_functions(x_grid * C / a_m, a_m, cfg.model,
-                                                         300.0, cfg.quad)))
+    try:
+        f_te = _te_mode_functions(x_grid * C / a_m, a_m, cfg.model, 300.0, cfg.quad)
+    except (ConvergenceError, TableRangeError) as exc:
+        where = "" if exc.zeta is None else f", zeta a/c = {exc.zeta * a_m / C:g}"
+        exc.args = (f"f_te at a = {a_m / MICRON:g} um{where}: {exc}",)
+        raise
+    rows = list(zip(x_grid.tolist(), f_te))
     meta = _base_meta(cfg)
     meta["fit_gap_um"] = f"{a_m / MICRON:g}"
     try:
@@ -417,6 +422,7 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 # argument parsing and entry point
 
+@functools.cache  # main() builds one parser per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("material model")

@@ -16,6 +16,8 @@ __all__ = [
 class CasimirError(Exception):
     """Base class for all errors raised by this package."""
 
+    config = None  # the (a, T) at fault, where a failing sum of several names it
+
 
 class DomainError(CasimirError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""

@@ -31,27 +31,25 @@ Both rules return plain (A, B); only the public reflection_pair and
 zero_frequency_reflection validate them.  With y = m gamma + t every m >= 1
 mode lives on the same t-interval, so a sum is one adaptive integral over
 the summed integrand of modes 1..M-1, with M set by an ideal-reflector
-bound on the dropped tail, plus the m = 0 term.  M grows like 1/(aT), so
+bound on the dropped tail, and of the m = 0 term.  M grows like 1/(aT), so
 where M > 8 K the modes m >= K enter as the weighted rows of a rule in m
 (Euler-Maclaurin in Gregory's form, see _tail_rule), whose cost grows
 like log M; K and the rule come from its error estimate.  The m = 0 term
 is (A0 + B0) zeta(3)/4 in closed form, with the sign of the kernel and
 A0, B0 the coefficients that are exactly 1 at y = 0, plus the integral of
-the kernel at (A, B) minus the kernel at (A0, B0).  For a lossy metal and
-the ideal reflector (constant A and B, each 0 or 1) that remainder is 0;
-for plasma it is a second integral, smooth at y = 0 where the free
-energy's kernel alone goes like y ln y.  Every t-integral starts from the
-same initial panels, graded toward t = 0, where the kernels vary fastest.
+the kernel at (A, B) minus the kernel at (A0, B0): 0 for a lossy metal and
+the ideal reflector, and for plasma one more row, smooth at y = 0 where
+the free energy's kernel alone goes like y ln y.  Every t-integral starts
+from the same initial panels, graded toward t = 0.
 
 One sum covers a stack of observables at a sequence of (a, T), a whole
 sweep, as one t-integral: P and F share every row's A and B, and the rows
 of one temperature share blocks across gaps, each binding eps once.  Each
 (a, T) and observable keeps its own m = 0 term, M and prefactor, sums its
 own first M - 1 rows (or a rule in m, placed once per (a, T) to its larger
-M), and holds rel_tol on its own total.  total_pressure and free_energy
-are the sums of one observable at one (a, T); _grid_sums, the one layout
-of a sweep, sums every (a, T) of some gaps and temperatures at once.  A
-failing sum names the first (a, T) that fails alone, found here once.
+M), and holds rel_tol on its own total; _grid_sums is the one layout of
+a sweep.  Rows outside a sum are one t-integral per _mode_integrals call.
+A failure names the first (a, T) or frequency that fails alone.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ __all__ = [
 
 # Initial panel edges of every t-integral, graded toward t = 0 where the
 # kernels vary fastest (at low aT, the first rows; the plasma m = 0 term is
-# integrated as a remainder that is smooth there, see _mode_integrals);
+# integrated as a remainder that is smooth there, see _zero_mode);
 # chosen by counting rounds and points over the benchmark's sums.  The last
 # edge is the width of every y-integral: e^{-2 y} past 30 is below 1e-26.
 _T_MESH = np.array([0.0, 1 / 256, 1 / 32, 3 / 16, 0.75, 2.0, 4.5, 9.0, 15.0, 30.0])
@@ -285,36 +283,33 @@ def _in_p(rule, y_lo):
 
 
 def _bind(model, sums):
-    """The rows of sums, (cfg, zeta) pairs, as blocks (runs, y_lo, y -> (A, B)).
-
-    y_lo = a zeta / c is a column, and each run (i, first, lo, hi) says that
-    the block's rows lo..hi-1 are the rows first.. of sums[i].  The rows of
-    one temperature, in the order given, share blocks of at most _ROW_BLOCK
-    rows across gaps: each block binds the model's m >= 1 rule in
-    p = y c / (a zeta) once, as eps depends on zeta and T only.  A lone sum
-    at zeta = [0] takes the model's m = 0 rule of its cfg.
-    """
-    if sums[0][1][0] == 0.0:
-        cfg, zeta = sums[0]
-        return [([(0, 0, 0, 1)], zeta[:, None], _zero_rule(model, cfg))]
-    blocks = []
-    for T in dict.fromkeys(cfg.T for cfg, _ in sums):
-        members = [i for i, (cfg, _) in enumerate(sums) if cfg.T == T]
+    """The rows of sums, as _integrate takes them, as blocks (segments,
+    y_lo, y -> (A, B), kernels), y_lo = a zeta / c a column: each (i, lo,
+    hi, weights) of segments[c] has kernel c of sums[i] sum the block's rows
+    lo..hi-1 with those weights (None: 1).  Rows at zeta = 0 take their
+    cfg's m = 0 rule; the others of one temperature and kernels share blocks
+    of at most _ROW_BLOCK rows across gaps, in order, each binding the
+    model's m >= 1 rule in p = y c / (a zeta) once (eps depends on zeta, T)."""
+    groups, blocks = {}, []
+    for i, (cfg, zeta, kernels, *_) in enumerate(sums):  # at: the cfg of m = 0 rows, or T
+        groups.setdefault((cfg if zeta[0] == 0.0 else cfg.T, tuple(kernels)), []).append(i)
+    for (at, kernels), members in groups.items():
         zeta = np.concatenate([sums[i][1] for i in members])[:, None]
         y_lo = np.concatenate([sums[i][0].a * sums[i][1] for i in members])[:, None] / C
-        runs, lo = [[]], 0
-        for i in members:
-            n, first = len(sums[i][1]), 0
-            while first < n:
-                hi = min(_ROW_BLOCK, lo + n - first)
-                runs[-1].append((i, first, lo, hi))
-                first, lo = first + hi - lo, hi % _ROW_BLOCK
-                if lo == 0:
-                    runs.append([])
-        blocks += [(r, y_lo[b:b + _ROW_BLOCK],
-                    _in_p(model.matsubara_reflection(zeta[b:b + _ROW_BLOCK], T),
-                          y_lo[b:b + _ROW_BLOCK]))
-                   for b, r in zip(range(0, len(zeta), _ROW_BLOCK), runs)]
+        edges = range(0, len(zeta), _ROW_BLOCK)
+        segments, start = [[[] for _ in kernels] for _ in edges], 0
+        for i in members:  # each kernel's rows of sum i, cut at the block edges
+            _, rows, _, counts, weight = sums[i]
+            for c, n in enumerate(counts):
+                for b in range(start - start % _ROW_BLOCK, start + n, _ROW_BLOCK):
+                    lo, hi = max(start, b), min(start + n, b + _ROW_BLOCK)
+                    w = None if weight is None else weight[lo - start:hi - start]
+                    segments[b // _ROW_BLOCK][c].append((i, lo - b, hi - b, w))
+            start += len(rows)
+        for b, seg in zip(edges, segments):
+            rule = (_zero_rule(model, at) if zeta[0, 0] == 0.0 else _in_p(
+                model.matsubara_reflection(zeta[b:b + _ROW_BLOCK], at), y_lo[b:b + _ROW_BLOCK]))
+            blocks.append((seg, y_lo[b:b + _ROW_BLOCK], rule, kernels))
     return blocks
 
 
@@ -327,35 +322,22 @@ def _kernels_at(rule, y, kernels):
     return [kernel(A, B, y) for kernel in kernels]
 
 
-def _integrate(model, sums, kernels, rel_tol):
+def _integrate(model, sums, rel_tol):
     """Row sums of int kernel(A, B, y) dt over t in [0, 30], y = a zeta / c + t,
-    for each sum (cfg, zeta, counts, weight) of sums and each kernel of a
-    stack: kernel c sums the first counts[c] rows, each weighted by weight
-    (None: by 1).
-
-    Rows share t and every kernel shares their (A, B) (see _bind), so one
-    adaptive_quad call holds rel_tol on each (sum, kernel) component.  A
-    component adds its rows of each block in order, so its value does not
-    depend on the other sums or kernels of the stack.  It starts from the
-    panels of _T_MESH.  Returns the values, an array of shape (sums,
-    kernels), and the final panel rule (t, w) of adaptive_quad, on which
-    _row_integrals evaluates rows.
+    for each sum (cfg, zeta, kernels, counts, weight) of sums, all with as
+    many kernels: kernel c sums the first counts[c] rows, each weighted by
+    weight (None: by 1).  Rows share t and a block's kernels share their
+    (A, B) (see _bind), so one adaptive_quad call, from the panels of
+    _T_MESH, holds rel_tol on each (sum, kernel) component, which adds its
+    rows block by block, in order, whatever the rest of the stack.  Returns
+    the values, shape (sums, kernels), and the final panel rule (t, w), on
+    which _row_integrals evaluates rows.
     """
-    parts = []  # per block: y_lo, rule and each kernel's (sum, lo, hi, weights)
-    for runs, y_lo, rule in _bind(model, [(cfg, zeta) for cfg, zeta, *_ in sums]):
-        segments = [[] for _ in kernels]
-        for i, first, lo, hi in runs:
-            _, _, counts, weight = sums[i]
-            for seg, n in zip(segments, counts):
-                end = min(hi, lo + n - first)
-                if end > lo:
-                    seg.append((i, lo, end, None if weight is None
-                                else weight[first:first + end - lo]))
-        parts.append((y_lo, rule, segments))
+    blocks = _bind(model, sums)
 
     def integrand(t):
-        out = np.zeros((len(sums), len(kernels), len(t)))
-        for y_lo, rule, segments in parts:
+        out = np.zeros((len(sums), len(sums[0][2]), len(t)))
+        for segments, y_lo, rule, kernels in blocks:
             for c, (k, seg) in enumerate(zip(_kernels_at(rule, y_lo + t, kernels), segments)):
                 for i, lo, hi, w in seg:
                     out[i, c] += k[lo:hi].sum(axis=0) if w is None else w @ k[lo:hi]
@@ -363,45 +345,73 @@ def _integrate(model, sums, kernels, rel_tol):
 
     values, _, t, w = adaptive_quad(integrand, _T_MESH[0], _T_MESH[-1],
                                     rel_tol=rel_tol, points=_T_MESH[1:-1])
-    return values.reshape(len(sums), len(kernels)), (t, w)
+    return values.reshape(len(sums), -1), (t, w)
 
 
 def _row_integrals(model, cfg, zeta, kernels, t, w):
-    """int kernel(A, B, y) dt of each row at the frequencies zeta on the rule
-    (t, w), for each kernel: an array of shape (kernels, rows)."""
+    """int kernel(A, B, y) dt of each row at the frequencies zeta (or the m = 0
+    row at zeta = [0]) on the rule (t, w), for each kernel: (kernels, rows)."""
     per_block = [[k @ w for k in _kernels_at(rule, y_lo + t, kernels)]
-                 for _, y_lo, rule in _bind(model, [(cfg, zeta)])]
+                 for _, y_lo, rule, _ in _bind(model, [(cfg, zeta, kernels, (), None)])]
     return np.array([np.concatenate(rows) for rows in zip(*per_block)])
 
 
-def _mode_integrals(model, cfg, zeta, kernels, zeros, rel_tol):
-    """int kernel dy of the one row at zeta for each kernel, without weight
-    or prefactor, as a list.
+def _first_alone(model, parts, rel_tol, error, after=False):
+    """error, raised by one stack of the sums of parts, (key, sum) pairs, or
+    by a step after them, as a loop over the parts raises it: they are
+    integrated one at a time, and the first to fail alone gives its error and
+    key (else error and None; a stack of one part fails as that part)."""
+    for key, one in parts:
+        if len(parts) == 1 and not after:
+            return error, key
+        try:
+            _integrate(model, [one], rel_tol)
+        except CasimirError as lone:
+            return lone, key
+    return error, None
 
-    At zeta = 0, A0 and B0 are 1 where the model's rule gives exactly 1 at
-    y = 0 and 0 otherwise, and kernel c's integral is the closed form
-    A0 unit_A + B0 unit_B, with zeros[c] = (unit_A, unit_B) its integrals
-    at unit coefficients, plus int kernel(A, B) - kernel(A0, B0) dy.  That
-    remainder is 0 where the rule gives constant A0 and B0 (a lossy metal,
-    the ideal reflector), and is skipped; otherwise it is one stacked
-    integral.  For plasma, 1 - B ~ 4 y / Omega with Omega = omega_p a / c:
-    where the free energy's kernel goes like y ln y at y = 0, the
-    remainder's log ratio tends to ln(1 + 2/Omega), smooth.  The closed
-    form enters the integral as a constant density on the t-interval, which
-    GK15 integrates exactly, so rel_tol holds on the whole term; rounding
-    bounds it where the term is far below its closed part (the TE integral
-    at Omega << 1: 3e-11 relative at 1 nm for 0.5 eV).
+
+def _zero_mode(model, cfg, kernels, zeros):
+    """The m = 0 row of kernels at cfg: the closed form of each kernel's
+    integral, and the remainder as a sum of _integrate (None where it is 0).
+
+    A0 and B0 are 1 where the model's rule gives exactly 1 at y = 0, else 0;
+    kernel c's integral is A0 unit_A + B0 unit_B, with zeros[c] = (unit_A,
+    unit_B) its integrals at unit coefficients, plus the remainder
+    int kernel(A, B) - kernel(A0, B0) dy.  For plasma, 1 - B ~ 4 y / Omega
+    (Omega = omega_p a / c): its log ratio tends to ln(1 + 2/Omega), smooth
+    where the free energy's kernel goes like y ln y.  The closed form enters
+    as a constant density on the t-interval, which GK15 integrates exactly,
+    so rel_tol holds on the whole term; rounding bounds it where the term is
+    far below its closed part (TE at Omega << 1: 3e-11 at 1 nm for 0.5 eV).
     """
-    if zeta == 0.0:
-        A, B = _zero_rule(model, cfg)(np.zeros(1))
-        A0, B0 = (1.0 if X == 1.0 else 0.0 for X in (A, B))
-        closed = [unit_A * A0 + unit_B * B0 for unit_A, unit_B in zeros]
-        if np.ndim(A) == np.ndim(B) == 0 and (A, B) == (A0, B0):
-            return closed
-        kernels = [lambda A, B, y, k=k, c=c: k(A, B, y) - k(A0, B0, y) + c / _T_MESH[-1]
-                   for k, c in zip(kernels, closed)]
-    return _integrate(model, [(cfg, np.array([zeta]), [1] * len(kernels), None)],
-                      kernels, rel_tol)[0][0].tolist()
+    A, B = _zero_rule(model, cfg)(np.zeros(1))
+    A0, B0 = (1.0 if X == 1.0 else 0.0 for X in (A, B))
+    closed = [unit_A * A0 + unit_B * B0 for unit_A, unit_B in zeros]
+    if np.ndim(A) == np.ndim(B) == 0 and (A, B) == (A0, B0):
+        return closed, None
+    return closed, (cfg, np.zeros(1), tuple(
+        lambda A, B, y, k=k, c=c: k(A, B, y) - k(A0, B0, y) + c / _T_MESH[-1]
+        for k, c in zip(kernels, closed)), [1] * len(kernels), None)
+
+
+def _mode_integrals(model, cfg, zetas, kernels, zeros, rel_tol):
+    """int kernel dy, without weight or prefactor, of the row at each
+    frequency of zetas (finite, >= 0) for each kernel: a list per frequency.
+    The one path for rows outside a sum: the rows at zeta > 0 and m = 0
+    remainders (_zero_mode) are one t-integral.  A failure carries the first
+    frequency that fails alone (_first_alone; else None) in attribute zeta."""
+    rows = [(None, (cfg, np.array([z]), kernels, [1] * len(kernels), None)) if z > 0.0
+            else _zero_mode(model, cfg, kernels, zeros) for z in zetas]
+    parts = [(z, one) for z, (_, one) in zip(zetas, rows) if one is not None]
+    try:
+        values = iter(_integrate(model, [one for _, one in parts], rel_tol)[0].tolist()
+                      if parts else ())
+    except CasimirError as exc:
+        error, zeta = _first_alone(model, parts, rel_tol, exc)
+        error.zeta = zeta
+        raise error from None
+    return [closed if one is None else next(values) for closed, one in rows]
 
 
 def _mode_value(m, cfg, model, quad, observable):
@@ -410,7 +420,7 @@ def _mode_value(m, cfg, model, quad, observable):
     check_index(m, 0)
     weight = 0.5 if m == 0 else 1.0
     return prefactor(cfg) * weight * float(_mode_integrals(
-        model, cfg, cfg.matsubara(m), (kernel,), (zero,), quad.rel_tol)[0])
+        model, cfg, [cfg.matsubara(m)], (kernel,), (zero,), quad.rel_tol)[0][0])
 
 
 def mode_pressure(m: int, cfg: ThermalGapConfig, model: MaterialModel,
@@ -534,7 +544,7 @@ def _tail_rule(model, cfg, kernels, K, M, rel_tol, zeros):
     end_sums = np.array([ge @ end_w for ge in g_ends])
 
     def panels(lo, hi):
-        x, wk, wkg = gk15_rule(lo, hi)
+        x, wk, wkg, _ = gk15_rule(lo, hi)
         gx = g(x.ravel()).reshape(len(kernels), *x.shape)
         return x, wk, (gx * wk).sum(axis=2), np.abs((gx * wkg).sum(axis=2))
 
@@ -581,9 +591,10 @@ def _rows(model, cfg, kernels, M, rel_tol, zeros):
 
 def _named(exc, model, cfg, modes, observables):
     """exc, raised while summing the Matsubara modes of cfg that the text
-    modes names, with that context in its message.  A lookup past a table
-    names the first mode past it instead, with zeta_m to the fewest digits
-    (at least 4) that still lie past the table; other errors pass unchanged."""
+    modes names, with that context in its message and cfg in its attribute
+    config.  A lookup past a table names the first mode past it instead,
+    with zeta_m to the fewest digits (at least 4) that still lie past the
+    table; other errors keep their message."""
     if isinstance(exc, TableRangeError) and exc.zeta is not None:
         def outside(zeta):
             try:
@@ -594,35 +605,40 @@ def _named(exc, model, cfg, modes, observables):
         n = _smallest(lambda n: outside(cfg.matsubara(n)), 0, 1)  # m = 1, or all past n
         shown = next(text for text in (f"{cfg.matsubara(n):.{d}g}" for d in range(4, 18))
                      if outside(float(text)))
-        return TableRangeError(f"Matsubara mode m = {n} at T = {cfg.T:g} K has "
-                               f"zeta_m = {shown} rad/s: {exc}")
-    if not isinstance(exc, ConvergenceError):
-        return exc
-    estimate = exc.estimate  # an integral's, one per observable of a stack
-    if estimate is not None and len(observables) == 1:
-        estimate = float(estimate[0])
-    return ConvergenceError(f"Matsubara {modes} at T = {cfg.T:g} K, a = {cfg.a:g} m "
-                            f"(gamma = {cfg.gamma:.3g}): {exc}", estimate=estimate)
+        exc = TableRangeError(f"Matsubara mode m = {n} at T = {cfg.T:g} K has "
+                              f"zeta_m = {shown} rad/s: {exc}")
+    elif isinstance(exc, ConvergenceError):
+        estimate = exc.estimate  # an integral's, one per observable of a stack
+        if estimate is not None and len(observables) == 1:
+            estimate = float(estimate[0])
+        exc = ConvergenceError(f"Matsubara {modes} at T = {cfg.T:g} K, a = {cfg.a:g} m "
+                               f"(gamma = {cfg.gamma:.3g}): {exc}", estimate=estimate)
+    exc.config = cfg
+    return exc
 
 
 def _plan(cfg, model, rel_tol, observables):
-    """The m = 0 terms, the M of each observable, and the rows (frequencies,
-    counts and weights, as _integrate takes them) of one config's sums."""
-    kernels = [kernel for kernel, *_ in observables]
-    try:
-        zeros = [0.5 * v for v in _mode_integrals(
-            model, cfg, 0.0, kernels, [zero for *_, zero in observables], rel_tol)]
-    except ConvergenceError as exc:
-        raise _named(exc, model, cfg, "mode m = 0", observables) from None
+    """The closed m = 0 terms (None: the stack integrates them), the M of
+    each observable, and one config's parts, its m = 0 remainder, if any,
+    then its rows, each a sum keyed by (cfg, its modes).  M and the rule in
+    m take a remainder at its value on the first t-panels, as g(m) is."""
+    kernels = tuple(kernel for kernel, *_ in observables)
+    closed, remainder = _zero_mode(model, cfg, kernels, [zero for *_, zero in observables])
+    zeros, parts = [0.5 * v for v in closed], []
+    if remainder is not None:
+        zeros = 0.5 * _row_integrals(model, *remainder[:3], _T_NODES, _T_WEIGHTS)[:, 0]
+        parts.append(((cfg, "mode m = 0"), remainder))
     Ms = [_modes_needed(cfg.gamma, tail, rel_tol * abs(zero))
           for (_, _, tail, _), zero in zip(observables, zeros)]
+    modes = f"modes m = 1..{max(Ms) - 1}"
     try:
         m, weight = _rows(model, cfg, kernels, max(Ms), rel_tol, zeros)
     except (ConvergenceError, TableRangeError) as exc:
-        raise _named(exc, model, cfg, f"modes m = 1..{max(Ms) - 1}", observables) from None
+        raise _named(exc, model, cfg, modes, observables) from None
     # an explicit sum gives each observable its first M - 1 rows, a rule all rows
     counts = [n - 1 for n in Ms] if weight is None else [len(m)] * len(Ms)
-    return zeros, Ms, (cfg.matsubara(m), counts, weight)
+    parts.append(((cfg, modes), (cfg, cfg.matsubara(m), kernels, counts, weight)))
+    return None if remainder else zeros, Ms, parts
 
 
 def _sum_modes(configs, model, quad, observables):
@@ -633,53 +649,39 @@ def _sum_modes(configs, model, quad, observables):
     Every term has the sign of the m = 0 term, so stopping at the M whose
     tail bound is rel_tol of that term holds rel_tol on the whole sum; each
     observable has its own m = 0 term and M.  The modes 1..M-1 of a
-    config's largest M are the weighted rows of _rows.  The rows of every
-    config enter one t-integral, in which each (config, observable) holds
-    rel_tol on its own sum; rows of one temperature bind eps once per block
-    for every gap and observable.  The callable gives term m, by default
-    all M terms, on the integral's final t-rule.
-
-    A failure is that of the first config that fails alone, as a loop over
-    configs would raise it: the configs planned before it failed are
-    integrated again one at a time, on their plans, up to the first that
-    fails.  The error carries that config in its attribute config (None
-    when the stack fails and no config fails alone).
+    config's largest M are the weighted rows of _rows.  Every config's m = 0
+    remainder and rows enter one t-integral, in which each (config,
+    observable) holds rel_tol on its own sum.  The callable gives term m,
+    by default all M terms, on the integral's final t-rule.  A failure is
+    that of the first part that fails alone, a config's m = 0 remainder
+    before its rows (_first_alone); _named gives it that part's config in
+    its attribute config (None when no part fails alone).
     """
-    kernels = [kernel for kernel, *_ in observables]
-    plans = []
+    plans, parts = [], []
     try:
         for cfg in configs:
             plans.append(_plan(cfg, model, quad.rel_tol, observables))
-        values, (t, w) = _integrate(model, [(cfg, *rows) for cfg, (_, _, rows)
-                                            in zip(configs, plans)], kernels, quad.rel_tol)
-    except CasimirError as exc:
-        error, failed = exc, (configs[len(plans)] if len(plans) < len(configs) else None)
-        for cfg, (_, Ms, rows) in zip(configs, plans):
-            if len(configs) > 1:
-                try:
-                    _integrate(model, [(cfg, *rows)], kernels, quad.rel_tol)
-                    continue
-                except CasimirError as lone:
-                    error = lone
-            error = _named(error, model, cfg, f"modes m = 1..{max(Ms) - 1}", observables)
-            failed = cfg
-            break
-        error.config = failed
-        raise error from None
+            parts += plans[-1][2]
+        values, (t, w) = _integrate(model, [one for _, one in parts], quad.rel_tol)
+    except CasimirError as exc:  # a failed plan has named its own error
+        error, key = _first_alone(model, parts, quad.rel_tol, exc, len(plans) < len(configs))
+        raise (_named(error, model, *key, observables) if key else error) from None
 
-    def result(cfg, c, prefactor, zero, M, value):
-        p = prefactor(cfg)
+    def result(cfg, observable, zero, M, value):
+        p = observable[1](cfg)
 
         def terms(n=None):
             if n == 0:
                 return float(p * zero)
             modes = np.arange(1, M) if n is None else np.array([n])
-            rows = _row_integrals(model, cfg, cfg.matsubara(modes), kernels[c:c + 1], t, w)[0]
+            rows = _row_integrals(model, cfg, cfg.matsubara(modes), observable[:1], t, w)[0]
             return p * np.concatenate(([zero], rows)) if n is None else float(p * rows[0])
         return float(p * (zero + value)), M, terms
-    return [[result(cfg, c, obs[1], zero, M, value)
-             for c, (obs, zero, M, value) in enumerate(zip(observables, zeros, Ms, row))]
-            for cfg, (zeros, Ms, _), row in zip(configs, plans, values)]
+
+    values = iter(values.tolist())  # per config: its m = 0 remainder's, if any, then its rows'
+    return [[result(cfg, *args) for args in zip(
+        observables, zeros or [0.5 * v for v in next(values)], Ms, next(values))]
+        for cfg, (zeros, Ms, _) in zip(configs, plans)]
 
 
 def _grid_sums(gaps, temps, model, quad, observables):
@@ -726,17 +728,9 @@ def te_mode_function(zeta: float, a: float, model: MaterialModel,
 
 
 def _te_mode_functions(zetas, a, model, T, quad):
-    """te_mode_function at each frequency of zetas, each finite and >= 0.
-
-    The rows at zeta > 0 are one t-integral with a component of its own per
-    frequency; zeta = 0 takes the m = 0 rule of _mode_integrals.
-    """
-    cfg = ThermalGapConfig(T=T, a=a)
-    rows = [(cfg, np.array([z]), [1], None) for z in zetas if z > 0.0]
-    values = iter(_integrate(model, rows, (_te_kernel,), quad.rel_tol)[0][:, 0].tolist()
-                  if rows else ())
-    return [next(values) if z > 0.0 else _mode_integrals(
-        model, cfg, 0.0, (_te_kernel,), ((0.0, -_ZETA3_4),), quad.rel_tol)[0] for z in zetas]
+    """te_mode_function at each frequency of zetas (see _mode_integrals)."""
+    return [f for f, in _mode_integrals(model, ThermalGapConfig(T=T, a=a), zetas,
+                                        (_te_kernel,), ((0.0, -_ZETA3_4),), quad.rel_tol)]
 
 
 # ---------------------------------------------------------------------------

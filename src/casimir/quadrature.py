@@ -79,9 +79,9 @@ def neumaier_sum(values) -> float:
 
 def gk15_rule(lo: np.ndarray, hi: np.ndarray):
     """Nodes, Kronrod weights and Kronrod-minus-Gauss weights of the panels
-    [lo_i, hi_i], one row of 15 per panel."""
+    [lo_i, hi_i], one row of 15 per panel, and the half-widths, a column."""
     half = 0.5 * (hi - lo)[:, None]
-    return 0.5 * (lo + hi)[:, None] + half * _NODES, half * _WK, half * _WKG
+    return 0.5 * (lo + hi)[:, None] + half * _NODES, half * _WK, half * _WKG, half
 
 
 def bisect_worst(lo: np.ndarray, hi: np.ndarray, errs: np.ndarray, budget: np.ndarray):
@@ -104,13 +104,11 @@ def _gk15_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
     Returns (kronrod values, scaled error estimates), one entry per panel,
     with a leading axis of C components when f returns shape (C, points).
     """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _NODES
+    x, _, _, half = gk15_rule(lo, hi)
     fx = np.asarray(f(x.ravel()), dtype=float)
     fx = fx.reshape(fx.shape[:-1] + x.shape)
-    if fx.ndim > 2:  # (1, panels) times (1, panels) takes NumPy's fast loop
-        half = half[None]
+    # (1, panels) times (1, panels) takes NumPy's fast loop
+    half = half.T if fx.ndim > 2 else half[:, 0]
 
     sk = fx @ _WK                   # Kronrod sum on the unit interval
     sg = fx[..., 1::2] @ _WG_FULL   # embedded Gauss sum
@@ -166,11 +164,10 @@ def adaptive_quad(
         err_totals = errs.sum(axis=1).tolist()
         if all(err <= rel_tol * abs(total) or err < _TINY
                for err, total in zip(err_totals, totals)):
-            half = 0.5 * (hi - lo)[:, None]
-            x = 0.5 * (lo + hi)[:, None] + half * _NODES
+            x, w = (r.ravel() for r in gk15_rule(lo, hi)[:2])
             if stacked:
-                return np.array(totals), np.array(err_totals), x.ravel(), (half * _WK).ravel()
-            return totals[0], err_totals[0], x.ravel(), (half * _WK).ravel()
+                return np.array(totals), np.array(err_totals), x, w
+            return totals[0], err_totals[0], x, w
         if 2 * len(lo) > _MAX_PANELS:
             break
         keep, new_lo, new_hi = bisect_worst(lo, hi, errs, rel_tol * np.abs(totals))

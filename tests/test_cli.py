@@ -1,5 +1,7 @@
 """CLI: configuration validation, serialization, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -277,6 +279,30 @@ class TestLowTempCommand:
         assert run_cli("lowtemp", "--gap-range", "0.5:1:2") == 2
         assert "gap-range" in capsys.readouterr().err
 
+    def test_plasma_f_te_column_is_one_integral(self, monkeypatch):
+        # f(0), the m = 0 remainder, is a sum of the column's one stack
+        calls = TestFailureWork.count(monkeypatch, lifshitz.adaptive_quad)
+        seen, fit = [], cli.lowT_quadratic_fit
+        monkeypatch.setattr(cli, "lowT_quadratic_fit",
+                            lambda *args: seen.append(len(calls)) or fit(*args))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run_cli("lowtemp", "--model", "plasma", "--gap", "1.0") == 0
+        assert seen == [1]  # the f_te column
+        assert len(calls) == 2  # and the fit's one stacked sum
+        f0 = float(out.getvalue().split("\n0.0,")[1].split()[0])
+        assert f0 == pytest.approx(cs.te_mode_function(0.0, 1e-6, cs.Plasma()),
+                                   rel=cs.DEFAULT_QUAD.rel_tol, abs=0.0)
+
+    @pytest.mark.parametrize("model, x", [("drude", "0.25"), ("plasma", "0")])
+    def test_failing_f_te_names_its_first_failing_frequency(self, capsys, model, x):
+        # drude's f(0) = 0 is closed; plasma's f(0) is the first row to fail alone
+        assert run_cli("lowtemp", "--model", model, "--gap", "1.0", "--zeta-range", "0:0.5:3",
+                       "--rel-tol", "1e-30") == 3
+        assert capsys.readouterr().err.startswith(
+            f"casimir: computation failed: f_te at a = 1 um, zeta a/c = {x}: "
+            "quadrature did not reach rel_tol=1e-30")
+
 
 class TestImpedanceCheckCommand:
     def test_equivalence_and_limits(self, tmp_path):
@@ -522,6 +548,26 @@ class TestFailureWork:
                        "m = 4053 at T = 300 K has zeta_m = 1.0002e+18 rad/s: "
                        "zeta outside table range [1e+13, 1e+18]\n")
         assert float(err.split("zeta_m = ")[1].split()[0]) > zs[-1]  # past the node, as zeta_m
+
+
+def test_one_parser_per_process_prints_what_fresh_processes_print(capsys, monkeypatch):
+    # main() builds its parser once; later calls with other flags, --help
+    # and --version print what a process of their own prints
+    runs = [("pressure", "--gap", "1.0", "--temp", "300", "--temp", "350"),
+            ("pressure", "--gap", "0.5", "--format", "json"),
+            ("pressure", "--help"), ("--version",)]
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(cs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    assert cli.build_parser() is cli.build_parser()
+    for argv in runs:
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:
+            code = exc.code
+        proc = subprocess.run([sys.executable, "-m", "casimir", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert (code, capsys.readouterr().out) == (proc.returncode, proc.stdout), argv
 
 
 class TestDeterminism:

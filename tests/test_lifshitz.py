@@ -484,7 +484,8 @@ class TestTotalPressure:
             cs.free_energy(cfg, cs.Plasma(), cs.QuadratureSettings(rel_tol=1e-300))
         assert str(exc.value).startswith("Matsubara mode m = 0")
         kernel, _, _, zero = lifshitz._FREE_ENERGY
-        converged, = lifshitz._mode_integrals(cs.Plasma(), cfg, 0.0, (kernel,), (zero,), 1e-13)
+        (converged,), = lifshitz._mode_integrals(cs.Plasma(), cfg, [0.0], (kernel,), (zero,),
+                                                 1e-13)
         assert exc.value.estimate == pytest.approx(converged, rel=1e-10, abs=0.0)
 
     def test_rule_in_m_failure_names_the_modes(self):
@@ -653,8 +654,12 @@ class TestSweeps:
         self.assert_sums_equal_lone_sums(self.MIXED, gold,
                                          (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
 
-    @pytest.mark.parametrize("configs", [GRID, MIXED], ids=["grid", "mixed"])
-    def test_sweep_makes_one_adaptive_quad_call(self, gold, monkeypatch, configs):
+    @pytest.mark.parametrize("name, configs", [
+        pytest.param("drude", GRID, id="grid"), pytest.param("drude", MIXED, id="mixed"),
+        pytest.param("plasma", GRID, id="plasma-grid"),
+        pytest.param("plasma", MIXED, id="plasma-mixed"),
+        pytest.param("plasma_like", GRID, id="plasma_like-grid")])
+    def test_sweep_makes_one_adaptive_quad_call(self, gold, gold_bg, monkeypatch, name, configs):
         calls, quad = [], lifshitz.adaptive_quad
 
         def counting(*args, **kwargs):
@@ -662,9 +667,11 @@ class TestSweeps:
             return quad(*args, **kwargs)
 
         monkeypatch.setattr(lifshitz, "adaptive_quad", counting)
-        lifshitz._sum_modes(configs, gold, cs.DEFAULT_QUAD,
+        lifshitz._sum_modes(configs, TestStackedSums.model(name, gold, gold_bg), cs.DEFAULT_QUAD,
                             (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
-        assert len(calls) == 1  # a lossy metal's m = 0 terms take no integral
+        # a lossy metal's m = 0 terms take no integral; a plasma-like
+        # model's m = 0 remainders are sums of the one stack
+        assert len(calls) == 1
 
     def test_blocks_are_shared_across_gaps(self, gold, monkeypatch):
         # 40 gaps at two temperatures: eps is bound once per block of one
@@ -733,6 +740,27 @@ def test_modes_needed_equals_the_search(observable, monkeypatch):
             assert M == lifshitz._smallest(lambda n: bound(n, gamma, coeffs) <= target, 1, 2)
 
 
+@pytest.mark.parametrize("name", ["plasma", "plasma_0.5eV", "plasma_like"])
+def test_first_mesh_zero_mode_gives_the_converged_M(gold, name):
+    # M and the rule in m take a plasma-like m = 0 term at its value on the
+    # first t-panels, before the stack integrates it; on this grid that
+    # gives the M of the term integrated to rel_tol on its own
+    zs = np.geomspace(1e10, 1e20, 51)
+    model = {"plasma": cs.Plasma(), "plasma_0.5eV": cs.Plasma(0.5),
+             "plasma_like": cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold)),
+                                         "plasma_like")}[name]
+    observables = (lifshitz._PRESSURE, lifshitz._FREE_ENERGY)
+    rel_tol = cs.DEFAULT_QUAD.rel_tol
+    configs = [cs.ThermalGapConfig(T=T, a=a) for a in (1e-9, 10e-9, 50e-9, 0.3e-6, 1e-6, 5e-6)
+               for T in (1.5, 20.0, 300.0, 350.0)]
+    for cfg, sums in zip(configs, lifshitz._sum_modes(configs, model, cs.DEFAULT_QUAD,
+                                                      observables)):
+        zeros, = lifshitz._mode_integrals(model, cfg, [0.0], [k for k, *_ in observables],
+                                          [zero for *_, zero in observables], rel_tol)
+        for (_, M, _), (_, _, tail, _), zero in zip(sums, observables, zeros):
+            assert M == lifshitz._modes_needed(cfg.gamma, tail, rel_tol * abs(0.5 * zero)), cfg
+
+
 @pytest.mark.parametrize("ones", ["scalar", "array"])
 @pytest.mark.parametrize("kernel, constant, exact", [
     (lifshitz._pressure_kernel, sum(lifshitz._PRESSURE[3]), ZETA3 / 2.0),
@@ -785,7 +813,8 @@ class TestWorkCount:
     def test_plasma_zero_mode_is_integrated(self, monkeypatch):
         integrals, _ = self.record(monkeypatch)
         cs.free_energy(cs.ThermalGapConfig(T=300.0, a=1e-6), cs.Plasma())
-        assert len(integrals) == 2 and integrals[0] == 0.0
+        # its remainder is the first sum of the one stack
+        assert len(integrals) == 1 and integrals[0] == 0.0
 
     @pytest.mark.parametrize("observables", [(lifshitz._FREE_ENERGY,),
                                              (lifshitz._PRESSURE, lifshitz._FREE_ENERGY)],
@@ -800,11 +829,11 @@ class TestWorkCount:
         zeros = [zero for *_, zero in observables]
         for T, a in itertools.product((300.0, 350.0), (0.3e-6, 1e-6, 5e-6)):
             panels.clear()
-            lifshitz._mode_integrals(model, cs.ThermalGapConfig(T=T, a=a), 0.0,
+            lifshitz._mode_integrals(model, cs.ThermalGapConfig(T=T, a=a), [0.0],
                                      kernels, zeros, cs.DEFAULT_QUAD.rel_tol)
             assert panels == [9], (T, a)
 
-    @pytest.mark.parametrize("model, calls", [(cs.gold_drude(), 1), (cs.Plasma(), 2)],
+    @pytest.mark.parametrize("model, calls", [(cs.gold_drude(), 1), (cs.Plasma(), 1)],
                              ids=["drude", "plasma"])
     def test_every_integral_goes_through_adaptive_quad(self, monkeypatch, model, calls):
         # the per-mode pressure rows come from the rule adaptive_quad returns

@@ -161,7 +161,7 @@ def test_constant_zero_mode_is_zeta3_closed_form(gold, name, a):
 
 
 # The zero-temperature oracle (the zero_temperature fixture of conftest.py)
-# checked on its own: the ideal closed forms, and P = -dF/da for gold.
+# checked on its own: the ideal closed forms, and P = -dF/da for gold and plasma.
 
 @pytest.mark.parametrize("observable, denominator, power",
                          [("free_energy", 720.0, 3), ("pressure", 240.0, 4)])
@@ -172,10 +172,12 @@ def test_zero_temperature_ideal_reflector_closed_forms(zero_temperature, observa
     assert zero_temperature(cs.Ideal(), a, observable) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
-def test_zero_temperature_gold_pressure_is_minus_dF_da(zero_temperature, gold):
+@pytest.mark.parametrize("name", ["gold", "plasma"])
+def test_zero_temperature_pressure_is_minus_dF_da(zero_temperature, gold, name):
     # central difference: truncation about 20 (h/a)^2 / 6 = 3e-8 at h = 1e-4 a
+    model = gold if name == "gold" else cs.Plasma()
     a = 1e-8
     h = 1e-4 * a
-    dF = (zero_temperature(gold, a + h, "free_energy")
-          - zero_temperature(gold, a - h, "free_energy")) / (2.0 * h)
-    assert -dF == pytest.approx(zero_temperature(gold, a, "pressure"), rel=1e-7, abs=0.0)
+    dF = (zero_temperature(model, a + h, "free_energy")
+          - zero_temperature(model, a - h, "free_energy")) / (2.0 * h)
+    assert -dF == pytest.approx(zero_temperature(model, a, "pressure"), rel=1e-7, abs=0.0)

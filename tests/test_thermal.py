@@ -117,8 +117,8 @@ class TestOneDifferencePath:
                     (cs.free_energy_difference, lambda cfg: cs.free_energy(cfg, model))):
                 calls.clear()
                 result = difference(a, model, T1, T2)
-                # plasma's m = 0 term adds its remainder integral at each T
-                assert len(calls) == (3 if name == "plasma" else 1)
+                # plasma's m = 0 remainders at each T are sums of the one stack
+                assert len(calls) == 1
                 v1, v2 = (value(cs.ThermalGapConfig(T=T, a=a)) for T in pair)
                 assert result == thermal.DifferenceResult(
                     a=a, T_low=T2, T_high=T1, delta=abs(v2) - abs(v1), raw_low=v2, raw_high=v1)
