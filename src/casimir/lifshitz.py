@@ -32,15 +32,16 @@ zero_frequency_reflection validate them.  With y = m gamma + t every m >= 1
 mode lives on the same t-interval, so a sum is one adaptive integral over
 the summed integrand of modes 1..M-1, with M set by an ideal-reflector
 bound on the dropped tail, and of the m = 0 term.  M grows like 1/(aT), so
-where M > 8 K the modes m >= K enter as the weighted rows of a rule in m
-(Euler-Maclaurin in Gregory's form, see _tail_rule), whose cost grows
-like log M; K and the rule come from its error estimate.  The m = 0 term
-is (A0 + B0) zeta(3)/4 in closed form, with the sign of the kernel and
-A0, B0 the coefficients that are exactly 1 at y = 0, plus the integral of
-the kernel at (A, B) minus the kernel at (A0, B0): 0 for a lossy metal and
-the ideal reflector, and for plasma one more row, smooth at y = 0 where
-the free energy's kernel alone goes like y ln y.  Every t-integral starts
-from the same initial panels, graded toward t = 0.
+where M > 512 the modes m >= K, K = 64 or more, enter as the weighted rows
+of a rule in m (Euler-Maclaurin in Gregory's form, see _tail_rule), whose
+cost grows like log M; K and the rule come from its error estimate, held
+to rel_tol of the whole sum.  The m = 0 term is (A0 + B0) zeta(3)/4 in
+closed form, with the sign of the kernel and A0, B0 the coefficients that
+are exactly 1 at y = 0, plus the integral of the kernel at (A, B) minus
+the kernel at (A0, B0): 0 for a lossy metal and the ideal reflector, and
+for plasma one more row, smooth at y = 0 where the free energy's kernel
+alone goes like y ln y.  Every t-integral starts from the same initial
+panels, graded toward t = 0.
 
 One sum covers a stack of observables at a sequence of (a, T), a whole
 sweep, as one t-integral: P and F share every row's A and B, and the rows
@@ -84,10 +85,14 @@ _T_MESH = np.array([0.0, 1 / 256, 1 / 32, 3 / 16, 0.75, 2.0, 4.5, 9.0, 15.0, 30.
 _T_NODES, _T_WEIGHTS = (x.ravel() for x in gk15_rule(_T_MESH[:-1], _T_MESH[1:])[:2])
 _ROW_BLOCK = 64  # rows evaluated together: 64 x 135 floats, below the 128 KiB mmap threshold
 _ROW_CAP = 250_000  # most rows a sum or a per_mode table evaluates one by one
-# The rule in m (_tail_rule) keeps at least _K_MIN explicit rows and runs
-# only where M > _RULE_RATIO K.  It sums smooth stretches of at least
-# _SEGMENT_MIN rows and bisects its panels up to _M_PANELS of them.
-_K_MIN = 256
+# The rule in m (_tail_rule) runs only where M > _RULE_RATIO _K_MIN, from
+# K = _K_MIN explicit rows; a K that misses its budget doubles while
+# M > _RULE_RATIO K / 2, where the rule still evaluates fewer rows than an
+# explicit sum.  Both chosen by counting rows, placement and failed tries
+# included, over the benchmark's cryogenic sums and gold at 10 nm-1 um.
+# It sums smooth stretches of at least _SEGMENT_MIN rows and bisects its
+# panels up to _M_PANELS of them.
+_K_MIN = 64
 _RULE_RATIO = 8
 _SEGMENT_MIN = 64
 _M_PANELS = 256
@@ -147,8 +152,9 @@ class PressureResult:
     for m = 0..m_used-1; each contribution is accurate to rel_tol of the total.
     Past m_used = 250,000 the table is not built: per_mode, and so pickling
     and copying, raise CasimirError.  fraction(m) reads the table of a sum
-    of at most _RULE_RATIO * _K_MIN modes, which is always summed row by
-    row, and of a copy; otherwise it evaluates the one mode it is asked for.
+    of at most _RULE_RATIO * _K_MIN = 512 modes, which is always summed row
+    by row, and of a copy; otherwise it evaluates the one mode it is asked
+    for.
     """
 
     total: float
@@ -498,10 +504,18 @@ def _modes_needed(gamma, coeffs, target):
     return n if n == 2 or not ok(n - 1) else _smallest(ok, 1, n - 1)
 
 
-def _tail_rule(model, cfg, kernels, K, M, rel_tol, zeros):
+def _first_rows(model, cfg, m, observables):
+    """Row integrals of the observables' kernels at the modes m (not all
+    integers) on the first t-panels, _T_NODES: shape (observables, rows)."""
+    kernels = tuple(kernel for kernel, *_ in observables)
+    return _row_integrals(model, cfg, cfg.matsubara(m), kernels, _T_NODES, _T_WEIGHTS)
+
+
+def _tail_rule(model, cfg, observables, K, M, rel_tol, head):
     """Rows (mode numbers m, not all integers) and weights whose weighted
-    sum is sum_{m=K}^{M-1} g(m) for each kernel of a stack, g(m) the row
-    integral at m zeta_1; None when the rule misses its error budget.
+    sum is sum_{m=K}^{M-1} g(m) for each kernel of a stack of observables,
+    g(m) the row integral at m zeta_1; None when the rule misses its error
+    budget.
 
     The model's kinks, frequencies where eps bends, cut [K, M-1] where g is
     not smooth.  A smooth stretch [a, b] of at least _SEGMENT_MIN rows is
@@ -511,14 +525,17 @@ def _tail_rule(model, cfg, kernels, K, M, rel_tol, zeros):
     4/gamma, over which g falls by at most e^8.  The rule is placed by the
     kernels' g on the first t-panels, _T_NODES, which also gives its error
     estimate per kernel: the last end terms (_D3) plus |Kronrod - Gauss| on
-    the panels, each held to half of rel_tol |zeros[c] + the rule's sum|
-    (the explicit rows only add to that sum).  The panels with the largest
+    the panels, each held to half of rel_tol |head[c] + the rule's sum|,
+    head[c] the m = 0 term and rows 1..K-1 of kernel c, all of one sign.
+    The end terms are checked first, against that budget with the rule's
+    sum at its ideal-reflector bound (_tail_bound), so a K whose ends miss
+    even that costs no panels.  The panels with the largest
     |Kronrod - Gauss| relative to that budget are bisected, up to
     _M_PANELS of them.  The estimate cannot see a bend of eps that the
     model does not name among its kinks.
     """
     def g(m):  # shape (kernels, rows)
-        return _row_integrals(model, cfg, cfg.matsubara(m), kernels, _T_NODES, _T_WEIGHTS)
+        return _first_rows(model, cfg, m, observables)
 
     kinks = np.asarray(getattr(model, "kinks", ()), dtype=float) / cfg.matsubara(1)
     explicit, ends, lo, hi = [np.zeros(0)], [], [], []
@@ -540,18 +557,21 @@ def _tail_rule(model, cfg, kernels, K, M, rel_tol, zeros):
     ends = np.concatenate(ends)
     end_w = np.resize(_GREGORY, len(ends))
     g_ends = g(ends)
-    end_err = np.abs(g_ends.reshape(len(kernels), -1, 5) @ _D3).sum(axis=1) / 720.0
+    end_err = np.abs(g_ends.reshape(len(observables), -1, 5) @ _D3).sum(axis=1) / 720.0
     end_sums = np.array([ge @ end_w for ge in g_ends])
+    if (end_err > 0.5 * rel_tol * (np.abs(head) + [
+            _tail_bound(K, cfg.gamma, tail) for _, _, tail, _ in observables])).any():
+        return None
 
     def panels(lo, hi):
         x, wk, wkg, _ = gk15_rule(lo, hi)
-        gx = g(x.ravel()).reshape(len(kernels), *x.shape)
+        gx = g(x.ravel()).reshape(len(observables), *x.shape)
         return x, wk, (gx * wk).sum(axis=2), np.abs((gx * wkg).sum(axis=2))
 
     lo, hi = np.array(lo), np.array(hi)
     x, wk, vals, errs = panels(lo, hi)
     while True:
-        budget = 0.5 * rel_tol * np.abs(np.add(zeros, [math.fsum(v) for v in vals]) + end_sums)
+        budget = 0.5 * rel_tol * np.abs(np.add(head, [math.fsum(v) for v in vals]) + end_sums)
         if (end_err > budget).any():
             return None
         if (errs.sum(axis=1) <= budget).all():
@@ -568,17 +588,25 @@ def _tail_rule(model, cfg, kernels, K, M, rel_tol, zeros):
                       for old, n in zip((vals, errs), new[2:]))
 
 
-def _rows(model, cfg, kernels, M, rel_tol, zeros):
-    """Mode numbers m and weights of the rows that sum modes 1..M-1 for each
-    kernel; the weights are None when every row is a mode of its own.
+def _rows(model, cfg, observables, M, rel_tol, zeros):
+    """Mode numbers m and weights of the rows that sum modes 1..M-1 for the
+    kernel of each observable; the weights are None when every row is a
+    mode of its own.
 
-    That is so unless M > _RULE_RATIO K: then _tail_rule sums the modes
-    m >= K, with K doubled from _K_MIN until the rule meets its budget.
-    ConvergenceError if it has not by K = _ROW_CAP / (2 _RULE_RATIO).
+    That is so unless M > _RULE_RATIO _K_MIN: then _tail_rule sums the
+    modes m >= K, with K doubled from _K_MIN until the rule meets its
+    budget, while M > _RULE_RATIO K / 2 (so a first K that misses can
+    double once).  That budget counts the m = 0 terms zeros and the
+    explicit rows 1..K-1 on the first t-panels, which a larger K extends.
+    ConvergenceError if the rule has not met it by K = _ROW_CAP / (2
+    _RULE_RATIO).
     """
-    K = _K_MIN
-    while M > _RULE_RATIO * K:
-        rule = _tail_rule(model, cfg, kernels, K, M, rel_tol, zeros)
+    K, g_head = _K_MIN, []  # the rows 1..K-1 on _T_NODES, as each K added them
+    while M > _RULE_RATIO * max(_K_MIN, K // 2):
+        g_head.append(_first_rows(model, cfg, np.arange(K // 2 if g_head else 1, K, 1.0),
+                                  observables))
+        rule = _tail_rule(model, cfg, observables, K, M, rel_tol,
+                          np.add(zeros, [math.fsum(g) for g in np.hstack(g_head)]))
         if rule is not None:
             return (np.concatenate((np.arange(1.0, K), rule[0])),
                     np.concatenate((np.ones(K - 1), rule[1])))
@@ -632,7 +660,7 @@ def _plan(cfg, model, rel_tol, observables):
           for (_, _, tail, _), zero in zip(observables, zeros)]
     modes = f"modes m = 1..{max(Ms) - 1}"
     try:
-        m, weight = _rows(model, cfg, kernels, max(Ms), rel_tol, zeros)
+        m, weight = _rows(model, cfg, observables, max(Ms), rel_tol, zeros)
     except (ConvergenceError, TableRangeError) as exc:
         raise _named(exc, model, cfg, modes, observables) from None
     # an explicit sum gives each observable its first M - 1 rows, a rule all rows

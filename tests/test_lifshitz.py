@@ -31,6 +31,27 @@ def fsum_modes(mode_fn, cfg, model, quad=cs.DEFAULT_QUAD, start=0, stop=1e-17):
         m += 1
 
 
+def count_rows(monkeypatch):
+    """Counts of the rows that _integrate calls integrate ("integrated") and
+    of the rows evaluated on the first t-panels alone ("placed"), as a rule
+    in m is placed, failed tries included; they grow while the test runs."""
+    counts = {"integrated": 0, "placed": 0}
+    integrate, row_integrals = lifshitz._integrate, lifshitz._row_integrals
+
+    def counting_integrate(model, sums, *args):
+        counts["integrated"] += sum(len(zeta) for _, zeta, *_ in sums)
+        return integrate(model, sums, *args)
+
+    def counting_row_integrals(model, cfg, zeta, kernels, t, w):
+        if t is lifshitz._T_NODES:
+            counts["placed"] += len(zeta)
+        return row_integrals(model, cfg, zeta, kernels, t, w)
+
+    monkeypatch.setattr(lifshitz, "_integrate", counting_integrate)
+    monkeypatch.setattr(lifshitz, "_row_integrals", counting_row_integrals)
+    return counts
+
+
 def drude_table(gold, zero_mode_class):
     zs = np.geomspace(1e11, 1e17, 400)
     return cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold)),
@@ -447,7 +468,7 @@ class TestTotalPressure:
             assert fraction == pytest.approx(100.0 * terms[m] / res.total, rel=1e-13, abs=0.0)
 
     def test_table_range_error_names_the_first_mode_the_rule_needs(self, gold):
-        # at 2 K / 1 um the rule in m takes the modes past 256; the table
+        # at 2 K / 1 um the rule in m takes the modes past _K_MIN; the table
         # ends inside its range, and the message names the first integer m
         zs = np.geomspace(1e11, 2e15, 60)
         model = cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold)))
@@ -542,30 +563,48 @@ class TestMatsubaraTruncation:
         assert cs.total_pressure(cfg, model).total == pytest.approx(P, rel=1e-10, abs=0.0)
         assert cs.free_energy(cfg, model) == pytest.approx(F, rel=1e-10, abs=0.0)
 
-    @pytest.mark.parametrize("name", ["drude", "sparse_table"])
-    def test_rule_in_m_matches_fsum_of_modes(self, gold, name, monkeypatch):
-        # at 2 K / 1 um the modes past _K_MIN go to the rule in m; the
-        # sparse table bends at 5 nodes inside its range, where the rule cuts
-        cfg = cs.ThermalGapConfig(T=2.0, a=1e-6)
+    @pytest.mark.parametrize("name, T, most_rows, rel", [
+        pytest.param("drude", 2.0, 600, 2e-13, id="drude"),
+        pytest.param("sparse_table", 2.0, 600, 2e-13, id="sparse_table"),
+        pytest.param("drude", 5.0, 300, 2e-12, id="drude-5K")])
+    def test_rule_in_m_matches_fsum_of_modes(self, gold, name, T, most_rows, rel, monkeypatch):
+        # at 2 K / 1 um (about 3,000 modes) the modes past _K_MIN go to the
+        # rule in m; the sparse table bends at 8 nodes inside its range,
+        # where the rule cuts.  At 5 K (about 1,200 modes) it takes 163 rows
+        # where all M - 1 were summed, as its budget now counts the explicit
+        # rows 1..K-1.  Measured at 2 K within 8.1e-14, at 5 K within
+        # 2.3e-13 (P) and 8.7e-13 (F), mostly the error of the one-sided
+        # g'(K) of the end terms; without the g'''/720 end term, 2.4e-13 to
+        # 7.3e-12 at 2 K and 1.5e-11 to 3.4e-11 at 5 K
+        cfg = cs.ThermalGapConfig(T=T, a=1e-6)
         zs = np.geomspace(1e11, 1e18, 36)
         model = gold if name == "drude" else cs.Tabulated(
             cs.PermittivityTable(zs, cs.eps_drude(zs, gold)))
-        rows, integrate = [], lifshitz._integrate
-
-        def counting_integrate(model, sums, *args):
-            rows.append(sum(len(zeta) for _, zeta, *_ in sums))
-            return integrate(model, sums, *args)
-
-        monkeypatch.setattr(lifshitz, "_integrate", counting_integrate)
+        counts = count_rows(monkeypatch)
         for total, mode_fn in ((lambda: cs.total_pressure(cfg, model).total, cs.mode_pressure),
                                (lambda: cs.free_energy(cfg, model), cs.mode_free_energy)):
+            counts["integrated"] = 0
             value = total()
-            assert rows[-1] < 600  # of about 3,000 modes
-            # measured within 4e-14; without the g'''/720 end term, 7e-13
-            assert value == pytest.approx(fsum_modes(mode_fn, cfg, model), rel=2e-13, abs=0.0)
+            assert counts["integrated"] < most_rows
+            assert value == pytest.approx(fsum_modes(mode_fn, cfg, model), rel=rel, abs=0.0)
         if name == "sparse_table":
             nodes = zs / cfg.matsubara(1)
-            assert np.sum((nodes > lifshitz._K_MIN) & (nodes < 2900)) == 5
+            assert np.sum((nodes > lifshitz._K_MIN) & (nodes < 2900)) == 8
+
+    def test_rule_in_m_costs_no_more_rows_than_the_modes(self, gold, monkeypatch):
+        # 1 um at 2-20 K, M about 300-3,200: no sum evaluates more rows,
+        # placement and failed tries of its rule in m included, than the
+        # M - 1 of an explicit sum, and the sums of M > 512 modes (2-11 K)
+        # fewer than 500; at K = 256 those up to M = 2,048 were explicit
+        counts = count_rows(monkeypatch)
+        for T in np.arange(2.0, 20.5):
+            for observable in (lifshitz._PRESSURE, lifshitz._FREE_ENERGY):
+                counts.update(integrated=0, placed=0)
+                (_, M, _), = lifshitz._sum_modes([cs.ThermalGapConfig(T=T, a=1e-6)], gold,
+                                                 cs.DEFAULT_QUAD, (observable,))[0]
+                rows = counts["integrated"] + counts["placed"]
+                assert rows <= M - 1
+                assert rows < 500 or M <= 512
 
 
 class TestStackedSums:
@@ -593,7 +632,7 @@ class TestStackedSums:
         assert (P, M_P) == (res.total, res.m_used)
         assert F == cs.free_energy(cfg, model)
         assert np.array_equal(terms(), [c for _, c, _ in res.per_mode])
-        assert M_P <= 2048 and M_P != M_F
+        assert M_P <= lifshitz._RULE_RATIO * lifshitz._K_MIN and M_P != M_F
 
     @pytest.mark.parametrize("a", [1e-6, 50e-9])
     @pytest.mark.parametrize("T", [2.0, 1.5])
@@ -602,7 +641,7 @@ class TestStackedSums:
         cfg = cs.ThermalGapConfig(T=T, a=a)
         (P, M_P, _), (F, M_F, _) = lifshitz._sum_modes([cfg], gold, cs.DEFAULT_QUAD,
                                                        self.OBSERVABLES)[0]
-        assert M_P > M_F > 2048
+        assert M_P > M_F > lifshitz._RULE_RATIO * lifshitz._K_MIN
         assert P == pytest.approx(cs.total_pressure(cfg, gold).total, rel=1e-10, abs=0.0)
         assert F == pytest.approx(cs.free_energy(cfg, gold), rel=1e-10, abs=0.0)
 
@@ -650,7 +689,8 @@ class TestSweeps:
     def test_mixed_stack_equals_one_config_sums(self, gold):
         M = [M for (_, M, _), in lifshitz._sum_modes(self.MIXED, gold, cs.DEFAULT_QUAD,
                                                      (lifshitz._PRESSURE,))]
-        assert M[0] < 2048 < M[1] and M[3] > 2048  # explicit and rule sums
+        rule = lifshitz._RULE_RATIO * lifshitz._K_MIN
+        assert M[0] < rule < M[1] and M[3] > rule  # explicit and rule sums
         self.assert_sums_equal_lone_sums(self.MIXED, gold,
                                          (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
 
@@ -712,7 +752,7 @@ class TestSweeps:
         sweep = lifshitz._sum_modes(self.MIXED, gold, cs.DEFAULT_QUAD, (lifshitz._PRESSURE,))
         for cfg, (terms,) in zip(self.MIXED, sweep):
             member, lone = cs.PressureResult(*terms), cs.total_pressure(cfg, gold)
-            if lone.m_used <= 2048:
+            if lone.m_used <= lifshitz._RULE_RATIO * lifshitz._K_MIN:
                 assert member.per_mode == lone.per_mode
             for m in (0, 1, 7, lifshitz._K_MIN + 3, lone.m_used - 1, lone.m_used):
                 assert member.fraction(m) == lone.fraction(m)
