@@ -35,9 +35,11 @@ bound on the dropped tail, and of the m = 0 term.  M grows like 1/(aT), so
 where M > 512 the modes m >= K, K = 64 or more, enter as the weighted rows
 of a rule in m (Euler-Maclaurin in Gregory's form, see _tail_rule), whose
 cost grows like log M; K and the rule come from its error estimate, held
-to rel_tol of the whole sum.  The m = 0 term is (A0 + B0) zeta(3)/4 in
-closed form, with the sign of the kernel and A0, B0 the coefficients that
-are exactly 1 at y = 0, plus the integral of the kernel at (A, B) minus
+to rel_tol of the whole sum, on the first t-panels, and the rows placed
+there are the first round of the sum's t-integral, so each is evaluated
+once.  The m = 0 term is (A0 + B0) zeta(3)/4 in closed form, with the
+sign of the kernel and A0, B0 the coefficients that are exactly 1 at
+y = 0, plus the integral of the kernel at (A, B) minus
 the kernel at (A0, B0): 0 for a lossy metal and the ideal reflector, and
 for plasma one more row, smooth at y = 0 where the free energy's kernel
 alone goes like y ln y.  Every t-integral starts from the same initial
@@ -288,16 +290,18 @@ def _in_p(rule, y_lo):
     return lambda y: rule(y / y_lo)
 
 
-def _bind(model, sums):
-    """The rows of sums, as _integrate takes them, as blocks (segments,
-    y_lo, y -> (A, B), kernels), y_lo = a zeta / c a column: each (i, lo,
-    hi, weights) of segments[c] has kernel c of sums[i] sum the block's rows
-    lo..hi-1 with those weights (None: 1).  Rows at zeta = 0 take their
-    cfg's m = 0 rule; the others of one temperature and kernels share blocks
-    of at most _ROW_BLOCK rows across gaps, in order, each binding the
-    model's m >= 1 rule in p = y c / (a zeta) once (eps depends on zeta, T)."""
+def _bind(model, sums, which=None):
+    """The rows of the sums which (None: all) of sums, as _integrate takes
+    them, as blocks (segments, y_lo, y -> (A, B), kernels), y_lo = a zeta / c
+    a column: each (i, lo, hi, weights) of segments[c] has kernel c of
+    sums[i] sum the block's rows lo..hi-1 with those weights (None: 1).  Rows
+    at zeta = 0 take their cfg's m = 0 rule; the others of one temperature
+    and kernels share blocks of at most _ROW_BLOCK rows across gaps, in
+    order, each binding the model's m >= 1 rule in p = y c / (a zeta) once
+    (eps depends on zeta, T)."""
     groups, blocks = {}, []
-    for i, (cfg, zeta, kernels, *_) in enumerate(sums):  # at: the cfg of m = 0 rows, or T
+    for i in range(len(sums)) if which is None else which:  # at: the cfg of m = 0 rows, or T
+        cfg, zeta, kernels = sums[i][:3]
         groups.setdefault((cfg if zeta[0] == 0.0 else cfg.T, tuple(kernels)), []).append(i)
     for (at, kernels), members in groups.items():
         zeta = np.concatenate([sums[i][1] for i in members])[:, None]
@@ -305,7 +309,7 @@ def _bind(model, sums):
         edges = range(0, len(zeta), _ROW_BLOCK)
         segments, start = [[[] for _ in kernels] for _ in edges], 0
         for i in members:  # each kernel's rows of sum i, cut at the block edges
-            _, rows, _, counts, weight = sums[i]
+            _, rows, _, counts, weight, _ = sums[i]
             for c, n in enumerate(counts):
                 for b in range(start - start % _ROW_BLOCK, start + n, _ROW_BLOCK):
                     lo, hi = max(start, b), min(start + n, b + _ROW_BLOCK)
@@ -330,19 +334,32 @@ def _kernels_at(rule, y, kernels):
 
 def _integrate(model, sums, rel_tol):
     """Row sums of int kernel(A, B, y) dt over t in [0, 30], y = a zeta / c + t,
-    for each sum (cfg, zeta, kernels, counts, weight) of sums, all with as
-    many kernels: kernel c sums the first counts[c] rows, each weighted by
+    for each sum (cfg, zeta, kernels, counts, weight, first) of sums, all with
+    as many kernels: kernel c sums the first counts[c] rows, each weighted by
     weight (None: by 1).  Rows share t and a block's kernels share their
     (A, B) (see _bind), so one adaptive_quad call, from the panels of
     _T_MESH, holds rel_tol on each (sum, kernel) component, which adds its
-    rows block by block, in order, whatever the rest of the stack.  Returns
-    the values, shape (sums, kernels), and the final panel rule (t, w), on
-    which _row_integrals evaluates rows.
+    rows block by block, in order, whatever the rest of the stack.  first,
+    unless None, is the sum's weighted rows at each node of _T_NODES, shape
+    (kernels, nodes): the first round takes it in place of the rows, which
+    later rounds evaluate on their panels.  Returns the values, shape (sums,
+    kernels), and the final panel rule (t, w), on which _row_integrals
+    evaluates rows.
     """
-    blocks = _bind(model, sums)
+    given = [i for i, one in enumerate(sums) if one[5] is not None]
+    blocks = _bind(model, sums, [i for i, one in enumerate(sums) if one[5] is None])
+    rounds = 0
 
     def integrand(t):
+        nonlocal rounds
+        rounds += 1
         out = np.zeros((len(sums), len(sums[0][2]), len(t)))
+        if given and rounds == 1:
+            if not np.array_equal(t, _T_NODES):
+                raise AssertionError("the first round of _integrate is not on _T_NODES")
+            out[given] = [sums[i][5] for i in given]
+        elif given and rounds == 2:  # bound only when a round needs their rows
+            blocks.extend(_bind(model, sums, given))
         for segments, y_lo, rule, kernels in blocks:
             for c, (k, seg) in enumerate(zip(_kernels_at(rule, y_lo + t, kernels), segments)):
                 for i, lo, hi, w in seg:
@@ -358,15 +375,45 @@ def _row_integrals(model, cfg, zeta, kernels, t, w):
     """int kernel(A, B, y) dt of each row at the frequencies zeta (or the m = 0
     row at zeta = [0]) on the rule (t, w), for each kernel: (kernels, rows)."""
     per_block = [[k @ w for k in _kernels_at(rule, y_lo + t, kernels)]
-                 for _, y_lo, rule, _ in _bind(model, [(cfg, zeta, kernels, (), None)])]
+                 for _, y_lo, rule, _ in _bind(model, [(cfg, zeta, kernels, (), None, None)])]
     return np.array([np.concatenate(rows) for rows in zip(*per_block)])
+
+
+def _first_mesh(model, cfg, zeta, kernels, weight=None, size=None):
+    """The rows at the frequencies zeta (or the m = 0 row at zeta = [0]) on
+    the first t-panels: their integrals, shape (kernels, rows), as
+    _row_integrals gives them on (_T_NODES, _T_WEIGHTS), and for each group
+    of size consecutive rows (None: all rows) the sum of its rows times
+    weight (None: 1) at each node of _T_NODES, shape (groups, kernels,
+    nodes), as _integrate takes a first round.  Each block of rows is
+    contracted as it is evaluated, a vector product per group (a matrix
+    product would touch BLAS's packing buffers), so that only the integrals
+    and the groups' sums outlive it."""
+    n = len(zeta)
+    weight, size = np.ones(n) if weight is None else weight, size or n
+    sums = np.zeros((-(-n // size), len(kernels), len(_T_NODES)))
+
+    def contract(ks, start):  # one block's rows from start: their integrals
+        stop = start + len(ks[0])
+        cuts = [start, *range(start - start % size + size, stop, size), stop]
+        for c, k in enumerate(ks):
+            for lo, hi in zip(cuts, cuts[1:]):
+                sums[lo // size, c] += weight[lo:hi] @ k[lo - start:hi - start]
+        return [k @ _T_WEIGHTS for k in ks]
+
+    per_block, start = [], 0
+    for _, y_lo, rule, _ in _bind(model, [(cfg, zeta, kernels, (), None, None)]):
+        per_block.append(contract(_kernels_at(rule, y_lo + _T_NODES, kernels), start))
+        start += len(y_lo)
+    return np.array([np.concatenate(rows) for rows in zip(*per_block)]), sums
 
 
 def _first_alone(model, parts, rel_tol, error, after=False):
     """error, raised by one stack of the sums of parts, (key, sum) pairs, or
     by a step after them, as a loop over the parts raises it: they are
-    integrated one at a time, and the first to fail alone gives its error and
-    key (else error and None; a stack of one part fails as that part)."""
+    integrated one at a time, each from its own first round if it has one,
+    and the first to fail alone gives its error and key (else error and
+    None; a stack of one part fails as that part)."""
     for key, one in parts:
         if len(parts) == 1 and not after:
             return error, key
@@ -398,7 +445,7 @@ def _zero_mode(model, cfg, kernels, zeros):
         return closed, None
     return closed, (cfg, np.zeros(1), tuple(
         lambda A, B, y, k=k, c=c: k(A, B, y) - k(A0, B0, y) + c / _T_MESH[-1]
-        for k, c in zip(kernels, closed)), [1] * len(kernels), None)
+        for k, c in zip(kernels, closed)), [1] * len(kernels), None, None)
 
 
 def _mode_integrals(model, cfg, zetas, kernels, zeros, rel_tol):
@@ -407,7 +454,7 @@ def _mode_integrals(model, cfg, zetas, kernels, zeros, rel_tol):
     The one path for rows outside a sum: the rows at zeta > 0 and m = 0
     remainders (_zero_mode) are one t-integral.  A failure carries the first
     frequency that fails alone (_first_alone; else None) in attribute zeta."""
-    rows = [(None, (cfg, np.array([z]), kernels, [1] * len(kernels), None)) if z > 0.0
+    rows = [(None, (cfg, np.array([z]), kernels, [1] * len(kernels), None, None)) if z > 0.0
             else _zero_mode(model, cfg, kernels, zeros) for z in zetas]
     parts = [(z, one) for z, (_, one) in zip(zetas, rows) if one is not None]
     try:
@@ -504,39 +551,39 @@ def _modes_needed(gamma, coeffs, target):
     return n if n == 2 or not ok(n - 1) else _smallest(ok, 1, n - 1)
 
 
-def _first_rows(model, cfg, m, observables):
-    """Row integrals of the observables' kernels at the modes m (not all
-    integers) on the first t-panels, _T_NODES: shape (observables, rows)."""
+def _first_rows(model, cfg, m, observables, weight=None, size=None):
+    """_first_mesh of the observables' kernels at the modes m (not all
+    integers): the row integrals, shape (observables, rows), and the groups'
+    weighted sums at each node of _T_NODES."""
     kernels = tuple(kernel for kernel, *_ in observables)
-    return _row_integrals(model, cfg, cfg.matsubara(m), kernels, _T_NODES, _T_WEIGHTS)
+    return _first_mesh(model, cfg, cfg.matsubara(m), kernels, weight, size)
 
 
 def _tail_rule(model, cfg, observables, K, M, rel_tol, head):
     """Rows (mode numbers m, not all integers) and weights whose weighted
     sum is sum_{m=K}^{M-1} g(m) for each kernel of a stack of observables,
-    g(m) the row integral at m zeta_1; None when the rule misses its error
-    budget.
+    g(m) the row integral at m zeta_1, and that weighted sum at each node of
+    _T_NODES, the rule's part of a first round (see _integrate); None when
+    the rule misses its error budget.
 
     The model's kinks, frequencies where eps bends, cut [K, M-1] where g is
     not smooth.  A smooth stretch [a, b] of at least _SEGMENT_MIN rows is
     summed by Gregory's rule: int_a^b g dm plus, at a and mirrored at b,
-    the end terms of _GREGORY.  A shorter stretch keeps its rows.  The
-    integral takes GK15 panels graded geometrically from a, none wider than
-    4/gamma, over which g falls by at most e^8.  The rule is placed by the
-    kernels' g on the first t-panels, _T_NODES, which also gives its error
-    estimate per kernel: the last end terms (_D3) plus |Kronrod - Gauss| on
-    the panels, each held to half of rel_tol |head[c] + the rule's sum|,
-    head[c] the m = 0 term and rows 1..K-1 of kernel c, all of one sign.
-    The end terms are checked first, against that budget with the rule's
-    sum at its ideal-reflector bound (_tail_bound), so a K whose ends miss
-    even that costs no panels.  The panels with the largest
-    |Kronrod - Gauss| relative to that budget are bisected, up to
-    _M_PANELS of them.  The estimate cannot see a bend of eps that the
-    model does not name among its kinks.
+    the end terms of _GREGORY.  A shorter stretch keeps its rows, evaluated
+    once the rule has met its budget.  The integral takes GK15 panels
+    graded geometrically from a, none wider than 4/gamma, over which g falls
+    by at most e^8.  The rule is placed by the kernels' g on the first
+    t-panels, _T_NODES, which also gives its error estimate per kernel: the
+    last end terms (_D3) plus |Kronrod - Gauss| on the panels, each held to
+    half of rel_tol |head[c] + the rule's sum|, head[c] the m = 0 term and
+    rows 1..K-1 of kernel c, all of one sign.  The end terms are checked
+    first, against that budget with the rule's sum at its ideal-reflector
+    bound (_tail_bound), so a K whose ends miss even that costs no panels.
+    The panels with the largest |Kronrod - Gauss| relative to that budget
+    are bisected, up to _M_PANELS of them; each panel keeps its weighted
+    rows at the nodes, so a bisected one drops its own.  The estimate cannot
+    see a bend of eps that the model does not name among its kinks.
     """
-    def g(m):  # shape (kernels, rows)
-        return _first_rows(model, cfg, m, observables)
-
     kinks = np.asarray(getattr(model, "kinks", ()), dtype=float) / cfg.matsubara(1)
     explicit, ends, lo, hi = [np.zeros(0)], [], [], []
     start = K
@@ -551,70 +598,80 @@ def _tail_rule(model, cfg, observables, K, M, rel_tol, head):
         else:
             explicit.append(np.arange(start, end + 1.0))
         start = end + 1
+    explicit = np.concatenate(explicit)
     if not lo:  # every stretch is short
-        m = np.concatenate(explicit)
-        return m, np.ones(len(m))
+        return explicit, np.ones(len(explicit)), _first_rows(model, cfg, explicit,
+                                                             observables)[1][0]
     ends = np.concatenate(ends)
     end_w = np.resize(_GREGORY, len(ends))
-    g_ends = g(ends)
+    g_ends, (first,) = _first_rows(model, cfg, ends, observables, end_w)
     end_err = np.abs(g_ends.reshape(len(observables), -1, 5) @ _D3).sum(axis=1) / 720.0
     end_sums = np.array([ge @ end_w for ge in g_ends])
     if (end_err > 0.5 * rel_tol * (np.abs(head) + [
             _tail_bound(K, cfg.gamma, tail) for _, _, tail, _ in observables])).any():
         return None
 
-    def panels(lo, hi):
+    def panels(lo, hi):  # nodes, weights, weighted rows at _T_NODES, values, errors
         x, wk, wkg, _ = gk15_rule(lo, hi)
-        gx = g(x.ravel()).reshape(len(observables), *x.shape)
-        return x, wk, (gx * wk).sum(axis=2), np.abs((gx * wkg).sum(axis=2))
+        gx, at_nodes = _first_rows(model, cfg, x.ravel(), observables, wk.ravel(), x.shape[1])
+        gx = gx.reshape(len(observables), *x.shape)
+        return x, wk, at_nodes, (gx * wk).sum(axis=2), np.abs((gx * wkg).sum(axis=2))
 
     lo, hi = np.array(lo), np.array(hi)
-    x, wk, vals, errs = panels(lo, hi)
+    x, wk, at_nodes, vals, errs = panels(lo, hi)
     while True:
         budget = 0.5 * rel_tol * np.abs(np.add(head, [math.fsum(v) for v in vals]) + end_sums)
         if (end_err > budget).any():
             return None
         if (errs.sum(axis=1) <= budget).all():
-            m = np.concatenate(explicit + [ends, x.ravel()])
-            return m, np.concatenate((np.ones(len(m) - len(ends) - x.size),
-                                      end_w, wk.ravel()))
+            first = first + at_nodes.sum(axis=0)
+            if len(explicit):
+                first = first + _first_rows(model, cfg, explicit, observables)[1][0]
+            m = np.concatenate((explicit, ends, x.ravel()))
+            return m, np.concatenate((np.ones(len(explicit)), end_w, wk.ravel())), first
         if len(lo) >= _M_PANELS:
             return None
         keep, new_lo, new_hi = bisect_worst(lo, hi, errs, budget)
         lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
         new = panels(new_lo, new_hi)
-        x, wk = (np.concatenate((old[keep], n)) for old, n in zip((x, wk), new[:2]))
+        x, wk, at_nodes = (np.concatenate((old[keep], n))
+                           for old, n in zip((x, wk, at_nodes), new[:3]))
         vals, errs = (np.concatenate((old[:, keep], n), axis=1)
-                      for old, n in zip((vals, errs), new[2:]))
+                      for old, n in zip((vals, errs), new[3:]))
 
 
 def _rows(model, cfg, observables, M, rel_tol, zeros):
     """Mode numbers m and weights of the rows that sum modes 1..M-1 for the
-    kernel of each observable; the weights are None when every row is a
-    mode of its own.
+    kernel of each observable, and their weighted sum at each node of
+    _T_NODES, shape (observables, nodes); the weights are None when every
+    row is a mode of its own, and then the rows are not evaluated (None).
 
     That is so unless M > _RULE_RATIO _K_MIN: then _tail_rule sums the
     modes m >= K, with K doubled from _K_MIN until the rule meets its
     budget, while M > _RULE_RATIO K / 2 (so a first K that misses can
     double once).  That budget counts the m = 0 terms zeros and the
-    explicit rows 1..K-1 on the first t-panels, which a larger K extends.
+    explicit rows 1..K-1 on the first t-panels, which a larger K extends;
+    every row placed is evaluated there once, and the rows of the rule
+    that meets its budget are the first round of its t-integral.
     ConvergenceError if the rule has not met it by K = _ROW_CAP / (2
     _RULE_RATIO).
     """
     K, g_head = _K_MIN, []  # the rows 1..K-1 on _T_NODES, as each K added them
     while M > _RULE_RATIO * max(_K_MIN, K // 2):
-        g_head.append(_first_rows(model, cfg, np.arange(K // 2 if g_head else 1, K, 1.0),
-                                  observables))
+        g, (at_nodes,) = _first_rows(model, cfg, np.arange(K // 2 if g_head else 1, K, 1.0),
+                                     observables)
+        first = at_nodes if not g_head else first + at_nodes
+        g_head.append(g)
         rule = _tail_rule(model, cfg, observables, K, M, rel_tol,
                           np.add(zeros, [math.fsum(g) for g in np.hstack(g_head)]))
         if rule is not None:
             return (np.concatenate((np.arange(1.0, K), rule[0])),
-                    np.concatenate((np.ones(K - 1), rule[1])))
+                    np.concatenate((np.ones(K - 1), rule[1])), first + rule[2])
         if 2 * _RULE_RATIO * K > _ROW_CAP:
             raise ConvergenceError(f"the rule in m misses its error budget for "
                                    f"every K from {_K_MIN} to {K}")
         K *= 2
-    return np.arange(1, M), None
+    return np.arange(1, M), None, None
 
 
 def _named(exc, model, cfg, modes, observables):
@@ -649,23 +706,26 @@ def _plan(cfg, model, rel_tol, observables):
     """The closed m = 0 terms (None: the stack integrates them), the M of
     each observable, and one config's parts, its m = 0 remainder, if any,
     then its rows, each a sum keyed by (cfg, its modes).  M and the rule in
-    m take a remainder at its value on the first t-panels, as g(m) is."""
+    m take a remainder at its value on the first t-panels, as g(m) is, and
+    the remainder and a rule in m enter the t-integral with those values as
+    their first round."""
     kernels = tuple(kernel for kernel, *_ in observables)
     closed, remainder = _zero_mode(model, cfg, kernels, [zero for *_, zero in observables])
     zeros, parts = [0.5 * v for v in closed], []
     if remainder is not None:
-        zeros = 0.5 * _row_integrals(model, *remainder[:3], _T_NODES, _T_WEIGHTS)[:, 0]
-        parts.append(((cfg, "mode m = 0"), remainder))
+        g, (first,) = _first_mesh(model, *remainder[:3])
+        zeros = 0.5 * g[:, 0]
+        parts.append(((cfg, "mode m = 0"), remainder[:5] + (first,)))
     Ms = [_modes_needed(cfg.gamma, tail, rel_tol * abs(zero))
           for (_, _, tail, _), zero in zip(observables, zeros)]
     modes = f"modes m = 1..{max(Ms) - 1}"
     try:
-        m, weight = _rows(model, cfg, observables, max(Ms), rel_tol, zeros)
+        m, weight, first = _rows(model, cfg, observables, max(Ms), rel_tol, zeros)
     except (ConvergenceError, TableRangeError) as exc:
         raise _named(exc, model, cfg, modes, observables) from None
     # an explicit sum gives each observable its first M - 1 rows, a rule all rows
     counts = [n - 1 for n in Ms] if weight is None else [len(m)] * len(Ms)
-    parts.append(((cfg, modes), (cfg, cfg.matsubara(m), kernels, counts, weight)))
+    parts.append(((cfg, modes), (cfg, cfg.matsubara(m), kernels, counts, weight, first)))
     return None if remainder else zeros, Ms, parts
 
 

@@ -32,23 +32,35 @@ def fsum_modes(mode_fn, cfg, model, quad=cs.DEFAULT_QUAD, start=0, stop=1e-17):
 
 
 def count_rows(monkeypatch):
-    """Counts of the rows that _integrate calls integrate ("integrated") and
-    of the rows evaluated on the first t-panels alone ("placed"), as a rule
-    in m is placed, failed tries included; they grow while the test runs."""
-    counts = {"integrated": 0, "placed": 0}
-    integrate, row_integrals = lifshitz._integrate, lifshitz._row_integrals
+    """Counts of the rows that the integrand of _integrate evaluates, once
+    per call and so once per round ("integrated"), and of the rows evaluated
+    on the first t-panels before it (_first_mesh, "placed"): a rule in m as
+    it is placed, failed tries included, and a plasma m = 0 remainder.  A
+    sum whose first round is its placed rows integrates none in that round.
+    They grow while the test runs."""
+    counts, inside = {"integrated": 0, "placed": 0}, []
+    integrate, kernels_at, first_mesh = (lifshitz._integrate, lifshitz._kernels_at,
+                                         lifshitz._first_mesh)
 
-    def counting_integrate(model, sums, *args):
-        counts["integrated"] += sum(len(zeta) for _, zeta, *_ in sums)
-        return integrate(model, sums, *args)
+    def counting_integrate(*args):
+        inside.append(True)
+        try:
+            return integrate(*args)
+        finally:
+            inside.pop()
 
-    def counting_row_integrals(model, cfg, zeta, kernels, t, w):
-        if t is lifshitz._T_NODES:
-            counts["placed"] += len(zeta)
-        return row_integrals(model, cfg, zeta, kernels, t, w)
+    def counting_kernels_at(rule, y, kernels):
+        if inside:
+            counts["integrated"] += len(y)
+        return kernels_at(rule, y, kernels)
+
+    def counting_first_mesh(model, cfg, zeta, *args):
+        counts["placed"] += len(zeta)
+        return first_mesh(model, cfg, zeta, *args)
 
     monkeypatch.setattr(lifshitz, "_integrate", counting_integrate)
-    monkeypatch.setattr(lifshitz, "_row_integrals", counting_row_integrals)
+    monkeypatch.setattr(lifshitz, "_kernels_at", counting_kernels_at)
+    monkeypatch.setattr(lifshitz, "_first_mesh", counting_first_mesh)
     return counts
 
 
@@ -570,12 +582,13 @@ class TestMatsubaraTruncation:
     def test_rule_in_m_matches_fsum_of_modes(self, gold, name, T, most_rows, rel, monkeypatch):
         # at 2 K / 1 um (about 3,000 modes) the modes past _K_MIN go to the
         # rule in m; the sparse table bends at 8 nodes inside its range,
-        # where the rule cuts.  At 5 K (about 1,200 modes) it takes 163 rows
-        # where all M - 1 were summed, as its budget now counts the explicit
-        # rows 1..K-1.  Measured at 2 K within 8.1e-14, at 5 K within
-        # 2.3e-13 (P) and 8.7e-13 (F), mostly the error of the one-sided
-        # g'(K) of the end terms; without the g'''/720 end term, 2.4e-13 to
-        # 7.3e-12 at 2 K and 1.5e-11 to 3.4e-11 at 5 K
+        # where the rule cuts.  At 5 K (about 1,200 modes) it evaluates 163
+        # rows, once each on the first t-panels, where all M - 1 were summed,
+        # as its budget now counts the explicit rows 1..K-1.  Measured at
+        # 2 K within 8.1e-14, at 5 K within 2.3e-13 (P) and 8.7e-13 (F),
+        # mostly the error of the one-sided g'(K) of the end terms; without
+        # the g'''/720 end term, 2.4e-13 to 7.3e-12 at 2 K and 1.5e-11 to
+        # 3.4e-11 at 5 K
         cfg = cs.ThermalGapConfig(T=T, a=1e-6)
         zs = np.geomspace(1e11, 1e18, 36)
         model = gold if name == "drude" else cs.Tabulated(
@@ -583,9 +596,10 @@ class TestMatsubaraTruncation:
         counts = count_rows(monkeypatch)
         for total, mode_fn in ((lambda: cs.total_pressure(cfg, model).total, cs.mode_pressure),
                                (lambda: cs.free_energy(cfg, model), cs.mode_free_energy)):
-            counts["integrated"] = 0
+            counts.update(integrated=0, placed=0)
             value = total()
             assert counts["integrated"] < most_rows
+            assert counts["integrated"] + counts["placed"] < most_rows
             assert value == pytest.approx(fsum_modes(mode_fn, cfg, model), rel=rel, abs=0.0)
         if name == "sparse_table":
             nodes = zs / cfg.matsubara(1)
@@ -605,6 +619,35 @@ class TestMatsubaraTruncation:
                 rows = counts["integrated"] + counts["placed"]
                 assert rows <= M - 1
                 assert rows < 500 or M <= 512
+
+
+    def test_rule_in_m_refines_past_its_first_round(self, gold, monkeypatch):
+        # at rel_tol 1e-12 the t-integrals of 5 K / 1 um take 3 (P, F) and 4
+        # (stacked) rounds: the later rounds evaluate the rows that the first
+        # round took from placement.  Measured within 5.6e-16 of math.fsum
+        # of the modes and of each other
+        cfg = cs.ThermalGapConfig(T=5.0, a=1e-6)
+        quad = cs.QuadratureSettings(rel_tol=1e-12)
+        rounds, gk15 = [], quadrature._gk15_panels
+
+        def counting(f, lo, hi):
+            rounds.append(len(lo))
+            return gk15(f, lo, hi)
+
+        monkeypatch.setattr(quadrature, "_gk15_panels", counting)
+        (P, M_P, _), (F, M_F, _) = lifshitz._sum_modes(
+            [cfg], gold, quad, (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))[0]
+        assert len(rounds) > 2 and M_P > M_F > lifshitz._RULE_RATIO * lifshitz._K_MIN
+        for stacked, lone in ((P, lambda: cs.total_pressure(cfg, gold, quad).total),
+                              (F, lambda: cs.free_energy(cfg, gold, quad))):
+            rounds.clear()
+            assert stacked == pytest.approx(lone(), rel=quad.rel_tol, abs=0.0)
+            assert len(rounds) > 2
+        fine = cs.QuadratureSettings(rel_tol=1e-13)
+        assert P == pytest.approx(fsum_modes(cs.mode_pressure, cfg, gold, fine),
+                                  rel=quad.rel_tol, abs=0.0)
+        assert F == pytest.approx(fsum_modes(cs.mode_free_energy, cfg, gold, fine),
+                                  rel=quad.rel_tol, abs=0.0)
 
 
 class TestStackedSums:
@@ -692,6 +735,16 @@ class TestSweeps:
         rule = lifshitz._RULE_RATIO * lifshitz._K_MIN
         assert M[0] < rule < M[1] and M[3] > rule  # explicit and rule sums
         self.assert_sums_equal_lone_sums(self.MIXED, gold,
+                                         (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
+
+    def test_plasma_mixed_stack_equals_one_config_sums(self):
+        # the m = 0 remainders and the rule sums enter the stack with their
+        # first round given, the explicit sums without
+        M = [M for (_, M, _), in lifshitz._sum_modes(self.MIXED, cs.Plasma(), cs.DEFAULT_QUAD,
+                                                     (lifshitz._PRESSURE,))]
+        rule = lifshitz._RULE_RATIO * lifshitz._K_MIN
+        assert M[0] < rule < M[1] and M[3] > rule
+        self.assert_sums_equal_lone_sums(self.MIXED, cs.Plasma(),
                                          (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
 
     @pytest.mark.parametrize("name, configs", [
@@ -917,6 +970,29 @@ class TestWorkCount:
         assert len(calls) == 2
         res.per_mode, res.fraction(1), res.fraction(res.m_used)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("T, a", [(5.0, 1e-6), (1.5, 50e-9)])
+    def test_rule_sums_evaluate_each_row_once(self, gold, monkeypatch, T, a):
+        # the rows a rule in m places on the first t-panels are its
+        # t-integral's first round, which converges there: the sum evaluates
+        # the reflection coefficients on no point that placement did not
+        counts = count_rows(monkeypatch)
+        points, reflection_sq = [], dispersion._reflection_sq
+
+        def counting(eps, p):
+            points.append(p.size)
+            return reflection_sq(eps, p)
+
+        monkeypatch.setattr(dispersion, "_reflection_sq", counting)
+        cfg = cs.ThermalGapConfig(T=T, a=a)
+        for observables in ((lifshitz._PRESSURE,), (lifshitz._FREE_ENERGY,),
+                            (lifshitz._PRESSURE, lifshitz._FREE_ENERGY)):
+            counts.update(integrated=0, placed=0)
+            points.clear()
+            (_, M, _), *_ = lifshitz._sum_modes([cfg], gold, cs.DEFAULT_QUAD, observables)[0]
+            assert M > lifshitz._RULE_RATIO * lifshitz._K_MIN
+            assert counts["integrated"] == 0 < counts["placed"]
+            assert sum(points) == len(lifshitz._T_NODES) * counts["placed"]
 
     def test_sign_change_gap_reads_no_per_mode_table(self, gold, monkeypatch):
         calls = self.count_reflections(monkeypatch)
