@@ -273,6 +273,10 @@ def _config_from_args(args) -> RunConfig:
         zeta_range = _parse_range(args.zeta_range, "zeta-range")
         if zeta_range[0] < 0:
             raise ConfigError("zeta-range: must start at >= 0")
+        top = float(np.linspace(*zeta_range)[-1])
+        if not math.isfinite(top * C / gaps[0]):
+            raise ConfigError(f"zeta-range: zeta = x c/a overflows at x = {top:g}, "
+                              f"a = {gaps[0] / MICRON:g} um")
     radius = getattr(args, "radius", None)
     return RunConfig(command=args.command, model=model, model_desc=desc,
                      gaps_m=gaps, temps=temps, quad=quad, fmt=args.format,

@@ -116,6 +116,12 @@ class ThermalGapConfig:
     def __post_init__(self):
         check_positive("temperature", self.T)
         check_positive("gap width", self.a)
+        # gamma keeps 1/gamma and the tail bound's c^2, c >= 2 gamma, finite, and
+        # a keeps a^3 normal and, with gamma, the prefactor k_B T / a^3 finite
+        if not (1e-300 <= self.gamma <= 1e150 and 1e-30 <= self.a <= 1e30):
+            raise DomainError(f"a*T = a k_B T/(hbar c) = {self.aT:.3g} (gamma = {self.gamma:.3g}) "
+                              f"at a = {self.a:g} m: a sum needs gamma in [1e-300, 1e150] "
+                              f"and a in [1e-30, 1e30] m, where its floats stay finite")
 
     @property
     def aT(self) -> float:
@@ -343,8 +349,8 @@ def _integrate(model, sums, rel_tol):
     unless None, is the sum's weighted rows at each node of _T_NODES, shape
     (kernels, nodes): the first round takes it in place of the rows, which
     later rounds evaluate on their panels.  Returns the values, shape (sums,
-    kernels), and the final panel rule (t, w), on which _row_integrals
-    evaluates rows.
+    kernels), and the final panel rule (t, w), on which _first_mesh
+    evaluates a sum's terms.
     """
     given = [i for i, one in enumerate(sums) if one[5] is not None]
     blocks = _bind(model, sums, [i for i, one in enumerate(sums) if one[5] is None])
@@ -371,27 +377,19 @@ def _integrate(model, sums, rel_tol):
     return values.reshape(len(sums), -1), (t, w)
 
 
-def _row_integrals(model, cfg, zeta, kernels, t, w):
-    """int kernel(A, B, y) dt of each row at the frequencies zeta (or the m = 0
-    row at zeta = [0]) on the rule (t, w), for each kernel: (kernels, rows)."""
-    per_block = [[k @ w for k in _kernels_at(rule, y_lo + t, kernels)]
-                 for _, y_lo, rule, _ in _bind(model, [(cfg, zeta, kernels, (), None, None)])]
-    return np.array([np.concatenate(rows) for rows in zip(*per_block)])
-
-
-def _first_mesh(model, cfg, zeta, kernels, weight=None, size=None):
+def _first_mesh(model, cfg, zeta, kernels, weight=None, size=None, rule=(_T_NODES, _T_WEIGHTS)):
     """The rows at the frequencies zeta (or the m = 0 row at zeta = [0]) on
-    the first t-panels: their integrals, shape (kernels, rows), as
-    _row_integrals gives them on (_T_NODES, _T_WEIGHTS), and for each group
-    of size consecutive rows (None: all rows) the sum of its rows times
-    weight (None: 1) at each node of _T_NODES, shape (groups, kernels,
-    nodes), as _integrate takes a first round.  Each block of rows is
-    contracted as it is evaluated, a vector product per group (a matrix
-    product would touch BLAS's packing buffers), so that only the integrals
-    and the groups' sums outlive it."""
-    n = len(zeta)
+    the panel rule (t, w), by default the first t-panels: their integrals,
+    shape (kernels, rows), and for each group of size consecutive rows
+    (None: all rows) the sum of its rows times weight (None: 1) at each node
+    t, shape (groups, kernels, nodes), which on _T_NODES is a first round as
+    _integrate takes it.  Each block of rows is contracted as it is
+    evaluated, a vector product per group (a matrix product would touch
+    BLAS's packing buffers), so that only the integrals and the groups'
+    sums outlive it."""
+    (t, w), n = rule, len(zeta)
     weight, size = np.ones(n) if weight is None else weight, size or n
-    sums = np.zeros((-(-n // size), len(kernels), len(_T_NODES)))
+    sums = np.zeros((-(-n // size), len(kernels), len(t)))
 
     def contract(ks, start):  # one block's rows from start: their integrals
         stop = start + len(ks[0])
@@ -399,11 +397,11 @@ def _first_mesh(model, cfg, zeta, kernels, weight=None, size=None):
         for c, k in enumerate(ks):
             for lo, hi in zip(cuts, cuts[1:]):
                 sums[lo // size, c] += weight[lo:hi] @ k[lo - start:hi - start]
-        return [k @ _T_WEIGHTS for k in ks]
+        return [k @ w for k in ks]
 
     per_block, start = [], 0
-    for _, y_lo, rule, _ in _bind(model, [(cfg, zeta, kernels, (), None, None)]):
-        per_block.append(contract(_kernels_at(rule, y_lo + _T_NODES, kernels), start))
+    for _, y_lo, reflect, _ in _bind(model, [(cfg, zeta, kernels, (), None, None)]):
+        per_block.append(contract(_kernels_at(reflect, y_lo + t, kernels), start))
         start += len(y_lo)
     return np.array([np.concatenate(rows) for rows in zip(*per_block)]), sums
 
@@ -551,17 +549,9 @@ def _modes_needed(gamma, coeffs, target):
     return n if n == 2 or not ok(n - 1) else _smallest(ok, 1, n - 1)
 
 
-def _first_rows(model, cfg, m, observables, weight=None, size=None):
-    """_first_mesh of the observables' kernels at the modes m (not all
-    integers): the row integrals, shape (observables, rows), and the groups'
-    weighted sums at each node of _T_NODES."""
-    kernels = tuple(kernel for kernel, *_ in observables)
-    return _first_mesh(model, cfg, cfg.matsubara(m), kernels, weight, size)
-
-
-def _tail_rule(model, cfg, observables, K, M, rel_tol, head):
+def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
     """Rows (mode numbers m, not all integers) and weights whose weighted
-    sum is sum_{m=K}^{M-1} g(m) for each kernel of a stack of observables,
+    sum is sum_{m=K}^{M-1} g(m) for each of the kernels, one per observable,
     g(m) the row integral at m zeta_1, and that weighted sum at each node of
     _T_NODES, the rule's part of a first round (see _integrate); None when
     the rule misses its error budget.
@@ -587,7 +577,7 @@ def _tail_rule(model, cfg, observables, K, M, rel_tol, head):
     kinks = np.asarray(getattr(model, "kinks", ()), dtype=float) / cfg.matsubara(1)
     explicit, ends, lo, hi = [np.zeros(0)], [], [], []
     start = K
-    for end in [c // 1 for c in kinks if K < c < M - 1] + [M - 1]:
+    for end in [c // 1 for c in kinks if K < c < M - 1] + [float(M - 1)]:
         if end - start >= _SEGMENT_MIN:
             ends += [start + np.arange(5.0), end - np.arange(5.0)]
             edges = [start]
@@ -600,11 +590,11 @@ def _tail_rule(model, cfg, observables, K, M, rel_tol, head):
         start = end + 1
     explicit = np.concatenate(explicit)
     if not lo:  # every stretch is short
-        return explicit, np.ones(len(explicit)), _first_rows(model, cfg, explicit,
-                                                             observables)[1][0]
+        return explicit, np.ones(len(explicit)), _first_mesh(
+            model, cfg, cfg.matsubara(explicit), kernels)[1][0]
     ends = np.concatenate(ends)
     end_w = np.resize(_GREGORY, len(ends))
-    g_ends, (first,) = _first_rows(model, cfg, ends, observables, end_w)
+    g_ends, (first,) = _first_mesh(model, cfg, cfg.matsubara(ends), kernels, end_w)
     end_err = np.abs(g_ends.reshape(len(observables), -1, 5) @ _D3).sum(axis=1) / 720.0
     end_sums = np.array([ge @ end_w for ge in g_ends])
     if (end_err > 0.5 * rel_tol * (np.abs(head) + [
@@ -613,7 +603,8 @@ def _tail_rule(model, cfg, observables, K, M, rel_tol, head):
 
     def panels(lo, hi):  # nodes, weights, weighted rows at _T_NODES, values, errors
         x, wk, wkg, _ = gk15_rule(lo, hi)
-        gx, at_nodes = _first_rows(model, cfg, x.ravel(), observables, wk.ravel(), x.shape[1])
+        gx, at_nodes = _first_mesh(model, cfg, cfg.matsubara(x.ravel()), kernels, wk.ravel(),
+                                   x.shape[1])
         gx = gx.reshape(len(observables), *x.shape)
         return x, wk, at_nodes, (gx * wk).sum(axis=2), np.abs((gx * wkg).sum(axis=2))
 
@@ -626,7 +617,7 @@ def _tail_rule(model, cfg, observables, K, M, rel_tol, head):
         if (errs.sum(axis=1) <= budget).all():
             first = first + at_nodes.sum(axis=0)
             if len(explicit):
-                first = first + _first_rows(model, cfg, explicit, observables)[1][0]
+                first = first + _first_mesh(model, cfg, cfg.matsubara(explicit), kernels)[1][0]
             m = np.concatenate((explicit, ends, x.ravel()))
             return m, np.concatenate((np.ones(len(explicit)), end_w, wk.ravel())), first
         if len(lo) >= _M_PANELS:
@@ -640,9 +631,9 @@ def _tail_rule(model, cfg, observables, K, M, rel_tol, head):
                       for old, n in zip((vals, errs), new[3:]))
 
 
-def _rows(model, cfg, observables, M, rel_tol, zeros):
+def _rows(model, cfg, observables, kernels, M, rel_tol, zeros):
     """Mode numbers m and weights of the rows that sum modes 1..M-1 for the
-    kernel of each observable, and their weighted sum at each node of
+    kernels, one per observable, and their weighted sum at each node of
     _T_NODES, shape (observables, nodes); the weights are None when every
     row is a mode of its own, and then the rows are not evaluated (None).
 
@@ -658,11 +649,11 @@ def _rows(model, cfg, observables, M, rel_tol, zeros):
     """
     K, g_head = _K_MIN, []  # the rows 1..K-1 on _T_NODES, as each K added them
     while M > _RULE_RATIO * max(_K_MIN, K // 2):
-        g, (at_nodes,) = _first_rows(model, cfg, np.arange(K // 2 if g_head else 1, K, 1.0),
-                                     observables)
+        g, (at_nodes,) = _first_mesh(model, cfg, cfg.matsubara(
+            np.arange(K // 2 if g_head else 1, K, 1.0)), kernels)
         first = at_nodes if not g_head else first + at_nodes
         g_head.append(g)
-        rule = _tail_rule(model, cfg, observables, K, M, rel_tol,
+        rule = _tail_rule(model, cfg, observables, kernels, K, M, rel_tol,
                           np.add(zeros, [math.fsum(g) for g in np.hstack(g_head)]))
         if rule is not None:
             return (np.concatenate((np.arange(1.0, K), rule[0])),
@@ -720,7 +711,7 @@ def _plan(cfg, model, rel_tol, observables):
           for (_, _, tail, _), zero in zip(observables, zeros)]
     modes = f"modes m = 1..{max(Ms) - 1}"
     try:
-        m, weight, first = _rows(model, cfg, observables, max(Ms), rel_tol, zeros)
+        m, weight, first = _rows(model, cfg, observables, kernels, max(Ms), rel_tol, zeros)
     except (ConvergenceError, TableRangeError) as exc:
         raise _named(exc, model, cfg, modes, observables) from None
     # an explicit sum gives each observable its first M - 1 rows, a rule all rows
@@ -762,7 +753,7 @@ def _sum_modes(configs, model, quad, observables):
             if n == 0:
                 return float(p * zero)
             modes = np.arange(1, M) if n is None else np.array([n])
-            rows = _row_integrals(model, cfg, cfg.matsubara(modes), observable[:1], t, w)[0]
+            rows = _first_mesh(model, cfg, cfg.matsubara(modes), observable[:1], rule=(t, w))[0][0]
             return p * np.concatenate(([zero], rows)) if n is None else float(p * rows[0])
         return float(p * (zero + value)), M, terms
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -69,6 +70,18 @@ class TestPressureCommand:
         for row in rows:
             if row[0] <= 2.0:
                 assert abs(row[2] / row[1] - 1.0) < 0.05
+
+    def test_one_point_range_gives_one_row(self, tmp_path, gold):
+        out = tmp_path / "p.csv"
+        assert run_cli("pressure", "--gap-range", "1:1:1", "--out", str(out)) == 0
+        _, _, rows = read_csv(out)
+        assert rows == [[1.0, abs(cs.total_pressure(cs.ThermalGapConfig(T=300.0, a=1e-6),
+                                                    gold).total)]]
+
+    def test_unwritable_out_rejected(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "p.csv"
+        assert run_cli("pressure", "--gap", "1.0", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"casimir: cannot write {out}: ")
 
     def test_descending_range_rejected(self, capsys):
         assert run_cli("pressure", "--gap-range", "5:1:3") == 2
@@ -394,6 +407,63 @@ def test_ignored_flag_rejected(capsys, argv, flag):
 def test_non_finite_input_rejected(capsys, argv, flag):
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err.startswith(f"casimir: configuration error: {flag}:")
+
+
+@pytest.mark.parametrize("argv, flag, reason", [
+    (("pressure", "--gap", "1.0", "--gap-range", "0.5:1:2"), "gap", "not both"),
+    (("pressure", "--gap-range", "1:2"), "gap-range", "expected lo:hi:n"),
+    (("pressure", "--gap-range", "a:b:3"), "gap-range", "non-numeric"),
+    (("lowtemp", "--gap", "1.0", "--zeta-range=-1:0.5:3"), "zeta-range", "start at >= 0"),
+    # x c/a used to overflow in the f_te column: two RuntimeWarnings, then exit 3
+    (("lowtemp", "--gap", "1.0", "--zeta-range", "0:1e300:3"), "zeta-range", "overflows"),
+], ids=["gap-and-range", "two-fields", "non-numeric", "negative-zeta", "zeta-overflow"])
+def test_bad_range_rejected(capsys, argv, flag, reason):
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"casimir: configuration error: {flag}:") and reason in err
+
+
+def _pressure(a, T):
+    return cs.total_pressure(cs.ThermalGapConfig(T=T, a=a), cs.gold_drude()).total
+
+
+def _free_energy(a, T):
+    return cs.free_energy(cs.ThermalGapConfig(T=T, a=a), cs.gold_drude())
+
+
+@pytest.mark.parametrize("case", [
+    # a k_B T underflowed to gamma = 0: ZeroDivisionError
+    ("pressure", "--gap", "1e-300"),
+    ("pressure", "--gap", "1", "--temp", "1e-300"),
+    (cs.dominant_mode, 1e-6, 1e-300),
+    # gamma above about 1e154: c^2 of the tail bound's Newton step overflowed
+    # (ValueError), or a^2 of the free energy's prefactor (OverflowError)
+    ("pressure", "--gap", "1e300"),
+    ("diff", "--gap", "1", "--temp", "1e300", "--temp", "300"),
+    (_pressure, 1e200, 300.0), (_pressure, 1e300, 300.0),
+    (_free_energy, 1e200, 300.0), (_free_energy, 1e300, 300.0),
+    # a^3 underflowed (ZeroDivisionError) or overflowed (OverflowError)
+    ("pressure", "--gap", "1e-104"), (_pressure, 1e104, 1e-110),
+], ids=["cli-gap-1e-300um", "cli-T-1e-300K", "dominant-mode-T-1e-300K", "cli-gap-1e300um",
+        "cli-diff-T-1e300K", "P-1e200m", "P-1e300m", "F-1e200m", "F-1e300m",
+        "cli-gap-1e-104um", "P-1e104m"])
+def test_extreme_gap_or_temperature_is_finite_or_named(capsys, case):
+    # each used to end in an uncaught ZeroDivisionError, ValueError or
+    # OverflowError: from the CLI, a traceback and exit 1.  The sums past
+    # 2^64 modes at 1e-16 and 1e-30 K, which raised TypeError, are checked
+    # against the T -> 0 value in test_lifshitz
+    if callable(case[0]):
+        call, *args = case
+        try:
+            assert math.isfinite(call(*args))
+        except cs.CasimirError as exc:
+            assert "a*T = " in str(exc) and "gamma = " in str(exc)
+        return
+    assert run_cli(*case) in (2, 3)
+    err = capsys.readouterr().err
+    assert err.startswith("casimir: ") and err.count("\n") == 1
+    assert "a*T = " in err and "gamma = " in err
+
 
 
 class TestSweepOutput:

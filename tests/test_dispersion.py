@@ -65,6 +65,8 @@ class TestDrude:
             cs.Drude(omega_p_ev=-9.0)
         with pytest.raises(DomainError):
             cs.Drude(nu_ref_ev=0.0)
+        with pytest.raises(DomainError, match="unknown relaxation model 'x'"):
+            cs.gold_drude("x")
         # omega_p = inf used to fail only in the sum, as a NaN ConvergenceError
         for bad in (np.inf, np.nan):
             with pytest.raises(DomainError, match="plasma frequency must be finite"):
@@ -197,6 +199,8 @@ class TestTabulated:
     def test_validation(self):
         with pytest.raises(DomainError):
             cs.PermittivityTable(np.array([1e14]), np.array([5.0]))
+        with pytest.raises(DomainError, match="matching 1-D"):
+            cs.PermittivityTable(np.array([1e13, 1e14]), np.array([5.0, 4.0, 3.0]))
         with pytest.raises(DomainError):
             cs.PermittivityTable(np.array([1e14, 1e13]), np.array([5.0, 4.0]))
         with pytest.raises(DomainError):
@@ -273,6 +277,19 @@ class TestTableFile:
                            "zeta_rad_per_s,epsilon\n1e13,900\nhuge,101\n")
         with pytest.raises(TableFormatError, match="line 3"):
             cs.load_permittivity_table(path)
+
+    @pytest.mark.parametrize("text, reason", [
+        ("", "empty table file"),
+        ("zeta_rad_per_s,epsilon\n1e13,900\n", "at least 2 data rows"),
+        ("zeta_rad_per_s,epsilon\n1e13,900,1\n1e14,101\n", "line 2: expected 2 columns"),
+    ], ids=["empty", "one-row", "three-columns"])
+    def test_malformed_file_rejected(self, tmp_path, text, reason):
+        with pytest.raises(TableFormatError, match=reason):
+            cs.load_permittivity_table(self._write(tmp_path, text))
+
+    def test_blank_line_skipped(self, tmp_path):
+        path = self._write(tmp_path, "zeta_rad_per_s,epsilon\n1e13,900.0\n\n1e14,101.0\n")
+        assert cs.load_permittivity_table(path).zeta.tolist() == [1e13, 1e14]
 
 
 class TestBlochGruneisen:

@@ -34,10 +34,11 @@ def fsum_modes(mode_fn, cfg, model, quad=cs.DEFAULT_QUAD, start=0, stop=1e-17):
 def count_rows(monkeypatch):
     """Counts of the rows that the integrand of _integrate evaluates, once
     per call and so once per round ("integrated"), and of the rows evaluated
-    on the first t-panels before it (_first_mesh, "placed"): a rule in m as
-    it is placed, failed tries included, and a plasma m = 0 remainder.  A
-    sum whose first round is its placed rows integrates none in that round.
-    They grow while the test runs."""
+    by _first_mesh ("placed"): a rule in m as it is placed on the first
+    t-panels, failed tries included, a plasma m = 0 remainder, and the rows
+    of a per_mode table or fraction(m) as they are read.  A sum whose first
+    round is its placed rows integrates none in that round.  They grow while
+    the test runs."""
     counts, inside = {"integrated": 0, "placed": 0}, []
     integrate, kernels_at, first_mesh = (lifshitz._integrate, lifshitz._kernels_at,
                                          lifshitz._first_mesh)
@@ -54,9 +55,9 @@ def count_rows(monkeypatch):
             counts["integrated"] += len(y)
         return kernels_at(rule, y, kernels)
 
-    def counting_first_mesh(model, cfg, zeta, *args):
+    def counting_first_mesh(model, cfg, zeta, *args, **kwargs):
         counts["placed"] += len(zeta)
-        return first_mesh(model, cfg, zeta, *args)
+        return first_mesh(model, cfg, zeta, *args, **kwargs)
 
     monkeypatch.setattr(lifshitz, "_integrate", counting_integrate)
     monkeypatch.setattr(lifshitz, "_kernels_at", counting_kernels_at)
@@ -451,6 +452,17 @@ class TestTotalPressure:
             name = "free_energy"
         assert result == pytest.approx(zero_temperature(gold, 1e-8, name), rel=1e-10, abs=0.0)
 
+    def test_sums_past_2_to_the_64_modes_reach_zero_temperature(self, gold, zero_temperature):
+        # M - 1 > 2^64 used to make _tail_rule's last stretch end a Python
+        # int, and its rows object arrays (TypeError); measured within
+        # 2.3e-16 of the T -> 0 value at 1e-16 and 1e-30 K
+        for T in (1e-16, 1e-30):
+            cfg = cs.ThermalGapConfig(T=T, a=1e-6)
+            assert cs.total_pressure(cfg, gold).total == pytest.approx(
+                zero_temperature(gold, 1e-6, "pressure"), rel=1e-12, abs=0.0)
+            assert cs.free_energy(cfg, gold) == pytest.approx(
+                zero_temperature(gold, 1e-6, "free_energy"), rel=1e-12, abs=0.0)
+
     def test_huge_result_gives_fractions_but_no_table(self, gold):
         cfg = cs.ThermalGapConfig(T=1e-3, a=1e-8)
         res = cs.total_pressure(cfg, gold)
@@ -578,7 +590,8 @@ class TestMatsubaraTruncation:
     @pytest.mark.parametrize("name, T, most_rows, rel", [
         pytest.param("drude", 2.0, 600, 2e-13, id="drude"),
         pytest.param("sparse_table", 2.0, 600, 2e-13, id="sparse_table"),
-        pytest.param("drude", 5.0, 300, 2e-12, id="drude-5K")])
+        pytest.param("drude", 5.0, 300, 2e-12, id="drude-5K"),
+        pytest.param("dense_table", 5.0, 1252, 2e-12, id="dense_table-5K")])
     def test_rule_in_m_matches_fsum_of_modes(self, gold, name, T, most_rows, rel, monkeypatch):
         # at 2 K / 1 um (about 3,000 modes) the modes past _K_MIN go to the
         # rule in m; the sparse table bends at 8 nodes inside its range,
@@ -588,18 +601,23 @@ class TestMatsubaraTruncation:
         # 2 K within 8.1e-14, at 5 K within 2.3e-13 (P) and 8.7e-13 (F),
         # mostly the error of the one-sided g'(K) of the end terms; without
         # the g'''/720 end term, 2.4e-13 to 7.3e-12 at 2 K and 1.5e-11 to
-        # 3.4e-11 at 5 K
+        # 3.4e-11 at 5 K.  The dense table's 400 nodes cut [K, M - 1] into
+        # stretches shorter than _SEGMENT_MIN at 5 K (M = 1,252 for P, 1,143
+        # for F), so the rule from K = 64 keeps all its rows: M - 1 rows in
+        # all, within 1.0e-13
         cfg = cs.ThermalGapConfig(T=T, a=1e-6)
         zs = np.geomspace(1e11, 1e18, 36)
-        model = gold if name == "drude" else cs.Tabulated(
-            cs.PermittivityTable(zs, cs.eps_drude(zs, gold)))
+        model = {"drude": gold, "dense_table": drude_table(gold, "drude_like"),
+                 "sparse_table": cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold)))
+                 }[name]
         counts = count_rows(monkeypatch)
-        for total, mode_fn in ((lambda: cs.total_pressure(cfg, model).total, cs.mode_pressure),
-                               (lambda: cs.free_energy(cfg, model), cs.mode_free_energy)):
+        for observable, mode_fn in ((lifshitz._PRESSURE, cs.mode_pressure),
+                                    (lifshitz._FREE_ENERGY, cs.mode_free_energy)):
             counts.update(integrated=0, placed=0)
-            value = total()
+            (value, M, _), = lifshitz._sum_modes([cfg], model, cs.DEFAULT_QUAD, (observable,))[0]
             assert counts["integrated"] < most_rows
             assert counts["integrated"] + counts["placed"] < most_rows
+            assert counts["integrated"] + counts["placed"] <= M - 1
             assert value == pytest.approx(fsum_modes(mode_fn, cfg, model), rel=rel, abs=0.0)
         if name == "sparse_table":
             nodes = zs / cfg.matsubara(1)
