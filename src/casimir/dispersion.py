@@ -134,7 +134,8 @@ class BlochGruneisen:
     nu(T) = C * (T/theta_D)^5 * int_0^{theta_D/T} x^5 e^x/(e^x-1)^2 dx,
     with C fixed so that nu(T_ref) = nu_ref exactly.  The default Debye
     temperature of 170 K is the conventional literature value for gold.
-    Each instance integrates the shape at most once per temperature.
+    Each instance integrates the shape at most once per temperature, for
+    T/theta_D in [1e-61, 1e61] (DomainError outside, T_ref included).
     """
 
     theta_d: float = 170.0   # K
@@ -153,6 +154,9 @@ class BlochGruneisen:
     def _shape(self, T: float) -> float:
         shape = self._shapes.get(T)
         if shape is None:
+            if not 1e-61 <= T / self.theta_d <= 1e61:  # (T/theta_D)^5 stays a normal float
+                raise DomainError(f"Bloch-Grueneisen nu(T) needs T/theta_D in [1e-61, 1e61], "
+                                  f"got T = {T:g} K with theta_D = {self.theta_d:g} K")
             shape = self._shapes[T] = (
                 (T / self.theta_d) ** 5 * _bg_integral(self.theta_d / T))
         return shape
@@ -363,7 +367,8 @@ def eps_drude(zeta, params: Drude, T: float = 300.0):
     check_positive("zeta of the Drude permittivity", zeta)
     nu = ev_to_rad_s(params.relaxation.nu(T))
     wp = params.omega_p_rad_s
-    out = 1.0 + wp * wp / (zeta * (zeta + nu))
+    with np.errstate(over="ignore"):  # past zeta ~ 1e154 the product is inf and eps 1
+        out = 1.0 + wp * wp / (zeta * (zeta + nu))
     return float(out) if out.ndim == 0 else out
 
 

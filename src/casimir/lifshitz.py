@@ -383,7 +383,8 @@ def _first_mesh(model, cfg, zeta, kernels, weight=None, size=None, rule=(_T_NODE
     shape (kernels, rows), and for each group of size consecutive rows
     (None: all rows) the sum of its rows times weight (None: 1) at each node
     t, shape (groups, kernels, nodes), which on _T_NODES is a first round as
-    _integrate takes it.  Each block of rows is contracted as it is
+    _integrate takes it; ConvergenceError names the first row whose
+    integral is not finite.  Each block of rows is contracted as it is
     evaluated, a vector product per group (a matrix product would touch
     BLAS's packing buffers), so that only the integrals and the groups'
     sums outlive it."""
@@ -403,7 +404,11 @@ def _first_mesh(model, cfg, zeta, kernels, weight=None, size=None, rule=(_T_NODE
     for _, y_lo, reflect, _ in _bind(model, [(cfg, zeta, kernels, (), None, None)]):
         per_block.append(contract(_kernels_at(reflect, y_lo + t, kernels), start))
         start += len(y_lo)
-    return np.array([np.concatenate(rows) for rows in zip(*per_block)]), sums
+    rows = np.array([np.concatenate(rows) for rows in zip(*per_block)])
+    if not np.isfinite(rows).all():
+        bad = ~np.isfinite(rows).all(axis=0)
+        raise ConvergenceError(f"the row at zeta = {zeta[bad][0]:g} rad/s is not finite")
+    return rows, sums
 
 
 def _first_alone(model, parts, rel_tol, error, after=False):
@@ -520,33 +525,22 @@ def _smallest(ok, lo, hi):
 def _modes_needed(gamma, coeffs, target):
     """Smallest M >= 2 with _tail_bound(M, gamma, coeffs) <= target.
 
-    With c = M gamma and p, q of _tail_bound, the bound is target where
-    h(c) = 2 c + ln((1 - e^{-2c}) target / (2 (p(c) + q(c)/gamma))) = 0,
-    and h increases.  Newton's method from c = ln(1/target)/2 finds that
-    root to a tenth of a mode in two to four steps.  Two checks confirm
-    the M it gives; _smallest searches when they do not, and when target
-    is 0.
+    With c = M gamma and p, q of _tail_bound, whose coefficients are >= 0,
+    p(c) >= p(0), q(c) >= q(0) and 1/(1 - e^{-2c}) >= 1, so the bound is
+    at least 2 e^{-2c} (p(0) + q(0)/gamma): above target wherever c <
+    c_lo = (ln(2 (p(0) + q(0)/gamma)) - ln target)/2, a difference of logs
+    that stays finite at gamma = 1e-300 and subnormal targets.  c_lo stops
+    at 354, where e^{-2c} is still a normal float: past it the bound's
+    floats underflow below its true value.  Every n <= lo = ceil(c_lo/gamma)
+    - 1 misses target, so _smallest brackets M from (lo, 2 lo), in about
+    log2(M) bounds; from (1, 2) when target is 0.
     """
-    def ok(n):
-        return _tail_bound(n, gamma, coeffs) <= target
-
-    c = 2.0 * gamma
+    lo = 1
     if target > 0.0:
-        c = max(c, -0.5 * math.log(target))
-        for _ in range(8):
-            (p, dp), (q, dq) = (((k2 * c + k1) * c + k0, 2.0 * k2 * c + k1)
-                                for k2, k1, k0 in coeffs)
-            s = p + q / gamma
-            e = -math.expm1(-2.0 * c)
-            h = 2.0 * c + math.log(e * target / (2.0 * s))
-            c, last = max(2.0 * gamma, c - h / (2.0 + 2.0 * (1.0 - e) / e
-                                                  - (dp + dq / gamma) / s)), c
-            if abs(c - last) < 0.1 * gamma:
-                break
-    n = math.ceil(c / gamma)
-    if not ok(n):
-        return _smallest(ok, n, 2 * n)
-    return n if n == 2 or not ok(n - 1) else _smallest(ok, 1, n - 1)
+        (_, _, p0), (_, _, q0) = coeffs
+        c_lo = min(354.0, 0.5 * (math.log(2.0 * (p0 + q0 / gamma)) - math.log(target)))
+        lo = max(1, math.ceil(c_lo / gamma) - 1)
+    return _smallest(lambda n: _tail_bound(n, gamma, coeffs) <= target, lo, 2 * lo)
 
 
 def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
@@ -702,15 +696,15 @@ def _plan(cfg, model, rel_tol, observables):
     their first round."""
     kernels = tuple(kernel for kernel, *_ in observables)
     closed, remainder = _zero_mode(model, cfg, kernels, [zero for *_, zero in observables])
-    zeros, parts = [0.5 * v for v in closed], []
-    if remainder is not None:
-        g, (first,) = _first_mesh(model, *remainder[:3])
-        zeros = 0.5 * g[:, 0]
-        parts.append(((cfg, "mode m = 0"), remainder[:5] + (first,)))
-    Ms = [_modes_needed(cfg.gamma, tail, rel_tol * abs(zero))
-          for (_, _, tail, _), zero in zip(observables, zeros)]
-    modes = f"modes m = 1..{max(Ms) - 1}"
-    try:
+    zeros, parts, modes = [0.5 * v for v in closed], [], "mode m = 0"
+    try:  # a remainder that is not finite fails here, before M's search
+        if remainder is not None:
+            g, (first,) = _first_mesh(model, *remainder[:3])
+            zeros = 0.5 * g[:, 0]
+            parts.append(((cfg, modes), remainder[:5] + (first,)))
+        Ms = [_modes_needed(cfg.gamma, tail, rel_tol * abs(zero))
+              for (_, _, tail, _), zero in zip(observables, zeros)]
+        modes = f"modes m = 1..{max(Ms) - 1}"
         m, weight, first = _rows(model, cfg, observables, kernels, max(Ms), rel_tol, zeros)
     except (ConvergenceError, TableRangeError) as exc:
         raise _named(exc, model, cfg, modes, observables) from None

@@ -103,6 +103,8 @@ def _gk15_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
 
     Returns (kronrod values, scaled error estimates), one entry per panel,
     with a leading axis of C components when f returns shape (C, points).
+    ConvergenceError if an error estimate is not finite, as it is on every
+    panel where the integrand is NaN or infinite.
     """
     x, _, _, half = gk15_rule(lo, hi)
     fx = np.asarray(f(x.ravel()), dtype=float)
@@ -114,6 +116,9 @@ def _gk15_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
     sg = fx[..., 1::2] @ _WG_FULL   # embedded Gauss sum
     resk = sk * half
     err = np.abs(sk - sg) * half
+    if not np.isfinite(err).all():
+        raise ConvergenceError("quadrature met a non-finite estimate: the integrand is "
+                               "NaN or infinite, or too large to sum")
 
     # QUADPACK rescaling: compare against the deviation-from-mean measure.
     mean = 0.5 * sk
@@ -142,7 +147,8 @@ def adaptive_quad(
     Returns (value, error estimate, x, w), where x and w are the Kronrod
     nodes and weights of the final panels: w @ g(x) applies the converged
     rule to another integrand g.  Raises ConvergenceError (carrying the
-    best estimate) after 48 rounds or 4096 panels.
+    best estimate) after 48 rounds or 4096 panels, and at once, without
+    one, when a round's estimate is not finite.
 
     When f returns a stack of shape (C, len(x)), value and error estimate
     are arrays of C, every component meets rel_tol of its own value, and a

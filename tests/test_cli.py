@@ -436,7 +436,7 @@ def _free_energy(a, T):
     ("pressure", "--gap", "1e-300"),
     ("pressure", "--gap", "1", "--temp", "1e-300"),
     (cs.dominant_mode, 1e-6, 1e-300),
-    # gamma above about 1e154: c^2 of the tail bound's Newton step overflowed
+    # gamma above about 1e154: c^2 in the tail bound (_tail_bound) overflowed
     # (ValueError), or a^2 of the free energy's prefactor (OverflowError)
     ("pressure", "--gap", "1e300"),
     ("diff", "--gap", "1", "--temp", "1e300", "--temp", "300"),
@@ -464,6 +464,34 @@ def test_extreme_gap_or_temperature_is_finite_or_named(capsys, case):
     assert err.startswith("casimir: ") and err.count("\n") == 1
     assert "a*T = " in err and "gamma = " in err
 
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's, on the inf and NaN rows
+@pytest.mark.parametrize("argv, named", [
+    (("pressure", "--omega-p", "1e200", "--gap", "1"), "non-finite estimate"),
+    (("pressure", "--omega-p", "1e200", "--gap", "1", "--temp", "1"), "is not finite"),
+    (("pressure", "--model", "plasma", "--omega-p", "1e160", "--gap", "1"),
+     "mode m = 0 at T = 300 K"),
+    (("diff", "--nu-model", "bg", "--gap", "1", "--temp", "1e70", "--temp", "300"),
+     "T = 1e+70 K with theta_D = 170 K"),
+    (("diff", "--nu-model", "bg", "--theta-d", "1e-300", "--gap", "1"),
+     "T = 300 K with theta_D = 1e-300 K"),
+], ids=["eps-inf", "eps-inf-rule-in-m", "plasma-zero-mode-nan", "bg-T-1e70K",
+        "bg-theta-d-1e-300K"])
+def test_non_finite_values_end_with_a_named_error(capsys, argv, named):
+    # each used to exit 1 with a traceback: an infinite eps made NaN rows and
+    # an empty round of the t-integral or of the rule in m (ValueError,
+    # IndexError), a NaN m = 0 term kept M's search doubling (OverflowError),
+    # and (T/theta_D)^5 overflowed past 1e61 (OverflowError)
+    assert run_cli(*argv) in (2, 3)
+    err = capsys.readouterr().err
+    assert err.startswith("casimir: ") and err.count("\n") == 1 and named in err
+
+
+def test_drude_eps_past_the_overflowing_product_is_one(capsys):
+    # zeta (zeta + nu) overflowed with a RuntimeWarning, an error in this suite
+    assert run_cli("lowtemp", "--gap", "1", "--zeta-range", "0:1e290:3") == 0
+    assert capsys.readouterr().out.rstrip().endswith("1e+290,0.0")
 
 
 class TestSweepOutput:

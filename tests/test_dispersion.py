@@ -1,5 +1,7 @@
 """Permittivity models, relaxation frequency, and zero-mode diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -327,6 +329,16 @@ class TestBlochGruneisen:
     def test_gold_drude_reports_the_nu_it_uses(self, gold_bg):
         # nu_ref_ev used to keep the constant-model default of 0.035 eV
         assert gold_bg.nu_ref_ev == gold_bg.relaxation.nu(300.0)
+
+    def test_temperature_ratio_past_the_fifth_power_is_named(self):
+        # (T/theta_D)^5 raised OverflowError past T/theta_D ~ 1e61, and its
+        # underflow to 0 at theta_D = 1e300 K divided by zero in nu(T)
+        with pytest.raises(DomainError, match=r"T = 1e\+70 K with theta_D = 170 K"):
+            cs.BlochGruneisen().nu(1e70)
+        for theta_d in (1e-300, 1e300):
+            named = re.escape(f"T = 300 K with theta_D = {theta_d:g} K")
+            with pytest.raises(DomainError, match=named):
+                cs.BlochGruneisen(theta_d=theta_d)
 
     def test_constant_model(self):
         const = cs.ConstantRelaxation(0.035)

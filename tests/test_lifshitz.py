@@ -831,9 +831,10 @@ class TestSweeps:
 
 @pytest.mark.parametrize("observable", ["pressure", "free_energy"])
 def test_modes_needed_equals_the_search(observable, monkeypatch):
-    # Newton's estimate and its two checks give the M of the plain search at
-    # every gamma, rel_tol and m = 0 term, and the search runs at a target
-    # of 0 (vacuum); the search took about 6 bounds per sum
+    # the closed-form lower bound brackets the M of the plain search at every
+    # gamma of a config's range, rel_tol and m = 0 term, and the search runs
+    # at a target of 0 (vacuum); a bracketed search takes at most
+    # ceil(log2 M) + 1 bounds, which a search from (1, 2) exceeds at M >= 8
     coeffs = {"pressure": lifshitz._PRESSURE, "free_energy": lifshitz._FREE_ENERGY}[observable][2]
     bound, calls = lifshitz._tail_bound, []
 
@@ -842,12 +843,13 @@ def test_modes_needed_equals_the_search(observable, monkeypatch):
         return bound(*args)
 
     monkeypatch.setattr(lifshitz, "_tail_bound", counting)
-    for gamma in np.geomspace(1e-6, 30.0, 80):
-        for target in [0.0] + [rel * zero for rel in (1e-4, 1e-10, 1e-14)
+    gammas = np.concatenate((np.geomspace(1e-6, 30.0, 80), np.geomspace(1e-300, 1e150, 46)))
+    for gamma in gammas.tolist():  # floats, as a config's: NumPy's warn where the bound overflows
+        for target in [0.0] + [rel * zero for rel in (1e-4, 1e-10, 1e-14, 1e-30)
                                for zero in (1e-3, 0.15, 30.0)]:
             calls.clear()
             M = lifshitz._modes_needed(gamma, coeffs, target)
-            assert len(calls) <= 2 or target == 0.0
+            assert len(calls) <= math.ceil(math.log2(M)) + 1 or target == 0.0
             assert M == lifshitz._smallest(lambda n: bound(n, gamma, coeffs) <= target, 1, 2)
 
 

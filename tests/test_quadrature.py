@@ -148,6 +148,22 @@ def test_convergence_error_carries_estimate():
     assert np.isfinite(excinfo.value.estimate)
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["scalar", "stacked"])
+def test_non_finite_integrand_fails_after_one_round(stacked):
+    # a NaN integrand used to run 48 rounds on no panel, and a stack with one
+    # NaN component reported the other component's estimated error
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        nan = np.full_like(x, np.nan)
+        return np.stack((np.exp(-x), nan)) if stacked else nan
+
+    with pytest.raises(ConvergenceError, match="non-finite estimate"):
+        adaptive_quad(f, 0.0, 1.0)
+    assert len(calls) == 1
+
+
 def test_neumaier_sum_compensates_cancellation():
     assert neumaier_sum([1e16, 1.0, -1e16]) == 1.0
 
