@@ -51,13 +51,22 @@ of one temperature share blocks across gaps, each binding eps once.  Each
 (a, T) and observable keeps its own m = 0 term, M and prefactor, sums its
 own first M - 1 rows (or a rule in m, placed once per (a, T) to its larger
 M), and holds rel_tol on its own total; _grid_sums is the one layout of
-a sweep.  Rows outside a sum are one t-integral per _mode_integrals call.
-A failure names the first (a, T) or frequency that fails alone.
+a sweep.  A stack is a list of _Sum records; _bind lays its rows out in
+groups of flat arrays that give each row its (sum, kernel) component and
+weight, and _contract, the one contraction, adds a group's rows to their
+components block by block, for the t-integral and for _first_mesh alike.
+The t-integral's first round is data that adaptive_quad takes: the rows
+that placed a rule in m or an m = 0 remainder, and the other rows
+evaluated on the first panels.  Rows outside a sum are one t-integral per
+_mode_integrals call.  A failure names the first (a, T) or frequency that
+fails alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -296,37 +305,55 @@ def _in_p(rule, y_lo):
     return lambda y: rule(y / y_lo)
 
 
-def _bind(model, sums, which=None):
-    """The rows of the sums which (None: all) of sums, as _integrate takes
-    them, as blocks (segments, y_lo, y -> (A, B), kernels), y_lo = a zeta / c
-    a column: each (i, lo, hi, weights) of segments[c] has kernel c of
-    sums[i] sum the block's rows lo..hi-1 with those weights (None: 1).  Rows
-    at zeta = 0 take their cfg's m = 0 rule; the others of one temperature
-    and kernels share blocks of at most _ROW_BLOCK rows across gaps, in
-    order, each binding the model's m >= 1 rule in p = y c / (a zeta) once
-    (eps depends on zeta, T)."""
-    groups, blocks = {}, []
-    for i in range(len(sums)) if which is None else which:  # at: the cfg of m = 0 rows, or T
-        cfg, zeta, kernels = sums[i][:3]
-        groups.setdefault((cfg if zeta[0] == 0.0 else cfg.T, tuple(kernels)), []).append(i)
-    for (at, kernels), members in groups.items():
-        zeta = np.concatenate([sums[i][1] for i in members])[:, None]
-        y_lo = np.concatenate([sums[i][0].a * sums[i][1] for i in members])[:, None] / C
-        edges = range(0, len(zeta), _ROW_BLOCK)
-        segments, start = [[[] for _ in kernels] for _ in edges], 0
-        for i in members:  # each kernel's rows of sum i, cut at the block edges
-            _, rows, _, counts, weight, _ = sums[i]
-            for c, n in enumerate(counts):
-                for b in range(start - start % _ROW_BLOCK, start + n, _ROW_BLOCK):
-                    lo, hi = max(start, b), min(start + n, b + _ROW_BLOCK)
-                    w = None if weight is None else weight[lo - start:hi - start]
-                    segments[b // _ROW_BLOCK][c].append((i, lo - b, hi - b, w))
-            start += len(rows)
-        for b, seg in zip(edges, segments):
-            rule = (_zero_rule(model, at) if zeta[0, 0] == 0.0 else _in_p(
-                model.matsubara_reflection(zeta[b:b + _ROW_BLOCK], at), y_lo[b:b + _ROW_BLOCK]))
-            blocks.append((seg, y_lo[b:b + _ROW_BLOCK], rule, kernels))
-    return blocks
+# One sum of a stack: kernel c of kernels sums the first counts[c] rows at
+# the frequencies zeta of cfg (zeta = [0]: its m = 0 row), each times weight
+# (None: an unweighted sum); first, unless None, is the sum's weighted rows at
+# each node of _T_NODES, shape (kernels, nodes): its first round (_integrate).
+_Sum = namedtuple("_Sum", "cfg zeta kernels counts weight first", defaults=(None, None))
+
+
+class _Group(namedtuple("_Group", "model at kernels zeta y_lo owner weight stored")):
+    """Rows of a stack that share blocks (see _bind), as flat arrays: their
+    frequencies zeta and y_lo = a zeta / c, columns, at at, the cfg of m = 0
+    rows or the temperature; owner[c, r], the component of the stack to
+    which row r adds under kernel c (-1: none); weight[r] (None: the rows
+    are unweighted); and stored, whether their sums hold their first round."""
+
+    @cached_property
+    def blocks(self):
+        """(lo, y_lo, y -> (A, B)) for each block of at most _ROW_BLOCK rows
+        from row lo, each binding the model's m = 0 rule, or its m >= 1 rule
+        in p = y c / (a zeta) once (eps depends on zeta, T), when first read,
+        so that rows are bound only when a round evaluates them."""
+        zeta, y_lo = self.zeta, self.y_lo
+        return [(lo, y_lo[lo:lo + _ROW_BLOCK], _zero_rule(self.model, self.at) if zeta[0, 0] == 0.0
+                 else _in_p(self.model.matsubara_reflection(zeta[lo:lo + _ROW_BLOCK], self.at),
+                            y_lo[lo:lo + _ROW_BLOCK])) for lo in range(0, len(zeta), _ROW_BLOCK)]
+
+
+def _bind(model, sums):
+    """The layout of the stack sums: its rows in groups (_Group) that share
+    blocks, each the rows at zeta = 0 of one cfg, which take its m = 0
+    rule, or those at zeta > 0 of one temperature, which share eps across
+    gaps, of the sums with the same kernels, weighting (by 1 or by weight)
+    and first round (stored or not), in order.  Row r of sum i adds under
+    kernel c to the component i kernels + c while r < counts[c]."""
+    groups, layout = {}, []
+    for i, one in enumerate(sums):  # at: the cfg of m = 0 rows, or T
+        at = one.cfg if one.zeta[0] == 0.0 else one.cfg.T
+        key = (at, tuple(one.kernels), one.weight is None, one.first is not None)
+        groups.setdefault(key, []).append((i, one))
+    for (at, kernels, unit, stored), members in groups.items():
+        zeta, start = np.concatenate([one.zeta for _, one in members])[:, None], 0
+        owner = np.full((len(kernels), len(zeta)), -1)
+        for i, one in members:
+            for c, n in enumerate(one.counts):
+                owner[c, start:start + n] = i * len(kernels) + c
+            start += len(one.zeta)
+        y_lo = np.concatenate([one.cfg.a * one.zeta for _, one in members])[:, None] / C
+        weight = None if unit else np.concatenate([one.weight for _, one in members])
+        layout.append(_Group(model, at, kernels, zeta, y_lo, owner, weight, stored))
+    return layout
 
 
 def _kernels_at(rule, y, kernels):
@@ -338,77 +365,77 @@ def _kernels_at(rule, y, kernels):
     return [kernel(A, B, y) for kernel in kernels]
 
 
+def _contract(groups, t, components, w=None):
+    """The rows of groups (see _bind) at t, contracted block by block into
+    an array of the components, shape (components, len(t)): each run of a
+    block's rows with one owner j >= 0 under kernel c adds their sum, or
+    weight @ rows in a weighted group, to component j.  A vector product per
+    run (a matrix product would touch BLAS's packing buffers) keeps each
+    component's order of rounding whatever else its blocks hold, and only
+    that array and, for a panel rule's weights w, each block's row integrals
+    w @ rows per kernel outlive a block.  Returns the array and those.
+    Overflow and invalid values raise no warning here: the caller names a
+    row or round that is not finite (_first_mesh, _gk15_panels)."""
+    out, integrals = np.zeros((components, len(t))), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in groups:
+            for lo, y_lo, rule in group.blocks:
+                ks = _kernels_at(rule, y_lo + t, group.kernels)
+                for k, owners in zip(ks, group.owner[:, lo:lo + len(y_lo)].tolist()):
+                    b = 0
+                    for j, run in itertools.groupby(owners):
+                        a, b = b, b + len(list(run))
+                        if j >= 0:
+                            out[j] += (k[a:b].sum(axis=0) if group.weight is None
+                                       else group.weight[lo + a:lo + b] @ k[a:b])
+                if w is not None:
+                    integrals.append([k @ w for k in ks])
+    return out, integrals
+
+
 def _integrate(model, sums, rel_tol):
     """Row sums of int kernel(A, B, y) dt over t in [0, 30], y = a zeta / c + t,
-    for each sum (cfg, zeta, kernels, counts, weight, first) of sums, all with
-    as many kernels: kernel c sums the first counts[c] rows, each weighted by
-    weight (None: by 1).  Rows share t and a block's kernels share their
-    (A, B) (see _bind), so one adaptive_quad call, from the panels of
-    _T_MESH, holds rel_tol on each (sum, kernel) component, which adds its
-    rows block by block, in order, whatever the rest of the stack.  first,
-    unless None, is the sum's weighted rows at each node of _T_NODES, shape
-    (kernels, nodes): the first round takes it in place of the rows, which
-    later rounds evaluate on their panels.  Returns the values, shape (sums,
-    kernels), and the final panel rule (t, w), on which _first_mesh
+    for each _Sum of sums, all with as many kernels.  Rows share t and a
+    block's kernels share their (A, B) (see _bind), so one adaptive_quad
+    call, from the panels of _T_MESH, holds rel_tol on each (sum, kernel)
+    component, which adds its rows block by block, in order, whatever the
+    rest of the stack.  The first round, on _T_NODES, is data: the sums'
+    stored first rounds, and the rows of the others evaluated there; later
+    rounds evaluate every row on their panels.  Returns the values, shape
+    (sums, kernels), and the final panel rule (t, w), on which _first_mesh
     evaluates a sum's terms.
     """
-    given = [i for i, one in enumerate(sums) if one[5] is not None]
-    blocks = _bind(model, sums, [i for i, one in enumerate(sums) if one[5] is None])
-    rounds = 0
-
-    def integrand(t):
-        nonlocal rounds
-        rounds += 1
-        out = np.zeros((len(sums), len(sums[0][2]), len(t)))
-        if given and rounds == 1:
-            if not np.array_equal(t, _T_NODES):
-                raise AssertionError("the first round of _integrate is not on _T_NODES")
-            out[given] = [sums[i][5] for i in given]
-        elif given and rounds == 2:  # bound only when a round needs their rows
-            blocks.extend(_bind(model, sums, given))
-        for segments, y_lo, rule, kernels in blocks:
-            for c, (k, seg) in enumerate(zip(_kernels_at(rule, y_lo + t, kernels), segments)):
-                for i, lo, hi, w in seg:
-                    out[i, c] += k[lo:hi].sum(axis=0) if w is None else w @ k[lo:hi]
-        return out.reshape(-1, len(t))
-
-    values, _, t, w = adaptive_quad(integrand, _T_MESH[0], _T_MESH[-1],
-                                    rel_tol=rel_tol, points=_T_MESH[1:-1])
+    layout, width = _bind(model, sums), len(sums) * len(sums[0].kernels)
+    first = _contract([group for group in layout if not group.stored], _T_NODES, width)[0]
+    for i in (i for i, one in enumerate(sums) if one.first is not None):  # stored rounds
+        first.reshape(len(sums), -1, len(_T_NODES))[i] = sums[i].first
+    values, _, t, w = adaptive_quad(lambda t: _contract(layout, t, width)[0], *_T_MESH[[0, -1]],
+                                    rel_tol=rel_tol, points=_T_MESH[1:-1], first=first)
     return values.reshape(len(sums), -1), (t, w)
 
 
 def _first_mesh(model, cfg, zeta, kernels, weight=None, size=None, rule=(_T_NODES, _T_WEIGHTS)):
     """The rows at the frequencies zeta (or the m = 0 row at zeta = [0]) on
     the panel rule (t, w), by default the first t-panels: their integrals,
-    shape (kernels, rows), and for each group of size consecutive rows
-    (None: all rows) the sum of its rows times weight (None: 1) at each node
-    t, shape (groups, kernels, nodes), which on _T_NODES is a first round as
+    shape (kernels, rows), and for each run of size consecutive rows (None:
+    all rows) the sum of its rows times weight (None: 1) at each node t,
+    shape (runs, kernels, nodes), which on _T_NODES is a first round as
     _integrate takes it; ConvergenceError names the first row whose
-    integral is not finite.  Each block of rows is contracted as it is
-    evaluated, a vector product per group (a matrix product would touch
-    BLAS's packing buffers), so that only the integrals and the groups'
-    sums outlive it."""
-    (t, w), n = rule, len(zeta)
-    weight, size = np.ones(n) if weight is None else weight, size or n
-    sums = np.zeros((-(-n // size), len(kernels), len(t)))
-
-    def contract(ks, start):  # one block's rows from start: their integrals
-        stop = start + len(ks[0])
-        cuts = [start, *range(start - start % size + size, stop, size), stop]
-        for c, k in enumerate(ks):
-            for lo, hi in zip(cuts, cuts[1:]):
-                sums[lo // size, c] += weight[lo:hi] @ k[lo - start:hi - start]
-        return [k @ w for k in ks]
-
-    per_block, start = [], 0
-    for _, y_lo, reflect, _ in _bind(model, [(cfg, zeta, kernels, (), None, None)]):
-        per_block.append(contract(_kernels_at(reflect, y_lo + t, kernels), start))
-        start += len(y_lo)
+    integral is not finite.  The rows, no stack of sums, are one group
+    (_Group) whose component of row r under kernel c is that of its run,
+    (r // size) kernels + c, so _contract adds each run as its blocks are
+    evaluated."""
+    (t, w), n, size = rule, len(zeta), size or len(zeta)
+    owner = np.arange(n) // size * len(kernels) + np.arange(len(kernels))[:, None]
+    group = _Group(model, cfg if zeta[0] == 0.0 else cfg.T, kernels, zeta[:, None],
+                   (cfg.a * zeta)[:, None] / C, owner, np.ones(n) if weight is None else weight,
+                   False)
+    sums, per_block = _contract([group], t, -(-n // size) * len(kernels), w)
     rows = np.array([np.concatenate(rows) for rows in zip(*per_block)])
     if not np.isfinite(rows).all():
-        bad = ~np.isfinite(rows).all(axis=0)
-        raise ConvergenceError(f"the row at zeta = {zeta[bad][0]:g} rad/s is not finite")
-    return rows, sums
+        bad = zeta[~np.isfinite(rows).all(axis=0)][0]
+        raise ConvergenceError(f"the row at zeta = {bad:g} rad/s is not finite")
+    return rows, sums.reshape(-1, len(kernels), len(t))
 
 
 def _first_alone(model, parts, rel_tol, error, after=False):
@@ -446,9 +473,9 @@ def _zero_mode(model, cfg, kernels, zeros):
     closed = [unit_A * A0 + unit_B * B0 for unit_A, unit_B in zeros]
     if np.ndim(A) == np.ndim(B) == 0 and (A, B) == (A0, B0):
         return closed, None
-    return closed, (cfg, np.zeros(1), tuple(
+    return closed, _Sum(cfg, np.zeros(1), tuple(
         lambda A, B, y, k=k, c=c: k(A, B, y) - k(A0, B0, y) + c / _T_MESH[-1]
-        for k, c in zip(kernels, closed)), [1] * len(kernels), None, None)
+        for k, c in zip(kernels, closed)), [1] * len(kernels))
 
 
 def _mode_integrals(model, cfg, zetas, kernels, zeros, rel_tol):
@@ -457,7 +484,7 @@ def _mode_integrals(model, cfg, zetas, kernels, zeros, rel_tol):
     The one path for rows outside a sum: the rows at zeta > 0 and m = 0
     remainders (_zero_mode) are one t-integral.  A failure carries the first
     frequency that fails alone (_first_alone; else None) in attribute zeta."""
-    rows = [(None, (cfg, np.array([z]), kernels, [1] * len(kernels), None, None)) if z > 0.0
+    rows = [(None, _Sum(cfg, np.array([z]), kernels, [1] * len(kernels))) if z > 0.0
             else _zero_mode(model, cfg, kernels, zeros) for z in zetas]
     parts = [(z, one) for z, (_, one) in zip(zetas, rows) if one is not None]
     try:
@@ -506,10 +533,13 @@ def _tail_bound(M, gamma, coeffs):
     for y >= c = M gamma, e^{-2y}/(1 - e^{-2y}) <= e^{-2y}/(1 - e^{-2c}).  The
     mode integral I decreases, so the sum is at most I(c) + int_c^inf I / gamma
     = 2 e^{-2c}/(1 - e^{-2c}) (p(c) + q(c)/gamma), elementary in c.
+    2 e^{-2c} (p + q/gamma) is the exponential of its logarithm, so that it
+    underflows only where the bound does (e^{-2c} alone is subnormal past
+    2 c = 708, then 0); past the largest float the bound is inf.
     """
     c = M * gamma
     p, q = ((k2 * c + k1) * c + k0 for k2, k1, k0 in coeffs)
-    return 2.0 * math.exp(-2.0 * c) / -math.expm1(-2.0 * c) * (p + q / gamma)
+    return math.exp(math.log(2.0 * (p + q / gamma)) - 2.0 * c) / -math.expm1(-2.0 * c)
 
 
 def _smallest(ok, lo, hi):
@@ -529,16 +559,14 @@ def _modes_needed(gamma, coeffs, target):
     p(c) >= p(0), q(c) >= q(0) and 1/(1 - e^{-2c}) >= 1, so the bound is
     at least 2 e^{-2c} (p(0) + q(0)/gamma): above target wherever c <
     c_lo = (ln(2 (p(0) + q(0)/gamma)) - ln target)/2, a difference of logs
-    that stays finite at gamma = 1e-300 and subnormal targets.  c_lo stops
-    at 354, where e^{-2c} is still a normal float: past it the bound's
-    floats underflow below its true value.  Every n <= lo = ceil(c_lo/gamma)
-    - 1 misses target, so _smallest brackets M from (lo, 2 lo), in about
-    log2(M) bounds; from (1, 2) when target is 0.
+    that stays finite at gamma = 1e-300 and subnormal targets.  Every n <=
+    lo = ceil(c_lo/gamma) - 1 misses target, so _smallest brackets M from
+    (lo, 2 lo), in about log2(M) bounds; from (1, 2) when target is 0.
     """
     lo = 1
     if target > 0.0:
         (_, _, p0), (_, _, q0) = coeffs
-        c_lo = min(354.0, 0.5 * (math.log(2.0 * (p0 + q0 / gamma)) - math.log(target)))
+        c_lo = 0.5 * (math.log(2.0 * (p0 + q0 / gamma)) - math.log(target))
         lo = max(1, math.ceil(c_lo / gamma) - 1)
     return _smallest(lambda n: _tail_bound(n, gamma, coeffs) <= target, lo, 2 * lo)
 
@@ -699,9 +727,9 @@ def _plan(cfg, model, rel_tol, observables):
     zeros, parts, modes = [0.5 * v for v in closed], [], "mode m = 0"
     try:  # a remainder that is not finite fails here, before M's search
         if remainder is not None:
-            g, (first,) = _first_mesh(model, *remainder[:3])
+            g, (first,) = _first_mesh(model, cfg, remainder.zeta, remainder.kernels)
             zeros = 0.5 * g[:, 0]
-            parts.append(((cfg, modes), remainder[:5] + (first,)))
+            parts.append(((cfg, modes), remainder._replace(first=first)))
         Ms = [_modes_needed(cfg.gamma, tail, rel_tol * abs(zero))
               for (_, _, tail, _), zero in zip(observables, zeros)]
         modes = f"modes m = 1..{max(Ms) - 1}"
@@ -710,7 +738,7 @@ def _plan(cfg, model, rel_tol, observables):
         raise _named(exc, model, cfg, modes, observables) from None
     # an explicit sum gives each observable its first M - 1 rows, a rule all rows
     counts = [n - 1 for n in Ms] if weight is None else [len(m)] * len(Ms)
-    parts.append(((cfg, modes), (cfg, cfg.matsubara(m), kernels, counts, weight, first)))
+    parts.append(((cfg, modes), _Sum(cfg, cfg.matsubara(m), kernels, counts, weight, first)))
     return None if remainder else zeros, Ms, parts
 
 

@@ -14,7 +14,11 @@ related functions (the Lifshitz per-mode rows) on the converged rule.  An
 integrand may return a stack of C functions on the same points (the
 Lifshitz pressure and free energy); each component then holds rel_tol on
 its own total, and the panels are bisected where the largest error
-relative to its component's budget sits.
+relative to its component's budget sits.  The first round may be given as
+data, the integrand's values on the initial nodes (a caller that already
+holds them, as the Lifshitz sums do), so the integrand is then called only
+for the panels of later rounds; _gk15_panels estimates a round from values,
+whoever evaluated them.
 
 Error estimation follows the QUADPACK recipe: the raw |K15 - G7|
 difference is rescaled by the panel's total variation measure so that
@@ -98,19 +102,21 @@ def bisect_worst(lo: np.ndarray, hi: np.ndarray, errs: np.ndarray, budget: np.nd
     return ~split, np.concatenate((lo[split], mids)), np.concatenate((mids, hi[split]))
 
 
-def _gk15_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Evaluate the (G7, K15) pair on each panel [lo_i, hi_i].
+def _gk15_panels(fx, lo: np.ndarray, hi: np.ndarray):
+    """Evaluate the (G7, K15) pair on each panel [lo_i, hi_i] from the
+    integrand's values fx at the panels' Kronrod nodes (gk15_rule's,
+    flattened), shape (n,) or (C, n); ValueError for any other shape.
 
     Returns (kronrod values, scaled error estimates), one entry per panel,
-    with a leading axis of C components when f returns shape (C, points).
+    with a leading axis of C components when fx has shape (C, n).
     ConvergenceError if an error estimate is not finite, as it is on every
     panel where the integrand is NaN or infinite.
     """
-    x, _, _, half = gk15_rule(lo, hi)
-    fx = np.asarray(f(x.ravel()), dtype=float)
-    fx = fx.reshape(fx.shape[:-1] + x.shape)
-    # (1, panels) times (1, panels) takes NumPy's fast loop
-    half = half.T if fx.ndim > 2 else half[:, 0]
+    fx, n = np.asarray(fx, dtype=float), len(_NODES) * len(lo)
+    if fx.ndim not in (1, 2) or fx.shape[-1] != n:
+        raise ValueError(f"integrand values must have shape ({n},) or (C, {n}), got {fx.shape}")
+    fx = fx.reshape(fx.shape[:-1] + (len(lo), len(_NODES)))
+    half = 0.5 * (hi - lo)
 
     sk = fx @ _WK                   # Kronrod sum on the unit interval
     sg = fx[..., 1::2] @ _WG_FULL   # embedded Gauss sum
@@ -135,6 +141,7 @@ def adaptive_quad(
     *,
     rel_tol: float = 1e-10,
     points: Sequence[float] | None = None,
+    first: np.ndarray | None = None,
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Integrate a vectorized callable f over [a, b].
 
@@ -154,13 +161,19 @@ def adaptive_quad(
     are arrays of C, every component meets rel_tol of its own value, and a
     round bisects by each panel's largest error over its component's
     budget rel_tol * |value|.
+
+    first, unless None, is f's values on the Kronrod nodes of the initial
+    panels, as gk15_rule gives them, flattened: shape (n,) or (C, n) for
+    the n = 15 * panels nodes (ValueError otherwise).  The first round
+    takes them as f's, so f is called only for the panels of later rounds,
+    and the result is the same, bit for bit, as f's own values give.
     """
     edges = (np.linspace(a, b, _INITIAL_PANELS + 1) if points is None
              else np.concatenate(([a], points, [b])))
     if not (edges[1:] > edges[:-1]).all():
         raise ValueError(f"integration edges must increase, got {edges.tolist()}")
     lo, hi = edges[:-1], edges[1:]
-    vals, errs = _gk15_panels(f, lo, hi)
+    vals, errs = _gk15_panels(f(gk15_rule(lo, hi)[0].ravel()) if first is None else first, lo, hi)
     stacked = vals.ndim > 1
     if not stacked:  # a stack of one, as the loop takes it
         vals, errs = vals[None], errs[None]
@@ -177,9 +190,8 @@ def adaptive_quad(
         if 2 * len(lo) > _MAX_PANELS:
             break
         keep, new_lo, new_hi = bisect_worst(lo, hi, errs, rel_tol * np.abs(totals))
-        new_vals, new_errs = _gk15_panels(f, new_lo, new_hi)
-        lo = np.concatenate((lo[keep], new_lo))
-        hi = np.concatenate((hi[keep], new_hi))
+        new_vals, new_errs = _gk15_panels(f(gk15_rule(new_lo, new_hi)[0].ravel()), new_lo, new_hi)
+        lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
         vals = np.concatenate((vals[:, keep], new_vals.reshape(len(vals), -1)), axis=1)
         errs = np.concatenate((errs[:, keep], new_errs.reshape(len(errs), -1)), axis=1)
         totals = [neumaier_sum(v) for v in vals.tolist()]

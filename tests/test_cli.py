@@ -488,6 +488,33 @@ def test_non_finite_values_end_with_a_named_error(capsys, argv, named):
     assert err.startswith("casimir: ") and err.count("\n") == 1 and named in err
 
 
+def test_overflowing_reflection_rows_are_named_under_warnings_as_errors(capsys):
+    # at gamma = 2.7e-83 the rule in m evaluates rows where (eps p + s)^2
+    # overflows; NumPy's RuntimeWarnings came before the named error, and
+    # under warnings as errors (as in this suite) the run ended in one
+    argv = ("pressure", "--gap", "1", "--temp", "1e-80")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_cli(*argv) == 3
+    named = capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv) == 3
+    assert capsys.readouterr().err == named
+    assert named.startswith("casimir: ") and named.count("\n") == 1
+    assert "the row at zeta = " in named
+
+
+def test_f_te_at_a_tiny_zeta_runs_under_warnings_as_errors(capsys):
+    # at zeta a/c = 5e-161 the rows' p = y c/(a zeta) squares past the
+    # largest float in the TM coefficient, which f_te does not use; NumPy's
+    # RuntimeWarning ended the run under warnings as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("lowtemp", "--gap", "1", "--zeta-range", "0:1e-160:3") == 0
+    assert capsys.readouterr().out.rstrip().endswith("1e-160,0.0")
+
+
 def test_drude_eps_past_the_overflowing_product_is_one(capsys):
     # zeta (zeta + nu) overflowed with a RuntimeWarning, an error in this suite
     assert run_cli("lowtemp", "--gap", "1", "--zeta-range", "0:1e290:3") == 0

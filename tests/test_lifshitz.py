@@ -6,6 +6,7 @@ import math
 import pickle
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import zeta
@@ -648,9 +649,9 @@ class TestMatsubaraTruncation:
         quad = cs.QuadratureSettings(rel_tol=1e-12)
         rounds, gk15 = [], quadrature._gk15_panels
 
-        def counting(f, lo, hi):
+        def counting(fx, lo, hi):
             rounds.append(len(lo))
-            return gk15(f, lo, hi)
+            return gk15(fx, lo, hi)
 
         monkeypatch.setattr(quadrature, "_gk15_panels", counting)
         (P, M_P, _), (F, M_F, _) = lifshitz._sum_modes(
@@ -853,6 +854,27 @@ def test_modes_needed_equals_the_search(observable, monkeypatch):
             assert M == lifshitz._smallest(lambda n: bound(n, gamma, coeffs) <= target, 1, 2)
 
 
+@pytest.mark.parametrize("observable", ["pressure", "free_energy"])
+def test_modes_needed_holds_the_tail_bound_to_its_target(observable):
+    # the bound at the returned M, evaluated in 60 digits, meets the target
+    # at every gamma of a config's range: where 2 M gamma passed 708 the
+    # computed e^{-2c} underflowed, and at gamma = 1e-300 and a target of
+    # 1e-33 the true bound at the M returned was 1.7e-19.  The floats c =
+    # M gamma and the bound's logarithm (|2c| up to about 800) round to
+    # about 1e-13 relative, and below gamma ~ 1e-13 consecutive M move the
+    # bound by less than that, so the bound holds to 1e-12 of the target
+    coeffs = {"pressure": lifshitz._PRESSURE, "free_energy": lifshitz._FREE_ENERGY}[observable][2]
+    for gamma in np.geomspace(1e-300, 1e150, 46).tolist():
+        for target in [rel * zero for rel in (1e-4, 1e-10, 1e-14, 1e-30, 1e-33)
+                       for zero in (1e-3, 0.15, 30.0)]:
+            M = lifshitz._modes_needed(gamma, coeffs, target)
+            with mpmath.workdps(60):
+                c = mpmath.mpf(M) * mpmath.mpf(gamma)
+                p, q = ((k2 * c + k1) * c + k0 for k2, k1, k0 in coeffs)
+                bound = 2 * mpmath.exp(-2 * c) / -mpmath.expm1(-2 * c) * (p + q / gamma)
+                assert bound <= target * (1 + 1e-12), (gamma, target, M)
+
+
 @pytest.mark.parametrize("name", ["plasma", "plasma_0.5eV", "plasma_like"])
 def test_first_mesh_zero_mode_gives_the_converged_M(gold, name):
     # M and the rule in m take a plasma-like m = 0 term at its value on the
@@ -901,17 +923,17 @@ class TestWorkCount:
     @staticmethod
     def record(monkeypatch):
         """Lists of the first frequency of each integral and of the panels
-        evaluated per refinement round, filled as sums run."""
+        of each round, the first included, filled as sums run."""
         integrals, panels = [], []
         integrate, gk15 = lifshitz._integrate, quadrature._gk15_panels
 
         def counting_integrate(model, sums, *args, **kwargs):
-            integrals.append(float(sums[0][1][0]))
+            integrals.append(float(sums[0].zeta[0]))
             return integrate(model, sums, *args, **kwargs)
 
-        def counting_gk15(f, lo, hi):
+        def counting_gk15(fx, lo, hi):
             panels.append(len(lo))
-            return gk15(f, lo, hi)
+            return gk15(fx, lo, hi)
 
         monkeypatch.setattr(lifshitz, "_integrate", counting_integrate)
         monkeypatch.setattr(quadrature, "_gk15_panels", counting_gk15)

@@ -13,7 +13,7 @@ from scipy.special import zeta
 
 import casimir
 from casimir.errors import ConvergenceError
-from casimir.quadrature import adaptive_quad, neumaier_sum
+from casimir.quadrature import adaptive_quad, gk15_rule, neumaier_sum
 
 ZETA3 = float(zeta(3))
 
@@ -146,6 +146,43 @@ def test_convergence_error_carries_estimate():
         adaptive_quad(lambda x: np.sin(1e6 * x), 0.0, 1.0, rel_tol=1e-10)
     assert excinfo.value.estimate is not None
     assert np.isfinite(excinfo.value.estimate)
+
+
+def _log_end(y):
+    return y * np.log(-np.expm1(-2.0 * y))
+
+
+@pytest.mark.parametrize("f, rounds", [
+    (lambda y: np.exp(-y), 1),
+    (lambda y: np.stack((np.exp(-y), y * np.exp(-y))), 1),
+    (lambda y: np.stack((np.exp(-y), 1.0 / (1.0 + y) ** 2)), 3),
+    (_log_end, 16),
+], ids=["scalar", "stacked", "stacked-refines", "refines"])
+def test_first_round_as_data_gives_the_same_bits(f, rounds):
+    # f's own values on the initial nodes, handed in, are the first round:
+    # value, estimate and final rule are those of the plain call, and f is
+    # called for the later rounds only
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    edges = np.linspace(0.0, 30.0, 9)
+    nodes = gk15_rule(edges[:-1], edges[1:])[0].ravel()
+    plain = adaptive_quad(counted, 0.0, 30.0)
+    assert len(calls) == rounds and calls[0] == len(nodes)
+    calls.clear()
+    given = adaptive_quad(counted, 0.0, 30.0, first=f(nodes))
+    assert len(calls) == rounds - 1
+    for a, b in zip(plain, given):
+        assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(119,), (2, 121), (1, 2, 120), ()])
+def test_first_round_of_the_wrong_shape_is_named(shape):
+    with pytest.raises(ValueError, match=r"shape \(120,\) or \(C, 120\), got "):
+        adaptive_quad(np.exp, 0.0, 1.0, first=np.zeros(shape))
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["scalar", "stacked"])
