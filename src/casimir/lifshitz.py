@@ -51,15 +51,18 @@ of one temperature share blocks across gaps, each binding eps once.  Each
 (a, T) and observable keeps its own m = 0 term, M and prefactor, sums its
 own first M - 1 rows (or a rule in m, placed once per (a, T) to its larger
 M), and holds rel_tol on its own total; _grid_sums is the one layout of
-a sweep.  A stack is a list of _Sum records; _bind lays its rows out in
-groups of flat arrays that give each row its (sum, kernel) component and
-weight, and _contract, the one contraction, adds a group's rows to their
-components block by block, for the t-integral and for _first_mesh alike.
-The t-integral's first round is data that adaptive_quad takes: the rows
-that placed a rule in m or an m = 0 remainder, and the other rows
-evaluated on the first panels.  Rows outside a sum are one t-integral per
-_mode_integrals call.  A failure names the first (a, T) or frequency that
-fails alone.
+a sweep.  An (a, T)'s rows are mode numbers m, not all integers in a rule
+in m, until they are bound: _first_mesh evaluates the rows at m, and
+_rows, which chooses them, returns the (a, T)'s sum of rows at their
+frequencies.  A stack is a list of _Sum records; _bind lays its rows out
+in groups of flat arrays that give each row its (sum, kernel) component
+and weight, and _contract, the one contraction, adds a group's rows to
+their components block by block, for the t-integral and for _first_mesh
+alike.  The t-integral's first round is data that adaptive_quad takes:
+the rows that placed a rule in m or an m = 0 remainder, and the other
+rows evaluated on the first panels.  Rows outside a sum are one
+t-integral per _mode_integrals call.  A failure names the first (a, T) or
+frequency that fails alone.
 """
 
 from __future__ import annotations
@@ -306,9 +309,13 @@ def _in_p(rule, y_lo):
 
 
 # One sum of a stack: kernel c of kernels sums the first counts[c] rows at
-# the frequencies zeta of cfg (zeta = [0]: its m = 0 row), each times weight
-# (None: an unweighted sum); first, unless None, is the sum's weighted rows at
-# each node of _T_NODES, shape (kernels, nodes): its first round (_integrate).
+# the frequencies zeta of cfg, each times weight (None: an unweighted sum);
+# first, unless None, is the sum's weighted rows at each node of _T_NODES,
+# shape (kernels, nodes): its first round (_integrate).  A config's rows
+# (_rows) are at zeta = cfg.matsubara(m) of its modes m: kernel c of an
+# explicit sum sums modes 1..M_c-1, every kernel of a rule in m every row.
+# Its m = 0 remainder (_zero_mode) is the row at zeta = [0], and the rows
+# of _mode_integrals are at any frequency.
 _Sum = namedtuple("_Sum", "cfg zeta kernels counts weight first", defaults=(None, None))
 
 
@@ -414,18 +421,18 @@ def _integrate(model, sums, rel_tol):
     return values.reshape(len(sums), -1), (t, w)
 
 
-def _first_mesh(model, cfg, zeta, kernels, weight=None, size=None, rule=(_T_NODES, _T_WEIGHTS)):
-    """The rows at the frequencies zeta (or the m = 0 row at zeta = [0]) on
-    the panel rule (t, w), by default the first t-panels: their integrals,
-    shape (kernels, rows), and for each run of size consecutive rows (None:
-    all rows) the sum of its rows times weight (None: 1) at each node t,
-    shape (runs, kernels, nodes), which on _T_NODES is a first round as
-    _integrate takes it; ConvergenceError names the first row whose
-    integral is not finite.  The rows, no stack of sums, are one group
-    (_Group) whose component of row r under kernel c is that of its run,
-    (r // size) kernels + c, so _contract adds each run as its blocks are
-    evaluated."""
-    (t, w), n, size = rule, len(zeta), size or len(zeta)
+def _first_mesh(model, cfg, m, kernels, weight=None, size=None, rule=(_T_NODES, _T_WEIGHTS)):
+    """The rows of cfg at the mode numbers m, an array (not all integers in
+    a rule in m; m = [0] is the m = 0 row), on the panel rule (t, w), by
+    default the first t-panels: their integrals, shape (kernels, rows), and
+    for each run of size consecutive rows (None: all rows) the sum of its
+    rows times weight (None: 1) at each node t, shape (runs, kernels,
+    nodes), which on _T_NODES is a first round as _integrate takes it;
+    ConvergenceError names the frequency of the first row whose integral
+    is not finite.  The rows, no stack of sums, are one group (_Group)
+    whose component of row r under kernel c is that of its run, (r // size)
+    kernels + c, so _contract adds each run as its blocks are evaluated."""
+    (t, w), n, size, zeta = rule, len(m), size or len(m), cfg.matsubara(m)
     owner = np.arange(n) // size * len(kernels) + np.arange(len(kernels))[:, None]
     group = _Group(model, cfg if zeta[0] == 0.0 else cfg.T, kernels, zeta[:, None],
                    (cfg.a * zeta)[:, None] / C, owner, np.ones(n) if weight is None else weight,
@@ -454,12 +461,12 @@ def _first_alone(model, parts, rel_tol, error, after=False):
     return error, None
 
 
-def _zero_mode(model, cfg, kernels, zeros):
+def _zero_mode(model, cfg, kernels, units):
     """The m = 0 row of kernels at cfg: the closed form of each kernel's
     integral, and the remainder as a sum of _integrate (None where it is 0).
 
     A0 and B0 are 1 where the model's rule gives exactly 1 at y = 0, else 0;
-    kernel c's integral is A0 unit_A + B0 unit_B, with zeros[c] = (unit_A,
+    kernel c's integral is A0 unit_A + B0 unit_B, with units[c] = (unit_A,
     unit_B) its integrals at unit coefficients, plus the remainder
     int kernel(A, B) - kernel(A0, B0) dy.  For plasma, 1 - B ~ 4 y / Omega
     (Omega = omega_p a / c): its log ratio tends to ln(1 + 2/Omega), smooth
@@ -470,7 +477,7 @@ def _zero_mode(model, cfg, kernels, zeros):
     """
     A, B = _zero_rule(model, cfg)(np.zeros(1))
     A0, B0 = (1.0 if X == 1.0 else 0.0 for X in (A, B))
-    closed = [unit_A * A0 + unit_B * B0 for unit_A, unit_B in zeros]
+    closed = [unit_A * A0 + unit_B * B0 for unit_A, unit_B in units]
     if np.ndim(A) == np.ndim(B) == 0 and (A, B) == (A0, B0):
         return closed, None
     return closed, _Sum(cfg, np.zeros(1), tuple(
@@ -478,14 +485,16 @@ def _zero_mode(model, cfg, kernels, zeros):
         for k, c in zip(kernels, closed)), [1] * len(kernels))
 
 
-def _mode_integrals(model, cfg, zetas, kernels, zeros, rel_tol):
+def _mode_integrals(model, cfg, zetas, kernels, units, rel_tol):
     """int kernel dy, without weight or prefactor, of the row at each
-    frequency of zetas (finite, >= 0) for each kernel: a list per frequency.
-    The one path for rows outside a sum: the rows at zeta > 0 and m = 0
-    remainders (_zero_mode) are one t-integral.  A failure carries the first
-    frequency that fails alone (_first_alone; else None) in attribute zeta."""
+    frequency of zetas (finite, >= 0) for each kernel: a list per frequency,
+    with units each kernel's m = 0 integrals at unit TM and TE coefficients
+    (_zero_mode).  The one path for rows outside a sum: the rows at zeta > 0
+    and m = 0 remainders (_zero_mode) are one t-integral.  A failure
+    carries the first frequency that fails alone (_first_alone; else None)
+    in attribute zeta."""
     rows = [(None, _Sum(cfg, np.array([z]), kernels, [1] * len(kernels))) if z > 0.0
-            else _zero_mode(model, cfg, kernels, zeros) for z in zetas]
+            else _zero_mode(model, cfg, kernels, units) for z in zetas]
     parts = [(z, one) for z, (_, one) in zip(zetas, rows) if one is not None]
     try:
         values = iter(_integrate(model, [one for _, one in parts], rel_tol)[0].tolist()
@@ -612,11 +621,10 @@ def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
         start = end + 1
     explicit = np.concatenate(explicit)
     if not lo:  # every stretch is short
-        return explicit, np.ones(len(explicit)), _first_mesh(
-            model, cfg, cfg.matsubara(explicit), kernels)[1][0]
+        return explicit, np.ones(len(explicit)), _first_mesh(model, cfg, explicit, kernels)[1][0]
     ends = np.concatenate(ends)
     end_w = np.resize(_GREGORY, len(ends))
-    g_ends, (first,) = _first_mesh(model, cfg, cfg.matsubara(ends), kernels, end_w)
+    g_ends, (first,) = _first_mesh(model, cfg, ends, kernels, end_w)
     end_err = np.abs(g_ends.reshape(len(observables), -1, 5) @ _D3).sum(axis=1) / 720.0
     end_sums = np.array([ge @ end_w for ge in g_ends])
     if (end_err > 0.5 * rel_tol * (np.abs(head) + [
@@ -624,9 +632,8 @@ def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
         return None
 
     def panels(lo, hi):  # nodes, weights, weighted rows at _T_NODES, values, errors
-        x, wk, wkg, _ = gk15_rule(lo, hi)
-        gx, at_nodes = _first_mesh(model, cfg, cfg.matsubara(x.ravel()), kernels, wk.ravel(),
-                                   x.shape[1])
+        x, wk, wkg = gk15_rule(lo, hi)
+        gx, at_nodes = _first_mesh(model, cfg, x.ravel(), kernels, wk.ravel(), x.shape[1])
         gx = gx.reshape(len(observables), *x.shape)
         return x, wk, at_nodes, (gx * wk).sum(axis=2), np.abs((gx * wkg).sum(axis=2))
 
@@ -639,7 +646,7 @@ def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
         if (errs.sum(axis=1) <= budget).all():
             first = first + at_nodes.sum(axis=0)
             if len(explicit):
-                first = first + _first_mesh(model, cfg, cfg.matsubara(explicit), kernels)[1][0]
+                first = first + _first_mesh(model, cfg, explicit, kernels)[1][0]
             m = np.concatenate((explicit, ends, x.ravel()))
             return m, np.concatenate((np.ones(len(explicit)), end_w, wk.ravel())), first
         if len(lo) >= _M_PANELS:
@@ -653,46 +660,47 @@ def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
                       for old, n in zip((vals, errs), new[3:]))
 
 
-def _rows(model, cfg, observables, kernels, M, rel_tol, zeros):
-    """Mode numbers m and weights of the rows that sum modes 1..M-1 for the
-    kernels, one per observable, and their weighted sum at each node of
-    _T_NODES, shape (observables, nodes); the weights are None when every
-    row is a mode of its own, and then the rows are not evaluated (None).
+def _rows(model, cfg, observables, kernels, Ms, rel_tol, zeros):
+    """cfg's sum of rows (_Sum) for the kernels, one per observable, which
+    sums the modes 1..M_c-1 of observable c for its M_c in Ms.  Where M =
+    max(Ms) <= _RULE_RATIO _K_MIN the sum is explicit: kernel c sums the
+    first M_c - 1 rows, the modes 1..M-1 unweighted, not evaluated here.
 
-    That is so unless M > _RULE_RATIO _K_MIN: then _tail_rule sums the
-    modes m >= K, with K doubled from _K_MIN until the rule meets its
-    budget, while M > _RULE_RATIO K / 2 (so a first K that misses can
-    double once).  That budget counts the m = 0 terms zeros and the
-    explicit rows 1..K-1 on the first t-panels, which a larger K extends;
-    every row placed is evaluated there once, and the rows of the rule
-    that meets its budget are the first round of its t-integral.
+    Otherwise _tail_rule sums the modes m >= K, with K doubled from _K_MIN
+    until the rule meets its budget, while M > _RULE_RATIO K / 2 (so a
+    first K that misses can double once), and every kernel sums every row,
+    the modes 1..K-1 and the rule's, weighted.  That budget counts the m =
+    0 terms zeros and the explicit rows 1..K-1 on the first t-panels, which
+    a larger K extends; every row placed is evaluated there once, and the
+    rows of the rule that meets its budget are the sum's first round.
     ConvergenceError if the rule has not met it by K = _ROW_CAP / (2
     _RULE_RATIO).
     """
-    K, g_head = _K_MIN, []  # the rows 1..K-1 on _T_NODES, as each K added them
+    K, M, g_head = _K_MIN, max(Ms), []  # the rows 1..K-1 on _T_NODES, as each K added them
     while M > _RULE_RATIO * max(_K_MIN, K // 2):
-        g, (at_nodes,) = _first_mesh(model, cfg, cfg.matsubara(
-            np.arange(K // 2 if g_head else 1, K, 1.0)), kernels)
-        first = at_nodes if not g_head else first + at_nodes
+        g, (new,) = _first_mesh(model, cfg, np.arange(K // 2 if g_head else 1, K, 1.0), kernels)
+        first = new if not g_head else first + new
         g_head.append(g)
         rule = _tail_rule(model, cfg, observables, kernels, K, M, rel_tol,
                           np.add(zeros, [math.fsum(g) for g in np.hstack(g_head)]))
         if rule is not None:
-            return (np.concatenate((np.arange(1.0, K), rule[0])),
-                    np.concatenate((np.ones(K - 1), rule[1])), first + rule[2])
+            m = np.concatenate((np.arange(1.0, K), rule[0]))
+            return _Sum(cfg, cfg.matsubara(m), kernels, [len(m)] * len(Ms),
+                        np.concatenate((np.ones(K - 1), rule[1])), first + rule[2])
         if 2 * _RULE_RATIO * K > _ROW_CAP:
             raise ConvergenceError(f"the rule in m misses its error budget for "
                                    f"every K from {_K_MIN} to {K}")
         K *= 2
-    return np.arange(1, M), None, None
+    return _Sum(cfg, cfg.matsubara(np.arange(1, M)), kernels, [n - 1 for n in Ms])
 
 
-def _named(exc, model, cfg, modes, observables):
+def _named(exc, model, cfg, modes):
     """exc, raised while summing the Matsubara modes of cfg that the text
     modes names, with that context in its message and cfg in its attribute
     config.  A lookup past a table names the first mode past it instead,
     with zeta_m to the fewest digits (at least 4) that still lie past the
-    table; other errors keep their message."""
+    table; other errors keep their message.  A ConvergenceError's estimate,
+    None or one entry per kernel of the sum, is a float for one kernel."""
     if isinstance(exc, TableRangeError) and exc.zeta is not None:
         def outside(zeta):
             try:
@@ -706,8 +714,8 @@ def _named(exc, model, cfg, modes, observables):
         exc = TableRangeError(f"Matsubara mode m = {n} at T = {cfg.T:g} K has "
                               f"zeta_m = {shown} rad/s: {exc}")
     elif isinstance(exc, ConvergenceError):
-        estimate = exc.estimate  # an integral's, one per observable of a stack
-        if estimate is not None and len(observables) == 1:
+        estimate = exc.estimate
+        if estimate is not None and len(estimate) == 1:
             estimate = float(estimate[0])
         exc = ConvergenceError(f"Matsubara {modes} at T = {cfg.T:g} K, a = {cfg.a:g} m "
                                f"(gamma = {cfg.gamma:.3g}): {exc}", estimate=estimate)
@@ -718,27 +726,24 @@ def _named(exc, model, cfg, modes, observables):
 def _plan(cfg, model, rel_tol, observables):
     """The closed m = 0 terms (None: the stack integrates them), the M of
     each observable, and one config's parts, its m = 0 remainder, if any,
-    then its rows, each a sum keyed by (cfg, its modes).  M and the rule in
-    m take a remainder at its value on the first t-panels, as g(m) is, and
-    the remainder and a rule in m enter the t-integral with those values as
-    their first round."""
+    then its rows (_rows), each a sum keyed by (cfg, its modes).  M and the
+    rule in m take a remainder at its value on the first t-panels, as g(m)
+    is, and the remainder enters the t-integral with those values as its
+    first round."""
     kernels = tuple(kernel for kernel, *_ in observables)
     closed, remainder = _zero_mode(model, cfg, kernels, [zero for *_, zero in observables])
     zeros, parts, modes = [0.5 * v for v in closed], [], "mode m = 0"
     try:  # a remainder that is not finite fails here, before M's search
         if remainder is not None:
-            g, (first,) = _first_mesh(model, cfg, remainder.zeta, remainder.kernels)
+            g, (first,) = _first_mesh(model, cfg, np.zeros(1), remainder.kernels)
             zeros = 0.5 * g[:, 0]
             parts.append(((cfg, modes), remainder._replace(first=first)))
         Ms = [_modes_needed(cfg.gamma, tail, rel_tol * abs(zero))
               for (_, _, tail, _), zero in zip(observables, zeros)]
         modes = f"modes m = 1..{max(Ms) - 1}"
-        m, weight, first = _rows(model, cfg, observables, kernels, max(Ms), rel_tol, zeros)
+        parts.append(((cfg, modes), _rows(model, cfg, observables, kernels, Ms, rel_tol, zeros)))
     except (ConvergenceError, TableRangeError) as exc:
-        raise _named(exc, model, cfg, modes, observables) from None
-    # an explicit sum gives each observable its first M - 1 rows, a rule all rows
-    counts = [n - 1 for n in Ms] if weight is None else [len(m)] * len(Ms)
-    parts.append(((cfg, modes), _Sum(cfg, cfg.matsubara(m), kernels, counts, weight, first)))
+        raise _named(exc, model, cfg, modes) from None
     return None if remainder else zeros, Ms, parts
 
 
@@ -766,7 +771,7 @@ def _sum_modes(configs, model, quad, observables):
         values, (t, w) = _integrate(model, [one for _, one in parts], quad.rel_tol)
     except CasimirError as exc:  # a failed plan has named its own error
         error, key = _first_alone(model, parts, quad.rel_tol, exc, len(plans) < len(configs))
-        raise (_named(error, model, *key, observables) if key else error) from None
+        raise (_named(error, model, *key) if key else error) from None
 
     def result(cfg, observable, zero, M, value):
         p = observable[1](cfg)
@@ -775,7 +780,7 @@ def _sum_modes(configs, model, quad, observables):
             if n == 0:
                 return float(p * zero)
             modes = np.arange(1, M) if n is None else np.array([n])
-            rows = _first_mesh(model, cfg, cfg.matsubara(modes), observable[:1], rule=(t, w))[0][0]
+            rows = _first_mesh(model, cfg, modes, observable[:1], rule=(t, w))[0][0]
             return p * np.concatenate(([zero], rows)) if n is None else float(p * rows[0])
         return float(p * (zero + value)), M, terms
 

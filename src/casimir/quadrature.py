@@ -83,9 +83,9 @@ def neumaier_sum(values) -> float:
 
 def gk15_rule(lo: np.ndarray, hi: np.ndarray):
     """Nodes, Kronrod weights and Kronrod-minus-Gauss weights of the panels
-    [lo_i, hi_i], one row of 15 per panel, and the half-widths, a column."""
+    [lo_i, hi_i], each an array with one row of 15 per panel."""
     half = 0.5 * (hi - lo)[:, None]
-    return 0.5 * (lo + hi)[:, None] + half * _NODES, half * _WK, half * _WKG, half
+    return 0.5 * (lo + hi)[:, None] + half * _NODES, half * _WK, half * _WKG
 
 
 def bisect_worst(lo: np.ndarray, hi: np.ndarray, errs: np.ndarray, budget: np.ndarray):

@@ -716,3 +716,42 @@ class TestDeterminism:
         assert outs[0] == outs[1]
         doc = json.loads(outs[0])
         assert set(doc) == {"meta", "columns", "rows"}
+
+    def test_diff_agrees_across_cpu_dispatch_targets(self):
+        # NumPy picks a SIMD kernel per CPU at run time, and its dispatch
+        # targets may round differently (byte identity holds on one machine
+        # and one target).  The sweep of `casimir diff` runs once with no
+        # target disabled and once with each target this CPU supports
+        # disabled together with the targets after it; every value must agree
+        # within rel_tol of its own size, a difference within rel_tol of its
+        # two raw values.  NPY_DISABLE_CPU_FEATURES acts only on the
+        # subprocesses.  https://numpy.org/doc/stable/reference/simd/
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # NumPy 1
+            from numpy.core import _multiarray_umath as umath
+        targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+        code = ("import numpy as np, casimir as cs\n"
+                "from casimir import lifshitz, thermal\n"
+                "for row in thermal._differences(np.linspace(0.3e-6, 5e-6, 6), cs.gold_drude(), "
+                "350.0, 300.0, cs.DEFAULT_QUAD, (lifshitz._PRESSURE, lifshitz._FREE_ENERGY)):\n"
+                "    for d in row:\n"
+                "        print(repr(d.delta), repr(d.raw_low), repr(d.raw_high))\n")
+        src = str(Path(cs.__file__).resolve().parent.parent)
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        runs = {}
+        for disabled in [""] + [" ".join(targets[i:]) for i in range(len(targets))]:
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env={**env, "NPY_DISABLE_CPU_FEATURES": disabled} if disabled
+                                  else env, timeout=120)
+            assert proc.returncode == 0, (disabled, proc.stderr)
+            runs[disabled] = np.array([line.split() for line in proc.stdout.splitlines()],
+                                      dtype=float)
+        rel_tol, base = cs.DEFAULT_QUAD.rel_tol, runs.pop("")
+        assert base.shape == (12, 3)
+        raw = np.abs(base[:, 1:])
+        for disabled, values in runs.items():
+            assert (np.abs(values[:, 1:] - base[:, 1:]) <= rel_tol * raw).all(), disabled
+            assert (np.abs(values[:, 0] - base[:, 0]) <= rel_tol * raw.sum(axis=1)).all(), disabled

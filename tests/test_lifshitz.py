@@ -56,9 +56,9 @@ def count_rows(monkeypatch):
             counts["integrated"] += len(y)
         return kernels_at(rule, y, kernels)
 
-    def counting_first_mesh(model, cfg, zeta, *args, **kwargs):
-        counts["placed"] += len(zeta)
-        return first_mesh(model, cfg, zeta, *args, **kwargs)
+    def counting_first_mesh(model, cfg, m, *args, **kwargs):
+        counts["placed"] += len(m)
+        return first_mesh(model, cfg, m, *args, **kwargs)
 
     monkeypatch.setattr(lifshitz, "_integrate", counting_integrate)
     monkeypatch.setattr(lifshitz, "_kernels_at", counting_kernels_at)
