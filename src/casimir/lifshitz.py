@@ -54,24 +54,24 @@ M), and holds rel_tol on its own total; _grid_sums is the one layout of
 a sweep.  An (a, T)'s rows are mode numbers m, not all integers in a rule
 in m, until they are bound: _first_mesh evaluates the rows at m, and
 _rows, which chooses them, returns the (a, T)'s sum of rows at their
-frequencies.  A stack is a list of _Sum records; _bind lays its rows out
-in groups of flat arrays that give each row its (sum, kernel) component
-and weight, and _contract, the one contraction, adds a group's rows to
-their components block by block, for the t-integral and for _first_mesh
-alike.  The t-integral's first round is data that adaptive_quad takes:
-the rows that placed a rule in m or an m = 0 remainder, and the other
-rows evaluated on the first panels.  Rows outside a sum are one
-t-integral per _mode_integrals call.  A failure names the first (a, T) or
-frequency that fails alone.
+frequencies.  A stack is a list of _Sum records; _bind, the one builder,
+for the t-integral and for the runs of _first_mesh alike, cuts its rows
+into blocks (_Block) that carry, per kernel, their runs: the rows that
+add to one (sum, kernel) component, found once from the sums' counts.
+_contract, the one contraction, adds each run block by block.  The
+t-integral's first round is data that adaptive_quad takes: the rows that
+placed a rule in m or an m = 0 remainder, whose blocks bind eps only when
+a later round reads them, and the other rows evaluated on the first
+panels.  Rows outside a sum are one t-integral per _mode_integrals call.
+A failure names the first (a, T) or frequency that fails alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -303,11 +303,6 @@ _FREE_ENERGY = (_free_energy_kernel, lambda cfg: K_B * cfg.T / (2.0 * np.pi * cf
                 ((0.0, 0.5, 0.25), (0.0, 0.25, 0.25)), (-_ZETA3_4, -_ZETA3_4))
 
 
-def _in_p(rule, y_lo):
-    """A block's m >= 1 rule, (A, B) as a function of p, as one of y."""
-    return lambda y: rule(y / y_lo)
-
-
 # One sum of a stack: kernel c of kernels sums the first counts[c] rows at
 # the frequencies zeta of cfg, each times weight (None: an unweighted sum);
 # first, unless None, is the sum's weighted rows at each node of _T_NODES,
@@ -318,48 +313,53 @@ def _in_p(rule, y_lo):
 # of _mode_integrals are at any frequency.
 _Sum = namedtuple("_Sum", "cfg zeta kernels counts weight first", defaults=(None, None))
 
+# At most _ROW_BLOCK rows of a stack's layout (_bind): their kernels, y_lo =
+# a zeta / c as a column, weight (None: 1), per kernel the runs (j, a, b) of
+# rows a..b-1 that add to component j of the stack, and the rule y -> (A, B)
+# that their kernels share.
+_Block = namedtuple("_Block", "kernels y_lo weight runs rule")
 
-class _Group(namedtuple("_Group", "model at kernels zeta y_lo owner weight stored")):
-    """Rows of a stack that share blocks (see _bind), as flat arrays: their
-    frequencies zeta and y_lo = a zeta / c, columns, at at, the cfg of m = 0
-    rows or the temperature; owner[c, r], the component of the stack to
-    which row r adds under kernel c (-1: none); weight[r] (None: the rows
-    are unweighted); and stored, whether their sums hold their first round."""
 
-    @cached_property
-    def blocks(self):
-        """(lo, y_lo, y -> (A, B)) for each block of at most _ROW_BLOCK rows
-        from row lo, each binding the model's m = 0 rule, or its m >= 1 rule
-        in p = y c / (a zeta) once (eps depends on zeta, T), when first read,
-        so that rows are bound only when a round evaluates them."""
-        zeta, y_lo = self.zeta, self.y_lo
-        return [(lo, y_lo[lo:lo + _ROW_BLOCK], _zero_rule(self.model, self.at) if zeta[0, 0] == 0.0
-                 else _in_p(self.model.matsubara_reflection(zeta[lo:lo + _ROW_BLOCK], self.at),
-                            y_lo[lo:lo + _ROW_BLOCK])) for lo in range(0, len(zeta), _ROW_BLOCK)]
+def _block(model, at, kernels, runs, zeta, y_lo, weight=None):
+    """The _Block of rows at the frequencies zeta, a column, with the
+    model's m = 0 rule at the cfg at, or its m >= 1 rule at zeta and the
+    temperature at, bound once (eps depends on zeta, T), in p = y / y_lo."""
+    if zeta[0, 0] == 0.0:
+        return _Block(kernels, y_lo, weight, runs, _zero_rule(model, at))
+    rule = model.matsubara_reflection(zeta, at)
+    return _Block(kernels, y_lo, weight, runs, lambda y: rule(y / y_lo))
 
 
 def _bind(model, sums):
-    """The layout of the stack sums: its rows in groups (_Group) that share
-    blocks, each the rows at zeta = 0 of one cfg, which take its m = 0
-    rule, or those at zeta > 0 of one temperature, which share eps across
-    gaps, of the sums with the same kernels, weighting (by 1 or by weight)
-    and first round (stored or not), in order.  Row r of sum i adds under
-    kernel c to the component i kernels + c while r < counts[c]."""
+    """The layout of the stack sums, a list of blocks (_Block): the sums
+    with the same at, the cfg of rows at zeta = 0, which take its m = 0
+    rule, or the temperature of rows at zeta > 0, which share eps across
+    gaps, and the same kernels, weighting (by 1 or by weight) and first
+    round (stored or not) lay out their rows in order, cut into blocks of
+    _ROW_BLOCK rows.  Rows r < counts[c] of sum i add under kernel c to the
+    component i kernels + c: one run per block that they reach.  A block of
+    sums with a stored first round is a callable that binds it, so that its
+    rows bind eps only when a later round reads them (_contract)."""
     groups, layout = {}, []
     for i, one in enumerate(sums):  # at: the cfg of m = 0 rows, or T
         at = one.cfg if one.zeta[0] == 0.0 else one.cfg.T
         key = (at, tuple(one.kernels), one.weight is None, one.first is not None)
         groups.setdefault(key, []).append((i, one))
     for (at, kernels, unit, stored), members in groups.items():
-        zeta, start = np.concatenate([one.zeta for _, one in members])[:, None], 0
-        owner = np.full((len(kernels), len(zeta)), -1)
-        for i, one in members:
-            for c, n in enumerate(one.counts):
-                owner[c, start:start + n] = i * len(kernels) + c
-            start += len(one.zeta)
+        zeta = np.concatenate([one.zeta for _, one in members])[:, None]
         y_lo = np.concatenate([one.cfg.a * one.zeta for _, one in members])[:, None] / C
         weight = None if unit else np.concatenate([one.weight for _, one in members])
-        layout.append(_Group(model, at, kernels, zeta, y_lo, owner, weight, stored))
+        runs, start = [[[] for _ in kernels] for _ in range(0, len(zeta), _ROW_BLOCK)], 0
+        for i, one in members:
+            for c, n in enumerate(one.counts):
+                for lo in range(start - start % _ROW_BLOCK, start + n, _ROW_BLOCK):
+                    runs[lo // _ROW_BLOCK][c].append((i * len(kernels) + c, max(start - lo, 0),
+                                                      min(start + n - lo, _ROW_BLOCK)))
+            start += len(one.zeta)
+        for lo in range(0, len(zeta), _ROW_BLOCK):
+            rows = [x[lo:lo + _ROW_BLOCK] for x in (zeta, y_lo, weight) if x is not None]
+            block = partial(_block, model, at, kernels, runs[lo // _ROW_BLOCK], *rows)
+            layout.append(block if stored else block())
     return layout
 
 
@@ -372,31 +372,31 @@ def _kernels_at(rule, y, kernels):
     return [kernel(A, B, y) for kernel in kernels]
 
 
-def _contract(groups, t, components, w=None):
-    """The rows of groups (see _bind) at t, contracted block by block into
-    an array of the components, shape (components, len(t)): each run of a
-    block's rows with one owner j >= 0 under kernel c adds their sum, or
-    weight @ rows in a weighted group, to component j.  A vector product per
-    run (a matrix product would touch BLAS's packing buffers) keeps each
+def _contract(layout, t, components, w=None):
+    """The rows of the blocks of layout (see _bind) at t, contracted block by
+    block into an array of the components, shape (components, len(t)): each
+    run (j, a, b) of a block's rows under a kernel adds their sum, or weight
+    @ rows in a weighted block, to component j.  A vector product per run (a
+    matrix product would touch BLAS's packing buffers) keeps each
     component's order of rounding whatever else its blocks hold, and only
     that array and, for a panel rule's weights w, each block's row integrals
-    w @ rows per kernel outlive a block.  Returns the array and those.
-    Overflow and invalid values raise no warning here: the caller names a
-    row or round that is not finite (_first_mesh, _gk15_panels)."""
+    w @ rows per kernel outlive a block.  A block not yet bound is bound
+    here, once: the bound block replaces it in layout.  Returns the array
+    and those integrals.  Overflow and invalid values raise no warning
+    here: the caller names a row or round that is not finite (_first_mesh,
+    _gk15_panels)."""
     out, integrals = np.zeros((components, len(t))), []
     with np.errstate(over="ignore", invalid="ignore"):
-        for group in groups:
-            for lo, y_lo, rule in group.blocks:
-                ks = _kernels_at(rule, y_lo + t, group.kernels)
-                for k, owners in zip(ks, group.owner[:, lo:lo + len(y_lo)].tolist()):
-                    b = 0
-                    for j, run in itertools.groupby(owners):
-                        a, b = b, b + len(list(run))
-                        if j >= 0:
-                            out[j] += (k[a:b].sum(axis=0) if group.weight is None
-                                       else group.weight[lo + a:lo + b] @ k[a:b])
-                if w is not None:
-                    integrals.append([k @ w for k in ks])
+        for i, block in enumerate(layout):
+            if callable(block):  # a stored block, first read
+                layout[i] = block = block()
+            ks = _kernels_at(block.rule, block.y_lo + t, block.kernels)
+            for k, runs in zip(ks, block.runs):
+                for j, a, b in runs:
+                    out[j] += (k[a:b].sum(axis=0) if block.weight is None
+                               else block.weight[a:b] @ k[a:b])
+            if w is not None:
+                integrals.append([k @ w for k in ks])
     return out, integrals
 
 
@@ -405,15 +405,17 @@ def _integrate(model, sums, rel_tol):
     for each _Sum of sums, all with as many kernels.  Rows share t and a
     block's kernels share their (A, B) (see _bind), so one adaptive_quad
     call, from the panels of _T_MESH, holds rel_tol on each (sum, kernel)
-    component, which adds its rows block by block, in order, whatever the
+    component, which adds its runs block by block, in order, whatever the
     rest of the stack.  The first round, on _T_NODES, is data: the sums'
-    stored first rounds, and the rows of the others evaluated there; later
-    rounds evaluate every row on their panels.  Returns the values, shape
-    (sums, kernels), and the final panel rule (t, w), on which _first_mesh
-    evaluates a sum's terms.
+    stored first rounds, and the rows of the other blocks evaluated there;
+    later rounds evaluate every block on their panels, and a stored block
+    binds eps when the first of them reads it, so a stack that converges in
+    its first round binds none.  Returns the values, shape (sums, kernels),
+    and the final panel rule (t, w), on which _first_mesh evaluates a sum's
+    terms.
     """
     layout, width = _bind(model, sums), len(sums) * len(sums[0].kernels)
-    first = _contract([group for group in layout if not group.stored], _T_NODES, width)[0]
+    first = _contract([block for block in layout if not callable(block)], _T_NODES, width)[0]
     for i in (i for i, one in enumerate(sums) if one.first is not None):  # stored rounds
         first.reshape(len(sums), -1, len(_T_NODES))[i] = sums[i].first
     values, _, t, w = adaptive_quad(lambda t: _contract(layout, t, width)[0], *_T_MESH[[0, -1]],
@@ -429,15 +431,14 @@ def _first_mesh(model, cfg, m, kernels, weight=None, size=None, rule=(_T_NODES, 
     rows times weight (None: 1) at each node t, shape (runs, kernels,
     nodes), which on _T_NODES is a first round as _integrate takes it;
     ConvergenceError names the frequency of the first row whose integral
-    is not finite.  The rows, no stack of sums, are one group (_Group)
-    whose component of row r under kernel c is that of its run, (r // size)
-    kernels + c, so _contract adds each run as its blocks are evaluated."""
-    (t, w), n, size, zeta = rule, len(m), size or len(m), cfg.matsubara(m)
-    owner = np.arange(n) // size * len(kernels) + np.arange(len(kernels))[:, None]
-    group = _Group(model, cfg if zeta[0] == 0.0 else cfg.T, kernels, zeta[:, None],
-                   (cfg.a * zeta)[:, None] / C, owner, np.ones(n) if weight is None else weight,
-                   False)
-    sums, per_block = _contract([group], t, -(-n // size) * len(kernels), w)
+    is not finite.  Each run is a sum (_Sum) of every row, weighted (by
+    ones where weight is None), so _bind lays the runs out as it lays out a
+    stack, and _contract adds each run as its blocks are evaluated."""
+    (t, w), size, zeta = rule, size or len(m), cfg.matsubara(m)
+    runs = [_Sum(cfg, zeta[lo:lo + size], kernels, [size] * len(kernels),
+                 np.ones(size) if weight is None else weight[lo:lo + size])
+            for lo in range(0, len(m), size)]
+    sums, per_block = _contract(_bind(model, runs), t, len(runs) * len(kernels), w)
     rows = np.array([np.concatenate(rows) for rows in zip(*per_block)])
     if not np.isfinite(rows).all():
         bad = zeta[~np.isfinite(rows).all(axis=0)][0]

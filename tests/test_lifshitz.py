@@ -641,27 +641,36 @@ class TestMatsubaraTruncation:
 
 
     def test_rule_in_m_refines_past_its_first_round(self, gold, monkeypatch):
-        # at rel_tol 1e-12 the t-integrals of 5 K / 1 um take 3 (P, F) and 4
-        # (stacked) rounds: the later rounds evaluate the rows that the first
-        # round took from placement.  Measured within 5.6e-16 of math.fsum
-        # of the modes and of each other
-        cfg = cs.ThermalGapConfig(T=5.0, a=1e-6)
+        # at rel_tol 1e-12 P and F of 2 K / 1 um are rule sums (385 and 287
+        # rows, 626 stacked) whose t-integrals take 3 rounds: the later rounds
+        # evaluate the rows that the first round took from placement.  At
+        # 5 K the rule misses its budget at this tolerance and the sums are
+        # explicit, so each sum here must hold a stored first round.
+        # Measured within 9.2e-15 of each other and 8.9e-16 of math.fsum of
+        # the modes
+        cfg = cs.ThermalGapConfig(T=2.0, a=1e-6)
         quad = cs.QuadratureSettings(rel_tol=1e-12)
-        rounds, gk15 = [], quadrature._gk15_panels
+        rounds, gk15, sums, rows = [], quadrature._gk15_panels, [], lifshitz._rows
 
         def counting(fx, lo, hi):
             rounds.append(len(lo))
             return gk15(fx, lo, hi)
 
+        def stored_rows(*args):
+            sums.append(rows(*args))
+            return sums[-1]
+
         monkeypatch.setattr(quadrature, "_gk15_panels", counting)
+        monkeypatch.setattr(lifshitz, "_rows", stored_rows)
         (P, M_P, _), (F, M_F, _) = lifshitz._sum_modes(
             [cfg], gold, quad, (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))[0]
         assert len(rounds) > 2 and M_P > M_F > lifshitz._RULE_RATIO * lifshitz._K_MIN
+        assert sums[-1].first is not None
         for stacked, lone in ((P, lambda: cs.total_pressure(cfg, gold, quad).total),
                               (F, lambda: cs.free_energy(cfg, gold, quad))):
             rounds.clear()
             assert stacked == pytest.approx(lone(), rel=quad.rel_tol, abs=0.0)
-            assert len(rounds) > 2
+            assert len(rounds) > 2 and sums[-1].first is not None
         fine = cs.QuadratureSettings(rel_tol=1e-13)
         assert P == pytest.approx(fsum_modes(cs.mode_pressure, cfg, gold, fine),
                                   rel=quad.rel_tol, abs=0.0)
@@ -802,6 +811,55 @@ class TestSweeps:
             rows = sum(M - 1 for cfg, ((_, M, _),) in zip(configs, sweep) if cfg.T == T)
             full, rest = divmod(rows, lifshitz._ROW_BLOCK)
             assert [n for n, t in binds if t == T] == [lifshitz._ROW_BLOCK] * full + [rest]
+
+    def test_stored_blocks_bind_when_a_later_round_reads_them(self, gold, monkeypatch):
+        # the rows of a placed rule in m hold their first round, so inside
+        # _integrate they bind eps only in a later round, once per block: F
+        # at 2 K / 1 um (one 178-row rule sum) converges in its first round
+        # and binds none; P + F at 1e-12 (626 rows) take 3 rounds and bind
+        # each block once
+        binds, inside = [], []
+        integrate, reflection = lifshitz._integrate, cs.Drude.matsubara_reflection
+
+        def counting_integrate(*args):
+            inside.append(True)
+            try:
+                return integrate(*args)
+            finally:
+                inside.pop()
+
+        def counting(self, zeta, T):
+            if inside:
+                binds.append(tuple(np.ravel(zeta)))
+            return reflection(self, zeta, T)
+
+        monkeypatch.setattr(lifshitz, "_integrate", counting_integrate)
+        monkeypatch.setattr(cs.Drude, "matsubara_reflection", counting)
+        cfg = cs.ThermalGapConfig(T=2.0, a=1e-6)
+        cs.free_energy(cfg, gold)
+        assert binds == []
+        lifshitz._sum_modes([cfg], gold, cs.QuadratureSettings(rel_tol=1e-12),
+                            (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
+        assert [len(zeta) for zeta in binds] == [lifshitz._ROW_BLOCK] * 9 + [50]
+        assert len(set(binds)) == len(binds)
+
+    @pytest.mark.parametrize("others", [[(None, 0.5e-6)], [(350.0, 0.5e-6)],
+                                        [(None, 2e-6), (350.0, 0.7e-6)]],
+                             ids=["same-T", "other-T", "both"])
+    @pytest.mark.parametrize("T, a", [(300.0, 1e-6), (300.0, 0.3e-6), (2.0, 1e-6), (5.0, 1e-6)])
+    @pytest.mark.parametrize("name", ["drude", "plasma", "ideal"])
+    def test_first_config_equals_its_lone_sum_bit_for_bit(self, gold, gold_bg, name, T, a,
+                                                          others):
+        # the first config's rows open their blocks, and each (config,
+        # observable) adds its own runs block by block, so what else the
+        # stack holds cannot change the first config's rounding
+        model = TestStackedSums.model(name, gold, gold_bg)
+        configs = [cs.ThermalGapConfig(T=T, a=a)] + [
+            cs.ThermalGapConfig(T=other_T or T, a=other_a) for other_T, other_a in others]
+        observables = (lifshitz._PRESSURE, lifshitz._FREE_ENERGY)
+        stacked = lifshitz._sum_modes(configs, model, cs.DEFAULT_QUAD, observables)[0]
+        lone = lifshitz._sum_modes(configs[:1], model, cs.DEFAULT_QUAD, observables)[0]
+        assert [(value, M) for value, M, _ in stacked] == [(value, M) for value, M, _ in lone]
 
     def test_failure_names_the_first_failing_config(self, gold):
         # the table ends at 5e15 rad/s; 3 um stays inside it, and the second
