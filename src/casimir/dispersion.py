@@ -11,6 +11,11 @@ engine asks of it.  Both give the squared TM/TE coefficients as plain (A, B):
   zero_frequency_reflection(y, cfg)  the analytic m = 0 coefficients
   matsubara_reflection(zeta, T)      (A, B) as a function of p at zeta > 0
 
+A sum plans a whole sweep at once, so the m = 0 rule also takes cfg with
+T and a as columns of shape (n, 1), one row per configuration, and aT,
+gamma and matsubara derived from them, against y of shape (n, k), and
+must broadcast (the built-in rules do).
+
 A model whose eps bends at some frequencies also names them as its kinks
 (a table: its nodes), since the engine's rule in m must not integrate
 across a bend.

@@ -51,19 +51,24 @@ of one temperature share blocks across gaps, each binding eps once.  Each
 (a, T) and observable keeps its own m = 0 term, M and prefactor, sums its
 own first M - 1 rows (or a rule in m, placed once per (a, T) to its larger
 M), and holds rel_tol on its own total; _grid_sums is the one layout of
-a sweep.  An (a, T)'s rows are mode numbers m, not all integers in a rule
-in m, until they are bound: _first_mesh evaluates the rows at m, and
-_rows, which chooses them, returns the (a, T)'s sum of rows at their
-frequencies.  A stack is a list of _Sum records; _bind, the one builder,
-for the t-integral and for the runs of _first_mesh alike, cuts its rows
-into blocks (_Block) that carry, per kernel, their runs: the rows that
-add to one (sum, kernel) component, found once from the sums' counts.
-_contract, the one contraction, adds each run block by block.  The
-t-integral's first round is data that adaptive_quad takes: the rows that
-placed a rule in m or an m = 0 remainder, whose blocks bind eps only when
-a later round reads them, and the other rows evaluated on the first
-panels.  Rows outside a sum are one t-integral per _mode_integrals call.
-A failure names the first (a, T) or frequency that fails alone.
+a sweep.  A sweep is planned once (_plan): the model's m = 0 rule takes
+its configs as columns (_Configs), so the closed m = 0 terms are one call
+and every m = 0 remainder is evaluated on the first panels in one pass
+(_zero_mode); the search for M and the rows (_rows: explicit, or a rule
+in m) stay per (a, T).  An (a, T)'s rows are mode numbers m, not all
+integers in a rule in m, until they are bound: _first_mesh evaluates rows
+at m on a panel rule, for the rule's placement and for per_mode.  A stack
+is a list of _Sum records; _bind groups them, the rows at zeta > 0 by
+temperature and the m = 0 rows of every (a, T) together, and _layout,
+which _first_mesh calls with its runs of rows directly, cuts rows into
+blocks (_Block) that carry, per kernel, their runs: the rows that add to
+one component.  _contract, the one contraction, adds each run block by
+block.  The t-integral's first round is data that adaptive_quad takes:
+the rows that placed a rule in m or an m = 0 remainder, whose blocks bind
+eps only when a later round reads them, and the other rows evaluated on
+the first panels.  Rows outside a sum are one t-integral per
+_mode_integrals call.  A failure names the first (a, T) or frequency
+that fails alone, as a loop over the (a, T) would.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -320,46 +326,71 @@ _Sum = namedtuple("_Sum", "cfg zeta kernels counts weight first", defaults=(None
 _Block = namedtuple("_Block", "kernels y_lo weight runs rule")
 
 
+class _Configs(namedtuple("_Configs", "T a")):
+    """Configurations as columns, T and a of shape (n, 1), with the derived
+    quantities of ThermalGapConfig: a model's m = 0 rule takes them as its
+    cfg, at y of shape (n, k), one row per configuration."""
+
+    aT, gamma, matsubara = ThermalGapConfig.aT, ThermalGapConfig.gamma, ThermalGapConfig.matsubara
+
+    @classmethod
+    def of(cls, configs):
+        return cls(*(np.array([[getattr(cfg, x)] for cfg in configs]) for x in cls._fields))
+
+
 def _block(model, at, kernels, runs, zeta, y_lo, weight=None):
     """The _Block of rows at the frequencies zeta, a column, with the
-    model's m = 0 rule at the cfg at, or its m >= 1 rule at zeta and the
-    temperature at, bound once (eps depends on zeta, T), in p = y / y_lo."""
+    model's m = 0 rule at the configs at (_Configs, one per row), or its
+    m >= 1 rule at zeta and the temperature at, bound once (eps depends on
+    zeta, T), in p = y / y_lo."""
     if zeta[0, 0] == 0.0:
         return _Block(kernels, y_lo, weight, runs, _zero_rule(model, at))
     rule = model.matsubara_reflection(zeta, at)
     return _Block(kernels, y_lo, weight, runs, lambda y: rule(y / y_lo))
 
 
+def _layout(model, at, kernels, zeta, y_lo, weight, runs, stored=False):
+    """The blocks of the rows at the frequencies zeta, with y_lo and weight
+    (None: 1), each a column, cut every _ROW_BLOCK rows: each run (c, j, a,
+    b) adds the rows a..b-1 under kernel c to component j, as one run per
+    block that it reaches.  at is the temperature of rows at zeta > 0, or
+    the config of each row at zeta = 0.  A stored block is a callable that
+    binds it, so that its rows bind eps only when a later round reads them
+    (_contract)."""
+    blocks = [[[] for _ in kernels] for _ in range(0, len(zeta), _ROW_BLOCK)]
+    for c, j, a, b in runs:
+        for lo in range(a - a % _ROW_BLOCK, b, _ROW_BLOCK):
+            blocks[lo // _ROW_BLOCK][c].append(  # clipped to the block without min/max calls
+                (j, a - lo if a > lo else 0, b - lo if b < lo + _ROW_BLOCK else _ROW_BLOCK))
+    layout = [partial(_block, model, at if zeta[0, 0] else _Configs.of(at[lo:lo + _ROW_BLOCK]),
+                      kernels, cut, *[x[lo:lo + _ROW_BLOCK] for x in (zeta, y_lo, weight)
+                                      if x is not None])
+              for lo, cut in zip(range(0, len(zeta), _ROW_BLOCK), blocks)]
+    return layout if stored else [block() for block in layout]
+
+
 def _bind(model, sums):
-    """The layout of the stack sums, a list of blocks (_Block): the sums
-    with the same at, the cfg of rows at zeta = 0, which take its m = 0
-    rule, or the temperature of rows at zeta > 0, which share eps across
-    gaps, and the same kernels, weighting (by 1 or by weight) and first
-    round (stored or not) lay out their rows in order, cut into blocks of
-    _ROW_BLOCK rows.  Rows r < counts[c] of sum i add under kernel c to the
-    component i kernels + c: one run per block that they reach.  A block of
-    sums with a stored first round is a callable that binds it, so that its
-    rows bind eps only when a later round reads them (_contract)."""
+    """The layout (_layout) of the stack sums: the sums with the same
+    kernels, weighting (by 1 or by weight) and first round (stored or not)
+    lay out their rows in order, those at zeta > 0 by temperature, which
+    share eps across gaps, and the rows at zeta = 0 of every config
+    together, which take the model's m = 0 rule at their configs.  Rows
+    r < counts[c] of sum i add under kernel c to the component
+    i kernels + c."""
     groups, layout = {}, []
-    for i, one in enumerate(sums):  # at: the cfg of m = 0 rows, or T
-        at = one.cfg if one.zeta[0] == 0.0 else one.cfg.T
-        key = (at, tuple(one.kernels), one.weight is None, one.first is not None)
+    for i, one in enumerate(sums):  # the temperature of rows at zeta > 0; 0 at zeta = 0
+        key = (one.cfg.T if one.zeta[0] else 0.0, tuple(one.kernels), one.weight is None,
+               one.first is None)
         groups.setdefault(key, []).append((i, one))
-    for (at, kernels, unit, stored), members in groups.items():
+    for (T, kernels, unit, bound), members in groups.items():
+        starts = accumulate([len(one.zeta) for _, one in members], initial=0)
+        runs = [(c, i * len(kernels) + c, a, a + n)
+                for (i, one), a in zip(members, starts) for c, n in enumerate(one.counts)]
         zeta = np.concatenate([one.zeta for _, one in members])[:, None]
         y_lo = np.concatenate([one.cfg.a * one.zeta for _, one in members])[:, None] / C
         weight = None if unit else np.concatenate([one.weight for _, one in members])
-        runs, start = [[[] for _ in kernels] for _ in range(0, len(zeta), _ROW_BLOCK)], 0
-        for i, one in members:
-            for c, n in enumerate(one.counts):
-                for lo in range(start - start % _ROW_BLOCK, start + n, _ROW_BLOCK):
-                    runs[lo // _ROW_BLOCK][c].append((i * len(kernels) + c, max(start - lo, 0),
-                                                      min(start + n - lo, _ROW_BLOCK)))
-            start += len(one.zeta)
-        for lo in range(0, len(zeta), _ROW_BLOCK):
-            rows = [x[lo:lo + _ROW_BLOCK] for x in (zeta, y_lo, weight) if x is not None]
-            block = partial(_block, model, at, kernels, runs[lo // _ROW_BLOCK], *rows)
-            layout.append(block if stored else block())
+        layout += _layout(model, T or [one.cfg for _, one in members], kernels, zeta, y_lo, weight,
+                          runs, not bound)  # an m = 0 sum is one row
     return layout
 
 
@@ -424,21 +455,22 @@ def _integrate(model, sums, rel_tol):
 
 
 def _first_mesh(model, cfg, m, kernels, weight=None, size=None, rule=(_T_NODES, _T_WEIGHTS)):
-    """The rows of cfg at the mode numbers m, an array (not all integers in
-    a rule in m; m = [0] is the m = 0 row), on the panel rule (t, w), by
-    default the first t-panels: their integrals, shape (kernels, rows), and
-    for each run of size consecutive rows (None: all rows) the sum of its
-    rows times weight (None: 1) at each node t, shape (runs, kernels,
-    nodes), which on _T_NODES is a first round as _integrate takes it;
-    ConvergenceError names the frequency of the first row whose integral
-    is not finite.  Each run is a sum (_Sum) of every row, weighted (by
-    ones where weight is None), so _bind lays the runs out as it lays out a
-    stack, and _contract adds each run as its blocks are evaluated."""
+    """The rows of cfg at the mode numbers m >= 1, an array (not all
+    integers in a rule in m), on the panel rule (t, w), by default the first
+    t-panels: their integrals, shape (kernels, rows), and for each run of
+    size consecutive rows (None: all rows) the sum of its rows times weight
+    (None: 1) at each node t, shape (runs, kernels, nodes), which on
+    _T_NODES is a first round as _integrate takes it; ConvergenceError
+    names the frequency of the first row whose integral is not finite.
+    The runs, weighted (by ones where weight is None), are laid out as a
+    stack's sums are (_layout), and _contract adds each run as its blocks
+    are evaluated."""
     (t, w), size, zeta = rule, size or len(m), cfg.matsubara(m)
-    runs = [_Sum(cfg, zeta[lo:lo + size], kernels, [size] * len(kernels),
-                 np.ones(size) if weight is None else weight[lo:lo + size])
-            for lo in range(0, len(m), size)]
-    sums, per_block = _contract(_bind(model, runs), t, len(runs) * len(kernels), w)
+    runs = [(c, r * len(kernels) + c, lo, lo + size)
+            for r, lo in enumerate(range(0, len(m), size)) for c in range(len(kernels))]
+    layout = _layout(model, cfg.T, kernels, zeta[:, None], (cfg.a * zeta)[:, None] / C,
+                     np.ones(len(m)) if weight is None else weight, runs)
+    sums, per_block = _contract(layout, t, len(runs), w)
     rows = np.array([np.concatenate(rows) for rows in zip(*per_block)])
     if not np.isfinite(rows).all():
         bad = zeta[~np.isfinite(rows).all(axis=0)][0]
@@ -462,28 +494,50 @@ def _first_alone(model, parts, rel_tol, error, after=False):
     return error, None
 
 
-def _zero_mode(model, cfg, kernels, units):
-    """The m = 0 row of kernels at cfg: the closed form of each kernel's
-    integral, and the remainder as a sum of _integrate (None where it is 0).
+def _zero_mode(model, configs, kernels, units):
+    """The m = 0 row of kernels at each config of configs: per config the
+    integral of each kernel and the remainder as a sum of _integrate (None
+    where it is 0), with its first round.
 
-    A0 and B0 are 1 where the model's rule gives exactly 1 at y = 0, else 0;
-    kernel c's integral is A0 unit_A + B0 unit_B, with units[c] = (unit_A,
-    unit_B) its integrals at unit coefficients, plus the remainder
-    int kernel(A, B) - kernel(A0, B0) dy.  For plasma, 1 - B ~ 4 y / Omega
+    The model's rule takes every config at once (_Configs), at y = 0, where
+    A0 and B0 are 1 where it gives exactly 1, else 0; kernel c's integral
+    is A0 unit_A + B0 unit_B, with units[c] = (unit_A, unit_B) its
+    integrals at unit coefficients, plus the remainder int kernel(A, B) -
+    kernel(A0, B0) dy (_remainders).  For plasma, 1 - B ~ 4 y / Omega
     (Omega = omega_p a / c): its log ratio tends to ln(1 + 2/Omega), smooth
     where the free energy's kernel goes like y ln y.  The closed form enters
     as a constant density on the t-interval, which GK15 integrates exactly,
     so rel_tol holds on the whole term; rounding bounds it where the term is
     far below its closed part (TE at Omega << 1: 3e-11 at 1 nm for 0.5 eV).
+    Every remainder is evaluated on the first t-panels at once, its first
+    round, and the integral given with it is that round's, from its own
+    rows.  A coefficient that is not finite raises no warning here: its
+    remainder fails on its rows (_plan, _first_alone).
     """
-    A, B = _zero_rule(model, cfg)(np.zeros(1))
-    A0, B0 = (1.0 if X == 1.0 else 0.0 for X in (A, B))
-    closed = [unit_A * A0 + unit_B * B0 for unit_A, unit_B in units]
-    if np.ndim(A) == np.ndim(B) == 0 and (A, B) == (A0, B0):
-        return closed, None
-    return closed, _Sum(cfg, np.zeros(1), tuple(
-        lambda A, B, y, k=k, c=c: k(A, B, y) - k(A0, B0, y) + c / _T_MESH[-1]
-        for k, c in zip(kernels, closed)), [1] * len(kernels))
+    zero = np.zeros((len(configs), 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        A, B = _zero_rule(model, _Configs.of(configs))(zero)
+    if np.ndim(A) == np.ndim(B) == 0 and A in (0.0, 1.0) and B in (0.0, 1.0):  # all closed
+        return [([unit_A * (A == 1.0) + unit_B * (B == 1.0) for unit_A, unit_B in units],
+                 None)] * len(configs)
+    exact = np.hstack(np.broadcast_arrays(A, B, zero)[:2]) == 1.0  # (A0, B0) per config
+    pairs = [tuple(pair) for pair in (1.0 * exact).tolist()]
+    shared = {pair: _remainders(kernels, units, *pair) for pair in set(pairs)}
+    sums = [_Sum(cfg, np.zeros(1), shared[pair], [1] * len(units))
+            for cfg, pair in zip(configs, pairs)]
+    first = _contract(_bind(model, sums), _T_NODES, len(sums) * len(units))[0]
+    return [([row @ _T_WEIGHTS for row in rows], one._replace(first=rows))
+            for one, rows in zip(sums, first.reshape(len(sums), len(units), -1))]
+
+
+def _remainders(kernels, units, A0, B0):
+    """The m = 0 remainders of the kernels, whose integrals at unit
+    coefficients are units: kernel(A, B) - kernel(A0, B0) plus the closed
+    form over the t-interval (_zero_mode).  The configs of a sweep with the
+    same (A0, B0) share one tuple, so their rows share blocks (_bind)."""
+    return tuple(lambda A, B, y, k=k, density=(unit_A * A0 + unit_B * B0) / _T_MESH[-1]:
+                 k(A, B, y) - k(A0, B0, y) + density
+                 for k, (unit_A, unit_B) in zip(kernels, units))
 
 
 def _mode_integrals(model, cfg, zetas, kernels, units, rel_tol):
@@ -495,7 +549,7 @@ def _mode_integrals(model, cfg, zetas, kernels, units, rel_tol):
     carries the first frequency that fails alone (_first_alone; else None)
     in attribute zeta."""
     rows = [(None, _Sum(cfg, np.array([z]), kernels, [1] * len(kernels))) if z > 0.0
-            else _zero_mode(model, cfg, kernels, units) for z in zetas]
+            else _zero_mode(model, [cfg], kernels, units)[0] for z in zetas]
     parts = [(z, one) for z, (_, one) in zip(zetas, rows) if one is not None]
     try:
         values = iter(_integrate(model, [one for _, one in parts], rel_tol)[0].tolist()
@@ -547,8 +601,8 @@ def _tail_bound(M, gamma, coeffs):
     underflows only where the bound does (e^{-2c} alone is subnormal past
     2 c = 708, then 0); past the largest float the bound is inf.
     """
-    c = M * gamma
-    p, q = ((k2 * c + k1) * c + k0 for k2, k1, k0 in coeffs)
+    ((p2, p1, p0), (q2, q1, q0)), c = coeffs, M * gamma
+    p, q = (p2 * c + p1) * c + p0, (q2 * c + q1) * c + q0
     return math.exp(math.log(2.0 * (p + q / gamma)) - 2.0 * c) / -math.expm1(-2.0 * c)
 
 
@@ -607,14 +661,14 @@ def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
     see a bend of eps that the model does not name among its kinks.
     """
     kinks = np.asarray(getattr(model, "kinks", ()), dtype=float) / cfg.matsubara(1)
-    explicit, ends, lo, hi = [np.zeros(0)], [], [], []
+    explicit, ends, lo, hi, widest = [np.zeros(0)], [], [], [], 4.0 / cfg.gamma
     start = K
     for end in [c // 1 for c in kinks if K < c < M - 1] + [float(M - 1)]:
         if end - start >= _SEGMENT_MIN:
             ends += [start + np.arange(5.0), end - np.arange(5.0)]
             edges = [start]
             while edges[-1] < end:
-                edges.append(min(2.0 * edges[-1], edges[-1] + 4.0 / cfg.gamma, end))
+                edges.append(min(2.0 * edges[-1], edges[-1] + widest, end))
             lo += edges[:-1]
             hi += edges[1:]
         else:
@@ -724,28 +778,42 @@ def _named(exc, model, cfg, modes):
     return exc
 
 
-def _plan(cfg, model, rel_tol, observables):
-    """The closed m = 0 terms (None: the stack integrates them), the M of
-    each observable, and one config's parts, its m = 0 remainder, if any,
-    then its rows (_rows), each a sum keyed by (cfg, its modes).  M and the
-    rule in m take a remainder at its value on the first t-panels, as g(m)
-    is, and the remainder enters the t-integral with those values as its
-    first round."""
-    kernels = tuple(kernel for kernel, *_ in observables)
-    closed, remainder = _zero_mode(model, cfg, kernels, [zero for *_, zero in observables])
-    zeros, parts, modes = [0.5 * v for v in closed], [], "mode m = 0"
-    try:  # a remainder that is not finite fails here, before M's search
-        if remainder is not None:
-            g, (first,) = _first_mesh(model, cfg, np.zeros(1), remainder.kernels)
-            zeros = 0.5 * g[:, 0]
-            parts.append(((cfg, modes), remainder._replace(first=first)))
-        Ms = [_modes_needed(cfg.gamma, tail, rel_tol * abs(zero))
-              for (_, _, tail, _), zero in zip(observables, zeros)]
-        modes = f"modes m = 1..{max(Ms) - 1}"
-        parts.append(((cfg, modes), _rows(model, cfg, observables, kernels, Ms, rel_tol, zeros)))
-    except (ConvergenceError, TableRangeError) as exc:
-        raise _named(exc, model, cfg, modes) from None
-    return None if remainder else zeros, Ms, parts
+def _plan(configs, model, rel_tol, observables, parts):
+    """The plan of the stacked sum of observables at every (a, T) of
+    configs, a whole sweep: per config its closed m = 0 terms, halved
+    (None: the stack integrates them), and the M of each observable.  It
+    appends each config's parts to parts, in order: its m = 0 remainder,
+    if any, then its rows (_rows), each a sum keyed by (cfg, its modes).
+
+    The m = 0 terms of every config come from one call of the model's rule,
+    and every remainder from one evaluation on the first t-panels
+    (_zero_mode); M and the rule in m take a remainder at that value, as
+    g(m) is, and it enters the t-integral with those values as its first
+    round.  M (_modes_needed, a few scalar bounds, which a NumPy search
+    would cost more than on a one-config sum) and the rows are planned
+    config by config.  A config whose remainder is not finite or whose
+    rows fail raises its named error before any of its parts enter parts,
+    which then hold those of the configs before it: _first_alone tries
+    them alone, and not that config's remainder, as a loop that plans each
+    config before it integrates anything would.
+    """
+    kernels, plans = tuple(kernel for kernel, *_ in observables), []
+    for cfg, (closed, remainder) in zip(configs, _zero_mode(
+            model, configs, kernels, [zero for *_, zero in observables])):
+        zeros, modes = [0.5 * v for v in closed], "mode m = 0"
+        try:
+            if not all(map(math.isfinite, zeros)):  # named as _first_mesh names a row
+                raise ConvergenceError("the row at zeta = 0 rad/s is not finite")
+            Ms = [_modes_needed(cfg.gamma, tail, rel_tol * abs(zero))
+                  for (_, _, tail, _), zero in zip(observables, zeros)]
+            modes = f"modes m = 1..{max(Ms) - 1}"
+            rows = _rows(model, cfg, observables, kernels, Ms, rel_tol, zeros)
+        except (ConvergenceError, TableRangeError) as exc:
+            raise _named(exc, model, cfg, modes) from None
+        parts += [((cfg, "mode m = 0"), remainder)] * (remainder is not None)
+        parts.append(((cfg, modes), rows))
+        plans.append((None if remainder else zeros, Ms))
+    return plans
 
 
 def _sum_modes(configs, model, quad, observables):
@@ -756,22 +824,22 @@ def _sum_modes(configs, model, quad, observables):
     Every term has the sign of the m = 0 term, so stopping at the M whose
     tail bound is rel_tol of that term holds rel_tol on the whole sum; each
     observable has its own m = 0 term and M.  The modes 1..M-1 of a
-    config's largest M are the weighted rows of _rows.  Every config's m = 0
-    remainder and rows enter one t-integral, in which each (config,
-    observable) holds rel_tol on its own sum.  The callable gives term m,
-    by default all M terms, on the integral's final t-rule.  A failure is
-    that of the first part that fails alone, a config's m = 0 remainder
-    before its rows (_first_alone); _named gives it that part's config in
-    its attribute config (None when no part fails alone).
+    config's largest M are the weighted rows of _rows; _plan plans the
+    whole sweep.  Every config's m = 0 remainder and rows enter one
+    t-integral, in which each (config, observable) holds rel_tol on its own
+    sum.  The callable gives term m, by default all M terms, on the
+    integral's final t-rule.  A failure is that of the first part that
+    fails alone, a config's m = 0 remainder before its rows (_first_alone),
+    or, where that config's plan fails first, the plan's named error;
+    _named gives it that part's config in its attribute config (None when
+    no part fails alone).
     """
-    plans, parts = [], []
+    parts, plans = [], None
     try:
-        for cfg in configs:
-            plans.append(_plan(cfg, model, quad.rel_tol, observables))
-            parts += plans[-1][2]
+        plans = _plan(configs, model, quad.rel_tol, observables, parts)
         values, (t, w) = _integrate(model, [one for _, one in parts], quad.rel_tol)
     except CasimirError as exc:  # a failed plan has named its own error
-        error, key = _first_alone(model, parts, quad.rel_tol, exc, len(plans) < len(configs))
+        error, key = _first_alone(model, parts, quad.rel_tol, exc, plans is None)
         raise (_named(error, model, *key) if key else error) from None
 
     def result(cfg, observable, zero, M, value):
@@ -788,7 +856,7 @@ def _sum_modes(configs, model, quad, observables):
     values = iter(values.tolist())  # per config: its m = 0 remainder's, if any, then its rows'
     return [[result(cfg, *args) for args in zip(
         observables, zeros or [0.5 * v for v in next(values)], Ms, next(values))]
-        for cfg, (zeros, Ms, _) in zip(configs, plans)]
+        for cfg, (zeros, Ms) in zip(configs, plans)]
 
 
 def _grid_sums(gaps, temps, model, quad, observables):

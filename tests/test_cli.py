@@ -134,6 +134,17 @@ class TestPressureCommand:
 
 
 class TestDiffCommand:
+    def test_zero_mode_that_is_not_finite_names_its_first_gap(self, capsys):
+        # (omega_p a / c)^2 overflows, so every plasma m = 0 remainder is NaN;
+        # the sweep evaluates them together but fails at its first gap and
+        # temperature, with no RuntimeWarning
+        assert run_cli("diff", "--model", "plasma", "--omega-p", "1e160",
+                       "--gap-range", "0.3:5:4") == 3
+        err = capsys.readouterr().err
+        assert err == ("casimir: computation failed: at a = 0.3 um: Matsubara mode m = 0 at "
+                       "T = 350 K, a = 3e-07 m (gamma = 0.288): the row at zeta = 0 rad/s is "
+                       "not finite\n")
+
     def test_sign_change_appears_once(self, tmp_path):
         out = tmp_path / "d.csv"
         assert run_cli("diff", "--gap-range", "0.3:5:12", "--out", str(out)) == 0

@@ -36,10 +36,11 @@ def count_rows(monkeypatch):
     """Counts of the rows that the integrand of _integrate evaluates, once
     per call and so once per round ("integrated"), and of the rows evaluated
     by _first_mesh ("placed"): a rule in m as it is placed on the first
-    t-panels, failed tries included, a plasma m = 0 remainder, and the rows
-    of a per_mode table or fraction(m) as they are read.  A sum whose first
-    round is its placed rows integrates none in that round.  They grow while
-    the test runs."""
+    t-panels, failed tries included, and the rows of a per_mode table or
+    fraction(m) as they are read (a plasma m = 0 remainder is evaluated by
+    _zero_mode, and counted by neither).  A sum whose first round is its
+    placed rows integrates none in that round.  They grow while the test
+    runs."""
     counts, inside = {"integrated": 0, "placed": 0}, []
     integrate, kernels_at, first_mesh = (lifshitz._integrate, lifshitz._kernels_at,
                                          lifshitz._first_mesh)
@@ -860,6 +861,108 @@ class TestSweeps:
         stacked = lifshitz._sum_modes(configs, model, cs.DEFAULT_QUAD, observables)[0]
         lone = lifshitz._sum_modes(configs[:1], model, cs.DEFAULT_QUAD, observables)[0]
         assert [(value, M) for value, M, _ in stacked] == [(value, M) for value, M, _ in lone]
+
+    # 10 nm-5 um x 1.5-350 K: rule sums in m at 10 nm and 0.3 um below 20 K
+    WIDE = [cs.ThermalGapConfig(T=T, a=a)
+            for a in (10e-9, 0.3e-6, 5e-6) for T in (1.5, 20.0, 350.0)]
+
+    @pytest.mark.parametrize("observables", [(lifshitz._PRESSURE,), (lifshitz._FREE_ENERGY,),
+                                             (lifshitz._PRESSURE, lifshitz._FREE_ENERGY)],
+                             ids=["P", "F", "PF"])
+    @pytest.mark.parametrize("name", ["drude", "bg", "drude_like", "plasma_like",
+                                      "plasma", "ideal"])
+    def test_every_config_has_its_lone_M_and_zero_term_bit_for_bit(self, gold, gold_bg, name,
+                                                                    observables):
+        # the plan of a sweep takes every config's m = 0 term, a closed form
+        # or a plasma-like remainder on the first t-panels, in one
+        # evaluation, and M from it: each must be the lone sum's to the bit,
+        # whatever else the sweep holds (a remainder's final value comes from
+        # the stack's t-integral, whose panels the stack shares).  The table
+        # spans the Matsubara grid of 10 nm at 1.5 K
+        zs = np.geomspace(1e10, 1e20, 51)
+        model = {"drude_like": cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold))),
+                 "plasma_like": cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold)),
+                                             "plasma_like")}.get(name) or \
+            TestStackedSums.model(name, gold, gold_bg)
+        kernels, units = [k for k, *_ in observables], [zero for *_, zero in observables]
+        sweep = lifshitz._sum_modes(self.WIDE, model, cs.DEFAULT_QUAD, observables)
+        Ms = [M for sums in sweep for _, M, _ in sums]
+        assert min(Ms) < lifshitz._RULE_RATIO * lifshitz._K_MIN < max(Ms)
+        for cfg, sums, (term, remainder) in zip(
+                self.WIDE, sweep, lifshitz._zero_mode(model, self.WIDE, kernels, units)):
+            lone = lifshitz._sum_modes([cfg], model, cs.DEFAULT_QUAD, observables)[0]
+            assert [M for _, M, _ in sums] == [M for _, M, _ in lone], cfg
+            (lone_term, lone_remainder), = lifshitz._zero_mode(model, [cfg], kernels, units)
+            assert np.array(term).tobytes() == np.array(lone_term).tobytes(), cfg
+            assert (remainder is None) == (lone_remainder is None) == (name not in (
+                "plasma", "plasma_like"))
+            if remainder is None:
+                assert [terms(0) for *_, terms in sums] == [terms(0) for *_, terms in lone]
+            else:
+                assert remainder.first.tobytes() == lone_remainder.first.tobytes(), cfg
+
+    def test_remainder_that_is_not_finite_fails_at_its_config(self):
+        # the m = 0 remainders of a sweep are evaluated together, but the
+        # first config whose remainder is not finite fails as it did alone,
+        # after the configs before it are planned
+        class Patchy(cs.Plasma):
+            """Plasma whose TE zero mode is NaN past 1 um."""
+
+            def zero_frequency_reflection(self, y, cfg):
+                A, B = super().zero_frequency_reflection(y, cfg)
+                return A, np.where(cfg.a > 1e-6, np.nan, B)
+
+        configs = [cs.ThermalGapConfig(T=T, a=a) for a in (0.5e-6, 2e-6, 3e-6)
+                   for T in (350.0, 300.0)]
+        with pytest.raises(ConvergenceError) as exc:
+            lifshitz._sum_modes(configs, Patchy(), cs.DEFAULT_QUAD,
+                                (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
+        assert str(exc.value).startswith("Matsubara mode m = 0 at T = 350 K, a = 2e-06 m")
+        assert str(exc.value).endswith("the row at zeta = 0 rad/s is not finite")
+        assert exc.value.config is configs[2]
+        for cfg in configs[:2]:
+            lifshitz._sum_modes([cfg], Patchy(), cs.DEFAULT_QUAD, (lifshitz._PRESSURE,))
+
+    def test_zero_rule_reads_the_derived_quantities_of_its_configs(self):
+        # a sweep's m = 0 rule takes its configs as columns, which carry
+        # aT, gamma and matsubara as a ThermalGapConfig does
+        seen = []
+
+        class Reading(cs.Plasma):
+            def zero_frequency_reflection(self, y, cfg):
+                seen.append((cfg.aT, cfg.gamma, cfg.matsubara(1)))
+                return super().zero_frequency_reflection(y, cfg)
+
+        configs = [cs.ThermalGapConfig(T=T, a=a) for a in (0.5e-6, 2e-6) for T in (300.0, 350.0)]
+        sweep = lifshitz._sum_modes(configs, Reading(), cs.DEFAULT_QUAD, (lifshitz._PRESSURE,))
+        assert sweep[3][0][0] == cs.total_pressure(configs[3], cs.Plasma()).total
+        aT, gamma, zeta = seen[0]
+        assert aT.shape == gamma.shape == zeta.shape == (4, 1)
+        assert gamma.ravel().tolist() == [cfg.gamma for cfg in configs]
+        assert zeta.ravel().tolist() == [cfg.matsubara(1) for cfg in configs]
+
+    def test_failed_rows_are_named_before_their_remainder_fails_alone(self):
+        # at 2 K / 1 um plasma sums a rule in m, whose rows meet NaN past
+        # 3e14 rad/s, and at rel_tol = 1e-20 its m = 0 remainder also fails
+        # alone; the plan fails first, at the rows, and the remainder is not
+        # tried, as when each config was planned before any integral
+        class Cut(cs.Plasma):
+            """Plasma whose coefficients are NaN past 3e14 rad/s."""
+
+            def matsubara_reflection(self, zeta, T):
+                rule = super().matsubara_reflection(zeta, T)
+                return lambda p: tuple(np.where(zeta > 3e14, np.nan, X) for X in rule(p))
+
+        cfg, quad = cs.ThermalGapConfig(T=2.0, a=1e-6), cs.QuadratureSettings(rel_tol=1e-20)
+        (_, remainder), = lifshitz._zero_mode(Cut(), [cfg], (lifshitz._FREE_ENERGY[0],),
+                                              (lifshitz._FREE_ENERGY[3],))
+        with pytest.raises(ConvergenceError, match="did not reach"):
+            lifshitz._integrate(Cut(), [remainder], quad.rel_tol)
+        with pytest.raises(ConvergenceError) as exc:
+            cs.free_energy(cfg, Cut(), quad)
+        assert str(exc.value).startswith("Matsubara modes m = 1..5026 at T = 2 K, a = 1e-06 m")
+        assert str(exc.value).endswith("the row at zeta = 8.26874e+15 rad/s is not finite")
+        assert exc.value.config is cfg
 
     def test_failure_names_the_first_failing_config(self, gold):
         # the table ends at 5e15 rad/s; 3 um stays inside it, and the second
