@@ -85,7 +85,7 @@ from .constants import C, HBAR, K_B
 from .dispersion import MaterialModel, _reflection_sq
 from .errors import (CasimirError, ConvergenceError, DomainError, TableRangeError,
                      UnsupportedModelError, check_eps, check_index, check_positive)
-from .quadrature import adaptive_quad, bisect_worst, gk15_rule
+from .quadrature import _gk15_panels, adaptive_quad, bisect_worst, gk15_rule
 
 __all__ = [
     "ThermalGapConfig", "QuadratureSettings", "ReflectionPair",
@@ -102,7 +102,7 @@ __all__ = [
 # chosen by counting rounds and points over the benchmark's sums.  The last
 # edge is the width of every y-integral: e^{-2 y} past 30 is below 1e-26.
 _T_MESH = np.array([0.0, 1 / 256, 1 / 32, 3 / 16, 0.75, 2.0, 4.5, 9.0, 15.0, 30.0])
-_T_NODES, _T_WEIGHTS = (x.ravel() for x in gk15_rule(_T_MESH[:-1], _T_MESH[1:])[:2])
+_T_NODES, _T_WEIGHTS = (x.ravel() for x in gk15_rule(_T_MESH[:-1], _T_MESH[1:]))
 _ROW_BLOCK = 64  # rows evaluated together: 64 x 135 floats, below the 128 KiB mmap threshold
 _ROW_CAP = 250_000  # most rows a sum or a per_mode table evaluates one by one
 # The rule in m (_tail_rule) runs only where M > _RULE_RATIO _K_MIN, from
@@ -310,7 +310,8 @@ _FREE_ENERGY = (_free_energy_kernel, lambda cfg: K_B * cfg.T / (2.0 * np.pi * cf
 
 
 # One sum of a stack: kernel c of kernels sums the first counts[c] rows at
-# the frequencies zeta of cfg, each times weight (None: an unweighted sum);
+# the frequencies zeta of cfg, each times weight, if not None (_bind weighs
+# the rows of a sum without weights by ones);
 # first, unless None, is the sum's weighted rows at each node of _T_NODES,
 # shape (kernels, nodes): its first round (_integrate).  A config's rows
 # (_rows) are at zeta = cfg.matsubara(m) of its modes m: kernel c of an
@@ -320,7 +321,7 @@ _FREE_ENERGY = (_free_energy_kernel, lambda cfg: K_B * cfg.T / (2.0 * np.pi * cf
 _Sum = namedtuple("_Sum", "cfg zeta kernels counts weight first", defaults=(None, None))
 
 # At most _ROW_BLOCK rows of a stack's layout (_bind): their kernels, y_lo =
-# a zeta / c as a column, weight (None: 1), per kernel the runs (j, a, b) of
+# a zeta / c as a column, their weights, per kernel the runs (j, a, b) of
 # rows a..b-1 that add to component j of the stack, and the rule y -> (A, B)
 # that their kernels share.
 _Block = namedtuple("_Block", "kernels y_lo weight runs rule")
@@ -338,7 +339,7 @@ class _Configs(namedtuple("_Configs", "T a")):
         return cls(*(np.array([[getattr(cfg, x)] for cfg in configs]) for x in cls._fields))
 
 
-def _block(model, at, kernels, runs, zeta, y_lo, weight=None):
+def _block(model, at, kernels, runs, zeta, y_lo, weight):
     """The _Block of rows at the frequencies zeta, a column, with the
     model's m = 0 rule at the configs at (_Configs, one per row), or its
     m >= 1 rule at zeta and the temperature at, bound once (eps depends on
@@ -350,8 +351,8 @@ def _block(model, at, kernels, runs, zeta, y_lo, weight=None):
 
 
 def _layout(model, at, kernels, zeta, y_lo, weight, runs, stored=False):
-    """The blocks of the rows at the frequencies zeta, with y_lo and weight
-    (None: 1), each a column, cut every _ROW_BLOCK rows: each run (c, j, a,
+    """The blocks of the rows at the frequencies zeta and y_lo, each a
+    column, and their weights, cut every _ROW_BLOCK rows: each run (c, j, a,
     b) adds the rows a..b-1 under kernel c to component j, as one run per
     block that it reaches.  at is the temperature of rows at zeta > 0, or
     the config of each row at zeta = 0.  A stored block is a callable that
@@ -363,32 +364,31 @@ def _layout(model, at, kernels, zeta, y_lo, weight, runs, stored=False):
             blocks[lo // _ROW_BLOCK][c].append(  # clipped to the block without min/max calls
                 (j, a - lo if a > lo else 0, b - lo if b < lo + _ROW_BLOCK else _ROW_BLOCK))
     layout = [partial(_block, model, at if zeta[0, 0] else _Configs.of(at[lo:lo + _ROW_BLOCK]),
-                      kernels, cut, *[x[lo:lo + _ROW_BLOCK] for x in (zeta, y_lo, weight)
-                                      if x is not None])
+                      kernels, cut, *[x[lo:lo + _ROW_BLOCK] for x in (zeta, y_lo, weight)])
               for lo, cut in zip(range(0, len(zeta), _ROW_BLOCK), blocks)]
     return layout if stored else [block() for block in layout]
 
 
 def _bind(model, sums):
     """The layout (_layout) of the stack sums: the sums with the same
-    kernels, weighting (by 1 or by weight) and first round (stored or not)
-    lay out their rows in order, those at zeta > 0 by temperature, which
-    share eps across gaps, and the rows at zeta = 0 of every config
-    together, which take the model's m = 0 rule at their configs.  Rows
-    r < counts[c] of sum i add under kernel c to the component
-    i kernels + c."""
+    kernels and first round (stored or not) lay out their rows in order,
+    those at zeta > 0 by temperature, which share eps across gaps, and the
+    rows at zeta = 0 of every config together, which take the model's m = 0
+    rule at their configs.  Rows r < counts[c] of sum i add under kernel c,
+    each times its weight, to the component i kernels + c; a sum without
+    weights weighs its rows by ones."""
     groups, layout = {}, []
     for i, one in enumerate(sums):  # the temperature of rows at zeta > 0; 0 at zeta = 0
-        key = (one.cfg.T if one.zeta[0] else 0.0, tuple(one.kernels), one.weight is None,
-               one.first is None)
+        key = (one.cfg.T if one.zeta[0] else 0.0, tuple(one.kernels), one.first is None)
         groups.setdefault(key, []).append((i, one))
-    for (T, kernels, unit, bound), members in groups.items():
+    for (T, kernels, bound), members in groups.items():
         starts = accumulate([len(one.zeta) for _, one in members], initial=0)
         runs = [(c, i * len(kernels) + c, a, a + n)
                 for (i, one), a in zip(members, starts) for c, n in enumerate(one.counts)]
         zeta = np.concatenate([one.zeta for _, one in members])[:, None]
         y_lo = np.concatenate([one.cfg.a * one.zeta for _, one in members])[:, None] / C
-        weight = None if unit else np.concatenate([one.weight for _, one in members])
+        weight = np.concatenate([np.ones(len(one.zeta)) if one.weight is None else one.weight
+                                 for _, one in members])
         layout += _layout(model, T or [one.cfg for _, one in members], kernels, zeta, y_lo, weight,
                           runs, not bound)  # an m = 0 sum is one row
     return layout
@@ -406,16 +406,15 @@ def _kernels_at(rule, y, kernels):
 def _contract(layout, t, components, w=None):
     """The rows of the blocks of layout (see _bind) at t, contracted block by
     block into an array of the components, shape (components, len(t)): each
-    run (j, a, b) of a block's rows under a kernel adds their sum, or weight
-    @ rows in a weighted block, to component j.  A vector product per run (a
-    matrix product would touch BLAS's packing buffers) keeps each
-    component's order of rounding whatever else its blocks hold, and only
-    that array and, for a panel rule's weights w, each block's row integrals
-    w @ rows per kernel outlive a block.  A block not yet bound is bound
-    here, once: the bound block replaces it in layout.  Returns the array
-    and those integrals.  Overflow and invalid values raise no warning
-    here: the caller names a row or round that is not finite (_first_mesh,
-    _gk15_panels)."""
+    run (j, a, b) of a block's rows under a kernel adds weight[a:b] @
+    rows[a:b] to component j.  A vector product per run (a matrix product
+    would touch BLAS's packing buffers) keeps each component's order of
+    rounding whatever else its blocks hold, and only that array and, for a
+    panel rule's weights w, each block's row integrals w @ rows per kernel
+    outlive a block.  A block not yet bound is bound here, once: the bound
+    block replaces it in layout.  Returns the array and those integrals.
+    Overflow and invalid values raise no warning here: the caller names a
+    row or round that is not finite (_first_mesh, _gk15_panels)."""
     out, integrals = np.zeros((components, len(t))), []
     with np.errstate(over="ignore", invalid="ignore"):
         for i, block in enumerate(layout):
@@ -424,8 +423,7 @@ def _contract(layout, t, components, w=None):
             ks = _kernels_at(block.rule, block.y_lo + t, block.kernels)
             for k, runs in zip(ks, block.runs):
                 for j, a, b in runs:
-                    out[j] += (k[a:b].sum(axis=0) if block.weight is None
-                               else block.weight[a:b] @ k[a:b])
+                    out[j] += block.weight[a:b] @ k[a:b]
             if w is not None:
                 integrals.append([k @ w for k in ks])
     return out, integrals
@@ -458,13 +456,12 @@ def _first_mesh(model, cfg, m, kernels, weight=None, size=None, rule=(_T_NODES, 
     """The rows of cfg at the mode numbers m >= 1, an array (not all
     integers in a rule in m), on the panel rule (t, w), by default the first
     t-panels: their integrals, shape (kernels, rows), and for each run of
-    size consecutive rows (None: all rows) the sum of its rows times weight
-    (None: 1) at each node t, shape (runs, kernels, nodes), which on
-    _T_NODES is a first round as _integrate takes it; ConvergenceError
-    names the frequency of the first row whose integral is not finite.
-    The runs, weighted (by ones where weight is None), are laid out as a
-    stack's sums are (_layout), and _contract adds each run as its blocks
-    are evaluated."""
+    size consecutive rows (by default all rows) the sum of its rows, each
+    times its weight (by default ones), at each node t, shape (runs,
+    kernels, nodes), which on _T_NODES is a first round as _integrate takes
+    it; ConvergenceError names the frequency of the first row whose
+    integral is not finite.  The runs are laid out as a stack's sums are
+    (_layout), and _contract adds each run as its blocks are evaluated."""
     (t, w), size, zeta = rule, size or len(m), cfg.matsubara(m)
     runs = [(c, r * len(kernels) + c, lo, lo + size)
             for r, lo in enumerate(range(0, len(m), size)) for c in range(len(kernels))]
@@ -650,13 +647,14 @@ def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
     graded geometrically from a, none wider than 4/gamma, over which g falls
     by at most e^8.  The rule is placed by the kernels' g on the first
     t-panels, _T_NODES, which also gives its error estimate per kernel: the
-    last end terms (_D3) plus |Kronrod - Gauss| on the panels, each held to
-    half of rel_tol |head[c] + the rule's sum|, head[c] the m = 0 term and
-    rows 1..K-1 of kernel c, all of one sign.  The end terms are checked
-    first, against that budget with the rule's sum at its ideal-reflector
-    bound (_tail_bound), so a K whose ends miss even that costs no panels.
-    The panels with the largest |Kronrod - Gauss| relative to that budget
-    are bisected, up to _M_PANELS of them; each panel keeps its weighted
+    last end terms (_D3) plus the panels' GK15 estimates (_gk15_panels, the
+    one estimate, which the t-integrals take too), each held to half of
+    rel_tol |head[c] + the rule's sum|, head[c] the m = 0 term and rows
+    1..K-1 of kernel c, all of one sign.  The end terms are checked first,
+    against that budget with the rule's sum at its ideal-reflector bound
+    (_tail_bound), so a K whose ends miss even that costs no panels.  The
+    panels with the largest estimate relative to that budget are bisected
+    (bisect_worst), up to _M_PANELS of them; each panel keeps its weighted
     rows at the nodes, so a bisected one drops its own.  The estimate cannot
     see a bend of eps that the model does not name among its kinks.
     """
@@ -687,10 +685,9 @@ def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
         return None
 
     def panels(lo, hi):  # nodes, weights, weighted rows at _T_NODES, values, errors
-        x, wk, wkg = gk15_rule(lo, hi)
+        x, wk = gk15_rule(lo, hi)
         gx, at_nodes = _first_mesh(model, cfg, x.ravel(), kernels, wk.ravel(), x.shape[1])
-        gx = gx.reshape(len(observables), *x.shape)
-        return x, wk, at_nodes, (gx * wk).sum(axis=2), np.abs((gx * wkg).sum(axis=2))
+        return (x, wk, at_nodes, *_gk15_panels(gx, lo, hi))
 
     lo, hi = np.array(lo), np.array(hi)
     x, wk, at_nodes, vals, errs = panels(lo, hi)
@@ -917,7 +914,9 @@ def surface_impedance(zeta, q, eps):
     q is the full imaginary-axis wave number times c (so q >= zeta, with
     q^2 = (c k_perp)^2 + zeta^2), in rad/s.  Arrays broadcast; scalars give a
     scalar.  Every element needs finite zeta > 0, q >= zeta and eps >= 1; a
-    DomainError names the first that does not.
+    DomainError names the first that does not.  The root is taken as a
+    hypot, so Z is the same at every scale of zeta and q, with no overflow
+    or underflow in their squares.
     """
     check_positive("zeta", zeta)
     zeta, q = np.asarray(zeta, dtype=float), np.asarray(q, dtype=float)
@@ -927,7 +926,7 @@ def surface_impedance(zeta, q, eps):
         raise DomainError(f"q must be >= zeta and finite (q^2 = c^2 k_perp^2 + "
                           f"zeta^2), got q = {q:g} with zeta = {zeta:g}")
     eps = check_eps(eps)
-    return -zeta / np.sqrt(zeta * zeta * (eps - 1.0) + q * q)
+    return -zeta / np.hypot(zeta * np.sqrt(eps - 1.0), q)
 
 
 def _rte(Z, p):

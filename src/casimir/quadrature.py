@@ -22,7 +22,9 @@ whoever evaluated them.
 
 Error estimation follows the QUADPACK recipe: the raw |K15 - G7|
 difference is rescaled by the panel's total variation measure so that
-near-singular panels are not trusted optimistically.
+near-singular panels are not trusted optimistically.  _gk15_panels is the
+one estimate: every round of adaptive_quad and every panel of the Lifshitz
+rule in m (a GK15 rule over the mode number) takes it.
 """
 
 from __future__ import annotations
@@ -67,8 +69,6 @@ _WG = np.array([
 _NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))
 _WK = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _WG_FULL = np.concatenate((_WG[:-1], _WG[::-1]))  # weights for nodes 1,3,...,13
-_WKG = _WK.copy()  # Kronrod minus Gauss weights: the G7 error of the K15 rule
-_WKG[1::2] -= _WG_FULL
 
 _INITIAL_PANELS = 8
 _MAX_ROUNDS = 48
@@ -82,10 +82,11 @@ def neumaier_sum(values) -> float:
 
 
 def gk15_rule(lo: np.ndarray, hi: np.ndarray):
-    """Nodes, Kronrod weights and Kronrod-minus-Gauss weights of the panels
-    [lo_i, hi_i], each an array with one row of 15 per panel."""
+    """Nodes and Kronrod weights of the panels [lo_i, hi_i], each an array
+    with one row of 15 per panel; _gk15_panels estimates the panels' values
+    and errors from the values at those nodes."""
     half = 0.5 * (hi - lo)[:, None]
-    return 0.5 * (lo + hi)[:, None] + half * _NODES, half * _WK, half * _WKG
+    return 0.5 * (lo + hi)[:, None] + half * _NODES, half * _WK
 
 
 def bisect_worst(lo: np.ndarray, hi: np.ndarray, errs: np.ndarray, budget: np.ndarray):
@@ -93,10 +94,10 @@ def bisect_worst(lo: np.ndarray, hi: np.ndarray, errs: np.ndarray, budget: np.nd
 
     errs has shape (C, panels) for C integrals on the same panels.  A
     panel's error is the largest errs[c] / budget[c] (a budget below the
-    smallest normal float counts as that float); with C = 1 it is errs[0].
-    Returns the mask of the panels kept whole and the new panels' lo, hi.
+    smallest normal float counts as that float).  Returns the mask of the
+    panels kept whole and the new panels' lo, hi.
     """
-    errs = errs[0] if len(errs) == 1 else (errs / np.maximum(budget, _TINY)[:, None]).max(axis=0)
+    errs = (errs / np.maximum(budget, _TINY)[:, None]).max(axis=0)
     split = errs >= 0.25 * float(errs.max())
     mids = 0.5 * (lo[split] + hi[split])
     return ~split, np.concatenate((lo[split], mids)), np.concatenate((mids, hi[split]))
@@ -183,7 +184,7 @@ def adaptive_quad(
         err_totals = errs.sum(axis=1).tolist()
         if all(err <= rel_tol * abs(total) or err < _TINY
                for err, total in zip(err_totals, totals)):
-            x, w = (r.ravel() for r in gk15_rule(lo, hi)[:2])
+            x, w = (r.ravel() for r in gk15_rule(lo, hi))
             if stacked:
                 return np.array(totals), np.array(err_totals), x, w
             return totals[0], err_totals[0], x, w

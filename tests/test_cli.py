@@ -350,6 +350,17 @@ class TestImpedanceCheckCommand:
         at_300 = cs.rte_zero_frequency_comparison(gold_bg, 1e17, cli._ZETA_SEQ)
         assert limits[1] != at_300[1]
 
+    def test_limits_at_a_huge_q_fixed(self, tmp_path):
+        # zeta^2 (eps - 1) + q^2 overflowed at q = 1e300 rad/s: a RuntimeWarning
+        # (an error in this suite), and 1.0 for the limit that is 0
+        out = tmp_path / "imp.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("impedance-check", "--q-fixed", "1e300", "--out", str(out)) == 0
+        meta, _, _ = read_csv(out)
+        assert float(meta["zero_freq_limit_momentum_dependent"]) == 0.0
+        assert float(meta["zero_freq_limit_frequency_only"]) == 1.0
+
     def test_ideal_model_rejected(self):
         assert run_cli("impedance-check", "--model", "ideal") == 2
 

@@ -678,6 +678,33 @@ class TestMatsubaraTruncation:
         assert F == pytest.approx(fsum_modes(cs.mode_free_energy, cfg, gold, fine),
                                   rel=quad.rel_tol, abs=0.0)
 
+    @pytest.mark.parametrize("T, a", [(1.0, 1e-6), (2.0, 0.3e-6)])
+    @pytest.mark.parametrize("sum_of", ["P", "F"])
+    def test_rule_in_m_holds_rel_tol_where_its_panel_estimate_bisects(
+            self, gold, monkeypatch, sum_of, T, a):
+        # at rel_tol 1e-13 the rule's panel estimate (the t-integrals' own,
+        # _gk15_panels) decides where the rule places rows: it bisects its
+        # panels once or twice (145-160 rows).  The explicit sum of all M - 1
+        # rows, with _RULE_RATIO raised past M, measured 1.2e-16 to 1.9e-16
+        # from it
+        cfg, quad = cs.ThermalGapConfig(T=T, a=a), cs.QuadratureSettings(rel_tol=1e-13)
+        total = {"P": lambda: cs.total_pressure(cfg, gold, quad).total,
+                 "F": lambda: cs.free_energy(cfg, gold, quad)}[sum_of]
+        bisections, bisect = [], lifshitz.bisect_worst
+
+        def counting(*args):
+            bisections.append(len(args[0]))
+            return bisect(*args)
+
+        monkeypatch.setattr(lifshitz, "bisect_worst", counting)
+        rule = total()
+        assert bisections
+        monkeypatch.setattr(lifshitz, "_RULE_RATIO", 10 ** 9)
+        bisections.clear()
+        explicit = total()
+        assert not bisections
+        assert abs(rule - explicit) <= quad.rel_tol * abs(explicit)
+
 
 class TestStackedSums:
     """P and F of one (a, T) as one stacked sum, against the separate sums."""
@@ -1283,6 +1310,16 @@ class TestSurfaceImpedance:
                 Z = cs.surface_impedance(zeta, p * zeta, eps)
                 assert Z < 0.0
                 assert abs(Z) <= 1.0
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_scale_invariant(self, gold, scale):
+        # zeta^2 (eps - 1) + q^2 overflowed: Z read -0.0 at zeta = 1e200 rad/s,
+        # and -inf at 1e-200, where it underflowed
+        zeta = np.geomspace(1e12, 1e16, 5)[:, None]
+        q, eps = np.geomspace(1.0, 100.0, 5) * zeta, gold.eps(zeta)
+        Z = cs.surface_impedance(zeta, q, eps)
+        np.testing.assert_allclose(cs.surface_impedance(scale * zeta, scale * q, eps), Z,
+                                   rtol=1e-15, atol=0.0)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
