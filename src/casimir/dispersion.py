@@ -75,14 +75,27 @@ def _reflection_sq(eps, p):
     and (s - p)/(s + p) = (eps-1)/(s + p)^2, which stay accurate when
     eps -> 1 and the direct differences would lose all digits.  Squares are
     products, so scalars match arrays: NumPy sends a scalar ``** 2`` to C pow.
+
+    eps and p broadcast (scalars, 0-d arrays, a column against a row or a
+    block) and are never written: p^2 is formed once, and the steps work
+    in place on temporaries of the full shape made here.  They round as
+    the formulas do, operation for operation, so the bits are the same.
     """
-    em1 = eps - 1.0
-    s = np.sqrt(em1 + p * p)
-    tm_den = eps * p + s
-    te_den = s + p
-    r_tm = em1 * (p * p * (eps + 1.0) - 1.0) / (tm_den * tm_den)
-    r_te = em1 / (te_den * te_den)
-    return r_tm * r_tm, r_te * r_te
+    em1, pp = eps - 1.0, p * p
+    s = np.sqrt(em1 + pp)
+    tm_den = eps * p
+    tm_den += s
+    tm_den *= tm_den
+    r_tm = pp * (eps + 1.0)
+    r_tm -= 1.0
+    r_tm *= em1
+    r_tm /= tm_den
+    r_tm *= r_tm
+    s += p  # the TE denominator
+    s *= s
+    r_te = em1 / s
+    r_te *= r_te
+    return r_tm, r_te
 
 
 def _plasma_zero_mode(y, omega_p_rad_s: float, a: float):

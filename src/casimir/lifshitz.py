@@ -282,18 +282,33 @@ def zero_frequency_reflection(model: MaterialModel, y, cfg: ThermalGapConfig) ->
 # ---------------------------------------------------------------------------
 # mode integrals
 
-def _pressure_kernel(A, B, y):
-    u = np.exp(-2.0 * y)
-    return y * y * (A * u / (1.0 - A * u) + B * u / (1.0 - B * u))
+# The kernels take the arrays Au = A u and Bu = B u, u = e^{-2y}, which a
+# block forms once for all its kernels (_kernels_at), at y, and u, which
+# only the m = 0 remainders read (_remainders).  No kernel writes its
+# inputs, which the block's other kernels share; the kernels of every sum,
+# pressure and free energy, work in place on temporaries of their own and
+# round as the expression beside them does, operation for operation.
+
+def _pressure_kernel(Au, Bu, y, u):  # y^2 (Au / (1 - Au) + Bu / (1 - Bu))
+    tm, te = 1.0 - Au, 1.0 - Bu
+    np.divide(Au, tm, out=tm)
+    np.divide(Bu, te, out=te)
+    tm += te
+    tm *= y * y
+    return tm
 
 
-def _free_energy_kernel(A, B, y):
-    u = np.exp(-2.0 * y)
-    return y * (np.log1p(-A * u) + np.log1p(-B * u))
+def _free_energy_kernel(Au, Bu, y, u):  # y (log1p(-Au) + log1p(-Bu))
+    tm, te = -Au, -Bu
+    np.log1p(tm, out=tm)
+    np.log1p(te, out=te)
+    tm += te
+    tm *= y
+    return tm
 
 
-def _te_kernel(A, B, y):
-    return y * np.log1p(-B * np.exp(-2.0 * y))
+def _te_kernel(Au, Bu, y, u):
+    return y * np.log1p(-Bu)
 
 
 # zeta(3)/4 = int_0^inf y^2 e^{-2y}/(1 - e^{-2y}) dy = -int_0^inf y ln(1 - e^{-2y}) dy
@@ -395,12 +410,17 @@ def _bind(model, sums):
 
 
 def _kernels_at(rule, y, kernels):
-    """Each kernel(A, B, y) at the rows y of one block, (A, B) = rule(y).
+    """Each kernel(A u, B u, y, u) at the rows y of one block, an array,
+    with (A, B) = rule(y) and u = e^{-2y}: u, A u and B u are formed once
+    for all the block's kernels, u in place on -2 y.
 
     A function of its own, so that only the kernels' rows outlive a block.
     """
     A, B = rule(y)
-    return [kernel(A, B, y) for kernel in kernels]
+    u = -2.0 * y
+    np.exp(u, out=u)
+    Au, Bu = A * u, B * u
+    return [kernel(Au, Bu, y, u) for kernel in kernels]
 
 
 def _contract(layout, t, components, w=None):
@@ -529,11 +549,12 @@ def _zero_mode(model, configs, kernels, units):
 
 def _remainders(kernels, units, A0, B0):
     """The m = 0 remainders of the kernels, whose integrals at unit
-    coefficients are units: kernel(A, B) - kernel(A0, B0) plus the closed
-    form over the t-interval (_zero_mode).  The configs of a sweep with the
-    same (A0, B0) share one tuple, so their rows share blocks (_bind)."""
-    return tuple(lambda A, B, y, k=k, density=(unit_A * A0 + unit_B * B0) / _T_MESH[-1]:
-                 k(A, B, y) - k(A0, B0, y) + density
+    coefficients are units: the kernel at (A u, B u) minus the kernel at
+    (A0 u, B0 u), plus the closed form over the t-interval (_zero_mode).
+    The configs of a sweep with the same (A0, B0) share one tuple, so their
+    rows share blocks (_bind)."""
+    return tuple(lambda Au, Bu, y, u, k=k, density=(unit_A * A0 + unit_B * B0) / _T_MESH[-1]:
+                 k(Au, Bu, y, u) - k(A0 * u, B0 * u, y, u) + density
                  for k, (unit_A, unit_B) in zip(kernels, units))
 
 

@@ -1095,13 +1095,121 @@ def test_unit_coefficient_kernels_give_closed_form_constants(kernel, constant, e
     # A = B = 1; integrating from t = 0 also probes their precision at y -> 0
     def f(t):
         X = 1.0 if ones == "scalar" else np.ones_like(t)
-        return kernel(X, X, t)
+        return lifshitz._kernels_at(lambda y: (X, X), t, (kernel,))[0]
 
     mesh = lifshitz._T_MESH
     value = quadrature.adaptive_quad(f, mesh[0], mesh[-1], rel_tol=1e-13,
                                      points=mesh[1:-1])[0]
     assert constant == exact
     assert abs(value - exact) <= 4.4e-16 * abs(exact)
+
+
+# The leaf written term by term, each kernel forming its own u = e^{-2y},
+# A u and B u: the reference that the shared, in-place forms of
+# _reflection_sq and _kernels_at must match bit for bit.
+def unfused_reflection_sq(eps, p):
+    em1 = eps - 1.0
+    s = np.sqrt(em1 + p * p)
+    tm_den = eps * p + s
+    te_den = s + p
+    r_tm = em1 * (p * p * (eps + 1.0) - 1.0) / (tm_den * tm_den)
+    r_te = em1 / (te_den * te_den)
+    return r_tm * r_tm, r_te * r_te
+
+
+def unfused_pressure(A, B, y):
+    u = np.exp(-2.0 * y)
+    return y * y * (A * u / (1.0 - A * u) + B * u / (1.0 - B * u))
+
+
+def unfused_free_energy(A, B, y):
+    u = np.exp(-2.0 * y)
+    return y * (np.log1p(-A * u) + np.log1p(-B * u))
+
+
+def unfused_te(A, B, y):
+    return y * np.log1p(-B * np.exp(-2.0 * y))
+
+
+def same_bits(x, y):
+    return type(x) is type(y) and np.shape(x) == np.shape(y) and (
+        np.asarray(x).tobytes() == np.asarray(y).tobytes())
+
+
+class TestLeafBitIdentity:
+    """The leaf (_reflection_sq, then the kernels of a block) gives the bits
+    of the term-by-term expressions, on every model's block of rows."""
+
+    KERNELS = {"P": (lifshitz._pressure_kernel,), "F": (lifshitz._free_energy_kernel,),
+               "P+F": (lifshitz._pressure_kernel, lifshitz._free_energy_kernel),
+               "TE": (lifshitz._te_kernel,)}
+    UNFUSED = {lifshitz._pressure_kernel: unfused_pressure,
+               lifshitz._free_energy_kernel: unfused_free_energy,
+               lifshitz._te_kernel: unfused_te}
+    UNITS = {lifshitz._pressure_kernel: lifshitz._PRESSURE[3],
+             lifshitz._free_energy_kernel: lifshitz._FREE_ENERGY[3],
+             lifshitz._te_kernel: (0.0, -lifshitz._ZETA3_4)}
+
+    @staticmethod
+    def model(name, gold):
+        return {"drude": gold, "plasma": cs.Plasma(), "ideal": cs.Ideal(),
+                "bg": cs.gold_drude("bg"), "table_drude": drude_table(gold, "drude_like"),
+                "table_plasma": drude_table(gold, "plasma_like")}[name]
+
+    @pytest.mark.parametrize("kernels", list(KERNELS))
+    @pytest.mark.parametrize("name", ["drude", "plasma", "ideal", "bg", "table_drude",
+                                      "table_plasma"])
+    def test_kernels_at_a_block_of_modes(self, gold, monkeypatch, name, kernels):
+        # rows m = 1..64 at 20 K and 0.3 um on the first t-panels, bound as
+        # _block binds them; the reference evaluates the model's own rule
+        # with the term-by-term reflection in place of _reflection_sq
+        model, cfg = self.model(name, gold), cs.ThermalGapConfig(T=20.0, a=0.3e-6)
+        zeta = cfg.matsubara(np.arange(1, 65))[:, None]
+        y_lo = cfg.a * zeta / cs.C
+        y = y_lo + lifshitz._T_NODES
+        rule = model.matsubara_reflection(zeta, cfg.T)
+        got = lifshitz._kernels_at(lambda y: rule(y / y_lo), y, self.KERNELS[kernels])
+        calls = []
+        monkeypatch.setattr(dispersion, "_reflection_sq",
+                            lambda *args: calls.append(1) or unfused_reflection_sq(*args))
+        A, B = model.matsubara_reflection(zeta, cfg.T)(y / y_lo)
+        assert len(calls) == (0 if name == "ideal" else 1)  # ideal: scalar 1.0 coefficients
+        for k, row in zip(self.KERNELS[kernels], got):
+            assert np.array_equal(row, self.UNFUSED[k](A, B, y)), k.__name__
+
+    @pytest.mark.parametrize("kernels", ["P+F", "TE"])
+    @pytest.mark.parametrize("exact", [(1.0, 0.0), (1.0, 1.0)], ids=["A0=1,B0=0", "A0=B0=1"])
+    @pytest.mark.parametrize("name", ["plasma", "table_plasma", "drude"])
+    def test_zero_mode_remainders(self, gold, name, exact, kernels):
+        # rows at zeta = 0 of three configs, at the model's m = 0 rule
+        configs = [cs.ThermalGapConfig(T=T, a=a) for T, a in
+                   [(300.0, 0.3e-6), (350.0, 1e-6), (20.0, 50e-9)]]
+        rule = lifshitz._zero_rule(self.model(name, gold), lifshitz._Configs.of(configs))
+        y = np.zeros((len(configs), 1)) + lifshitz._T_NODES
+        ks = self.KERNELS[kernels]
+        units = [self.UNITS[k] for k in ks]
+        got = lifshitz._kernels_at(rule, y, lifshitz._remainders(ks, units, *exact))
+        A, B = rule(y)
+        A0, B0 = exact
+        for k, (unit_A, unit_B), row in zip(ks, units, got):
+            density = (unit_A * A0 + unit_B * B0) / lifshitz._T_MESH[-1]
+            k = self.UNFUSED[k]
+            assert np.array_equal(row, k(A, B, y) - k(A0, B0, y) + density)
+
+    @pytest.mark.parametrize("shapes", ["float", "0-d", "column x block", "column x row",
+                                        "row x column"])
+    def test_reflection_sq(self, shapes):
+        eps = np.geomspace(1.0 + 1e-12, 1e12, 20)
+        p = np.geomspace(1.0, 100.0, 20)
+        eps, p = {"float": (float(eps[3]), float(p[7])),
+                  "0-d": (np.array(eps[3]), np.array(p[7])),
+                  "column x block": (eps[:, None], np.outer(np.geomspace(1.0, 3.0, 20), p)),
+                  "column x row": (eps[:, None], p),
+                  "row x column": (eps, p[:, None])}[shapes]
+        before = np.copy(eps), np.copy(p)
+        for got, want in zip(_reflection_sq(eps, p), unfused_reflection_sq(eps, p)):
+            assert same_bits(got, want)
+        assert np.array_equal(eps, before[0]) and np.array_equal(p, before[1])
 
 
 class TestWorkCount:
