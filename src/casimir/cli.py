@@ -15,7 +15,7 @@ gap or none, and whether --rel-tol applies.  Every number given on the
 command line must be finite and > 0 (a --zeta-range may start at 0); model
 defaults are the library's own.  A sweep computes all its rows at once:
 every Matsubara sum it needs, over its gaps and temperatures, is one
-stacked sum, and lowtemp's f_te column (f(0) too) one stacked integral.
+stack's sum, and lowtemp's f_te column (f(0) too) one stack's integral.
 A sphere-plate row needs one free energy per temperature; --radius adds
 the forces and one warning per row with R < 100 a.  A model or spacing
 flag that the run would ignore is a configuration error.
@@ -179,13 +179,9 @@ def _resolve_gaps(args, arity: str) -> list[float]:
     _positive("gap-range", lo, "um")
     if arity == "one" and n > 1:
         raise ConfigError(f"gap-range: {args.command} takes one gap, got {n}")
-    if n == 1:
-        values = np.array([lo])
-    elif args.log_spacing:
-        values = np.geomspace(lo, hi, n)
-    else:
-        values = np.linspace(lo, hi, n)
-    return [float(v) * MICRON for v in values]
+    if n > 1 and args.log_spacing:
+        return [float(v) * MICRON for v in np.geomspace(lo, hi, n)]
+    return [float(v) * MICRON for v in np.linspace(lo, hi, n)]  # [lo] for n = 1
 
 
 def _resolve_temps(args, cmd: Command) -> list[float]:
@@ -242,7 +238,11 @@ def _build_model(args) -> tuple[MaterialModel, str]:
         model = Plasma(**omega_p)
         return model, f"plasma(omega_p={model.omega_p_ev:g} eV)"
     if args.nu_model == "bg":
-        relax = BlochGruneisen(**_given(args, theta_d="theta_d", nu_ref_ev="nu"))
+        # BlochGruneisen checks T_ref / theta_D when it is built, before any sum
+        try:
+            relax = BlochGruneisen(**_given(args, theta_d="theta_d", nu_ref_ev="nu"))
+        except DomainError as exc:
+            raise ConfigError(f"theta-d: {exc}") from None
         model = Drude(**omega_p, relaxation=relax)
         return model, (f"drude(omega_p={model.omega_p_ev:g} eV, nu_bg(ref="
                        f"{relax.nu_ref_ev:g} eV @{relax.t_ref:g}K, "

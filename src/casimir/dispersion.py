@@ -141,8 +141,8 @@ def _bg_integral(u: float) -> float:
     it is below double precision of the total, so the upper limit is
     min(u, 80).  The Kronrod nodes never touch x = 0, where the form is 0/0.
     """
-    return adaptive_quad(lambda x: x**5 / (4.0 * np.sinh(0.5 * x) ** 2),
-                         0.0, min(u, 80.0), rel_tol=1e-13)[0]
+    return adaptive_quad(lambda x: (x**5 / (4.0 * np.sinh(0.5 * x) ** 2))[None],
+                         np.linspace(0.0, min(u, 80.0), 9), rel_tol=1e-13)[0].item()
 
 
 @dataclass(frozen=True)
@@ -437,7 +437,8 @@ def sum_rule_check(gamma_spectral: float) -> float:
     """
     check_positive("gamma", gamma_spectral)
     g = float(gamma_spectral)
-    val = adaptive_quad(lambda w: drude_spectral_function(w, g), 0.0, 100.0 * g)[0]
+    val = adaptive_quad(lambda w: drude_spectral_function(w, g)[None],
+                        np.linspace(0.0, 100.0 * g, 9))[0].item()
     tail = (2.0 / np.pi) * (0.5 * np.pi - np.arctan(100.0))
     return val + tail
 

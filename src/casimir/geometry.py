@@ -5,7 +5,7 @@ compared to a, the force is 2 pi R times the parallel-plate free energy
 per unit area at gap a.  Validity is advisory: a warning is issued for
 R < 100 a rather than refusing, since experimental geometries vary.  A
 sweep of gaps (the CLI's sphere-plate) sums every free energy it needs,
-at each gap and temperature, as one stacked sum (lifshitz._grid_sums).
+at each gap and temperature, as one stack's sum (lifshitz._grid_sums).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class SpherePlateConfig:
 
 
 def _pfa_rows(gaps, model, temps, quad, R=None) -> list[list[float]]:
-    """Sphere-plate values at each gap a of gaps, from one stacked
+    """Sphere-plate values at each gap a of gaps, from one stack's
     free-energy sum over every (a, T) with T in temps.
 
     Each row is first 2 pi [F(a, temps[0]) - F(a, temps[-1])], free of R;

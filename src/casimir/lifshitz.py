@@ -242,7 +242,7 @@ def lifshitz_variables(y, m: int, cfg: ThermalGapConfig, eps):
     eps = check_eps(eps)
     p = y / mg
     s = np.sqrt(eps - 1.0 + p * p)
-    return (float(p), float(s)) if p.ndim == 0 else (p, s)
+    return (float(p), float(s)) if s.ndim == 0 else tuple(np.broadcast_arrays(p, s))
 
 
 def reflection_pair(y, m: int, cfg: ThermalGapConfig, eps) -> ReflectionPair:
@@ -467,8 +467,8 @@ def _integrate(model, sums, rel_tol):
     first = _contract([block for block in layout if not callable(block)], _T_NODES, width)[0]
     for i in (i for i, one in enumerate(sums) if one.first is not None):  # stored rounds
         first.reshape(len(sums), -1, len(_T_NODES))[i] = sums[i].first
-    values, _, t, w = adaptive_quad(lambda t: _contract(layout, t, width)[0], *_T_MESH[[0, -1]],
-                                    rel_tol=rel_tol, points=_T_MESH[1:-1], first=first)
+    values, _, t, w = adaptive_quad(lambda t: _contract(layout, t, width)[0], _T_MESH,
+                                    rel_tol=rel_tol, first=first)
     return values.reshape(len(sums), -1), (t, w)
 
 
@@ -705,13 +705,13 @@ def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
             _tail_bound(K, cfg.gamma, tail) for _, _, tail, _ in observables])).any():
         return None
 
-    def panels(lo, hi):  # nodes, weights, weighted rows at _T_NODES, values, errors
+    def panels(lo, hi):  # weighted rows at _T_NODES, values, errors
         x, wk = gk15_rule(lo, hi)
         gx, at_nodes = _first_mesh(model, cfg, x.ravel(), kernels, wk.ravel(), x.shape[1])
-        return (x, wk, at_nodes, *_gk15_panels(gx, lo, hi))
+        return (at_nodes, *_gk15_panels(gx, lo, hi))
 
     lo, hi = np.array(lo), np.array(hi)
-    x, wk, at_nodes, vals, errs = panels(lo, hi)
+    at_nodes, vals, errs = panels(lo, hi)
     while True:
         budget = 0.5 * rel_tol * np.abs(np.add(head, [math.fsum(v) for v in vals]) + end_sums)
         if (end_err > budget).any():
@@ -720,17 +720,17 @@ def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
             first = first + at_nodes.sum(axis=0)
             if len(explicit):
                 first = first + _first_mesh(model, cfg, explicit, kernels)[1][0]
-            m = np.concatenate((explicit, ends, x.ravel()))
-            return m, np.concatenate((np.ones(len(explicit)), end_w, wk.ravel())), first
+            x, wk = (r.ravel() for r in gk15_rule(lo, hi))
+            return (np.concatenate((explicit, ends, x)),
+                    np.concatenate((np.ones(len(explicit)), end_w, wk)), first)
         if len(lo) >= _M_PANELS:
             return None
         keep, new_lo, new_hi = bisect_worst(lo, hi, errs, budget)
         lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
-        new = panels(new_lo, new_hi)
-        x, wk, at_nodes = (np.concatenate((old[keep], n))
-                           for old, n in zip((x, wk, at_nodes), new[:3]))
+        new_at_nodes, new_vals, new_errs = panels(new_lo, new_hi)
+        at_nodes = np.concatenate((at_nodes[keep], new_at_nodes))
         vals, errs = (np.concatenate((old[:, keep], n), axis=1)
-                      for old, n in zip((vals, errs), new[3:]))
+                      for old, n in zip((vals, errs), (new_vals, new_errs)))
 
 
 def _rows(model, cfg, observables, kernels, Ms, rel_tol, zeros):
@@ -797,7 +797,7 @@ def _named(exc, model, cfg, modes):
 
 
 def _plan(configs, model, rel_tol, observables, parts):
-    """The plan of the stacked sum of observables at every (a, T) of
+    """The plan of one stack's sum of observables at every (a, T) of
     configs, a whole sweep: per config its closed m = 0 terms, halved
     (None: the stack integrates them), and the M of each observable.  It
     appends each config's parts to parts, in order: its m = 0 remainder,

@@ -3,22 +3,21 @@
 The (G7, K15) embedded pair is applied to a worklist of panels; every
 refinement round bisects the panels carrying the largest error estimates,
 so the integrand is always evaluated on one flat array per round.  The
-worklist starts from 8 equal panels, or from caller-given breakpoints
-(QUADPACK's ``points``) placed where the integrand varies fastest, so no
-rounds are spent bisecting towards them.  Panel results are summed with
-math.fsum, which is correctly rounded and independent of summation order,
-so the returned value does not depend on the refinement history and is
-bit-reproducible.  adaptive_quad, the one entry point, also returns the
-Kronrod nodes and weights of its final panels, so a caller can integrate
-related functions (the Lifshitz per-mode rows) on the converged rule.  An
-integrand may return a stack of C functions on the same points (the
-Lifshitz pressure and free energy); each component then holds rel_tol on
-its own total, and the panels are bisected where the largest error
-relative to its component's budget sits.  The first round may be given as
-data, the integrand's values on the initial nodes (a caller that already
-holds them, as the Lifshitz sums do), so the integrand is then called only
-for the panels of later rounds; _gk15_panels estimates a round from values,
-whoever evaluated them.
+worklist starts from the panels between caller-given edges, placed where
+the integrand varies fastest, so no rounds are spent bisecting towards
+them.  Panel results are summed with math.fsum, which is correctly rounded
+and independent of summation order, so the returned value does not depend
+on the refinement history and is bit-reproducible.  adaptive_quad, the one
+entry point, also returns the Kronrod nodes and weights of its final
+panels, so a caller can integrate related functions (the Lifshitz per-mode
+rows) on the converged rule.  The integrand returns a stack of C functions
+on the same points (the Lifshitz pressure and free energy; C = 1 for a
+single integral); each component holds rel_tol on its own total, and the
+panels are bisected where the largest error relative to its component's
+budget sits.  The first round may be given as data, the integrand's values
+on the initial nodes (a caller that already holds them, as the Lifshitz
+sums do), so the integrand is then called only for the panels of later
+rounds; _gk15_panels estimates a round from values, whoever evaluated them.
 
 Error estimation follows the QUADPACK recipe: the raw |K15 - G7|
 difference is rescaled by the panel's total variation measure so that
@@ -70,7 +69,6 @@ _NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))
 _WK = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _WG_FULL = np.concatenate((_WG[:-1], _WG[::-1]))  # weights for nodes 1,3,...,13
 
-_INITIAL_PANELS = 8
 _MAX_ROUNDS = 48
 _MAX_PANELS = 4096
 _TINY = np.finfo(float).tiny  # error estimates below it count as converged
@@ -105,18 +103,17 @@ def bisect_worst(lo: np.ndarray, hi: np.ndarray, errs: np.ndarray, budget: np.nd
 
 def _gk15_panels(fx, lo: np.ndarray, hi: np.ndarray):
     """Evaluate the (G7, K15) pair on each panel [lo_i, hi_i] from the
-    integrand's values fx at the panels' Kronrod nodes (gk15_rule's,
-    flattened), shape (n,) or (C, n); ValueError for any other shape.
+    values fx of C integrands at the panels' Kronrod nodes (gk15_rule's,
+    flattened), shape (C, n); ValueError for any other shape.
 
-    Returns (kronrod values, scaled error estimates), one entry per panel,
-    with a leading axis of C components when fx has shape (C, n).
-    ConvergenceError if an error estimate is not finite, as it is on every
-    panel where the integrand is NaN or infinite.
+    Returns (kronrod values, scaled error estimates), each of shape
+    (C, panels).  ConvergenceError if an error estimate is not finite, as
+    it is on every panel where the integrand is NaN or infinite.
     """
     fx, n = np.asarray(fx, dtype=float), len(_NODES) * len(lo)
-    if fx.ndim not in (1, 2) or fx.shape[-1] != n:
-        raise ValueError(f"integrand values must have shape ({n},) or (C, {n}), got {fx.shape}")
-    fx = fx.reshape(fx.shape[:-1] + (len(lo), len(_NODES)))
+    if fx.ndim != 2 or fx.shape[1] != n:
+        raise ValueError(f"integrand values must have shape (C, {n}), got {fx.shape}")
+    fx = fx.reshape(len(fx), len(lo), len(_NODES))
     half = 0.5 * (hi - lo)
 
     sk = fx @ _WK                   # Kronrod sum on the unit interval
@@ -137,47 +134,38 @@ def _gk15_panels(fx, lo: np.ndarray, hi: np.ndarray):
 
 def adaptive_quad(
     f: Callable,
-    a: float,
-    b: float,
+    edges: Sequence[float],
     *,
     rel_tol: float = 1e-10,
-    points: Sequence[float] | None = None,
     first: np.ndarray | None = None,
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Integrate a vectorized callable f over [a, b].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate a vectorized stack f over [edges[0], edges[-1]].
 
-    Starts from 8 equal panels, or from the panels between a, the
-    increasing interior breakpoints ``points`` and b, and stops once the
-    summed panel error estimates drop below rel_tol * |integral|, or below
-    the smallest normal float, where rel_tol * |integral| may have
-    underflowed.  Each refinement round bisects the panels whose error is
-    within a factor 4 of the current worst, so progress is guaranteed.
-    Returns (value, error estimate, x, w), where x and w are the Kronrod
-    nodes and weights of the final panels: w @ g(x) applies the converged
-    rule to another integrand g.  Raises ConvergenceError (carrying the
-    best estimate) after 48 rounds or 4096 panels, and at once, without
-    one, when a round's estimate is not finite.
+    f(x) returns C functions on the points x, shape (C, len(x)).  The
+    start panels are those between the increasing values of the 1-D edges
+    (ValueError unless there are at least two).  Refinement stops once each
+    component's summed panel error estimates drop below rel_tol times its
+    |integral|, or below the smallest normal float, where that budget may
+    have underflowed.  Each refinement round bisects the panels whose
+    largest error over its component's budget is within a factor 4 of the
+    current worst, so progress is guaranteed.  Returns (values, error
+    estimates, x, w): arrays of C, and the Kronrod nodes and weights of the
+    final panels: w @ g(x) applies the converged rule to another integrand
+    g.  Raises ConvergenceError (carrying the best estimates) after 48
+    rounds or 4096 panels, and at once, without them, when a round's
+    estimate is not finite.
 
-    When f returns a stack of shape (C, len(x)), value and error estimate
-    are arrays of C, every component meets rel_tol of its own value, and a
-    round bisects by each panel's largest error over its component's
-    budget rel_tol * |value|.
-
-    first, unless None, is f's values on the Kronrod nodes of the initial
-    panels, as gk15_rule gives them, flattened: shape (n,) or (C, n) for
-    the n = 15 * panels nodes (ValueError otherwise).  The first round
-    takes them as f's, so f is called only for the panels of later rounds,
-    and the result is the same, bit for bit, as f's own values give.
+    first, unless None, is f's values on the Kronrod nodes of the start
+    panels, as gk15_rule gives them, flattened: shape (C, n) for the n =
+    15 * panels nodes (ValueError otherwise).  The first round takes them
+    as f's, so f is called only for the panels of later rounds, and the
+    result is the same, bit for bit, as f's own values give.
     """
-    edges = (np.linspace(a, b, _INITIAL_PANELS + 1) if points is None
-             else np.concatenate(([a], points, [b])))
-    if not (edges[1:] > edges[:-1]).all():
-        raise ValueError(f"integration edges must increase, got {edges.tolist()}")
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or len(edges) < 2 or not (edges[1:] > edges[:-1]).all():
+        raise ValueError(f"integration edges must be >= 2 increasing values, got {edges.tolist()}")
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk15_panels(f(gk15_rule(lo, hi)[0].ravel()) if first is None else first, lo, hi)
-    stacked = vals.ndim > 1
-    if not stacked:  # a stack of one, as the loop takes it
-        vals, errs = vals[None], errs[None]
 
     totals = [neumaier_sum(v) for v in vals.tolist()]
     for _ in range(_MAX_ROUNDS):
@@ -185,21 +173,19 @@ def adaptive_quad(
         if all(err <= rel_tol * abs(total) or err < _TINY
                for err, total in zip(err_totals, totals)):
             x, w = (r.ravel() for r in gk15_rule(lo, hi))
-            if stacked:
-                return np.array(totals), np.array(err_totals), x, w
-            return totals[0], err_totals[0], x, w
+            return np.array(totals), np.array(err_totals), x, w
         if 2 * len(lo) > _MAX_PANELS:
             break
         keep, new_lo, new_hi = bisect_worst(lo, hi, errs, rel_tol * np.abs(totals))
         new_vals, new_errs = _gk15_panels(f(gk15_rule(new_lo, new_hi)[0].ravel()), new_lo, new_hi)
         lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
-        vals = np.concatenate((vals[:, keep], new_vals.reshape(len(vals), -1)), axis=1)
-        errs = np.concatenate((errs[:, keep], new_errs.reshape(len(errs), -1)), axis=1)
+        vals = np.concatenate((vals[:, keep], new_vals), axis=1)
+        errs = np.concatenate((errs[:, keep], new_errs), axis=1)
         totals = [neumaier_sum(v) for v in vals.tolist()]
 
     raise ConvergenceError(
         f"quadrature did not reach rel_tol={rel_tol:g} "
         f"on [{edges[0]:g}, {edges[-1]:g}] "
         f"(estimated error {max(err_totals):.3e} with {len(lo)} panels)",
-        estimate=np.array(totals) if stacked else totals[0],
+        estimate=np.array(totals),
     )

@@ -7,7 +7,7 @@ pressure magnitudes at two laboratory temperatures,
 
 and the analogous free-energy difference.  The permittivity is
 re-evaluated on each temperature's own Matsubara grid; nothing is cached
-across temperatures.  A difference is one stacked sum over its (a, T)
+across temperatures.  A difference is one stack's sum over its (a, T)
 (lifshitz._grid_sums), which evaluates eps once per row block of each
 temperature; the CLI's diff stacks P and F at all its gaps, and they share
 each row's reflection coefficients.  lowT_quadratic_fit sums its whole
@@ -88,7 +88,7 @@ class QuadraticFit:
 def _differences(gaps, model: MaterialModel, T1: float, T2: float,
                  quad: QuadratureSettings, observables) -> list[list[DifferenceResult]]:
     """|value(T2)| - |value(T1)| of each observable at each gap a of gaps,
-    from one stacked sum over every (a, T), which shares its rows: per gap,
+    from one stack's sum over every (a, T), which shares its rows: per gap,
     one DifferenceResult per observable."""
     return [[DifferenceResult(a=a, T_low=T2, T_high=T1, delta=abs(v2) - abs(v1),
                               raw_low=v2, raw_high=v1)

@@ -510,6 +510,17 @@ def test_non_finite_values_end_with_a_named_error(capsys, argv, named):
     assert err.startswith("casimir: ") and err.count("\n") == 1 and named in err
 
 
+def test_a_model_the_flags_cannot_build_is_a_configuration_error(capsys):
+    # BlochGruneisen rejects T_ref/theta_D = 3e302 when it is built, before
+    # any sum runs, which read "computation failed" with exit 3; a --temp
+    # past the range fails while summing and stays exit 3
+    assert run_cli("diff", "--nu-model", "bg", "--theta-d", "1e-300", "--gap", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("casimir: configuration error: theta-d: ") and err.count("\n") == 1
+    assert run_cli("diff", "--nu-model", "bg", "--gap", "1", "--temp", "1e70", "--temp", "300") == 3
+    assert capsys.readouterr().err.startswith("casimir: computation failed: ")
+
+
 def test_overflowing_reflection_rows_are_named_under_warnings_as_errors(capsys):
     # at gamma = 2.7e-83 the rule in m evaluates rows where (eps p + s)^2
     # overflows; NumPy's RuntimeWarnings came before the named error, and

@@ -192,6 +192,21 @@ class TestReflectionPair:
             with pytest.raises(DomainError, match="y must be >= m.gamma = .* and finite"):
                 fn(y, 1, cfg, 100.0)
 
+    def test_array_eps_broadcasts_against_y(self):
+        # a scalar y with an array eps raised TypeError: p was 0-d, so
+        # lifshitz_variables returned floats while s had eps's shape
+        cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
+        eps = np.array([2.0, 30.0, 2526.0])
+        for y in (2.0, np.array([[2.0], [3.0]])):
+            pair = cs.reflection_pair(y, 1, cfg, eps)
+            p, s = cs.lifshitz_variables(y, 1, cfg, eps)
+            assert pair.A.shape == pair.B.shape == p.shape == s.shape == np.broadcast_shapes(
+                np.shape(y), eps.shape)
+            for i in np.ndindex(pair.A.shape):
+                one = cs.reflection_pair(float(np.broadcast_to(y, p.shape)[i]), 1, cfg,
+                                         float(eps[i[-1]]))
+                assert (pair.A[i], pair.B[i]) == (one.A, one.B)
+
     def test_stable_when_eps_near_one(self):
         # the naive (s - p) difference would lose every digit here; B is
         # ((eps - 1)/16)^2 to first order, with eps - 1 of the float 1 + 1e-12
@@ -1095,11 +1110,9 @@ def test_unit_coefficient_kernels_give_closed_form_constants(kernel, constant, e
     # A = B = 1; integrating from t = 0 also probes their precision at y -> 0
     def f(t):
         X = 1.0 if ones == "scalar" else np.ones_like(t)
-        return lifshitz._kernels_at(lambda y: (X, X), t, (kernel,))[0]
+        return lifshitz._kernels_at(lambda y: (X, X), t, (kernel,))[0][None]
 
-    mesh = lifshitz._T_MESH
-    value = quadrature.adaptive_quad(f, mesh[0], mesh[-1], rel_tol=1e-13,
-                                     points=mesh[1:-1])[0]
+    value = quadrature.adaptive_quad(f, lifshitz._T_MESH, rel_tol=1e-13)[0].item()
     assert constant == exact
     assert abs(value - exact) <= 4.4e-16 * abs(exact)
 
