@@ -52,6 +52,7 @@ from .errors import (
     TableRangeError,
     UnsupportedModelError,
     check_positive,
+    check_power,
 )
 from .quadrature import adaptive_quad
 
@@ -433,14 +434,16 @@ def sum_rule_check(gamma_spectral: float) -> float:
     The integral over [0, 100*gamma] is done by the package's adaptive
     GK15 at its default rel_tol and the tail is added in closed form, so
     the result probes the numerics rather than the arctan identity.
-    Should equal 1 for any gamma > 0.
+    Should equal 1 for any gamma in [1e-150, 1e150], where gamma^2 and
+    (100 gamma)^2 stay normal floats; DomainError outside it.
     """
     check_positive("gamma", gamma_spectral)
     g = float(gamma_spectral)
+    if not 1e-150 <= g <= 1e150:
+        raise DomainError(f"gamma must lie in [1e-150, 1e150], got {g!r}")
     val = adaptive_quad(lambda w: drude_spectral_function(w, g)[None],
                         np.linspace(0.0, 100.0 * g, 9))[0].item()
-    tail = (2.0 / np.pi) * (0.5 * np.pi - np.arctan(100.0))
-    return val + tail
+    return float(val + (2.0 / np.pi) * (0.5 * np.pi - np.arctan(100.0)))
 
 
 def zero_mode_product(model: MaterialModel, T: float = 300.0) -> float:
@@ -454,7 +457,7 @@ def zero_mode_product(model: MaterialModel, T: float = 300.0) -> float:
     declared class instead of a computed one.
     """
     try:
-        wp2 = model.omega_p_rad_s ** 2
+        wp2 = check_power("plasma frequency omega_p_rad_s", model.omega_p_rad_s, 2)
     except AttributeError:
         raise UnsupportedModelError(
             f"zero_mode_product needs a plasma frequency omega_p_rad_s, "

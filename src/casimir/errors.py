@@ -35,6 +35,14 @@ def check_positive(what: str, value) -> None:
         raise DomainError(f"{what} must be finite and > 0, got {value}")
 
 
+def check_power(what: str, value: float, n: int) -> float:
+    """value ** n as a float; DomainError naming what where it overflows."""
+    try:
+        return float(value) ** n
+    except OverflowError:
+        raise DomainError(f"{what} = {value:g}: its power {n} overflows a float") from None
+
+
 def check_index(m, lo: int) -> None:
     """Raise DomainError unless the mode index m is an integer (not a bool) >= lo."""
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < lo:

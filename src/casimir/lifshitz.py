@@ -663,10 +663,12 @@ def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
     The model's kinks, frequencies where eps bends, cut [K, M-1] where g is
     not smooth.  A smooth stretch [a, b] of at least _SEGMENT_MIN rows is
     summed by Gregory's rule: int_a^b g dm plus, at a and mirrored at b,
-    the end terms of _GREGORY.  A shorter stretch keeps its rows, evaluated
-    once the rule has met its budget.  The integral takes GK15 panels
-    graded geometrically from a, none wider than 4/gamma, over which g falls
-    by at most e^8.  The rule is placed by the kernels' g on the first
+    the end terms of _GREGORY.  A shorter stretch keeps its rows, weighted
+    1.  Those rows and the end rows are the rule's fixed rows, evaluated in
+    one pass before any panel (even for a K that then misses its budget)
+    and counted in the rule's sum.  The integral takes GK15 panels graded
+    geometrically from a, none wider than 4/gamma, over which g falls by at
+    most e^8.  The rule is placed by the kernels' g on the first
     t-panels, _T_NODES, which also gives its error estimate per kernel: the
     last end terms (_D3) plus the panels' GK15 estimates (_gk15_panels, the
     one estimate, which the t-integrals take too), each held to half of
@@ -694,13 +696,13 @@ def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
             explicit.append(np.arange(start, end + 1.0))
         start = end + 1
     explicit = np.concatenate(explicit)
+    fixed = np.concatenate(ends + [explicit])
+    fixed_w = np.concatenate([_GREGORY] * len(ends) + [np.ones(len(explicit))])
+    g_fixed, (first,) = _first_mesh(model, cfg, fixed, kernels, fixed_w)
     if not lo:  # every stretch is short
-        return explicit, np.ones(len(explicit)), _first_mesh(model, cfg, explicit, kernels)[1][0]
-    ends = np.concatenate(ends)
-    end_w = np.resize(_GREGORY, len(ends))
-    g_ends, (first,) = _first_mesh(model, cfg, ends, kernels, end_w)
-    end_err = np.abs(g_ends.reshape(len(observables), -1, 5) @ _D3).sum(axis=1) / 720.0
-    end_sums = np.array([ge @ end_w for ge in g_ends])
+        return fixed, fixed_w, first
+    end_err = np.abs(g_fixed[:, :5 * len(ends)].reshape(len(kernels), -1, 5) @ _D3).sum(1) / 720
+    fixed_sums = np.array([g @ fixed_w for g in g_fixed])
     if (end_err > 0.5 * rel_tol * (np.abs(head) + [
             _tail_bound(K, cfg.gamma, tail) for _, _, tail, _ in observables])).any():
         return None
@@ -713,16 +715,13 @@ def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
     lo, hi = np.array(lo), np.array(hi)
     at_nodes, vals, errs = panels(lo, hi)
     while True:
-        budget = 0.5 * rel_tol * np.abs(np.add(head, [math.fsum(v) for v in vals]) + end_sums)
+        budget = 0.5 * rel_tol * np.abs(np.add(head, [math.fsum(v) for v in vals]) + fixed_sums)
         if (end_err > budget).any():
             return None
         if (errs.sum(axis=1) <= budget).all():
-            first = first + at_nodes.sum(axis=0)
-            if len(explicit):
-                first = first + _first_mesh(model, cfg, explicit, kernels)[1][0]
             x, wk = (r.ravel() for r in gk15_rule(lo, hi))
-            return (np.concatenate((explicit, ends, x)),
-                    np.concatenate((np.ones(len(explicit)), end_w, wk)), first)
+            return (np.concatenate((fixed, x)), np.concatenate((fixed_w, wk)),
+                    first + at_nodes.sum(axis=0))
         if len(lo) >= _M_PANELS:
             return None
         keep, new_lo, new_hi = bisect_worst(lo, hi, errs, budget)

@@ -31,7 +31,8 @@ import numpy as np
 
 from .constants import C, HBAR, K_B, free_energy_si_to_ev3, temperature_to_ev
 from .dispersion import MaterialModel
-from .errors import ApplicabilityWarning, BracketError, DomainError, FitError, check_positive
+from .errors import (ApplicabilityWarning, BracketError, DomainError, FitError, check_positive,
+                     check_power)
 from .lifshitz import (
     _FREE_ENERGY,
     _PRESSURE,
@@ -117,9 +118,11 @@ def sign_change_gap(model: MaterialModel, T1: float = 350.0, T2: float = 300.0,
     """Gap width (m) where the pressure difference changes sign.
 
     Bisection to ``xtol`` (default 1e-3 um), or until the midpoint is a
-    bracket end, so an xtol below the float spacing still terminates;
-    raises BracketError when the difference has the same sign at both
-    bracket ends.
+    bracket end, so an xtol below the float spacing still terminates.
+    Raises BracketError unless the difference has opposite signs at the two
+    bracket ends; a difference that is identically zero counts as having
+    one sign.  A zero inside the bracket, or at one end, is found to xtol
+    like any root.
     """
     a_lo, a_hi = bracket
     if not 0 < a_lo < a_hi:
@@ -130,10 +133,6 @@ def sign_change_gap(model: MaterialModel, T1: float = 350.0, T2: float = 300.0,
         return pressure_difference(a, model, T1, T2, quad).delta
 
     d_lo, d_hi = delta(a_lo), delta(a_hi)
-    if d_lo == 0.0:
-        return a_lo
-    if d_hi == 0.0:
-        return a_hi
     if np.sign(d_lo) == np.sign(d_hi):
         raise BracketError(
             f"pressure difference has the same sign ({d_lo:+.3e}, {d_hi:+.3e}) "
@@ -142,11 +141,8 @@ def sign_change_gap(model: MaterialModel, T1: float = 350.0, T2: float = 300.0,
         a_mid = 0.5 * (a_lo + a_hi)
         if a_mid in (a_lo, a_hi):
             break
-        d_mid = delta(a_mid)
-        if d_mid == 0.0:
-            return a_mid
-        if np.sign(d_mid) == np.sign(d_lo):
-            a_lo, d_lo = a_mid, d_mid
+        if np.sign(delta(a_mid)) == np.sign(d_lo):
+            a_lo = a_mid
         else:
             a_hi = a_mid
     return 0.5 * (a_lo + a_hi)
@@ -195,7 +191,8 @@ def ideal_pressure_lowT(a: float, T: float) -> float:
         warnings.warn(
             f"ideal_pressure_lowT called at aT = {aT:.3f}; the asymptotic "
             f"form assumes aT << 1", ApplicabilityWarning, stacklevel=2)
-    return -(np.pi ** 2 * HBAR * C / (240.0 * a ** 4)) * (1.0 + (16.0 / 3.0) * aT ** 4)
+    a4, aT4 = check_power("gap width", a, 4), check_power("aT = a k_B T/(hbar c)", aT, 4)
+    return -(np.pi ** 2 * HBAR * C / (240.0 * a4)) * (1.0 + (16.0 / 3.0) * aT4)
 
 
 def dominant_mode(a: float, T: float) -> int:

@@ -584,6 +584,21 @@ def test_module_entry_point_needs_only_numpy(capsys):
     assert proc.stdout == expected
 
 
+def test_python_m_casimir_writes_what_main_writes(capsys):
+    # `python -m casimir` (src/casimir/__main__.py) gives main's stdout, and
+    # on a configuration error main's exit code 2 and its one stderr line
+    src = str(Path(cs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for argv, code in ((("pressure", "--gap", "1.0"), 0), (("pressure", "--gap", "-1"), 2)):
+        assert run_cli(*argv) == code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "casimir", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
+    assert out == ""
+    assert err == "casimir: configuration error: gap: must be finite and > 0 um, got -1.0\n"
+
+
 class TestTableModel:
     def make_table(self, tmp_path, gold):
         zs = np.geomspace(1e12, 1e17, 200)

@@ -1,6 +1,7 @@
 """Permittivity models, relaxation frequency, and zero-mode diagnostics."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,27 @@ class TestSumRule:
             with pytest.raises(DomainError, match="gamma must be finite"):
                 cs.sum_rule_check(bad)
 
+    @pytest.mark.parametrize("gamma", [1e-150, 1e150])
+    def test_range_ends_integrate_without_warnings(self, gamma):
+        # gamma^2 and (100 gamma)^2 stay normal floats over [1e-150, 1e150]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = cs.sum_rule_check(gamma)
+        assert type(value) is float
+        assert abs(value - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("gamma", [np.nextafter(1e-150, 0.0), np.nextafter(1e150, np.inf),
+                                       1e-160, 1e153, 1e307])
+    def test_gamma_outside_its_range_is_a_domain_error(self, gamma):
+        # at 1e153 the sum read 0.9588 with overflow warnings, at 1e-160
+        # it did not converge, at 1e307 its edges were not finite
+        with pytest.raises(DomainError, match=r"gamma must lie in \[1e-150, 1e150\], got "):
+            cs.sum_rule_check(gamma)
+
+    def test_returns_a_float_of_the_same_bits(self):
+        value = cs.sum_rule_check(0.3)
+        assert type(value) is float and value == 0.9999999999999999
+
 
 class TestZeroModeProduct:
     def test_drude_limit_vanishes(self, gold):
@@ -441,6 +463,12 @@ class TestZeroModeProduct:
         table = cs.PermittivityTable(np.array([1e13, 1e14]), np.array([5.0, 4.0]))
         with pytest.raises(UnsupportedModelError, match="which Tabulated does not"):
             cs.zero_mode_product(cs.Tabulated(table))
+
+    def test_overflowing_plasma_frequency_is_a_domain_error(self):
+        # omega_p_rad_s = 1.5e215: its square overflows a float
+        with pytest.raises(DomainError, match="plasma frequency omega_p_rad_s = 1.51927e"
+                                              r"\+215: its power 2 overflows"):
+            cs.zero_mode_product(cs.Plasma(omega_p_ev=1e200))
 
     def test_pathological_relaxation_raises(self):
         # nu so small that the decision floor at 1e-8 rad/s is reached first

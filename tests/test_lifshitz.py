@@ -1322,28 +1322,55 @@ class TestWorkCount:
         res.per_mode, res.fraction(1), res.fraction(res.m_used)
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("T, a", [(5.0, 1e-6), (1.5, 50e-9)])
-    def test_rule_sums_evaluate_each_row_once(self, gold, monkeypatch, T, a):
+    @pytest.mark.parametrize("T, a, kinks", [
+        pytest.param(5.0, 1e-6, None, id="5.0-1e-06"),
+        pytest.param(1.5, 50e-9, None, id="1.5-5e-08"),
+        pytest.param(5.0, 1e-6, (100.5, 400.5, 430.5), id="short-stretches-table")])
+    def test_rule_sums_evaluate_each_row_once(self, gold, monkeypatch, T, a, kinks):
         # the rows a rule in m places on the first t-panels are its
         # t-integral's first round, which converges there: the sum evaluates
-        # the reflection coefficients on no point that placement did not
+        # the reflection coefficients on no point that placement did not.
+        # The table's nodes at these mode numbers cut the rule from K = 64
+        # into a short stretch 64..100, a long one 101..400, a short one
+        # 401..430 and a long one to M - 1; the short stretches' rows are
+        # fixed rows, evaluated in the one pass that evaluates the end rows
+        cfg = cs.ThermalGapConfig(T=T, a=a)
+        model = gold
+        if kinks is not None:
+            zs = np.concatenate(([1e11, 1e13], np.array(kinks) * cfg.matsubara(1), [1e17]))
+            model = cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold)))
+            short = np.concatenate((np.arange(64.0, 101.0), np.arange(401.0, 431.0)))
         counts = count_rows(monkeypatch)
         points, reflection_sq = [], dispersion._reflection_sq
+        passes, first_mesh = [], lifshitz._first_mesh
 
         def counting(eps, p):
             points.append(p.size)
             return reflection_sq(eps, p)
 
+        def recording(model, cfg, m, *args, **kwargs):
+            passes.append(m)
+            return first_mesh(model, cfg, m, *args, **kwargs)
+
         monkeypatch.setattr(dispersion, "_reflection_sq", counting)
-        cfg = cs.ThermalGapConfig(T=T, a=a)
+        monkeypatch.setattr(lifshitz, "_first_mesh", recording)
         for observables in ((lifshitz._PRESSURE,), (lifshitz._FREE_ENERGY,),
                             (lifshitz._PRESSURE, lifshitz._FREE_ENERGY)):
             counts.update(integrated=0, placed=0)
             points.clear()
-            (_, M, _), *_ = lifshitz._sum_modes([cfg], gold, cs.DEFAULT_QUAD, observables)[0]
+            passes.clear()
+            (_, M, _), *_ = lifshitz._sum_modes([cfg], model, cs.DEFAULT_QUAD, observables)[0]
             assert M > lifshitz._RULE_RATIO * lifshitz._K_MIN
             assert counts["integrated"] == 0 < counts["placed"]
             assert sum(points) == len(lifshitz._T_NODES) * counts["placed"]
+            placed = np.concatenate(passes)
+            assert len(np.unique(placed)) == len(placed)  # no row placed twice
+            if kinks is not None:
+                # one pass holds both short stretches and the first end rows
+                with_short = [m for m in passes if np.isin(short, m).any()]
+                assert len(with_short) == 1
+                assert np.isin(short, with_short[0]).all()
+                assert np.isin(np.arange(101.0, 106.0), with_short[0]).all()
 
     def test_sign_change_gap_reads_no_per_mode_table(self, gold, monkeypatch):
         calls = self.count_reflections(monkeypatch)

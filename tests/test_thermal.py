@@ -1,5 +1,6 @@
 """Temperature-difference observables and low-temperature behaviour."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -149,23 +150,45 @@ class TestSignChangeGap:
         a2 = cs.sign_change_gap(gold, bracket=(2.2e-6, 3.3e-6), xtol=1e-9)
         assert abs(a1 - a2) < 2e-9
 
-    @pytest.mark.parametrize("xtol", [1e-30, 0.0, -1.0, float("nan"), float("inf")])
-    def test_terminates_for_any_xtol(self, monkeypatch, xtol):
-        # a difference that is never exactly 0 and changes sign at 2.7 um;
-        # about 52 halvings separate 1.5 um from the float spacing there
+    def test_equal_temperatures_have_no_sign_change(self, gold):
+        # the difference is identically 0: one sign at both ends
+        with pytest.raises(BracketError, match=r"same sign \(\+0\.000e\+00, \+0\.000e\+00\)"):
+            cs.sign_change_gap(gold, T1=300.0, T2=300.0)
+
+    @staticmethod
+    def stub_difference(monkeypatch, delta):
+        """List of the gaps at which sign_change_gap reads the difference
+        delta(a), which replaces pressure_difference; each call is bounded."""
         calls = []
 
         def stub(a, model, T1, T2, quad):
             calls.append(a)
             assert len(calls) < 100, "bisection does not terminate"
-            return SimpleNamespace(delta=1.0 if a < 2.7e-6 else -1.0)
+            return SimpleNamespace(delta=delta(a))
 
         monkeypatch.setattr(thermal, "pressure_difference", stub)
+        return calls
+
+    @pytest.mark.parametrize("xtol", [1e-30, 0.0, -1.0, float("nan"), float("inf")])
+    def test_terminates_for_any_xtol(self, monkeypatch, xtol):
+        # a difference that is never exactly 0 and changes sign at 2.7 um;
+        # about 52 halvings separate 1.5 um from the float spacing there
+        calls = self.stub_difference(monkeypatch, lambda a: 1.0 if a < 2.7e-6 else -1.0)
         if 0 < xtol < np.inf:
             assert abs(cs.sign_change_gap(None, xtol=xtol) - 2.7e-6) < 1e-21
         else:
             with pytest.raises(DomainError, match="xtol"):
                 cs.sign_change_gap(None, xtol=xtol)
+        assert len(calls) < 100
+
+    @pytest.mark.parametrize("xtol", [1e-9, 1e-30])
+    @pytest.mark.parametrize("zero", [2.0e-6, 2.75e-6, 3.5e-6], ids=["a_lo", "midpoint", "a_hi"])
+    def test_an_exact_zero_is_found_like_any_root(self, monkeypatch, zero, xtol):
+        # a difference that is exactly 0 at a bracket end or at the first
+        # midpoint of the default bracket, and of one sign on each side
+        calls = self.stub_difference(
+            monkeypatch, lambda a: 0.0 if a == zero else (1.0 if a < zero else -1.0))
+        assert abs(cs.sign_change_gap(None, xtol=xtol) - zero) <= max(xtol, 1e-21)
         assert len(calls) < 100
 
 
@@ -246,6 +269,18 @@ class TestIdealPressureLowT:
         # T = inf used to return -inf, and nan nan
         with pytest.raises(DomainError, match="temperature must be finite and >= 0"):
             cs.ideal_pressure_lowT(1e-6, T)
+
+    @pytest.mark.parametrize("a, T, name", [(1e-6, 1e300, r"aT = a k_B T/\(hbar c\) = 4\.367"),
+                                            (1e80, 1e-300, r"gap width = 1e\+80"),
+                                            (np.float64(1e80), 1e-300, r"gap width = 1e\+80")],
+                             ids=["aT", "gap-width", "gap-width-numpy"])
+    def test_overflowing_power_is_a_domain_error(self, a, T, name):
+        # aT^4 at T = 1e300 K (after the warning on aT), a^4 at a = 1e80 m,
+        # also as a NumPy float, whose power would be inf with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ApplicabilityWarning)
+            with pytest.raises(DomainError, match=name + r".*: its power 4 overflows a float"):
+                cs.ideal_pressure_lowT(a, T)
 
     def test_silent_inside_regime(self):
         import warnings
