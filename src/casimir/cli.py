@@ -99,9 +99,9 @@ class SweepOutput:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        doc = {"meta": self.meta, "columns": self.columns,
-               "rows": [list(map(float, row)) for row in self.rows]}
-        return json.dumps(doc, indent=2) + "\n"
+        # the bytes of json.dumps(doc, indent=2) + "\n", with the rows laid out by _json_rows
+        doc = json.dumps({"meta": self.meta, "columns": self.columns, "rows": []}, indent=2)
+        return _json_rows(doc, self.columns, self.rows)
 
     def render(self, fmt: str) -> str:
         return self.to_csv() if fmt == "csv" else self.to_json()
@@ -309,6 +309,20 @@ def _sweep(cfg: RunConfig, columns: list[str], rows, **meta) -> SweepOutput:
         raise
     return SweepOutput(meta={**_base_meta(cfg), **meta}, columns=["a_um", *columns],
                        rows=[(a_m / MICRON, *v) for a_m, v in zip(cfg.gaps_m, values)])
+
+
+def _json_rows(doc: str, columns: list[str], rows: list[tuple]) -> str:
+    """json.dumps(doc, indent=2) + "\n" of a dict whose last key is "rows":
+    doc is that dump with no rows, and the rows go in their place.  json's
+    encoder runs in Python when it indents, so the rows are laid out here
+    as json lays them out, each value as float.__repr__, which is what json
+    writes for a finite float."""
+    if not rows:
+        return doc + "\n"
+    start, sep, end = ("[\n      ", ",\n      ", "\n    ]") if columns else ("[", "", "]")
+    body = ",\n    ".join(start + sep.join(map(float.__repr__, map(float, row))) + end
+                          for row in rows)
+    return doc[:-len("[]\n}")] + "[\n    " + body + "\n  ]\n}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -78,16 +78,22 @@ def _reflection_sq(eps, p):
     products, so scalars match arrays: NumPy sends a scalar ``** 2`` to C pow.
 
     eps and p broadcast (scalars, 0-d arrays, a column against a row or a
-    block) and are never written: p^2 is formed once, and the steps work
-    in place on temporaries of the full shape made here.  They round as
-    the formulas do, operation for operation, so the bits are the same.
+    block) and are never written.  eps is copied once to the shape of the
+    result, so that no step broadcasts a column against a block (NumPy's
+    slow strided loop), p^2 is formed once, and the steps work in place on
+    temporaries of the full shape made here: eps + 1 on that copy, once
+    eps p is formed.  They round as the formulas do, operation for
+    operation, so the bits are the same; scalars give NumPy scalars.
     """
-    em1, pp = eps - 1.0, p * p
+    eps_full = np.empty(np.broadcast(eps, p).shape)
+    eps_full[...] = eps
+    em1, pp = eps_full - 1.0, p * p
     s = np.sqrt(em1 + pp)
-    tm_den = eps * p
+    tm_den = eps_full * p
     tm_den += s
     tm_den *= tm_den
-    r_tm = pp * (eps + 1.0)
+    eps_full += 1.0
+    r_tm = pp * eps_full
     r_tm -= 1.0
     r_tm *= em1
     r_tm /= tm_den

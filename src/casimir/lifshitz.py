@@ -62,11 +62,16 @@ is a list of _Sum records; _bind groups them, the rows at zeta > 0 by
 temperature and the m = 0 rows of every (a, T) together, and _layout,
 which _first_mesh calls with its runs of rows directly, cuts rows into
 blocks (_Block) that carry, per kernel, their runs: the rows that add to
-one component.  _contract, the one contraction, adds each run block by
-block.  The t-integral's first round is data that adaptive_quad takes:
-the rows that placed a rule in m or an m = 0 remainder, whose blocks bind
-eps only when a later round reads them, and the other rows evaluated on
-the first panels.  Rows outside a sum are one t-integral per
+one component.  An explicit sum holds no frequencies: _bind forms those of
+every explicit sum of a group in one call, and the group's y_lo and
+weights one array each, so a sweep's explicit sums cost no array
+operation per (a, T).  _contract, the one contraction, adds each run
+block by block, and the leaf (_kernels_at, then _reflection_sq) works at
+the block's full shape, never broadcasting a column against it.  The
+t-integral's first round is data that adaptive_quad takes: the rows that
+placed a rule in m or an m = 0 remainder, whose blocks bind eps only when
+a later round reads them, and the other rows evaluated on the first
+panels.  Rows outside a sum are one t-integral per
 _mode_integrals call.  A failure names the first (a, T) or frequency
 that fails alone, as a loop over the (a, T) would.
 """
@@ -330,15 +335,17 @@ _FREE_ENERGY = (_free_energy_kernel, lambda cfg: K_B * cfg.T / (2.0 * np.pi * cf
 # first, unless None, is the sum's weighted rows at each node of _T_NODES,
 # shape (kernels, nodes): its first round (_integrate).  A config's rows
 # (_rows) are at zeta = cfg.matsubara(m) of its modes m: kernel c of an
-# explicit sum sums modes 1..M_c-1, every kernel of a rule in m every row.
-# Its m = 0 remainder (_zero_mode) is the row at zeta = [0], and the rows
-# of _mode_integrals are at any frequency.
+# explicit sum sums modes 1..M_c-1, and its zeta is None: its max(counts)
+# rows are the modes 1..M-1, whose frequencies _bind forms for every
+# explicit sum of a temperature at once.  Every kernel of a rule in m sums
+# every row.  Its m = 0 remainder (_zero_mode) is the row at zeta = [0],
+# and the rows of _mode_integrals are at any frequency.
 _Sum = namedtuple("_Sum", "cfg zeta kernels counts weight first", defaults=(None, None))
 
 # At most _ROW_BLOCK rows of a stack's layout (_bind): their kernels, y_lo =
 # a zeta / c as a column, their weights, per kernel the runs (j, a, b) of
-# rows a..b-1 that add to component j of the stack, and the rule y -> (A, B)
-# that their kernels share.
+# rows a..b-1 that add to component j of the stack, and the rule (y, y_lo)
+# -> (A, B) that their kernels share (_kernels_at).
 _Block = namedtuple("_Block", "kernels y_lo weight runs rule")
 
 
@@ -356,13 +363,15 @@ class _Configs(namedtuple("_Configs", "T a")):
 
 def _block(model, at, kernels, runs, zeta, y_lo, weight):
     """The _Block of rows at the frequencies zeta, a column, with the
-    model's m = 0 rule at the configs at (_Configs, one per row), or its
-    m >= 1 rule at zeta and the temperature at, bound once (eps depends on
-    zeta, T), in p = y / y_lo."""
+    model's m = 0 rule at the configs at (_Configs, one per row), in y, or
+    its m >= 1 rule at zeta and the temperature at, bound once (eps depends
+    on zeta, T), in p = y / y_lo: the block's rule takes y and y_lo at the
+    block's full shape (_kernels_at)."""
     if zeta[0, 0] == 0.0:
-        return _Block(kernels, y_lo, weight, runs, _zero_rule(model, at))
+        zero_rule = _zero_rule(model, at)
+        return _Block(kernels, y_lo, weight, runs, lambda y, y_lo: zero_rule(y))
     rule = model.matsubara_reflection(zeta, at)
-    return _Block(kernels, y_lo, weight, runs, lambda y: rule(y / y_lo))
+    return _Block(kernels, y_lo, weight, runs, lambda y, y_lo: rule(y / y_lo))
 
 
 def _layout(model, at, kernels, zeta, y_lo, weight, runs, stored=False):
@@ -391,32 +400,52 @@ def _bind(model, sums):
     rows at zeta = 0 of every config together, which take the model's m = 0
     rule at their configs.  Rows r < counts[c] of sum i add under kernel c,
     each times its weight, to the component i kernels + c; a sum without
-    weights weighs its rows by ones."""
+    weights weighs its rows by ones.
+
+    A group's arrays are formed once, not per sum: the frequencies of its
+    explicit sums (zeta None) are one matsubara call on the modes 1..n of
+    its longest, of which each takes its first rows, y_lo = a zeta / c is
+    one product with each sum's a repeated per row, and the unit weights
+    one array, of which each sum without weights takes its first rows.
+    Each value rounds as a sum's own arrays did, so the layout keeps its
+    bits."""
     groups, layout = {}, []
     for i, one in enumerate(sums):  # the temperature of rows at zeta > 0; 0 at zeta = 0
-        key = (one.cfg.T if one.zeta[0] else 0.0, tuple(one.kernels), one.first is None)
+        key = (0.0 if one.zeta is not None and one.zeta[0] == 0.0 else one.cfg.T,
+               tuple(one.kernels), one.first is None)
         groups.setdefault(key, []).append((i, one))
     for (T, kernels, bound), members in groups.items():
-        starts = accumulate([len(one.zeta) for _, one in members], initial=0)
+        sizes = [max(one.counts) if one.zeta is None else len(one.zeta) for _, one in members]
+        starts = accumulate(sizes, initial=0)
         runs = [(c, i * len(kernels) + c, a, a + n)
                 for (i, one), a in zip(members, starts) for c, n in enumerate(one.counts)]
-        zeta = np.concatenate([one.zeta for _, one in members])[:, None]
-        y_lo = np.concatenate([one.cfg.a * one.zeta for _, one in members])[:, None] / C
-        weight = np.concatenate([np.ones(len(one.zeta)) if one.weight is None else one.weight
-                                 for _, one in members])
-        layout += _layout(model, T or [one.cfg for _, one in members], kernels, zeta, y_lo, weight,
-                          runs, not bound)  # an m = 0 sum is one row
+        top = max((n for (_, one), n in zip(members, sizes) if one.zeta is None), default=0)
+        modes = members[0][1].cfg.matsubara(np.arange(1, top + 1)) if top else None
+        zeta = np.concatenate([modes[:n] if one.zeta is None else one.zeta
+                               for (_, one), n in zip(members, sizes)])
+        y_lo = (np.repeat([one.cfg.a for _, one in members], sizes) * zeta)[:, None] / C
+        ones = np.ones(max(sizes))
+        weight = np.concatenate([ones[:n] if one.weight is None else one.weight
+                                 for (_, one), n in zip(members, sizes)])
+        layout += _layout(model, T or [one.cfg for _, one in members], kernels, zeta[:, None],
+                          y_lo, weight, runs, not bound)  # an m = 0 sum is one row
     return layout
 
 
-def _kernels_at(rule, y, kernels):
-    """Each kernel(A u, B u, y, u) at the rows y of one block, an array,
-    with (A, B) = rule(y) and u = e^{-2y}: u, A u and B u are formed once
-    for all the block's kernels, u in place on -2 y.
+def _kernels_at(rule, y_lo, t, kernels):
+    """Each kernel(A u, B u, y, u) on one block, the rows y = y_lo + t,
+    y_lo a column and t the nodes, with (A, B) = rule(y, y_lo) and u =
+    e^{-2y}.  y_lo is copied once to the block's full shape, so that
+    neither y nor the m >= 1 rule's p = y / y_lo broadcasts a column
+    against a block; u, A u and B u are formed once for all the block's
+    kernels, u in place on -2 y.
 
     A function of its own, so that only the kernels' rows outlive a block.
     """
-    A, B = rule(y)
+    lo = np.empty((len(y_lo), len(t)))  # y_lo at the block's full shape
+    lo[...] = y_lo
+    y = lo + t
+    A, B = rule(y, lo)
     u = -2.0 * y
     np.exp(u, out=u)
     Au, Bu = A * u, B * u
@@ -440,7 +469,7 @@ def _contract(layout, t, components, w=None):
         for i, block in enumerate(layout):
             if callable(block):  # a stored block, first read
                 layout[i] = block = block()
-            ks = _kernels_at(block.rule, block.y_lo + t, block.kernels)
+            ks = _kernels_at(block.rule, block.y_lo, t, block.kernels)
             for k, runs in zip(ks, block.runs):
                 for j, a, b in runs:
                     out[j] += block.weight[a:b] @ k[a:b]
@@ -763,7 +792,7 @@ def _rows(model, cfg, observables, kernels, Ms, rel_tol, zeros):
             raise ConvergenceError(f"the rule in m misses its error budget for "
                                    f"every K from {_K_MIN} to {K}")
         K *= 2
-    return _Sum(cfg, cfg.matsubara(np.arange(1, M)), kernels, [n - 1 for n in Ms])
+    return _Sum(cfg, None, kernels, [n - 1 for n in Ms])
 
 
 def _named(exc, model, cfg, modes):

@@ -181,7 +181,9 @@ def ideal_pressure_lowT(a: float, T: float) -> float:
 
     P = -(pi^2 hbar c / (240 a^4)) * [1 + (1/3)(2 a T)^4] with aT the
     dimensionless a k_B T/(hbar c); valid for aT << 1.  Warns when
-    aT >= 0.2.
+    aT >= 0.2.  DomainError where a^4 or (aT)^4 overflows, or where a^4,
+    the denominator, underflows to 0; (aT)^4 may underflow, as it only
+    adds to 1.
     """
     check_positive("gap width", a)
     if not 0 <= T < np.inf:
@@ -189,9 +191,11 @@ def ideal_pressure_lowT(a: float, T: float) -> float:
     aT = a * K_B * T / (HBAR * C)
     if aT >= 0.2:
         warnings.warn(
-            f"ideal_pressure_lowT called at aT = {aT:.3f}; the asymptotic "
+            f"ideal_pressure_lowT called at aT = {aT:.3g}; the asymptotic "
             f"form assumes aT << 1", ApplicabilityWarning, stacklevel=2)
     a4, aT4 = check_power("gap width", a, 4), check_power("aT = a k_B T/(hbar c)", aT, 4)
+    if a4 == 0.0:
+        raise DomainError(f"gap width = {a:g}: its power 4 underflows to 0")
     return -(np.pi ** 2 * HBAR * C / (240.0 * a4)) * (1.0 + (16.0 / 3.0) * aT4)
 
 

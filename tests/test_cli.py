@@ -560,6 +560,21 @@ class TestSweepOutput:
         with pytest.raises(ConvergenceError, match="row 1 contains non-finite values"):
             cli.SweepOutput(meta={}, columns=["a", "b"], rows=[(1.0, 2.0), (3.0, bad)])
 
+    @pytest.mark.parametrize("columns, rows", [
+        (["a", "b"], []),
+        (["a", "b"], [(0.5, 1.25)]),
+        (["a"], [(0.5,), (np.float64(2.0),), (3,)]),
+        (["a", "b", "c"], [(-0.0, 1e-300, 1e300), (5e-324, -1.7976931348623157e308, 0.1)]),
+        ([], [(), ()]),
+    ], ids=["no-rows", "one-row", "one-column", "extremes", "no-columns"])
+    def test_json_has_the_bytes_of_json_dumps(self, columns, rows):
+        # the rows are laid out by hand; every byte must be json.dumps's
+        meta = {"model": 'table("gold \\ \u00e9\u00df", 3 pts)', "\u03b6 \"q\"": "\t\u2003",
+                "rel_tol": "1e-10"}
+        out = cli.SweepOutput(meta=meta, columns=columns, rows=rows)
+        doc = {"meta": meta, "columns": columns, "rows": [list(map(float, r)) for r in rows]}
+        assert out.to_json() == json.dumps(doc, indent=2) + "\n"
+
     def test_non_finite_pressure_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_grid_sums", lambda gaps, temps, *args: [
             [[(float("nan"), 2, None)] for _ in temps] for _ in gaps])

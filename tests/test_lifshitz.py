@@ -52,10 +52,10 @@ def count_rows(monkeypatch):
         finally:
             inside.pop()
 
-    def counting_kernels_at(rule, y, kernels):
+    def counting_kernels_at(rule, y_lo, t, kernels):
         if inside:
-            counts["integrated"] += len(y)
-        return kernels_at(rule, y, kernels)
+            counts["integrated"] += len(y_lo)
+        return kernels_at(rule, y_lo, t, kernels)
 
     def counting_first_mesh(model, cfg, m, *args, **kwargs):
         counts["placed"] += len(m)
@@ -1033,6 +1033,67 @@ class TestSweeps:
                 assert member.fraction(m) == lone.fraction(m)
 
 
+def per_sum_layout(model, sums):
+    """The layout of the stack sums as _bind built it sum by sum: each
+    explicit sum (zeta None) with its own frequencies cfg.matsubara(m) of
+    its modes m = 1..max(counts), its own y_lo = a zeta / c and its own
+    unit weights, concatenated per group: the reference for the bulk form."""
+    groups, layout = {}, []
+    for i, one in enumerate(sums):
+        if one.zeta is None:
+            one = one._replace(zeta=one.cfg.matsubara(np.arange(1, max(one.counts) + 1)))
+        key = (one.cfg.T if one.zeta[0] else 0.0, tuple(one.kernels), one.first is None)
+        groups.setdefault(key, []).append((i, one))
+    for (T, kernels, bound), members in groups.items():
+        starts = itertools.accumulate([len(one.zeta) for _, one in members], initial=0)
+        runs = [(c, i * len(kernels) + c, a, a + n)
+                for (i, one), a in zip(members, starts) for c, n in enumerate(one.counts)]
+        zeta = np.concatenate([one.zeta for _, one in members])[:, None]
+        y_lo = np.concatenate([one.cfg.a * one.zeta for _, one in members])[:, None] / cs.C
+        weight = np.concatenate([np.ones(len(one.zeta)) if one.weight is None else one.weight
+                                 for _, one in members])
+        layout += lifshitz._layout(model, T or [one.cfg for _, one in members], kernels, zeta,
+                                   y_lo, weight, runs)
+    return layout
+
+
+def test_bulk_layout_equals_the_per_sum_layout_bit_for_bit(monkeypatch):
+    # a mixed stack of a plasma sweep: the m = 0 remainders, explicit sums
+    # at 300 and 350 K, a stored rule sum at 2 K, and rows at lowtemp's f_te
+    # frequencies at 300 K, with the explicit sums' kernel so that they
+    # share the 300 K group, between and after its explicit sums
+    model, kernels = cs.Plasma(), (lifshitz._pressure_kernel,)
+    configs = [cs.ThermalGapConfig(T=T, a=a) for T, a in
+               ((300.0, 1e-6), (350.0, 0.5e-6), (300.0, 0.3e-6), (2.0, 1e-6))]
+    parts = []
+    lifshitz._plan(configs, model, cs.DEFAULT_QUAD.rel_tol, (lifshitz._PRESSURE,), parts)
+    sums = [one for _, one in parts]
+    kinds = [("zero" if one.zeta is not None and one.zeta[0] == 0.0 else
+              "explicit" if one.zeta is None else "rule") for one in sums]
+    assert kinds == ["zero", "explicit"] * 3 + ["zero", "rule"]
+    assert sums[-1].first is not None and sums[-1].weight is not None
+    f_te = [lifshitz._Sum(configs[0], np.array([x * cs.C / 1e-6]), kernels, [1])
+            for x in np.linspace(0.0, 0.5, 26)[1:]]
+    stack = sums[:2] + f_te[:12] + sums[2:] + f_te[12:]
+
+    def recording(model, at, kernels, runs, zeta, y_lo, weight):
+        return (at, kernels, runs, zeta, y_lo, weight)
+
+    monkeypatch.setattr(lifshitz, "_block", recording)
+    bulk = [block() if callable(block) else block for block in lifshitz._bind(model, stack)]
+    want = per_sum_layout(model, stack)
+    assert len(bulk) == len(want) > 3
+    mixed = 0
+    for got, ref in zip(bulk, want):
+        (at, ks, runs, *arrays), (ref_at, ref_ks, ref_runs, *ref_arrays) = got, ref
+        assert ks == ref_ks and runs == ref_runs
+        assert np.array(at).tobytes() == np.array(ref_at).tobytes()  # T, or each config's T, a
+        for x, y in zip(arrays, ref_arrays):  # zeta, y_lo, weight
+            assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        mixed += at == 300.0 and bool(np.isin(arrays[0], [f.zeta for f in f_te]).any())
+    assert mixed  # a 300 K block holds explicit rows and f_te rows
+
+
 @pytest.mark.parametrize("observable", ["pressure", "free_energy"])
 def test_modes_needed_equals_the_search(observable, monkeypatch):
     # the closed-form lower bound brackets the M of the plain search at every
@@ -1110,7 +1171,7 @@ def test_unit_coefficient_kernels_give_closed_form_constants(kernel, constant, e
     # A = B = 1; integrating from t = 0 also probes their precision at y -> 0
     def f(t):
         X = 1.0 if ones == "scalar" else np.ones_like(t)
-        return lifshitz._kernels_at(lambda y: (X, X), t, (kernel,))[0][None]
+        return lifshitz._kernels_at(lambda y, y_lo: (X, X), np.zeros((1, 1)), t, (kernel,))[0]
 
     value = quadrature.adaptive_quad(f, lifshitz._T_MESH, rel_tol=1e-13)[0].item()
     assert constant == exact
@@ -1180,8 +1241,8 @@ class TestLeafBitIdentity:
         zeta = cfg.matsubara(np.arange(1, 65))[:, None]
         y_lo = cfg.a * zeta / cs.C
         y = y_lo + lifshitz._T_NODES
-        rule = model.matsubara_reflection(zeta, cfg.T)
-        got = lifshitz._kernels_at(lambda y: rule(y / y_lo), y, self.KERNELS[kernels])
+        rule = lifshitz._block(model, cfg.T, (), [], zeta, y_lo, None).rule
+        got = lifshitz._kernels_at(rule, y_lo, lifshitz._T_NODES, self.KERNELS[kernels])
         calls = []
         monkeypatch.setattr(dispersion, "_reflection_sq",
                             lambda *args: calls.append(1) or unfused_reflection_sq(*args))
@@ -1197,11 +1258,15 @@ class TestLeafBitIdentity:
         # rows at zeta = 0 of three configs, at the model's m = 0 rule
         configs = [cs.ThermalGapConfig(T=T, a=a) for T, a in
                    [(300.0, 0.3e-6), (350.0, 1e-6), (20.0, 50e-9)]]
-        rule = lifshitz._zero_rule(self.model(name, gold), lifshitz._Configs.of(configs))
-        y = np.zeros((len(configs), 1)) + lifshitz._T_NODES
+        model, at = self.model(name, gold), lifshitz._Configs.of(configs)
+        rule = lifshitz._zero_rule(model, at)
+        y_lo = np.zeros((len(configs), 1))
+        y = y_lo + lifshitz._T_NODES
         ks = self.KERNELS[kernels]
         units = [self.UNITS[k] for k in ks]
-        got = lifshitz._kernels_at(rule, y, lifshitz._remainders(ks, units, *exact))
+        block = lifshitz._block(model, at, (), [], y_lo, y_lo, None)  # as rows at zeta = 0 bind
+        got = lifshitz._kernels_at(block.rule, y_lo, lifshitz._T_NODES,
+                                   lifshitz._remainders(ks, units, *exact))
         A, B = rule(y)
         A0, B0 = exact
         for k, (unit_A, unit_B), row in zip(ks, units, got):
@@ -1209,14 +1274,18 @@ class TestLeafBitIdentity:
             k = self.UNFUSED[k]
             assert np.array_equal(row, k(A, B, y) - k(A0, B0, y) + density)
 
-    @pytest.mark.parametrize("shapes", ["float", "0-d", "column x block", "column x row",
-                                        "row x column"])
+    @pytest.mark.parametrize("shapes", ["float", "0-d", "column x block", "block x block",
+                                        "column x row", "row x column"])
     def test_reflection_sq(self, shapes):
+        # eps and p are never written, whether eps is copied to the result's
+        # shape (a column, a row, a scalar) or already has it (block x block)
         eps = np.geomspace(1.0 + 1e-12, 1e12, 20)
         p = np.geomspace(1.0, 100.0, 20)
         eps, p = {"float": (float(eps[3]), float(p[7])),
                   "0-d": (np.array(eps[3]), np.array(p[7])),
                   "column x block": (eps[:, None], np.outer(np.geomspace(1.0, 3.0, 20), p)),
+                  "block x block": (np.repeat(eps[:, None], 20, axis=1),
+                                    np.outer(np.geomspace(1.0, 3.0, 20), p)),
                   "column x row": (eps[:, None], p),
                   "row x column": (eps, p[:, None])}[shapes]
         before = np.copy(eps), np.copy(p)
@@ -1237,7 +1306,8 @@ class TestWorkCount:
         integrate, gk15 = lifshitz._integrate, quadrature._gk15_panels
 
         def counting_integrate(model, sums, *args, **kwargs):
-            integrals.append(float(sums[0].zeta[0]))
+            zeta = sums[0].cfg.matsubara(1) if sums[0].zeta is None else sums[0].zeta[0]
+            integrals.append(float(zeta))
             return integrate(model, sums, *args, **kwargs)
 
         def counting_gk15(fx, lo, hi):

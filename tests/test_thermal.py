@@ -282,6 +282,27 @@ class TestIdealPressureLowT:
             with pytest.raises(DomainError, match=name + r".*: its power 4 overflows a float"):
                 cs.ideal_pressure_lowT(a, T)
 
+    @pytest.mark.parametrize("a, T", [(1e-100, 0.0), (1e-85, 0.0), (1e-100, 300.0)])
+    def test_underflowing_gap_power_is_a_domain_error(self, a, T):
+        # a^4 is 0 here, and 240 a^4 the denominator
+        with pytest.raises(DomainError, match=r"gap width = 1e-(100|85): its power 4 underflows"):
+            cs.ideal_pressure_lowT(a, T)
+
+    def test_underflowing_temperature_power_gives_the_zero_temperature_value(self):
+        # (aT)^4 only adds to 1, so its underflow costs nothing
+        assert cs.ideal_pressure_lowT(1e-6, 1e-100) == cs.ideal_pressure_lowT(1e-6, 0.0)
+
+    def test_warning_gives_aT_to_three_digits(self):
+        aT_quarter = 0.25 * cs.HBAR * cs.C / (1e-6 * cs.K_B)  # the T of aT = 0.25 at 1 um
+        with pytest.warns(ApplicabilityWarning) as record:
+            cs.ideal_pressure_lowT(1e-6, aT_quarter)
+        assert str(record[0].message) == ("ideal_pressure_lowT called at aT = 0.25; "
+                                          "the asymptotic form assumes aT << 1")
+        with pytest.warns(ApplicabilityWarning) as record, pytest.raises(DomainError):
+            cs.ideal_pressure_lowT(1e-6, 1e300)  # aT = 4.37e+296, whose power 4 overflows
+        assert "aT = 4.37e+296;" in str(record[0].message)
+        assert len(str(record[0].message)) < 100
+
     def test_silent_inside_regime(self):
         import warnings
         with warnings.catch_warnings():
