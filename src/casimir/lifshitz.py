@@ -69,11 +69,13 @@ operation per (a, T).  _contract, the one contraction, adds each run
 block by block, and the leaf (_kernels_at, then _reflection_sq) works at
 the block's full shape, never broadcasting a column against it.  The
 t-integral's first round is data that adaptive_quad takes: the rows that
-placed a rule in m or an m = 0 remainder, whose blocks bind eps only when
-a later round reads them, and the other rows evaluated on the first
-panels.  Rows outside a sum are one t-integral per
-_mode_integrals call.  A failure names the first (a, T) or frequency
-that fails alone, as a loop over the (a, T) would.
+placed a rule in m or an m = 0 remainder, and the other rows evaluated on
+the first panels.  The sums with such a stored round are laid out, eps
+bound, only when a later round reads them, all in one _bind call, so a
+stack that its first round settles lays out none of their rows; a block
+is always bound.  Rows outside a sum are one t-integral per
+_mode_integrals call.  A failure names the first (a, T) or frequency that
+fails alone, as a loop over the (a, T) would.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -374,33 +376,31 @@ def _block(model, at, kernels, runs, zeta, y_lo, weight):
     return _Block(kernels, y_lo, weight, runs, lambda y, y_lo: rule(y / y_lo))
 
 
-def _layout(model, at, kernels, zeta, y_lo, weight, runs, stored=False):
+def _layout(model, at, kernels, zeta, y_lo, weight, runs):
     """The blocks of the rows at the frequencies zeta and y_lo, each a
     column, and their weights, cut every _ROW_BLOCK rows: each run (c, j, a,
     b) adds the rows a..b-1 under kernel c to component j, as one run per
     block that it reaches.  at is the temperature of rows at zeta > 0, or
-    the config of each row at zeta = 0.  A stored block is a callable that
-    binds it, so that its rows bind eps only when a later round reads them
-    (_contract)."""
+    the config of each row at zeta = 0."""
     blocks = [[[] for _ in kernels] for _ in range(0, len(zeta), _ROW_BLOCK)]
     for c, j, a, b in runs:
         for lo in range(a - a % _ROW_BLOCK, b, _ROW_BLOCK):
             blocks[lo // _ROW_BLOCK][c].append(  # clipped to the block without min/max calls
                 (j, a - lo if a > lo else 0, b - lo if b < lo + _ROW_BLOCK else _ROW_BLOCK))
-    layout = [partial(_block, model, at if zeta[0, 0] else _Configs.of(at[lo:lo + _ROW_BLOCK]),
-                      kernels, cut, *[x[lo:lo + _ROW_BLOCK] for x in (zeta, y_lo, weight)])
-              for lo, cut in zip(range(0, len(zeta), _ROW_BLOCK), blocks)]
-    return layout if stored else [block() for block in layout]
+    return [_block(model, at if zeta[0, 0] else _Configs.of(at[lo:lo + _ROW_BLOCK]),
+                   kernels, cut, *[x[lo:lo + _ROW_BLOCK] for x in (zeta, y_lo, weight)])
+            for lo, cut in zip(range(0, len(zeta), _ROW_BLOCK), blocks)]
 
 
-def _bind(model, sums):
-    """The layout (_layout) of the stack sums: the sums with the same
-    kernels and first round (stored or not) lay out their rows in order,
-    those at zeta > 0 by temperature, which share eps across gaps, and the
-    rows at zeta = 0 of every config together, which take the model's m = 0
-    rule at their configs.  Rows r < counts[c] of sum i add under kernel c,
-    each times its weight, to the component i kernels + c; a sum without
-    weights weighs its rows by ones.
+def _bind(model, indexed):
+    """The layout (_layout) of the sums of a stack given as (i, sum) pairs,
+    i the sum's index in the stack, all of one kind: with or without a
+    stored first round (_integrate).  The sums with the same kernels lay
+    out their rows in order, those at zeta > 0 by temperature, which share
+    eps across gaps, and the rows at zeta = 0 of every config together,
+    which take the model's m = 0 rule at their configs.  Rows r < counts[c]
+    of sum i add under kernel c, each times its weight, to the component i
+    kernels + c; a sum without weights weighs its rows by ones.
 
     A group's arrays are formed once, not per sum: the frequencies of its
     explicit sums (zeta None) are one matsubara call on the modes 1..n of
@@ -410,15 +410,13 @@ def _bind(model, sums):
     Each value rounds as a sum's own arrays did, so the layout keeps its
     bits."""
     groups, layout = {}, []
-    for i, one in enumerate(sums):  # the temperature of rows at zeta > 0; 0 at zeta = 0
-        key = (0.0 if one.zeta is not None and one.zeta[0] == 0.0 else one.cfg.T,
-               tuple(one.kernels), one.first is None)
-        groups.setdefault(key, []).append((i, one))
-    for (T, kernels, bound), members in groups.items():
+    for i, one in indexed:  # the temperature of rows at zeta > 0; 0 at zeta = 0
+        groups.setdefault((0.0 if one.zeta is not None and one.zeta[0] == 0.0 else one.cfg.T,
+                           tuple(one.kernels)), []).append((i, one))
+    for (T, kernels), members in groups.items():
         sizes = [max(one.counts) if one.zeta is None else len(one.zeta) for _, one in members]
-        starts = accumulate(sizes, initial=0)
-        runs = [(c, i * len(kernels) + c, a, a + n)
-                for (i, one), a in zip(members, starts) for c, n in enumerate(one.counts)]
+        runs = [(c, i * len(kernels) + c, a, a + n) for (i, one), a in zip(
+            members, accumulate(sizes, initial=0)) for c, n in enumerate(one.counts)]
         top = max((n for (_, one), n in zip(members, sizes) if one.zeta is None), default=0)
         modes = members[0][1].cfg.matsubara(np.arange(1, top + 1)) if top else None
         zeta = np.concatenate([modes[:n] if one.zeta is None else one.zeta
@@ -428,7 +426,7 @@ def _bind(model, sums):
         weight = np.concatenate([ones[:n] if one.weight is None else one.weight
                                  for (_, one), n in zip(members, sizes)])
         layout += _layout(model, T or [one.cfg for _, one in members], kernels, zeta[:, None],
-                          y_lo, weight, runs, not bound)  # an m = 0 sum is one row
+                          y_lo, weight, runs)  # an m = 0 sum is one row
     return layout
 
 
@@ -460,15 +458,12 @@ def _contract(layout, t, components, w=None):
     would touch BLAS's packing buffers) keeps each component's order of
     rounding whatever else its blocks hold, and only that array and, for a
     panel rule's weights w, each block's row integrals w @ rows per kernel
-    outlive a block.  A block not yet bound is bound here, once: the bound
-    block replaces it in layout.  Returns the array and those integrals.
-    Overflow and invalid values raise no warning here: the caller names a
-    row or round that is not finite (_first_mesh, _gk15_panels)."""
+    outlive a block.  Returns the array and those integrals.  Overflow and
+    invalid values raise no warning here: the caller names a row or round
+    that is not finite (_first_mesh, _gk15_panels)."""
     out, integrals = np.zeros((components, len(t))), []
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, block in enumerate(layout):
-            if callable(block):  # a stored block, first read
-                layout[i] = block = block()
+        for block in layout:
             ks = _kernels_at(block.rule, block.y_lo, t, block.kernels)
             for k, runs in zip(ks, block.runs):
                 for j, a, b in runs:
@@ -485,19 +480,25 @@ def _integrate(model, sums, rel_tol):
     call, from the panels of _T_MESH, holds rel_tol on each (sum, kernel)
     component, which adds its runs block by block, in order, whatever the
     rest of the stack.  The first round, on _T_NODES, is data: the sums'
-    stored first rounds, and the rows of the other blocks evaluated there;
-    later rounds evaluate every block on their panels, and a stored block
-    binds eps when the first of them reads it, so a stack that converges in
-    its first round binds none.  Returns the values, shape (sums, kernels),
-    and the final panel rule (t, w), on which _first_mesh evaluates a sum's
-    terms.
+    stored first rounds, and the rows of the other sums evaluated there.
+    Later rounds evaluate every sum on their panels: the sums with a stored
+    round are laid out (_bind) when the first of them asks, so a stack that
+    converges in its first round lays out none of their rows.  Returns the
+    values, shape (sums, kernels), and the final panel rule (t, w), on which
+    _first_mesh evaluates a sum's terms.
     """
-    layout, width = _bind(model, sums), len(sums) * len(sums[0].kernels)
-    first = _contract([block for block in layout if not callable(block)], _T_NODES, width)[0]
-    for i in (i for i, one in enumerate(sums) if one.first is not None):  # stored rounds
-        first.reshape(len(sums), -1, len(_T_NODES))[i] = sums[i].first
-    values, _, t, w = adaptive_quad(lambda t: _contract(layout, t, width)[0], _T_MESH,
-                                    rel_tol=rel_tol, first=first)
+    width, kinds = len(sums) * len(sums[0].kernels), ([], [])
+    for i, one in enumerate(sums):  # (i, sum) pairs without, then with, a stored first round
+        kinds[one.first is not None].append((i, one))
+    layout, stored = _bind(model, kinds[0]), iter(kinds[1])  # read by the first later round
+    first = _contract(layout, _T_NODES, width)[0].reshape(len(sums), -1, len(_T_NODES))
+    for i, one in kinds[1]:
+        first[i] = one.first
+
+    def rows(t):  # a later round
+        layout.extend(_bind(model, stored))
+        return _contract(layout, t, width)[0]
+    values, _, t, w = adaptive_quad(rows, _T_MESH, rel_tol=rel_tol, first=first.reshape(width, -1))
     return values.reshape(len(sums), -1), (t, w)
 
 
@@ -571,7 +572,7 @@ def _zero_mode(model, configs, kernels, units):
     shared = {pair: _remainders(kernels, units, *pair) for pair in set(pairs)}
     sums = [_Sum(cfg, np.zeros(1), shared[pair], [1] * len(units))
             for cfg, pair in zip(configs, pairs)]
-    first = _contract(_bind(model, sums), _T_NODES, len(sums) * len(units))[0]
+    first = _contract(_bind(model, enumerate(sums)), _T_NODES, len(sums) * len(units))[0]
     return [([row @ _T_WEIGHTS for row in rows], one._replace(first=rows))
             for one, rows in zip(sums, first.reshape(len(sums), len(units), -1))]
 

@@ -886,6 +886,53 @@ class TestSweeps:
         assert [len(zeta) for zeta in binds] == [lifshitz._ROW_BLOCK] * 9 + [50]
         assert len(set(binds)) == len(binds)
 
+    def test_stored_rows_are_laid_out_only_when_a_later_round_reads_them(self, gold,
+                                                                         monkeypatch):
+        # inside _integrate, the sums with a stored first round (a rule in
+        # m, an m = 0 remainder) are laid out by the first later round, if
+        # there is one: F at 2 K / 1 um (one rule sum) and a plasma sweep at
+        # 300 and 350 K settle in their first round and lay out none of
+        # them; plasma lowtemp's f(0) remainder, beside rows at zeta > 0 that
+        # refine, is laid out once, in round 2
+        events, inside = [], []
+        integrate, layout, contract = lifshitz._integrate, lifshitz._layout, lifshitz._contract
+
+        def counting_integrate(*args):
+            inside.append(True)
+            try:
+                return integrate(*args)
+            finally:
+                inside.pop()
+
+        def counting_layout(model, at, kernels, zeta, *args):
+            if inside:
+                events.append(("layout", float(zeta[0, 0])))
+            return layout(model, at, kernels, zeta, *args)
+
+        def counting_contract(blocks, t, *args):
+            if inside:
+                events.append(("round", len(t)))
+            return contract(blocks, t, *args)
+
+        monkeypatch.setattr(lifshitz, "_integrate", counting_integrate)
+        monkeypatch.setattr(lifshitz, "_layout", counting_layout)
+        monkeypatch.setattr(lifshitz, "_contract", counting_contract)
+        cs.free_energy(cs.ThermalGapConfig(T=2.0, a=1e-6), gold)
+        assert events == [("round", len(lifshitz._T_NODES))]
+        events.clear()
+        configs = [cs.ThermalGapConfig(T=T, a=a) for a in (0.5e-6, 1e-6, 2e-6)
+                   for T in (300.0, 350.0)]
+        lifshitz._sum_modes(configs, cs.Plasma(), cs.DEFAULT_QUAD,
+                            (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
+        assert ("round", len(lifshitz._T_NODES)) in events
+        assert ("layout", 0.0) not in events
+        events.clear()
+        lifshitz._te_mode_functions(np.linspace(0.0, 0.5, 26) * cs.C / 1e-6, 1e-6, cs.Plasma(),
+                                    300.0, cs.DEFAULT_QUAD)
+        zero = [i for i, event in enumerate(events) if event == ("layout", 0.0)]
+        rounds = [i for i, (kind, _) in enumerate(events) if kind == "round"]
+        assert len(zero) == 1 and len(rounds) >= 2 and rounds[0] < zero[0] < rounds[1]
+
     @pytest.mark.parametrize("others", [[(None, 0.5e-6)], [(350.0, 0.5e-6)],
                                         [(None, 2e-6), (350.0, 0.7e-6)]],
                              ids=["same-T", "other-T", "both"])
@@ -1033,18 +1080,19 @@ class TestSweeps:
                 assert member.fraction(m) == lone.fraction(m)
 
 
-def per_sum_layout(model, sums):
-    """The layout of the stack sums as _bind built it sum by sum: each
-    explicit sum (zeta None) with its own frequencies cfg.matsubara(m) of
-    its modes m = 1..max(counts), its own y_lo = a zeta / c and its own
-    unit weights, concatenated per group: the reference for the bulk form."""
+def per_sum_layout(model, indexed):
+    """The layout of the (i, sum) pairs indexed, all of one kind, as _bind
+    built it sum by sum: each explicit sum (zeta None) with its own
+    frequencies cfg.matsubara(m) of its modes m = 1..max(counts), its own
+    y_lo = a zeta / c and its own unit weights, concatenated per group: the
+    reference for the bulk form."""
     groups, layout = {}, []
-    for i, one in enumerate(sums):
+    for i, one in indexed:
         if one.zeta is None:
             one = one._replace(zeta=one.cfg.matsubara(np.arange(1, max(one.counts) + 1)))
-        key = (one.cfg.T if one.zeta[0] else 0.0, tuple(one.kernels), one.first is None)
+        key = (one.cfg.T if one.zeta[0] else 0.0, tuple(one.kernels))
         groups.setdefault(key, []).append((i, one))
-    for (T, kernels, bound), members in groups.items():
+    for (T, kernels), members in groups.items():
         starts = itertools.accumulate([len(one.zeta) for _, one in members], initial=0)
         runs = [(c, i * len(kernels) + c, a, a + n)
                 for (i, one), a in zip(members, starts) for c, n in enumerate(one.counts)]
@@ -1080,8 +1128,11 @@ def test_bulk_layout_equals_the_per_sum_layout_bit_for_bit(monkeypatch):
         return (at, kernels, runs, zeta, y_lo, weight)
 
     monkeypatch.setattr(lifshitz, "_block", recording)
-    bulk = [block() if callable(block) else block for block in lifshitz._bind(model, stack)]
-    want = per_sum_layout(model, stack)
+    by_kind = [[(i, one) for i, one in enumerate(stack) if (one.first is None) == bound]
+               for bound in (True, False)]  # as _integrate lays them out, one kind per _bind
+    assert all(by_kind)
+    bulk = [block for kind in by_kind for block in lifshitz._bind(model, kind)]
+    want = [block for kind in by_kind for block in per_sum_layout(model, kind)]
     assert len(bulk) == len(want) > 3
     mixed = 0
     for got, ref in zip(bulk, want):

@@ -1,5 +1,5 @@
-"""Time the leaf math of the sums layer by layer, on one block of rows, and
-the binding of one sweep's stack of sums into blocks.
+"""Time the leaf math of the sums layer by layer, on one block of rows, the
+binding of one sweep's stack of sums into blocks, and two whole sums.
 
     PYTHONPATH=src python tools/leaf_timing.py
 
@@ -15,8 +15,19 @@ a = 1 um.  The variants are
     kernels P+F   both kernels, as a sum of P and F stacked together
     bind 80 sums  _bind of the README pressure sweep's stack (40 gaps from
                   0.5 to 5 um, log-spaced, at 300 and 350 K: 80 explicit
-                  sums): every group's arrays, runs and blocks, eps
+                  sums, one kind, so one _bind call as _integrate makes
+                  it): every group's arrays, runs and blocks, eps
                   included: 1,062 rows in 17 blocks, so 17 eps calls
+    sum P 300 K 1 um
+                  one explicit sum, _sum_modes of P alone: M = 19, so the
+                  modes 1..18 in one block, integrated in one t-integral
+    sum F 2 K 1 um
+                  one rule sum in m, _sum_modes of F alone: 178 placed rows
+                  in 4 blocks (modes 1..63, the rule's fixed rows, its
+                  panels), whose first round settles the t-integral
+
+A whole sum less the blocks it evaluates is its fixed cost: planning, M,
+the rule's placement steps and the t-integral's bookkeeping.
 
 Each of 300 rounds times one call of every variant in turn, so a slow
 spell of the machine touches them all; each line prints the best time in us.
@@ -34,7 +45,7 @@ from casimir import DEFAULT_QUAD, ThermalGapConfig, gold_drude
 from casimir.constants import C
 from casimir.dispersion import _reflection_sq
 from casimir.lifshitz import (_FREE_ENERGY, _PRESSURE, _T_NODES, _bind, _block, _kernels_at,
-                              _plan)
+                              _plan, _sum_modes)
 
 _ROUNDS = 300
 
@@ -52,12 +63,15 @@ def variants():
                     for T in (300.0, 350.0)], []
     _plan(sweep, model, DEFAULT_QUAD.rel_tol, (_PRESSURE,), parts)
     sums = [one for _, one in parts]
+    cold = ThermalGapConfig(T=2.0, a=1e-6)
     return [("eps", lambda: model.eps(zeta, cfg.T)),
             ("reflection", lambda: _reflection_sq(eps, p)),
             ("kernels P", lambda: _kernels_at(rule, y_lo, _T_NODES, (P,))),
             ("kernels F", lambda: _kernels_at(rule, y_lo, _T_NODES, (F,))),
             ("kernels P+F", lambda: _kernels_at(rule, y_lo, _T_NODES, (P, F))),
-            (f"bind {len(sums)} sums", lambda: _bind(model, sums))]
+            (f"bind {len(sums)} sums", lambda: _bind(model, enumerate(sums))),
+            ("sum P 300 K 1 um", lambda: _sum_modes([cfg], model, DEFAULT_QUAD, (_PRESSURE,))),
+            ("sum F 2 K 1 um", lambda: _sum_modes([cold], model, DEFAULT_QUAD, (_FREE_ENERGY,)))]
 
 
 def main() -> int:
@@ -68,10 +82,10 @@ def main() -> int:
             start = time.perf_counter()
             call()
             best[i] = min(best[i], time.perf_counter() - start)
-    print(f"# one 64 x {len(_T_NODES)} block, gold, 300 K, 1 um, and one bind; best of {_ROUNDS}; "
-          f"Python {platform.python_version()}, numpy {np.__version__}")
+    print(f"# one 64 x {len(_T_NODES)} block, gold, 300 K, 1 um, one bind and two sums; "
+          f"best of {_ROUNDS}; Python {platform.python_version()}, numpy {np.__version__}")
     for (name, _), seconds in zip(steps, best):
-        print(f"{name:12s} {seconds * 1e6:8.1f} us")
+        print(f"{name:16s} {seconds * 1e6:8.1f} us")
     return 0
 
 
