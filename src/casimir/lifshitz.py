@@ -165,7 +165,17 @@ class ThermalGapConfig:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Relative tolerance of the y-integrals and the Matsubara truncation."""
+    """Relative tolerance of the y-integrals and the Matsubara truncation.
+
+    rel_tol is in (0, 1e-4].  Below 2^-53 = 1.1e-16, the rounding of a
+    float total, no t-integral can certify it: one that its first round
+    does not settle raises ConvergenceError after that round, naming the
+    floor, with that round's values as its estimate (a rule in m misses
+    its budget first).  The first round alone, on the 135 nodes of the
+    initial panels, leaves up to 2e-13 of a whole sum (0.5 eV plasma near
+    1 nm and 1 K), more than a rel_tol of 1e-13 allows, so the sums refine
+    past it where their estimate asks.
+    """
 
     rel_tol: float = 1e-10
 

@@ -18,6 +18,8 @@ budget sits.  The first round may be given as data, the integrand's values
 on the initial nodes (a caller that already holds them, as the Lifshitz
 sums do), so the integrand is then called only for the panels of later
 rounds; _gk15_panels estimates a round from values, whoever evaluated them.
+A rel_tol below the rounding of a float total, 2^-53, ends after the first
+round: refining could only chase estimates at the level of rounding.
 
 Error estimation follows the QUADPACK recipe: the raw |K15 - G7|
 difference is rescaled by the panel's total variation measure so that
@@ -72,6 +74,7 @@ _WG_FULL = np.concatenate((_WG[:-1], _WG[::-1]))  # weights for nodes 1,3,...,13
 _MAX_ROUNDS = 48
 _MAX_PANELS = 4096
 _TINY = np.finfo(float).tiny  # error estimates below it count as converged
+_ROUNDING = 2.0 ** -53  # rounding of a float total, relative: no rel_tol below it is certified
 
 
 def neumaier_sum(values) -> float:
@@ -153,7 +156,11 @@ def adaptive_quad(
     final panels: w @ g(x) applies the converged rule to another integrand
     g.  Raises ConvergenceError (carrying the best estimates) after 48
     rounds or 4096 panels, and at once, without them, when a round's
-    estimate is not finite.
+    estimate is not finite.  No round can certify a rel_tol below 2^-53 =
+    1.1e-16, the rounding of a float total: unless the first round meets
+    it, ConvergenceError follows that round and names the floor, where
+    refining would chase estimates at the level of rounding through every
+    round (QUADPACK reports such a tolerance at once: its round-off exit).
 
     first, unless None, is f's values on the Kronrod nodes of the start
     panels, as gk15_rule gives them, flattened: shape (C, n) for the n =
@@ -174,7 +181,7 @@ def adaptive_quad(
                for err, total in zip(err_totals, totals)):
             x, w = (r.ravel() for r in gk15_rule(lo, hi))
             return np.array(totals), np.array(err_totals), x, w
-        if 2 * len(lo) > _MAX_PANELS:
+        if 2 * len(lo) > _MAX_PANELS or rel_tol < _ROUNDING:
             break
         keep, new_lo, new_hi = bisect_worst(lo, hi, errs, rel_tol * np.abs(totals))
         new_vals, new_errs = _gk15_panels(f(gk15_rule(new_lo, new_hi)[0].ravel()), new_lo, new_hi)
@@ -183,9 +190,11 @@ def adaptive_quad(
         errs = np.concatenate((errs[:, keep], new_errs), axis=1)
         totals = [neumaier_sum(v) for v in vals.tolist()]
 
+    floor = f": rel_tol is below {_ROUNDING:.2g}, the rounding of a float total"
     raise ConvergenceError(
         f"quadrature did not reach rel_tol={rel_tol:g} "
         f"on [{edges[0]:g}, {edges[-1]:g}] "
-        f"(estimated error {max(err_totals):.3e} with {len(lo)} panels)",
+        f"(estimated error {max(err_totals):.3e} with {len(lo)} panels)"
+        f"{floor * (rel_tol < _ROUNDING)}",
         estimate=np.array(totals),
     )

@@ -1219,14 +1219,23 @@ def test_first_mesh_zero_mode_gives_the_converged_M(gold, name):
 ], ids=["pressure", "free_energy", "te"])
 def test_unit_coefficient_kernels_give_closed_form_constants(kernel, constant, exact, ones):
     # the m = 0 closed forms (A + B) zeta(3)/4 are the kernels' integrals at
-    # A = B = 1; integrating from t = 0 also probes their precision at y -> 0
+    # A = B = 1; integrating from t = 0 also probes their precision at y -> 0.
+    # The fixed rule, the first round alone (@ _T_WEIGHTS), holds the same
+    # bound for the pressure kernel; the two log kernels go like y ln y there
+    # and leave 7.4e-11 on it, which is why no sum integrates them at unit
+    # coefficients: the m = 0 term is its closed form plus a remainder
     def f(t):
         X = 1.0 if ones == "scalar" else np.ones_like(t)
         return lifshitz._kernels_at(lambda y, y_lo: (X, X), np.zeros((1, 1)), t, (kernel,))[0]
 
     value = quadrature.adaptive_quad(f, lifshitz._T_MESH, rel_tol=1e-13)[0].item()
+    fixed = (f(lifshitz._T_NODES) @ lifshitz._T_WEIGHTS).item()
     assert constant == exact
     assert abs(value - exact) <= 4.4e-16 * abs(exact)
+    if kernel is lifshitz._pressure_kernel:
+        assert abs(fixed - exact) <= 4.4e-16 * abs(exact)
+    else:
+        assert 7e-11 <= abs(fixed - exact) / abs(exact) <= 8e-11
 
 
 # The leaf written term by term, each kernel forming its own u = e^{-2y},

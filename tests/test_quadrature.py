@@ -217,6 +217,33 @@ def test_non_finite_integrand_fails_after_one_round(stacked):
     assert len(calls) == 1
 
 
+def test_tolerance_below_float_rounding_fails_after_one_round():
+    # below 2^-53 the estimates of later rounds are rounding noise, which
+    # used to take all 48 rounds or 4096 panels (2,338 panels for the sum of
+    # `casimir pressure --gap 0.5` at 1e-30); the error carries the first
+    # round's values
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return (1.0 / (1.0 + x) ** 2)[None]
+
+    edges = equal_panels(0.0, 30.0)
+    first = adaptive_quad(f, edges, rel_tol=1.0)[0]
+    for rel_tol in (2.0 ** -54, 1e-30):
+        calls.clear()
+        with pytest.raises(ConvergenceError, match=(
+                r"did not reach rel_tol=.* with 8 panels\): rel_tol is below 1.1e-16, "
+                "the rounding of a float total$")) as exc:
+            adaptive_quad(f, edges, rel_tol=rel_tol)
+        assert len(calls) == 1
+        assert exc.value.estimate.tobytes() == first.tobytes()
+    # at the floor itself the rounds go on (7 of them), and meet it
+    calls.clear()
+    value = adaptive_quad(f, edges, rel_tol=2.0 ** -53)[0].item()
+    assert len(calls) > 1 and value == pytest.approx(30.0 / 31.0, rel=2.0 ** -53, abs=0.0)
+
+
 def test_neumaier_sum_compensates_cancellation():
     assert neumaier_sum([1e16, 1.0, -1e16]) == 1.0
 
