@@ -29,52 +29,51 @@ model for its matsubara_reflection rule at zeta_m.
 
 Both rules return plain (A, B); only the public reflection_pair and
 zero_frequency_reflection validate them.  With y = m gamma + t every m >= 1
-mode lives on the same t-interval, so a sum is one adaptive integral over
-the summed integrand of modes 1..M-1, with M set by an ideal-reflector
-bound on the dropped tail, and of the m = 0 term.  M grows like 1/(aT), so
+mode lives on the same t-interval, so a sum is one integral over the
+summed integrand of modes 1..M-1, with M set by an ideal-reflector bound
+on the dropped tail, and of the m = 0 term.  M grows like 1/(aT), so
 where M > 512 the modes m >= K, K = 64 or more, enter as the weighted rows
 of a rule in m (Euler-Maclaurin in Gregory's form, see _tail_rule), whose
 cost grows like log M; K and the rule come from its error estimate, held
-to rel_tol of the whole sum, on the first t-panels, and the rows placed
-there are the first round of the sum's t-integral, so each is evaluated
-once.  The m = 0 term is (A0 + B0) zeta(3)/4 in closed form, with the
-sign of the kernel and A0, B0 the coefficients that are exactly 1 at
-y = 0, plus the integral of the kernel at (A, B) minus
+to rel_tol of the whole sum.  The m = 0 term is (A0 + B0) zeta(3)/4 in
+closed form, with the sign of the kernel and A0, B0 the coefficients that
+are exactly 1 at y = 0, plus the integral of the kernel at (A, B) minus
 the kernel at (A0, B0): 0 for a lossy metal and the ideal reflector, and
 for plasma one more row, smooth at y = 0 where the free energy's kernel
-alone goes like y ln y.  Every t-integral starts from the same initial
-panels, graded toward t = 0.
+alone goes like y ln y.
+
+Every t-integral of a sum is one fixed rule: the 10 GK15 panels of
+_T_MESH, graded toward t = 0, 150 nodes (_T_NODES), with no refinement
+rounds.  tests/test_properties.py certifies it against the same rows
+integrated to 1e-14: it leaves at most _EPS_T = 1e-14 of a whole sum, and
+a sum at a rel_tol below that raises ConvergenceError, which names the
+floor (QUADPACK's round-off exit).  A row's integral is its values at the
+nodes times _T_WEIGHTS (_first_mesh), and the rule in m and the m = 0
+remainders take their values from the rows that placed them, so neither
+needs a t-integral of its own.  Rows outside a sum (_mode_integrals) are
+one adaptive_quad call from the same panels, to any rel_tol.
 
 One sum covers a stack of observables at a sequence of (a, T), a whole
-sweep, as one t-integral: P and F share every row's A and B, and the rows
-of one temperature share blocks across gaps, each binding eps once.  Each
-(a, T) and observable keeps its own m = 0 term, M and prefactor, sums its
-own first M - 1 rows (or a rule in m, placed once per (a, T) to its larger
-M), and holds rel_tol on its own total; _grid_sums is the one layout of
-a sweep.  A sweep is planned once (_plan): the model's m = 0 rule takes
-its configs as columns (_Configs), so the closed m = 0 terms are one call
-and every m = 0 remainder is evaluated on the first panels in one pass
-(_zero_mode); the search for M and the rows (_rows: explicit, or a rule
-in m) stay per (a, T).  An (a, T)'s rows are mode numbers m, not all
-integers in a rule in m, until they are bound: _first_mesh evaluates rows
-at m on a panel rule, for the rule's placement and for per_mode.  A stack
-is a list of _Sum records; _bind groups them, the rows at zeta > 0 by
-temperature and the m = 0 rows of every (a, T) together, and _layout,
-which _first_mesh calls with its runs of rows directly, cuts rows into
-blocks (_Block) that carry, per kernel, their runs: the rows that add to
-one component.  An explicit sum holds no frequencies: _bind forms those of
-every explicit sum of a group in one call, and the group's y_lo and
-weights one array each, so a sweep's explicit sums cost no array
-operation per (a, T).  _contract, the one contraction, adds each run
-block by block, and the leaf (_kernels_at, then _reflection_sq) works at
-the block's full shape, never broadcasting a column against it.  The
-t-integral's first round is data that adaptive_quad takes: the rows that
-placed a rule in m or an m = 0 remainder, and the other rows evaluated on
-the first panels.  The sums with such a stored round are laid out, eps
-bound, only when a later round reads them, all in one _bind call, so a
-stack that its first round settles lays out none of their rows; a block
-is always bound.  Rows outside a sum are one t-integral per
-_mode_integrals call.  A failure names the first (a, T) or frequency that
+sweep: P and F share every row's A and B, and the rows of one temperature
+share blocks across gaps, each binding eps once.  Each (a, T) and
+observable keeps its own m = 0 term, M and prefactor, sums its own first
+M - 1 rows (or a rule in m, placed once per (a, T) to its larger M), and
+holds rel_tol on its own total; _grid_sums is the one layout of a sweep.
+A sweep is planned once (_plan): the model's m = 0 rule takes its configs
+as columns (_Configs), so the closed m = 0 terms are one call and every
+m = 0 remainder is evaluated in one pass (_zero_mode); the search for M
+and the rows (_rows: explicit, or a rule in m) stay per (a, T).  An (a,
+T)'s rows are mode numbers m, not all integers in a rule in m, until they
+are bound.  A stack is a list of _Sum records; _bind groups them, the rows
+at zeta > 0 by temperature and the m = 0 rows of every (a, T) together,
+and _layout cuts rows into blocks (_Block) that carry, per kernel, their
+runs: the rows that add to one component.  An explicit sum holds no
+frequencies: _bind forms those of every explicit sum of a group in one
+call, and the group's y_lo and weights one array each, so a sweep's
+explicit sums cost no array operation per (a, T).  _contract, the one
+contraction, adds each run block by block, and the leaf (_kernels_at, then
+_reflection_sq) works at the block's full shape, never broadcasting a
+column against it.  A failure names the first (a, T) or frequency that
 fails alone, as a loop over the (a, T) would.
 """
 
@@ -103,14 +102,16 @@ __all__ = [
     "rte_zero_frequency_comparison",
 ]
 
-# Initial panel edges of every t-integral, graded toward t = 0 where the
-# kernels vary fastest (at low aT, the first rows; the plasma m = 0 term is
-# integrated as a remainder that is smooth there, see _zero_mode);
-# chosen by counting rounds and points over the benchmark's sums.  The last
-# edge is the width of every y-integral: e^{-2 y} past 30 is below 1e-26.
-_T_MESH = np.array([0.0, 1 / 256, 1 / 32, 3 / 16, 0.75, 2.0, 4.5, 9.0, 15.0, 30.0])
+# Panel edges of the fixed t-rule, graded toward t = 0 where the kernels
+# vary fastest (at low aT, the first rows; the plasma m = 0 term is
+# integrated as a remainder that is smooth there, see _zero_mode).  The
+# edge at 1/2048 resolves rows that vary over y ~ omega_p a / c, down to
+# 2.5e-3 (0.5 eV plasma at 1 nm).  The last edge is the width of every
+# y-integral: e^{-2 y} past 30 is below 1e-26.
+_T_MESH = np.array([0.0, 1 / 2048, 1 / 256, 1 / 32, 3 / 16, 0.75, 2.0, 4.5, 9.0, 15.0, 30.0])
 _T_NODES, _T_WEIGHTS = (x.ravel() for x in gk15_rule(_T_MESH[:-1], _T_MESH[1:]))
-_ROW_BLOCK = 64  # rows evaluated together: 64 x 135 floats, below the 128 KiB mmap threshold
+_EPS_T = 1e-14  # the rule's certified error on a whole sum (tests/test_properties.py)
+_ROW_BLOCK = 64  # rows evaluated together: 64 x 150 floats, below the 128 KiB mmap threshold
 _ROW_CAP = 250_000  # most rows a sum or a per_mode table evaluates one by one
 # The rule in m (_tail_rule) runs only where M > _RULE_RATIO _K_MIN, from
 # K = _K_MIN explicit rows; a K that misses its budget doubles while
@@ -167,14 +168,16 @@ class ThermalGapConfig:
 class QuadratureSettings:
     """Relative tolerance of the y-integrals and the Matsubara truncation.
 
-    rel_tol is in (0, 1e-4].  Below 2^-53 = 1.1e-16, the rounding of a
-    float total, no t-integral can certify it: one that its first round
-    does not settle raises ConvergenceError after that round, naming the
-    floor, with that round's values as its estimate (a rule in m misses
-    its budget first).  The first round alone, on the 135 nodes of the
-    initial panels, leaves up to 2e-13 of a whole sum (0.5 eV plasma near
-    1 nm and 1 K), more than a rel_tol of 1e-13 allows, so the sums refine
-    past it where their estimate asks.
+    rel_tol is in (0, 1e-4].  A sum integrates in t on one fixed rule of
+    150 nodes, certified to leave at most eps_t = 1e-14 of the whole sum
+    (8.9e-15 at worst, for 0.5 eV plasma near 5 nm and 100 K), so below
+    eps_t it raises ConvergenceError, which names that floor, after
+    planning at eps_t: the first part of the sum (its m = 0 remainder,
+    else its rows) is named, with its fixed-rule value as the estimate.
+    Rows outside a sum (mode_pressure, mode_free_energy,
+    te_mode_function) refine adaptively to any rel_tol above 2^-53 =
+    1.1e-16, the rounding of a float total, and below it fail after their
+    first round, naming that floor.
     """
 
     rel_tol: float = 1e-10
@@ -204,7 +207,7 @@ class PressureResult:
     m_used: int
     _contributions: object = field(repr=False, compare=False)  # m -> term m; () -> all
 
-    @cached_property  # evaluated on the sum's final panel rule when first read
+    @cached_property  # evaluated on the sums' fixed t-rule when first read
     def per_mode(self) -> tuple:
         if self.m_used > _ROW_CAP:
             raise CasimirError(f"per_mode would list m_used = {self.m_used} modes, "
@@ -343,16 +346,14 @@ _FREE_ENERGY = (_free_energy_kernel, lambda cfg: K_B * cfg.T / (2.0 * np.pi * cf
 
 # One sum of a stack: kernel c of kernels sums the first counts[c] rows at
 # the frequencies zeta of cfg, each times weight, if not None (_bind weighs
-# the rows of a sum without weights by ones);
-# first, unless None, is the sum's weighted rows at each node of _T_NODES,
-# shape (kernels, nodes): its first round (_integrate).  A config's rows
-# (_rows) are at zeta = cfg.matsubara(m) of its modes m: kernel c of an
-# explicit sum sums modes 1..M_c-1, and its zeta is None: its max(counts)
-# rows are the modes 1..M-1, whose frequencies _bind forms for every
-# explicit sum of a temperature at once.  Every kernel of a rule in m sums
-# every row.  Its m = 0 remainder (_zero_mode) is the row at zeta = [0],
-# and the rows of _mode_integrals are at any frequency.
-_Sum = namedtuple("_Sum", "cfg zeta kernels counts weight first", defaults=(None, None))
+# the rows of a sum without weights by ones).  A config's rows (_rows) are
+# at zeta = cfg.matsubara(m) of its modes m: kernel c of an explicit sum
+# sums modes 1..M_c-1, and its zeta is None: its max(counts) rows are the
+# modes 1..M-1, whose frequencies _bind forms for every explicit sum of a
+# temperature at once.  Every kernel of a rule in m sums every row.  Its
+# m = 0 remainder (_zero_mode) is the row at zeta = [0], and the rows of
+# _mode_integrals are at any frequency.
+_Sum = namedtuple("_Sum", "cfg zeta kernels counts weight", defaults=(None,))
 
 # At most _ROW_BLOCK rows of a stack's layout (_bind): their kernels, y_lo =
 # a zeta / c as a column, their weights, per kernel the runs (j, a, b) of
@@ -404,8 +405,7 @@ def _layout(model, at, kernels, zeta, y_lo, weight, runs):
 
 def _bind(model, indexed):
     """The layout (_layout) of the sums of a stack given as (i, sum) pairs,
-    i the sum's index in the stack, all of one kind: with or without a
-    stored first round (_integrate).  The sums with the same kernels lay
+    i the sum's index in the stack.  The sums with the same kernels lay
     out their rows in order, those at zeta > 0 by temperature, which share
     eps across gaps, and the rows at zeta = 0 of every config together,
     which take the model's m = 0 rule at their configs.  Rows r < counts[c]
@@ -483,64 +483,51 @@ def _contract(layout, t, components, w=None):
     return out, integrals
 
 
-def _integrate(model, sums, rel_tol):
+def _integrate(model, sums, rel_tol=None):
     """Row sums of int kernel(A, B, y) dt over t in [0, 30], y = a zeta / c + t,
-    for each _Sum of sums, all with as many kernels.  Rows share t and a
-    block's kernels share their (A, B) (see _bind), so one adaptive_quad
-    call, from the panels of _T_MESH, holds rel_tol on each (sum, kernel)
-    component, which adds its runs block by block, in order, whatever the
-    rest of the stack.  The first round, on _T_NODES, is data: the sums'
-    stored first rounds, and the rows of the other sums evaluated there.
-    Later rounds evaluate every sum on their panels: the sums with a stored
-    round are laid out (_bind) when the first of them asks, so a stack that
-    converges in its first round lays out none of their rows.  Returns the
-    values, shape (sums, kernels), and the final panel rule (t, w), on which
-    _first_mesh evaluates a sum's terms.
+    for each _Sum of sums, all with as many kernels: shape (sums, kernels).
+    Rows share t and a block's kernels share their (A, B) (see _bind), and
+    each (sum, kernel) component adds its runs block by block, in order,
+    whatever the rest of the stack.  Without rel_tol each component is
+    integrated on the fixed rule on its own: on _T_NODES, each GK15 panel's
+    Kronrod value, then their math.fsum, which is adaptive_quad's first
+    round; ConvergenceError where a value is not finite (_gk15_panels).
+    With rel_tol (rows outside a sum), one adaptive_quad call from the
+    panels of _T_MESH holds it on each component.
     """
-    width, kinds = len(sums) * len(sums[0].kernels), ([], [])
-    for i, one in enumerate(sums):  # (i, sum) pairs without, then with, a stored first round
-        kinds[one.first is not None].append((i, one))
-    layout, stored = _bind(model, kinds[0]), iter(kinds[1])  # read by the first later round
-    first = _contract(layout, _T_NODES, width)[0].reshape(len(sums), -1, len(_T_NODES))
-    for i, one in kinds[1]:
-        first[i] = one.first
-
-    def rows(t):  # a later round
-        layout.extend(_bind(model, stored))
-        return _contract(layout, t, width)[0]
-    values, _, t, w = adaptive_quad(rows, _T_MESH, rel_tol=rel_tol, first=first.reshape(width, -1))
-    return values.reshape(len(sums), -1), (t, w)
+    width, layout = len(sums) * len(sums[0].kernels), _bind(model, enumerate(sums))
+    if rel_tol is None:
+        vals = _gk15_panels(_contract(layout, _T_NODES, width)[0], _T_MESH[:-1], _T_MESH[1:])[0]
+        values = [math.fsum(v) for v in vals.tolist()]
+    else:
+        values = adaptive_quad(lambda t: _contract(layout, t, width)[0], _T_MESH,
+                               rel_tol=rel_tol)[0]
+    return np.reshape(values, (len(sums), -1))
 
 
-def _first_mesh(model, cfg, m, kernels, weight=None, size=None, rule=(_T_NODES, _T_WEIGHTS)):
-    """The rows of cfg at the mode numbers m >= 1, an array (not all
-    integers in a rule in m), on the panel rule (t, w), by default the first
-    t-panels: their integrals, shape (kernels, rows), and for each run of
-    size consecutive rows (by default all rows) the sum of its rows, each
-    times its weight (by default ones), at each node t, shape (runs,
-    kernels, nodes), which on _T_NODES is a first round as _integrate takes
-    it; ConvergenceError names the frequency of the first row whose
-    integral is not finite.  The runs are laid out as a stack's sums are
-    (_layout), and _contract adds each run as its blocks are evaluated."""
-    (t, w), size, zeta = rule, size or len(m), cfg.matsubara(m)
-    runs = [(c, r * len(kernels) + c, lo, lo + size)
-            for r, lo in enumerate(range(0, len(m), size)) for c in range(len(kernels))]
+def _first_mesh(model, cfg, m, kernels):
+    """The integrals on the fixed t-rule (_T_NODES, _T_WEIGHTS), shape
+    (kernels, rows), of the rows of cfg at the mode numbers m >= 1, an
+    array (not all integers in a rule in m), laid out in blocks as a
+    stack's sums are (_layout); ConvergenceError names the frequency of the
+    first row whose integral is not finite."""
+    zeta = cfg.matsubara(m)
     layout = _layout(model, cfg.T, kernels, zeta[:, None], (cfg.a * zeta)[:, None] / C,
-                     np.ones(len(m)) if weight is None else weight, runs)
-    sums, per_block = _contract(layout, t, len(runs), w)
-    rows = np.array([np.concatenate(rows) for rows in zip(*per_block)])
+                     np.ones(len(m)), [])  # no runs: only the row integrals are read
+    rows = np.array([np.concatenate(rows) for rows in zip(
+        *_contract(layout, _T_NODES, 0, _T_WEIGHTS)[1])])
     if not np.isfinite(rows).all():
         bad = zeta[~np.isfinite(rows).all(axis=0)][0]
         raise ConvergenceError(f"the row at zeta = {bad:g} rad/s is not finite")
-    return rows, sums.reshape(-1, len(kernels), len(t))
+    return rows
 
 
 def _first_alone(model, parts, rel_tol, error, after=False):
     """error, raised by one stack of the sums of parts, (key, sum) pairs, or
     by a step after them, as a loop over the parts raises it: they are
-    integrated one at a time, each from its own first round if it has one,
-    and the first to fail alone gives its error and key (else error and
-    None; a stack of one part fails as that part)."""
+    integrated one at a time (_integrate, at rel_tol), and the first to
+    fail alone gives its error and key (else error and None; a stack of one
+    part fails as that part)."""
     for key, one in parts:
         if len(parts) == 1 and not after:
             return error, key
@@ -554,7 +541,7 @@ def _first_alone(model, parts, rel_tol, error, after=False):
 def _zero_mode(model, configs, kernels, units):
     """The m = 0 row of kernels at each config of configs: per config the
     integral of each kernel and the remainder as a sum of _integrate (None
-    where it is 0), with its first round.
+    where it is 0).
 
     The model's rule takes every config at once (_Configs), at y = 0, where
     A0 and B0 are 1 where it gives exactly 1, else 0; kernel c's integral
@@ -566,10 +553,10 @@ def _zero_mode(model, configs, kernels, units):
     as a constant density on the t-interval, which GK15 integrates exactly,
     so rel_tol holds on the whole term; rounding bounds it where the term is
     far below its closed part (TE at Omega << 1: 3e-11 at 1 nm for 0.5 eV).
-    Every remainder is evaluated on the first t-panels at once, its first
-    round, and the integral given with it is that round's, from its own
-    rows.  A coefficient that is not finite raises no warning here: its
-    remainder fails on its rows (_plan, _first_alone).
+    Every remainder is evaluated on _T_NODES at once, and the integral given
+    with it is its row @ _T_WEIGHTS, the fixed rule's: a sum's m = 0 term.
+    A coefficient that is not finite raises no warning here: its remainder
+    fails on its row (_plan, _first_alone).
     """
     zero = np.zeros((len(configs), 1))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -582,9 +569,9 @@ def _zero_mode(model, configs, kernels, units):
     shared = {pair: _remainders(kernels, units, *pair) for pair in set(pairs)}
     sums = [_Sum(cfg, np.zeros(1), shared[pair], [1] * len(units))
             for cfg, pair in zip(configs, pairs)]
-    first = _contract(_bind(model, enumerate(sums)), _T_NODES, len(sums) * len(units))[0]
-    return [([row @ _T_WEIGHTS for row in rows], one._replace(first=rows))
-            for one, rows in zip(sums, first.reshape(len(sums), len(units), -1))]
+    rows = _contract(_bind(model, enumerate(sums)), _T_NODES, len(sums) * len(units))[0]
+    return [([row @ _T_WEIGHTS for row in at_nodes], one)
+            for one, at_nodes in zip(sums, rows.reshape(len(sums), len(units), -1))]
 
 
 def _remainders(kernels, units, A0, B0):
@@ -603,14 +590,15 @@ def _mode_integrals(model, cfg, zetas, kernels, units, rel_tol):
     frequency of zetas (finite, >= 0) for each kernel: a list per frequency,
     with units each kernel's m = 0 integrals at unit TM and TE coefficients
     (_zero_mode).  The one path for rows outside a sum: the rows at zeta > 0
-    and m = 0 remainders (_zero_mode) are one t-integral.  A failure
+    and m = 0 remainders (_zero_mode) are one adaptive t-integral, which
+    refines past the fixed rule to rel_tol (_integrate).  A failure
     carries the first frequency that fails alone (_first_alone; else None)
     in attribute zeta."""
     rows = [(None, _Sum(cfg, np.array([z]), kernels, [1] * len(kernels))) if z > 0.0
             else _zero_mode(model, [cfg], kernels, units)[0] for z in zetas]
     parts = [(z, one) for z, (_, one) in zip(zetas, rows) if one is not None]
     try:
-        values = iter(_integrate(model, [one for _, one in parts], rel_tol)[0].tolist()
+        values = iter(_integrate(model, [one for _, one in parts], rel_tol).tolist()
                       if parts else ())
     except CasimirError as exc:
         error, zeta = _first_alone(model, parts, rel_tol, exc)
@@ -696,9 +684,8 @@ def _modes_needed(gamma, coeffs, target):
 def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
     """Rows (mode numbers m, not all integers) and weights whose weighted
     sum is sum_{m=K}^{M-1} g(m) for each of the kernels, one per observable,
-    g(m) the row integral at m zeta_1, and that weighted sum at each node of
-    _T_NODES, the rule's part of a first round (see _integrate); None when
-    the rule misses its error budget.
+    g(m) the row integral at m zeta_1 on the fixed t-rule, and that sum's
+    value per kernel; None when the rule misses its error budget.
 
     The model's kinks, frequencies where eps bends, cut [K, M-1] where g is
     not smooth.  A smooth stretch [a, b] of at least _SEGMENT_MIN rows is
@@ -708,18 +695,15 @@ def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
     one pass before any panel (even for a K that then misses its budget)
     and counted in the rule's sum.  The integral takes GK15 panels graded
     geometrically from a, none wider than 4/gamma, over which g falls by at
-    most e^8.  The rule is placed by the kernels' g on the first
-    t-panels, _T_NODES, which also gives its error estimate per kernel: the
-    last end terms (_D3) plus the panels' GK15 estimates (_gk15_panels, the
-    one estimate, which the t-integrals take too), each held to half of
-    rel_tol |head[c] + the rule's sum|, head[c] the m = 0 term and rows
+    most e^8.  The rule's error estimate per kernel is the last end terms
+    (_D3) plus the panels' GK15 estimates (_gk15_panels), each held to half
+    of rel_tol |head[c] + the rule's sum|, head[c] the m = 0 term and rows
     1..K-1 of kernel c, all of one sign.  The end terms are checked first,
     against that budget with the rule's sum at its ideal-reflector bound
     (_tail_bound), so a K whose ends miss even that costs no panels.  The
     panels with the largest estimate relative to that budget are bisected
-    (bisect_worst), up to _M_PANELS of them; each panel keeps its weighted
-    rows at the nodes, so a bisected one drops its own.  The estimate cannot
-    see a bend of eps that the model does not name among its kinks.
+    (bisect_worst), up to _M_PANELS of them.  The estimate cannot see a
+    bend of eps that the model does not name among its kinks.
     """
     kinks = np.asarray(getattr(model, "kinks", ()), dtype=float) / cfg.matsubara(1)
     explicit, ends, lo, hi, widest = [np.zeros(0)], [], [], [], 4.0 / cfg.gamma
@@ -738,72 +722,68 @@ def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
     explicit = np.concatenate(explicit)
     fixed = np.concatenate(ends + [explicit])
     fixed_w = np.concatenate([_GREGORY] * len(ends) + [np.ones(len(explicit))])
-    g_fixed, (first,) = _first_mesh(model, cfg, fixed, kernels, fixed_w)
-    if not lo:  # every stretch is short
-        return fixed, fixed_w, first
-    end_err = np.abs(g_fixed[:, :5 * len(ends)].reshape(len(kernels), -1, 5) @ _D3).sum(1) / 720
+    g_fixed = _first_mesh(model, cfg, fixed, kernels)
     fixed_sums = np.array([g @ fixed_w for g in g_fixed])
+    if not lo:  # every stretch is short
+        return fixed, fixed_w, fixed_sums
+    end_err = np.abs(g_fixed[:, :5 * len(ends)].reshape(len(kernels), -1, 5) @ _D3).sum(1) / 720
     if (end_err > 0.5 * rel_tol * (np.abs(head) + [
             _tail_bound(K, cfg.gamma, tail) for _, _, tail, _ in observables])).any():
         return None
 
-    def panels(lo, hi):  # weighted rows at _T_NODES, values, errors
-        x, wk = gk15_rule(lo, hi)
-        gx, at_nodes = _first_mesh(model, cfg, x.ravel(), kernels, wk.ravel(), x.shape[1])
-        return (at_nodes, *_gk15_panels(gx, lo, hi))
+    def panels(lo, hi):  # values, errors
+        return _gk15_panels(_first_mesh(model, cfg, gk15_rule(lo, hi)[0].ravel(), kernels), lo, hi)
 
     lo, hi = np.array(lo), np.array(hi)
-    at_nodes, vals, errs = panels(lo, hi)
+    vals, errs = panels(lo, hi)
     while True:
-        budget = 0.5 * rel_tol * np.abs(np.add(head, [math.fsum(v) for v in vals]) + fixed_sums)
+        rule = fixed_sums + [math.fsum(v) for v in vals]
+        budget = 0.5 * rel_tol * np.abs(np.add(head, rule))
         if (end_err > budget).any():
             return None
         if (errs.sum(axis=1) <= budget).all():
             x, wk = (r.ravel() for r in gk15_rule(lo, hi))
-            return (np.concatenate((fixed, x)), np.concatenate((fixed_w, wk)),
-                    first + at_nodes.sum(axis=0))
+            return np.concatenate((fixed, x)), np.concatenate((fixed_w, wk)), rule
         if len(lo) >= _M_PANELS:
             return None
         keep, new_lo, new_hi = bisect_worst(lo, hi, errs, budget)
         lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
-        new_at_nodes, new_vals, new_errs = panels(new_lo, new_hi)
-        at_nodes = np.concatenate((at_nodes[keep], new_at_nodes))
-        vals, errs = (np.concatenate((old[:, keep], n), axis=1)
-                      for old, n in zip((vals, errs), (new_vals, new_errs)))
+        vals, errs = (np.concatenate((old[:, keep], new), axis=1)
+                      for old, new in zip((vals, errs), panels(new_lo, new_hi)))
 
 
 def _rows(model, cfg, observables, kernels, Ms, rel_tol, zeros):
     """cfg's sum of rows (_Sum) for the kernels, one per observable, which
-    sums the modes 1..M_c-1 of observable c for its M_c in Ms.  Where M =
-    max(Ms) <= _RULE_RATIO _K_MIN the sum is explicit: kernel c sums the
-    first M_c - 1 rows, the modes 1..M-1 unweighted, not evaluated here.
+    sums the modes 1..M_c-1 of observable c for its M_c in Ms, and its
+    value per kernel where placement gives it.  Where M = max(Ms) <=
+    _RULE_RATIO _K_MIN the sum is explicit: kernel c sums the first M_c - 1
+    rows, the modes 1..M-1 unweighted, not evaluated here, and its value is
+    None (the stack's, _integrate).
 
     Otherwise _tail_rule sums the modes m >= K, with K doubled from _K_MIN
     until the rule meets its budget, while M > _RULE_RATIO K / 2 (so a
     first K that misses can double once), and every kernel sums every row,
     the modes 1..K-1 and the rule's, weighted.  That budget counts the m =
-    0 terms zeros and the explicit rows 1..K-1 on the first t-panels, which
-    a larger K extends; every row placed is evaluated there once, and the
-    rows of the rule that meets its budget are the sum's first round.
-    ConvergenceError if the rule has not met it by K = _ROW_CAP / (2
-    _RULE_RATIO).
+    0 terms zeros and the explicit rows 1..K-1, which a larger K extends;
+    every row placed is evaluated once, on the fixed t-rule, and the sum's
+    value is the math.fsum of the rows 1..K-1 plus the rule's.
+    ConvergenceError if the rule has not met its budget by K = _ROW_CAP /
+    (2 _RULE_RATIO).
     """
-    K, M, g_head = _K_MIN, max(Ms), []  # the rows 1..K-1 on _T_NODES, as each K added them
+    K, M, g_head = _K_MIN, max(Ms), []  # the rows 1..K-1, as each K added them
     while M > _RULE_RATIO * max(_K_MIN, K // 2):
-        g, (new,) = _first_mesh(model, cfg, np.arange(K // 2 if g_head else 1, K, 1.0), kernels)
-        first = new if not g_head else first + new
-        g_head.append(g)
-        rule = _tail_rule(model, cfg, observables, kernels, K, M, rel_tol,
-                          np.add(zeros, [math.fsum(g) for g in np.hstack(g_head)]))
+        g_head.append(_first_mesh(model, cfg, np.arange(K // 2 if g_head else 1, K, 1.0), kernels))
+        head = np.array([math.fsum(g) for g in np.hstack(g_head)])
+        rule = _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, np.add(zeros, head))
         if rule is not None:
             m = np.concatenate((np.arange(1.0, K), rule[0]))
             return _Sum(cfg, cfg.matsubara(m), kernels, [len(m)] * len(Ms),
-                        np.concatenate((np.ones(K - 1), rule[1])), first + rule[2])
+                        np.concatenate((np.ones(K - 1), rule[1]))), head + rule[2]
         if 2 * _RULE_RATIO * K > _ROW_CAP:
             raise ConvergenceError(f"the rule in m misses its error budget for "
                                    f"every K from {_K_MIN} to {K}")
         K *= 2
-    return _Sum(cfg, None, kernels, [n - 1 for n in Ms])
+    return _Sum(cfg, None, kernels, [n - 1 for n in Ms]), None
 
 
 def _named(exc, model, cfg, modes):
@@ -837,22 +817,22 @@ def _named(exc, model, cfg, modes):
 
 def _plan(configs, model, rel_tol, observables, parts):
     """The plan of one stack's sum of observables at every (a, T) of
-    configs, a whole sweep: per config its closed m = 0 terms, halved
-    (None: the stack integrates them), and the M of each observable.  It
-    appends each config's parts to parts, in order: its m = 0 remainder,
-    if any, then its rows (_rows), each a sum keyed by (cfg, its modes).
+    configs, a whole sweep: per config its m = 0 terms, halved, the M of
+    each observable, and the index in parts of its rows.  It appends each
+    config's parts to parts, in order, as (key, sum, value), the key (cfg,
+    its modes): its m = 0 remainder, if any, then its rows (_rows), each
+    with its value per kernel on the fixed t-rule, or None where the
+    stack's _integrate gives it (an explicit sum).
 
     The m = 0 terms of every config come from one call of the model's rule,
-    and every remainder from one evaluation on the first t-panels
-    (_zero_mode); M and the rule in m take a remainder at that value, as
-    g(m) is, and it enters the t-integral with those values as its first
-    round.  M (_modes_needed, a few scalar bounds, which a NumPy search
-    would cost more than on a one-config sum) and the rows are planned
-    config by config.  A config whose remainder is not finite or whose
-    rows fail raises its named error before any of its parts enter parts,
-    which then hold those of the configs before it: _first_alone tries
-    them alone, and not that config's remainder, as a loop that plans each
-    config before it integrates anything would.
+    and every remainder from one evaluation on _T_NODES (_zero_mode), whose
+    value M and the rule in m take.  M (_modes_needed, a few scalar bounds,
+    which a NumPy search would cost more than on a one-config sum) and the
+    rows are planned config by config.  A config whose remainder is not
+    finite or whose rows fail raises its named error before any of its
+    parts enter parts, which then hold those of the configs before it:
+    _first_alone tries them alone, as a loop that plans each config before
+    it integrates anything would.
     """
     kernels, plans = tuple(kernel for kernel, *_ in observables), []
     for cfg, (closed, remainder) in zip(configs, _zero_mode(
@@ -864,12 +844,12 @@ def _plan(configs, model, rel_tol, observables, parts):
             Ms = [_modes_needed(cfg.gamma, tail, rel_tol * abs(zero))
                   for (_, _, tail, _), zero in zip(observables, zeros)]
             modes = f"modes m = 1..{max(Ms) - 1}"
-            rows = _rows(model, cfg, observables, kernels, Ms, rel_tol, zeros)
+            rows, value = _rows(model, cfg, observables, kernels, Ms, rel_tol, zeros)
         except (ConvergenceError, TableRangeError) as exc:
             raise _named(exc, model, cfg, modes) from None
-        parts += [((cfg, "mode m = 0"), remainder)] * (remainder is not None)
-        parts.append(((cfg, modes), rows))
-        plans.append((None if remainder else zeros, Ms))
+        parts += [((cfg, "mode m = 0"), remainder, closed)] * (remainder is not None)
+        parts.append(((cfg, modes), rows, value))
+        plans.append((zeros, Ms, len(parts) - 1))
     return plans
 
 
@@ -882,22 +862,34 @@ def _sum_modes(configs, model, quad, observables):
     tail bound is rel_tol of that term holds rel_tol on the whole sum; each
     observable has its own m = 0 term and M.  The modes 1..M-1 of a
     config's largest M are the weighted rows of _rows; _plan plans the
-    whole sweep.  Every config's m = 0 remainder and rows enter one
-    t-integral, in which each (config, observable) holds rel_tol on its own
-    sum.  The callable gives term m, by default all M terms, on the
-    integral's final t-rule.  A failure is that of the first part that
-    fails alone, a config's m = 0 remainder before its rows (_first_alone),
-    or, where that config's plan fails first, the plan's named error;
-    _named gives it that part's config in its attribute config (None when
-    no part fails alone).
+    whole sweep.  Every sum is on the fixed t-rule, which leaves at most
+    _EPS_T of it: the explicit sums of every config are one stack
+    (_integrate), in which each (config, observable) adds its own rows, and
+    a rule in m and an m = 0 remainder give their values from placement.
+    The callable gives term m, by default all M terms, on the same rule.  A
+    failure is that of the first explicit sum that fails alone
+    (_first_alone), or, where a config's plan fails first, the plan's named
+    error; _named gives it that part's config in its attribute config (None
+    when no part fails alone).  Below _EPS_T the sum is planned at _EPS_T
+    and its first part, a config's m = 0 remainder before its rows, raises
+    ConvergenceError with its value as the estimate.
     """
     parts, plans = [], None
     try:
-        plans = _plan(configs, model, quad.rel_tol, observables, parts)
-        values, (t, w) = _integrate(model, [one for _, one in parts], quad.rel_tol)
+        plans = _plan(configs, model, max(quad.rel_tol, _EPS_T), observables, parts)
+        explicit = [one for _, one, value in parts if value is None]
+        values = iter(_integrate(model, explicit).tolist() if explicit else ())
     except CasimirError as exc:  # a failed plan has named its own error
-        error, key = _first_alone(model, parts, quad.rel_tol, exc, plans is None)
+        error, key = _first_alone(model, [(key, one) for key, one, value in parts if value is None],
+                                  None, exc, plans is None)
         raise (_named(error, model, *key) if key else error) from None
+    values = [next(values) if value is None else value for _, _, value in parts]
+    if quad.rel_tol < _EPS_T:
+        (cfg, modes), _, _ = parts[0]
+        raise _named(ConvergenceError(
+            f"rel_tol={quad.rel_tol:g} is below eps_t = {_EPS_T:g}, the error that the "
+            f"sums' fixed t-rule is certified to leave", estimate=np.array(values[0], dtype=float)),
+            model, cfg, modes) from None
 
     def result(cfg, observable, zero, M, value):
         p = observable[1](cfg)
@@ -905,15 +897,13 @@ def _sum_modes(configs, model, quad, observables):
         def terms(n=None):
             if n == 0:
                 return float(p * zero)
-            modes = np.arange(1, M) if n is None else np.array([n])
-            rows = _first_mesh(model, cfg, modes, observable[:1], rule=(t, w))[0][0]
+            rows = _first_mesh(model, cfg, np.arange(1, M) if n is None else np.array([n]),
+                               observable[:1])[0]
             return p * np.concatenate(([zero], rows)) if n is None else float(p * rows[0])
         return float(p * (zero + value)), M, terms
 
-    values = iter(values.tolist())  # per config: its m = 0 remainder's, if any, then its rows'
-    return [[result(cfg, *args) for args in zip(
-        observables, zeros or [0.5 * v for v in next(values)], Ms, next(values))]
-        for cfg, (zeros, Ms) in zip(configs, plans)]
+    return [[result(cfg, *args) for args in zip(observables, zeros, Ms, values[i])]
+            for cfg, (zeros, Ms, i) in zip(configs, plans)]
 
 
 def _grid_sums(gaps, temps, model, quad, observables):

@@ -8,18 +8,19 @@ the integrand varies fastest, so no rounds are spent bisecting towards
 them.  Panel results are summed with math.fsum, which is correctly rounded
 and independent of summation order, so the returned value does not depend
 on the refinement history and is bit-reproducible.  adaptive_quad, the one
-entry point, also returns the Kronrod nodes and weights of its final
-panels, so a caller can integrate related functions (the Lifshitz per-mode
-rows) on the converged rule.  The integrand returns a stack of C functions
-on the same points (the Lifshitz pressure and free energy; C = 1 for a
-single integral); each component holds rel_tol on its own total, and the
-panels are bisected where the largest error relative to its component's
-budget sits.  The first round may be given as data, the integrand's values
-on the initial nodes (a caller that already holds them, as the Lifshitz
-sums do), so the integrand is then called only for the panels of later
-rounds; _gk15_panels estimates a round from values, whoever evaluated them.
-A rel_tol below the rounding of a float total, 2^-53, ends after the first
-round: refining could only chase estimates at the level of rounding.
+adaptive entry point, also returns the Kronrod nodes and weights of its
+final panels, so a caller can integrate related functions on the
+converged rule.  The integrand returns a stack of C functions on the same
+points (the Lifshitz pressure and free energy; C = 1 for a single
+integral); each component holds rel_tol on its own total, and the panels
+are bisected where the largest error relative to its component's budget
+sits.  A rel_tol below the rounding of a float total, 2^-53, ends after the
+first round: refining could only chase estimates at the level of rounding.
+
+The Lifshitz sums do not refine: they take the value of a first round,
+_gk15_panels' Kronrod values on a fixed set of panels, summed with
+math.fsum; adaptive_quad serves the rows outside a sum and the dispersion
+integrals.
 
 Error estimation follows the QUADPACK recipe: the raw |K15 - G7|
 difference is rescaled by the panel's total variation measure so that
@@ -140,7 +141,6 @@ def adaptive_quad(
     edges: Sequence[float],
     *,
     rel_tol: float = 1e-10,
-    first: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integrate a vectorized stack f over [edges[0], edges[-1]].
 
@@ -161,18 +161,14 @@ def adaptive_quad(
     it, ConvergenceError follows that round and names the floor, where
     refining would chase estimates at the level of rounding through every
     round (QUADPACK reports such a tolerance at once: its round-off exit).
-
-    first, unless None, is f's values on the Kronrod nodes of the start
-    panels, as gk15_rule gives them, flattened: shape (C, n) for the n =
-    15 * panels nodes (ValueError otherwise).  The first round takes them
-    as f's, so f is called only for the panels of later rounds, and the
-    result is the same, bit for bit, as f's own values give.
+    The values of the first round alone are, bit for bit, those of the
+    Lifshitz sums' fixed t-rule (lifshitz._integrate without rel_tol).
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or not (edges[1:] > edges[:-1]).all():
         raise ValueError(f"integration edges must be >= 2 increasing values, got {edges.tolist()}")
     lo, hi = edges[:-1], edges[1:]
-    vals, errs = _gk15_panels(f(gk15_rule(lo, hi)[0].ravel()) if first is None else first, lo, hi)
+    vals, errs = _gk15_panels(f(gk15_rule(lo, hi)[0].ravel()), lo, hi)
 
     totals = [neumaier_sum(v) for v in vals.tolist()]
     for _ in range(_MAX_ROUNDS):

@@ -313,7 +313,7 @@ class TestLowTempCommand:
         with contextlib.redirect_stdout(out):
             assert run_cli("lowtemp", "--model", "plasma", "--gap", "1.0") == 0
         assert seen == [1]  # the f_te column
-        assert len(calls) == 2  # and the fit's one stacked sum
+        assert len(calls) == 1  # the fit's one stacked sum is on the fixed t-rule
         f0 = float(out.getvalue().split("\n0.0,")[1].split()[0])
         assert f0 == pytest.approx(cs.te_mode_function(0.0, 1e-6, cs.Plasma()),
                                    rel=cs.DEFAULT_QUAD.rel_tol, abs=0.0)
@@ -686,7 +686,8 @@ class TestTableModel:
 
 class TestFailureWork:
     """A failing run computes its failing sum at most twice: the stack, then
-    its (a, T) alone up to the first that fails; the CLI only names the gap."""
+    its (a, T) alone up to the first that fails; the CLI only names the gap.
+    Below eps_t a sum fails once, after its stack, with no adaptive_quad."""
 
     @staticmethod
     def count(monkeypatch, fn):
@@ -703,21 +704,47 @@ class TestFailureWork:
                     monkeypatch.setattr(module, name, counting)
         return calls
 
-    @pytest.mark.parametrize("argv, integrals, gap, T", [
-        (("pressure", "--gap", "0.5"), 1, "0.5", 300),
-        (("diff", "--gap-range", "0.5:1:3"), 2, "0.5", 350),
-        (("sphere-plate", "--gap-range", "0.5:3:2", "--radius", "200"), 2, "0.5", 350),
+    @pytest.mark.parametrize("argv, gap, T", [
+        (("pressure", "--gap", "0.5"), "0.5", 300),
+        (("diff", "--gap-range", "0.5:1:3"), "0.5", 350),
+        (("sphere-plate", "--gap-range", "0.5:3:2", "--radius", "200"), "0.5", 350),
     ], ids=["pressure", "diff", "sphere-plate"])
-    def test_unreachable_tolerance(self, capsys, monkeypatch, argv, integrals, gap, T):
+    def test_unreachable_tolerance(self, capsys, monkeypatch, argv, gap, T):
         calls = self.count(monkeypatch, lifshitz.adaptive_quad)
+        stacks = self.count(monkeypatch, lifshitz._integrate)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run_cli(*argv, "--rel-tol", "1e-30") == 3
-        assert len(calls) == integrals
-        assert capsys.readouterr().err.startswith(
-            f"casimir: computation failed: at a = {gap} um: Matsubara modes m = 1..")
+        assert calls == [] and len(stacks) == 1  # the sweep's stack, then the floor
+        err = capsys.readouterr().err
+        assert err.startswith(f"casimir: computation failed: at a = {gap} um: "
+                              f"Matsubara modes m = 1..")
+        assert f"T = {T} K" in err and "below eps_t = 1e-14" in err
         # sphere-plate's 3 um is marginal at R = 200 um: it warns once
         assert len(caught) == (1 if "--radius" in argv else 0)
+
+    def test_rule_sum_below_eps_t_names_the_floor_without_the_ladder_of_k(self, capsys,
+                                                                           monkeypatch):
+        # 1 mK at 10 nm needs about 8.8e8 modes, a rule in m: below eps_t
+        # it is planned at eps_t, from K = 64 alone, and then names the floor
+        tries = self.count(monkeypatch, lifshitz._tail_rule)
+        assert run_cli("pressure", "--gap", "0.01", "--temp", "0.001", "--rel-tol", "1e-30") == 3
+        assert [args[4] for args in tries] == [lifshitz._K_MIN]
+        err = capsys.readouterr().err
+        assert err.startswith("casimir: computation failed: at a = 0.01 um: "
+                              "Matsubara modes m = 1..")
+        assert err.endswith("rel_tol=1e-30 is below eps_t = 1e-14, the error that the sums' "
+                            "fixed t-rule is certified to leave\n")
+
+    @pytest.mark.parametrize("argv", [("pressure", "--gap", "1"),
+                                      ("diff", "--gap-range", "0.5:1:3")],
+                             ids=["pressure", "diff"])
+    def test_tolerance_between_rounding_and_eps_t_names_the_floor(self, capsys, argv):
+        # 1.2e-16 is above 2^-53, where the sums used to refine on estimates
+        # at rounding level and exit 0; it is below eps_t
+        assert run_cli(*argv, "--rel-tol", "1.2e-16") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("casimir: computation failed: at a = ") and "eps_t = 1e-14" in err
 
     def test_past_the_table_top_node(self, tmp_path, gold, capsys, monkeypatch):
         # the table ends at 1e18 rad/s; zeta_4053 at 300 K is 1.000195e18,

@@ -33,14 +33,13 @@ def fsum_modes(mode_fn, cfg, model, quad=cs.DEFAULT_QUAD, start=0, stop=1e-17):
 
 
 def count_rows(monkeypatch):
-    """Counts of the rows that the integrand of _integrate evaluates, once
-    per call and so once per round ("integrated"), and of the rows evaluated
-    by _first_mesh ("placed"): a rule in m as it is placed on the first
-    t-panels, failed tries included, and the rows of a per_mode table or
-    fraction(m) as they are read (a plasma m = 0 remainder is evaluated by
-    _zero_mode, and counted by neither).  A sum whose first round is its
-    placed rows integrates none in that round.  They grow while the test
-    runs."""
+    """Counts of the rows that _integrate evaluates, once per round of a
+    lone row's adaptive_quad ("integrated"), and of the rows evaluated by
+    _first_mesh ("placed"): a rule in m as it is placed, failed tries
+    included, and the rows of a per_mode table or fraction(m) as they are
+    read (a plasma m = 0 remainder is evaluated by _zero_mode, and counted
+    by neither).  A rule sum takes its value from its placed rows and
+    integrates none.  They grow while the test runs."""
     counts, inside = {"integrated": 0, "placed": 0}, []
     integrate, kernels_at, first_mesh = (lifshitz._integrate, lifshitz._kernels_at,
                                          lifshitz._first_mesh)
@@ -523,24 +522,35 @@ class TestTotalPressure:
         assert f"zeta_m = {cfg.matsubara(n):.4g} rad/s" in message
 
     def test_row_convergence_error_names_the_modes(self):
+        # a sum's fixed t-rule is certified for the package's models, so it
+        # cannot see an m >= 1 rule that no panel count resolves: a lone row
+        # of it refines and fails, and a sum fails on rows that are not finite
         class Rippled:
-            """Drude-like m = 0 rule; an m >= 1 rule no panel count resolves."""
+            """Drude-like m = 0 rule; an m >= 1 rule no panel count resolves,
+            NaN where ripple is NaN."""
+
+            def __init__(self, ripple):
+                self.ripple = ripple
 
             def zero_frequency_reflection(self, y, cfg):
                 return 1.0, 0.0
 
             def matsubara_reflection(self, zeta, T):
-                return lambda p: (0.5 + 0.5 * np.sin(1e6 * p), 0.0)
+                return lambda p: (0.5 + 0.5 * np.sin(self.ripple * p), 0.0)
 
+        cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
+        with pytest.raises(ConvergenceError, match="did not reach rel_tol"):
+            cs.mode_pressure(1, cfg, Rippled(1e6))
         with pytest.raises(ConvergenceError) as exc:
-            cs.total_pressure(cs.ThermalGapConfig(T=300.0, a=1e-6), Rippled())
+            cs.total_pressure(cfg, Rippled(math.nan))
         message = str(exc.value)
         assert message.startswith("Matsubara modes m = 1..")
-        assert "T = 300 K" in message
+        assert "T = 300 K" in message and message.endswith("NaN or infinite, or too large to sum")
 
     def test_zero_mode_convergence_error_carries_the_whole_term(self):
-        # the estimate is the m = 0 integral with its closed part, not the
-        # smooth remainder alone
+        # below eps_t the sum names its first part, the m = 0 remainder, and
+        # its estimate is the m = 0 integral on the fixed t-rule with its
+        # closed part, not the smooth remainder alone
         cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
         with pytest.raises(ConvergenceError) as exc:
             cs.free_energy(cfg, cs.Plasma(), cs.QuadratureSettings(rel_tol=1e-300))
@@ -656,37 +666,37 @@ class TestMatsubaraTruncation:
                 assert rows < 500 or M <= 512
 
 
-    def test_rule_in_m_refines_past_its_first_round(self, gold, monkeypatch):
+    def test_rule_in_m_takes_its_value_from_placement_at_a_tight_tolerance(self, gold,
+                                                                            monkeypatch):
         # at rel_tol 1e-12 P and F of 2 K / 1 um are rule sums (385 and 287
-        # rows, 626 stacked) whose t-integrals take 3 rounds: the later rounds
-        # evaluate the rows that the first round took from placement.  At
-        # 5 K the rule misses its budget at this tolerance and the sums are
-        # explicit, so each sum here must hold a stored first round.
-        # Measured within 9.2e-15 of each other and 8.9e-16 of math.fsum of
-        # the modes
+        # rows, 626 stacked), whose values come from the rows placed on the
+        # fixed t-rule: no t-integral of their own and no adaptive_quad
+        # call, stacked or alone (the stack places one rule from both
+        # kernels, so its values are the lone sums' within rel_tol).  At 5 K the
+        # rule misses its budget at this tolerance and the sums are explicit.
+        # Measured within 8.9e-16 of math.fsum of the modes
         cfg = cs.ThermalGapConfig(T=2.0, a=1e-6)
         quad = cs.QuadratureSettings(rel_tol=1e-12)
-        rounds, gk15, sums, rows = [], quadrature._gk15_panels, [], lifshitz._rows
-
-        def counting(fx, lo, hi):
-            rounds.append(len(lo))
-            return gk15(fx, lo, hi)
+        calls, integrate, quads, sums, rows = [], lifshitz._integrate, [], [], lifshitz._rows
 
         def stored_rows(*args):
             sums.append(rows(*args))
             return sums[-1]
 
-        monkeypatch.setattr(quadrature, "_gk15_panels", counting)
+        monkeypatch.setattr(lifshitz, "_integrate",
+                            lambda *args: calls.append(1) or integrate(*args))
+        monkeypatch.setattr(lifshitz, "adaptive_quad", lambda *args, **kwargs: quads.append(1))
         monkeypatch.setattr(lifshitz, "_rows", stored_rows)
         (P, M_P, _), (F, M_F, _) = lifshitz._sum_modes(
             [cfg], gold, quad, (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))[0]
-        assert len(rounds) > 2 and M_P > M_F > lifshitz._RULE_RATIO * lifshitz._K_MIN
-        assert sums[-1].first is not None
+        assert M_P > M_F > lifshitz._RULE_RATIO * lifshitz._K_MIN
+        assert sums[-1][1] is not None and sums[-1][0].weight is not None
+        assert calls == quads == []
         for stacked, lone in ((P, lambda: cs.total_pressure(cfg, gold, quad).total),
                               (F, lambda: cs.free_energy(cfg, gold, quad))):
-            rounds.clear()
             assert stacked == pytest.approx(lone(), rel=quad.rel_tol, abs=0.0)
-            assert len(rounds) > 2 and sums[-1].first is not None
+            assert calls == quads == [] and sums[-1][1] is not None
+        monkeypatch.undo()
         fine = cs.QuadratureSettings(rel_tol=1e-13)
         assert P == pytest.approx(fsum_modes(cs.mode_pressure, cfg, gold, fine),
                                   rel=quad.rel_tol, abs=0.0)
@@ -770,7 +780,7 @@ class TestStackedSums:
         cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
         (_, M_P, _), (_, M_F, _) = lifshitz._sum_modes([cfg], gold, cs.DEFAULT_QUAD,
                                                        self.OBSERVABLES)[0]
-        assert calls == [(max(M_P, M_F) - 1, 135)]
+        assert calls == [(max(M_P, M_F) - 1, 150)]
 
 
 class TestSweeps:
@@ -809,8 +819,8 @@ class TestSweeps:
                                          (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
 
     def test_plasma_mixed_stack_equals_one_config_sums(self):
-        # the m = 0 remainders and the rule sums enter the stack with their
-        # first round given, the explicit sums without
+        # the m = 0 remainders and the rule sums take their values from the
+        # plan, the explicit sums from the stack
         M = [M for (_, M, _), in lifshitz._sum_modes(self.MIXED, cs.Plasma(), cs.DEFAULT_QUAD,
                                                      (lifshitz._PRESSURE,))]
         rule = lifshitz._RULE_RATIO * lifshitz._K_MIN
@@ -823,19 +833,19 @@ class TestSweeps:
         pytest.param("plasma", GRID, id="plasma-grid"),
         pytest.param("plasma", MIXED, id="plasma-mixed"),
         pytest.param("plasma_like", GRID, id="plasma_like-grid")])
-    def test_sweep_makes_one_adaptive_quad_call(self, gold, gold_bg, monkeypatch, name, configs):
-        calls, quad = [], lifshitz.adaptive_quad
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return quad(*args, **kwargs)
-
-        monkeypatch.setattr(lifshitz, "adaptive_quad", counting)
+    def test_sweep_makes_one_stack_and_no_adaptive_quad_call(self, gold, gold_bg, monkeypatch,
+                                                             name, configs):
+        calls, integrate, quads = [], lifshitz._integrate, []
+        monkeypatch.setattr(lifshitz, "_integrate",
+                            lambda *args: calls.append(1) or integrate(*args))
+        monkeypatch.setattr(lifshitz, "adaptive_quad", lambda *args, **kwargs: quads.append(1))
         lifshitz._sum_modes(configs, TestStackedSums.model(name, gold, gold_bg), cs.DEFAULT_QUAD,
                             (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
-        # a lossy metal's m = 0 terms take no integral; a plasma-like
-        # model's m = 0 remainders are sums of the one stack
-        assert len(calls) == 1
+        # every config's explicit sums are one stack on the fixed t-rule; a
+        # lossy metal's m = 0 terms take no integral, and a plasma-like
+        # model's m = 0 remainders and the rule sums take their values from
+        # the plan
+        assert len(calls) == 1 and quads == []
 
     def test_blocks_are_shared_across_gaps(self, gold, monkeypatch):
         # 40 gaps at two temperatures: eps is bound once per block of one
@@ -855,12 +865,12 @@ class TestSweeps:
             full, rest = divmod(rows, lifshitz._ROW_BLOCK)
             assert [n for n, t in binds if t == T] == [lifshitz._ROW_BLOCK] * full + [rest]
 
-    def test_stored_blocks_bind_when_a_later_round_reads_them(self, gold, monkeypatch):
-        # the rows of a placed rule in m hold their first round, so inside
-        # _integrate they bind eps only in a later round, once per block: F
-        # at 2 K / 1 um (one 178-row rule sum) converges in its first round
-        # and binds none; P + F at 1e-12 (626 rows) take 3 rounds and bind
-        # each block once
+    def test_rule_sums_bind_eps_only_in_placement(self, gold, monkeypatch):
+        # a placed rule in m gives its value from the rows placed on the
+        # fixed t-rule, so no stack binds eps for it: F at 2 K / 1 um (one
+        # 178-row rule sum) and P + F at 1e-12 (626 rows) bind each block
+        # once, while placing, and never inside _integrate, which they do
+        # not call
         binds, inside = [], []
         integrate, reflection = lifshitz._integrate, cs.Drude.matsubara_reflection
 
@@ -872,33 +882,31 @@ class TestSweeps:
                 inside.pop()
 
         def counting(self, zeta, T):
-            if inside:
-                binds.append(tuple(np.ravel(zeta)))
+            binds.append((tuple(np.ravel(zeta)), bool(inside)))
             return reflection(self, zeta, T)
 
         monkeypatch.setattr(lifshitz, "_integrate", counting_integrate)
         monkeypatch.setattr(cs.Drude, "matsubara_reflection", counting)
         cfg = cs.ThermalGapConfig(T=2.0, a=1e-6)
-        cs.free_energy(cfg, gold)
-        assert binds == []
-        lifshitz._sum_modes([cfg], gold, cs.QuadratureSettings(rel_tol=1e-12),
-                            (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
-        assert [len(zeta) for zeta in binds] == [lifshitz._ROW_BLOCK] * 9 + [50]
-        assert len(set(binds)) == len(binds)
+        for quad in (cs.DEFAULT_QUAD, cs.QuadratureSettings(rel_tol=1e-12)):
+            binds.clear()
+            lifshitz._sum_modes([cfg], gold, quad, (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
+            assert binds and not any(within for _, within in binds)
+            assert len(set(binds)) == len(binds)
 
-    def test_stored_rows_are_laid_out_only_when_a_later_round_reads_them(self, gold,
-                                                                         monkeypatch):
-        # inside _integrate, the sums with a stored first round (a rule in
-        # m, an m = 0 remainder) are laid out by the first later round, if
-        # there is one: F at 2 K / 1 um (one rule sum) and a plasma sweep at
-        # 300 and 350 K settle in their first round and lay out none of
-        # them; plasma lowtemp's f(0) remainder, beside rows at zeta > 0 that
-        # refine, is laid out once, in round 2
+    def test_only_explicit_rows_are_laid_out_in_the_stack(self, gold, monkeypatch):
+        # _integrate lays out only the stack's explicit sums, and a lone
+        # row's adaptive t-integral lays out its rows once, before its first
+        # round: F at 2 K / 1 um (one rule sum) calls no _integrate, and a
+        # plasma sweep at 300 and 350 K lays out no m = 0 row there (the
+        # plan evaluates its remainders); plasma lowtemp's f(0) remainder
+        # is laid out once, beside f_te rows that refine
         events, inside = [], []
         integrate, layout, contract = lifshitz._integrate, lifshitz._layout, lifshitz._contract
 
         def counting_integrate(*args):
             inside.append(True)
+            events.append(("integrate", None))
             try:
                 return integrate(*args)
             finally:
@@ -918,20 +926,19 @@ class TestSweeps:
         monkeypatch.setattr(lifshitz, "_layout", counting_layout)
         monkeypatch.setattr(lifshitz, "_contract", counting_contract)
         cs.free_energy(cs.ThermalGapConfig(T=2.0, a=1e-6), gold)
-        assert events == [("round", len(lifshitz._T_NODES))]
-        events.clear()
+        assert events == []
         configs = [cs.ThermalGapConfig(T=T, a=a) for a in (0.5e-6, 1e-6, 2e-6)
                    for T in (300.0, 350.0)]
         lifshitz._sum_modes(configs, cs.Plasma(), cs.DEFAULT_QUAD,
                             (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
-        assert ("round", len(lifshitz._T_NODES)) in events
-        assert ("layout", 0.0) not in events
+        assert events[0] == ("integrate", None) and events[-1] == ("round", 150)
+        assert ("layout", 0.0) not in events and len(events) == 4  # one layout per temperature
         events.clear()
         lifshitz._te_mode_functions(np.linspace(0.0, 0.5, 26) * cs.C / 1e-6, 1e-6, cs.Plasma(),
                                     300.0, cs.DEFAULT_QUAD)
         zero = [i for i, event in enumerate(events) if event == ("layout", 0.0)]
         rounds = [i for i, (kind, _) in enumerate(events) if kind == "round"]
-        assert len(zero) == 1 and len(rounds) >= 2 and rounds[0] < zero[0] < rounds[1]
+        assert len(zero) == 1 and len(rounds) >= 2 and zero[0] < rounds[0]
 
     @pytest.mark.parametrize("others", [[(None, 0.5e-6)], [(350.0, 0.5e-6)],
                                         [(None, 2e-6), (350.0, 0.7e-6)]],
@@ -963,11 +970,10 @@ class TestSweeps:
     def test_every_config_has_its_lone_M_and_zero_term_bit_for_bit(self, gold, gold_bg, name,
                                                                     observables):
         # the plan of a sweep takes every config's m = 0 term, a closed form
-        # or a plasma-like remainder on the first t-panels, in one
-        # evaluation, and M from it: each must be the lone sum's to the bit,
-        # whatever else the sweep holds (a remainder's final value comes from
-        # the stack's t-integral, whose panels the stack shares).  The table
-        # spans the Matsubara grid of 10 nm at 1.5 K
+        # or a plasma-like remainder on the fixed t-rule, in one evaluation,
+        # and M from it: each must be the lone sum's to the bit, whatever
+        # else the sweep holds.  The table spans the Matsubara grid of 10 nm
+        # at 1.5 K
         zs = np.geomspace(1e10, 1e20, 51)
         model = {"drude_like": cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold))),
                  "plasma_like": cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold)),
@@ -985,10 +991,7 @@ class TestSweeps:
             assert np.array(term).tobytes() == np.array(lone_term).tobytes(), cfg
             assert (remainder is None) == (lone_remainder is None) == (name not in (
                 "plasma", "plasma_like"))
-            if remainder is None:
-                assert [terms(0) for *_, terms in sums] == [terms(0) for *_, terms in lone]
-            else:
-                assert remainder.first.tobytes() == lone_remainder.first.tobytes(), cfg
+            assert [terms(0) for *_, terms in sums] == [terms(0) for *_, terms in lone]
 
     def test_remainder_that_is_not_finite_fails_at_its_config(self):
         # the m = 0 remainders of a sweep are evaluated together, but the
@@ -1033,8 +1036,9 @@ class TestSweeps:
     def test_failed_rows_are_named_before_their_remainder_fails_alone(self):
         # at 2 K / 1 um plasma sums a rule in m, whose rows meet NaN past
         # 3e14 rad/s, and at rel_tol = 1e-20 its m = 0 remainder also fails
-        # alone; the plan fails first, at the rows, and the remainder is not
-        # tried, as when each config was planned before any integral
+        # alone; the plan, at eps_t, fails first, at the rows, and neither
+        # the remainder nor the floor is tried, as when each config was
+        # planned before any integral
         class Cut(cs.Plasma):
             """Plasma whose coefficients are NaN past 3e14 rad/s."""
 
@@ -1049,8 +1053,8 @@ class TestSweeps:
             lifshitz._integrate(Cut(), [remainder], quad.rel_tol)
         with pytest.raises(ConvergenceError) as exc:
             cs.free_energy(cfg, Cut(), quad)
-        assert str(exc.value).startswith("Matsubara modes m = 1..5026 at T = 2 K, a = 1e-06 m")
-        assert str(exc.value).endswith("the row at zeta = 8.26874e+15 rad/s is not finite")
+        assert str(exc.value).startswith("Matsubara modes m = 1..3742 at T = 2 K, a = 1e-06 m")
+        assert str(exc.value).endswith("the row at zeta = 6.15631e+15 rad/s is not finite")
         assert exc.value.config is cfg
 
     def test_failure_names_the_first_failing_config(self, gold):
@@ -1081,7 +1085,7 @@ class TestSweeps:
 
 
 def per_sum_layout(model, indexed):
-    """The layout of the (i, sum) pairs indexed, all of one kind, as _bind
+    """The layout of the (i, sum) pairs indexed, as _bind
     built it sum by sum: each explicit sum (zeta None) with its own
     frequencies cfg.matsubara(m) of its modes m = 1..max(counts), its own
     y_lo = a zeta / c and its own unit weights, concatenated per group: the
@@ -1107,7 +1111,7 @@ def per_sum_layout(model, indexed):
 
 def test_bulk_layout_equals_the_per_sum_layout_bit_for_bit(monkeypatch):
     # a mixed stack of a plasma sweep: the m = 0 remainders, explicit sums
-    # at 300 and 350 K, a stored rule sum at 2 K, and rows at lowtemp's f_te
+    # at 300 and 350 K, a rule sum at 2 K, and rows at lowtemp's f_te
     # frequencies at 300 K, with the explicit sums' kernel so that they
     # share the 300 K group, between and after its explicit sums
     model, kernels = cs.Plasma(), (lifshitz._pressure_kernel,)
@@ -1115,11 +1119,11 @@ def test_bulk_layout_equals_the_per_sum_layout_bit_for_bit(monkeypatch):
                ((300.0, 1e-6), (350.0, 0.5e-6), (300.0, 0.3e-6), (2.0, 1e-6))]
     parts = []
     lifshitz._plan(configs, model, cs.DEFAULT_QUAD.rel_tol, (lifshitz._PRESSURE,), parts)
-    sums = [one for _, one in parts]
+    sums = [one for _, one, _ in parts]
     kinds = [("zero" if one.zeta is not None and one.zeta[0] == 0.0 else
               "explicit" if one.zeta is None else "rule") for one in sums]
     assert kinds == ["zero", "explicit"] * 3 + ["zero", "rule"]
-    assert sums[-1].first is not None and sums[-1].weight is not None
+    assert sums[-1].weight is not None
     f_te = [lifshitz._Sum(configs[0], np.array([x * cs.C / 1e-6]), kernels, [1])
             for x in np.linspace(0.0, 0.5, 26)[1:]]
     stack = sums[:2] + f_te[:12] + sums[2:] + f_te[12:]
@@ -1128,11 +1132,8 @@ def test_bulk_layout_equals_the_per_sum_layout_bit_for_bit(monkeypatch):
         return (at, kernels, runs, zeta, y_lo, weight)
 
     monkeypatch.setattr(lifshitz, "_block", recording)
-    by_kind = [[(i, one) for i, one in enumerate(stack) if (one.first is None) == bound]
-               for bound in (True, False)]  # as _integrate lays them out, one kind per _bind
-    assert all(by_kind)
-    bulk = [block for kind in by_kind for block in lifshitz._bind(model, kind)]
-    want = [block for kind in by_kind for block in per_sum_layout(model, kind)]
+    bulk = lifshitz._bind(model, enumerate(stack))
+    want = per_sum_layout(model, enumerate(stack))
     assert len(bulk) == len(want) > 3
     mixed = 0
     for got, ref in zip(bulk, want):
@@ -1193,8 +1194,8 @@ def test_modes_needed_holds_the_tail_bound_to_its_target(observable):
 @pytest.mark.parametrize("name", ["plasma", "plasma_0.5eV", "plasma_like"])
 def test_first_mesh_zero_mode_gives_the_converged_M(gold, name):
     # M and the rule in m take a plasma-like m = 0 term at its value on the
-    # first t-panels, before the stack integrates it; on this grid that
-    # gives the M of the term integrated to rel_tol on its own
+    # fixed t-rule; on this grid that gives the M of the term integrated to
+    # rel_tol on its own
     zs = np.geomspace(1e10, 1e20, 51)
     model = {"plasma": cs.Plasma(), "plasma_0.5eV": cs.Plasma(0.5),
              "plasma_like": cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold)),
@@ -1220,10 +1221,10 @@ def test_first_mesh_zero_mode_gives_the_converged_M(gold, name):
 def test_unit_coefficient_kernels_give_closed_form_constants(kernel, constant, exact, ones):
     # the m = 0 closed forms (A + B) zeta(3)/4 are the kernels' integrals at
     # A = B = 1; integrating from t = 0 also probes their precision at y -> 0.
-    # The fixed rule, the first round alone (@ _T_WEIGHTS), holds the same
-    # bound for the pressure kernel; the two log kernels go like y ln y there
-    # and leave 7.4e-11 on it, which is why no sum integrates them at unit
-    # coefficients: the m = 0 term is its closed form plus a remainder
+    # The fixed rule (@ _T_WEIGHTS) holds the same bound for the pressure
+    # kernel; the two log kernels go like y ln y there and leave 1.15e-12
+    # on it, which is why no sum integrates them at unit coefficients: the
+    # m = 0 term is its closed form plus a remainder
     def f(t):
         X = 1.0 if ones == "scalar" else np.ones_like(t)
         return lifshitz._kernels_at(lambda y, y_lo: (X, X), np.zeros((1, 1)), t, (kernel,))[0]
@@ -1235,7 +1236,7 @@ def test_unit_coefficient_kernels_give_closed_form_constants(kernel, constant, e
     if kernel is lifshitz._pressure_kernel:
         assert abs(fixed - exact) <= 4.4e-16 * abs(exact)
     else:
-        assert 7e-11 <= abs(fixed - exact) / abs(exact) <= 8e-11
+        assert 1.1e-12 <= abs(fixed - exact) / abs(exact) <= 1.2e-12
 
 
 # The leaf written term by term, each kernel forming its own u = e^{-2y},
@@ -1294,7 +1295,7 @@ class TestLeafBitIdentity:
     @pytest.mark.parametrize("name", ["drude", "plasma", "ideal", "bg", "table_drude",
                                       "table_plasma"])
     def test_kernels_at_a_block_of_modes(self, gold, monkeypatch, name, kernels):
-        # rows m = 1..64 at 20 K and 0.3 um on the first t-panels, bound as
+        # rows m = 1..64 at 20 K and 0.3 um on the fixed t-rule, bound as
         # _block binds them; the reference evaluates the model's own rule
         # with the term-by-term reflection in place of _reflection_sq
         model, cfg = self.model(name, gold), cs.ThermalGapConfig(T=20.0, a=0.3e-6)
@@ -1355,13 +1356,15 @@ class TestLeafBitIdentity:
 
 
 class TestWorkCount:
-    """GK15 panel evaluations of whole sums, pinned at their measured values:
-    an integrated constant zero mode or a coarser initial mesh fails here."""
+    """Integrals, adaptive rounds and t-points of whole sums, pinned at their
+    measured values: an integrated constant zero mode, a refining sum or a
+    coarser t-rule fails here."""
 
     @staticmethod
     def record(monkeypatch):
-        """Lists of the first frequency of each integral and of the panels
-        of each round, the first included, filled as sums run."""
+        """Lists of the first frequency of each _integrate call and of the
+        panels of each adaptive_quad round, the first included, filled as
+        sums run (the sums' fixed rule is no adaptive_quad round)."""
         integrals, panels = [], []
         integrate, gk15 = lifshitz._integrate, quadrature._gk15_panels
 
@@ -1382,13 +1385,17 @@ class TestWorkCount:
         integrals, panels = self.record(monkeypatch)
         cs.free_energy(cs.ThermalGapConfig(T=300.0, a=1e-6), gold)
         assert len(integrals) == 1 and integrals[0] > 0.0  # no m = 0 integral
-        assert panels == [9]  # the graded mesh converges without refinement
+        assert panels == []  # one evaluation on the fixed t-rule, no adaptive round
 
     def test_plasma_zero_mode_is_integrated(self, monkeypatch):
-        integrals, _ = self.record(monkeypatch)
-        cs.free_energy(cs.ThermalGapConfig(T=300.0, a=1e-6), cs.Plasma())
-        # its remainder is the first sum of the one stack
-        assert len(integrals) == 1 and integrals[0] == 0.0
+        integrals, panels = self.record(monkeypatch)
+        cfg, (kernel, _, _, zero) = cs.ThermalGapConfig(T=300.0, a=1e-6), lifshitz._FREE_ENERGY
+        cs.free_energy(cfg, cs.Plasma())
+        # its remainder is a row on the fixed t-rule, evaluated by the plan,
+        # and the one stack holds the rows m >= 1
+        assert len(integrals) == 1 and integrals[0] > 0.0 and panels == []
+        (_, remainder), = lifshitz._zero_mode(cs.Plasma(), [cfg], (kernel,), (zero,))
+        assert remainder.zeta.tolist() == [0.0]
 
     @pytest.mark.parametrize("observables", [(lifshitz._FREE_ENERGY,),
                                              (lifshitz._PRESSURE, lifshitz._FREE_ENERGY)],
@@ -1405,12 +1412,15 @@ class TestWorkCount:
             panels.clear()
             lifshitz._mode_integrals(model, cs.ThermalGapConfig(T=T, a=a), [0.0],
                                      kernels, zeros, cs.DEFAULT_QUAD.rel_tol)
-            assert panels == [9], (T, a)
+            assert panels == [10], (T, a)
 
-    @pytest.mark.parametrize("model, calls", [(cs.gold_drude(), 1), (cs.Plasma(), 1)],
+    @pytest.mark.parametrize("model, mode_calls", [(cs.gold_drude(), [0, 1]),
+                                                   (cs.Plasma(), [1, 1])],
                              ids=["drude", "plasma"])
-    def test_every_integral_goes_through_adaptive_quad(self, monkeypatch, model, calls):
-        # the per-mode pressure rows come from the rule adaptive_quad returns
+    def test_only_rows_outside_a_sum_go_through_adaptive_quad(self, monkeypatch, model,
+                                                              mode_calls):
+        # a sum takes no adaptive_quad call; a lone mode m = 1, and a plasma
+        # m = 0 remainder, takes one (a lossy metal's m = 0 term is closed)
         seen = []
         quad = lifshitz.adaptive_quad
 
@@ -1419,16 +1429,25 @@ class TestWorkCount:
             return quad(*args, **kwargs)
 
         monkeypatch.setattr(lifshitz, "adaptive_quad", counting_quad)
-        cs.total_pressure(cs.ThermalGapConfig(T=300.0, a=1e-6), model)
-        assert len(seen) == calls
+        cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
+        res = cs.total_pressure(cfg, model)
+        res.per_mode
+        assert seen == []
+        for m, calls in enumerate(mode_calls):
+            seen.clear()
+            cs.mode_pressure(m, cfg, model)
+            assert len(seen) == calls
 
-    def test_cryogenic_rows_take_135_points_each(self, gold, monkeypatch):
-        # 86,623 modes, explicit rows and rule-in-m nodes, share the t-points;
-        # the first rows vary fastest near t = 0
+    def test_cryogenic_rows_take_150_points_each(self, gold, monkeypatch):
+        # 86,623 modes, explicit rows and rule-in-m nodes, share the t-points
+        # of the fixed rule; the first rows vary fastest near t = 0
         integrals, panels = self.record(monkeypatch)
+        points, reflection_sq = [], dispersion._reflection_sq
+        monkeypatch.setattr(dispersion, "_reflection_sq",
+                            lambda eps, p: points.append(p.shape[1]) or reflection_sq(eps, p))
         cs.free_energy(cs.ThermalGapConfig(T=1.5, a=50e-9), gold)
-        assert len(integrals) == 1
-        assert 15 * sum(panels) == 135 <= 200
+        assert integrals == panels == []  # a rule sum: its value is its placement's
+        assert set(points) == {150} == {len(lifshitz._T_NODES)}
 
     @staticmethod
     def count_reflections(monkeypatch):
@@ -1457,9 +1476,9 @@ class TestWorkCount:
         pytest.param(1.5, 50e-9, None, id="1.5-5e-08"),
         pytest.param(5.0, 1e-6, (100.5, 400.5, 430.5), id="short-stretches-table")])
     def test_rule_sums_evaluate_each_row_once(self, gold, monkeypatch, T, a, kinks):
-        # the rows a rule in m places on the first t-panels are its
-        # t-integral's first round, which converges there: the sum evaluates
-        # the reflection coefficients on no point that placement did not.
+        # a rule in m takes its value from the rows it places on the fixed
+        # t-rule: the sum evaluates the reflection coefficients on no point
+        # that placement did not.
         # The table's nodes at these mode numbers cut the rule from K = 64
         # into a short stretch 64..100, a long one 101..400, a short one
         # 401..430 and a long one to M - 1; the short stretches' rows are
@@ -1502,10 +1521,49 @@ class TestWorkCount:
                 assert np.isin(short, with_short[0]).all()
                 assert np.isin(np.arange(101.0, 106.0), with_short[0]).all()
 
+    # the README pressure sweep's stack (40 log-spaced gaps over 0.5-5 um
+    # at 300 and 350 K, explicit sums) and P + F of a rule sum in m
+    README = [cs.ThermalGapConfig(T=T, a=float(a)) for a in np.geomspace(0.5e-6, 5e-6, 40)
+              for T in (300.0, 350.0)]
+
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("configs, observables", [
+        pytest.param(README, (lifshitz._PRESSURE,), id="readme-pressure"),
+        pytest.param([cs.ThermalGapConfig(T=2.0, a=1e-6)],
+                     (lifshitz._PRESSURE, lifshitz._FREE_ENERGY), id="PF-2K-1um")])
+    def test_sums_evaluate_each_row_once_without_adaptive_quad(self, gold, monkeypatch,
+                                                               configs, observables, rel_tol):
+        # no refinement round at any rel_tol down to eps_t: the leaf
+        # evaluates an explicit row once, in the stack, and a rule's rows
+        # once per K tried, as they are placed: all distinct where the first
+        # K meets its budget.  At 1e-12 K = 64, 128 and 256 miss, and a later
+        # K places again each one's 10 end rows (ROADMAP item 2)
+        quads, rows, placed, tries = [], [], [], []
+        kernels_at, first_mesh, tail_rule = (lifshitz._kernels_at, lifshitz._first_mesh,
+                                             lifshitz._tail_rule)
+        monkeypatch.setattr(lifshitz, "_tail_rule", lambda *args: tries.append(
+            args[4]) or tail_rule(*args))
+        monkeypatch.setattr(lifshitz, "adaptive_quad", lambda *args, **kwargs: quads.append(1))
+        monkeypatch.setattr(lifshitz, "_kernels_at", lambda rule, y_lo, *args: rows.append(
+            len(y_lo)) or kernels_at(rule, y_lo, *args))
+        monkeypatch.setattr(lifshitz, "_first_mesh", lambda model, cfg, m, *args: placed.append(
+            m) or first_mesh(model, cfg, m, *args))
+        sums = lifshitz._sum_modes(configs, gold, cs.QuadratureSettings(rel_tol=rel_tol),
+                                   observables)
+        M = [max(M for _, M, _ in one) for one in sums]
+        rule = lifshitz._RULE_RATIO * lifshitz._K_MIN
+        explicit = sum(n - 1 for n in M if n <= rule)
+        assert quads == [] and (explicit == 0) == (max(M) > rule)
+        assert sum(rows) == explicit + sum(map(len, placed))
+        if placed:
+            ms = np.concatenate(placed)
+            assert tries == ([64] if rel_tol == 1e-10 else [64, 128, 256, 512])
+            assert len(ms) - len(np.unique(ms)) == 10 * (len(tries) - 1)
+
     def test_sign_change_gap_reads_no_per_mode_table(self, gold, monkeypatch):
         calls = self.count_reflections(monkeypatch)
         cs.sign_change_gap(gold)
-        assert len(calls) == 26  # 26 pressure sums, one round each
+        assert len(calls) == 26  # 26 pressure sums, one evaluation each
 
 
 class TestFreeEnergy:

@@ -1,7 +1,6 @@
 """Property-based checks of the Matsubara sums at random gaps and temperatures."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -77,16 +76,18 @@ def test_drude_table_pressure_within_interpolation_error(n, a, T):
     assert P_table == pytest.approx(cs.total_pressure(cfg, gold).total, rel=bound)
 
 
-# The fixed t-rule: the first round of a sum's t-integral alone, the 9 GK15
-# panels of lifshitz._T_MESH (135 nodes), with no refinement.  EPS_T is the
-# relative error it leaves on a whole sum, against the same stack (the same
-# rows, weights and m = 0 remainder) integrated to 1e-14.  It is above the
-# 1e-13 at which the sum tests run, so the sums keep their refinement rounds.
-# The worst case found, plasma at 0.5 eV, 1 nm and 1.2 K, leaves 1.64e-13
-# on F: its rows m = 1..7 vary over y ~ omega_p a / c = 2.5e-3, inside the
-# first panel [0, 1/256].  Only that model passes 1e-13, at 1-1.5 nm and
-# about 1-2 K; the others stay below 1.7e-14 over 1,400 random draws.
-EPS_T = 2e-13
+# The fixed t-rule of the sums: the 10 GK15 panels of lifshitz._T_MESH (150
+# nodes), with no refinement.  EPS_T is the relative error it may leave on a
+# whole sum, against the same stack (the same rows, weights and m = 0
+# remainder) integrated by adaptive_quad to 1e-14, and the floor below
+# which a sum raises (lifshitz._EPS_T).  The worst case found is plasma at
+# 0.5 eV near 1 nm and 1 K, kept as an example: its rows m = 1..7 vary over
+# y ~ omega_p a / c = 2.5e-3, which the edge at 1/2048 resolves (the
+# 135-node rule without it left 1.64e-13 there; now 1.0e-15).  Over 200
+# random draws per model every other model stays below 5.1e-16, and 0.5 eV
+# plasma reaches 8.9e-15 on F near 5 nm and 110-135 K (a 40 x 40 grid over
+# 2-12 nm and 20-350 K; 7.9e-15 at worst over 1,000 random draws).
+EPS_T = 1e-14
 TABLE_ZETA = np.geomspace(1e8, 1e20, 121)  # spans the Matsubara grid of every draw
 CERTIFIED = {
     "gold": cs.gold_drude(), "bg": cs.gold_drude("bg"), "plasma": cs.Plasma(),
@@ -102,18 +103,19 @@ def log_uniform(lo, hi):
     return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda x: 10.0 ** x)
 
 
-def stack_sums(model, cfg, t_tol):
-    """P and F of cfg at rel_tol 1e-13, with the stack's t-integral held to
-    t_tol (inf: its first round)."""
-    quad = lifshitz.adaptive_quad
-
-    def at(f, edges, *, rel_tol, first=None):
-        return quad(f, edges, rel_tol=t_tol, first=first)
-
-    with mock.patch.object(lifshitz, "adaptive_quad", at):
-        sums, = lifshitz._sum_modes([cfg], model, cs.QuadratureSettings(rel_tol=1e-13),
-                                    (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
-    return np.array([value for value, _, _ in sums])
+def fixed_and_reference(model, cfg):
+    """P and F of cfg at rel_tol 1e-13: the sums on the fixed t-rule, and
+    the same planned parts (rows, weights and m = 0 remainder) integrated
+    by adaptive_quad to 1e-14, which does not run through the fixed path."""
+    observables, parts = (lifshitz._PRESSURE, lifshitz._FREE_ENERGY), []
+    (zeros, _, _), = lifshitz._plan([cfg], model, 1e-13, observables, parts)
+    fixed = [value for value, _, _ in lifshitz._sum_modes(
+        [cfg], model, cs.QuadratureSettings(rel_tol=1e-13), observables)[0]]
+    reference = lifshitz._integrate(model, [one for _, one, _ in parts], 1e-14)
+    if len(parts) == 2:  # the m = 0 remainder, then the rows
+        zeros = 0.5 * reference[0]
+    return np.array(fixed), np.array([prefactor(cfg) * (zero + rows) for (_, prefactor, _, _),
+                                      zero, rows in zip(observables, zeros, reference[-1])])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -121,6 +123,6 @@ def stack_sums(model, cfg, t_tol):
 @given(name=st.sampled_from(sorted(CERTIFIED)), T=log_uniform(1e-3, 350.0),
        a=log_uniform(1e-9, 20e-6))
 def test_fixed_t_rule_holds_eps_t_on_whole_sums(name, T, a):
-    cfg = cs.ThermalGapConfig(T=T, a=a)
-    fixed, converged = (stack_sums(CERTIFIED[name], cfg, t_tol) for t_tol in (math.inf, 1e-14))
-    assert np.all(np.abs(fixed - converged) <= EPS_T * np.abs(converged)), (fixed, converged)
+    assert lifshitz._EPS_T == EPS_T
+    fixed, reference = fixed_and_reference(CERTIFIED[name], cs.ThermalGapConfig(T=T, a=a))
+    assert np.all(np.abs(fixed - reference) <= EPS_T * np.abs(reference)), (fixed, reference)

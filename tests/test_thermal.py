@@ -96,13 +96,14 @@ class TestOneDifferencePath:
 
     @staticmethod
     def count_integrals(monkeypatch):
-        calls, quad = [], lifshitz.adaptive_quad
+        """List that gains one entry per stacked sum (_sum_modes call)."""
+        calls, sum_modes = [], lifshitz._sum_modes
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return quad(*args, **kwargs)
+            return sum_modes(*args, **kwargs)
 
-        monkeypatch.setattr(lifshitz, "adaptive_quad", counting)
+        monkeypatch.setattr(lifshitz, "_sum_modes", counting)
         return calls
 
     @pytest.mark.parametrize("pair", [(350.0, 300.0), (300.0, 1.5), (10.0, 2.0)])
@@ -118,7 +119,7 @@ class TestOneDifferencePath:
                     (cs.free_energy_difference, lambda cfg: cs.free_energy(cfg, model))):
                 calls.clear()
                 result = difference(a, model, T1, T2)
-                # plasma's m = 0 remainders at each T are sums of the one stack
+                # plasma's m = 0 remainders at each T are parts of the one stack
                 assert len(calls) == 1
                 v1, v2 = (value(cs.ThermalGapConfig(T=T, a=a)) for T in pair)
                 assert result == thermal.DifferenceResult(

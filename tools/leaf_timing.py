@@ -4,8 +4,8 @@ binding of one sweep's stack of sums into blocks, and two whole sums.
     PYTHONPATH=src python tools/leaf_timing.py
 
 One block is what the engine evaluates at a time: 64 rows (modes m = 1..64)
-x 135 t-points (the first t-panels), gold (Drude 9 eV / 35 meV) at 300 K and
-a = 1 um.  The variants are
+x 150 t-points (the nodes of the sums' fixed t-rule), gold (Drude 9 eV /
+35 meV) at 300 K and a = 1 um.  The variants are
 
     eps           model.eps at the block's frequencies, a column of 64
     reflection    _reflection_sq(eps, p) on the block, eps a column
@@ -15,19 +15,19 @@ a = 1 um.  The variants are
     kernels P+F   both kernels, as a sum of P and F stacked together
     bind 80 sums  _bind of the README pressure sweep's stack (40 gaps from
                   0.5 to 5 um, log-spaced, at 300 and 350 K: 80 explicit
-                  sums, one kind, so one _bind call as _integrate makes
-                  it): every group's arrays, runs and blocks, eps
+                  sums, one _bind call as _integrate makes it): every
+                  group's arrays, runs and blocks, eps
                   included: 1,062 rows in 17 blocks, so 17 eps calls
     sum P 300 K 1 um
                   one explicit sum, _sum_modes of P alone: M = 19, so the
-                  modes 1..18 in one block, integrated in one t-integral
+                  modes 1..18 in one block, on the fixed t-rule
     sum F 2 K 1 um
                   one rule sum in m, _sum_modes of F alone: 178 placed rows
                   in 4 blocks (modes 1..63, the rule's fixed rows, its
-                  panels), whose first round settles the t-integral
+                  panels), whose row integrals give the sum's value
 
 A whole sum less the blocks it evaluates is its fixed cost: planning, M,
-the rule's placement steps and the t-integral's bookkeeping.
+the rule's placement steps and the fixed rule's panel sums.
 
 Each of 300 rounds times one call of every variant in turn, so a slow
 spell of the machine touches them all; each line prints the best time in us.
@@ -62,7 +62,7 @@ def variants():
     sweep, parts = [ThermalGapConfig(T=T, a=float(a)) for a in np.geomspace(0.5e-6, 5e-6, 40)
                     for T in (300.0, 350.0)], []
     _plan(sweep, model, DEFAULT_QUAD.rel_tol, (_PRESSURE,), parts)
-    sums = [one for _, one in parts]
+    sums = [one for _, one, _ in parts]
     cold = ThermalGapConfig(T=2.0, a=1e-6)
     return [("eps", lambda: model.eps(zeta, cfg.T)),
             ("reflection", lambda: _reflection_sq(eps, p)),
