@@ -45,13 +45,17 @@ alone goes like y ln y.
 Every t-integral of a sum is one fixed rule: the 10 GK15 panels of
 _T_MESH, graded toward t = 0, 150 nodes (_T_NODES), with no refinement
 rounds.  tests/test_properties.py certifies it against the same rows
-integrated to 1e-14: it leaves at most _EPS_T = 1e-14 of a whole sum, and
-a sum at a rel_tol below that raises ConvergenceError, which names the
-floor (QUADPACK's round-off exit).  A row's integral is its values at the
-nodes times _T_WEIGHTS (_first_mesh), and the rule in m and the m = 0
-remainders take their values from the rows that placed them, so neither
-needs a t-integral of its own.  Rows outside a sum (_mode_integrals) are
-one adaptive_quad call from the same panels, to any rel_tol.
+integrated to 1e-14: on the package's models with omega_p a / c >= 2.5e-4
+(omega_p >= 0.05 eV at a >= 1 nm) it leaves at most _EPS_T = 2e-14 of a
+whole sum, and a sum at a rel_tol below that raises ConvergenceError,
+which names the floor (QUADPACK's round-off exit).  An explicit sum also
+fails where the rule's error estimate exceeds _T_CEILING = 1e-6 of it:
+the certified models read at most 1e-9, rows that its panels do not
+resolve read near 1.  A row's integral is its values at the nodes times
+_T_WEIGHTS (_first_mesh), and the rule in m and the m = 0 remainders take
+their values from the rows that placed them, with no t-integral and no
+estimate of their own.  Rows outside a sum (_mode_integrals) are one
+adaptive_quad call from the same panels, to any rel_tol.
 
 One sum covers a stack of observables at a sequence of (a, T), a whole
 sweep: P and F share every row's A and B, and the rows of one temperature
@@ -62,15 +66,15 @@ holds rel_tol on its own total; _grid_sums is the one layout of a sweep.
 A sweep is planned once (_plan): the model's m = 0 rule takes its configs
 as columns (_Configs), so the closed m = 0 terms are one call and every
 m = 0 remainder is evaluated in one pass (_zero_mode); the search for M
-and the rows (_rows: explicit, or a rule in m) stay per (a, T).  An (a,
-T)'s rows are mode numbers m, not all integers in a rule in m, until they
-are bound.  A stack is a list of _Sum records; _bind groups them, the rows
-at zeta > 0 by temperature and the m = 0 rows of every (a, T) together,
-and _layout cuts rows into blocks (_Block) that carry, per kernel, their
-runs: the rows that add to one component.  An explicit sum holds no
-frequencies: _bind forms those of every explicit sum of a group in one
-call, and the group's y_lo and weights one array each, so a sweep's
-explicit sums cost no array operation per (a, T).  _contract, the one
+and the rows (_rows: an explicit sum, or a rule in m whose rows,
+mode numbers m not all integers, are placed on their own, _first_mesh)
+stay per (a, T).  A stack is a list of _Sum records; _bind groups them,
+the rows at zeta > 0 by temperature and the m = 0 rows of every (a, T)
+together, and _layout cuts rows into blocks (_Block) that carry, per
+kernel, their runs: the rows that add to one component.  An explicit sum
+holds no frequencies: _bind forms those of every explicit sum of a group
+in one call, and the group's y_lo one array, so a sweep's explicit sums
+cost no array operation per (a, T).  _contract, the one
 contraction, adds each run block by block, and the leaf (_kernels_at, then
 _reflection_sq) works at the block's full shape, never broadcasting a
 column against it.  A failure names the first (a, T) or frequency that
@@ -91,7 +95,7 @@ from .constants import C, HBAR, K_B
 from .dispersion import MaterialModel, _reflection_sq
 from .errors import (CasimirError, ConvergenceError, DomainError, TableRangeError,
                      UnsupportedModelError, check_eps, check_index, check_positive)
-from .quadrature import _gk15_panels, adaptive_quad, bisect_worst, gk15_rule
+from .quadrature import _TINY, _gk15_panels, adaptive_quad, bisect_worst, gk15_rule
 
 __all__ = [
     "ThermalGapConfig", "QuadratureSettings", "ReflectionPair",
@@ -110,8 +114,10 @@ __all__ = [
 # y-integral: e^{-2 y} past 30 is below 1e-26.
 _T_MESH = np.array([0.0, 1 / 2048, 1 / 256, 1 / 32, 3 / 16, 0.75, 2.0, 4.5, 9.0, 15.0, 30.0])
 _T_NODES, _T_WEIGHTS = (x.ravel() for x in gk15_rule(_T_MESH[:-1], _T_MESH[1:]))
-_EPS_T = 1e-14  # the rule's certified error on a whole sum (tests/test_properties.py)
+_EPS_T = 2e-14  # the rule's certified error on a whole sum (tests/test_properties.py)
+_T_CEILING = 1e-6  # error estimate, relative, past which an explicit sum's rule fails
 _ROW_BLOCK = 64  # rows evaluated together: 64 x 150 floats, below the 128 KiB mmap threshold
+_ONES = np.ones(_ROW_BLOCK)  # a block's rows a..b-1 add up as _ONES[a:b] @ rows[a:b]
 _ROW_CAP = 250_000  # most rows a sum or a per_mode table evaluates one by one
 # The rule in m (_tail_rule) runs only where M > _RULE_RATIO _K_MIN, from
 # K = _K_MIN explicit rows; a K that misses its budget doubles while
@@ -169,11 +175,13 @@ class QuadratureSettings:
     """Relative tolerance of the y-integrals and the Matsubara truncation.
 
     rel_tol is in (0, 1e-4].  A sum integrates in t on one fixed rule of
-    150 nodes, certified to leave at most eps_t = 1e-14 of the whole sum
-    (8.9e-15 at worst, for 0.5 eV plasma near 5 nm and 100 K), so below
-    eps_t it raises ConvergenceError, which names that floor, after
-    planning at eps_t: the first part of the sum (its m = 0 remainder,
-    else its rows) is named, with its fixed-rule value as the estimate.
+    150 nodes, certified to leave at most eps_t = 2e-14 of the whole sum
+    for the package's models with omega_p a / c >= 2.5e-4, omega_p >= 0.05
+    eV at a >= 1 nm (1.07e-14 at worst, for 0.05 eV plasma near 5 nm and
+    350 K), so below eps_t it raises ConvergenceError, which names that
+    floor, after planning at eps_t: the first part of the sum (its m = 0
+    remainder, else its rows) is named, with its fixed-rule value as the
+    estimate.
     Rows outside a sum (mode_pressure, mode_free_energy,
     te_mode_function) refine adaptively to any rel_tol above 2^-53 =
     1.1e-16, the rounding of a float total, and below it fail after their
@@ -345,21 +353,18 @@ _FREE_ENERGY = (_free_energy_kernel, lambda cfg: K_B * cfg.T / (2.0 * np.pi * cf
 
 
 # One sum of a stack: kernel c of kernels sums the first counts[c] rows at
-# the frequencies zeta of cfg, each times weight, if not None (_bind weighs
-# the rows of a sum without weights by ones).  A config's rows (_rows) are
-# at zeta = cfg.matsubara(m) of its modes m: kernel c of an explicit sum
-# sums modes 1..M_c-1, and its zeta is None: its max(counts) rows are the
+# the frequencies zeta of cfg.  A config's explicit sum (_rows) has zeta
+# None: kernel c sums the modes 1..M_c-1, and its max(counts) rows are the
 # modes 1..M-1, whose frequencies _bind forms for every explicit sum of a
-# temperature at once.  Every kernel of a rule in m sums every row.  Its
-# m = 0 remainder (_zero_mode) is the row at zeta = [0], and the rows of
-# _mode_integrals are at any frequency.
-_Sum = namedtuple("_Sum", "cfg zeta kernels counts weight", defaults=(None,))
+# temperature at once.  Its m = 0 remainder (_zero_mode) is the row at
+# zeta = [0], and the rows of _mode_integrals are at any frequency.
+_Sum = namedtuple("_Sum", "cfg zeta kernels counts")
 
 # At most _ROW_BLOCK rows of a stack's layout (_bind): their kernels, y_lo =
-# a zeta / c as a column, their weights, per kernel the runs (j, a, b) of
-# rows a..b-1 that add to component j of the stack, and the rule (y, y_lo)
-# -> (A, B) that their kernels share (_kernels_at).
-_Block = namedtuple("_Block", "kernels y_lo weight runs rule")
+# a zeta / c as a column, per kernel the runs (j, a, b) of rows a..b-1 that
+# add to component j of the stack, and the rule (y, y_lo) -> (A, B) that
+# their kernels share (_kernels_at).
+_Block = namedtuple("_Block", "kernels y_lo runs rule")
 
 
 class _Configs(namedtuple("_Configs", "T a")):
@@ -374,7 +379,7 @@ class _Configs(namedtuple("_Configs", "T a")):
         return cls(*(np.array([[getattr(cfg, x)] for cfg in configs]) for x in cls._fields))
 
 
-def _block(model, at, kernels, runs, zeta, y_lo, weight):
+def _block(model, at, kernels, runs, zeta, y_lo):
     """The _Block of rows at the frequencies zeta, a column, with the
     model's m = 0 rule at the configs at (_Configs, one per row), in y, or
     its m >= 1 rule at zeta and the temperature at, bound once (eps depends
@@ -382,14 +387,14 @@ def _block(model, at, kernels, runs, zeta, y_lo, weight):
     block's full shape (_kernels_at)."""
     if zeta[0, 0] == 0.0:
         zero_rule = _zero_rule(model, at)
-        return _Block(kernels, y_lo, weight, runs, lambda y, y_lo: zero_rule(y))
+        return _Block(kernels, y_lo, runs, lambda y, y_lo: zero_rule(y))
     rule = model.matsubara_reflection(zeta, at)
-    return _Block(kernels, y_lo, weight, runs, lambda y, y_lo: rule(y / y_lo))
+    return _Block(kernels, y_lo, runs, lambda y, y_lo: rule(y / y_lo))
 
 
-def _layout(model, at, kernels, zeta, y_lo, weight, runs):
+def _layout(model, at, kernels, zeta, y_lo, runs):
     """The blocks of the rows at the frequencies zeta and y_lo, each a
-    column, and their weights, cut every _ROW_BLOCK rows: each run (c, j, a,
+    column, cut every _ROW_BLOCK rows: each run (c, j, a,
     b) adds the rows a..b-1 under kernel c to component j, as one run per
     block that it reaches.  at is the temperature of rows at zeta > 0, or
     the config of each row at zeta = 0."""
@@ -399,7 +404,7 @@ def _layout(model, at, kernels, zeta, y_lo, weight, runs):
             blocks[lo // _ROW_BLOCK][c].append(  # clipped to the block without min/max calls
                 (j, a - lo if a > lo else 0, b - lo if b < lo + _ROW_BLOCK else _ROW_BLOCK))
     return [_block(model, at if zeta[0, 0] else _Configs.of(at[lo:lo + _ROW_BLOCK]),
-                   kernels, cut, *[x[lo:lo + _ROW_BLOCK] for x in (zeta, y_lo, weight)])
+                   kernels, cut, zeta[lo:lo + _ROW_BLOCK], y_lo[lo:lo + _ROW_BLOCK])
             for lo, cut in zip(range(0, len(zeta), _ROW_BLOCK), blocks)]
 
 
@@ -409,16 +414,13 @@ def _bind(model, indexed):
     out their rows in order, those at zeta > 0 by temperature, which share
     eps across gaps, and the rows at zeta = 0 of every config together,
     which take the model's m = 0 rule at their configs.  Rows r < counts[c]
-    of sum i add under kernel c, each times its weight, to the component i
-    kernels + c; a sum without weights weighs its rows by ones.
+    of sum i add under kernel c to the component i kernels + c.
 
     A group's arrays are formed once, not per sum: the frequencies of its
     explicit sums (zeta None) are one matsubara call on the modes 1..n of
-    its longest, of which each takes its first rows, y_lo = a zeta / c is
-    one product with each sum's a repeated per row, and the unit weights
-    one array, of which each sum without weights takes its first rows.
-    Each value rounds as a sum's own arrays did, so the layout keeps its
-    bits."""
+    its longest, of which each takes its first rows, and y_lo = a zeta / c
+    is one product with each sum's a repeated per row.  Each value rounds
+    as a sum's own arrays did, so the layout keeps its bits."""
     groups, layout = {}, []
     for i, one in indexed:  # the temperature of rows at zeta > 0; 0 at zeta = 0
         groups.setdefault((0.0 if one.zeta is not None and one.zeta[0] == 0.0 else one.cfg.T,
@@ -432,11 +434,8 @@ def _bind(model, indexed):
         zeta = np.concatenate([modes[:n] if one.zeta is None else one.zeta
                                for (_, one), n in zip(members, sizes)])
         y_lo = (np.repeat([one.cfg.a for _, one in members], sizes) * zeta)[:, None] / C
-        ones = np.ones(max(sizes))
-        weight = np.concatenate([ones[:n] if one.weight is None else one.weight
-                                 for (_, one), n in zip(members, sizes)])
         layout += _layout(model, T or [one.cfg for _, one in members], kernels, zeta[:, None],
-                          y_lo, weight, runs)  # an m = 0 sum is one row
+                          y_lo, runs)  # an m = 0 sum is one row
     return layout
 
 
@@ -463,7 +462,7 @@ def _kernels_at(rule, y_lo, t, kernels):
 def _contract(layout, t, components, w=None):
     """The rows of the blocks of layout (see _bind) at t, contracted block by
     block into an array of the components, shape (components, len(t)): each
-    run (j, a, b) of a block's rows under a kernel adds weight[a:b] @
+    run (j, a, b) of a block's rows under a kernel adds _ONES[a:b] @
     rows[a:b] to component j.  A vector product per run (a matrix product
     would touch BLAS's packing buffers) keeps each component's order of
     rounding whatever else its blocks hold, and only that array and, for a
@@ -477,7 +476,7 @@ def _contract(layout, t, components, w=None):
             ks = _kernels_at(block.rule, block.y_lo, t, block.kernels)
             for k, runs in zip(ks, block.runs):
                 for j, a, b in runs:
-                    out[j] += block.weight[a:b] @ k[a:b]
+                    out[j] += _ONES[a:b] @ k[a:b]
             if w is not None:
                 integrals.append([k @ w for k in ks])
     return out, integrals
@@ -491,14 +490,21 @@ def _integrate(model, sums, rel_tol=None):
     whatever the rest of the stack.  Without rel_tol each component is
     integrated on the fixed rule on its own: on _T_NODES, each GK15 panel's
     Kronrod value, then their math.fsum, which is adaptive_quad's first
-    round; ConvergenceError where a value is not finite (_gk15_panels).
-    With rel_tol (rows outside a sum), one adaptive_quad call from the
-    panels of _T_MESH holds it on each component.
+    round; ConvergenceError where a value is not finite (_gk15_panels) or
+    where the summed error estimates exceed _T_CEILING of the component's
+    |value|, as no certified sum's do, carrying every value as the
+    estimate.  With rel_tol (rows outside a sum), one adaptive_quad call
+    from the panels of _T_MESH holds it on each component.
     """
     width, layout = len(sums) * len(sums[0].kernels), _bind(model, enumerate(sums))
     if rel_tol is None:
-        vals = _gk15_panels(_contract(layout, _T_NODES, width)[0], _T_MESH[:-1], _T_MESH[1:])[0]
+        vals, errs = _gk15_panels(_contract(layout, _T_NODES, width)[0], _T_MESH[:-1], _T_MESH[1:])
         values = [math.fsum(v) for v in vals.tolist()]
+        for err, value in zip(errs.sum(axis=1).tolist(), values):
+            if err > _T_CEILING * abs(value) and err >= _TINY:
+                raise ConvergenceError(f"the fixed t-rule's error estimate {err:.3e} exceeds "
+                                       f"{_T_CEILING:g} of the sum, {value:.6g}: its panels do "
+                                       f"not resolve the rows", estimate=np.array(values))
     else:
         values = adaptive_quad(lambda t: _contract(layout, t, width)[0], _T_MESH,
                                rel_tol=rel_tol)[0]
@@ -513,7 +519,7 @@ def _first_mesh(model, cfg, m, kernels):
     first row whose integral is not finite."""
     zeta = cfg.matsubara(m)
     layout = _layout(model, cfg.T, kernels, zeta[:, None], (cfg.a * zeta)[:, None] / C,
-                     np.ones(len(m)), [])  # no runs: only the row integrals are read
+                     [])  # no runs: only the row integrals are read
     rows = np.array([np.concatenate(rows) for rows in zip(
         *_contract(layout, _T_NODES, 0, _T_WEIGHTS)[1])])
     if not np.isfinite(rows).all():
@@ -753,18 +759,18 @@ def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
 
 
 def _rows(model, cfg, observables, kernels, Ms, rel_tol, zeros):
-    """cfg's sum of rows (_Sum) for the kernels, one per observable, which
-    sums the modes 1..M_c-1 of observable c for its M_c in Ms, and its
-    value per kernel where placement gives it.  Where M = max(Ms) <=
-    _RULE_RATIO _K_MIN the sum is explicit: kernel c sums the first M_c - 1
-    rows, the modes 1..M-1 unweighted, not evaluated here, and its value is
-    None (the stack's, _integrate).
+    """cfg's sum of the modes 1..M_c-1 of observable c, for its M_c in Ms,
+    under the kernels, one per observable: (an explicit _Sum, None), or
+    (None, its value per kernel) where a rule in m places it.  Where M =
+    max(Ms) <= _RULE_RATIO _K_MIN the sum is explicit: kernel c sums the
+    first M_c - 1 rows, the modes 1..M-1, not evaluated here (the stack's
+    _integrate gives the value).
 
     Otherwise _tail_rule sums the modes m >= K, with K doubled from _K_MIN
     until the rule meets its budget, while M > _RULE_RATIO K / 2 (so a
-    first K that misses can double once), and every kernel sums every row,
-    the modes 1..K-1 and the rule's, weighted.  That budget counts the m =
-    0 terms zeros and the explicit rows 1..K-1, which a larger K extends;
+    first K that misses can double once), and every kernel sums the modes
+    1..K-1 and the rule's rows, weighted.  That budget counts the m = 0
+    terms zeros and the explicit rows 1..K-1, which a larger K extends;
     every row placed is evaluated once, on the fixed t-rule, and the sum's
     value is the math.fsum of the rows 1..K-1 plus the rule's.
     ConvergenceError if the rule has not met its budget by K = _ROW_CAP /
@@ -776,9 +782,7 @@ def _rows(model, cfg, observables, kernels, Ms, rel_tol, zeros):
         head = np.array([math.fsum(g) for g in np.hstack(g_head)])
         rule = _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, np.add(zeros, head))
         if rule is not None:
-            m = np.concatenate((np.arange(1.0, K), rule[0]))
-            return _Sum(cfg, cfg.matsubara(m), kernels, [len(m)] * len(Ms),
-                        np.concatenate((np.ones(K - 1), rule[1]))), head + rule[2]
+            return None, head + rule[2]
         if 2 * _RULE_RATIO * K > _ROW_CAP:
             raise ConvergenceError(f"the rule in m misses its error budget for "
                                    f"every K from {_K_MIN} to {K}")
@@ -821,8 +825,9 @@ def _plan(configs, model, rel_tol, observables, parts):
     each observable, and the index in parts of its rows.  It appends each
     config's parts to parts, in order, as (key, sum, value), the key (cfg,
     its modes): its m = 0 remainder, if any, then its rows (_rows), each
-    with its value per kernel on the fixed t-rule, or None where the
-    stack's _integrate gives it (an explicit sum).
+    with its value per kernel on the fixed t-rule (a rule in m, whose sum
+    is None), or None where the stack's _integrate gives it (an explicit
+    sum).
 
     The m = 0 terms of every config come from one call of the model's rule,
     and every remainder from one evaluation on _T_NODES (_zero_mode), whose
@@ -861,13 +866,14 @@ def _sum_modes(configs, model, quad, observables):
     Every term has the sign of the m = 0 term, so stopping at the M whose
     tail bound is rel_tol of that term holds rel_tol on the whole sum; each
     observable has its own m = 0 term and M.  The modes 1..M-1 of a
-    config's largest M are the weighted rows of _rows; _plan plans the
-    whole sweep.  Every sum is on the fixed t-rule, which leaves at most
-    _EPS_T of it: the explicit sums of every config are one stack
-    (_integrate), in which each (config, observable) adds its own rows, and
-    a rule in m and an m = 0 remainder give their values from placement.
-    The callable gives term m, by default all M terms, on the same rule.  A
-    failure is that of the first explicit sum that fails alone
+    config's largest M are summed by _rows; _plan plans the whole sweep.
+    Every sum is on the fixed t-rule, certified to leave at most _EPS_T of
+    it on the models that the module docstring names: the explicit sums of
+    every config are one stack (_integrate), in which each (config,
+    observable) adds its own rows, and a rule in m and an m = 0 remainder
+    give their values from placement.  The callable gives term m, by
+    default all M terms, on the same rule.  A failure is that of the first
+    explicit sum that fails alone
     (_first_alone), or, where a config's plan fails first, the plan's named
     error; _named gives it that part's config in its attribute config (None
     when no part fails alone).  Below _EPS_T the sum is planned at _EPS_T

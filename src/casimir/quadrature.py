@@ -7,20 +7,19 @@ worklist starts from the panels between caller-given edges, placed where
 the integrand varies fastest, so no rounds are spent bisecting towards
 them.  Panel results are summed with math.fsum, which is correctly rounded
 and independent of summation order, so the returned value does not depend
-on the refinement history and is bit-reproducible.  adaptive_quad, the one
-adaptive entry point, also returns the Kronrod nodes and weights of its
-final panels, so a caller can integrate related functions on the
-converged rule.  The integrand returns a stack of C functions on the same
-points (the Lifshitz pressure and free energy; C = 1 for a single
-integral); each component holds rel_tol on its own total, and the panels
-are bisected where the largest error relative to its component's budget
-sits.  A rel_tol below the rounding of a float total, 2^-53, ends after the
+on the refinement history and is bit-reproducible.  The integrand of
+adaptive_quad, the one adaptive entry point, returns a stack of C
+functions on the same points (the Lifshitz pressure and free energy; C =
+1 for a single integral); each component holds rel_tol on its own total,
+and the panels are bisected where the largest error relative to its
+component's budget sits.  A rel_tol below the rounding of a float total, 2^-53, ends after the
 first round: refining could only chase estimates at the level of rounding.
 
 The Lifshitz sums do not refine: they take the value of a first round,
 _gk15_panels' Kronrod values on a fixed set of panels, summed with
-math.fsum; adaptive_quad serves the rows outside a sum and the dispersion
-integrals.
+math.fsum, and fail only where its error estimate shows the panels do not
+resolve the integrand at all; adaptive_quad serves the rows outside a sum
+and the dispersion integrals.
 
 Error estimation follows the QUADPACK recipe: the raw |K15 - G7|
 difference is rescaled by the panel's total variation measure so that
@@ -141,7 +140,7 @@ def adaptive_quad(
     edges: Sequence[float],
     *,
     rel_tol: float = 1e-10,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Integrate a vectorized stack f over [edges[0], edges[-1]].
 
     f(x) returns C functions on the points x, shape (C, len(x)).  The
@@ -152,12 +151,10 @@ def adaptive_quad(
     have underflowed.  Each refinement round bisects the panels whose
     largest error over its component's budget is within a factor 4 of the
     current worst, so progress is guaranteed.  Returns (values, error
-    estimates, x, w): arrays of C, and the Kronrod nodes and weights of the
-    final panels: w @ g(x) applies the converged rule to another integrand
-    g.  Raises ConvergenceError (carrying the best estimates) after 48
-    rounds or 4096 panels, and at once, without them, when a round's
-    estimate is not finite.  No round can certify a rel_tol below 2^-53 =
-    1.1e-16, the rounding of a float total: unless the first round meets
+    estimates), arrays of C.  Raises ConvergenceError (carrying the best
+    estimates) after 48 rounds or 4096 panels, and at once, without them,
+    when a round's estimate is not finite.  No round can certify a rel_tol
+    below 2^-53 = 1.1e-16, the rounding of a float total: unless the first round meets
     it, ConvergenceError follows that round and names the floor, where
     refining would chase estimates at the level of rounding through every
     round (QUADPACK reports such a tolerance at once: its round-off exit).
@@ -175,8 +172,7 @@ def adaptive_quad(
         err_totals = errs.sum(axis=1).tolist()
         if all(err <= rel_tol * abs(total) or err < _TINY
                for err, total in zip(err_totals, totals)):
-            x, w = (r.ravel() for r in gk15_rule(lo, hi))
-            return np.array(totals), np.array(err_totals), x, w
+            return np.array(totals), np.array(err_totals)
         if 2 * len(lo) > _MAX_PANELS or rel_tol < _ROUNDING:
             break
         keep, new_lo, new_hi = bisect_worst(lo, hi, errs, rel_tol * np.abs(totals))

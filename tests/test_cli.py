@@ -719,7 +719,7 @@ class TestFailureWork:
         err = capsys.readouterr().err
         assert err.startswith(f"casimir: computation failed: at a = {gap} um: "
                               f"Matsubara modes m = 1..")
-        assert f"T = {T} K" in err and "below eps_t = 1e-14" in err
+        assert f"T = {T} K" in err and "below eps_t = 2e-14" in err
         # sphere-plate's 3 um is marginal at R = 200 um: it warns once
         assert len(caught) == (1 if "--radius" in argv else 0)
 
@@ -733,7 +733,7 @@ class TestFailureWork:
         err = capsys.readouterr().err
         assert err.startswith("casimir: computation failed: at a = 0.01 um: "
                               "Matsubara modes m = 1..")
-        assert err.endswith("rel_tol=1e-30 is below eps_t = 1e-14, the error that the sums' "
+        assert err.endswith("rel_tol=1e-30 is below eps_t = 2e-14, the error that the sums' "
                             "fixed t-rule is certified to leave\n")
 
     @pytest.mark.parametrize("argv", [("pressure", "--gap", "1"),
@@ -744,7 +744,7 @@ class TestFailureWork:
         # at rounding level and exit 0; it is below eps_t
         assert run_cli(*argv, "--rel-tol", "1.2e-16") == 3
         err = capsys.readouterr().err
-        assert err.startswith("casimir: computation failed: at a = ") and "eps_t = 1e-14" in err
+        assert err.startswith("casimir: computation failed: at a = ") and "eps_t = 2e-14" in err
 
     def test_past_the_table_top_node(self, tmp_path, gold, capsys, monkeypatch):
         # the table ends at 1e18 rad/s; zeta_4053 at 300 K is 1.000195e18,

@@ -522,9 +522,10 @@ class TestTotalPressure:
         assert f"zeta_m = {cfg.matsubara(n):.4g} rad/s" in message
 
     def test_row_convergence_error_names_the_modes(self):
-        # a sum's fixed t-rule is certified for the package's models, so it
-        # cannot see an m >= 1 rule that no panel count resolves: a lone row
-        # of it refines and fails, and a sum fails on rows that are not finite
+        # an m >= 1 rule that no panel count resolves: a lone row of it
+        # refines and fails, and the explicit sum's fixed t-rule reads an
+        # error estimate far past its ceiling; a sum also fails on rows that
+        # are not finite
         class Rippled:
             """Drude-like m = 0 rule; an m >= 1 rule no panel count resolves,
             NaN where ripple is NaN."""
@@ -541,6 +542,12 @@ class TestTotalPressure:
         cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
         with pytest.raises(ConvergenceError, match="did not reach rel_tol"):
             cs.mode_pressure(1, cfg, Rippled(1e6))
+        with pytest.raises(ConvergenceError) as exc:
+            cs.total_pressure(cfg, Rippled(1e6))
+        message = str(exc.value)
+        assert message.startswith("Matsubara modes m = 1..")
+        assert "T = 300 K" in message and message.endswith("its panels do not resolve the rows")
+        assert isinstance(exc.value.estimate, float) and exc.value.config is cfg
         with pytest.raises(ConvergenceError) as exc:
             cs.total_pressure(cfg, Rippled(math.nan))
         message = str(exc.value)
@@ -690,12 +697,12 @@ class TestMatsubaraTruncation:
         (P, M_P, _), (F, M_F, _) = lifshitz._sum_modes(
             [cfg], gold, quad, (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))[0]
         assert M_P > M_F > lifshitz._RULE_RATIO * lifshitz._K_MIN
-        assert sums[-1][1] is not None and sums[-1][0].weight is not None
+        assert sums[-1][0] is None and sums[-1][1] is not None
         assert calls == quads == []
         for stacked, lone in ((P, lambda: cs.total_pressure(cfg, gold, quad).total),
                               (F, lambda: cs.free_energy(cfg, gold, quad))):
             assert stacked == pytest.approx(lone(), rel=quad.rel_tol, abs=0.0)
-            assert calls == quads == [] and sums[-1][1] is not None
+            assert calls == quads == [] and sums[-1][0] is None
         monkeypatch.undo()
         fine = cs.QuadratureSettings(rel_tol=1e-13)
         assert P == pytest.approx(fsum_modes(cs.mode_pressure, cfg, gold, fine),
@@ -1053,8 +1060,8 @@ class TestSweeps:
             lifshitz._integrate(Cut(), [remainder], quad.rel_tol)
         with pytest.raises(ConvergenceError) as exc:
             cs.free_energy(cfg, Cut(), quad)
-        assert str(exc.value).startswith("Matsubara modes m = 1..3742 at T = 2 K, a = 1e-06 m")
-        assert str(exc.value).endswith("the row at zeta = 6.15631e+15 rad/s is not finite")
+        assert str(exc.value).startswith("Matsubara modes m = 1..3677 at T = 2 K, a = 1e-06 m")
+        assert str(exc.value).endswith("the row at zeta = 6.04938e+15 rad/s is not finite")
         assert exc.value.config is cfg
 
     def test_failure_names_the_first_failing_config(self, gold):
@@ -1087,9 +1094,9 @@ class TestSweeps:
 def per_sum_layout(model, indexed):
     """The layout of the (i, sum) pairs indexed, as _bind
     built it sum by sum: each explicit sum (zeta None) with its own
-    frequencies cfg.matsubara(m) of its modes m = 1..max(counts), its own
-    y_lo = a zeta / c and its own unit weights, concatenated per group: the
-    reference for the bulk form."""
+    frequencies cfg.matsubara(m) of its modes m = 1..max(counts) and its
+    own y_lo = a zeta / c, concatenated per group: the reference for the
+    bulk form."""
     groups, layout = {}, []
     for i, one in indexed:
         if one.zeta is None:
@@ -1102,34 +1109,33 @@ def per_sum_layout(model, indexed):
                 for (i, one), a in zip(members, starts) for c, n in enumerate(one.counts)]
         zeta = np.concatenate([one.zeta for _, one in members])[:, None]
         y_lo = np.concatenate([one.cfg.a * one.zeta for _, one in members])[:, None] / cs.C
-        weight = np.concatenate([np.ones(len(one.zeta)) if one.weight is None else one.weight
-                                 for _, one in members])
         layout += lifshitz._layout(model, T or [one.cfg for _, one in members], kernels, zeta,
-                                   y_lo, weight, runs)
+                                   y_lo, runs)
     return layout
 
 
 def test_bulk_layout_equals_the_per_sum_layout_bit_for_bit(monkeypatch):
     # a mixed stack of a plasma sweep: the m = 0 remainders, explicit sums
-    # at 300 and 350 K, a rule sum at 2 K, and rows at lowtemp's f_te
-    # frequencies at 300 K, with the explicit sums' kernel so that they
-    # share the 300 K group, between and after its explicit sums
+    # at 300 and 350 K, and rows at lowtemp's f_te frequencies at 300 K,
+    # with the explicit sums' kernel so that they share the 300 K group,
+    # between and after its explicit sums (the 2 K rows are a rule in m,
+    # which gives its value from placement and holds no sum)
     model, kernels = cs.Plasma(), (lifshitz._pressure_kernel,)
     configs = [cs.ThermalGapConfig(T=T, a=a) for T, a in
                ((300.0, 1e-6), (350.0, 0.5e-6), (300.0, 0.3e-6), (2.0, 1e-6))]
     parts = []
     lifshitz._plan(configs, model, cs.DEFAULT_QUAD.rel_tol, (lifshitz._PRESSURE,), parts)
-    sums = [one for _, one, _ in parts]
-    kinds = [("zero" if one.zeta is not None and one.zeta[0] == 0.0 else
-              "explicit" if one.zeta is None else "rule") for one in sums]
-    assert kinds == ["zero", "explicit"] * 3 + ["zero", "rule"]
-    assert sums[-1].weight is not None
+    assert parts[-1][1] is None and parts[-1][2] is not None
+    sums = [one for _, one, _ in parts[:-1]]
+    kinds = ["zero" if one.zeta is not None and one.zeta[0] == 0.0 else
+             "explicit" if one.zeta is None else "other" for one in sums]
+    assert kinds == ["zero", "explicit"] * 3 + ["zero"]
     f_te = [lifshitz._Sum(configs[0], np.array([x * cs.C / 1e-6]), kernels, [1])
             for x in np.linspace(0.0, 0.5, 26)[1:]]
     stack = sums[:2] + f_te[:12] + sums[2:] + f_te[12:]
 
-    def recording(model, at, kernels, runs, zeta, y_lo, weight):
-        return (at, kernels, runs, zeta, y_lo, weight)
+    def recording(model, at, kernels, runs, zeta, y_lo):
+        return (at, kernels, runs, zeta, y_lo)
 
     monkeypatch.setattr(lifshitz, "_block", recording)
     bulk = lifshitz._bind(model, enumerate(stack))
@@ -1140,7 +1146,7 @@ def test_bulk_layout_equals_the_per_sum_layout_bit_for_bit(monkeypatch):
         (at, ks, runs, *arrays), (ref_at, ref_ks, ref_runs, *ref_arrays) = got, ref
         assert ks == ref_ks and runs == ref_runs
         assert np.array(at).tobytes() == np.array(ref_at).tobytes()  # T, or each config's T, a
-        for x, y in zip(arrays, ref_arrays):  # zeta, y_lo, weight
+        for x, y in zip(arrays, ref_arrays):  # zeta, y_lo
             assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
         mixed += at == 300.0 and bool(np.isin(arrays[0], [f.zeta for f in f_te]).any())
     assert mixed  # a 300 K block holds explicit rows and f_te rows
@@ -1302,7 +1308,7 @@ class TestLeafBitIdentity:
         zeta = cfg.matsubara(np.arange(1, 65))[:, None]
         y_lo = cfg.a * zeta / cs.C
         y = y_lo + lifshitz._T_NODES
-        rule = lifshitz._block(model, cfg.T, (), [], zeta, y_lo, None).rule
+        rule = lifshitz._block(model, cfg.T, (), [], zeta, y_lo).rule
         got = lifshitz._kernels_at(rule, y_lo, lifshitz._T_NODES, self.KERNELS[kernels])
         calls = []
         monkeypatch.setattr(dispersion, "_reflection_sq",
@@ -1325,7 +1331,7 @@ class TestLeafBitIdentity:
         y = y_lo + lifshitz._T_NODES
         ks = self.KERNELS[kernels]
         units = [self.UNITS[k] for k in ks]
-        block = lifshitz._block(model, at, (), [], y_lo, y_lo, None)  # as rows at zeta = 0 bind
+        block = lifshitz._block(model, at, (), [], y_lo, y_lo)  # as rows at zeta = 0 bind
         got = lifshitz._kernels_at(block.rule, y_lo, lifshitz._T_NODES,
                                    lifshitz._remainders(ks, units, *exact))
         A, B = rule(y)

@@ -1,6 +1,7 @@
 """Property-based checks of the Matsubara sums at random gaps and temperatures."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -78,20 +79,25 @@ def test_drude_table_pressure_within_interpolation_error(n, a, T):
 
 # The fixed t-rule of the sums: the 10 GK15 panels of lifshitz._T_MESH (150
 # nodes), with no refinement.  EPS_T is the relative error it may leave on a
-# whole sum, against the same stack (the same rows, weights and m = 0
-# remainder) integrated by adaptive_quad to 1e-14, and the floor below
-# which a sum raises (lifshitz._EPS_T).  The worst case found is plasma at
-# 0.5 eV near 1 nm and 1 K, kept as an example: its rows m = 1..7 vary over
-# y ~ omega_p a / c = 2.5e-3, which the edge at 1/2048 resolves (the
-# 135-node rule without it left 1.64e-13 there; now 1.0e-15).  Over 200
-# random draws per model every other model stays below 5.1e-16, and 0.5 eV
-# plasma reaches 8.9e-15 on F near 5 nm and 110-135 K (a 40 x 40 grid over
-# 2-12 nm and 20-350 K; 7.9e-15 at worst over 1,000 random draws).
-EPS_T = 1e-14
+# whole sum, against the same rows (the explicit rows, the rule in m's rows
+# each integrated alone and weighted, and the m = 0 remainder) integrated by
+# adaptive_quad to 1e-14, and the floor below which a sum raises
+# (lifshitz._EPS_T).  Rows vary over y ~ Omega = omega_p a / c, which the
+# draws take down to 2.5e-4 (0.05 eV at 1 nm).  The 0.5 eV plasma case near
+# 1 nm and 1 K is kept as an example: its rows m = 1..7 vary over Omega =
+# 2.5e-3, which the edge at 1/2048 resolves (the 135-node rule without it
+# left 1.64e-13 there; now 1.0e-15).  Measured worst cases: 1.07e-14 on F of
+# 0.05 eV plasma at 5.5 nm and 350 K (a 30 x 30 grid over the draws'
+# range), 8.9e-15 of 0.5 eV plasma, 5.0e-15 of 0.05 eV Drude, below 5.1e-16
+# for every other model.  Below the drawn Omega the error grows: 1.3e-14
+# for plasma at Omega = 5e-5, 1.9e-13 for Drude at 6.4e-5 and 9.5e-13 for
+# plasma at 7.7e-6, so EPS_T = 2e-14 is certified only on the draws' range.
+EPS_T = 2e-14
 TABLE_ZETA = np.geomspace(1e8, 1e20, 121)  # spans the Matsubara grid of every draw
 CERTIFIED = {
     "gold": cs.gold_drude(), "bg": cs.gold_drude("bg"), "plasma": cs.Plasma(),
-    "plasma_0.5eV": cs.Plasma(0.5), "ideal": cs.Ideal(),
+    "plasma_0.5eV": cs.Plasma(0.5), "plasma_0.05eV": cs.Plasma(0.05),
+    "drude_0.05eV": cs.Drude(omega_p_ev=0.05), "ideal": cs.Ideal(),
     "drude_like": cs.Tabulated(cs.PermittivityTable(
         TABLE_ZETA, cs.eps_drude(TABLE_ZETA, cs.gold_drude())), "drude_like"),
     "plasma_like": cs.Tabulated(cs.PermittivityTable(
@@ -105,20 +111,37 @@ def log_uniform(lo, hi):
 
 def fixed_and_reference(model, cfg):
     """P and F of cfg at rel_tol 1e-13: the sums on the fixed t-rule, and
-    the same planned parts (rows, weights and m = 0 remainder) integrated
-    by adaptive_quad to 1e-14, which does not run through the fixed path."""
-    observables, parts = (lifshitz._PRESSURE, lifshitz._FREE_ENERGY), []
-    (zeros, _, _), = lifshitz._plan([cfg], model, 1e-13, observables, parts)
+    the same planned parts integrated by adaptive_quad to 1e-14, which does
+    not run through the fixed path: the m = 0 remainder and explicit rows as
+    planned, and a rule in m as its rows 1..K-1 and _tail_rule's rows, each
+    integrated alone, times their weights."""
+    observables, parts, placed = (lifshitz._PRESSURE, lifshitz._FREE_ENERGY), [], []
+    kernels, tail_rule = tuple(kernel for kernel, *_ in observables), lifshitz._tail_rule
+
+    def placing(*args):  # model, cfg, observables, kernels, K, ...
+        placed.append((args[4], tail_rule(*args)))
+        return placed[-1][1]
+
+    with mock.patch.object(lifshitz, "_tail_rule", placing):
+        (zeros, _, _), = lifshitz._plan([cfg], model, 1e-13, observables, parts)
     fixed = [value for value, _, _ in lifshitz._sum_modes(
         [cfg], model, cs.QuadratureSettings(rel_tol=1e-13), observables)[0]]
-    reference = lifshitz._integrate(model, [one for _, one, _ in parts], 1e-14)
-    if len(parts) == 2:  # the m = 0 remainder, then the rows
-        zeros = 0.5 * reference[0]
-    return np.array(fixed), np.array([prefactor(cfg) * (zero + rows) for (_, prefactor, _, _),
-                                      zero, rows in zip(observables, zeros, reference[-1])])
+    stack = [one for _, one, _ in parts if one is not None]
+    if parts[-1][1] is None:  # a rule in m: its rows are stacked one by one
+        K, (m, weight, _) = placed[-1]
+        zetas = cfg.matsubara(np.concatenate((np.arange(1.0, K), m)))
+        stack += [lifshitz._Sum(cfg, zetas[i:i + 1], kernels, [1, 1]) for i in range(len(zetas))]
+        weight = np.concatenate((np.ones(K - 1), weight))
+    reference = lifshitz._integrate(model, stack, 1e-14)
+    if parts[0][1] is not None and parts[0][1].zeta is not None:  # the m = 0 remainder
+        zeros, reference = 0.5 * reference[0], reference[1:]
+    rows = (reference[0] if parts[-1][1] is not None else
+            [math.fsum(weight * column) for column in reference.T])
+    return np.array(fixed), np.array([prefactor(cfg) * (zero + row) for (_, prefactor, _, _),
+                                      zero, row in zip(observables, zeros, rows)])
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
 @example(name="plasma_0.5eV", T=1.2, a=1e-9)
 @given(name=st.sampled_from(sorted(CERTIFIED)), T=log_uniform(1e-3, 350.0),
        a=log_uniform(1e-9, 20e-6))

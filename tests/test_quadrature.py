@@ -30,7 +30,7 @@ def row(f):
 
 
 def test_polynomial_is_exact():
-    (val,), (err,), _, _ = adaptive_quad(row(lambda x: x * x), equal_panels(0.0, 1.0))
+    (val,), (err,) = adaptive_quad(row(lambda x: x * x), equal_panels(0.0, 1.0))
     assert val == pytest.approx(1.0 / 3.0, rel=1e-14)
     assert err <= 1e-10 / 3.0
 
@@ -69,32 +69,23 @@ def test_breakpoints_at_the_singularity_save_rounds():
     assert graded < len(rounds)
 
 
-def test_returned_rule_integrates_another_function():
-    # the final panels of y ln(1 - e^{-2y}) also hold int_0^30 x e^{-2x} dx = 1/4
-    def f(y):
-        return y * np.log(-np.expm1(-2.0 * y))
-
-    _, _, x, w = adaptive_quad(row(f), GRADED)
-    assert x.shape == w.shape
-    assert w @ (x * np.exp(-2.0 * x)) == pytest.approx(0.25, rel=1e-12)
-
-
 def test_stack_of_one_takes_the_arithmetic_of_a_plain_integrand():
     # the value and error estimate are pinned at their bits from before
     # stacked integrands existed, when f was integrated alone; a (1, N)
     # stack returns them, and each row of a stack of two copies the same,
-    # on the same rule
+    # on the same rounds: the points of each round, from 7 to 21 panels
     def f(y):
         return y * np.log(-np.expm1(-2.0 * y))
 
-    val, err, x, w = adaptive_quad(lambda y: f(y)[None], GRADED)
+    points, pairs = [], []
+    val, err = adaptive_quad(lambda y: points.append(len(y)) or f(y)[None], GRADED)
     assert val.shape == err.shape == (1,)
-    assert (val[0].hex(), err[0].hex(), len(x)) == (
-        "-0x1.33ba004f0067cp-2", "0x1.af82588cc5f4ap-38", 315)
-    vals, errs, xs, ws = adaptive_quad(lambda y: np.stack((f(y), f(y))), GRADED)
+    assert (val[0].hex(), err[0].hex()) == ("-0x1.33ba004f0067cp-2", "0x1.af82588cc5f4ap-38")
+    assert points == [105, 60, 30, 60, 30, 60, 60, 60, 60]
+    vals, errs = adaptive_quad(lambda y: pairs.append(len(y)) or np.stack((f(y), f(y))), GRADED)
     assert vals.shape == errs.shape == (2,)
     assert (vals[0], errs[0]) == (vals[1], errs[1]) == (val[0], err[0])
-    assert np.array_equal(xs, x) and np.array_equal(ws, w)
+    assert pairs == points
 
 
 def test_stack_holds_rel_tol_on_each_component():
@@ -105,7 +96,7 @@ def test_stack_holds_rel_tol_on_each_component():
 
     exact = np.array([1e6 / 3.0, 2.0 / 3.0])
     for rel_tol in (1e-8, 1e-12):
-        vals, errs, _, _ = adaptive_quad(f, equal_panels(0.0, 1.0), rel_tol=rel_tol)
+        vals, errs = adaptive_quad(f, equal_panels(0.0, 1.0), rel_tol=rel_tol)
         assert np.all(np.abs(vals - exact) <= rel_tol * exact)
         assert np.all(errs <= rel_tol * np.abs(vals))
         alone = adaptive_quad(row(np.sqrt), equal_panels(0.0, 1.0), rel_tol=rel_tol)[0][0]
@@ -143,7 +134,7 @@ def test_agrees_with_scipy_quadpack():
 
 
 def test_zero_integrand_returns_zero():
-    (val,), (err,), _, _ = adaptive_quad(row(lambda x: 0.0 * x), equal_panels(0.0, 5.0))
+    (val,), (err,) = adaptive_quad(row(lambda x: 0.0 * x), equal_panels(0.0, 5.0))
     assert val == 0.0
     assert err == 0.0
 

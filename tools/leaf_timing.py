@@ -57,7 +57,7 @@ def variants():
     y_lo = cfg.a * zeta / C
     y = y_lo + _T_NODES
     eps, p = model.eps(zeta, cfg.T), y / y_lo
-    rule = _block(model, cfg.T, (), [], zeta, y_lo, None).rule  # as the engine binds it
+    rule = _block(model, cfg.T, (), [], zeta, y_lo).rule  # as the engine binds it
     P, F = _PRESSURE[0], _FREE_ENERGY[0]
     sweep, parts = [ThermalGapConfig(T=T, a=float(a)) for a in np.geomspace(0.5e-6, 5e-6, 40)
                     for T in (300.0, 350.0)], []
