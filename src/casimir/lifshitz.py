@@ -42,20 +42,28 @@ the kernel at (A0, B0): 0 for a lossy metal and the ideal reflector, and
 for plasma one more row, smooth at y = 0 where the free energy's kernel
 alone goes like y ln y.
 
-Every t-integral of a sum is one fixed rule: the 10 GK15 panels of
-_T_MESH, graded toward t = 0, 150 nodes (_T_NODES), with no refinement
-rounds.  tests/test_properties.py certifies it against the same rows
+Every t-integral of a sum is on fixed rules, with no refinement rounds.
+A row is near where y_lo = a zeta / c < _FAR = 2 and far past it.  A near
+row takes the 10 GK15 panels of _T_MESH, graded toward t = 0, 150 nodes
+(_T_NODES).  A far row of an explicit sum, whose kernels are e^{-2t} times
+a factor that varies on the scale of y_lo, takes the 32-point
+Gauss-Laguerre rule for the weight e^{-2t} (_L_NODES), on [0, inf): in
+the paper's sweeps nearly nine rows in ten, at a fifth of the points.
+tests/test_properties.py certifies the rules against the same rows
 integrated to 1e-14: on the package's models with omega_p a / c >= 2.5e-4
-(omega_p >= 0.05 eV at a >= 1 nm) it leaves at most _EPS_T = 2e-14 of a
+(omega_p >= 0.05 eV at a >= 1 nm) they leave at most _EPS_T = 2e-14 of a
 whole sum, and a sum at a rel_tol below that raises ConvergenceError,
 which names the floor (QUADPACK's round-off exit).  An explicit sum also
-fails where the rule's error estimate exceeds _T_CEILING = 1e-6 of it:
-the certified models read at most 1e-9, rows that its panels do not
-resolve read near 1.  A row's integral is its values at the nodes times
-_T_WEIGHTS (_first_mesh), and the rule in m and the m = 0 remainders take
-their values from the rows that placed them, with no t-integral and no
-estimate of their own.  Rows outside a sum (_mode_integrals) are one
-adaptive_quad call from the same panels, to any rel_tol.
+fails where the rules' error estimate exceeds _T_CEILING = 1e-6 of it:
+the panels' GK15 estimates plus, for far rows, a null rule, the two
+highest discrete Laguerre coefficients, from the same nodes.  The
+certified models read at most about 1e-9 (the null rule 1.2e-10), rows
+that the rules do not resolve read near 1.  A row's integral on the
+panels is its values at the nodes times _T_WEIGHTS (_first_mesh): the
+rule in m, the m = 0 remainders and per_mode take their values from such
+rows, whatever their y_lo, with no t-integral and no estimate of their
+own.  Rows outside a sum (_mode_integrals) are one adaptive_quad call
+from the same panels, to any rel_tol.
 
 One sum covers a stack of observables at a sequence of (a, T), a whole
 sweep: P and F share every row's A and B, and the rows of one temperature
@@ -71,14 +79,16 @@ mode numbers m not all integers, are placed on their own, _first_mesh)
 stay per (a, T).  A stack is a list of _Sum records; _bind groups them,
 the rows at zeta > 0 by temperature and the m = 0 rows of every (a, T)
 together, and _layout cuts rows into blocks (_Block) that carry, per
-kernel, their runs: the rows that add to one component.  An explicit sum
-holds no frequencies: _bind forms those of every explicit sum of a group
-in one call, and the group's y_lo one array, so a sweep's explicit sums
-cost no array operation per (a, T).  _contract, the one
-contraction, adds each run block by block, and the leaf (_kernels_at, then
-_reflection_sq) works at the block's full shape, never broadcasting a
-column against it.  A failure names the first (a, T) or frequency that
-fails alone, as a loop over the (a, T) would.
+kernel, their runs: the rows that add to one component.  In a stack of
+explicit sums the far rows of a group are laid out in the same pass in
+blocks of their own, so each class is evaluated on its own nodes.  An
+explicit sum holds no frequencies: _bind forms those of every explicit
+sum of a group in one call, and the group's y_lo one array per class, so
+a sweep's explicit sums cost no array operation per (a, T).  _contract,
+the one contraction, adds each run block by block, and the leaf
+(_kernels_at, then _reflection_sq) works at the block's full shape, never
+broadcasting a column against it.  A failure names the first (a, T) or
+frequency that fails alone, as a loop over the (a, T) would.
 """
 
 from __future__ import annotations
@@ -87,7 +97,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -95,7 +105,8 @@ from .constants import C, HBAR, K_B
 from .dispersion import MaterialModel, _reflection_sq
 from .errors import (CasimirError, ConvergenceError, DomainError, TableRangeError,
                      UnsupportedModelError, check_eps, check_index, check_positive)
-from .quadrature import _TINY, _gk15_panels, adaptive_quad, bisect_worst, gk15_rule
+from .quadrature import (_TINY, _gk15_panels, adaptive_quad, bisect_worst, gk15_rule,
+                         laguerre_rule)
 
 __all__ = [
     "ThermalGapConfig", "QuadratureSettings", "ReflectionPair",
@@ -116,8 +127,15 @@ _T_MESH = np.array([0.0, 1 / 2048, 1 / 256, 1 / 32, 3 / 16, 0.75, 2.0, 4.5, 9.0,
 _T_NODES, _T_WEIGHTS = (x.ravel() for x in gk15_rule(_T_MESH[:-1], _T_MESH[1:]))
 _EPS_T = 2e-14  # the rule's certified error on a whole sum (tests/test_properties.py)
 _T_CEILING = 1e-6  # error estimate, relative, past which an explicit sum's rule fails
+# A row of an explicit sum is far where y_lo >= _FAR: its kernels are e^{-2t}
+# times a factor smooth on the scale of y_lo, which the 32 nodes of the
+# Gauss-Laguerre rule for that weight integrate (_L_NODES, _L_WEIGHTS; rows
+# @ _L_NULL are its null rule's sums, which estimate its error).
+_FAR = 2.0
+_L_NODES, _L_WEIGHTS, _L_NULL = laguerre_rule(2.0)
 _ROW_BLOCK = 64  # rows evaluated together: 64 x 150 floats, below the 128 KiB mmap threshold
-_ONES = np.ones(_ROW_BLOCK)  # a block's rows a..b-1 add up as _ONES[a:b] @ rows[a:b]
+_FAR_BLOCK = 256  # far rows evaluated together: 256 x 32 floats
+_ONES = np.ones(_FAR_BLOCK)  # a block's rows a..b-1 add up as _ONES[a:b] @ rows[a:b]
 _ROW_CAP = 250_000  # most rows a sum or a per_mode table evaluates one by one
 # The rule in m (_tail_rule) runs only where M > _RULE_RATIO _K_MIN, from
 # K = _K_MIN explicit rows; a K that misses its budget doubles while
@@ -174,8 +192,9 @@ class ThermalGapConfig:
 class QuadratureSettings:
     """Relative tolerance of the y-integrals and the Matsubara truncation.
 
-    rel_tol is in (0, 1e-4].  A sum integrates in t on one fixed rule of
-    150 nodes, certified to leave at most eps_t = 2e-14 of the whole sum
+    rel_tol is in (0, 1e-4].  A sum integrates in t on fixed rules, 150
+    nodes per row, or 32 per far row of an explicit sum (y_lo = a zeta / c
+    >= 2), certified to leave at most eps_t = 2e-14 of the whole sum
     for the package's models with omega_p a / c >= 2.5e-4, omega_p >= 0.05
     eV at a >= 1 nm (1.07e-14 at worst, for 0.05 eV plasma near 5 nm and
     350 K), so below eps_t it raises ConvergenceError, which names that
@@ -204,6 +223,9 @@ class PressureResult:
 
     per_mode holds (m, contribution in Pa, share of the total in percent)
     for m = 0..m_used-1; each contribution is accurate to rel_tol of the total.
+    Every row of the table is on the 150-node t-rule, far rows too, so its
+    sum may differ from an explicit sum's total, whose far rows are on the
+    Laguerre rule, by up to 2 eps_t of it (module docstring).
     Past m_used = 250,000 the table is not built: per_mode, and so pickling
     and copying, raise CasimirError.  fraction(m) reads the table of a sum
     of at most _RULE_RATIO * _K_MIN = 512 modes, which is always summed row
@@ -215,7 +237,7 @@ class PressureResult:
     m_used: int
     _contributions: object = field(repr=False, compare=False)  # m -> term m; () -> all
 
-    @cached_property  # evaluated on the sums' fixed t-rule when first read
+    @cached_property  # evaluated on the 150-node t-rule, far rows too, when first read
     def per_mode(self) -> tuple:
         if self.m_used > _ROW_CAP:
             raise CasimirError(f"per_mode would list m_used = {self.m_used} modes, "
@@ -392,29 +414,35 @@ def _block(model, at, kernels, runs, zeta, y_lo):
     return _Block(kernels, y_lo, runs, lambda y, y_lo: rule(y / y_lo))
 
 
-def _layout(model, at, kernels, zeta, y_lo, runs):
+def _layout(model, at, kernels, zeta, y_lo, runs, size=_ROW_BLOCK):
     """The blocks of the rows at the frequencies zeta and y_lo, each a
-    column, cut every _ROW_BLOCK rows: each run (c, j, a,
+    column, cut every size rows: each run (c, j, a,
     b) adds the rows a..b-1 under kernel c to component j, as one run per
     block that it reaches.  at is the temperature of rows at zeta > 0, or
     the config of each row at zeta = 0."""
-    blocks = [[[] for _ in kernels] for _ in range(0, len(zeta), _ROW_BLOCK)]
+    blocks = [[[] for _ in kernels] for _ in range(0, len(zeta), size)]
     for c, j, a, b in runs:
-        for lo in range(a - a % _ROW_BLOCK, b, _ROW_BLOCK):
-            blocks[lo // _ROW_BLOCK][c].append(  # clipped to the block without min/max calls
-                (j, a - lo if a > lo else 0, b - lo if b < lo + _ROW_BLOCK else _ROW_BLOCK))
-    return [_block(model, at if zeta[0, 0] else _Configs.of(at[lo:lo + _ROW_BLOCK]),
-                   kernels, cut, zeta[lo:lo + _ROW_BLOCK], y_lo[lo:lo + _ROW_BLOCK])
-            for lo, cut in zip(range(0, len(zeta), _ROW_BLOCK), blocks)]
+        for lo in range(a - a % size, b, size):
+            blocks[lo // size][c].append(  # clipped to the block without min/max calls
+                (j, a - lo if a > lo else 0, b - lo if b < lo + size else size))
+    return [_block(model, at if zeta[0, 0] else _Configs.of(at[lo:lo + size]),
+                   kernels, cut, zeta[lo:lo + size], y_lo[lo:lo + size])
+            for lo, cut in zip(range(0, len(zeta), size), blocks)]
 
 
-def _bind(model, indexed):
+def _bind(model, indexed, far=None):
     """The layout (_layout) of the sums of a stack given as (i, sum) pairs,
     i the sum's index in the stack.  The sums with the same kernels lay
     out their rows in order, those at zeta > 0 by temperature, which share
     eps across gaps, and the rows at zeta = 0 of every config together,
     which take the model's m = 0 rule at their configs.  Rows r < counts[c]
-    of sum i add under kernel c to the component i kernels + c.
+    of sum i add under kernel c to the component i kernels + c.  Where far
+    is a list, the far rows of each explicit sum go to it: its modes from
+    the first at zeta >= _FAR c / a, y_lo >= _FAR, which are its last as
+    y_lo rises with m.  They are laid out in the same pass, by temperature,
+    in blocks of their own of _FAR_BLOCK rows, each binding eps once, and
+    the near rows are returned; each run is cut into its near rows and its
+    far rows, so each sum's rows keep their order in each class.
 
     A group's arrays are formed once, not per sum: the frequencies of its
     explicit sums (zeta None) are one matsubara call on the modes 1..n of
@@ -427,15 +455,26 @@ def _bind(model, indexed):
                            tuple(one.kernels)), []).append((i, one))
     for (T, kernels), members in groups.items():
         sizes = [max(one.counts) if one.zeta is None else len(one.zeta) for _, one in members]
-        runs = [(c, i * len(kernels) + c, a, a + n) for (i, one), a in zip(
-            members, accumulate(sizes, initial=0)) for c, n in enumerate(one.counts)]
         top = max((n for (_, one), n in zip(members, sizes) if one.zeta is None), default=0)
         modes = members[0][1].cfg.matsubara(np.arange(1, top + 1)) if top else None
-        zeta = np.concatenate([modes[:n] if one.zeta is None else one.zeta
-                               for (_, one), n in zip(members, sizes)])
-        y_lo = (np.repeat([one.cfg.a for _, one in members], sizes) * zeta)[:, None] / C
-        layout += _layout(model, T or [one.cfg for _, one in members], kernels, zeta[:, None],
-                          y_lo, runs)  # an m = 0 sum is one row
+        near = sizes  # each sum's rows before its far ones
+        if far is not None and T and top:  # an explicit sum's modes at zeta >= _FAR c / a
+            bounds = _FAR * C / np.array([one.cfg.a for _, one in members])
+            near = [k if k < n and one.zeta is None else n for k, n, (_, one) in zip(
+                modes.searchsorted(bounds).tolist(), sizes, members)]
+        for into, lo, hi, size in ((layout, [0] * len(sizes), near, _ROW_BLOCK),
+                                   (far, near, sizes, _FAR_BLOCK)):  # no far rows without far
+            rows = [h - l for l, h in zip(lo, hi)]
+            if not any(rows):
+                continue
+            runs = [(c, i * len(kernels) + c, a, a + e - l) for (i, one), a, l, h in zip(
+                members, accumulate(rows, initial=0), lo, hi)
+                for c, n in enumerate(one.counts) if (e := n if n < h else h) > l]
+            zeta = np.concatenate([modes[l:h] if one.zeta is None else one.zeta[l:h]
+                                   for (_, one), l, h in zip(members, lo, hi)])
+            y_lo = (np.repeat([one.cfg.a for _, one in members], rows) * zeta)[:, None] / C
+            into += _layout(model, T or [one.cfg for _, one in members], kernels,
+                            zeta[:, None], y_lo, runs, size)  # an m = 0 sum is one row
     return layout
 
 
@@ -460,8 +499,10 @@ def _kernels_at(rule, y_lo, t, kernels):
 
 
 def _contract(layout, t, components, w=None):
-    """The rows of the blocks of layout (see _bind) at t, contracted block by
-    block into an array of the components, shape (components, len(t)): each
+    """The rows of the blocks of layout (see _bind) at t, the nodes of their
+    class (_T_NODES or an adaptive round's for near rows, _L_NODES for far
+    rows: a stack's classes are contracted one call each), contracted block
+    by block into an array of the components, shape (components, len(t)): each
     run (j, a, b) of a block's rows under a kernel adds _ONES[a:b] @
     rows[a:b] to component j.  A vector product per run (a matrix product
     would touch BLAS's packing buffers) keeps each component's order of
@@ -469,7 +510,7 @@ def _contract(layout, t, components, w=None):
     panel rule's weights w, each block's row integrals w @ rows per kernel
     outlive a block.  Returns the array and those integrals.  Overflow and
     invalid values raise no warning here: the caller names a row or round
-    that is not finite (_first_mesh, _gk15_panels)."""
+    that is not finite (_first_mesh, _gk15_panels, _integrate)."""
     out, integrals = np.zeros((components, len(t))), []
     with np.errstate(over="ignore", invalid="ignore"):
         for block in layout:
@@ -483,31 +524,45 @@ def _contract(layout, t, components, w=None):
 
 
 def _integrate(model, sums, rel_tol=None):
-    """Row sums of int kernel(A, B, y) dt over t in [0, 30], y = a zeta / c + t,
+    """Row sums of int kernel(A, B, y) dt over t >= 0, y = a zeta / c + t,
     for each _Sum of sums, all with as many kernels: shape (sums, kernels).
     Rows share t and a block's kernels share their (A, B) (see _bind), and
     each (sum, kernel) component adds its runs block by block, in order,
     whatever the rest of the stack.  Without rel_tol each component is
-    integrated on the fixed rule on its own: on _T_NODES, each GK15 panel's
-    Kronrod value, then their math.fsum, which is adaptive_quad's first
-    round; ConvergenceError where a value is not finite (_gk15_panels) or
-    where the summed error estimates exceed _T_CEILING of the component's
-    |value|, as no certified sum's do, carrying every value as the
-    estimate.  With rel_tol (rows outside a sum), one adaptive_quad call
-    from the panels of _T_MESH holds it on each component.
+    integrated on the fixed rules on its own: its near rows on _T_NODES,
+    each GK15 panel's Kronrod value, and its far rows (y_lo >= _FAR) on the
+    Laguerre rule, each node's product with its weight (no matrix product,
+    whose rounding would depend on the stack), all summed by one
+    math.fsum; ConvergenceError where a value is not finite or where the
+    summed error estimates, the panels' and the null rule's, exceed
+    _T_CEILING of the component's |value|, as no certified sum's do,
+    carrying every value as the estimate.  With rel_tol (rows outside a
+    sum), one adaptive_quad call from the panels of _T_MESH holds it on
+    each component, on [0, 30].
     """
-    width, layout = len(sums) * len(sums[0].kernels), _bind(model, enumerate(sums))
-    if rel_tol is None:
-        vals, errs = _gk15_panels(_contract(layout, _T_NODES, width)[0], _T_MESH[:-1], _T_MESH[1:])
-        values = [math.fsum(v) for v in vals.tolist()]
-        for err, value in zip(errs.sum(axis=1).tolist(), values):
-            if err > _T_CEILING * abs(value) and err >= _TINY:
-                raise ConvergenceError(f"the fixed t-rule's error estimate {err:.3e} exceeds "
-                                       f"{_T_CEILING:g} of the sum, {value:.6g}: its panels do "
-                                       f"not resolve the rows", estimate=np.array(values))
-    else:
+    width, far = len(sums) * len(sums[0].kernels), []
+    if rel_tol is not None:
+        layout = _bind(model, enumerate(sums))
         values = adaptive_quad(lambda t: _contract(layout, t, width)[0], _T_MESH,
                                rel_tol=rel_tol)[0]
+        return np.reshape(values, (len(sums), -1))
+    near, parts, err = _bind(model, enumerate(sums), far), [], 0.0
+    if near:
+        vals, errs = _gk15_panels(_contract(near, _T_NODES, width)[0], _T_MESH[:-1], _T_MESH[1:])
+        parts, err = [vals.tolist()], errs.sum(axis=1)
+    if far:
+        rows = _contract(far, _L_NODES, width)[0]
+        err = err + np.abs(rows @ _L_NULL).sum(axis=1)  # an estimate: its rounding may vary
+        if not np.isfinite(err).all():
+            raise ConvergenceError("the Laguerre rule met a value that is not finite: the "
+                                   "integrand is NaN or infinite, or too large to sum")
+        parts.append((rows * _L_WEIGHTS).tolist())
+    values = [math.fsum(chain(*v)) for v in zip(*parts)]
+    for e, value in zip(err.tolist(), values):
+        if e > _T_CEILING * abs(value) and e >= _TINY:
+            raise ConvergenceError(f"the fixed t-rule's error estimate {e:.3e} exceeds "
+                                   f"{_T_CEILING:g} of the sum, {value:.6g}: its panels do "
+                                   f"not resolve the rows", estimate=np.array(values))
     return np.reshape(values, (len(sums), -1))
 
 
@@ -515,8 +570,9 @@ def _first_mesh(model, cfg, m, kernels):
     """The integrals on the fixed t-rule (_T_NODES, _T_WEIGHTS), shape
     (kernels, rows), of the rows of cfg at the mode numbers m >= 1, an
     array (not all integers in a rule in m), laid out in blocks as a
-    stack's sums are (_layout); ConvergenceError names the frequency of the
-    first row whose integral is not finite."""
+    stack's sums are (_layout), every row on those 150 nodes, far rows too;
+    ConvergenceError names the frequency of the first row whose integral
+    is not finite."""
     zeta = cfg.matsubara(m)
     layout = _layout(model, cfg.T, kernels, zeta[:, None], (cfg.a * zeta)[:, None] / C,
                      [])  # no runs: only the row integrals are read

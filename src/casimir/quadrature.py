@@ -15,11 +15,12 @@ and the panels are bisected where the largest error relative to its
 component's budget sits.  A rel_tol below the rounding of a float total, 2^-53, ends after the
 first round: refining could only chase estimates at the level of rounding.
 
-The Lifshitz sums do not refine: they take the value of a first round,
-_gk15_panels' Kronrod values on a fixed set of panels, summed with
-math.fsum, and fail only where its error estimate shows the panels do not
-resolve the integrand at all; adaptive_quad serves the rows outside a sum
-and the dispersion integrals.
+The Lifshitz sums do not refine: rows near t = 0 take the value of a
+first round, _gk15_panels' Kronrod values on a fixed set of panels, rows
+far from it the 32-point Gauss-Laguerre rule (laguerre_rule), all summed
+with math.fsum, and fail only where the error estimates show the rules do
+not resolve the integrand at all; adaptive_quad serves the rows outside a
+sum and the dispersion integrals.
 
 Error estimation follows the QUADPACK recipe: the raw |K15 - G7|
 difference is rescaled by the panel's total variation measure so that
@@ -71,6 +72,37 @@ _NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))
 _WK = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _WG_FULL = np.concatenate((_WG[:-1], _WG[::-1]))  # weights for nodes 1,3,...,13
 
+# 32-point Gauss-Laguerre rule for int_0^inf e^{-x} g(x) dx: the nodes x_i,
+# zeros of L_32, and the weights W_i times e^{x_i}, so that W_i e^{x_i} f(x_i)
+# integrates f = e^{-x} g itself.  Computed in 60 digits from W_i = x_i /
+# (33 L_33(x_i))^2; numpy.polynomial.laguerre.laggauss(32) agrees.
+_XGL = np.array([
+    0.04448936583326701841885, 0.2345261095196185374529, 0.5768846293018864264916,
+    1.072448753817817633041, 1.722408776444645441131, 2.528336706425794881124,
+    3.492213273021994489609, 4.616456769749767387762, 5.903958504174243946562,
+    7.358126733186241113222, 8.982940924212596103378, 10.78301863253997206750,
+    12.76369798674272511497, 14.93113975552255731980, 17.29245433671531478924,
+    19.85586094033605473979, 22.63088901319677448868, 25.62863602245924776748,
+    28.86210181632347474434, 32.34662915396473700323, 36.10049480575197380402,
+    40.14571977153944153621, 44.50920799575493797591, 49.22439498730863917672,
+    54.33372133339690733287, 59.89250916213401819613, 65.97537728793505279656,
+    72.68762809066270863868, 80.18744697791352306749, 88.73534041789239868936,
+    98.82954286828397255918, 111.7513980979376952137,
+])
+_WGL_EX = np.array([
+    0.1141871057681048489276, 0.2660652168976152160466, 0.4187931373248529942499,
+    0.5725328464998047064592, 0.7276487883809713106631, 0.8845367193402497174259,
+    1.043618875892076967310, 1.205349274152352580243, 1.370221338521781185986,
+    1.538777256468644752402, 1.711619352686457255983, 1.889424063449484098037,
+    2.072959340246533669472, 2.263106633996963612897, 2.460889072488236128627,
+    2.667508126397117147211, 2.884392092922041790626, 3.113261327039586176328,
+    3.356217692595802558546, 3.615869856484268806978, 3.895513044948549563879,
+    4.199394104711585494519, 4.533114978534361768387, 4.904270287611244843819,
+    5.323500972023666112446, 5.806333214233621361000, 6.376614674159652543829,
+    7.073526580707242120225, 7.967693509295900658537, 9.205040331278189578273,
+    11.16301309076787308891, 15.39018041526064310516,
+])
+
 _MAX_ROUNDS = 48
 _MAX_PANELS = 4096
 _TINY = np.finfo(float).tiny  # error estimates below it count as converged
@@ -88,6 +120,20 @@ def gk15_rule(lo: np.ndarray, hi: np.ndarray):
     and errors from the values at those nodes."""
     half = 0.5 * (hi - lo)[:, None]
     return 0.5 * (lo + hi)[:, None] + half * _NODES, half * _WK
+
+
+def laguerre_rule(rate: float):
+    """Nodes and weights of the 32-point Gauss-Laguerre rule for int_0^inf
+    f dt, exact where f is e^{-rate t} times a polynomial of degree <= 63,
+    and its null rule, shape (32, 2): f @ null are the discrete Laguerre
+    coefficients of f e^{rate t} at degrees 30 and 31, over rate.  They
+    decay where that factor is smooth, so their size estimates the rule's
+    error."""
+    L = [np.ones_like(_XGL), 1.0 - _XGL]  # L_k(x_i) by the three-term recurrence
+    for k in range(1, 31):
+        L.append(((2 * k + 1 - _XGL) * L[k] - k * L[k - 1]) / (k + 1))
+    w = _WGL_EX / rate
+    return _XGL / rate, w, np.stack(L[30:], axis=1) * w[:, None]
 
 
 def bisect_worst(lo: np.ndarray, hi: np.ndarray, errs: np.ndarray, budget: np.ndarray):
@@ -159,7 +205,8 @@ def adaptive_quad(
     refining would chase estimates at the level of rounding through every
     round (QUADPACK reports such a tolerance at once: its round-off exit).
     The values of the first round alone are, bit for bit, those of the
-    Lifshitz sums' fixed t-rule (lifshitz._integrate without rel_tol).
+    Lifshitz sums' fixed t-rule on rows that are all near t = 0
+    (lifshitz._integrate without rel_tol).
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or not (edges[1:] > edges[:-1]).all():

@@ -66,6 +66,20 @@ def count_rows(monkeypatch):
     return counts
 
 
+class Rippled:
+    """Drude-like m = 0 rule; an m >= 1 rule no panel count resolves, NaN
+    where ripple is NaN."""
+
+    def __init__(self, ripple):
+        self.ripple = ripple
+
+    def zero_frequency_reflection(self, y, cfg):
+        return 1.0, 0.0
+
+    def matsubara_reflection(self, zeta, T):
+        return lambda p: (0.5 + 0.5 * np.sin(self.ripple * p), 0.0)
+
+
 def drude_table(gold, zero_mode_class):
     zs = np.geomspace(1e11, 1e17, 400)
     return cs.Tabulated(cs.PermittivityTable(zs, cs.eps_drude(zs, gold)),
@@ -526,19 +540,6 @@ class TestTotalPressure:
         # refines and fails, and the explicit sum's fixed t-rule reads an
         # error estimate far past its ceiling; a sum also fails on rows that
         # are not finite
-        class Rippled:
-            """Drude-like m = 0 rule; an m >= 1 rule no panel count resolves,
-            NaN where ripple is NaN."""
-
-            def __init__(self, ripple):
-                self.ripple = ripple
-
-            def zero_frequency_reflection(self, y, cfg):
-                return 1.0, 0.0
-
-            def matsubara_reflection(self, zeta, T):
-                return lambda p: (0.5 + 0.5 * np.sin(self.ripple * p), 0.0)
-
         cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
         with pytest.raises(ConvergenceError, match="did not reach rel_tol"):
             cs.mode_pressure(1, cfg, Rippled(1e6))
@@ -553,6 +554,22 @@ class TestTotalPressure:
         message = str(exc.value)
         assert message.startswith("Matsubara modes m = 1..")
         assert "T = 300 K" in message and message.endswith("NaN or infinite, or too large to sum")
+
+    def test_far_rows_alone_fail_on_the_null_rule(self):
+        # at 5 um and 300 K every mode m >= 1 lies at y_lo = m gamma >= 2, so
+        # the whole sum is on the Laguerre rule, whose null rule reads the
+        # unresolved ripple
+        cfg = cs.ThermalGapConfig(T=300.0, a=5e-6)
+        assert cfg.gamma >= lifshitz._FAR
+        with pytest.raises(ConvergenceError) as exc:
+            cs.total_pressure(cfg, Rippled(1e6))
+        message = str(exc.value)
+        assert message.startswith("Matsubara modes m = 1..")
+        assert "a = 5e-06 m" in message and message.endswith("its panels do not resolve the rows")
+        assert isinstance(exc.value.estimate, float) and exc.value.config is cfg
+        with pytest.raises(ConvergenceError) as exc:
+            cs.total_pressure(cfg, Rippled(math.nan))
+        assert str(exc.value).endswith("NaN or infinite, or too large to sum")
 
     def test_zero_mode_convergence_error_carries_the_whole_term(self):
         # below eps_t the sum names its first part, the m = 0 remainder, and
@@ -787,7 +804,11 @@ class TestStackedSums:
         cfg = cs.ThermalGapConfig(T=300.0, a=1e-6)
         (_, M_P, _), (_, M_F, _) = lifshitz._sum_modes([cfg], gold, cs.DEFAULT_QUAD,
                                                        self.OBSERVABLES)[0]
-        assert calls == [(max(M_P, M_F) - 1, 150)]
+        # the modes 1..18, each evaluated once for both kernels: m = 1, 2
+        # (y_lo = m gamma < 2) on the 150 nodes of the fixed t-rule, the
+        # rest on the 32 of the Laguerre rule
+        assert calls == [(2, 150), (16, 32)]
+        assert max(M_P, M_F) - 1 == 18 and cfg.gamma < 1.0 <= 2 * cfg.gamma < lifshitz._FAR
 
 
 class TestSweeps:
@@ -856,7 +877,8 @@ class TestSweeps:
 
     def test_blocks_are_shared_across_gaps(self, gold, monkeypatch):
         # 40 gaps at two temperatures: eps is bound once per block of one
-        # temperature, never once per (a, T)
+        # temperature, never once per (a, T); the near rows (y_lo < 2) of a
+        # temperature fill blocks of 64 rows and its far rows blocks of 256
         binds, reflection = [], cs.Drude.matsubara_reflection
 
         def counting(self, zeta, T):
@@ -868,9 +890,15 @@ class TestSweeps:
                    for T in (350.0, 300.0)]
         sweep = lifshitz._sum_modes(configs, gold, cs.DEFAULT_QUAD, (lifshitz._PRESSURE,))
         for T in (350.0, 300.0):
-            rows = sum(M - 1 for cfg, ((_, M, _),) in zip(configs, sweep) if cfg.T == T)
-            full, rest = divmod(rows, lifshitz._ROW_BLOCK)
-            assert [n for n, t in binds if t == T] == [lifshitz._ROW_BLOCK] * full + [rest]
+            far = [cfg.matsubara(np.arange(1.0, M)) >= lifshitz._FAR * cs.C / cfg.a
+                   for cfg, ((_, M, _),) in zip(configs, sweep) if cfg.T == T]
+            want = []
+            for rows, size in ((sum(len(x) - x.sum() for x in far), lifshitz._ROW_BLOCK),
+                               (sum(x.sum() for x in far), lifshitz._FAR_BLOCK)):
+                full, rest = divmod(int(rows), size)
+                want += [size] * full + [rest] * (rest > 0)
+            assert [n for n, t in binds if t == T] == want
+            assert len(want) == 3  # 30 and 39 near rows, 356 and 417 far rows
 
     def test_rule_sums_bind_eps_only_in_placement(self, gold, monkeypatch):
         # a placed rule in m gives its value from the rows placed on the
@@ -938,8 +966,10 @@ class TestSweeps:
                    for T in (300.0, 350.0)]
         lifshitz._sum_modes(configs, cs.Plasma(), cs.DEFAULT_QUAD,
                             (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
-        assert events[0] == ("integrate", None) and events[-1] == ("round", 150)
-        assert ("layout", 0.0) not in events and len(events) == 4  # one layout per temperature
+        # one layout per temperature and class of rows, near (y_lo < 2) and
+        # far, then one round on each class's nodes
+        assert events[0] == ("integrate", None) and events[-2:] == [("round", 150), ("round", 32)]
+        assert ("layout", 0.0) not in events and len(events) == 7
         events.clear()
         lifshitz._te_mode_functions(np.linspace(0.0, 0.5, 26) * cs.C / 1e-6, 1e-6, cs.Plasma(),
                                     300.0, cs.DEFAULT_QUAD)
@@ -964,6 +994,41 @@ class TestSweeps:
         stacked = lifshitz._sum_modes(configs, model, cs.DEFAULT_QUAD, observables)[0]
         lone = lifshitz._sum_modes(configs[:1], model, cs.DEFAULT_QUAD, observables)[0]
         assert [(value, M) for value, M, _ in stacked] == [(value, M) for value, M, _ in lone]
+
+    # explicit sums at two temperatures whose modes cross y_lo = m gamma = 2:
+    # their first modes at 0.3-2 um are near rows, the rest and every mode
+    # at 4 um far rows
+    CROSSING = [cs.ThermalGapConfig(T=T, a=a) for a in (0.3e-6, 1e-6, 1.3e-6, 2e-6, 4e-6)
+                for T in (300.0, 350.0)]
+
+    @pytest.mark.parametrize("name", ["drude", "bg", "plasma", "ideal"])
+    def test_sweep_crossing_y_lo_2_equals_lone_sums_bit_for_bit(self, gold, gold_bg, name):
+        # one layout of every row would cut blocks that hold near and far
+        # rows; the classes put each sum's near rows whole in one block and
+        # its far rows whole in another, and each component adds its far
+        # rows' node products to its panel values in one math.fsum: every
+        # sum of the sweep, not only the first, is its lone sum to the bit,
+        # with both observables and with each alone
+        model = TestStackedSums.model(name, gold, gold_bg)
+        observables = (lifshitz._PRESSURE, lifshitz._FREE_ENERGY)
+        parts, far = [], []
+        lifshitz._plan(self.CROSSING, model, cs.DEFAULT_QUAD.rel_tol, observables, parts)
+        sums = [one for _, one, value in parts if value is None]
+        assert len(sums) == len(self.CROSSING)
+        assert any(b.y_lo.min() < lifshitz._FAR <= b.y_lo.max()
+                   for b in lifshitz._bind(model, enumerate(sums)))
+        near = lifshitz._bind(model, enumerate(sums), far)
+        assert len(near) == len(far) == 2  # one block of each class per temperature
+        assert all(b.y_lo.max() < lifshitz._FAR for b in near)
+        assert all(b.y_lo.min() >= lifshitz._FAR for b in far)
+        sweep = lifshitz._sum_modes(self.CROSSING, model, cs.DEFAULT_QUAD, observables)
+        for cfg, sums in zip(self.CROSSING, sweep):
+            lone = lifshitz._sum_modes([cfg], model, cs.DEFAULT_QUAD, observables)[0]
+            alone = [lifshitz._sum_modes([cfg], model, cs.DEFAULT_QUAD, (one,))[0][0]
+                     for one in observables]
+            for other in (lone, alone):
+                assert [(value, M) for value, M, _ in sums] == [(value, M) for value, M, _ in
+                                                                other], cfg
 
     # 10 nm-5 um x 1.5-350 K: rule sums in m at 10 nm and 0.3 um below 20 K
     WIDE = [cs.ThermalGapConfig(T=T, a=a)
@@ -1457,25 +1522,28 @@ class TestWorkCount:
 
     @staticmethod
     def count_reflections(monkeypatch):
-        """List that gains one entry per _reflection_sq call of the engine."""
+        """List that gains one entry per _reflection_sq call of the engine:
+        the number of t-points per row."""
         calls, reflection_sq = [], dispersion._reflection_sq
 
         def counting(eps, p):
-            calls.append(1)
+            calls.append(p.shape[-1])
             return reflection_sq(eps, p)
 
         monkeypatch.setattr(dispersion, "_reflection_sq", counting)
         return calls
 
     def test_each_row_is_evaluated_once_per_round(self, gold, monkeypatch):
-        # the per-mode table is evaluated on its first read, and only then
+        # the per-mode table is evaluated on its first read, and only then;
+        # the sum evaluates its near rows (m = 1, 2) and its far rows once
+        # each, and the table all 18 rows in one block of the fixed t-rule
         calls = self.count_reflections(monkeypatch)
         res = cs.total_pressure(cs.ThermalGapConfig(T=300.0, a=1e-6), gold)
-        assert len(calls) == 1
+        assert len(calls) == 2
         res.per_mode
-        assert len(calls) == 2
+        assert len(calls) == 3
         res.per_mode, res.fraction(1), res.fraction(res.m_used)
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("T, a, kinks", [
         pytest.param(5.0, 1e-6, None, id="5.0-1e-06"),
@@ -1569,7 +1637,10 @@ class TestWorkCount:
     def test_sign_change_gap_reads_no_per_mode_table(self, gold, monkeypatch):
         calls = self.count_reflections(monkeypatch)
         cs.sign_change_gap(gold)
-        assert len(calls) == 26  # 26 pressure sums, one evaluation each
+        # 26 pressure sums (13 gaps, two temperatures), one evaluation of
+        # each class of rows: every sum's far rows, and at 2 um, where gamma
+        # < 2 at both temperatures, its mode m = 1 on the fixed t-rule
+        assert len(calls) == 28 and sum(width == 150 for width in calls) == 2
 
 
 class TestFreeEnergy:

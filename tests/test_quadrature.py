@@ -13,7 +13,8 @@ from scipy.special import zeta
 
 import casimir
 from casimir.errors import ConvergenceError
-from casimir.quadrature import _gk15_panels, adaptive_quad, gk15_rule, neumaier_sum
+from casimir.quadrature import (_WGL_EX, _XGL, _gk15_panels, adaptive_quad, gk15_rule,
+                                laguerre_rule, neumaier_sum)
 
 ZETA3 = float(zeta(3))
 GRADED = [0.0, 1 / 64, 1 / 16, 1 / 4, 1, 3, 8, 30.0]  # graded toward the y ln y end
@@ -245,13 +246,46 @@ def test_neumaier_matches_exact_fraction_sum():
     assert neumaier_sum(values) == pytest.approx(1.0, abs=1e-16)
 
 
-def test_import_loads_no_scipy():
-    # adaptive_quad is the package's only integrator
+def modules_after_import(prefix):
+    """The modules under prefix that a fresh `import casimir, casimir.cli` loads."""
     env = dict(os.environ)
     src = str(Path(casimir.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     code = ("import sys, casimir, casimir.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefix + '.'!r})))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_loads_no_scipy():
+    # adaptive_quad is the package's only integrator
+    assert modules_after_import("scipy") == "[]"
+
+
+def test_import_loads_no_numpy_polynomial():
+    # the Gauss-Laguerre rule is tabulated: numpy.polynomial would add about
+    # 0.8 MB to every process
+    assert modules_after_import("numpy.polynomial") == "[]"
+
+
+def test_laguerre_rule_matches_laggauss_and_is_exact():
+    # the tabulated nodes and weights are numpy's (whose weights carry about
+    # 3e-13 of rounding), and at rate 2 the rule integrates t^k e^{-2t} over
+    # [0, inf), k! / 2^(k+1), for every k <= 2 * 32 - 1
+    from numpy.polynomial.laguerre import laggauss, lagval
+    x, W = laggauss(32)
+    assert np.allclose(_XGL, x, rtol=1e-14, atol=0.0)
+    assert np.allclose(_WGL_EX * np.exp(-_XGL), W, rtol=1e-12, atol=0.0)
+    t, w, null = laguerre_rule(2.0)
+    assert np.array_equal(t, _XGL / 2.0) and np.array_equal(w, _WGL_EX / 2.0)
+    for k in range(64):
+        exact = math.factorial(k) / 2.0 ** (k + 1)
+        assert math.fsum(w * t ** k * np.exp(-2.0 * t)) == pytest.approx(exact, rel=1e-15), k
+    # the null rule reads the Laguerre coefficients of degrees 30 and 31 of
+    # f e^{2t}, over the rate: 1/2 on L_30(2t) and L_31(2t), 0 below degree 30
+    for k, want in ((29, [0.0, 0.0]), (30, [0.5, 0.0]), (31, [0.0, 0.5])):
+        f = np.exp(-2.0 * t) * lagval(2.0 * t, [0.0] * k + [1.0])
+        assert f @ null == pytest.approx(want, abs=1e-15), k
+    f = np.exp(-2.0 * t) * (3.0 + t) ** 2  # smooth: far below its integral
+    assert np.abs(f @ null).max() <= 1e-15 * math.fsum(w * f)

@@ -1,11 +1,12 @@
 """Time the leaf math of the sums layer by layer, on one block of rows, the
-binding of one sweep's stack of sums into blocks, and two whole sums.
+binding of one sweep's stack of sums into blocks, and three whole sums.
 
     PYTHONPATH=src python tools/leaf_timing.py
 
 One block is what the engine evaluates at a time: 64 rows (modes m = 1..64)
 x 150 t-points (the nodes of the sums' fixed t-rule), gold (Drude 9 eV /
-35 meV) at 300 K and a = 1 um.  The variants are
+35 meV) at 300 K and a = 1 um; a block of far rows holds up to 256 rows at
+32 t-points.  The variants are
 
     eps           model.eps at the block's frequencies, a column of 64
     reflection    _reflection_sq(eps, p) on the block, eps a column
@@ -13,21 +14,29 @@ x 150 t-points (the nodes of the sums' fixed t-rule), gold (Drude 9 eV /
                   column y_lo and the nodes t: y and p, (A, B), then P
     kernels F     the same with the free-energy kernel
     kernels P+F   both kernels, as a sum of P and F stacked together
+    far P+F       both kernels on the same 64 rows at the 32 nodes of the
+                  Gauss-Laguerre rule, as a block of far rows (y_lo >= 2)
+                  evaluates them
     bind 80 sums  _bind of the README pressure sweep's stack (40 gaps from
                   0.5 to 5 um, log-spaced, at 300 and 350 K: 80 explicit
-                  sums, one _bind call as _integrate makes it): every
-                  group's arrays, runs and blocks, eps
-                  included: 1,062 rows in 17 blocks, so 17 eps calls
+                  sums, one _bind call as _integrate makes it, far rows
+                  apart): every group's arrays, runs and blocks, eps
+                  included: 101 near rows in 2 blocks and 961 far rows in
+                  5, so 7 eps calls
     sum P 300 K 1 um
                   one explicit sum, _sum_modes of P alone: M = 19, so the
-                  modes 1..18 in one block, on the fixed t-rule
+                  modes 1..18, m = 1, 2 in a block on the 150-node t-rule
+                  and m = 3..18 in a far block on the Laguerre rule
+    sum P 300 K 5 um
+                  one explicit sum whose rows are all far: M = 4, so the
+                  modes 1..3 in one far block
     sum F 2 K 1 um
                   one rule sum in m, _sum_modes of F alone: 178 placed rows
                   in 4 blocks (modes 1..63, the rule's fixed rows, its
                   panels), whose row integrals give the sum's value
 
 A whole sum less the blocks it evaluates is its fixed cost: planning, M,
-the rule's placement steps and the fixed rule's panel sums.
+the rule's placement steps and the fixed rules' sums and estimates.
 
 Each of 300 rounds times one call of every variant in turn, so a slow
 spell of the machine touches them all; each line prints the best time in us.
@@ -44,8 +53,8 @@ import numpy as np
 from casimir import DEFAULT_QUAD, ThermalGapConfig, gold_drude
 from casimir.constants import C
 from casimir.dispersion import _reflection_sq
-from casimir.lifshitz import (_FREE_ENERGY, _PRESSURE, _T_NODES, _bind, _block, _kernels_at,
-                              _plan, _sum_modes)
+from casimir.lifshitz import (_FREE_ENERGY, _L_NODES, _PRESSURE, _T_NODES, _bind, _block,
+                              _kernels_at, _plan, _sum_modes)
 
 _ROUNDS = 300
 
@@ -63,14 +72,16 @@ def variants():
                     for T in (300.0, 350.0)], []
     _plan(sweep, model, DEFAULT_QUAD.rel_tol, (_PRESSURE,), parts)
     sums = [one for _, one, _ in parts]
-    cold = ThermalGapConfig(T=2.0, a=1e-6)
+    cold, wide = ThermalGapConfig(T=2.0, a=1e-6), ThermalGapConfig(T=300.0, a=5e-6)
     return [("eps", lambda: model.eps(zeta, cfg.T)),
             ("reflection", lambda: _reflection_sq(eps, p)),
             ("kernels P", lambda: _kernels_at(rule, y_lo, _T_NODES, (P,))),
             ("kernels F", lambda: _kernels_at(rule, y_lo, _T_NODES, (F,))),
             ("kernels P+F", lambda: _kernels_at(rule, y_lo, _T_NODES, (P, F))),
-            (f"bind {len(sums)} sums", lambda: _bind(model, enumerate(sums))),
+            ("far P+F", lambda: _kernels_at(rule, y_lo, _L_NODES, (P, F))),
+            (f"bind {len(sums)} sums", lambda: _bind(model, enumerate(sums), [])),
             ("sum P 300 K 1 um", lambda: _sum_modes([cfg], model, DEFAULT_QUAD, (_PRESSURE,))),
+            ("sum P 300 K 5 um", lambda: _sum_modes([wide], model, DEFAULT_QUAD, (_PRESSURE,))),
             ("sum F 2 K 1 um", lambda: _sum_modes([cold], model, DEFAULT_QUAD, (_FREE_ENERGY,)))]
 
 
@@ -82,7 +93,7 @@ def main() -> int:
             start = time.perf_counter()
             call()
             best[i] = min(best[i], time.perf_counter() - start)
-    print(f"# one 64 x {len(_T_NODES)} block, gold, 300 K, 1 um, one bind and two sums; "
+    print(f"# one 64 x {len(_T_NODES)} block, gold, 300 K, 1 um, one bind and three sums; "
           f"best of {_ROUNDS}; Python {platform.python_version()}, numpy {np.__version__}")
     for (name, _), seconds in zip(steps, best):
         print(f"{name:16s} {seconds * 1e6:8.1f} us")
