@@ -463,7 +463,7 @@ def _bind(model, indexed, far=None):
             near = [k if k < n and one.zeta is None else n for k, n, (_, one) in zip(
                 modes.searchsorted(bounds).tolist(), sizes, members)]
         for into, lo, hi, size in ((layout, [0] * len(sizes), near, _ROW_BLOCK),
-                                   (far, near, sizes, _FAR_BLOCK)):  # no far rows without far
+                                   (far, near, sizes, _FAR_BLOCK)):  # far None: all near
             rows = [h - l for l, h in zip(lo, hi)]
             if not any(rows):
                 continue
