@@ -540,13 +540,14 @@ def _integrate(model, sums, rel_tol=None):
     sum), one adaptive_quad call from the panels of _T_MESH holds it on
     each component, on [0, 30].
     """
-    width, far = len(sums) * len(sums[0].kernels), []
+    width = len(sums) * len(sums[0].kernels)
     if rel_tol is not None:
         layout = _bind(model, enumerate(sums))
         values = adaptive_quad(lambda t: _contract(layout, t, width)[0], _T_MESH,
                                rel_tol=rel_tol)[0]
         return np.reshape(values, (len(sums), -1))
-    near, parts, err = _bind(model, enumerate(sums), far), [], 0.0
+    far, parts, err = [], [], 0.0
+    near = _bind(model, enumerate(sums), far)
     if near:
         vals, errs = _gk15_panels(_contract(near, _T_NODES, width)[0], _T_MESH[:-1], _T_MESH[1:])
         parts, err = [vals.tolist()], errs.sum(axis=1)
