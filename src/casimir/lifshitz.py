@@ -44,26 +44,28 @@ alone goes like y ln y.
 
 Every t-integral of a sum is on fixed rules, with no refinement rounds.
 A row is near where y_lo = a zeta / c < _FAR = 2 and far past it.  A near
-row takes the 10 GK15 panels of _T_MESH, graded toward t = 0, 150 nodes
-(_T_NODES).  A far row of an explicit sum, whose kernels are e^{-2t} times
-a factor that varies on the scale of y_lo, takes the 32-point
-Gauss-Laguerre rule for the weight e^{-2t} (_L_NODES), on [0, inf): in
-the paper's sweeps nearly nine rows in ten, at a fifth of the points.
-tests/test_properties.py certifies the rules against the same rows
-integrated to 1e-14: on the package's models with omega_p a / c >= 2.5e-4
-(omega_p >= 0.05 eV at a >= 1 nm) they leave at most _EPS_T = 2e-14 of a
-whole sum, and a sum at a rel_tol below that raises ConvergenceError,
-which names the floor (QUADPACK's round-off exit).  An explicit sum also
-fails where the rules' error estimate exceeds _T_CEILING = 1e-6 of it:
-the panels' GK15 estimates plus, for far rows, a null rule, the two
-highest discrete Laguerre coefficients, from the same nodes.  The
-certified models read at most about 1e-9 (the null rule 1.2e-10), rows
-that the rules do not resolve read near 1.  A row's integral on the
-panels is its values at the nodes times _T_WEIGHTS (_first_mesh): the
-rule in m, the m = 0 remainders and per_mode take their values from such
-rows, whatever their y_lo, with no t-integral and no estimate of their
-own.  Rows outside a sum (_mode_integrals) are one adaptive_quad call
-from the same panels, to any rel_tol.
+row takes the fixed t-rule, 110 nodes (_T_NODES): the six GK15 panels of
+_T_MESH on [0, 2], graded toward t = 0, and on [2, inf), where every
+kernel is e^{-2t} times a smooth factor, the 20-point Gauss-Laguerre rule
+for that weight.  A far row of an explicit sum, whose kernels are e^{-2t}
+times a factor that varies on the scale of y_lo, takes the 32-point
+Gauss-Laguerre rule (_L_NODES) on [0, inf): in the paper's sweeps nearly
+nine rows in ten.  tests/test_properties.py certifies the rules against the
+same rows integrated to 1e-14: on the package's models with omega_p a / c
+>= 2.5e-4 (omega_p >= 0.05 eV at a >= 1 nm) they leave at most _EPS_T =
+2e-14 of a whole sum, and a sum at a rel_tol below that raises
+ConvergenceError, which names the floor (QUADPACK's round-off exit).  An
+explicit sum also fails where the rules' error estimate exceeds _T_CEILING
+= 1e-6 of it: the panels' GK15 estimates plus each Laguerre rule's null
+rule, its two highest discrete Laguerre coefficients, from the same nodes.
+The certified models read at most about 1e-8 (the far rows' null rule,
+1.4e-8 for 0.05 eV Drude; the panels and the tail's null rule 1.4e-9),
+rows that the rules do not resolve read near 1.  A row's integral on the
+fixed t-rule is its values at the nodes times _T_WEIGHTS (_first_mesh):
+the rule in m, the m = 0 remainders and per_mode take their values from
+such rows, whatever their y_lo, with no estimate of their own.  Rows
+outside a sum (_mode_integrals) are one adaptive_quad call from the ten
+panels of _T_MESH, on [0, 30], to any rel_tol.
 
 One sum covers a stack of observables at a sequence of (a, T), a whole
 sweep: P and F share every row's A and B, and the rows of one temperature
@@ -117,23 +119,39 @@ __all__ = [
     "rte_zero_frequency_comparison",
 ]
 
-# Panel edges of the fixed t-rule, graded toward t = 0 where the kernels
-# vary fastest (at low aT, the first rows; the plasma m = 0 term is
-# integrated as a remainder that is smooth there, see _zero_mode).  The
-# edge at 1/2048 resolves rows that vary over y ~ omega_p a / c, down to
-# 2.5e-3 (0.5 eV plasma at 1 nm).  The last edge is the width of every
-# y-integral: e^{-2 y} past 30 is below 1e-26.
+# Panel edges of the t-rules, graded toward t = 0 where the kernels vary
+# fastest (at low aT, the first rows; the plasma m = 0 term is integrated as
+# a remainder that is smooth there, see _zero_mode).  The edge at 1/2048
+# resolves rows that vary over y ~ omega_p a / c, down to 2.5e-3 (0.5 eV
+# plasma at 1 nm).  The last edge is the width of the rows outside a sum
+# (adaptive_quad): e^{-2 y} past 30 is below 1e-26.
 _T_MESH = np.array([0.0, 1 / 2048, 1 / 256, 1 / 32, 3 / 16, 0.75, 2.0, 4.5, 9.0, 15.0, 30.0])
-_T_NODES, _T_WEIGHTS = (x.ravel() for x in gk15_rule(_T_MESH[:-1], _T_MESH[1:]))
+_T_TAIL = 2.0  # where the fixed t-rule's panels end and its Gauss-Laguerre tail starts
+_T_PANELS = _T_MESH[_T_MESH <= _T_TAIL]
+
+
+def _fixed_rule(edges, points):
+    """Nodes and weights of a fixed t-rule: the GK15 panels between edges,
+    then the points-point Gauss-Laguerre rule for the weight e^{-2t} on
+    [edges[-1], inf), and that rule's null rule (laguerre_rule)."""
+    x, w = (r.ravel() for r in gk15_rule(edges[:-1], edges[1:]))
+    t, v, null = laguerre_rule(2.0, points)
+    return np.concatenate((x, edges[-1] + t)), np.concatenate((w, v)), null
+
+
+# The sums' t-rule: the six panels of _T_PANELS, 90 nodes, and 20 Laguerre
+# nodes on [2, inf), where every kernel is e^{-2t} times a smooth factor.
+_T_NODES, _T_WEIGHTS, _T_NULL = _fixed_rule(_T_PANELS, 20)
 _EPS_T = 2e-14  # the rule's certified error on a whole sum (tests/test_properties.py)
 _T_CEILING = 1e-6  # error estimate, relative, past which an explicit sum's rule fails
 # A row of an explicit sum is far where y_lo >= _FAR: its kernels are e^{-2t}
 # times a factor smooth on the scale of y_lo, which the 32 nodes of the
-# Gauss-Laguerre rule for that weight integrate (_L_NODES, _L_WEIGHTS; rows
-# @ _L_NULL are its null rule's sums, which estimate its error).
+# Gauss-Laguerre rule for that weight integrate from t = 0, with no panel
+# (_L_NODES, _L_WEIGHTS; rows @ _L_NULL are its null rule's sums, which
+# estimate its error).
 _FAR = 2.0
-_L_NODES, _L_WEIGHTS, _L_NULL = laguerre_rule(2.0)
-_ROW_BLOCK = 64  # rows evaluated together: 64 x 150 floats, below the 128 KiB mmap threshold
+_L_NODES, _L_WEIGHTS, _L_NULL = _fixed_rule(_T_MESH[:1], 32)
+_ROW_BLOCK = 64  # rows evaluated together: 64 x 110 floats, below the 128 KiB mmap threshold
 _FAR_BLOCK = 256  # far rows evaluated together: 256 x 32 floats
 _ONES = np.ones(_FAR_BLOCK)  # a block's rows a..b-1 add up as _ONES[a:b] @ rows[a:b]
 _ROW_CAP = 250_000  # most rows a sum or a per_mode table evaluates one by one
@@ -192,15 +210,15 @@ class ThermalGapConfig:
 class QuadratureSettings:
     """Relative tolerance of the y-integrals and the Matsubara truncation.
 
-    rel_tol is in (0, 1e-4].  A sum integrates in t on fixed rules, 150
-    nodes per row, or 32 per far row of an explicit sum (y_lo = a zeta / c
-    >= 2), certified to leave at most eps_t = 2e-14 of the whole sum
-    for the package's models with omega_p a / c >= 2.5e-4, omega_p >= 0.05
-    eV at a >= 1 nm (1.07e-14 at worst, for 0.05 eV plasma near 5 nm and
-    350 K), so below eps_t it raises ConvergenceError, which names that
-    floor, after planning at eps_t: the first part of the sum (its m = 0
-    remainder, else its rows) is named, with its fixed-rule value as the
-    estimate.
+    rel_tol is in (0, 1e-4].  A sum integrates in t on fixed rules, 110
+    nodes per row (GK15 panels to t = 2, a Gauss-Laguerre tail past it), or
+    32 per far row of an explicit sum (y_lo = a zeta / c >= 2), certified
+    to leave at most eps_t = 2e-14 of the whole sum for the package's
+    models with omega_p a / c >= 2.5e-4, omega_p >= 0.05 eV at a >= 1 nm
+    (1.07e-14 at worst, for 0.05 eV plasma near 5 nm and 350 K), so below
+    eps_t it raises ConvergenceError, which names that floor, after
+    planning at eps_t: the first part of the sum (its m = 0 remainder,
+    else its rows) is named, with its fixed-rule value as the estimate.
     Rows outside a sum (mode_pressure, mode_free_energy,
     te_mode_function) refine adaptively to any rel_tol above 2^-53 =
     1.1e-16, the rounding of a float total, and below it fail after their
@@ -223,7 +241,7 @@ class PressureResult:
 
     per_mode holds (m, contribution in Pa, share of the total in percent)
     for m = 0..m_used-1; each contribution is accurate to rel_tol of the total.
-    Every row of the table is on the 150-node t-rule, far rows too, so its
+    Every row of the table is on the 110-node t-rule, far rows too, so its
     sum may differ from an explicit sum's total, whose far rows are on the
     Laguerre rule, by up to 2 eps_t of it (module docstring).
     Past m_used = 250,000 the table is not built: per_mode, and so pickling
@@ -237,7 +255,7 @@ class PressureResult:
     m_used: int
     _contributions: object = field(repr=False, compare=False)  # m -> term m; () -> all
 
-    @cached_property  # evaluated on the 150-node t-rule, far rows too, when first read
+    @cached_property  # evaluated on the 110-node t-rule, far rows too, when first read
     def per_mode(self) -> tuple:
         if self.m_used > _ROW_CAP:
             raise CasimirError(f"per_mode would list m_used = {self.m_used} modes, "
@@ -530,11 +548,12 @@ def _integrate(model, sums, rel_tol=None):
     each (sum, kernel) component adds its runs block by block, in order,
     whatever the rest of the stack.  Without rel_tol each component is
     integrated on the fixed rules on its own: its near rows on _T_NODES,
-    each GK15 panel's Kronrod value, and its far rows (y_lo >= _FAR) on the
+    each GK15 panel's Kronrod value and each Laguerre tail node's product
+    with its weight, and its far rows (y_lo >= _FAR) on the 32-point
     Laguerre rule, each node's product with its weight (no matrix product,
     whose rounding would depend on the stack), all summed by one
     math.fsum; ConvergenceError where a value is not finite or where the
-    summed error estimates, the panels' and the null rule's, exceed
+    summed error estimates, the panels' and the null rules', exceed
     _T_CEILING of the component's |value|, as no certified sum's do,
     carrying every value as the estimate.  With rel_tol (rows outside a
     sum), one adaptive_quad call from the panels of _T_MESH holds it on
@@ -548,16 +567,21 @@ def _integrate(model, sums, rel_tol=None):
         return np.reshape(values, (len(sums), -1))
     far, parts, err = [], [], 0.0
     near = _bind(model, enumerate(sums), far)
-    if near:
-        vals, errs = _gk15_panels(_contract(near, _T_NODES, width)[0], _T_MESH[:-1], _T_MESH[1:])
-        parts, err = [vals.tolist()], errs.sum(axis=1)
-    if far:
-        rows = _contract(far, _L_NODES, width)[0]
-        err = err + np.abs(rows @ _L_NULL).sum(axis=1)  # an estimate: its rounding may vary
-        if not np.isfinite(err).all():
-            raise ConvergenceError("the Laguerre rule met a value that is not finite: the "
-                                   "integrand is NaN or infinite, or too large to sum")
-        parts.append((rows * _L_WEIGHTS).tolist())
+    for layout, t, w, null in ((near, _T_NODES, _T_WEIGHTS, _T_NULL),
+                               (far, _L_NODES, _L_WEIGHTS, _L_NULL)):
+        if layout:
+            rows = _contract(layout, t, width)[0]
+            head = len(t) - len(null)  # near rows: the nodes of _T_PANELS, then the tail's
+            if head:
+                vals, errs = _gk15_panels(rows[:, :head], _T_PANELS[:-1], _T_PANELS[1:])
+                parts.append(vals.tolist())
+                err = err + errs.sum(axis=1)
+            rows = rows[:, head:]
+            err = err + np.abs(rows @ null).sum(axis=1)  # an estimate: its rounding may vary
+            parts.append((rows * w[head:]).tolist())
+    if not np.isfinite(err).all():
+        raise ConvergenceError("the fixed t-rule met a value that is not finite: the "
+                               "integrand is NaN or infinite, or too large to sum")
     values = [math.fsum(chain(*v)) for v in zip(*parts)]
     for e, value in zip(err.tolist(), values):
         if e > _T_CEILING * abs(value) and e >= _TINY:
@@ -571,7 +595,7 @@ def _first_mesh(model, cfg, m, kernels):
     """The integrals on the fixed t-rule (_T_NODES, _T_WEIGHTS), shape
     (kernels, rows), of the rows of cfg at the mode numbers m >= 1, an
     array (not all integers in a rule in m), laid out in blocks as a
-    stack's sums are (_layout), every row on those 150 nodes, far rows too;
+    stack's sums are (_layout), every row on those 110 nodes, far rows too;
     ConvergenceError names the frequency of the first row whose integral
     is not finite."""
     zeta = cfg.matsubara(m)
@@ -613,9 +637,11 @@ def _zero_mode(model, configs, kernels, units):
     kernel(A0, B0) dy (_remainders).  For plasma, 1 - B ~ 4 y / Omega
     (Omega = omega_p a / c): its log ratio tends to ln(1 + 2/Omega), smooth
     where the free energy's kernel goes like y ln y.  The closed form enters
-    as a constant density on the t-interval, which GK15 integrates exactly,
-    so rel_tol holds on the whole term; rounding bounds it where the term is
-    far below its closed part (TE at Omega << 1: 3e-11 at 1 nm for 0.5 eV).
+    as a density, constant on t < 2 and 0 past it (_remainders), which the
+    fixed t-rule and every adaptive round integrate exactly, as 2 is an
+    edge of their panels, so rel_tol holds on the whole term; rounding
+    bounds it where the term is far below its closed part (TE at Omega <<
+    1: 3e-11 at 1 nm for 0.5 eV).
     Every remainder is evaluated on _T_NODES at once, and the integral given
     with it is its row @ _T_WEIGHTS, the fixed rule's: a sum's m = 0 term.
     A coefficient that is not finite raises no warning here: its remainder
@@ -640,11 +666,12 @@ def _zero_mode(model, configs, kernels, units):
 def _remainders(kernels, units, A0, B0):
     """The m = 0 remainders of the kernels, whose integrals at unit
     coefficients are units: the kernel at (A u, B u) minus the kernel at
-    (A0 u, B0 u), plus the closed form over the t-interval (_zero_mode).
-    The configs of a sweep with the same (A0, B0) share one tuple, so their
-    rows share blocks (_bind)."""
-    return tuple(lambda Au, Bu, y, u, k=k, density=(unit_A * A0 + unit_B * B0) / _T_MESH[-1]:
-                 k(Au, Bu, y, u) - k(A0 * u, B0 * u, y, u) + density
+    (A0 u, B0 u), plus the closed form as a density on the t-interval
+    (_zero_mode), half of it on t < _T_TAIL and none past it.  The configs
+    of a sweep with the same (A0, B0) share one tuple, so their rows share
+    blocks (_bind)."""
+    return tuple(lambda Au, Bu, y, u, k=k, density=(unit_A * A0 + unit_B * B0) / _T_TAIL:
+                 k(Au, Bu, y, u) - k(A0 * u, B0 * u, y, u) + np.where(y < _T_TAIL, density, 0.0)
                  for k, (unit_A, unit_B) in zip(kernels, units))
 
 

@@ -15,12 +15,12 @@ and the panels are bisected where the largest error relative to its
 component's budget sits.  A rel_tol below the rounding of a float total, 2^-53, ends after the
 first round: refining could only chase estimates at the level of rounding.
 
-The Lifshitz sums do not refine: rows near t = 0 take the value of a
-first round, _gk15_panels' Kronrod values on a fixed set of panels, rows
-far from it the 32-point Gauss-Laguerre rule (laguerre_rule), all summed
-with math.fsum, and fail only where the error estimates show the rules do
-not resolve the integrand at all; adaptive_quad serves the rows outside a
-sum and the dispersion integrals.
+The Lifshitz sums do not refine: rows near t = 0 take _gk15_panels'
+Kronrod values on a fixed set of panels to t = 2 and a 20-point
+Gauss-Laguerre tail past it, rows far from it the 32-point Gauss-Laguerre
+rule (laguerre_rule), all summed with math.fsum, and fail only where the
+error estimates show the rules do not resolve the integrand at all;
+adaptive_quad serves the rows outside a sum and the dispersion integrals.
 
 Error estimation follows the QUADPACK recipe: the raw |K15 - G7|
 difference is rescaled by the panel's total variation measure so that
@@ -72,10 +72,11 @@ _NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))
 _WK = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _WG_FULL = np.concatenate((_WG[:-1], _WG[::-1]))  # weights for nodes 1,3,...,13
 
-# 32-point Gauss-Laguerre rule for int_0^inf e^{-x} g(x) dx: the nodes x_i,
-# zeros of L_32, and the weights W_i times e^{x_i}, so that W_i e^{x_i} f(x_i)
-# integrates f = e^{-x} g itself.  Computed in 60 digits from W_i = x_i /
-# (33 L_33(x_i))^2; numpy.polynomial.laguerre.laggauss(32) agrees.
+# Gauss-Laguerre rules for int_0^inf e^{-x} g(x) dx, 32 and 20 points: the
+# nodes x_i, zeros of L_n, and the weights W_i times e^{x_i}, so that W_i
+# e^{x_i} f(x_i) integrates f = e^{-x} g itself.  Computed in 60 digits from
+# W_i = x_i / ((n + 1) L_{n+1}(x_i))^2; numpy.polynomial.laguerre.laggauss(n)
+# agrees.
 _XGL = np.array([
     0.04448936583326701841885, 0.2345261095196185374529, 0.5768846293018864264916,
     1.072448753817817633041, 1.722408776444645441131, 2.528336706425794881124,
@@ -102,6 +103,25 @@ _WGL_EX = np.array([
     7.073526580707242120225, 7.967693509295900658537, 9.205040331278189578273,
     11.16301309076787308891, 15.39018041526064310516,
 ])
+_XGL20 = np.array([
+    0.07053988969198875336669, 0.3721268180016114437942, 0.9165821024832735646677,
+    1.707306531028343880688, 2.749199255309432129645, 4.048925313850886922375,
+    5.615174970861616514105, 7.459017453671063309769, 9.594392869581096772474,
+    12.03880254696431630962, 14.81429344263073997851, 17.94889552051937601737,
+    21.47878824028501097574, 25.45170279318690550352, 29.93255463170061200671,
+    35.01343424047900000628, 40.83305705672857106203, 47.61999404734650213994,
+    55.81079575006389889075, 66.52441652561575381864,
+])
+_WGL20_EX = np.array([
+    0.1810800624189892554517, 0.4225567678785639745203, 0.6669095467018481503735,
+    0.9153523727830736726706, 1.169539707195545973801, 1.431354985928205986368,
+    1.702981137985022724025, 1.987015890792747214109, 2.286635781253430785462,
+    2.605834727553833332695, 2.949783734213950866002, 3.325395782009319552370,
+    3.742255470589810921117, 4.214236710251880419868, 4.762518461490209296953,
+    5.421726044245574303803, 6.254012356932421292895, 7.387314389054434551940,
+    9.151328730987479607943, 12.89338864593999667103,
+])
+_LAGUERRE = {32: (_XGL, _WGL_EX), 20: (_XGL20, _WGL20_EX)}
 
 _MAX_ROUNDS = 48
 _MAX_PANELS = 4096
@@ -122,18 +142,19 @@ def gk15_rule(lo: np.ndarray, hi: np.ndarray):
     return 0.5 * (lo + hi)[:, None] + half * _NODES, half * _WK
 
 
-def laguerre_rule(rate: float):
-    """Nodes and weights of the 32-point Gauss-Laguerre rule for int_0^inf
-    f dt, exact where f is e^{-rate t} times a polynomial of degree <= 63,
-    and its null rule, shape (32, 2): f @ null are the discrete Laguerre
-    coefficients of f e^{rate t} at degrees 30 and 31, over rate.  They
-    decay where that factor is smooth, so their size estimates the rule's
-    error."""
-    L = [np.ones_like(_XGL), 1.0 - _XGL]  # L_k(x_i) by the three-term recurrence
-    for k in range(1, 31):
-        L.append(((2 * k + 1 - _XGL) * L[k] - k * L[k - 1]) / (k + 1))
-    w = _WGL_EX / rate
-    return _XGL / rate, w, np.stack(L[30:], axis=1) * w[:, None]
+def laguerre_rule(rate: float, points: int):
+    """Nodes and weights of the Gauss-Laguerre rule of 32 or 20 points for
+    int_0^inf f dt, exact where f is e^{-rate t} times a polynomial of
+    degree <= 2 points - 1, and its null rule, shape (points, 2): f @ null
+    are the discrete Laguerre coefficients of f e^{rate t} at the two
+    highest degrees, points - 2 and points - 1, over rate.  They decay where
+    that factor is smooth, so their size estimates the rule's error."""
+    x, w_ex = _LAGUERRE[points]
+    L = [np.ones_like(x), 1.0 - x]  # L_k(x_i) by the three-term recurrence
+    for k in range(1, points - 1):
+        L.append(((2 * k + 1 - x) * L[k] - k * L[k - 1]) / (k + 1))
+    w = w_ex / rate
+    return x / rate, w, np.stack(L[-2:], axis=1) * w[:, None]
 
 
 def bisect_worst(lo: np.ndarray, hi: np.ndarray, errs: np.ndarray, budget: np.ndarray):
@@ -204,9 +225,10 @@ def adaptive_quad(
     it, ConvergenceError follows that round and names the floor, where
     refining would chase estimates at the level of rounding through every
     round (QUADPACK reports such a tolerance at once: its round-off exit).
-    The values of the first round alone are, bit for bit, those of the
-    Lifshitz sums' fixed t-rule on rows that are all near t = 0
-    (lifshitz._integrate without rel_tol).
+    Its first round on the panels of lifshitz._T_MESH shares its panels to
+    t = 2 with the Lifshitz sums' fixed t-rule, which takes a Gauss-Laguerre
+    tail past 2 in place of the later panels, so the two agree within the
+    rule's certified error, not bit for bit.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or not (edges[1:] > edges[:-1]).all():

@@ -805,9 +805,9 @@ class TestStackedSums:
         (_, M_P, _), (_, M_F, _) = lifshitz._sum_modes([cfg], gold, cs.DEFAULT_QUAD,
                                                        self.OBSERVABLES)[0]
         # the modes 1..18, each evaluated once for both kernels: m = 1, 2
-        # (y_lo = m gamma < 2) on the 150 nodes of the fixed t-rule, the
-        # rest on the 32 of the Laguerre rule
-        assert calls == [(2, 150), (16, 32)]
+        # (y_lo = m gamma < 2) on the nodes of the fixed t-rule, the rest on
+        # those of the Laguerre rule
+        assert calls == [(2, len(lifshitz._T_NODES)), (16, len(lifshitz._L_NODES))]
         assert max(M_P, M_F) - 1 == 18 and cfg.gamma < 1.0 <= 2 * cfg.gamma < lifshitz._FAR
 
 
@@ -968,7 +968,8 @@ class TestSweeps:
                             (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
         # one layout per temperature and class of rows, near (y_lo < 2) and
         # far, then one round on each class's nodes
-        assert events[0] == ("integrate", None) and events[-2:] == [("round", 150), ("round", 32)]
+        assert events[0] == ("integrate", None) and events[-2:] == [
+            ("round", len(lifshitz._T_NODES)), ("round", len(lifshitz._L_NODES))]
         assert ("layout", 0.0) not in events and len(events) == 7
         events.clear()
         lifshitz._te_mode_functions(np.linspace(0.0, 0.5, 26) * cs.C / 1e-6, 1e-6, cs.Plasma(),
@@ -1402,7 +1403,8 @@ class TestLeafBitIdentity:
         A, B = rule(y)
         A0, B0 = exact
         for k, (unit_A, unit_B), row in zip(ks, units, got):
-            density = (unit_A * A0 + unit_B * B0) / lifshitz._T_MESH[-1]
+            density = np.where(y < lifshitz._T_TAIL,
+                               (unit_A * A0 + unit_B * B0) / lifshitz._T_TAIL, 0.0)
             k = self.UNFUSED[k]
             assert np.array_equal(row, k(A, B, y) - k(A0, B0, y) + density)
 
@@ -1509,7 +1511,7 @@ class TestWorkCount:
             cs.mode_pressure(m, cfg, model)
             assert len(seen) == calls
 
-    def test_cryogenic_rows_take_150_points_each(self, gold, monkeypatch):
+    def test_cryogenic_rows_take_the_fixed_t_rules_points_each(self, gold, monkeypatch):
         # 86,623 modes, explicit rows and rule-in-m nodes, share the t-points
         # of the fixed rule; the first rows vary fastest near t = 0
         integrals, panels = self.record(monkeypatch)
@@ -1518,7 +1520,7 @@ class TestWorkCount:
                             lambda eps, p: points.append(p.shape[1]) or reflection_sq(eps, p))
         cs.free_energy(cs.ThermalGapConfig(T=1.5, a=50e-9), gold)
         assert integrals == panels == []  # a rule sum: its value is its placement's
-        assert set(points) == {150} == {len(lifshitz._T_NODES)}
+        assert set(points) == {len(lifshitz._T_NODES)}
 
     @staticmethod
     def count_reflections(monkeypatch):
@@ -1640,7 +1642,7 @@ class TestWorkCount:
         # 26 pressure sums (13 gaps, two temperatures), one evaluation of
         # each class of rows: every sum's far rows, and at 2 um, where gamma
         # < 2 at both temperatures, its mode m = 1 on the fixed t-rule
-        assert len(calls) == 28 and sum(width == 150 for width in calls) == 2
+        assert len(calls) == 28 and sum(width == len(lifshitz._T_NODES) for width in calls) == 2
 
 
 class TestFreeEnergy:

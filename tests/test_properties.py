@@ -77,21 +77,29 @@ def test_drude_table_pressure_within_interpolation_error(n, a, T):
     assert P_table == pytest.approx(cs.total_pressure(cfg, gold).total, rel=bound)
 
 
-# The fixed t-rule of the sums: the 10 GK15 panels of lifshitz._T_MESH (150
-# nodes), with no refinement.  EPS_T is the relative error it may leave on a
-# whole sum, against the same rows (the explicit rows, the rule in m's rows
-# each integrated alone and weighted, and the m = 0 remainder) integrated by
-# adaptive_quad to 1e-14, and the floor below which a sum raises
-# (lifshitz._EPS_T).  Rows vary over y ~ Omega = omega_p a / c, which the
-# draws take down to 2.5e-4 (0.05 eV at 1 nm).  The 0.5 eV plasma case near
-# 1 nm and 1 K is kept as an example: its rows m = 1..7 vary over Omega =
-# 2.5e-3, which the edge at 1/2048 resolves (the 135-node rule without it
-# left 1.64e-13 there; now 1.0e-15).  Measured worst cases: 1.07e-14 on F of
-# 0.05 eV plasma at 5.5 nm and 350 K (a 30 x 30 grid over the draws'
-# range), 8.9e-15 of 0.5 eV plasma, 5.0e-15 of 0.05 eV Drude, below 5.1e-16
-# for every other model.  Below the drawn Omega the error grows: 1.3e-14
-# for plasma at Omega = 5e-5, 1.9e-13 for Drude at 6.4e-5 and 9.5e-13 for
-# plasma at 7.7e-6, so EPS_T = 2e-14 is certified only on the draws' range.
+# The fixed t-rule of the sums: the 6 GK15 panels of lifshitz._T_MESH on
+# [0, 2] (90 nodes) and a 20-point Gauss-Laguerre tail on [2, inf), with no
+# refinement; far rows of explicit sums take the 32-point Laguerre rule.
+# EPS_T is the relative error the rules may leave on a whole sum, against
+# the same rows (the explicit rows, the rule in m's rows each integrated
+# alone and weighted, and the m = 0 remainder) integrated by adaptive_quad
+# to 1e-14, and the floor below which a sum raises (lifshitz._EPS_T).  Rows
+# vary over y ~ Omega = omega_p a / c, which the draws take down to 2.5e-4
+# (0.05 eV at 1 nm).  The 0.5 eV plasma case near 1 nm and 1 K is kept as
+# an example: its rows m = 1..7 vary over Omega = 2.5e-3, which the edge at
+# 1/2048 resolves (the 135-node rule without it left 1.64e-13 there; now
+# 1.0e-15).  The other examples are each model's worst point on a 30 x 30
+# log grid over the draws' range (T 1 mK-350 K, a 1 nm-20 um, ends
+# included), P and F: 0.05 eV plasma 1.07e-14 at 350 K / 5.5 nm, 0.5 eV
+# plasma 8.6e-15 at 93 K / 5.5 nm, 0.05 eV Drude 5.0e-15 at 0.47 K / 1 nm,
+# plasma_like 6.4e-16 and plasma 5.3e-16 at 350 K / 2.6 um, drude_like
+# 5.5e-16 at 6.7 K / 15 nm, bg 5.0e-16 at 0.47 K / 1 nm, gold 4.7e-16 at
+# 350 K / 3.9 nm, ideal 4.3e-16 at 1.6 mK / 60 nm.  The 150-node rule of
+# GK15 panels to t = 30 read the same worst cases, but plasma 4.8e-16,
+# plasma_like 5.0e-16 and ideal 4.3e-16 elsewhere.  Below the drawn Omega
+# the error grows: 1.3e-14 for plasma at Omega = 5e-5, 1.9e-13 for Drude at
+# 6.4e-5 and 9.5e-13 for plasma at 7.7e-6, so EPS_T = 2e-14 is certified
+# only on the draws' range.
 EPS_T = 2e-14
 TABLE_ZETA = np.geomspace(1e8, 1e20, 121)  # spans the Matsubara grid of every draw
 CERTIFIED = {
@@ -143,6 +151,15 @@ def fixed_and_reference(model, cfg):
 
 @settings(max_examples=45, deadline=None, derandomize=True, database=None)
 @example(name="plasma_0.5eV", T=1.2, a=1e-9)
+@example(name="plasma_0.05eV", T=350.0, a=5.515144501401143e-09)
+@example(name="plasma_0.5eV", T=93.44235254692595, a=5.515144501401143e-09)
+@example(name="drude_0.05eV", T=0.47472996151089575, a=1e-09)
+@example(name="plasma_like", T=350.0, a=2.577280694964795e-06)
+@example(name="plasma", T=350.0, a=2.577280694964795e-06)
+@example(name="drude_like", T=6.6603216459935135, a=1.536353072505182e-08)
+@example(name="bg", T=0.47472996151089575, a=1e-09)
+@example(name="gold", T=350.0, a=3.91963400396667e-09)
+@example(name="ideal", T=0.0015530118163740274, a=6.021941745089993e-08)
 @given(name=st.sampled_from(sorted(CERTIFIED)), T=log_uniform(1e-3, 350.0),
        a=log_uniform(1e-9, 20e-6))
 def test_fixed_t_rule_holds_eps_t_on_whole_sums(name, T, a):

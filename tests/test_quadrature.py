@@ -13,8 +13,9 @@ from scipy.special import zeta
 
 import casimir
 from casimir.errors import ConvergenceError
-from casimir.quadrature import (_WGL_EX, _XGL, _gk15_panels, adaptive_quad, gk15_rule,
-                                laguerre_rule, neumaier_sum)
+from casimir import lifshitz
+from casimir.quadrature import (_WGL20_EX, _WGL_EX, _XGL, _XGL20, _gk15_panels, adaptive_quad,
+                                gk15_rule, laguerre_rule, neumaier_sum)
 
 ZETA3 = float(zeta(3))
 GRADED = [0.0, 1 / 64, 1 / 16, 1 / 4, 1, 3, 8, 30.0]  # graded toward the y ln y end
@@ -277,7 +278,7 @@ def test_laguerre_rule_matches_laggauss_and_is_exact():
     x, W = laggauss(32)
     assert np.allclose(_XGL, x, rtol=1e-14, atol=0.0)
     assert np.allclose(_WGL_EX * np.exp(-_XGL), W, rtol=1e-12, atol=0.0)
-    t, w, null = laguerre_rule(2.0)
+    t, w, null = laguerre_rule(2.0, 32)
     assert np.array_equal(t, _XGL / 2.0) and np.array_equal(w, _WGL_EX / 2.0)
     for k in range(64):
         exact = math.factorial(k) / 2.0 ** (k + 1)
@@ -289,3 +290,74 @@ def test_laguerre_rule_matches_laggauss_and_is_exact():
         assert f @ null == pytest.approx(want, abs=1e-15), k
     f = np.exp(-2.0 * t) * (3.0 + t) ** 2  # smooth: far below its integral
     assert np.abs(f @ null).max() <= 1e-15 * math.fsum(w * f)
+
+
+def test_20_point_laguerre_rule_matches_laggauss():
+    from numpy.polynomial.laguerre import laggauss
+    x, W = laggauss(20)
+    assert np.allclose(_XGL20, x, rtol=1e-14, atol=0.0)
+    assert np.allclose(_WGL20_EX * np.exp(-_XGL20), W, rtol=1e-12, atol=0.0)
+    t, w, null = laguerre_rule(2.0, 20)
+    assert np.array_equal(t, _XGL20 / 2.0) and np.array_equal(w, _WGL20_EX / 2.0)
+    assert null.shape == (20, 2)
+
+
+# The sums' fixed t-rule: the GK15 nodes of the panels of _T_MESH up to
+# t = 2, then the 20-point Laguerre rule for e^{-2t} shifted to [2, inf)
+TAIL = slice(-20, None)
+
+
+def test_fixed_t_rule_is_panels_to_2_then_a_laguerre_tail():
+    t, w = lifshitz._T_NODES, lifshitz._T_WEIGHTS
+    panels = lifshitz._T_PANELS
+    assert panels[-1] == lifshitz._T_TAIL == 2.0
+    assert len(t) == len(w) == 15 * (len(panels) - 1) + 20 == 110
+    x, wk = (r.ravel() for r in gk15_rule(panels[:-1], panels[1:]))
+    assert np.array_equal(t[:len(x)], x) and np.array_equal(w[:len(x)], wk)
+    assert t[:len(x)].max() < 2.0 < t[TAIL].min()
+    tail, w_tail, _ = laguerre_rule(2.0, 20)
+    assert np.array_equal(t[TAIL], 2.0 + tail) and np.array_equal(w[TAIL], w_tail)
+
+
+def test_shifted_laguerre_tail_is_exact_past_2():
+    # int_2^inf t^k e^{-2t} dt = e^{-4} sum_j k!/j! 2^j / 2^(k-j+1), for
+    # every k <= 2 * 20 - 1
+    t, w = lifshitz._T_NODES[TAIL], lifshitz._T_WEIGHTS[TAIL]
+    for k in range(40):
+        exact = math.exp(-4.0) * math.fsum(math.factorial(k) / math.factorial(j) * 2.0 ** j
+                                           / 2.0 ** (k - j + 1) for j in range(k + 1))
+        assert math.fsum(w * t ** k * np.exp(-2.0 * t)) == pytest.approx(exact, rel=2e-15), k
+
+
+def test_tail_null_rule_reads_the_top_laguerre_coefficients():
+    # 1/2 on e^{-2s} L_18(2s) and e^{-2s} L_19(2s), s = t - 2, and 0 below
+    # degree 18; a smooth factor reads far below its integral
+    from numpy.polynomial.laguerre import lagval
+    s, w, null = lifshitz._T_NODES[TAIL] - 2.0, lifshitz._T_WEIGHTS[TAIL], lifshitz._T_NULL
+    for k, want in ((17, [0.0, 0.0]), (18, [0.5, 0.0]), (19, [0.0, 0.5])):
+        f = np.exp(-2.0 * s) * lagval(2.0 * s, [0.0] * k + [1.0])
+        assert f @ null == pytest.approx(want, abs=1e-15), k
+    f = np.exp(-2.0 * (s + 2.0)) * (5.0 + s) ** 2
+    assert np.abs(f @ null).max() <= 1e-15 * math.fsum(w * f)
+
+
+def test_remainder_density_integrates_to_its_closed_value_on_both_rules():
+    # a remainder whose kernel cancels is its closed density alone, c/2 on
+    # t < 2: 2 is an edge of the fixed rule's panels and of every adaptive
+    # round's, so both integrate it exactly, adaptive_quad in one round
+    def zero_kernel(Au, Bu, y, u):
+        return 0.0 * y
+
+    c = 3.0 * 0.25 + 5.0 * 0.125
+    remainder, = lifshitz._remainders((zero_kernel,), [(3.0, 5.0)], 0.25, 0.125)
+    calls = []
+
+    def f(t):
+        calls.append(len(t))
+        return remainder(0.0, 0.0, t, np.exp(-2.0 * t))[None]
+
+    assert math.fsum(f(lifshitz._T_NODES)[0] * lifshitz._T_WEIGHTS) == pytest.approx(
+        c, rel=4.4e-16, abs=0.0)
+    calls.clear()
+    (value,), _ = adaptive_quad(f, lifshitz._T_MESH, rel_tol=1e-13)
+    assert value == pytest.approx(c, rel=4.4e-16, abs=0.0) and len(calls) == 1

@@ -4,9 +4,10 @@ binding of one sweep's stack of sums into blocks, and three whole sums.
     PYTHONPATH=src python tools/leaf_timing.py
 
 One block is what the engine evaluates at a time: 64 rows (modes m = 1..64)
-x 150 t-points (the nodes of the sums' fixed t-rule), gold (Drude 9 eV /
-35 meV) at 300 K and a = 1 um; a block of far rows holds up to 256 rows at
-32 t-points.  The variants are
+x 110 t-points (the nodes of the sums' fixed t-rule: 90 GK15 nodes to t = 2
+and 20 Gauss-Laguerre nodes past it), gold (Drude 9 eV / 35 meV) at 300 K
+and a = 1 um; a block of far rows holds up to 256 rows at 32 t-points.  The
+variants are
 
     eps           model.eps at the block's frequencies, a column of 64
     reflection    _reflection_sq(eps, p) on the block, eps a column
@@ -25,7 +26,7 @@ x 150 t-points (the nodes of the sums' fixed t-rule), gold (Drude 9 eV /
                   5, so 7 eps calls
     sum P 300 K 1 um
                   one explicit sum, _sum_modes of P alone: M = 19, so the
-                  modes 1..18, m = 1, 2 in a block on the 150-node t-rule
+                  modes 1..18, m = 1, 2 in a block on the 110-node t-rule
                   and m = 3..18 in a far block on the Laguerre rule
     sum P 300 K 5 um
                   one explicit sum whose rows are all far: M = 4, so the
