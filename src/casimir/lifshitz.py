@@ -56,16 +56,21 @@ same rows integrated to 1e-14: on the package's models with omega_p a / c
 2e-14 of a whole sum, and a sum at a rel_tol below that raises
 ConvergenceError, which names the floor (QUADPACK's round-off exit).  An
 explicit sum also fails where the rules' error estimate exceeds _T_CEILING
-= 1e-6 of it: the panels' GK15 estimates plus each Laguerre rule's null
-rule, its two highest discrete Laguerre coefficients, from the same nodes.
-The certified models read at most about 1e-8 (the far rows' null rule,
-1.4e-8 for 0.05 eV Drude; the panels and the tail's null rule 1.4e-9),
-rows that the rules do not resolve read near 1.  A row's integral on the
-fixed t-rule is its values at the nodes times _T_WEIGHTS (_first_mesh):
-the rule in m, the m = 0 remainders and per_mode take their values from
-such rows, whatever their y_lo, with no estimate of their own.  Rows
-outside a sum (_mode_integrals) are one adaptive_quad call from the ten
-panels of _T_MESH, on [0, 30], to any rel_tol.
+= 1e-6 of it: the sum of its rows' estimates, each from the row's own
+nodes, a near row's six GK15 panel estimates plus its tail's null rule and
+a far row's null rule (a Laguerre rule's null rule is its two highest
+discrete Laguerre coefficients).  The certified models read at most about
+1e-8 (the far rows' null rule, 1.4e-8 for 0.05 eV Drude; the near rows
+1.6e-9), rows that the rules do not resolve read near 1.  A row's integral on a
+fixed rule is read alone, by einsum (_integrals), so it depends on that
+row and on nothing else in its block, where a matrix product (BLAS) rounds
+a row by its place: an explicit sum's component is the math.fsum of its
+rows' integrals, near and far, and its error estimate the sum of its
+rows' (_estimated); the rule in m, the m = 0 remainders and per_mode take
+the integrals of rows on the 110-node rule, whatever their y_lo, with no
+estimate of their own (_first_mesh, _zero_mode).  Rows outside a sum
+(_mode_integrals) are one adaptive_quad call from the ten panels of
+_T_MESH, on [0, 30], to any rel_tol.
 
 One sum covers a stack of observables at a sequence of (a, T), a whole
 sweep: P and F share every row's A and B, and the rows of one temperature
@@ -80,17 +85,20 @@ and the rows (_rows: an explicit sum, or a rule in m whose rows,
 mode numbers m not all integers, are placed on their own, _first_mesh)
 stay per (a, T).  A stack is a list of _Sum records; _bind groups them,
 the rows at zeta > 0 by temperature and the m = 0 rows of every (a, T)
-together, and _layout cuts rows into blocks (_Block) that carry, per
-kernel, their runs: the rows that add to one component.  In a stack of
-explicit sums the far rows of a group are laid out in the same pass in
-blocks of their own, so each class is evaluated on its own nodes.  An
-explicit sum holds no frequencies: _bind forms those of every explicit
-sum of a group in one call, and the group's y_lo one array per class, so
-a sweep's explicit sums cost no array operation per (a, T).  _contract,
-the one contraction, adds each run block by block, and the leaf
-(_kernels_at, then _reflection_sq) works at the block's full shape, never
-broadcasting a column against it.  A failure names the first (a, T) or
-frequency that fails alone, as a loop over the (a, T) would.
+together, and _layout cuts rows into blocks (_Block).  Each class of rows
+carries its runs, the rows that add to one component, counted across the
+class's blocks and never cut at one.  In a stack of explicit sums the far
+rows of a group are laid out in the same pass in blocks of their own, a
+second class, so each class is evaluated on its own nodes.  An explicit
+sum holds no frequencies: _bind forms those of every explicit sum of a
+group in one call, and the group's y_lo one array per class, so a
+sweep's explicit sums cost no array operation per (a, T).  _contract, the
+one read-out, evaluates a class block by block and keeps what a read takes
+of each block's rows: their integrals, or their values at the nodes (an
+explicit stack's, _READ blocks at a time); the leaf (_kernels_at, then
+_reflection_sq) works at the block's full shape, never broadcasting a
+column against it.  A failure names the first (a, T) or frequency that
+fails alone, as a loop over the (a, T) would.
 """
 
 from __future__ import annotations
@@ -99,7 +107,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
@@ -153,7 +161,9 @@ _FAR = 2.0
 _L_NODES, _L_WEIGHTS, _L_NULL = _fixed_rule(_T_MESH[:1], 32)
 _ROW_BLOCK = 64  # rows evaluated together: 64 x 110 floats, below the 128 KiB mmap threshold
 _FAR_BLOCK = 256  # far rows evaluated together: 256 x 32 floats
-_ONES = np.ones(_FAR_BLOCK)  # a block's rows a..b-1 add up as _ONES[a:b] @ rows[a:b]
+# Blocks of a class of an explicit stack held at their nodes and read
+# together (_estimated): about 1 MB per kernel, whatever the sweep's size.
+_READ = 16
 _ROW_CAP = 250_000  # most rows a sum or a per_mode table evaluates one by one
 # The rule in m (_tail_rule) runs only where M > _RULE_RATIO _K_MIN, from
 # K = _K_MIN explicit rows; a K that misses its budget doubles while
@@ -248,7 +258,8 @@ class PressureResult:
     and copying, raise CasimirError.  fraction(m) reads the table of a sum
     of at most _RULE_RATIO * _K_MIN = 512 modes, which is always summed row
     by row, and of a copy; otherwise it evaluates the one mode it is asked
-    for.
+    for.  Each row's integral is read alone, so that mode's share is the
+    table's to the bit.
     """
 
     total: float
@@ -400,11 +411,10 @@ _FREE_ENERGY = (_free_energy_kernel, lambda cfg: K_B * cfg.T / (2.0 * np.pi * cf
 # zeta = [0], and the rows of _mode_integrals are at any frequency.
 _Sum = namedtuple("_Sum", "cfg zeta kernels counts")
 
-# At most _ROW_BLOCK rows of a stack's layout (_bind): their kernels, y_lo =
-# a zeta / c as a column, per kernel the runs (j, a, b) of rows a..b-1 that
-# add to component j of the stack, and the rule (y, y_lo) -> (A, B) that
-# their kernels share (_kernels_at).
-_Block = namedtuple("_Block", "kernels y_lo runs rule")
+# At most _ROW_BLOCK rows of a class of a stack's layout (_bind): their
+# kernels, y_lo = a zeta / c as a column, and the rule (y, y_lo) -> (A, B)
+# that their kernels share (_kernels_at).
+_Block = namedtuple("_Block", "kernels y_lo rule")
 
 
 class _Configs(namedtuple("_Configs", "T a")):
@@ -419,7 +429,7 @@ class _Configs(namedtuple("_Configs", "T a")):
         return cls(*(np.array([[getattr(cfg, x)] for cfg in configs]) for x in cls._fields))
 
 
-def _block(model, at, kernels, runs, zeta, y_lo):
+def _block(model, at, kernels, zeta, y_lo):
     """The _Block of rows at the frequencies zeta, a column, with the
     model's m = 0 rule at the configs at (_Configs, one per row), in y, or
     its m >= 1 rule at zeta and the temperature at, bound once (eps depends
@@ -427,47 +437,42 @@ def _block(model, at, kernels, runs, zeta, y_lo):
     block's full shape (_kernels_at)."""
     if zeta[0, 0] == 0.0:
         zero_rule = _zero_rule(model, at)
-        return _Block(kernels, y_lo, runs, lambda y, y_lo: zero_rule(y))
+        return _Block(kernels, y_lo, lambda y, y_lo: zero_rule(y))
     rule = model.matsubara_reflection(zeta, at)
-    return _Block(kernels, y_lo, runs, lambda y, y_lo: rule(y / y_lo))
+    return _Block(kernels, y_lo, lambda y, y_lo: rule(y / y_lo))
 
 
-def _layout(model, at, kernels, zeta, y_lo, runs, size=_ROW_BLOCK):
+def _layout(model, at, kernels, zeta, y_lo, size=_ROW_BLOCK):
     """The blocks of the rows at the frequencies zeta and y_lo, each a
-    column, cut every size rows: each run (c, j, a,
-    b) adds the rows a..b-1 under kernel c to component j, as one run per
-    block that it reaches.  at is the temperature of rows at zeta > 0, or
-    the config of each row at zeta = 0."""
-    blocks = [[[] for _ in kernels] for _ in range(0, len(zeta), size)]
-    for c, j, a, b in runs:
-        for lo in range(a - a % size, b, size):
-            blocks[lo // size][c].append(  # clipped to the block without min/max calls
-                (j, a - lo if a > lo else 0, b - lo if b < lo + size else size))
+    column, cut every size rows.  at is the temperature of rows at zeta >
+    0, or the config of each row at zeta = 0."""
     return [_block(model, at if zeta[0, 0] else _Configs.of(at[lo:lo + size]),
-                   kernels, cut, zeta[lo:lo + size], y_lo[lo:lo + size])
-            for lo, cut in zip(range(0, len(zeta), size), blocks)]
+                   kernels, zeta[lo:lo + size], y_lo[lo:lo + size])
+            for lo in range(0, len(zeta), size)]
 
 
-def _bind(model, indexed, far=None):
-    """The layout (_layout) of the sums of a stack given as (i, sum) pairs,
-    i the sum's index in the stack.  The sums with the same kernels lay
-    out their rows in order, those at zeta > 0 by temperature, which share
-    eps across gaps, and the rows at zeta = 0 of every config together,
-    which take the model's m = 0 rule at their configs.  Rows r < counts[c]
-    of sum i add under kernel c to the component i kernels + c.  Where far
-    is a list, the far rows of each explicit sum go to it: its modes from
-    the first at zeta >= _FAR c / a, y_lo >= _FAR, which are its last as
-    y_lo rises with m.  They are laid out in the same pass, by temperature,
-    in blocks of their own of _FAR_BLOCK rows, each binding eps once, and
-    the near rows are returned; each run is cut into its near rows and its
-    far rows, so each sum's rows keep their order in each class.
+def _bind(model, indexed, far=False):
+    """The layout of the sums of a stack given as (i, sum) pairs, i the
+    sum's index in the stack: a list of classes of rows, each (blocks,
+    runs), the near rows, then, where far, the far rows.  A run (c, j, a,
+    b) adds the rows a..b-1 of its class, counted across the class's
+    blocks, under kernel c to component j; it is never cut at a block.
+    The sums with the same kernels lay out their rows in order (_layout),
+    those at zeta > 0 by temperature, which share eps across gaps, and the
+    rows at zeta = 0 of every config together, which take the model's m =
+    0 rule at their configs.  Rows r < counts[c] of sum i add under kernel
+    c to the component i kernels + c.  Where far, the far rows of each
+    explicit sum form the second class: its modes from the first at zeta
+    >= _FAR c / a, y_lo >= _FAR, which are its last as y_lo rises with m.
+    They are laid out in the same pass, by temperature, in blocks of
+    _FAR_BLOCK rows, each binding eps once.
 
     A group's arrays are formed once, not per sum: the frequencies of its
     explicit sums (zeta None) are one matsubara call on the modes 1..n of
     its longest, of which each takes its first rows, and y_lo = a zeta / c
     is one product with each sum's a repeated per row.  Each value rounds
     as a sum's own arrays did, so the layout keeps its bits."""
-    groups, layout = {}, []
+    groups, classes, ends = {}, [([], []) for _ in range(1 + far)], [0, 0]  # ends: rows per class
     for i, one in indexed:  # the temperature of rows at zeta > 0; 0 at zeta = 0
         groups.setdefault((0.0 if one.zeta is not None and one.zeta[0] == 0.0 else one.cfg.T,
                            tuple(one.kernels)), []).append((i, one))
@@ -476,24 +481,25 @@ def _bind(model, indexed, far=None):
         top = max((n for (_, one), n in zip(members, sizes) if one.zeta is None), default=0)
         modes = members[0][1].cfg.matsubara(np.arange(1, top + 1)) if top else None
         near = sizes  # each sum's rows before its far ones
-        if far is not None and T and top:  # an explicit sum's modes at zeta >= _FAR c / a
+        if far and T and top:  # an explicit sum's modes at zeta >= _FAR c / a
             bounds = _FAR * C / np.array([one.cfg.a for _, one in members])
             near = [k if k < n and one.zeta is None else n for k, n, (_, one) in zip(
                 modes.searchsorted(bounds).tolist(), sizes, members)]
-        for into, lo, hi, size in ((layout, [0] * len(sizes), near, _ROW_BLOCK),
-                                   (far, near, sizes, _FAR_BLOCK)):  # far None: all near
+        for k, ((blocks, runs), lo, hi, size) in enumerate(zip(
+                classes, ([0] * len(sizes), near), (near, sizes), (_ROW_BLOCK, _FAR_BLOCK))):
             rows = [h - l for l, h in zip(lo, hi)]
             if not any(rows):
                 continue
-            runs = [(c, i * len(kernels) + c, a, a + e - l) for (i, one), a, l, h in zip(
-                members, accumulate(rows, initial=0), lo, hi)
+            runs += [(c, i * len(kernels) + c, a, a + e - l) for (i, one), a, l, h in zip(
+                members, accumulate(rows, initial=ends[k]), lo, hi)
                 for c, n in enumerate(one.counts) if (e := n if n < h else h) > l]
             zeta = np.concatenate([modes[l:h] if one.zeta is None else one.zeta[l:h]
                                    for (_, one), l, h in zip(members, lo, hi)])
             y_lo = (np.repeat([one.cfg.a for _, one in members], rows) * zeta)[:, None] / C
-            into += _layout(model, T or [one.cfg for _, one in members], kernels,
-                            zeta[:, None], y_lo, runs, size)  # an m = 0 sum is one row
-    return layout
+            blocks += _layout(model, T or [one.cfg for _, one in members], kernels,
+                              zeta[:, None], y_lo, size)  # an m = 0 sum is one row
+            ends[k] += len(zeta)
+    return classes
 
 
 def _kernels_at(rule, y_lo, t, kernels):
@@ -516,74 +522,91 @@ def _kernels_at(rule, y_lo, t, kernels):
     return [kernel(Au, Bu, y, u) for kernel in kernels]
 
 
-def _contract(layout, t, components, w=None):
-    """The rows of the blocks of layout (see _bind) at t, the nodes of their
-    class (_T_NODES or an adaptive round's for near rows, _L_NODES for far
-    rows: a stack's classes are contracted one call each), contracted block
-    by block into an array of the components, shape (components, len(t)): each
-    run (j, a, b) of a block's rows under a kernel adds _ONES[a:b] @
-    rows[a:b] to component j.  A vector product per run (a matrix product
-    would touch BLAS's packing buffers) keeps each component's order of
-    rounding whatever else its blocks hold, and only that array and, for a
-    panel rule's weights w, each block's row integrals w @ rows per kernel
-    outlive a block.  Returns the array and those integrals.  Overflow and
-    invalid values raise no warning here: the caller names a row or round
-    that is not finite (_first_mesh, _gk15_panels, _integrate)."""
-    out, integrals = np.zeros((components, len(t))), []
+def _contract(blocks, t, read=np.asarray):
+    """read(rows) of each block of blocks (a class of _bind) at t, the
+    nodes of the class's rule (_T_NODES or an adaptive round's for near
+    rows, _L_NODES for far rows), rows the block's kernels' rows, one array
+    per kernel: read gives an array (kernels, rows, ...), by default the
+    rows' values at the nodes, and the blocks' are joined along the rows,
+    shape (kernels, rows of the class, ...).  Only what read keeps outlives
+    a block.  Overflow and invalid values raise no warning here: the caller
+    names a row or a sum that is not finite (_first_mesh, _gk15_panels,
+    _integrate)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in layout:
-            ks = _kernels_at(block.rule, block.y_lo, t, block.kernels)
-            for k, runs in zip(ks, block.runs):
-                for j, a, b in runs:
-                    out[j] += _ONES[a:b] @ k[a:b]
-            if w is not None:
-                integrals.append([k @ w for k in ks])
-    return out, integrals
+        reads = [read(_kernels_at(block.rule, block.y_lo, t, block.kernels)) for block in blocks]
+    return reads[0] if len(reads) == 1 else np.concatenate(reads, axis=1)
+
+
+def _integrals(w):
+    """The read (_contract) of each row's integral on the weights w.
+    einsum sums each row on its own, so that a row's integral depends on
+    that row alone; a matrix product (BLAS) rounds a row by where it sits
+    in its block."""
+    return lambda rows: np.einsum("kij,j->ki", rows, w)
+
+
+def _estimated(rows, w, null):
+    """The integral of each of rows, shape (kernels, rows, nodes), on a
+    fixed t-rule of weights w, whose last len(null) nodes are a Laguerre
+    rule with that null rule (laguerre_rule), and its error estimate: |the
+    null rule's sums| plus, on a near row, the GK15 estimates of its six
+    panels on _T_PANELS, its first nodes.  Shape (2 kernels, rows): the
+    integrals, then the estimates."""
+    head, flat = len(w) - len(null), rows.reshape(-1, len(w))  # one row per (kernel, row)
+    err = np.abs(flat[:, head:] @ null).sum(axis=1)
+    if head:
+        err += _gk15_panels(flat[:, :head], _T_PANELS[:-1], _T_PANELS[1:])[1].sum(axis=1)
+    return np.concatenate((_integrals(w)(rows), err.reshape(rows.shape[:2])))
+
+
+_NEAR, _FAR_ROWS = (_T_NODES, _T_WEIGHTS, _T_NULL), (_L_NODES, _L_WEIGHTS, _L_NULL)
 
 
 def _integrate(model, sums, rel_tol=None):
     """Row sums of int kernel(A, B, y) dt over t >= 0, y = a zeta / c + t,
     for each _Sum of sums, all with as many kernels: shape (sums, kernels).
-    Rows share t and a block's kernels share their (A, B) (see _bind), and
-    each (sum, kernel) component adds its runs block by block, in order,
-    whatever the rest of the stack.  Without rel_tol each component is
-    integrated on the fixed rules on its own: its near rows on _T_NODES,
-    each GK15 panel's Kronrod value and each Laguerre tail node's product
-    with its weight, and its far rows (y_lo >= _FAR) on the 32-point
-    Laguerre rule, each node's product with its weight (no matrix product,
-    whose rounding would depend on the stack), all summed by one
-    math.fsum; ConvergenceError where a value is not finite or where the
-    summed error estimates, the panels' and the null rules', exceed
-    _T_CEILING of the component's |value|, as no certified sum's do,
-    carrying every value as the estimate.  With rel_tol (rows outside a
-    sum), one adaptive_quad call from the panels of _T_MESH holds it on
-    each component, on [0, 30].
+    Rows share t and a block's kernels share their (A, B) (see _bind).
+    Without rel_tol each row is integrated on its own fixed rule (_NEAR,
+    _FAR_ROWS): its near rows (y_lo < _FAR) on _T_NODES, its far rows on
+    the 32-point Laguerre rule, each row's integral read alone (einsum), so
+    it depends on that row only, with its error estimate (_estimated), from
+    _READ blocks of a class at a time, so that a stack holds no more of its
+    rows at their nodes, and each (sum, kernel) component is the math.fsum
+    of its rows' integrals, whatever the rest of the stack;
+    ConvergenceError where a value is not finite or where the sum of its
+    rows' error estimates exceeds _T_CEILING of the component's |value|,
+    as no certified sum's does, carrying every value as the estimate.  With
+    rel_tol (rows outside a sum), one adaptive_quad call from the panels of
+    _T_MESH holds it on each component, on [0, 30]: a component's values at
+    a round's nodes are its rows' there, added node by node.
     """
     width = len(sums) * len(sums[0].kernels)
     if rel_tol is not None:
-        layout = _bind(model, enumerate(sums))
-        values = adaptive_quad(lambda t: _contract(layout, t, width)[0], _T_MESH,
-                               rel_tol=rel_tol)[0]
+        (blocks, runs), = _bind(model, enumerate(sums))
+
+        def at_nodes(t):  # each component's rows added node by node; a lone row is itself
+            rows, out = _contract(blocks, t), np.zeros((width, len(t)))
+            for c, j, a, b in runs:
+                out[j] = rows[c, a] if b - a == 1 else rows[c, a:b].sum(axis=0)
+            return out
+        values = adaptive_quad(at_nodes, _T_MESH, rel_tol=rel_tol)[0]
         return np.reshape(values, (len(sums), -1))
-    far, parts, err = [], [], 0.0
-    near = _bind(model, enumerate(sums), far)
-    for layout, t, w, null in ((near, _T_NODES, _T_WEIGHTS, _T_NULL),
-                               (far, _L_NODES, _L_WEIGHTS, _L_NULL)):
-        if layout:
-            rows = _contract(layout, t, width)[0]
-            head = len(t) - len(null)  # near rows: the nodes of _T_PANELS, then the tail's
-            if head:
-                vals, errs = _gk15_panels(rows[:, :head], _T_PANELS[:-1], _T_PANELS[1:])
-                parts.append(vals.tolist())
-                err = err + errs.sum(axis=1)
-            rows = rows[:, head:]
-            err = err + np.abs(rows @ null).sum(axis=1)  # an estimate: its rounding may vary
-            parts.append((rows * w[head:]).tolist())
-    if not np.isfinite(err).all():
+    parts, err = [[] for _ in range(width)], [0.0] * width
+    for (blocks, runs), (t, w, null) in zip(_bind(model, enumerate(sums), far=True),
+                                            (_NEAR, _FAR_ROWS)):
+        if blocks:
+            with np.errstate(over="ignore", invalid="ignore"):  # _READ blocks at a time
+                read = np.concatenate([_estimated(_contract(blocks[i:i + _READ], t), w, null)
+                                       for i in range(0, len(blocks), _READ)], axis=1).tolist()
+            values, errs = read[:len(read) // 2], read[len(read) // 2:]
+            for c, j, a, b in runs:
+                parts[j] += values[c][a:b]
+                err[j] += sum(errs[c][a:b])
+    if not all(map(math.isfinite, err)):
         raise ConvergenceError("the fixed t-rule met a value that is not finite: the "
                                "integrand is NaN or infinite, or too large to sum")
-    values = [math.fsum(chain(*v)) for v in zip(*parts)]
-    for e, value in zip(err.tolist(), values):
+    values = [math.fsum(v) for v in parts]
+    for e, value in zip(err, values):
         if e > _T_CEILING * abs(value) and e >= _TINY:
             raise ConvergenceError(f"the fixed t-rule's error estimate {e:.3e} exceeds "
                                    f"{_T_CEILING:g} of the sum, {value:.6g}: its panels do "
@@ -595,14 +618,13 @@ def _first_mesh(model, cfg, m, kernels):
     """The integrals on the fixed t-rule (_T_NODES, _T_WEIGHTS), shape
     (kernels, rows), of the rows of cfg at the mode numbers m >= 1, an
     array (not all integers in a rule in m), laid out in blocks as a
-    stack's sums are (_layout), every row on those 110 nodes, far rows too;
-    ConvergenceError names the frequency of the first row whose integral
-    is not finite."""
+    stack's rows are (_layout), every row on those 110 nodes, far rows too,
+    and each read alone (_integrals), so a row's integral is the same in
+    any call; ConvergenceError names the frequency of the first row whose
+    integral is not finite."""
     zeta = cfg.matsubara(m)
-    layout = _layout(model, cfg.T, kernels, zeta[:, None], (cfg.a * zeta)[:, None] / C,
-                     [])  # no runs: only the row integrals are read
-    rows = np.array([np.concatenate(rows) for rows in zip(
-        *_contract(layout, _T_NODES, 0, _T_WEIGHTS)[1])])
+    rows = _contract(_layout(model, cfg.T, kernels, zeta[:, None], (cfg.a * zeta)[:, None] / C),
+                     _T_NODES, _integrals(_T_WEIGHTS))
     if not np.isfinite(rows).all():
         bad = zeta[~np.isfinite(rows).all(axis=0)][0]
         raise ConvergenceError(f"the row at zeta = {bad:g} rad/s is not finite")
@@ -643,7 +665,8 @@ def _zero_mode(model, configs, kernels, units):
     bounds it where the term is far below its closed part (TE at Omega <<
     1: 3e-11 at 1 nm for 0.5 eV).
     Every remainder is evaluated on _T_NODES at once, and the integral given
-    with it is its row @ _T_WEIGHTS, the fixed rule's: a sum's m = 0 term.
+    with it is its row's on _T_WEIGHTS, read alone (_integrals): a sum's m
+    = 0 term, the same bits whatever the other configs.
     A coefficient that is not finite raises no warning here: its remainder
     fails on its row (_plan, _first_alone).
     """
@@ -658,9 +681,10 @@ def _zero_mode(model, configs, kernels, units):
     shared = {pair: _remainders(kernels, units, *pair) for pair in set(pairs)}
     sums = [_Sum(cfg, np.zeros(1), shared[pair], [1] * len(units))
             for cfg, pair in zip(configs, pairs)]
-    rows = _contract(_bind(model, enumerate(sums)), _T_NODES, len(sums) * len(units))[0]
-    return [([row @ _T_WEIGHTS for row in at_nodes], one)
-            for one, at_nodes in zip(sums, rows.reshape(len(sums), len(units), -1))]
+    (blocks, runs), = _bind(model, enumerate(sums))
+    rows, width = _contract(blocks, _T_NODES, _integrals(_T_WEIGHTS)).tolist(), len(units)
+    values = {j: rows[c][a] for c, j, a, _ in runs}  # each component is one row
+    return [([values[i * width + c] for c in range(width)], one) for i, one in enumerate(sums)]
 
 
 def _remainders(kernels, units, A0, B0):

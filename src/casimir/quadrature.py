@@ -15,18 +15,20 @@ and the panels are bisected where the largest error relative to its
 component's budget sits.  A rel_tol below the rounding of a float total, 2^-53, ends after the
 first round: refining could only chase estimates at the level of rounding.
 
-The Lifshitz sums do not refine: rows near t = 0 take _gk15_panels'
-Kronrod values on a fixed set of panels to t = 2 and a 20-point
-Gauss-Laguerre tail past it, rows far from it the 32-point Gauss-Laguerre
-rule (laguerre_rule), all summed with math.fsum, and fail only where the
-error estimates show the rules do not resolve the integrand at all;
+The Lifshitz sums do not refine: each row is integrated on fixed nodes,
+its values times the weights of gk15_rule's panels to t = 2 and a
+20-point Gauss-Laguerre tail past it near t = 0, or of the 32-point
+Gauss-Laguerre rule (laguerre_rule) far from it, and a sum is the
+math.fsum of its rows' integrals.  A sum fails only where the error
+estimates show the rules do not resolve the integrand at all;
 adaptive_quad serves the rows outside a sum and the dispersion integrals.
 
 Error estimation follows the QUADPACK recipe: the raw |K15 - G7|
 difference is rescaled by the panel's total variation measure so that
 near-singular panels are not trusted optimistically.  _gk15_panels is the
-one estimate: every round of adaptive_quad and every panel of the Lifshitz
-rule in m (a GK15 rule over the mode number) takes it.
+one estimate: every round of adaptive_quad, every panel of the Lifshitz
+rule in m (a GK15 rule over the mode number) and the panels of every near
+row of a Lifshitz sum, whose values it does not give, take it.
 """
 
 from __future__ import annotations

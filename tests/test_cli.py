@@ -796,6 +796,23 @@ class TestDeterminism:
             digests.append(out.read_bytes())
         assert digests[0] == digests[1] == digests[2]
 
+    def test_sweep_rows_equal_their_one_gap_runs_byte_for_byte(self, tmp_path):
+        # a sum is the math.fsum of its rows' integrals, each read alone, so
+        # a row of a sweep does not depend on the other gaps whose rows
+        # share its blocks: 0.14210526315789473 um printed 1.6644887243802757
+        # in this sweep and 1.664488724380276 alone when a component added
+        # its rows node by node within each block
+        sweep = tmp_path / "sweep.csv"
+        assert run_cli("pressure", "--gap-range", "0.1:0.3:20", "--temp", "100",
+                       "--out", str(sweep)) == 0
+        rows = [line for line in sweep.read_bytes().splitlines() if not line.startswith(b"#")]
+        assert rows[0] == b"a_um,pressure_Pa" and len(rows) == 21
+        for row in rows[1:]:
+            one = tmp_path / "one.csv"
+            assert run_cli("pressure", "--gap", row.split(b",")[0].decode(), "--temp", "100",
+                           "--out", str(one)) == 0
+            assert one.read_bytes().splitlines()[-1] == row
+
     def test_json_output_deterministic(self, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):

@@ -521,6 +521,18 @@ class TestTotalPressure:
             assert terms[m] == pytest.approx(cs.mode_pressure(m, cfg, gold), rel=1e-9, abs=0.0)
             assert fraction == pytest.approx(100.0 * terms[m] / res.total, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("T, a", [(2.0, 1e-6), (5.0, 1e-6), (1.5, 50e-9)])
+    def test_per_mode_shares_equal_fraction_bit_for_bit(self, gold, T, a):
+        # past 512 modes fraction(m) evaluates mode m alone and per_mode
+        # evaluates every mode in blocks of 64; a row's integral is read
+        # alone (lifshitz._integrals), so both give each mode the same bits
+        res = cs.total_pressure(cs.ThermalGapConfig(T=T, a=a), gold)
+        n = min(res.m_used, 3000)
+        assert n > lifshitz._RULE_RATIO * lifshitz._K_MIN
+        fractions = [res.fraction(m) for m in range(n)]
+        assert "per_mode" not in vars(res)
+        assert [share for _, _, share in res.per_mode[:n]] == fractions
+
     def test_table_range_error_names_the_first_mode_the_rule_needs(self, gold):
         # at 2 K / 1 um the rule in m takes the modes past _K_MIN; the table
         # ends inside its range, and the message names the first integer m
@@ -826,8 +838,7 @@ class TestSweeps:
         for cfg, sums in zip(configs, sweep):
             lone = lifshitz._sum_modes([cfg], model, cs.DEFAULT_QUAD, observables)[0]
             for (value, M, _), (lone_value, lone_M, _) in zip(sums, lone, strict=True):
-                assert M == lone_M
-                assert value == pytest.approx(lone_value, rel=cs.DEFAULT_QUAD.rel_tol, abs=0.0)
+                assert (value, M) == (lone_value, lone_M), cfg
 
     @pytest.mark.parametrize("observables", [(lifshitz._PRESSURE,), (lifshitz._FREE_ENERGY,),
                                              (lifshitz._PRESSURE, lifshitz._FREE_ENERGY)],
@@ -985,16 +996,52 @@ class TestSweeps:
     @pytest.mark.parametrize("name", ["drude", "plasma", "ideal"])
     def test_first_config_equals_its_lone_sum_bit_for_bit(self, gold, gold_bg, name, T, a,
                                                           others):
-        # the first config's rows open their blocks, and each (config,
-        # observable) adds its own runs block by block, so what else the
-        # stack holds cannot change the first config's rounding
+        # each row's integral is read alone, and each (config, observable)
+        # is the math.fsum of its rows' integrals, so what else the stack
+        # holds cannot change any config's rounding: the first config's
+        # rows open their blocks, the others' do not
         model = TestStackedSums.model(name, gold, gold_bg)
         configs = [cs.ThermalGapConfig(T=T, a=a)] + [
             cs.ThermalGapConfig(T=other_T or T, a=other_a) for other_T, other_a in others]
-        observables = (lifshitz._PRESSURE, lifshitz._FREE_ENERGY)
-        stacked = lifshitz._sum_modes(configs, model, cs.DEFAULT_QUAD, observables)[0]
-        lone = lifshitz._sum_modes(configs[:1], model, cs.DEFAULT_QUAD, observables)[0]
-        assert [(value, M) for value, M, _ in stacked] == [(value, M) for value, M, _ in lone]
+        self.assert_sums_equal_lone_sums(configs, model,
+                                         (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
+
+    # sweeps whose rows fall into blocks other than their lone sums' rows:
+    # when a component added its rows node by node in runs clipped to each
+    # block, 4 and 6 of the 40 sums of the first grid (gold and plasma), 2
+    # of the 160 of the second (plasma) and 1 and 2 of the 48 of the third
+    # moved by an ulp from their lone sums
+    STRADDLING = {"0.1-0.3um-100K": [cs.ThermalGapConfig(T=100.0, a=a)
+                                     for a in np.linspace(0.1e-6, 0.3e-6, 20)],
+                  "0.3-0.5um-300-350K": [cs.ThermalGapConfig(T=T, a=a)
+                                         for a in np.linspace(0.3e-6, 0.5e-6, 40)
+                                         for T in (300.0, 350.0)],
+                  "1-3um-20-30K": [cs.ThermalGapConfig(T=T, a=a)
+                                   for a in np.linspace(1e-6, 3e-6, 12) for T in (20.0, 30.0)]}
+
+    @pytest.mark.parametrize("name, grid", [("drude", "0.1-0.3um-100K"),
+                                            ("plasma", "0.1-0.3um-100K"),
+                                            ("plasma", "0.3-0.5um-300-350K"),
+                                            ("drude", "1-3um-20-30K"),
+                                            ("plasma", "1-3um-20-30K")])
+    def test_straddling_sweep_equals_lone_sums_bit_for_bit(self, gold, gold_bg, name, grid):
+        self.assert_sums_equal_lone_sums(self.STRADDLING[grid],
+                                         TestStackedSums.model(name, gold, gold_bg),
+                                         (lifshitz._PRESSURE, lifshitz._FREE_ENERGY))
+
+    def test_a_class_read_a_block_at_a_time_keeps_every_sum(self, gold, monkeypatch):
+        # an explicit stack holds at most _READ blocks of a class at their
+        # nodes, so its memory does not grow with the sweep; each row's
+        # integral is read alone, so reading one block at a time changes no bit
+        parts = []
+        lifshitz._plan(self.STRADDLING["0.3-0.5um-300-350K"], gold, cs.DEFAULT_QUAD.rel_tol,
+                       (lifshitz._PRESSURE, lifshitz._FREE_ENERGY), parts)
+        sums = [one for _, one, value in parts if value is None and one.zeta is None]
+        classes = lifshitz._bind(gold, enumerate(sums), far=True)
+        assert [len(blocks) > 1 for blocks, _ in classes] == [True, True]
+        whole = lifshitz._integrate(gold, sums)
+        monkeypatch.setattr(lifshitz, "_READ", 1)
+        assert lifshitz._integrate(gold, sums).tobytes() == whole.tobytes()
 
     # explicit sums at two temperatures whose modes cross y_lo = m gamma = 2:
     # their first modes at 0.3-2 um are near rows, the rest and every mode
@@ -1005,20 +1052,20 @@ class TestSweeps:
     @pytest.mark.parametrize("name", ["drude", "bg", "plasma", "ideal"])
     def test_sweep_crossing_y_lo_2_equals_lone_sums_bit_for_bit(self, gold, gold_bg, name):
         # one layout of every row would cut blocks that hold near and far
-        # rows; the classes put each sum's near rows whole in one block and
-        # its far rows whole in another, and each component adds its far
-        # rows' node products to its panel values in one math.fsum: every
+        # rows; the classes put each sum's near rows in blocks on the near
+        # rule and its far rows in blocks on the Laguerre rule, and each
+        # component is one math.fsum of its rows' integrals in both: every
         # sum of the sweep, not only the first, is its lone sum to the bit,
         # with both observables and with each alone
         model = TestStackedSums.model(name, gold, gold_bg)
         observables = (lifshitz._PRESSURE, lifshitz._FREE_ENERGY)
-        parts, far = [], []
+        parts = []
         lifshitz._plan(self.CROSSING, model, cs.DEFAULT_QUAD.rel_tol, observables, parts)
         sums = [one for _, one, value in parts if value is None]
         assert len(sums) == len(self.CROSSING)
-        assert any(b.y_lo.min() < lifshitz._FAR <= b.y_lo.max()
-                   for b in lifshitz._bind(model, enumerate(sums)))
-        near = lifshitz._bind(model, enumerate(sums), far)
+        (blocks, _), = lifshitz._bind(model, enumerate(sums))
+        assert any(b.y_lo.min() < lifshitz._FAR <= b.y_lo.max() for b in blocks)
+        (near, _), (far, _) = lifshitz._bind(model, enumerate(sums), far=True)
         assert len(near) == len(far) == 2  # one block of each class per temperature
         assert all(b.y_lo.max() < lifshitz._FAR for b in near)
         assert all(b.y_lo.min() >= lifshitz._FAR for b in far)
@@ -1161,23 +1208,24 @@ def per_sum_layout(model, indexed):
     """The layout of the (i, sum) pairs indexed, as _bind
     built it sum by sum: each explicit sum (zeta None) with its own
     frequencies cfg.matsubara(m) of its modes m = 1..max(counts) and its
-    own y_lo = a zeta / c, concatenated per group: the reference for the
-    bulk form."""
-    groups, layout = {}, []
+    own y_lo = a zeta / c, concatenated per group, and its runs counted
+    across the groups' rows: the reference for the bulk form."""
+    groups, blocks, runs, start = {}, [], [], 0
     for i, one in indexed:
         if one.zeta is None:
             one = one._replace(zeta=one.cfg.matsubara(np.arange(1, max(one.counts) + 1)))
         key = (one.cfg.T if one.zeta[0] else 0.0, tuple(one.kernels))
         groups.setdefault(key, []).append((i, one))
     for (T, kernels), members in groups.items():
-        starts = itertools.accumulate([len(one.zeta) for _, one in members], initial=0)
-        runs = [(c, i * len(kernels) + c, a, a + n)
-                for (i, one), a in zip(members, starts) for c, n in enumerate(one.counts)]
+        starts = itertools.accumulate([len(one.zeta) for _, one in members], initial=start)
+        runs += [(c, i * len(kernels) + c, a, a + n)
+                 for (i, one), a in zip(members, starts) for c, n in enumerate(one.counts)]
         zeta = np.concatenate([one.zeta for _, one in members])[:, None]
         y_lo = np.concatenate([one.cfg.a * one.zeta for _, one in members])[:, None] / cs.C
-        layout += lifshitz._layout(model, T or [one.cfg for _, one in members], kernels, zeta,
-                                   y_lo, runs)
-    return layout
+        blocks += lifshitz._layout(model, T or [one.cfg for _, one in members], kernels, zeta,
+                                   y_lo)
+        start += len(zeta)
+    return blocks, runs
 
 
 def test_bulk_layout_equals_the_per_sum_layout_bit_for_bit(monkeypatch):
@@ -1200,17 +1248,18 @@ def test_bulk_layout_equals_the_per_sum_layout_bit_for_bit(monkeypatch):
             for x in np.linspace(0.0, 0.5, 26)[1:]]
     stack = sums[:2] + f_te[:12] + sums[2:] + f_te[12:]
 
-    def recording(model, at, kernels, runs, zeta, y_lo):
-        return (at, kernels, runs, zeta, y_lo)
+    def recording(model, at, kernels, zeta, y_lo):
+        return (at, kernels, zeta, y_lo)
 
     monkeypatch.setattr(lifshitz, "_block", recording)
-    bulk = lifshitz._bind(model, enumerate(stack))
-    want = per_sum_layout(model, enumerate(stack))
+    (bulk, runs), = lifshitz._bind(model, enumerate(stack))
+    want, want_runs = per_sum_layout(model, enumerate(stack))
+    assert runs == want_runs  # each run whole, in the class's row coordinates
     assert len(bulk) == len(want) > 3
     mixed = 0
     for got, ref in zip(bulk, want):
-        (at, ks, runs, *arrays), (ref_at, ref_ks, ref_runs, *ref_arrays) = got, ref
-        assert ks == ref_ks and runs == ref_runs
+        (at, ks, *arrays), (ref_at, ref_ks, *ref_arrays) = got, ref
+        assert ks == ref_ks
         assert np.array(at).tobytes() == np.array(ref_at).tobytes()  # T, or each config's T, a
         for x, y in zip(arrays, ref_arrays):  # zeta, y_lo
             assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
@@ -1374,7 +1423,7 @@ class TestLeafBitIdentity:
         zeta = cfg.matsubara(np.arange(1, 65))[:, None]
         y_lo = cfg.a * zeta / cs.C
         y = y_lo + lifshitz._T_NODES
-        rule = lifshitz._block(model, cfg.T, (), [], zeta, y_lo).rule
+        rule = lifshitz._block(model, cfg.T, (), zeta, y_lo).rule
         got = lifshitz._kernels_at(rule, y_lo, lifshitz._T_NODES, self.KERNELS[kernels])
         calls = []
         monkeypatch.setattr(dispersion, "_reflection_sq",
@@ -1397,7 +1446,7 @@ class TestLeafBitIdentity:
         y = y_lo + lifshitz._T_NODES
         ks = self.KERNELS[kernels]
         units = [self.UNITS[k] for k in ks]
-        block = lifshitz._block(model, at, (), [], y_lo, y_lo)  # as rows at zeta = 0 bind
+        block = lifshitz._block(model, at, (), y_lo, y_lo)  # as rows at zeta = 0 bind
         got = lifshitz._kernels_at(block.rule, y_lo, lifshitz._T_NODES,
                                    lifshitz._remainders(ks, units, *exact))
         A, B = rule(y)
@@ -1407,6 +1456,38 @@ class TestLeafBitIdentity:
                                (unit_A * A0 + unit_B * B0) / lifshitz._T_TAIL, 0.0)
             k = self.UNFUSED[k]
             assert np.array_equal(row, k(A, B, y) - k(A0, B0, y) + density)
+
+    @pytest.mark.parametrize("rule", ["near-110", "far-32", "tail-20"])
+    def test_block_row_integrals_equal_each_row_read_alone(self, gold, rule):
+        # a row's integral must not depend on the block it sits in, or a
+        # sweep would differ from its lone sums and per_mode from
+        # fraction(m).  The read is einsum, which sums each row on its own:
+        # a matrix product (BLAS gemv) rounds a row by its place in the
+        # block (a slice of a block's products differed from the slice's
+        # own product in 39-54 % of 2,000 random slices of blocks of each
+        # of these widths, rows of P; einsum in none).  Rows of P and F at
+        # 20 K / 0.3 um: 64 near rows (modes 1..64) on the 110-node rule and on
+        # its 20-node Laguerre tail, 256 far rows (modes from the first at
+        # y_lo >= 2) on the 32-node rule
+        cfg = cs.ThermalGapConfig(T=20.0, a=0.3e-6)
+        first = 1 if rule != "far-32" else math.ceil(lifshitz._FAR / cfg.gamma)
+        zeta = cfg.matsubara(np.arange(first, first + (256 if rule == "far-32" else 64)))[:, None]
+        y_lo = cfg.a * zeta / cs.C
+        t, w = {"near-110": (lifshitz._T_NODES, lifshitz._T_WEIGHTS),
+                "far-32": (lifshitz._L_NODES, lifshitz._L_WEIGHTS),
+                "tail-20": (lifshitz._T_NODES[90:], lifshitz._T_WEIGHTS[90:])}[rule]
+        block = lifshitz._block(gold, cfg.T, self.KERNELS["P+F"], zeta, y_lo)
+        rows = lifshitz._kernels_at(block.rule, y_lo, t, block.kernels)
+        reads = [lifshitz._integrals(w)]
+        if rule != "tail-20":  # an explicit sum's integrals, beside its estimates, whose
+            # rounding may depend on the block (matrix products): they only meet _T_CEILING
+            _, w, null = lifshitz._NEAR if rule == "near-110" else lifshitz._FAR_ROWS
+            reads.append(lambda rows: lifshitz._estimated(np.asarray(rows), w, null)[:2])
+        for read in reads:
+            got = read(rows)
+            assert got.shape == (2, len(zeta)) and np.isfinite(got).all()
+            for i in range(len(zeta)):
+                assert np.array_equal(got[:, i], read([k[i:i + 1] for k in rows])[:, 0]), i
 
     @pytest.mark.parametrize("shapes", ["float", "0-d", "column x block", "block x block",
                                         "column x row", "row x column"])

@@ -1,5 +1,6 @@
 """Time the leaf math of the sums layer by layer, on one block of rows, the
-binding of one sweep's stack of sums into blocks, and three whole sums.
+binding and the integration of one sweep's stack of sums, and three whole
+sums.
 
     PYTHONPATH=src python tools/leaf_timing.py
 
@@ -24,6 +25,10 @@ variants are
                   apart): every group's arrays, runs and blocks, eps
                   included: 101 near rows in 2 blocks and 961 far rows in
                   5, so 7 eps calls
+    integrate 80 sums
+                  _integrate of the same 80 sums: the bind, every block's
+                  kernels and its rows' integrals and error estimates, and
+                  each sum's math.fsum of its rows' integrals
     sum P 300 K 1 um
                   one explicit sum, _sum_modes of P alone: M = 19, so the
                   modes 1..18, m = 1, 2 in a block on the 110-node t-rule
@@ -55,7 +60,7 @@ from casimir import DEFAULT_QUAD, ThermalGapConfig, gold_drude
 from casimir.constants import C
 from casimir.dispersion import _reflection_sq
 from casimir.lifshitz import (_FREE_ENERGY, _L_NODES, _PRESSURE, _T_NODES, _bind, _block,
-                              _kernels_at, _plan, _sum_modes)
+                              _integrate, _kernels_at, _plan, _sum_modes)
 
 _ROUNDS = 300
 
@@ -67,7 +72,7 @@ def variants():
     y_lo = cfg.a * zeta / C
     y = y_lo + _T_NODES
     eps, p = model.eps(zeta, cfg.T), y / y_lo
-    rule = _block(model, cfg.T, (), [], zeta, y_lo).rule  # as the engine binds it
+    rule = _block(model, cfg.T, (), zeta, y_lo).rule  # as the engine binds it
     P, F = _PRESSURE[0], _FREE_ENERGY[0]
     sweep, parts = [ThermalGapConfig(T=T, a=float(a)) for a in np.geomspace(0.5e-6, 5e-6, 40)
                     for T in (300.0, 350.0)], []
@@ -80,7 +85,8 @@ def variants():
             ("kernels F", lambda: _kernels_at(rule, y_lo, _T_NODES, (F,))),
             ("kernels P+F", lambda: _kernels_at(rule, y_lo, _T_NODES, (P, F))),
             ("far P+F", lambda: _kernels_at(rule, y_lo, _L_NODES, (P, F))),
-            (f"bind {len(sums)} sums", lambda: _bind(model, enumerate(sums), [])),
+            (f"bind {len(sums)} sums", lambda: _bind(model, enumerate(sums), far=True)),
+            (f"integrate {len(sums)} sums", lambda: _integrate(model, sums)),
             ("sum P 300 K 1 um", lambda: _sum_modes([cfg], model, DEFAULT_QUAD, (_PRESSURE,))),
             ("sum P 300 K 5 um", lambda: _sum_modes([wide], model, DEFAULT_QUAD, (_PRESSURE,))),
             ("sum F 2 K 1 um", lambda: _sum_modes([cold], model, DEFAULT_QUAD, (_FREE_ENERGY,)))]
@@ -94,10 +100,11 @@ def main() -> int:
             start = time.perf_counter()
             call()
             best[i] = min(best[i], time.perf_counter() - start)
-    print(f"# one 64 x {len(_T_NODES)} block, gold, 300 K, 1 um, one bind and three sums; "
+    print(f"# one 64 x {len(_T_NODES)} block, gold, 300 K, 1 um, one stack's bind and "
+          f"integration and three sums; "
           f"best of {_ROUNDS}; Python {platform.python_version()}, numpy {np.__version__}")
     for (name, _), seconds in zip(steps, best):
-        print(f"{name:16s} {seconds * 1e6:8.1f} us")
+        print(f"{name:18s} {seconds * 1e6:8.1f} us")
     return 0
 
 
