@@ -598,9 +598,9 @@ def _integrate(model, sums, rel_tol=None):
             with np.errstate(over="ignore", invalid="ignore"):  # _READ blocks at a time
                 read = np.concatenate([_estimated(_contract(blocks[i:i + _READ], t), w, null)
                                        for i in range(0, len(blocks), _READ)], axis=1).tolist()
-            values, errs = read[:len(read) // 2], read[len(read) // 2:]
+            integrals, errs = read[:len(read) // 2], read[len(read) // 2:]
             for c, j, a, b in runs:
-                parts[j] += values[c][a:b]
+                parts[j] += integrals[c][a:b]
                 err[j] += sum(errs[c][a:b])
     if not all(map(math.isfinite, err)):
         raise ConvergenceError("the fixed t-rule met a value that is not finite: the "
