@@ -27,11 +27,6 @@ def ev_to_rad_s(energy_ev: float) -> float:
     return energy_ev * EV_TO_RAD_S
 
 
-def rad_s_to_ev(omega: float) -> float:
-    """Photon energy in eV for an angular frequency in rad/s."""
-    return omega / EV_TO_RAD_S
-
-
 def temperature_to_ev(T: float) -> float:
     """k_B * T expressed in eV."""
     return K_B * T / EV

@@ -56,21 +56,22 @@ same rows integrated to 1e-14: on the package's models with omega_p a / c
 2e-14 of a whole sum, and a sum at a rel_tol below that raises
 ConvergenceError, which names the floor (QUADPACK's round-off exit).  An
 explicit sum also fails where the rules' error estimate exceeds _T_CEILING
-= 1e-6 of it: the sum of its rows' estimates, each from the row's own
-nodes, a near row's six GK15 panel estimates plus its tail's null rule and
-a far row's null rule (a Laguerre rule's null rule is its two highest
-discrete Laguerre coefficients).  The certified models read at most about
-1e-8 (the far rows' null rule, 1.4e-8 for 0.05 eV Drude; the near rows
-1.6e-9), rows that the rules do not resolve read near 1.  A row's integral on a
-fixed rule is read alone, by einsum (_integrals), so it depends on that
-row and on nothing else in its block, where a matrix product (BLAS) rounds
-a row by its place: an explicit sum's component is the math.fsum of its
-rows' integrals, near and far, and its error estimate the sum of its
-rows' (_estimated); the rule in m, the m = 0 remainders and per_mode take
-the integrals of rows on the 110-node rule, whatever their y_lo, with no
-estimate of their own (_first_mesh, _zero_mode).  Rows outside a sum
-(_mode_integrals) are one adaptive_quad call from the ten panels of
-_T_MESH, on [0, 30], to any rel_tol.
+= 1e-6 of it: the sum of its rows' estimates, each a linear read of the
+row alone by its rule's estimate matrix (_fixed_rule): a near row's six
+raw GK15 panel estimates, |K15 - G7|, plus its tail's null rule and a far
+row's null rule (a Laguerre rule's null rule is its two highest discrete
+Laguerre coefficients).  The certified models read at most about 1e-8
+(the far rows' null rule, 1.4e-8 for 0.05 eV Drude; the near rows 2.0e-9),
+rows that the rules do not resolve read near 1.  A row's integral and
+estimate on a fixed rule are read alone, by einsum (_integrals,
+_estimated), so they depend on that row and on nothing else in its block,
+where a matrix product (BLAS) rounds a row by its place: an explicit sum's
+component is the math.fsum of its rows' integrals, near and far, and its
+error estimate the sum of its rows'; the rule in m, the m = 0 remainders
+and per_mode take the integrals of rows on the 110-node rule, whatever
+their y_lo, with no estimate of their own (_first_mesh, _zero_mode).
+Rows outside a sum (_mode_integrals) are one adaptive_quad call from the
+ten panels of _T_MESH, on [0, 30], to any rel_tol.
 
 One sum covers a stack of observables at a sequence of (a, T), a whole
 sweep: P and F share every row's A and B, and the rows of one temperature
@@ -95,7 +96,7 @@ group in one call, and the group's y_lo one array per class, so a
 sweep's explicit sums cost no array operation per (a, T).  _contract, the
 one read-out, evaluates a class block by block and keeps what a read takes
 of each block's rows: their integrals, or their values at the nodes (an
-explicit stack's, _READ blocks at a time); the leaf (_kernels_at, then
+explicit stack's, read _READ blocks at a time); the leaf (_kernels_at, then
 _reflection_sq) works at the block's full shape, never broadcasting a
 column against it.  A failure names the first (a, T) or frequency that
 fails alone, as a loop over the (a, T) would.
@@ -141,28 +142,37 @@ _T_PANELS = _T_MESH[_T_MESH <= _T_TAIL]
 def _fixed_rule(edges, points):
     """Nodes and weights of a fixed t-rule: the GK15 panels between edges,
     then the points-point Gauss-Laguerre rule for the weight e^{-2t} on
-    [edges[-1], inf), and that rule's null rule (laguerre_rule)."""
-    x, w = (r.ravel() for r in gk15_rule(edges[:-1], edges[1:]))
+    [edges[-1], inf); and its estimate matrix, shape (panels + 2, nodes):
+    a row per panel with its K15 - G7 weights (gk15_rule) on its 15 nodes,
+    then the two columns of the Laguerre rule's null rule (laguerre_rule)
+    on its nodes: a row's error estimate is the sum of |est's reads of the
+    row| (_estimated)."""
+    x, w, kg = gk15_rule(edges[:-1], edges[1:])
     t, v, null = laguerre_rule(2.0, points)
-    return np.concatenate((x, edges[-1] + t)), np.concatenate((w, v)), null
+    est = np.zeros((len(kg) + 2, kg.size + points))
+    est[np.arange(len(kg)).repeat(kg.shape[1]), np.arange(kg.size)] = kg.ravel()
+    est[len(kg):, kg.size:] = null.T
+    return np.concatenate((x.ravel(), edges[-1] + t)), np.concatenate((w.ravel(), v)), est
 
 
 # The sums' t-rule: the six panels of _T_PANELS, 90 nodes, and 20 Laguerre
-# nodes on [2, inf), where every kernel is e^{-2t} times a smooth factor.
-_T_NODES, _T_WEIGHTS, _T_NULL = _fixed_rule(_T_PANELS, 20)
+# nodes on [2, inf), where every kernel is e^{-2t} times a smooth factor;
+# its estimate matrix is 8 x 110.
+_T_NODES, _T_WEIGHTS, _T_EST = _fixed_rule(_T_PANELS, 20)
 _EPS_T = 2e-14  # the rule's certified error on a whole sum (tests/test_properties.py)
 _T_CEILING = 1e-6  # error estimate, relative, past which an explicit sum's rule fails
 # A row of an explicit sum is far where y_lo >= _FAR: its kernels are e^{-2t}
 # times a factor smooth on the scale of y_lo, which the 32 nodes of the
 # Gauss-Laguerre rule for that weight integrate from t = 0, with no panel
-# (_L_NODES, _L_WEIGHTS; rows @ _L_NULL are its null rule's sums, which
+# (_L_NODES, _L_WEIGHTS; _L_EST, 2 x 32, is its null rule, whose sums
 # estimate its error).
 _FAR = 2.0
-_L_NODES, _L_WEIGHTS, _L_NULL = _fixed_rule(_T_MESH[:1], 32)
+_L_NODES, _L_WEIGHTS, _L_EST = _fixed_rule(_T_MESH[:1], 32)
 _ROW_BLOCK = 64  # rows evaluated together: 64 x 110 floats, below the 128 KiB mmap threshold
 _FAR_BLOCK = 256  # far rows evaluated together: 256 x 32 floats
 # Blocks of a class of an explicit stack held at their nodes and read
 # together (_estimated): about 1 MB per kernel, whatever the sweep's size.
+# Reading each block alone made the README lowtemp request 5-7 % slower.
 _READ = 16
 _ROW_CAP = 250_000  # most rows a sum or a per_mode table evaluates one by one
 # The rule in m (_tail_rule) runs only where M > _RULE_RATIO _K_MIN, from
@@ -530,8 +540,8 @@ def _contract(blocks, t, read=np.asarray):
     rows' values at the nodes, and the blocks' are joined along the rows,
     shape (kernels, rows of the class, ...).  Only what read keeps outlives
     a block.  Overflow and invalid values raise no warning here: the caller
-    names a row or a sum that is not finite (_first_mesh, _gk15_panels,
-    _integrate)."""
+    names a row or a sum that is not finite (_first_mesh, _gk15_panels of
+    an adaptive round, _integrate)."""
     with np.errstate(over="ignore", invalid="ignore"):
         reads = [read(_kernels_at(block.rule, block.y_lo, t, block.kernels)) for block in blocks]
     return reads[0] if len(reads) == 1 else np.concatenate(reads, axis=1)
@@ -545,21 +555,18 @@ def _integrals(w):
     return lambda rows: np.einsum("kij,j->ki", rows, w)
 
 
-def _estimated(rows, w, null):
+def _estimated(rows, w, est):
     """The integral of each of rows, shape (kernels, rows, nodes), on a
-    fixed t-rule of weights w, whose last len(null) nodes are a Laguerre
-    rule with that null rule (laguerre_rule), and its error estimate: |the
-    null rule's sums| plus, on a near row, the GK15 estimates of its six
-    panels on _T_PANELS, its first nodes.  Shape (2 kernels, rows): the
-    integrals, then the estimates."""
-    head, flat = len(w) - len(null), rows.reshape(-1, len(w))  # one row per (kernel, row)
-    err = np.abs(flat[:, head:] @ null).sum(axis=1)
-    if head:
-        err += _gk15_panels(flat[:, :head], _T_PANELS[:-1], _T_PANELS[1:])[1].sum(axis=1)
-    return np.concatenate((_integrals(w)(rows), err.reshape(rows.shape[:2])))
+    fixed t-rule of weights w and estimate matrix est (_fixed_rule), and
+    its error estimate, the sum of |est's reads of the row|: a near row's
+    six raw GK15 panel estimates and its tail's null rule, a far row's null
+    rule.  Both are read by einsum, so each depends on its row alone.
+    Shape (2 kernels, rows): the integrals, then the estimates."""
+    err = np.abs(np.einsum("kij,lj->lki", rows, est)).sum(axis=0)
+    return np.concatenate((_integrals(w)(rows), err))
 
 
-_NEAR, _FAR_ROWS = (_T_NODES, _T_WEIGHTS, _T_NULL), (_L_NODES, _L_WEIGHTS, _L_NULL)
+_NEAR, _FAR_ROWS = (_T_NODES, _T_WEIGHTS, _T_EST), (_L_NODES, _L_WEIGHTS, _L_EST)
 
 
 def _integrate(model, sums, rel_tol=None):
@@ -568,17 +575,18 @@ def _integrate(model, sums, rel_tol=None):
     Rows share t and a block's kernels share their (A, B) (see _bind).
     Without rel_tol each row is integrated on its own fixed rule (_NEAR,
     _FAR_ROWS): its near rows (y_lo < _FAR) on _T_NODES, its far rows on
-    the 32-point Laguerre rule, each row's integral read alone (einsum), so
-    it depends on that row only, with its error estimate (_estimated), from
-    _READ blocks of a class at a time, so that a stack holds no more of its
-    rows at their nodes, and each (sum, kernel) component is the math.fsum
-    of its rows' integrals, whatever the rest of the stack;
-    ConvergenceError where a value is not finite or where the sum of its
-    rows' error estimates exceeds _T_CEILING of the component's |value|,
-    as no certified sum's does, carrying every value as the estimate.  With
-    rel_tol (rows outside a sum), one adaptive_quad call from the panels of
-    _T_MESH holds it on each component, on [0, 30]: a component's values at
-    a round's nodes are its rows' there, added node by node.
+    the 32-point Laguerre rule, each row's integral and error estimate read
+    alone (einsum, _estimated), so they depend on that row only, from _READ
+    blocks of a class at a time, so that a stack holds no more of its rows
+    at their nodes, and each (sum, kernel) component is the math.fsum of
+    its rows' integrals, whatever the rest of the stack; ConvergenceError
+    where an estimate is not finite, as it is wherever a row's value is
+    NaN or infinite, or where the sum of its rows' error estimates exceeds
+    _T_CEILING of the component's |value|, as no certified sum's does,
+    carrying every value as the estimate.  With rel_tol (rows outside a
+    sum), one adaptive_quad call from the panels of _T_MESH holds it on
+    each component, on [0, 30]: a component's values at a round's nodes are
+    its rows' there, added node by node.
     """
     width = len(sums) * len(sums[0].kernels)
     if rel_tol is not None:
@@ -592,18 +600,18 @@ def _integrate(model, sums, rel_tol=None):
         values = adaptive_quad(at_nodes, _T_MESH, rel_tol=rel_tol)[0]
         return np.reshape(values, (len(sums), -1))
     parts, err = [[] for _ in range(width)], [0.0] * width
-    for (blocks, runs), (t, w, null) in zip(_bind(model, enumerate(sums), far=True),
-                                            (_NEAR, _FAR_ROWS)):
+    for (blocks, runs), (t, w, est) in zip(_bind(model, enumerate(sums), far=True),
+                                           (_NEAR, _FAR_ROWS)):
         if blocks:
             with np.errstate(over="ignore", invalid="ignore"):  # _READ blocks at a time
-                read = np.concatenate([_estimated(_contract(blocks[i:i + _READ], t), w, null)
+                read = np.concatenate([_estimated(_contract(blocks[i:i + _READ], t), w, est)
                                        for i in range(0, len(blocks), _READ)], axis=1).tolist()
             integrals, errs = read[:len(read) // 2], read[len(read) // 2:]
             for c, j, a, b in runs:
                 parts[j] += integrals[c][a:b]
                 err[j] += sum(errs[c][a:b])
     if not all(map(math.isfinite, err)):
-        raise ConvergenceError("the fixed t-rule met a value that is not finite: the "
+        raise ConvergenceError("the fixed t-rule met a non-finite estimate: the "
                                "integrand is NaN or infinite, or too large to sum")
     values = [math.fsum(v) for v in parts]
     for e, value in zip(err, values):
@@ -856,7 +864,7 @@ def _tail_rule(model, cfg, observables, kernels, K, M, rel_tol, head):
         if (end_err > budget).any():
             return None
         if (errs.sum(axis=1) <= budget).all():
-            x, wk = (r.ravel() for r in gk15_rule(lo, hi))
+            x, wk = (r.ravel() for r in gk15_rule(lo, hi)[:2])
             return np.concatenate((fixed, x)), np.concatenate((fixed_w, wk)), rule
         if len(lo) >= _M_PANELS:
             return None

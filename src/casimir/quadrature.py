@@ -25,10 +25,11 @@ adaptive_quad serves the rows outside a sum and the dispersion integrals.
 
 Error estimation follows the QUADPACK recipe: the raw |K15 - G7|
 difference is rescaled by the panel's total variation measure so that
-near-singular panels are not trusted optimistically.  _gk15_panels is the
-one estimate: every round of adaptive_quad, every panel of the Lifshitz
-rule in m (a GK15 rule over the mode number) and the panels of every near
-row of a Lifshitz sum, whose values it does not give, take it.
+near-singular panels are not trusted optimistically.  _gk15_panels gives
+that estimate to every round of adaptive_quad and every panel of the
+Lifshitz rule in m (a GK15 rule over the mode number).  The panels of a
+near row of a Lifshitz sum take the raw difference alone, a linear read of
+the row by gk15_rule's K15 - G7 weights, beside its tail's null rule.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ _WG = np.array([
 _NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))
 _WK = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _WG_FULL = np.concatenate((_WG[:-1], _WG[::-1]))  # weights for nodes 1,3,...,13
+_WKG = _WK.copy()  # K15 - G7 on all 15 nodes: the Gauss nodes are the odd ones
+_WKG[1::2] -= _WG_FULL
 
 # Gauss-Laguerre rules for int_0^inf e^{-x} g(x) dx, 32 and 20 points: the
 # nodes x_i, zeros of L_n, and the weights W_i times e^{x_i}, so that W_i
@@ -137,11 +140,13 @@ def neumaier_sum(values) -> float:
 
 
 def gk15_rule(lo: np.ndarray, hi: np.ndarray):
-    """Nodes and Kronrod weights of the panels [lo_i, hi_i], each an array
-    with one row of 15 per panel; _gk15_panels estimates the panels' values
-    and errors from the values at those nodes."""
+    """Nodes, Kronrod weights and K15 - G7 weights of the panels [lo_i,
+    hi_i], each an array with one row of 15 per panel.  _gk15_panels
+    estimates the panels' values and errors from the values at those
+    nodes; the values' sum on the last weights is a panel's K15 - G7, whose
+    size is its raw error before _gk15_panels rescales it."""
     half = 0.5 * (hi - lo)[:, None]
-    return 0.5 * (lo + hi)[:, None] + half * _NODES, half * _WK
+    return 0.5 * (lo + hi)[:, None] + half * _NODES, half * _WK, half * _WKG
 
 
 def laguerre_rule(rate: float, points: int):

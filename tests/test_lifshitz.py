@@ -1459,16 +1459,18 @@ class TestLeafBitIdentity:
 
     @pytest.mark.parametrize("rule", ["near-110", "far-32", "tail-20"])
     def test_block_row_integrals_equal_each_row_read_alone(self, gold, rule):
-        # a row's integral must not depend on the block it sits in, or a
-        # sweep would differ from its lone sums and per_mode from
-        # fraction(m).  The read is einsum, which sums each row on its own:
-        # a matrix product (BLAS gemv) rounds a row by its place in the
+        # a row's integral and error estimate must not depend on the block
+        # it sits in, or a sweep would differ from its lone sums, per_mode
+        # from fraction(m), and a sum at _T_CEILING could pass alone and
+        # fail in a sweep.  The reads are einsum, which sums each row on its
+        # own: a matrix product (BLAS gemv) rounds a row by its place in the
         # block (a slice of a block's products differed from the slice's
         # own product in 39-54 % of 2,000 random slices of blocks of each
-        # of these widths, rows of P; einsum in none).  Rows of P and F at
-        # 20 K / 0.3 um: 64 near rows (modes 1..64) on the 110-node rule and on
-        # its 20-node Laguerre tail, 256 far rows (modes from the first at
-        # y_lo >= 2) on the 32-node rule
+        # of these widths, rows of P; einsum in none; the estimates, read by
+        # matrix products, differed on 63 of 64 near and 255 of 256 far
+        # rows).  Rows of P and F at 20 K / 0.3 um: 64 near rows (modes
+        # 1..64) on the 110-node rule and on its 20-node Laguerre tail, 256
+        # far rows (modes from the first at y_lo >= 2) on the 32-node rule
         cfg = cs.ThermalGapConfig(T=20.0, a=0.3e-6)
         first = 1 if rule != "far-32" else math.ceil(lifshitz._FAR / cfg.gamma)
         zeta = cfg.matsubara(np.arange(first, first + (256 if rule == "far-32" else 64)))[:, None]
@@ -1479,13 +1481,12 @@ class TestLeafBitIdentity:
         block = lifshitz._block(gold, cfg.T, self.KERNELS["P+F"], zeta, y_lo)
         rows = lifshitz._kernels_at(block.rule, y_lo, t, block.kernels)
         reads = [lifshitz._integrals(w)]
-        if rule != "tail-20":  # an explicit sum's integrals, beside its estimates, whose
-            # rounding may depend on the block (matrix products): they only meet _T_CEILING
-            _, w, null = lifshitz._NEAR if rule == "near-110" else lifshitz._FAR_ROWS
-            reads.append(lambda rows: lifshitz._estimated(np.asarray(rows), w, null)[:2])
+        if rule != "tail-20":  # an explicit sum's integrals and estimates
+            _, w, est = lifshitz._NEAR if rule == "near-110" else lifshitz._FAR_ROWS
+            reads.append(lambda rows: lifshitz._estimated(np.asarray(rows), w, est))
         for read in reads:
             got = read(rows)
-            assert got.shape == (2, len(zeta)) and np.isfinite(got).all()
+            assert got.shape in ((2, len(zeta)), (4, len(zeta))) and np.isfinite(got).all()
             for i in range(len(zeta)):
                 assert np.array_equal(got[:, i], read([k[i:i + 1] for k in rows])[:, 0]), i
 
@@ -1716,6 +1717,30 @@ class TestWorkCount:
             ms = np.concatenate(placed)
             assert tries == ([64] if rel_tol == 1e-10 else [64, 128, 256, 512])
             assert len(ms) - len(np.unique(ms)) == 10 * (len(tries) - 1)
+
+    @pytest.mark.parametrize("configs, observables, rule", [
+        pytest.param([cs.ThermalGapConfig(T=300.0, a=1e-6)], (lifshitz._PRESSURE,), False,
+                     id="P-300K-1um"),
+        pytest.param(README, (lifshitz._PRESSURE,), False, id="readme-pressure"),
+        pytest.param([cs.ThermalGapConfig(T=2.0, a=1e-6)], (lifshitz._FREE_ENERGY,), True,
+                     id="F-2K-1um")])
+    def test_only_rule_sums_call_gk15_panels(self, gold, monkeypatch, configs, observables,
+                                             rule):
+        # an explicit sum's error estimate is each row's read of its fixed
+        # rule's estimate matrix (_estimated); only a rule in m estimates
+        # GK15 panels, its panels over m
+        calls, gk15 = [], quadrature._gk15_panels
+
+        def counting_gk15(fx, lo, hi):
+            calls.append(len(lo))
+            return gk15(fx, lo, hi)
+
+        monkeypatch.setattr(quadrature, "_gk15_panels", counting_gk15)
+        monkeypatch.setattr(lifshitz, "_gk15_panels", counting_gk15)
+        sums = lifshitz._sum_modes(configs, gold, cs.DEFAULT_QUAD, observables)
+        M = max(M for one in sums for _, M, _ in one)
+        assert (M > lifshitz._RULE_RATIO * lifshitz._K_MIN) == rule
+        assert (len(calls) > 0) == rule
 
     def test_sign_change_gap_reads_no_per_mode_table(self, gold, monkeypatch):
         calls = self.count_reflections(monkeypatch)

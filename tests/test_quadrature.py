@@ -308,15 +308,42 @@ TAIL = slice(-20, None)
 
 
 def test_fixed_t_rule_is_panels_to_2_then_a_laguerre_tail():
-    t, w = lifshitz._T_NODES, lifshitz._T_WEIGHTS
+    t, w, est = lifshitz._T_NODES, lifshitz._T_WEIGHTS, lifshitz._T_EST
     panels = lifshitz._T_PANELS
     assert panels[-1] == lifshitz._T_TAIL == 2.0
     assert len(t) == len(w) == 15 * (len(panels) - 1) + 20 == 110
-    x, wk = (r.ravel() for r in gk15_rule(panels[:-1], panels[1:]))
+    assert est.shape == (len(panels) - 1 + 2, len(t)) == (8, 110)
+    x, wk = (r.ravel() for r in gk15_rule(panels[:-1], panels[1:])[:2])
     assert np.array_equal(t[:len(x)], x) and np.array_equal(w[:len(x)], wk)
     assert t[:len(x)].max() < 2.0 < t[TAIL].min()
     tail, w_tail, _ = laguerre_rule(2.0, 20)
     assert np.array_equal(t[TAIL], 2.0 + tail) and np.array_equal(w[TAIL], w_tail)
+
+
+def test_estimate_matrix_reads_each_panels_raw_gk15_error_and_the_null_rules():
+    # a panel row of the near rule's matrix, read on a row of values at the
+    # nodes, is that panel's |K15 - G7| half-width, the error _gk15_panels
+    # rescales: K15 its Kronrod value, G7 the 7-point Gauss rule (numpy's
+    # leggauss) at the odd Kronrod nodes.  They agree to 1e-15 of the
+    # panel's half-width times sum |f|, the scale of K15's and G7's rounding,
+    # on values drawn at random, where K15 - G7 is of the size of K15.  The
+    # last two rows, and the far rule's matrix, are laguerre_rule's null rules
+    from numpy.polynomial.legendre import leggauss
+    panels, est = lifshitz._T_PANELS, lifshitz._T_EST
+    lo, hi, half = panels[:-1], panels[1:], 0.5 * (panels[1:] - panels[:-1])
+    xg, wg = leggauss(7)
+    kronrod_nodes = gk15_rule(-np.ones(1), np.ones(1))[0][0]
+    assert np.allclose(kronrod_nodes[1::2], xg, rtol=0.0, atol=1e-15)
+    rows = np.random.default_rng(41).standard_normal((40, len(lifshitz._T_NODES)))
+    kronrod = _gk15_panels(rows[:, :90], lo, hi)[0]
+    gauss = (rows[:, :90].reshape(40, 6, 15)[..., 1::2] @ wg) * half
+    read = np.einsum("ij,lj->il", rows, est)
+    scale = np.abs(rows[:, :90]).reshape(40, 6, 15).sum(axis=2) * half
+    assert (np.abs(np.abs(read[:, :6]) - np.abs(kronrod - gauss)) <= 1e-15 * scale).all()
+    for i, weights in enumerate(gk15_rule(lo, hi)[2]):  # each panel row on its own nodes
+        assert np.array_equal(est[i], np.pad(weights, (15 * i, 110 - 15 * i - 15)))
+    assert np.array_equal(est[6:, 90:], laguerre_rule(2.0, 20)[2].T)
+    assert np.array_equal(lifshitz._L_EST, laguerre_rule(2.0, 32)[2].T)
 
 
 def test_shifted_laguerre_tail_is_exact_past_2():
@@ -333,7 +360,10 @@ def test_tail_null_rule_reads_the_top_laguerre_coefficients():
     # 1/2 on e^{-2s} L_18(2s) and e^{-2s} L_19(2s), s = t - 2, and 0 below
     # degree 18; a smooth factor reads far below its integral
     from numpy.polynomial.laguerre import lagval
-    s, w, null = lifshitz._T_NODES[TAIL] - 2.0, lifshitz._T_WEIGHTS[TAIL], lifshitz._T_NULL
+    # (the estimate matrix's last two rows, 0 on the panels' nodes)
+    s, w, null = lifshitz._T_NODES[TAIL] - 2.0, lifshitz._T_WEIGHTS[TAIL], lifshitz._T_EST[-2:]
+    assert not null[:, :90].any()
+    null = null[:, TAIL].T
     for k, want in ((17, [0.0, 0.0]), (18, [0.5, 0.0]), (19, [0.0, 0.5])):
         f = np.exp(-2.0 * s) * lagval(2.0 * s, [0.0] * k + [1.0])
         assert f @ null == pytest.approx(want, abs=1e-15), k

@@ -19,6 +19,12 @@ variants are
     far P+F       both kernels on the same 64 rows at the 32 nodes of the
                   Gauss-Laguerre rule, as a block of far rows (y_lo >= 2)
                   evaluates them
+    estimate P+F  _estimated of the kernels P+F block: each row's integral
+                  and its error estimate, the read of the 8 x 110 estimate
+                  matrix (six GK15 panel differences and the tail's null
+                  rule), each row read alone
+    estimate far  the same read of the far P+F rows on the 32-point rule,
+                  whose estimate matrix is its 2 x 32 null rule
     bind 80 sums  _bind of the README pressure sweep's stack (40 gaps from
                   0.5 to 5 um, log-spaced, at 300 and 350 K: 80 explicit
                   sums, one _bind call as _integrate makes it, far rows
@@ -59,8 +65,9 @@ import numpy as np
 from casimir import DEFAULT_QUAD, ThermalGapConfig, gold_drude
 from casimir.constants import C
 from casimir.dispersion import _reflection_sq
-from casimir.lifshitz import (_FREE_ENERGY, _L_NODES, _PRESSURE, _T_NODES, _bind, _block,
-                              _integrate, _kernels_at, _plan, _sum_modes)
+from casimir.lifshitz import (_FAR_ROWS, _FREE_ENERGY, _L_NODES, _NEAR, _PRESSURE, _T_NODES,
+                              _bind, _block, _estimated, _integrate, _kernels_at, _plan,
+                              _sum_modes)
 
 _ROUNDS = 300
 
@@ -74,6 +81,7 @@ def variants():
     eps, p = model.eps(zeta, cfg.T), y / y_lo
     rule = _block(model, cfg.T, (), zeta, y_lo).rule  # as the engine binds it
     P, F = _PRESSURE[0], _FREE_ENERGY[0]
+    near, far = (np.asarray(_kernels_at(rule, y_lo, t, (P, F))) for t in (_T_NODES, _L_NODES))
     sweep, parts = [ThermalGapConfig(T=T, a=float(a)) for a in np.geomspace(0.5e-6, 5e-6, 40)
                     for T in (300.0, 350.0)], []
     _plan(sweep, model, DEFAULT_QUAD.rel_tol, (_PRESSURE,), parts)
@@ -85,6 +93,8 @@ def variants():
             ("kernels F", lambda: _kernels_at(rule, y_lo, _T_NODES, (F,))),
             ("kernels P+F", lambda: _kernels_at(rule, y_lo, _T_NODES, (P, F))),
             ("far P+F", lambda: _kernels_at(rule, y_lo, _L_NODES, (P, F))),
+            ("estimate P+F", lambda: _estimated(near, *_NEAR[1:])),
+            ("estimate far", lambda: _estimated(far, *_FAR_ROWS[1:])),
             (f"bind {len(sums)} sums", lambda: _bind(model, enumerate(sums), far=True)),
             (f"integrate {len(sums)} sums", lambda: _integrate(model, sums)),
             ("sum P 300 K 1 um", lambda: _sum_modes([cfg], model, DEFAULT_QUAD, (_PRESSURE,))),
