@@ -1484,9 +1484,9 @@ class TestLeafBitIdentity:
         if rule != "tail-20":  # an explicit sum's integrals and estimates
             _, w, est = lifshitz._NEAR if rule == "near-110" else lifshitz._FAR_ROWS
             reads.append(lambda rows: lifshitz._estimated(np.asarray(rows), w, est))
-        for read in reads:
+        for read, width in zip(reads, (2, 4)):  # integrals; then estimates too
             got = read(rows)
-            assert got.shape in ((2, len(zeta)), (4, len(zeta))) and np.isfinite(got).all()
+            assert got.shape == (width, len(zeta)) and np.isfinite(got).all()
             for i in range(len(zeta)):
                 assert np.array_equal(got[:, i], read([k[i:i + 1] for k in rows])[:, 0]), i
 
